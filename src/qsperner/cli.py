@@ -375,6 +375,7 @@ def _cmd_search(args) -> CommandResult:
         "witness": _family_json(result.witness),
         "nodes_explored": result.nodes_explored,
         "exact": result.exact,
+        "stats": result.stats,
     }
     status = "ok" if result.exact else "budget-exhausted"
     human = (

@@ -6,13 +6,26 @@ bit i-1 standing for element i.  The maximum-family search builds the
 compatibility graph (admissible subsets as vertices, edges where the
 pairwise constraint holds) and runs a deterministic branch-and-bound
 maximum clique with greedy-coloring upper bounds on bitset adjacency rows.
+
+The search breaks the symmetry of the constraint kinds by orbital
+branching (Ostrowski, Linderoth, Rossi & Smriglio, Math. Programming
+2011) at its top two levels.  Every kind is invariant under relabelling
+[n], whose orbits on subsets are the size levels; Hamming distance is also
+invariant under XOR translation, which makes 2^[n] a single orbit.  The
+search branches once per orbit, rooted at the orbit's least vertex ({1..k}
+for level k, the empty set for Hamming), then once per orbit of that
+root's stabiliser, dropping each orbit after its branch.  The canonical
+witness, the lexicographically smallest maximum clique, is then restored
+vertex by vertex; a candidate that fails takes its whole orbit under the
+stabiliser of the sets chosen so far with it.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .padic import PrimePower
@@ -282,7 +295,9 @@ def _is_antichain(members) -> bool:
 
 def _maximum_matching(left: list[int], right: list[int]) -> dict[int, int]:
     """Maximum bipartite matching by augmenting paths (Kuhn).  Edges join a
-    left mask to each right mask covering it with exactly one extra element."""
+    left mask to each right mask covering it with exactly one extra element.
+    The depth-first search for a path keeps its own stack, since a path can
+    pass through every left vertex of a whole layer."""
     right_index = {m: j for j, m in enumerate(right)}
     universe = max(right, default=0).bit_length()
     adj: list[list[int]] = []
@@ -295,18 +310,27 @@ def _maximum_matching(left: list[int], right: list[int]) -> dict[int, int]:
                     nbrs.append(j)
         adj.append(nbrs)
     match_right = [-1] * len(right)
-
-    def try_augment(u: int, seen: list[bool]) -> bool:
-        for j in adj[u]:
-            if not seen[j]:
-                seen[j] = True
-                if match_right[j] == -1 or try_augment(match_right[j], seen):
-                    match_right[j] = u
-                    return True
-        return False
-
     for u in range(len(left)):
-        try_augment(u, [False] * len(right))
+        seen = [False] * len(right)
+        # the path so far: left vertices with their untried neighbours, and
+        # the right vertices joining each one to the next
+        path, via = [(u, iter(adj[u]))], []
+        while path:
+            for j in path[-1][1]:
+                if not seen[j]:
+                    break
+            else:
+                path.pop()
+                if via:
+                    via.pop()
+                continue
+            seen[j] = True
+            if match_right[j] == -1:
+                for (x, _), y in zip(path, via + [j]):
+                    match_right[y] = x
+                break
+            via.append(j)
+            path.append((match_right[j], iter(adj[match_right[j]])))
     return {
         left[u]: right[j] for j, u in enumerate(match_right) if u != -1
     }
@@ -366,10 +390,15 @@ def push_to_middle(fam: SetFamily, s: int) -> SetFamily:
 
 @dataclass
 class SearchResult:
+    """`nodes_explored` counts search and restoration nodes together; `stats`
+    splits them and adds the graph-build time, the vertex count and the
+    number of root orbits whose branch was searched."""
+
     max_size: int
     witness: SetFamily
     nodes_explored: int
     exact: bool
+    stats: dict = field(default_factory=dict)
 
 
 def _pair_predicate(spec: ConstraintSpec):
@@ -433,6 +462,41 @@ def _pair_predicate(spec: ConstraintSpec):
     return pred
 
 
+def _root_orbit_key(kind: Kind):
+    """The symmetry group of the kind, as the orbit of a subset.  Every
+    member and pair statistic reads only cardinalities, so relabelling [n]
+    is a symmetry of every kind and its orbits are the size levels.
+    Hamming distance is also invariant under XOR translation b -> b ^ t,
+    which makes all of 2^[n] one orbit."""
+    if kind is Kind.HAMMING:
+        return lambda b: 0
+    return int.bit_count
+
+
+def _refine(regions: list[int], m: int) -> list[int]:
+    """The Venn regions of the sets behind `regions` together with m."""
+    return [part for x in regions for part in (x & m, x & ~m) if part]
+
+
+def _region_key(regions: list[int]):
+    """Orbit of a subset under the relabellings that keep every region, the
+    product of their symmetric groups: the stabiliser of every set whose
+    Venn regions they are.  The orbit of b is fixed by |b & region|."""
+    return lambda b: tuple((b & x).bit_count() for x in regions)
+
+
+def _orbits(P: int, verts: list[int], key) -> dict:
+    """Partition of the vertex bitmask P into classes of equal key(subset),
+    ordered by least vertex."""
+    parts: dict = {}
+    while P:
+        low = P & -P
+        k = key(verts[low.bit_length() - 1])
+        parts[k] = parts.get(k, 0) | low
+        P ^= low
+    return parts
+
+
 def _build_graph(spec: ConstraintSpec) -> tuple[list[int], list[int]]:
     verts = [
         m for m in range(1 << spec.n) if _member_violation(spec, m) is None
@@ -452,21 +516,21 @@ def _build_graph(spec: ConstraintSpec) -> tuple[list[int], list[int]]:
     return verts, adj
 
 
-def _color_sort(P: int, adj: list[int]) -> tuple[list[int], list[int]]:
-    """Greedy coloring of the candidate set; returns vertices in coloring
-    order with their color numbers (a clique-size upper bound)."""
+def _color_sort(P: int, nadj: list[int]) -> tuple[list[int], list[int]]:
+    """Greedy coloring of the candidate set from the complement rows; returns
+    vertices in coloring order with their color numbers (a clique-size upper
+    bound for the vertices up to that position)."""
     order: list[int] = []
     bounds: list[int] = []
     color = 0
-    rest = P
-    while rest:
+    while P:
         color += 1
-        avail = rest
+        avail = P
         while avail:
-            v = (avail & -avail).bit_length() - 1
-            bit = 1 << v
-            avail &= ~adj[v] & ~bit
-            rest &= ~bit
+            low = avail & -avail
+            v = low.bit_length() - 1
+            avail &= nadj[v] & ~low
+            P &= ~low
             order.append(v)
             bounds.append(color)
     return order, bounds
@@ -494,51 +558,51 @@ def _greedy_clique(nv: int, adj: list[int]) -> list[int]:
     return best
 
 
-def _components(nv: int, adj: list[int]) -> list[int]:
-    """Connected components of the compatibility graph as vertex bitmasks,
-    ordered by smallest contained vertex."""
-    seen = 0
-    comps = []
-    for v in range(nv):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            grown = 0
-            f = frontier
-            while f:
-                u = (f & -f).bit_length() - 1
-                f &= f - 1
-                grown |= adj[u]
-            frontier = grown & ~comp
-            comp |= grown
-        comps.append(comp)
-        seen |= comp
-    return comps
-
-
 class _CliqueSearch:
     def __init__(self, adj: list[int], node_budget: int | None):
         self.adj = adj
         self.nadj = [~a for a in adj]
         self.budget = node_budget
         self.nodes = 0
+        self.restore_nodes = 0
+        self.root_orbits = 0
         self.exact = True
         self.best_size = 0
         self.best: list[int] = []
 
-    def run(self, seed: list[int]) -> None:
-        if seed:
-            self.best_size = len(seed)
-            self.best = list(seed)
-        # components are independent subproblems; the shared incumbent
-        # prunes the later ones
-        for comp in _components(len(self.adj), self.adj):
-            if comp.bit_count() > self.best_size:
-                self._expand([], comp)
-            if not self.exact:
-                break
+    def run(self, seed: list[int], verts: list[int], n: int, root_key) -> None:
+        """Orbital branching at the top two levels.  A maximum clique meeting
+        a root orbit can be mapped onto one holding its representative (its
+        least vertex) without meeting the earlier orbits, so each root orbit
+        is one branch and is then dropped from the pool.  Inside the branch
+        for r the pool is invariant under the stabiliser of r, and its
+        orbits are branched on and dropped the same way; for Hamming r is
+        the empty set, whose stabiliser is the relabellings alone.  Only the
+        incumbent prunes: no certified bound is fed in, since the search is
+        what checks those bounds."""
+        self.best_size, self.best = len(seed), list(seed)
+        adj = self.adj
+        pool = (1 << len(verts)) - 1
+        for orbit in _orbits(pool, verts, root_key).values():
+            r = (orbit & -orbit).bit_length() - 1
+            P = pool & adj[r]
+            pool &= ~orbit
+            if P.bit_count() < self.best_size:
+                continue
+            self.root_orbits += 1
+            stab_key = _region_key(_refine([(1 << n) - 1], verts[r]))
+            for sub in _orbits(P, verts, stab_key).values():
+                s = (sub & -sub).bit_length() - 1
+                cand = P & adj[s]
+                P &= ~sub
+                if cand.bit_count() + 2 <= self.best_size:
+                    continue
+                if cand:
+                    self._expand([r, s], cand)
+                    if not self.exact:
+                        return
+                else:
+                    self.best_size, self.best = 2, [r, s]
 
     def _expand(self, stack: list[int], P: int) -> bool:
         self.nodes += 1
@@ -546,22 +610,8 @@ class _CliqueSearch:
             self.exact = False
             return True
         adj = self.adj
-        nadj = self.nadj
         depth = len(stack)
-        order: list[int] = []
-        bounds: list[int] = []
-        rest = P
-        color = 0
-        while rest:
-            color += 1
-            avail = rest
-            while avail:
-                low = avail & -avail
-                v = low.bit_length() - 1
-                avail &= nadj[v] & ~low
-                rest &= ~low
-                order.append(v)
-                bounds.append(color)
+        order, bounds = _color_sort(P, self.nadj)
         for i in range(len(order) - 1, -1, -1):
             if depth + bounds[i] <= self.best_size:
                 return False
@@ -579,40 +629,60 @@ class _CliqueSearch:
             P &= ~(1 << v)
         return False
 
-    def has_clique(self, P: int, target: int) -> bool:
-        """Decision search: does P induce a clique of size >= target?"""
+    def has_clique(self, P: int, target: int) -> list[int] | None:
+        """Decision search: a clique of size target inside P, or None."""
         if target <= 0:
-            return True
+            return []
         if P.bit_count() < target:
-            return False
-        self.nodes += 1
-        order, bounds = _color_sort(P, self.adj)
-        if bounds[-1] < target:
-            return False
+            return None
+        self.restore_nodes += 1
+        order, bounds = _color_sort(P, self.nadj)
         for i in range(len(order) - 1, -1, -1):
             if bounds[i] < target:
-                return False
+                return None
             v = order[i]
-            if self.has_clique(P & self.adj[v], target - 1):
-                return True
+            found = self.has_clique(P & self.adj[v], target - 1)
+            if found is not None:
+                found.append(v)
+                return found
             P &= ~(1 << v)
-        return False
+        return None
 
 
-def _lex_smallest_optimum(search: _CliqueSearch, nv: int, omega: int) -> list[int]:
+def _lex_smallest_optimum(
+    search: _CliqueSearch, verts: list[int], n: int, omega: int
+) -> list[int]:
+    """The lexicographically smallest maximum clique, taking vertex by vertex
+    the least one of the pool that extends the chosen ones to a maximum
+    clique.  `known` extends the chosen ones, so a candidate in it needs no
+    search.  A candidate that fails takes its orbit under the stabiliser of
+    the chosen sets with it (see `_region_key`)."""
     chosen: list[int] = []
-    P = (1 << nv) - 1
-    for v in range(nv):
-        if len(chosen) == omega:
-            break
-        if not P >> v & 1:
-            continue
+    known = set(search.best)
+    P = (1 << len(verts)) - 1
+    regions = [(1 << n) - 1]
+    key = _region_key(regions)
+    orbits = None
+    while len(chosen) < omega:
+        if not P:  # pragma: no cover
+            raise AssertionError("lexicographic restoration failed")
+        v = (P & -P).bit_length() - 1
         newP = P & search.adj[v]
-        if search.has_clique(newP, omega - len(chosen) - 1):
-            chosen.append(v)
-            P = newP
-    if len(chosen) != omega:  # pragma: no cover
-        raise AssertionError("lexicographic restoration failed")
+        if v in known:
+            completion = known
+        else:
+            completion = search.has_clique(newP, omega - len(chosen) - 1)
+        if completion is None:
+            if orbits is None:
+                orbits = _orbits(P, verts, key)
+            P &= ~orbits[key(verts[v])]
+            continue
+        known = set(completion)
+        chosen.append(v)
+        P = newP
+        regions = _refine(regions, verts[v])
+        key = _region_key(regions)
+        orbits = None
     return chosen
 
 
@@ -633,15 +703,26 @@ def max_family(
     if node_budget is None:
         env = os.environ.get(NODE_BUDGET_ENV)
         node_budget = int(env) if env else None
+    start = time.perf_counter()
     verts, adj = _build_graph(spec)
-    nv = len(verts)
-    if nv == 0:
-        return SearchResult(0, SetFamily(spec.n, ()), 0, True)
+    stats = {"graph_build_s": time.perf_counter() - start, "vertices": len(verts)}
     search = _CliqueSearch(adj, node_budget)
-    search.run(_greedy_clique(nv, adj))
+    seed = _greedy_clique(len(verts), adj)
+    search.run(seed, verts, spec.n, _root_orbit_key(spec.kind))
     if search.exact:
-        witness_idx = _lex_smallest_optimum(search, nv, search.best_size)
+        witness_idx = _lex_smallest_optimum(search, verts, spec.n, search.best_size)
     else:
         witness_idx = search.best
+    stats.update(
+        root_orbits=search.root_orbits,
+        search_nodes=search.nodes,
+        restore_nodes=search.restore_nodes,
+    )
     witness = SetFamily(spec.n, tuple(verts[i] for i in witness_idx))
-    return SearchResult(search.best_size, witness, search.nodes, search.exact)
+    return SearchResult(
+        search.best_size,
+        witness,
+        search.nodes + search.restore_nodes,
+        search.exact,
+        stats,
+    )

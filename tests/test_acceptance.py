@@ -2,8 +2,7 @@
 
 Each test finishes by printing a single `[criterion N] PASS` line (visible
 with `pytest -s`).  The whole suite is exact: no float comparisons, no
-tunable tolerances.  Expect a few minutes of wall time; the q=2 sharpness
-instance at n=10 carries most of it.
+tunable tolerances.
 """
 
 import itertools

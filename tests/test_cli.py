@@ -67,6 +67,12 @@ class TestCommands:
         assert doc["payload"]["max_size"] == 3
         assert doc["payload"]["witness"] == [[1], [2], [3]]
         assert doc["payload"]["exact"] is True
+        stats = doc["payload"]["stats"]
+        assert stats["vertices"] == 8
+        assert (
+            stats["search_nodes"] + stats["restore_nodes"]
+            == doc["payload"]["nodes_explored"]
+        )
 
     def test_vp_infinity(self, capsys):
         code, doc = run_json(capsys, ["vp", "--p", "3", "--n", "0"])

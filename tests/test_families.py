@@ -7,6 +7,10 @@ from qsperner.families import (
     ConstraintSpec,
     Kind,
     SetFamily,
+    _pair_predicate,
+    _refine,
+    _region_key,
+    _root_orbit_key,
     format_family,
     max_family,
     parse_family,
@@ -32,6 +36,39 @@ def brute_max_by_enumeration(spec):
         if best:
             break
     return best
+
+
+def bron_kerbosch_witness(spec):
+    """Oracle for n <= 5: every maximal clique of the compatibility graph by
+    plain Bron-Kerbosch (no coloring, no symmetry), with admissibility and
+    compatibility read from `satisfies`.  Returns the maximum size and the
+    lexicographically smallest maximum clique under (size, value) order."""
+    order = sorted(range(1 << spec.n), key=lambda m: (m.bit_count(), m))
+    verts = [m for m in order if satisfies(spec, SetFamily(spec.n, (m,)))]
+    nbrs = {
+        a: {b for b in verts if b != a and satisfies(spec, SetFamily(spec.n, (a, b)))}
+        for a in verts
+    }
+    rank = {m: i for i, m in enumerate(order)}
+    best = []
+
+    def extend(clique, cand, excluded):
+        nonlocal best
+        if not cand and not excluded:
+            found = sorted(clique, key=rank.__getitem__)
+            key = [rank[m] for m in found]
+            if len(found) > len(best) or (
+                len(found) == len(best) and key < [rank[m] for m in best]
+            ):
+                best = found
+            return
+        for v in list(cand):
+            extend(clique | {v}, cand & nbrs[v], excluded & nbrs[v])
+            cand = cand - {v}
+            excluded = excluded | {v}
+
+    extend(set(), set(verts), set())
+    return len(best), tuple(sorted(best))
 
 
 def random_antichain(rng, n, target):
@@ -162,6 +199,16 @@ class TestPush:
             push_to_middle(fam, 2)  # not an antichain
         with pytest.raises(ValueError):
             push_to_middle(SetFamily.from_sets(4, [{1}]), 3)  # 2s > n
+
+    def test_whole_layer_of_fourteen(self):
+        # 3003 six-sets pushed into the 7-layer: augmenting paths here run
+        # through thousands of members, deeper than Python's recursion limit
+        n = 14
+        fam = SetFamily(n, tuple(m for m in range(1 << n) if m.bit_count() == 6))
+        out, mapping = push_to_middle_with_map(fam, 7)
+        assert len(out) == len(fam)
+        assert all(m.bit_count() == 7 for m in out.members)
+        assert all(orig & ~image == 0 for orig, image in mapping.items())
 
     def test_randomized_case_analysis(self):
         rng = random.Random(20240802)
@@ -297,6 +344,161 @@ class TestMaxFamily:
         )
         res = max_family(spec)
         assert res.witness.sets() == [frozenset({i}) for i in range(1, 5)]
+
+
+def _oracle_specs():
+    cases = [
+        (Kind.DIFF_SPERNER, None, [{1}, {2}, {1, 2}, {1, 3}]),
+        (Kind.DIFF_SPERNER, 2, [{1}]),
+        (Kind.DIFF_SPERNER, 3, [{1}, {2}, {1, 2}]),
+        (Kind.DIFF_SPERNER, 4, [{1, 3}, {1, 2, 3}, {2}]),
+        (Kind.CLOSE_SPERNER, None, [{1}, {2}, {1, 2}, {2, 3}]),
+        (Kind.INTERSECTING, None, [{0}, {1}, {0, 2}, {1, 2}]),
+        (Kind.INTERSECTING, 2, [{0}, {1}]),
+        (Kind.INTERSECTING, 3, [{0}, {1, 2}, {0, 2}]),
+        (Kind.INTERSECTING, 4, [{1}, {0, 3}]),
+        (Kind.HAMMING, None, [{1}, {2}, {1, 3}, {2, 3}, {1, 2, 4}]),
+        (Kind.HAMMING, 2, [{1}]),
+        (Kind.HAMMING, 3, [{1}, {2}, {1, 2}]),
+        (Kind.HAMMING, 4, [{2}, {1, 2}, {1, 3}]),
+        (Kind.INTERSECTING_UNIFORM, 2, [0, 1]),
+        (Kind.INTERSECTING_UNIFORM, 3, [0, 1, 2]),
+        (Kind.INTERSECTING_UNIFORM, 4, [1, 3]),
+        (Kind.ANTICHAIN, None, [set()]),
+    ]
+    out = []
+    for kind, q, variants in cases:
+        for variant in variants:
+            for n in range(1, 6):
+                pp = PrimePower.from_q(q) if q else None
+                if kind is Kind.INTERSECTING_UNIFORM:
+                    spec = ConstraintSpec(kind=kind, n=n, modulus=pp, uniform_residue=variant)
+                else:
+                    spec = ConstraintSpec(kind=kind, n=n, L=variant, modulus=pp)
+                out.append(spec)
+    return out
+
+
+class TestBruteForceOracle:
+    @pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
+    def test_omega_and_witness_match(self, kind):
+        specs = [spec for spec in _oracle_specs() if spec.kind is kind]
+        assert specs
+        for spec in specs:
+            res = max_family(spec)
+            omega, witness = bron_kerbosch_witness(spec)
+            assert res.exact
+            assert (res.max_size, res.witness.members) == (omega, witness), spec
+
+    @pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
+    def test_symmetry_group_preserves_graph(self, kind):
+        # the search branches once per orbit of the declared group, which
+        # is sound only if the group maps the compatibility graph to itself
+        rng = random.Random(11)
+        n = 6
+        full = (1 << n) - 1
+        key = _root_orbit_key(kind)
+        specs = [spec for spec in _oracle_specs() if spec.kind is kind]
+        for spec in rng.sample(specs, min(5, len(specs))):
+            spec = ConstraintSpec(
+                kind=kind, n=n, L=spec.L, modulus=spec.modulus,
+                uniform_residue=spec.uniform_residue,
+            )
+            pred = _pair_predicate(spec)
+            for _ in range(40):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                shift = rng.randrange(full + 1) if kind is Kind.HAMMING else 0
+
+                def image(m):
+                    return sum(1 << perm[i] for i in range(n) if m >> i & 1) ^ shift
+
+                a, b = rng.randrange(full + 1), rng.randrange(full + 1)
+                assert key(image(a)) == key(a)
+                assert pred(image(a), image(b)) == pred(a, b)
+                single = SetFamily(n, (a,))
+                moved = SetFamily(n, (image(a),))
+                assert bool(satisfies(spec, single)) == bool(satisfies(spec, moved))
+
+
+def _relabellings(n, translations):
+    """The maps b -> perm(b) ^ t on subsets of [n], as image lists."""
+    for perm in itertools.permutations(range(n)):
+        image = [sum(1 << perm[i] for i in range(n) if m >> i & 1) for m in range(1 << n)]
+        for t in range(1 << n) if translations else (0,):
+            yield [m ^ t for m in image]
+
+
+def _partition(n, key):
+    classes = {}
+    for m in range(1 << n):
+        classes.setdefault(key(m), set()).add(m)
+    return {frozenset(c) for c in classes.values()}
+
+
+def _orbit_partition(n, group, fixing=()):
+    return _partition(
+        n, lambda m: frozenset(g[m] for g in group if all(g[c] == c for c in fixing))
+    )
+
+
+class TestOrbitKeys:
+    """The keys the search branches on must be exactly the orbits of the
+    declared groups (checked by listing the groups at n = 4)."""
+
+    n = 4
+    full = (1 << n) - 1
+
+    @pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
+    def test_root_and_stabiliser_orbits(self, kind):
+        group = list(_relabellings(self.n, kind is Kind.HAMMING))
+        assert _partition(self.n, _root_orbit_key(kind)) == _orbit_partition(self.n, group)
+        # the search roots Hamming at the empty set, every other kind anywhere
+        roots = [0] if kind is Kind.HAMMING else range(1 << self.n)
+        for r in roots:
+            key = _region_key(_refine([self.full], r))
+            assert _partition(self.n, key) == _orbit_partition(self.n, group, (r,)), r
+
+    def test_stabiliser_of_chosen_sets(self):
+        rng = random.Random(3)
+        group = list(_relabellings(self.n, False))
+        for _ in range(30):
+            chosen = rng.sample(range(1 << self.n), rng.randint(1, 3))
+            regions = [self.full]
+            for c in chosen:
+                regions = _refine(regions, c)
+            assert _partition(self.n, _region_key(regions)) == _orbit_partition(
+                self.n, group, chosen
+            ), chosen
+
+
+class TestSearchStats:
+    def test_stats_split_the_node_count(self):
+        spec = ConstraintSpec(
+            kind=Kind.DIFF_SPERNER, n=7, L={2, 3}, modulus=PrimePower.from_q(8)
+        )
+        res = max_family(spec)
+        stats = res.stats
+        assert set(stats) == {
+            "graph_build_s", "vertices", "root_orbits", "search_nodes", "restore_nodes",
+        }
+        assert stats["vertices"] == 128
+        assert 1 <= stats["root_orbits"] <= spec.n + 1
+        assert res.nodes_explored == stats["search_nodes"] + stats["restore_nodes"]
+        assert stats["graph_build_s"] >= 0
+
+    def test_hamming_has_a_single_root_orbit(self):
+        spec = ConstraintSpec(kind=Kind.HAMMING, n=6, L={1, 2}, modulus=PrimePower.from_q(3))
+        res = max_family(spec)
+        assert res.stats["root_orbits"] == 1
+        assert res.witness.members[0] == 0
+
+    def test_empty_graph(self):
+        pp = PrimePower.from_q(2)
+        spec = ConstraintSpec(kind=Kind.INTERSECTING, n=3, L={0, 1}, modulus=pp)
+        res = max_family(spec)
+        assert res.max_size == 0 and res.exact
+        assert res.stats["vertices"] == 0 and res.nodes_explored == 0
 
 
 class TestConstructionFromUniformShift:
