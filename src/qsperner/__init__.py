@@ -60,6 +60,7 @@ from .seppoly import (
     degree_upper_bound,
     min_valuation_over_class,
     search_min_degree,
+    separates,
 )
 
 __version__ = "0.1.0"

@@ -7,6 +7,15 @@ all applicable certificates.  Non-modular difference/Hamming/intersecting
 constraints are additionally lifted to the p-modular setting at the
 smallest prime exceeding both max(L) and n, which is always faithful
 because no cardinality statistic can reach that prime.
+
+Rule R22 draws its separating polynomials from `_zero_separation_candidates`,
+which yields, in non-decreasing degree, the plain residues, the closed
+superinterval of their hull and the full range [1, q-1].  Candidates are
+built lazily and screened with the yes/no `seppoly.separates`; the
+per-residue construction of the intersecting kinds takes the first one
+that separates (`first_zero_separator`), which is the lowest-degree one,
+the earliest on ties.  The difference and Hamming kinds build the full
+report, with its shifted side conditions, only for candidates that pass.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from .seppoly import (
     check_separation,
     degree_upper_bound,
     search_min_degree,
+    separates,
 )
 
 __all__ = [
@@ -32,6 +42,7 @@ __all__ = [
     "binom_sum",
     "best_bound",
     "bound_from_seppoly",
+    "first_zero_separator",
 ]
 
 
@@ -284,26 +295,44 @@ def _r9(ctx: _Ctx):
 
 
 def _zero_separation_candidates(pp: PrimePower, L: tuple[int, ...]):
-    """Deterministic factored candidates for separating 0 from L mod q:
-    the plain root set, the closed superinterval of its hull, and the full
-    range [1, q-1] (which always works)."""
-    cands = [("given residues", canonical_interval_poly(L))]
-    hull = IntervalL(L[0], L[-1])
-    closed = q_closure(pp, hull).interval
-    cands.append((f"closed superinterval {closed}", canonical_interval_poly(closed.residues())))
+    """Deterministic factored candidates for separating 0 from the sorted
+    residues L within [1, q-1]: the plain root set, the closed
+    superinterval of its hull, and the full range [1, q-1] (which always
+    works).  Degrees never decrease along the sequence, since L lies in its
+    hull, the hull in its closure and the closure in [1, q-1].  Lazy: the
+    closure is computed only when a caller asks past the plain root set."""
+    yield "given residues", canonical_interval_poly(L)
+    closed = q_closure(pp, IntervalL(L[0], L[-1])).interval
+    yield f"closed superinterval {closed}", canonical_interval_poly(closed.residues())
     if pp.q > 2:
-        cands.append(
-            ("full range", canonical_interval_poly(range(1, pp.q)))
-        )
-    return cands
+        yield "full range", canonical_interval_poly(range(1, pp.q))
+
+
+def first_zero_separator(pp: PrimePower, L) -> tuple[str, FactoredIntPoly]:
+    """Label and polynomial of the first candidate that separates 0 from
+    the sorted residues L within [1, q-1].  The candidates come in
+    non-decreasing degree, so this is the lowest-degree separating
+    candidate, the earliest one on ties."""
+    for label, h in _zero_separation_candidates(pp, L):
+        if separates(pp, h, 0, L):
+            return label, h
+    raise AssertionError("the full-range polynomial always separates")  # pragma: no cover
 
 
 def _r22_diff_hamming(ctx: _Ctx, rule_kind_text: str, allow_column_upgrade: bool):
+    # A higher degree with the n-1 column can beat a lower one without it,
+    # so later candidates still compete, until even their best column
+    # cannot beat the incumbent (degrees never decrease, so none after can
+    # either).  The full report is built only for candidates that pass the
+    # yes/no screen.
+    best_column = "n-1" if allow_column_upgrade else "n"
     best = None
     for label, g in _zero_separation_candidates(ctx.pp, ctx.L):
-        rep = check_separation(ctx.pp, g, 0, ctx.L)
-        if not rep.separates:
+        if best is not None and binom_sum(ctx.n, 0, g.degree, best_column).value >= best[0]:
+            break
+        if not separates(ctx.pp, g, 0, ctx.L):
             continue
+        rep = check_separation(ctx.pp, g, 0, ctx.L)
         shifted = rep.shifted_minus_ok or rep.shifted_plus_ok
         column = "n-1" if allow_column_upgrade and shifted else "n"
         b = binom_sum(ctx.n, 0, g.degree, column)
@@ -498,15 +527,7 @@ def _per_alpha_construction(pp: PrimePower, L: tuple[int, ...], alpha: int):
     L + qZ, built by reflecting a polynomial that separates 0 from the
     reflected residues (alpha - L) mod q."""
     reflected = tuple(sorted({(alpha - ell) % pp.q for ell in L}))
-    best = None
-    for label, h in _zero_separation_candidates(pp, reflected):
-        if not check_separation(pp, h, 0, reflected).separates:
-            continue
-        if best is None or h.degree < best[1].degree:
-            best = (label, h)
-    if best is None:  # pragma: no cover
-        raise AssertionError("the full-range polynomial always separates")
-    label, h = best
+    label, h = first_zero_separator(pp, reflected)
     return label, h.shift_reflect(alpha)
 
 

@@ -252,8 +252,8 @@ def _cmd_seppoly(args) -> CommandResult:
         if not args.roots:
             raise UsageError("seppoly check needs --roots")
         roots = _parse_L(args.roots, None)
-        g = seppoly.FactoredIntPoly(args.lead, tuple(roots))
         try:
+            g = seppoly.FactoredIntPoly(args.lead, tuple(roots))
             rep = seppoly.check_separation(pp, g, args.alpha, L)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
@@ -274,7 +274,10 @@ def _cmd_seppoly(args) -> CommandResult:
         )
         return CommandResult("ok", payload, human=human)
     window = range(0, args.window) if args.window else None
-    found = seppoly.search_min_degree(pp, args.alpha, L, args.max_degree, window)
+    try:
+        found = seppoly.search_min_degree(pp, args.alpha, L, args.max_degree, window)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if found is None:
         return CommandResult(
             "infeasible",
@@ -418,28 +421,39 @@ def _cmd_push(args) -> CommandResult:
     return CommandResult("ok", payload, human=families.format_family(pushed).rstrip())
 
 
+# the constraint kind each proof system certifies, by --variant
+_VERIFY_KINDS = {
+    None: Kind.DIFF_SPERNER,
+    "sym": Kind.DIFF_SPERNER,
+    "close": Kind.CLOSE_SPERNER,
+}
+
+
 def _cmd_verify(args) -> CommandResult:
+    kind = _kind(args.kind)
+    expected = _VERIFY_KINDS[args.variant]
+    if kind is not expected:
+        variant = f"--variant {args.variant}" if args.variant else "the default variant"
+        raise UsageError(
+            f"verify with {variant} needs --kind {expected.value}, got {kind.value}"
+        )
     fam = _read_family(args)
     n = fam.n
     pp = _prime_power(args.q) if args.q else None
     L = _parse_L(args.L, pp.q if pp else None) if args.L else []
-    if args.variant:
-        if args.variant == "sym":
-            s = args.s if args.s is not None else max(L, default=0)
-            sys_ = polylab.build_midband_system(fam, s, "sym")
-        else:
-            s = args.s if args.s is not None else max(L, default=0)
-            sys_ = polylab.build_midband_system(fam, s, "close")
-        p = pp.p if pp else 2
-    else:
-        if pp is None or not L:
-            raise UsageError("verify needs --q and --L (or --variant sym|close)")
-        g = _verification_poly(pp, L)
-        rep = seppoly.check_separation(pp, g, 0, L)
-        variant = "minus" if rep.shifted_minus_ok or not rep.shifted_plus_ok else "plus"
-        sys_ = polylab.build_diff_sperner_system(fam, g, pp, variant)
-        p = pp.p
+    if not args.variant and (pp is None or not L):
+        raise UsageError("verify needs --q and --L (or --variant sym|close)")
     try:
+        if args.variant:
+            s = args.s if args.s is not None else max(L, default=0)
+            sys_ = polylab.build_midband_system(fam, s, args.variant)
+            p = pp.p if pp else 2
+        else:
+            g = _verification_poly(pp, L)
+            rep = seppoly.check_separation(pp, g, 0, L)
+            variant = "minus" if rep.shifted_minus_ok or not rep.shifted_plus_ok else "plus"
+            sys_ = polylab.build_diff_sperner_system(fam, g, pp, variant)
+            p = pp.p
         report = polylab.verify_independence(sys_, p)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -465,20 +479,9 @@ def _cmd_verify(args) -> CommandResult:
 
 
 def _verification_poly(pp: PrimePower, L) -> seppoly.FactoredIntPoly:
-    """Deterministic separating polynomial for 0 against L: the plain root
-    set if it separates, else the closed superinterval of the hull, else
-    the full range."""
-    Ls = sorted(set(ell % pp.q for ell in L))
-    for g in (
-        seppoly.canonical_interval_poly(Ls),
-        seppoly.canonical_interval_poly(
-            closure.q_closure(pp, closure.IntervalL(Ls[0], Ls[-1])).interval.residues()
-        ),
-        seppoly.canonical_interval_poly(range(1, pp.q)),
-    ):
-        if seppoly.check_separation(pp, g, 0, Ls).separates:
-            return g
-    raise AssertionError("the full range always separates")  # pragma: no cover
+    """Deterministic separating polynomial for 0 against L: the bound
+    engine's first candidate that separates 0 from L reduced mod q."""
+    return bounds.first_zero_separator(pp, tuple(sorted({ell % pp.q for ell in L})))[1]
 
 
 # --- parser ------------------------------------------------------------------

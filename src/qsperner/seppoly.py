@@ -6,12 +6,20 @@ below v_p(g(u)) for every integer u congruent mod q to an element of L.
 Polynomials are kept in factored form (integer lead times integer roots),
 which is the shape of every construction this toolkit produces and lets
 class minima be computed exactly by a digit recursion instead of a scan.
+
+`check_separation` returns the full report: every class minimum and the two
+shifted side conditions.  `separates` answers only the yes/no question: it
+stops at the first residue class whose minimum is not above v_p(g(alpha))
+and never evaluates the side conditions, so callers that only choose a
+polynomial (the bound engine's candidate screens) pay for one class at a
+time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -23,6 +31,7 @@ __all__ = [
     "canonical_interval_poly",
     "min_valuation_over_class",
     "check_separation",
+    "separates",
     "search_min_degree",
     "degree_upper_bound",
 ]
@@ -71,7 +80,9 @@ def canonical_interval_poly(L) -> FactoredIntPoly:
     return FactoredIntPoly(1, roots)
 
 
-_joint_cache: dict[tuple[int, tuple[int, ...]], int] = {}
+# Subproblems repeat across classes and polynomials, so the recursion is
+# memoized; the bound keeps a long-running process's memory flat.
+_JOINT_CACHE_SIZE = 1 << 16
 
 
 def _joint_min(p: int, offsets: tuple[int, ...]) -> int:
@@ -79,10 +90,8 @@ def _joint_min(p: int, offsets: tuple[int, ...]) -> int:
 
     A single offset (or all offsets equal) can be dodged entirely by
     choosing t in another residue class mod p, so the minimum is 0.
-    Otherwise fix the last base-p digit c of t: offsets outside c's class
-    contribute nothing and the rest recurse one digit deeper.  Memoized on
-    the min-shifted multiset; depth is bounded by the digit length of the
-    largest pairwise offset difference.
+    Otherwise the offsets are shifted so the least is 0, sorted, and
+    handed to `_joint_min_normalised`.
     """
     if len(offsets) <= 1:
         return 0
@@ -90,20 +99,26 @@ def _joint_min(p: int, offsets: tuple[int, ...]) -> int:
     norm = tuple(sorted(d - base for d in offsets))
     if norm[-1] == 0:
         return 0
-    key = (p, norm)
-    hit = _joint_cache.get(key)
-    if hit is not None:
-        return hit
+    return _joint_min_normalised(p, norm)
+
+
+@lru_cache(maxsize=_JOINT_CACHE_SIZE)
+def _joint_min_normalised(p: int, norm: tuple[int, ...]) -> int:
+    """`_joint_min` of a sorted, min-shifted multiset that is not constant.
+
+    Fix the last base-p digit c of t: offsets outside c's class contribute
+    nothing and the rest recurse one digit deeper.  Memoized (bounded LRU);
+    depth is bounded by the digit length of the largest pairwise offset
+    difference.
+    """
     best: int | None = None
     for c in range(p):
         bucket = [d for d in norm if d % p == c]
         if not bucket:
-            best = 0
-            break
+            return 0
         cand = len(bucket) + _joint_min(p, tuple((d - c) // p for d in bucket))
         if best is None or cand < best:
             best = cand
-    _joint_cache[key] = best
     return best
 
 
@@ -116,17 +131,18 @@ def min_valuation_over_class(
     v_p(residue - r); each in-class root contributes k plus a digit term,
     and the joint minimum of the digit terms is computed by `_joint_min`.
     """
-    if not 0 <= residue < pp.q:
-        raise ValueError(f"residue {residue} out of range [0, {pp.q - 1}]")
-    total = _vp_int(pp.p, g.lead)
+    p, q = pp.p, pp.q
+    if not 0 <= residue < q:
+        raise ValueError(f"residue {residue} out of range [0, {q - 1}]")
+    total = _vp_int(p, g.lead)
     offsets = []
     for r in g.roots:
-        if (r - residue) % pp.q:
-            total += _vp_int(pp.p, residue - r)
+        if (r - residue) % q:
+            total += _vp_int(p, residue - r)
         else:
-            offsets.append((r - residue) // pp.q)
+            offsets.append((r - residue) // q)
     if offsets:
-        total += pp.k * len(offsets) + _joint_min(pp.p, tuple(offsets))
+        total += pp.k * len(offsets) + _joint_min(p, tuple(offsets))
     return Valuation(total)
 
 
@@ -148,26 +164,44 @@ class SeparationReport:
     shifted_plus_ok: bool
 
 
-def check_separation(
-    pp: PrimePower, g: FactoredIntPoly, alpha: int, L
-) -> SeparationReport:
-    """Full separation report for g, alpha and the residue set L."""
+def _separation_inputs(pp: PrimePower, alpha: int, L) -> list[int]:
+    """The sorted residues of L mod q, after rejecting an empty L and an
+    alpha inside L + qZ."""
     q = pp.q
     residues = sorted({ell % q for ell in L})
     if not residues:
         raise ValueError("L must be nonempty")
     if alpha % q in residues:
         raise ValueError(f"alpha = {alpha} lies in L modulo {q}")
+    return residues
+
+
+def check_separation(
+    pp: PrimePower, g: FactoredIntPoly, alpha: int, L
+) -> SeparationReport:
+    """Full separation report for g, alpha and the residue set L."""
+    q = pp.q
+    residues = _separation_inputs(pp, alpha, L)
     v0 = vp(pp.p, g(alpha))
     minima = {ell: min_valuation_over_class(pp, g, ell % q) for ell in sorted(set(L))}
-    separates = all(v0 < m for m in minima.values())
+    separated = all(v0 < m for m in minima.values())
     minus_ok = all(
         v0 <= min_valuation_over_class(pp, g, (r - 1) % q) for r in residues
     )
     plus_ok = all(
         v0 <= min_valuation_over_class(pp, g, (r + 1) % q) for r in residues
     )
-    return SeparationReport(alpha, v0, minima, separates, minus_ok, plus_ok)
+    return SeparationReport(alpha, v0, minima, separated, minus_ok, plus_ok)
+
+
+def separates(pp: PrimePower, g: FactoredIntPoly, alpha: int, L) -> bool:
+    """Whether g separates alpha from L + qZ; equals
+    `check_separation(pp, g, alpha, L).separates` and raises the same
+    errors, but stops at the first class whose minimum is not above
+    v_p(g(alpha)) and skips the shifted side conditions."""
+    residues = _separation_inputs(pp, alpha, L)
+    v0 = vp(pp.p, g(alpha))
+    return all(v0 < min_valuation_over_class(pp, g, r) for r in residues)
 
 
 def search_min_degree(
@@ -191,7 +225,7 @@ def search_min_degree(
     for d in range(1, max_degree + 1):
         for roots in combinations_with_replacement(window, d):
             g = FactoredIntPoly(1, roots)
-            if check_separation(pp, g, alpha, L).separates:
+            if separates(pp, g, alpha, L):
                 return g, d
     return None
 

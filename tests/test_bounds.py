@@ -1,17 +1,20 @@
 import math
+from itertools import combinations
 
 import pytest
 
 from qsperner.bounds import (
     SeparationFailure,
+    _per_alpha_construction,
     best_bound,
     binom_sum,
     bound_from_seppoly,
+    first_zero_separator,
 )
-from qsperner.closure import closure_length_bound
+from qsperner.closure import IntervalL, closure_length_bound, q_closure
 from qsperner.families import ConstraintSpec, Kind, max_family
 from qsperner.padic import PrimePower
-from qsperner.seppoly import FactoredIntPoly
+from qsperner.seppoly import FactoredIntPoly, canonical_interval_poly, check_separation
 
 PP = PrimePower.from_q
 
@@ -250,3 +253,79 @@ class TestBoundFromSeppoly:
         spec = spec_of(Kind.DIFF_SPERNER, 6, {1})
         with pytest.raises(ValueError):
             bound_from_seppoly(spec, FactoredIntPoly(1, (1,)))
+
+
+def zero_candidates(pp, R):
+    """The plain roots R, the closed superinterval of their hull and the
+    full range, built eagerly."""
+    closed = q_closure(pp, IntervalL(R[0], R[-1])).interval
+    cands = [
+        ("given residues", canonical_interval_poly(R)),
+        (f"closed superinterval {closed}", canonical_interval_poly(closed.residues())),
+    ]
+    if pp.q > 2:
+        cands.append(("full range", canonical_interval_poly(range(1, pp.q))))
+    return cands
+
+
+def min_degree_separator(pp, R):
+    """Reference rule: the separating candidate of least degree, the
+    earliest on ties, each judged by the full report."""
+    best = None
+    for label, h in zero_candidates(pp, R):
+        if check_separation(pp, h, 0, R).separates:
+            if best is None or h.degree < best[1].degree:
+                best = (label, h)
+    return best
+
+
+def r22_reference(kind, n, pp, R):
+    """Reference R22 choice for difference and Hamming kinds: every
+    separating candidate with its full report, least (bound, degree)
+    first, the earliest on ties; only difference kinds take the n-1
+    column on a shifted separation."""
+    best = None
+    for label, h in zero_candidates(pp, R):
+        rep = check_separation(pp, h, 0, R)
+        if not rep.separates:
+            continue
+        shifted = rep.shifted_minus_ok or rep.shifted_plus_ok
+        column = "n-1" if kind is Kind.DIFF_SPERNER and shifted else "n"
+        entry = (binom_sum(n, 0, h.degree, column).value, h.degree, h, column)
+        if best is None or entry[:2] < best[:2]:
+            best = entry
+    return best
+
+
+class TestCandidateOrder:
+    @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+    def test_per_alpha_matches_min_degree_rule(self, q):
+        pp = PP(q)
+        for size in (1, 2, 3):
+            for R in combinations(range(1, q), size):
+                label, h = min_degree_separator(pp, R)
+                assert first_zero_separator(pp, R) == (label, h)
+                # an alpha and L whose reflected residues are R
+                alpha = R[-1]
+                L = tuple(sorted((alpha - r) % q for r in R))
+                assert _per_alpha_construction(pp, L, alpha) == (
+                    label,
+                    h.shift_reflect(alpha),
+                )
+
+    def test_q2(self):
+        pp = PP(2)
+        assert first_zero_separator(pp, (1,)) == min_degree_separator(pp, (1,))
+
+    @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+    @pytest.mark.parametrize("kind", [Kind.DIFF_SPERNER, Kind.HAMMING])
+    def test_r22_matches_reference(self, q, kind):
+        pp = PP(q)
+        for size in (1, 2) if q > 16 else (1, 2, 3):
+            for R in combinations(range(1, q), size):
+                for n in (2, 5, 10, 40):
+                    _, certs = best_bound(spec_of(kind, n, R, q=q))
+                    (cert,) = [c for c in certs if c.theorem_id == "R22"]
+                    _, _, h, column = r22_reference(kind, n, pp, R)
+                    assert cert.bound == binom_sum(n, 0, h.degree, column)
+                    assert cert.auxiliary["roots"] == list(h.roots)

@@ -201,6 +201,58 @@ class TestExitCodes:
         assert doc["status"] == "error"
         assert doc["diagnostics"]
 
+    def test_seppoly_zero_lead(self, capsys):
+        argv = ["seppoly", "check", "--q", "4", "--alpha", "0", "--L", "1",
+                "--roots", "1", "--lead", "0"]
+        assert main(argv) == EXIT_USAGE
+        assert "lead" in capsys.readouterr().err
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_USAGE
+        assert doc["status"] == "error"
+        assert "lead" in doc["diagnostics"][0]
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [(["--L", "1", "--max-degree", "0"], "max_degree"), (["--L", "4"], "lies in L")],
+    )
+    def test_seppoly_find_bad_input(self, capsys, extra, message):
+        code, doc = run_json(capsys, ["seppoly", "find", "--q", "4", "--alpha", "0", *extra])
+        assert code == EXIT_USAGE
+        assert doc["status"] == "error"
+        assert message in doc["diagnostics"][0]
+
+    @pytest.mark.parametrize(
+        "kind, variant, s",
+        [("diff-sperner", "sym", "9"), ("close-sperner", "close", "0")],
+    )
+    def test_verify_out_of_band_s(self, tmp_path, capsys, kind, variant, s):
+        fam = tmp_path / "fam.txt"
+        fam.write_text("{1,2}\n{1,3}\n{2,3}\n")
+        argv = ["verify", "--kind", kind, "--file", str(fam), "--variant", variant, "--s", s]
+        assert main(argv) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_USAGE
+        assert doc["status"] == "error"
+        assert doc["diagnostics"]
+
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [
+            ("antichain", ["--q", "2", "--L", "1"]),
+            ("close-sperner", ["--q", "2", "--L", "1"]),
+            ("close-sperner", ["--variant", "sym", "--s", "2", "--n", "4"]),
+            ("diff-sperner", ["--variant", "close", "--s", "2", "--n", "4"]),
+        ],
+    )
+    def test_verify_kind_must_match_variant(self, tmp_path, capsys, kind, extra):
+        fam = tmp_path / "fam.txt"
+        fam.write_text("{1,2}\n{1,3}\n{2,3}\n")
+        code, doc = run_json(capsys, ["verify", "--kind", kind, "--file", str(fam), *extra])
+        assert code == EXIT_USAGE
+        assert doc["status"] == "error"
+        assert f"got {kind}" in doc["diagnostics"][0]
+
     def test_budget_exhaustion_code(self, capsys):
         code, doc = run_json(
             capsys,

@@ -13,6 +13,7 @@ from qsperner.seppoly import (
     degree_upper_bound,
     min_valuation_over_class,
     search_min_degree,
+    separates,
 )
 
 
@@ -80,6 +81,19 @@ class TestMinValuation:
         assert brute_min_valuation(pp, g, 0, 64) == 3
         assert min_valuation_over_class(pp, g, 0) == 3
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_joint_min_oracle(self, p):
+        rng = random.Random(2000 + p)
+        span = p**5
+        for _ in range(30):
+            offsets = tuple(rng.randint(-p**3, p**3) for _ in range(rng.randint(1, 5)))
+            brute = min(
+                sum(vp_int(p, t - d) for d in offsets)
+                for t in range(-span, span)
+                if t not in offsets
+            )
+            assert _joint_min(p, offsets) == brute
+
     def test_mixed_class_example(self):
         pp = PrimePower.from_q(4)
         g = FactoredIntPoly(1, (1, 2))
@@ -143,6 +157,54 @@ class TestSeparation:
         pp = PrimePower.from_q(4)
         rep = check_separation(pp, FactoredIntPoly(1, (1, 2)), 0, {1, 2})
         assert set(rep.class_minima) == {1, 2}
+
+
+PRIME_POWERS = [PrimePower.from_q(q) for q in (2, 3, 4, 5, 8, 9, 16, 25, 27)]
+
+
+@st.composite
+def separation_inputs(draw):
+    pp = draw(st.sampled_from(PRIME_POWERS))
+    q = pp.q
+    roots = draw(st.lists(st.integers(-2 * q * q, 2 * q * q), max_size=6))
+    lead = draw(st.sampled_from([1, -1, 2, pp.p, pp.p**2 * 3]))
+    alpha = draw(st.integers(-q * q, q * q))
+    L = draw(st.sets(st.integers(-q * q, q * q), min_size=1, max_size=5))
+    # move members of alpha's class one step off it
+    L = {ell if (ell - alpha) % q else ell + 1 for ell in L}
+    return pp, FactoredIntPoly(lead, tuple(roots)), alpha, L
+
+
+class TestSeparatesFastPath:
+    @given(separation_inputs())
+    def test_matches_full_report(self, case):
+        pp, g, alpha, L = case
+        assert separates(pp, g, alpha, L) == check_separation(pp, g, alpha, L).separates
+
+    @given(separation_inputs())
+    def test_roots_on_L_match(self, case):
+        # roots on L itself, the bound engine's first candidate: every class
+        # holds a root, so each minimum goes through the digit recursion
+        pp, _, alpha, L = case
+        g = canonical_interval_poly(L)
+        assert separates(pp, g, alpha, L) == check_separation(pp, g, alpha, L).separates
+
+    @pytest.mark.parametrize(
+        "alpha, L",
+        [(0, set()), (0, []), (5, {1, 2}), (0, {4}), (-3, {1, 6})],
+    )
+    def test_same_errors(self, alpha, L):
+        pp = PrimePower.from_q(4)
+        g = FactoredIntPoly(1, (1,))
+        with pytest.raises(ValueError) as full:
+            check_separation(pp, g, alpha, L)
+        with pytest.raises(ValueError) as fast:
+            separates(pp, g, alpha, L)
+        assert str(fast.value) == str(full.value)
+
+    def test_root_at_alpha_never_separates(self):
+        pp = PrimePower.from_q(4)
+        assert not separates(pp, FactoredIntPoly(1, (0, 3)), 0, {3})
 
 
 class TestSearch:
