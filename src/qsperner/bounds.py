@@ -165,33 +165,12 @@ def _diff_kind_hyp(ctx: _Ctx) -> str:
     return f"family is {ctx.pp.q}-modular L-differencing Sperner"
 
 
-def _r1(ctx: _Ctx):
-    if ctx.pp.k != 1:
-        return []
-    s = len(ctx.L)
-    texts = (_diff_kind_hyp(ctx), f"modulus {ctx.pp.p} is prime", f"L within [1, {ctx.pp.p - 1}]")
-    return [_cert(ctx, "R1", texts, binom_sum(ctx.n, 0, s, "n"))]
-
-
 def _r2(ctx: _Ctx):
     if ctx.pp.k != 1:
         return []
     s = len(ctx.L)
     texts = (_diff_kind_hyp(ctx), f"modulus {ctx.pp.p} is prime", f"L within [1, {ctx.pp.p - 1}]")
     return [_cert(ctx, "R2", texts, binom_sum(ctx.n, 0, s, "n-1"))]
-
-
-def _r3(ctx: _Ctx):
-    s = len(ctx.L)
-    if ctx.L != tuple(range(1, s + 1)) or ctx.pp.q <= s:
-        return []
-    texts = (
-        _diff_kind_hyp(ctx),
-        f"modulus {ctx.pp.q} is a prime power",
-        f"L = [{s}]",
-        f"q = {ctx.pp.q} > s = {s}",
-    )
-    return [_cert(ctx, "R3", texts, binom_sum(ctx.n, 0, s, "n"))]
 
 
 def _r4(ctx: _Ctx):
@@ -365,7 +344,7 @@ def _r22_diff(ctx: _Ctx):
     return _r22_diff_hamming(ctx, _diff_kind_hyp(ctx), allow_column_upgrade=True)
 
 
-_DIFF_MODULAR_RULES = (_r1, _r2, _r3, _r4, _r5, _r6, _r7, _r8, _r9, _r22_diff)
+_DIFF_MODULAR_RULES = (_r2, _r4, _r5, _r6, _r7, _r8, _r9, _r22_diff)
 
 
 # --- non-modular difference / close-Sperner rules ---------------------------
@@ -522,12 +501,16 @@ def _r20(ctx: _Ctx):
     return [_cert(ctx, "R20", texts, binom_sum(ctx.n, 0, 2 * s - 1, "n"))]
 
 
+def _reflected(pp: PrimePower, L: tuple[int, ...], alpha: int) -> tuple[int, ...]:
+    """The sorted residues (alpha - L) mod q."""
+    return tuple(sorted({(alpha - ell) % pp.q for ell in L}))
+
+
 def _per_alpha_construction(pp: PrimePower, L: tuple[int, ...], alpha: int):
     """Cheapest deterministic factored polynomial separating alpha from
     L + qZ, built by reflecting a polynomial that separates 0 from the
     reflected residues (alpha - L) mod q."""
-    reflected = tuple(sorted({(alpha - ell) % pp.q for ell in L}))
-    label, h = first_zero_separator(pp, reflected)
+    label, h = first_zero_separator(pp, _reflected(pp, L, alpha))
     return label, h.shift_reflect(alpha)
 
 
@@ -537,12 +520,13 @@ def _r22_intersecting(ctx: _Ctx):
     alphas = [a for a in range(q) if a not in Lset]
     if not alphas:
         return []
-    degrees = {}
-    worst = 0
-    for alpha in alphas:
-        _, g = _per_alpha_construction(ctx.pp, ctx.L, alpha)
-        degrees[alpha] = g.degree
-        worst = max(worst, g.degree)
+    # reflection keeps the degree, so the reflected polynomial of
+    # _per_alpha_construction is never built here
+    degrees = {
+        alpha: first_zero_separator(ctx.pp, _reflected(ctx.pp, ctx.L, alpha))[1].degree
+        for alpha in alphas
+    }
+    worst = max(degrees.values())
     texts = (
         _int_kind_hyp(ctx),
         f"modulus {q} is a prime power",

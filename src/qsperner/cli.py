@@ -18,7 +18,6 @@ from .families import ConstraintSpec, Kind, SetFamily
 from .padic import PrimePower, to_digits, vp, vp_binomial
 
 SCHEMA_VERSION = 1
-DEFAULT_SEED = 987654321  # reserved for randomized validation suites
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -498,7 +497,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true", help="emit one JSON document")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=argparse.SUPPRESS)
         return p
 
     p = add("vp", _cmd_vp, help="p-adic valuation of an integer")

@@ -2,9 +2,14 @@
 maximum-family search via branch-and-bound clique search.
 
 Members of a family over the ground set [n] are stored as bit masks with
-bit i-1 standing for element i.  The maximum-family search builds the
-compatibility graph (admissible subsets as vertices, edges where the
-pairwise constraint holds) and runs a deterministic branch-and-bound
+bit i-1 standing for element i.  Every constraint kind reads only |A|, |B|
+and |A∩B|, and each is defined once, as a record of `_KINDS`: its member
+condition, its pair statistic with the values it accepts, the wording of
+its violations and its symmetry group.  `satisfies`, the antichain
+precondition of push-to-the-middle and the search all read that table.
+The maximum-family search builds the compatibility graph (admissible
+subsets as vertices, edges where the pairwise constraint holds), testing
+each pair of size levels once, and runs a deterministic branch-and-bound
 maximum clique with greedy-coloring upper bounds on bitset adjacency rows.
 
 The search breaks the symmetry of the constraint kinds by orbital
@@ -25,6 +30,7 @@ from __future__ import annotations
 import os
 import re
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -188,73 +194,120 @@ def _set_str(mask: int) -> str:
     return "{" + ",".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1) + "}"
 
 
-def _member_violation(spec: ConstraintSpec, a: int) -> str | None:
-    size = a.bit_count()
-    if spec.kind is Kind.INTERSECTING:
-        if spec.q is not None:
-            if size % spec.q in spec.L:
-                return f"member {_set_str(a)}: size {size} lies in L (mod {spec.q})"
-        elif size in spec.L:
-            return f"member {_set_str(a)}: size {size} lies in L"
-    elif spec.kind is Kind.INTERSECTING_UNIFORM:
-        if size % spec.q != spec.uniform_residue:
-            return (
-                f"member {_set_str(a)}: size {size} is not congruent to "
-                f"{spec.uniform_residue} (mod {spec.q})"
-            )
-    return None
+def _in_L(spec: ConstraintSpec, v: int) -> bool:
+    return (v if spec.q is None else v % spec.q) in spec.L
 
 
-def _pair_violation(spec: ConstraintSpec, a: int, b: int) -> str | None:
-    kind, q, L = spec.kind, spec.q, spec.L
-    if kind is Kind.DIFF_SPERNER:
-        d1 = (a & ~b).bit_count()
-        d2 = (b & ~a).bit_count()
-        if q is not None:
-            d1 %= q
-            d2 %= q
-            where = f" (mod {q})"
-        else:
-            where = ""
-        if d1 not in L:
-            return f"pair {_set_str(a)}, {_set_str(b)}: |A\\B| = {d1} not in L{where}"
-        if d2 not in L:
-            return f"pair {_set_str(b)}, {_set_str(a)}: |A\\B| = {d2} not in L{where}"
-    elif kind is Kind.CLOSE_SPERNER:
-        sd = min((a & ~b).bit_count(), (b & ~a).bit_count())
-        if sd not in L:
-            return f"pair {_set_str(a)}, {_set_str(b)}: skew distance {sd} not in L"
-    elif kind is Kind.INTERSECTING:
-        inter = (a & b).bit_count()
-        if q is not None:
-            if inter % q not in L:
-                return (
-                    f"pair {_set_str(a)}, {_set_str(b)}: intersection size "
-                    f"{inter} not in L (mod {q})"
-                )
-        elif inter not in L:
-            return f"pair {_set_str(a)}, {_set_str(b)}: intersection size {inter} not in L"
-    elif kind is Kind.INTERSECTING_UNIFORM:
-        inter = (a & b).bit_count()
-        if inter % q == spec.uniform_residue:
-            return (
-                f"pair {_set_str(a)}, {_set_str(b)}: intersection size {inter} is "
-                f"congruent to {spec.uniform_residue} (mod {q})"
-            )
-    elif kind is Kind.HAMMING:
-        dist = (a ^ b).bit_count()
-        if q is not None:
-            if dist % q not in L:
-                return (
-                    f"pair {_set_str(a)}, {_set_str(b)}: Hamming distance "
-                    f"{dist} not in L (mod {q})"
-                )
-        elif dist not in L:
-            return f"pair {_set_str(a)}, {_set_str(b)}: Hamming distance {dist} not in L"
-    elif kind is Kind.ANTICHAIN:
-        if a & ~b == 0 or b & ~a == 0:
-            small, big = (a, b) if a & ~b == 0 else (b, a)
-            return f"pair {_set_str(small)} is contained in {_set_str(big)}"
+def _off_residue(spec: ConstraintSpec, v: int) -> bool:
+    return v % spec.q != spec.uniform_residue
+
+
+@dataclass(frozen=True)
+class _KindDef:
+    """One constraint kind, written over cardinalities.
+
+    A pair A, B is compatible when `accept(spec, v)` holds for the pair
+    statistic v = stat(|A|, |B|, |A∩B|) and, for a directed kind, also for
+    stat(|B|, |A|, |A∩B|).  `avoiding` is set for the kinds whose members
+    must fail that test themselves (|A| = |A∩A| may not be accepted) and
+    words that member violation, as `pair` words the pair violation: X and
+    Y are the sets, v the statistic, res it reduced mod q, mod the " (mod
+    q)" suffix of modular specs, q and r the modulus and uniform residue.
+    `orbit` keys the orbits of the kind's symmetry group: relabelling [n]
+    for every kind, whose orbits are the size levels, and for Hamming also
+    XOR translation b -> b ^ t, which makes all of 2^[n] one orbit."""
+
+    stat: Callable[[int, int, int], int]
+    accept: Callable[[ConstraintSpec, int], bool]
+    pair: str
+    directed: bool = False
+    avoiding: str | None = None
+    orbit: Callable[[int], int] = int.bit_count
+
+
+_KINDS = {
+    Kind.DIFF_SPERNER: _KindDef(
+        lambda kx, ky, i: kx - i, _in_L,
+        "pair {X}, {Y}: |A\\B| = {res} not in L{mod}", directed=True,
+    ),
+    Kind.CLOSE_SPERNER: _KindDef(
+        lambda kx, ky, i: min(kx, ky) - i, _in_L,
+        "pair {X}, {Y}: skew distance {v} not in L",
+    ),
+    Kind.INTERSECTING: _KindDef(
+        lambda kx, ky, i: i, _in_L,
+        "pair {X}, {Y}: intersection size {v} not in L{mod}",
+        avoiding="member {X}: size {v} lies in L{mod}",
+    ),
+    Kind.INTERSECTING_UNIFORM: _KindDef(
+        lambda kx, ky, i: i, _off_residue,
+        "pair {X}, {Y}: intersection size {v} is congruent to {r} (mod {q})",
+        avoiding="member {X}: size {v} is not congruent to {r} (mod {q})",
+    ),
+    Kind.HAMMING: _KindDef(
+        lambda kx, ky, i: kx + ky - 2 * i, _in_L,
+        "pair {X}, {Y}: Hamming distance {v} not in L{mod}", orbit=lambda b: 0,
+    ),
+    Kind.ANTICHAIN: _KindDef(
+        lambda kx, ky, i: kx - i, lambda spec, v: v > 0,
+        "pair {X} is contained in {Y}", directed=True,
+    ),
+}
+
+
+def _admissible(spec: ConstraintSpec, k: int) -> bool:
+    """Whether a member of size k is allowed."""
+    kd = _KINDS[spec.kind]
+    return kd.avoiding is None or not kd.accept(spec, k)
+
+
+def _accepted(spec: ConstraintSpec, ka: int, kb: int) -> frozenset[int]:
+    """The values of |A∩B| at which subsets of [n] of sizes ka and kb are
+    compatible."""
+    kd = _KINDS[spec.kind]
+    sides = ((ka, kb), (kb, ka)) if kd.directed else ((ka, kb),)
+    return frozenset(
+        i
+        for i in range(max(0, ka + kb - spec.n), min(ka, kb) + 1)
+        if all(kd.accept(spec, kd.stat(x, y, i)) for x, y in sides)
+    )
+
+
+def _words(spec: ConstraintSpec, text: str, x: int, y: int, v: int) -> str:
+    q = spec.q
+    return text.format(
+        X=_set_str(x),
+        Y=_set_str(y),
+        v=v,
+        res=v if q is None else v % q,
+        mod="" if q is None else f" (mod {q})",
+        q=q,
+        r=spec.uniform_residue,
+    )
+
+
+def _first_violation(spec: ConstraintSpec, members: tuple[int, ...]) -> str | None:
+    """The first failing member, else the first failing pair (in member
+    order), in words; None when there is none."""
+    kd = _KINDS[spec.kind]
+    for a in members:
+        if not _admissible(spec, a.bit_count()):
+            return _words(spec, kd.avoiding, a, a, a.bit_count())
+    accepted: dict[tuple[int, int], frozenset[int]] = {}
+    for j, a in enumerate(members):
+        ka = a.bit_count()
+        for b in members[j + 1 :]:
+            kb = b.bit_count()
+            ok = accepted.get((ka, kb))
+            if ok is None:
+                ok = accepted[ka, kb] = _accepted(spec, ka, kb)
+            i = (a & b).bit_count()
+            if i in ok:
+                continue
+            for x, y, kx, ky in ((a, b, ka, kb), (b, a, kb, ka)):
+                v = kd.stat(kx, ky, i)
+                if not kd.accept(spec, v):
+                    return _words(spec, kd.pair, x, y, v)
     return None
 
 
@@ -262,17 +315,8 @@ def satisfies(spec: ConstraintSpec, fam: SetFamily) -> CheckResult:
     """Whether the family meets the constraint; reports the first violation."""
     if spec.n != fam.n:
         raise ValueError(f"spec has n = {spec.n} but family has n = {fam.n}")
-    for a in fam.members:
-        msg = _member_violation(spec, a)
-        if msg:
-            return CheckResult(False, msg)
-    members = fam.members
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            msg = _pair_violation(spec, a, b)
-            if msg:
-                return CheckResult(False, msg)
-    return CheckResult(True)
+    msg = _first_violation(spec, fam.members)
+    return CheckResult(msg is None, msg)
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +326,6 @@ def satisfies(spec: ConstraintSpec, fam: SetFamily) -> CheckResult:
 class PushError(RuntimeError):
     """Raised when a saturating matching does not exist, which indicates a
     violated precondition (the input was not an antichain with 2s <= n)."""
-
-
-def _is_antichain(members) -> bool:
-    ms = list(members)
-    for i, a in enumerate(ms):
-        for b in ms[i + 1 :]:
-            if a & ~b == 0 or b & ~a == 0:
-                return False
-    return True
 
 
 def _maximum_matching(left: list[int], right: list[int]) -> dict[int, int]:
@@ -362,7 +397,7 @@ def push_to_middle_with_map(fam: SetFamily, s: int) -> tuple[SetFamily, dict[int
     n = fam.n
     if s < 0 or 2 * s > n:
         raise ValueError(f"need 0 <= 2s <= n, got s = {s}, n = {n}")
-    if not _is_antichain(fam.members):
+    if _first_violation(ConstraintSpec(Kind.ANTICHAIN, n), fam.members):
         raise ValueError("push_to_middle requires an antichain")
     current = {m: m for m in fam.members}
     while current and min(m.bit_count() for m in current.values()) < s:
@@ -401,78 +436,6 @@ class SearchResult:
     stats: dict = field(default_factory=dict)
 
 
-def _pair_predicate(spec: ConstraintSpec):
-    kind, q = spec.kind, spec.q
-    L = spec.L
-    if kind is Kind.DIFF_SPERNER:
-        if q is not None:
-            Lres = frozenset(L)
-
-            def pred(a, b):
-                return (
-                    (a & ~b).bit_count() % q in Lres
-                    and (b & ~a).bit_count() % q in Lres
-                )
-
-        else:
-
-            def pred(a, b):
-                return (a & ~b).bit_count() in L and (b & ~a).bit_count() in L
-
-    elif kind is Kind.CLOSE_SPERNER:
-
-        def pred(a, b):
-            return min((a & ~b).bit_count(), (b & ~a).bit_count()) in L
-
-    elif kind is Kind.INTERSECTING:
-        if q is not None:
-
-            def pred(a, b):
-                return (a & b).bit_count() % q in L
-
-        else:
-
-            def pred(a, b):
-                return (a & b).bit_count() in L
-
-    elif kind is Kind.INTERSECTING_UNIFORM:
-        r = spec.uniform_residue
-
-        def pred(a, b):
-            return (a & b).bit_count() % q != r
-
-    elif kind is Kind.HAMMING:
-        if q is not None:
-
-            def pred(a, b):
-                return (a ^ b).bit_count() % q in L
-
-        else:
-
-            def pred(a, b):
-                return (a ^ b).bit_count() in L
-
-    elif kind is Kind.ANTICHAIN:
-
-        def pred(a, b):
-            return a & ~b != 0 and b & ~a != 0
-
-    else:  # pragma: no cover
-        raise ValueError(f"unknown kind {kind}")
-    return pred
-
-
-def _root_orbit_key(kind: Kind):
-    """The symmetry group of the kind, as the orbit of a subset.  Every
-    member and pair statistic reads only cardinalities, so relabelling [n]
-    is a symmetry of every kind and its orbits are the size levels.
-    Hamming distance is also invariant under XOR translation b -> b ^ t,
-    which makes all of 2^[n] one orbit."""
-    if kind is Kind.HAMMING:
-        return lambda b: 0
-    return int.bit_count
-
-
 def _refine(regions: list[int], m: int) -> list[int]:
     """The Venn regions of the sets behind `regions` together with m."""
     return [part for x in regions for part in (x & m, x & ~m) if part]
@@ -498,21 +461,32 @@ def _orbits(P: int, verts: list[int], key) -> dict:
 
 
 def _build_graph(spec: ConstraintSpec) -> tuple[list[int], list[int]]:
-    verts = [
-        m for m in range(1 << spec.n) if _member_violation(spec, m) is None
-    ]
-    verts.sort(key=lambda m: (m.bit_count(), m))
-    pred = _pair_predicate(spec)
-    nv = len(verts)
-    adj = [0] * nv
-    for i in range(nv):
-        a = verts[i]
-        row = adj[i]
-        for j in range(i + 1, nv):
-            if pred(a, verts[j]):
-                row |= 1 << j
-                adj[j] |= 1 << i
-        adj[i] = row
+    """Admissible subsets ordered by (size, value) and their adjacency rows.
+    Compatibility depends on the two size levels and |A∩B| alone, so each
+    pair of levels is read from the kind table once and skipped when it
+    accepts no intersection size."""
+    by_size: list[list[int]] = [[] for _ in range(spec.n + 1)]
+    for m in range(1 << spec.n):
+        by_size[m.bit_count()].append(m)
+    levels, verts = [], []
+    for k, level in enumerate(by_size):
+        if _admissible(spec, k):
+            levels.append((k, level, len(verts)))
+            verts.extend(level)
+    adj = [0] * len(verts)
+    for x, (ka, A, oa) in enumerate(levels):
+        for kb, B, ob in levels[x:]:
+            ok = _accepted(spec, ka, kb)
+            if not ok:
+                continue
+            for i, a in enumerate(A):
+                u = oa + i
+                ubit, row = 1 << u, 0
+                for j in range(i + 1 if kb == ka else 0, len(B)):
+                    if (a & B[j]).bit_count() in ok:
+                        row |= 1 << (ob + j)
+                        adj[ob + j] |= ubit
+                adj[u] |= row
     return verts, adj
 
 
@@ -708,7 +682,7 @@ def max_family(
     stats = {"graph_build_s": time.perf_counter() - start, "vertices": len(verts)}
     search = _CliqueSearch(adj, node_budget)
     seed = _greedy_clique(len(verts), adj)
-    search.run(seed, verts, spec.n, _root_orbit_key(spec.kind))
+    search.run(seed, verts, spec.n, _KINDS[spec.kind].orbit)
     if search.exact:
         witness_idx = _lex_smallest_optimum(search, verts, spec.n, search.best_size)
     else:

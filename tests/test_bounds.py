@@ -194,6 +194,31 @@ class TestPortfolioProperties:
             r22 = next(c for c in certs if c.theorem_id == "R22")
             assert r22.bound.value <= r5.bound.value
 
+    def test_removed_rules_never_set_the_minimum(self):
+        # R1 (prime q) and R3 (L = [s], q > s) bounded by sum C(n, i) over
+        # i <= s = |L|.  R2 has R1's hypotheses with the n-1 column, and R4
+        # at b = s has R3's count of hypotheses with it, so both left the
+        # portfolio.  Re-implemented here, neither may beat the best.
+        for q in (None, 2, 3, 4, 5, 7, 8, 9):
+            for s in (1, 2, 3):
+                for L in combinations(range(1, q or 10), s):
+                    for n in range(13):
+                        best, certs = best_bound(spec_of(Kind.DIFF_SPERNER, n, L, q=q))
+                        assert not {"R1", "R3"} & {c.theorem_id for c in certs}
+                        if q is None:  # read modulo the smallest prime above max(L) and n
+                            p = next(m for m in range(max(L[-1], n) + 1, 64) if all(m % d for d in range(2, m)))
+                            pp, lift = PP(p), 1
+                        else:
+                            pp, lift = PP(q), 0
+                        value = sum(math.comb(n, i) for i in range(min(s, n) + 1))
+                        removed = []
+                        if pp.k == 1:
+                            removed.append((value, 3 + lift, 1))
+                        if L == tuple(range(1, s + 1)) and pp.q > s:
+                            removed.append((value, 4 + lift, 3))
+                        kept = (best.bound.value, len(best.hypotheses), int(best.theorem_id[1:]))
+                        assert kept == min([kept, *removed]), (q, L, n)
+
     def test_soundness_small_sweep(self):
         pp = PP(4)
         for n in (4, 5):

@@ -201,6 +201,16 @@ class TestExitCodes:
         assert doc["status"] == "error"
         assert doc["diagnostics"]
 
+    def test_seed_flag_is_gone(self, capsys):
+        code, doc = run_json(
+            capsys, ["bound", "--seed", "1", "--kind", "diff-sperner", "--q", "4", "--L", "1", "--n", "4"]
+        )
+        assert code == EXIT_USAGE
+        assert doc == {
+            "schema": 1, "status": "error", "payload": {},
+            "diagnostics": ["argument parsing failed"],
+        }
+
     def test_seppoly_zero_lead(self, capsys):
         argv = ["seppoly", "check", "--q", "4", "--alpha", "0", "--L", "1",
                 "--roots", "1", "--lead", "0"]

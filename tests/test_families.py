@@ -1,16 +1,19 @@
 import itertools
+import json
 import random
 
 import pytest
 
+from qsperner.cli import main
 from qsperner.families import (
+    _KINDS,
+    CheckResult,
     ConstraintSpec,
     Kind,
     SetFamily,
-    _pair_predicate,
+    _accepted,
     _refine,
     _region_key,
-    _root_orbit_key,
     format_family,
     max_family,
     parse_family,
@@ -38,15 +41,47 @@ def brute_max_by_enumeration(spec):
     return best
 
 
+def _in_L(spec, v):
+    return (v % spec.q if spec.q else v) in spec.L
+
+
+def oracle_admissible(spec, A):
+    """Each kind's member condition, written over Python sets."""
+    if spec.kind is Kind.INTERSECTING:
+        return not _in_L(spec, len(A))
+    if spec.kind is Kind.INTERSECTING_UNIFORM:
+        return len(A) % spec.q == spec.uniform_residue
+    return True
+
+
+def oracle_compatible(spec, A, B):
+    """Each kind's pair condition, written over Python sets."""
+    kind = spec.kind
+    if kind is Kind.DIFF_SPERNER:
+        return _in_L(spec, len(A - B)) and _in_L(spec, len(B - A))
+    if kind is Kind.CLOSE_SPERNER:
+        return min(len(A - B), len(B - A)) in spec.L
+    if kind is Kind.INTERSECTING:
+        return _in_L(spec, len(A & B))
+    if kind is Kind.INTERSECTING_UNIFORM:
+        return len(A & B) % spec.q != spec.uniform_residue
+    if kind is Kind.HAMMING:
+        return _in_L(spec, len(A ^ B))
+    assert kind is Kind.ANTICHAIN
+    return not (A <= B or B <= A)
+
+
 def bron_kerbosch_witness(spec):
     """Oracle for n <= 5: every maximal clique of the compatibility graph by
     plain Bron-Kerbosch (no coloring, no symmetry), with admissibility and
-    compatibility read from `satisfies`.  Returns the maximum size and the
-    lexicographically smallest maximum clique under (size, value) order."""
+    compatibility from the set-based definitions above, not from the
+    library.  Returns the maximum size and the lexicographically smallest
+    maximum clique under (size, value) order."""
     order = sorted(range(1 << spec.n), key=lambda m: (m.bit_count(), m))
-    verts = [m for m in order if satisfies(spec, SetFamily(spec.n, (m,)))]
+    as_set = {m: frozenset(i for i in range(spec.n) if m >> i & 1) for m in order}
+    verts = [m for m in order if oracle_admissible(spec, as_set[m])]
     nbrs = {
-        a: {b for b in verts if b != a and satisfies(spec, SetFamily(spec.n, (a, b)))}
+        a: {b for b in verts if b != a and oracle_compatible(spec, as_set[a], as_set[b])}
         for a in verts
     }
     rank = {m: i for i, m in enumerate(order)}
@@ -169,6 +204,79 @@ class TestSatisfies:
         assert spec.L == frozenset({1})
         with pytest.raises(ValueError):
             ConstraintSpec(kind=Kind.DIFF_SPERNER, n=4, L={4}, modulus=pp4)
+
+
+# (kind, q, L, uniform residue, n, members, first violation): a failing
+# member for each kind that restricts members, and a failing pair for every
+# kind, modular and not; the text is the schema-1 `check` output, verbatim
+VIOLATIONS = [
+    ("intersecting", 4, "0,1", None, 4, [{1}, {2}], "member {1}: size 1 lies in L (mod 4)"),
+    ("intersecting", None, "1,2", None, 4, [{1, 2, 3}, {1, 2}], "member {1,2}: size 2 lies in L"),
+    (
+        "intersecting-uniform", 3, None, 1, 7, [{1, 2, 3}],
+        "member {1,2,3}: size 3 is not congruent to 1 (mod 3)",
+    ),
+    ("diff-sperner", 4, "2", None, 4, [{1}, {2}], "pair {1}, {2}: |A\\B| = 1 not in L (mod 4)"),
+    ("diff-sperner", 4, "1", None, 5, [{1}, {2, 3}], "pair {2,3}, {1}: |A\\B| = 2 not in L (mod 4)"),
+    (
+        "diff-sperner", 3, "1", None, 6, [{1, 2, 3, 4, 5}, {6}],
+        "pair {1,2,3,4,5}, {6}: |A\\B| = 2 not in L (mod 3)",
+    ),
+    ("diff-sperner", None, "1", None, 4, [{1}, {2, 3}], "pair {2,3}, {1}: |A\\B| = 2 not in L"),
+    ("close-sperner", None, "1", None, 4, [{1, 2}, {3, 4}], "pair {1,2}, {3,4}: skew distance 2 not in L"),
+    (
+        "intersecting", 3, "1", None, 6, [{1, 2, 3, 4, 5}, {1, 2, 3, 4, 5, 6}],
+        "pair {1,2,3,4,5}, {1,2,3,4,5,6}: intersection size 5 not in L (mod 3)",
+    ),
+    (
+        "intersecting", None, "1", None, 4, [{1, 2}, {3, 4}],
+        "pair {1,2}, {3,4}: intersection size 0 not in L",
+    ),
+    (
+        "intersecting-uniform", 3, None, 1, 7, [{1, 2, 3, 4}, {1, 5, 6, 7}],
+        "pair {1,2,3,4}, {1,5,6,7}: intersection size 1 is congruent to 1 (mod 3)",
+    ),
+    (
+        "hamming", 3, "1,2", None, 4, [{1}, {1, 2, 3, 4}],
+        "pair {1}, {1,2,3,4}: Hamming distance 3 not in L (mod 3)",
+    ),
+    ("hamming", None, "1", None, 4, [set(), {1, 2}], "pair {}, {1,2}: Hamming distance 2 not in L"),
+    ("antichain", None, None, None, 3, [{1}, {1, 2}], "pair {1} is contained in {1,2}"),
+]
+
+
+class TestViolationText:
+    @pytest.mark.parametrize("kind,q,L,r,n,sets,expected", VIOLATIONS)
+    def test_first_violation(self, kind, q, L, r, n, sets, expected, tmp_path, capsys):
+        spec = ConstraintSpec(
+            kind=Kind(kind),
+            n=n,
+            L=[int(x) for x in L.split(",")] if L else (),
+            modulus=PrimePower.from_q(q) if q else None,
+            uniform_residue=r,
+        )
+        fam = SetFamily.from_sets(n, sets)
+        assert satisfies(spec, fam) == CheckResult(False, expected)
+        path = tmp_path / "family.txt"
+        path.write_text(format_family(fam))
+        argv = ["check", "--kind", kind, "--file", str(path), "--n", str(n), "--json"]
+        for flag, value in (("--q", q), ("--L", L), ("--uniform-residue", r)):
+            if value is not None:
+                argv += [flag, str(value)]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert (payload["satisfied"], payload["violation"]) == (False, expected)
+
+    def test_satisfies_matches_set_definitions(self):
+        rng = random.Random(17)
+        for spec in _oracle_specs():
+            for _ in range(6):
+                members = rng.sample(range(1 << spec.n), rng.randint(1, min(5, 1 << spec.n)))
+                sets = [frozenset(i for i in range(spec.n) if m >> i & 1) for m in members]
+                expected = all(oracle_admissible(spec, A) for A in sets) and all(
+                    oracle_compatible(spec, A, B) for A, B in itertools.combinations(sets, 2)
+                )
+                assert satisfies(spec, SetFamily(spec.n, tuple(members))).ok == expected, spec
 
 
 class TestPush:
@@ -397,14 +505,17 @@ class TestBruteForceOracle:
         rng = random.Random(11)
         n = 6
         full = (1 << n) - 1
-        key = _root_orbit_key(kind)
+        key = _KINDS[kind].orbit
         specs = [spec for spec in _oracle_specs() if spec.kind is kind]
         for spec in rng.sample(specs, min(5, len(specs))):
             spec = ConstraintSpec(
                 kind=kind, n=n, L=spec.L, modulus=spec.modulus,
                 uniform_residue=spec.uniform_residue,
             )
-            pred = _pair_predicate(spec)
+
+            def pred(a, b):
+                return (a & b).bit_count() in _accepted(spec, a.bit_count(), b.bit_count())
+
             for _ in range(40):
                 perm = list(range(n))
                 rng.shuffle(perm)
@@ -452,7 +563,7 @@ class TestOrbitKeys:
     @pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
     def test_root_and_stabiliser_orbits(self, kind):
         group = list(_relabellings(self.n, kind is Kind.HAMMING))
-        assert _partition(self.n, _root_orbit_key(kind)) == _orbit_partition(self.n, group)
+        assert _partition(self.n, _KINDS[kind].orbit) == _orbit_partition(self.n, group)
         # the search roots Hamming at the empty set, every other kind anywhere
         roots = [0] if kind is Kind.HAMMING else range(1 << self.n)
         for r in roots:
