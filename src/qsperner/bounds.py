@@ -796,8 +796,8 @@ def bound_from_seppoly(
         worst = 0
         degrees = {}
         for alpha in alphas:
-            rep = check_separation(pp, per_alpha[alpha], alpha, L)
-            if not rep.separates:
+            if not separates(pp, per_alpha[alpha], alpha, L):
+                rep = check_separation(pp, per_alpha[alpha], alpha, L)
                 ell = _first_failing_class(rep)
                 raise SeparationFailure(
                     f"polynomial for alpha = {alpha} fails on class {ell} (mod {q})",

@@ -12,6 +12,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from time import perf_counter
 
 from . import bounds, closure, families, polylab, seppoly
 from .families import ConstraintSpec, Kind, SetFamily
@@ -445,14 +446,17 @@ def _cmd_verify(args) -> CommandResult:
     try:
         if args.variant:
             s = args.s if args.s is not None else max(L, default=0)
-            sys_ = polylab.build_midband_system(fam, s, args.variant)
             p = pp.p if pp else 2
+            start = perf_counter()
+            sys_ = polylab.build_midband_system(fam, s, args.variant)
         else:
             g = _verification_poly(pp, L)
             rep = seppoly.check_separation(pp, g, 0, L)
             variant = "minus" if rep.shifted_minus_ok or not rep.shifted_plus_ok else "plus"
-            sys_ = polylab.build_diff_sperner_system(fam, g, pp, variant)
             p = pp.p
+            start = perf_counter()
+            sys_ = polylab.build_diff_sperner_system(fam, g, pp, variant)
+        build_s = perf_counter() - start
         report = polylab.verify_independence(sys_, p)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -468,6 +472,7 @@ def _cmd_verify(args) -> CommandResult:
         "pattern": report.pattern,
         "pattern_ok": report.pattern_ok,
         "pattern_failures": report.pattern_failures,
+        "stats": {**report.stats, "build_s": build_s},
     }
     human = (
         f"rank {report.rank} of {report.total_polys} polynomials "

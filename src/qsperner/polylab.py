@@ -3,14 +3,15 @@
 Builds the exact multilinear proof polynomials attached to a family
 (difference systems and the two mid-band systems), evaluates them on
 characteristic vectors, and certifies linear independence by exact rank
-over the rationals via fraction-free elimination.
+over the rationals via sparse integer elimination on the coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
+from time import perf_counter
 
 from .families import SetFamily
 from .padic import PrimePower, _vp_int
@@ -27,50 +28,59 @@ __all__ = [
 ]
 
 
+def _exact(c) -> int | Fraction:
+    """c as an int when integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class MultilinearPoly:
     """A multilinear polynomial in x_1..x_n: subset-mask -> exact rational.
 
     Arithmetic happens in the quotient algebra where x_i**2 = x_i, so any
     product of affine forms lands directly in reduced form; evaluation at
-    0/1 vectors agrees with the unreduced polynomial.
+    0/1 vectors agrees with the unreduced polynomial.  Integral
+    coefficients are ints, the rest Fractions.
     """
 
     __slots__ = ("n", "coeffs")
 
-    def __init__(self, n: int, coeffs: dict[int, Fraction] | None = None):
+    def __init__(self, n: int, coeffs: dict[int, int | Fraction] | None = None):
         self.n = n
         self.coeffs = {
-            m: Fraction(c) for m, c in (coeffs or {}).items() if c != 0
+            m: _exact(c) for m, c in (coeffs or {}).items() if c != 0
         }
 
     @classmethod
     def constant(cls, n: int, c) -> "MultilinearPoly":
-        return cls(n, {0: Fraction(c)})
+        return cls(n, {0: c})
 
     @classmethod
     def variable(cls, n: int, i: int) -> "MultilinearPoly":
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} outside [1, {n}]")
-        return cls(n, {1 << (i - 1): Fraction(1)})
+        return cls(n, {1 << (i - 1): 1})
 
     @classmethod
     def monomial(cls, n: int, mask: int, c=1) -> "MultilinearPoly":
-        return cls(n, {mask: Fraction(c)})
+        return cls(n, {mask: c})
 
     @classmethod
     def affine(cls, n: int, const, weights: dict[int, int]) -> "MultilinearPoly":
         """const + sum of weight_i * x_i."""
-        coeffs = {0: Fraction(const)}
+        coeffs = {0: const}
         for i, w in weights.items():
-            coeffs[1 << (i - 1)] = Fraction(w)
+            coeffs[1 << (i - 1)] = w
         return cls(n, coeffs)
 
     @property
     def degree(self) -> int:
         return max((m.bit_count() for m in self.coeffs), default=0)
 
-    def evaluate(self, point_mask: int) -> Fraction:
-        total = Fraction(0)
+    def evaluate(self, point_mask: int) -> int | Fraction:
+        total = 0
         for m, c in self.coeffs.items():
             if m & ~point_mask == 0:
                 total += c
@@ -80,7 +90,7 @@ class MultilinearPoly:
         other = self._coerce(other)
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out.get(m, 0) + c
         return MultilinearPoly(self.n, out)
 
     def __sub__(self, other):
@@ -95,11 +105,11 @@ class MultilinearPoly:
                 self.n, {m: c * other for m, c in self.coeffs.items()}
             )
         other = self._coerce(other)
-        out: dict[int, Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
                 key = m1 | m2
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                out[key] = out.get(key, 0) + c1 * c2
         return MultilinearPoly(self.n, out)
 
     __rmul__ = __mul__
@@ -183,24 +193,19 @@ class ProofSystem:
     blocks: dict[str, list[MultilinearPoly]]
     degree_cap: int
     probes: dict[str, tuple[int, ...]]
-    matrix: list[list[Fraction]]
+    matrix: list[list[int | Fraction]]
     meta: dict = field(default_factory=dict)
 
     def all_polys(self) -> list[MultilinearPoly]:
-        out = []
-        for name in self.blocks:
-            out.extend(self.blocks[name])
-        return out
+        return [poly for block in self.blocks.values() for poly in block]
 
     def all_probes(self) -> list[int]:
-        out = []
-        for name in self.probes:
-            out.extend(self.probes[name])
-        return out
+        return [pt for group in self.probes.values() for pt in group]
 
 
-def _evaluation_matrix(polys, probes) -> list[list[Fraction]]:
-    return [[poly.evaluate(pt) for pt in probes] for poly in polys]
+def _evaluation_matrix(blocks, probes) -> list[list[int | Fraction]]:
+    points = [pt for group in probes.values() for pt in group]
+    return [[poly.evaluate(pt) for pt in points] for block in blocks.values() for poly in block]
 
 
 def _masks_by_size(n_vars: int, max_size: int, within: int) -> list[int]:
@@ -262,8 +267,7 @@ def build_diff_sperner_system(
         probes["family_shifted"] = tuple(m & ~top for m in withn)
     else:
         probes["family_shifted"] = tuple(m | top for m in without)
-    all_probes = [pt for group in probes.values() for pt in group]
-    matrix = _evaluation_matrix([q for b in blocks.values() for q in b], all_probes)
+    matrix = _evaluation_matrix(blocks, probes)
     meta = {
         "system": "diff",
         "variant": variant,
@@ -296,6 +300,7 @@ def build_midband_system(fam: SetFamily, s: int, variant: str) -> ProofSystem:
                 f"member {bin(m)} has size {m.bit_count()} outside the band "
                 f"[{s}, {n - s}]; run push_to_middle first"
             )
+    g = FactoredIntPoly(1, tuple(range(1, s + 1)))
     if variant == "sym":
         if not (n + 2 <= 3 * s and 2 * s <= n):
             raise ValueError(f"need (n+2)/3 <= s <= n/2, got n = {n}, s = {s}")
@@ -303,23 +308,16 @@ def build_midband_system(fam: SetFamily, s: int, variant: str) -> ProofSystem:
         without = [m for m in fam.members if not m & top]
         withn = [m for m in fam.members if m & top]
         order = tuple(without + withn)
-        g = FactoredIntPoly(1, tuple(range(1, s + 1)))
         p_block = _difference_polys(n, order, g)
         xn = MultilinearPoly.variable(n, n)
         b_masks = _masks_by_size(n, s - 1, within=top - 1)
         f_block = [(xn - 1) * MultilinearPoly.monomial(n, b) for b in b_masks]
         window = MultilinearPoly.constant(n, 1)
-        head_sum = MultilinearPoly(
-            n, {1 << i: Fraction(1) for i in range(n - 1)}
-        )
+        head_sum = MultilinearPoly(n, {1 << i: 1 for i in range(n - 1)})
         for c in range(s - 1, n - s + 1):
             window = window * (head_sum - c)
         c_masks = _masks_by_size(n, 3 * s - n - 2, within=top - 1)
         h_block = [window * MultilinearPoly.monomial(n, cm) for cm in c_masks]
-        cap = s
-        for poly in p_block + f_block + h_block:
-            if poly.degree > cap:
-                raise AssertionError("block polynomial exceeds the degree cap")
         blocks = {"P": p_block, "F": f_block, "H": h_block}
         probes = {
             "family": order,
@@ -339,69 +337,60 @@ def build_midband_system(fam: SetFamily, s: int, variant: str) -> ProofSystem:
         order = tuple(
             sorted(fam.members, key=lambda m: (-m.bit_count(), m))
         )
-        g = FactoredIntPoly(1, tuple(range(1, s + 1)))
         p_block = _difference_polys(n, order, g)
         full = (1 << n) - 1
         window = MultilinearPoly.constant(n, 1)
-        full_sum = MultilinearPoly(n, {1 << i: Fraction(1) for i in range(n)})
+        full_sum = MultilinearPoly(n, {1 << i: 1 for i in range(n)})
         for c in range(s, n - s + 1):
             window = window * (full_sum - c)
         b_masks = _masks_by_size(n, 3 * s - n - 1, within=full)
         h_block = [window * MultilinearPoly.monomial(n, b) for b in b_masks]
-        cap = s
-        for poly in p_block + h_block:
-            if poly.degree > cap:
-                raise AssertionError("block polynomial exceeds the degree cap")
         blocks = {"P": p_block, "H": h_block}
         probes = {"family": order, "window_masks": tuple(b_masks)}
         meta = {"system": "close", "s": s, "g_at_zero": g(0)}
-    all_probes = [pt for group in probes.values() for pt in group]
-    matrix = _evaluation_matrix([q for b in blocks.values() for q in b], all_probes)
-    return ProofSystem(fam, order, blocks, cap, probes, matrix, meta)
+    if any(poly.degree > s for block in blocks.values() for poly in block):
+        raise AssertionError("block polynomial exceeds the degree cap")
+    matrix = _evaluation_matrix(blocks, probes)
+    return ProofSystem(fam, order, blocks, s, probes, matrix, meta)
 
 
 # ---------------------------------------------------------------------------
 # exact rank
 
 
-def _bareiss_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (integer-preserving)
-    elimination; pivots are the first nonzero entries in row-major order."""
-    m = [row[:] for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    prev = 1
-    for col in range(nc):
-        piv = next((r for r in range(rank, nr) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot_row = m[rank]
-        pv = pivot_row[col]
-        for r in range(rank + 1, nr):
-            row = m[r]
-            f = row[col]
-            for c in range(col + 1, nc):
-                row[c] = (pv * row[c] - f * pivot_row[c]) // prev
-            row[col] = 0
-        prev = pv
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+def _sparse_rank(rows) -> int:
+    """Exact rank over Q of sparse rows (dicts column -> int or Fraction).
 
-
-def _integer_rows(polys: list[MultilinearPoly], columns: list[int]) -> list[list[int]]:
-    col_index = {mask: j for j, mask in enumerate(columns)}
-    rows = []
-    for poly in polys:
-        scale = lcm(*(c.denominator for c in poly.coeffs.values())) if poly.coeffs else 1
-        row = [0] * len(columns)
-        for mask, c in poly.coeffs.items():
-            row[col_index[mask]] = int(c * scale)
-        rows.append(row)
-    return rows
+    Each row, scaled to integers, is reduced at its least column against
+    the pivot kept there by row <- (a/g) row - (b/g) pivot (a, b the two
+    leading entries, g their gcd), then divided by its content.  The steps
+    are invertible and the pivots' leading columns distinct, so the rank
+    is the number of pivots.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        scale = lcm(*(c.denominator for c in row.values()))
+        row = {m: int(c * scale) for m, c in row.items() if c}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            a, b = pivot[lead], row[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            row = {m: a * c for m, c in row.items()}
+            for m, c in pivot.items():
+                c = row.get(m, 0) - b * c
+                if c:
+                    row[m] = c
+                else:
+                    del row[m]
+            content = gcd(*row.values())
+            if content > 1:
+                row = {m: c // content for m, c in row.items()}
+    return len(pivots)
 
 
 @dataclass
@@ -414,6 +403,7 @@ class RankReport:
     pattern: str
     pattern_ok: bool
     pattern_failures: list[str]
+    stats: dict = field(default_factory=dict)
 
 
 def _padic_pattern(sys: ProofSystem, p: int) -> tuple[bool, list[str]]:
@@ -502,14 +492,13 @@ def verify_independence(sys: ProofSystem, p: int) -> RankReport:
 
     Rank is computed on coefficient vectors (the proofs' probe sets are not
     square in general); the pattern is read off the evaluation matrix.
+    `stats` gives the distinct monomials (`columns`), the coefficients
+    (`nonzeros`) and the elimination time in seconds (`rank_s`).
     """
     polys = sys.all_polys()
-    support = sorted(
-        {m for poly in polys for m in poly.coeffs},
-        key=lambda m: (m.bit_count(), m),
-    )
-    rows = _integer_rows(polys, support) if support else []
-    rank = _bareiss_rank(rows) if rows else 0
+    start = perf_counter()
+    rank = _sparse_rank(poly.coeffs for poly in polys)
+    rank_s = perf_counter() - start
     n = sys.family.n
     dimension = sum(comb(n, i) for i in range(min(sys.degree_cap, n) + 1))
     if sys.meta["system"] == "diff":
@@ -527,4 +516,9 @@ def verify_independence(sys: ProofSystem, p: int) -> RankReport:
         pattern=pattern,
         pattern_ok=ok,
         pattern_failures=failures,
+        stats={
+            "columns": len({m for poly in polys for m in poly.coeffs}),
+            "nonzeros": sum(len(poly.coeffs) for poly in polys),
+            "rank_s": rank_s,
+        },
     )

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from qsperner import bounds
 from qsperner.bounds import (
     SeparationFailure,
     _per_alpha_construction,
@@ -261,6 +262,56 @@ class TestBoundFromSeppoly:
         with pytest.raises(SeparationFailure) as info:
             bound_from_seppoly(spec, FactoredIntPoly(1, (3,)))
         assert info.value.failing_class in (1, 2)
+
+    @pytest.mark.parametrize(
+        "roots, message, ell, v0, minima, minus_ok, plus_ok",
+        [
+            ((0,), "polynomial for alpha = 3 fails on class 1 (mod 4)", 1, 0, {0: 2, 1: 0}, True, True),
+            ((1, 2), "polynomial for alpha = 3 fails on class 0 (mod 4)", 0, 1, {0: 1, 1: 2}, True, True),
+            ((3,), "polynomial for alpha = 3 fails on class 0 (mod 4)", 0, None, {0: 0, 1: 1}, False, False),
+        ],
+    )
+    def test_intersecting_failure_report(
+        self, monkeypatch, roots, message, ell, v0, minima, minus_ok, plus_ok
+    ):
+        """Only the failing alpha gets a full report, and the failure
+        carries it; v0 None stands for an infinite valuation."""
+        reported = []
+
+        def spy(pp, g, alpha, L):
+            reported.append(alpha)
+            return check_separation(pp, g, alpha, L)
+
+        monkeypatch.setattr(bounds, "check_separation", spy)
+        spec = spec_of(Kind.INTERSECTING, 6, {0, 1}, q=4)
+        full = FactoredIntPoly(1, (1, 2, 3))
+        per = {2: full.shift_reflect(2), 3: FactoredIntPoly(1, roots)}
+        with pytest.raises(SeparationFailure) as info:
+            bound_from_seppoly(spec, per_alpha=per)
+        assert type(info.value) is SeparationFailure
+        assert str(info.value) == message
+        assert info.value.failing_class == ell
+        rep = info.value.report
+        assert (rep.alpha, rep.separates) == (3, False)
+        assert rep.v0.is_infinite if v0 is None else rep.v0.value == v0
+        assert {c: m.value for c, m in rep.class_minima.items()} == minima
+        assert (rep.shifted_minus_ok, rep.shifted_plus_ok) == (minus_ok, plus_ok)
+        assert reported == [3]
+
+    def test_intersecting_certificate_without_reports(self, monkeypatch):
+        monkeypatch.setattr(bounds, "check_separation", None)
+        spec = spec_of(Kind.INTERSECTING, 6, {0, 1}, q=4)
+        full = FactoredIntPoly(1, (1, 2, 3))
+        cert = bound_from_seppoly(spec, per_alpha={a: full.shift_reflect(a) for a in (2, 3)})
+        assert cert.theorem_id == "R22"
+        assert cert.hypotheses == (
+            ("family is 4-modular L-avoiding L-intersecting", True),
+            ("modulus 4 is a prime power", True),
+            ("every residue outside L has a verified separating polynomial", True),
+            ("maximum degree used is 3", True),
+        )
+        assert (cert.bound.lower, cert.bound.upper, cert.bound.column, cert.bound.value) == (0, 3, "n", 42)
+        assert cert.auxiliary == {"per_alpha_degrees": {2: 3, 3: 3}}
 
     def test_intersecting_missing_alpha(self):
         spec = spec_of(Kind.INTERSECTING, 5, {0}, q=3)

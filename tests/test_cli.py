@@ -11,6 +11,7 @@ from qsperner.cli import (
     dispatch,
     main,
 )
+from qsperner.families import SetFamily, format_family
 
 
 def run_json(capsys, argv):
@@ -167,6 +168,11 @@ class TestCommands:
         assert doc["payload"]["full_rank"] is True
         assert doc["payload"]["rank"] == doc["payload"]["total_polys"] == 5
         assert doc["payload"]["pattern_ok"] is True
+        stats = doc["payload"]["stats"]
+        assert set(stats) == {"columns", "nonzeros", "rank_s", "build_s"}
+        # g(t) = t - 1, so P holds the four -x_i; F holds x_4 - 1
+        assert (stats["columns"], stats["nonzeros"]) == (5, 6)
+        assert stats["rank_s"] >= 0 and stats["build_s"] >= 0
 
     def test_verify_midband(self, tmp_path, capsys):
         fam = tmp_path / "fam.txt"
@@ -180,6 +186,41 @@ class TestCommands:
         )
         assert code == EXIT_OK
         assert doc["payload"]["full_rank"] is True
+
+
+def layer(n, k):
+    return [m for m in range(1 << n) if m.bit_count() == k]
+
+
+def without_lowest_of_first(members):
+    """Replace the least member (k-layers: {1..k}, which misses element n)
+    by itself minus its lowest element, a proper subset of it."""
+    first = members[0]
+    return [first & (first - 1)] + members[1:]
+
+
+class TestReplayRanks:
+    """Ranks of the layer systems the proof replay verifies, deficient
+    ones included; a mutated layer loses {1..k} to {2..k}."""
+
+    @pytest.mark.parametrize(
+        "n, members, argv, expected",
+        [
+            (11, layer(11, 4), ["--kind", "diff-sperner", "--q", "8", "--L", "1..4"], (506, True, True)),
+            (8, layer(8, 4), ["--kind", "close-sperner", "--variant", "close", "--s", "3"], (57, False, False)),
+            (7, without_lowest_of_first(layer(7, 3)), ["--kind", "diff-sperner", "--q", "4", "--L", "1..3"], (56, False, False)),
+            (9, without_lowest_of_first(layer(9, 3)), ["--kind", "diff-sperner", "--q", "7", "--L", "1..3"], (120, False, False)),
+            (9, without_lowest_of_first(layer(9, 4)), ["--kind", "diff-sperner", "--q", "5", "--L", "1..4"], (218, False, False)),
+        ],
+        ids=["diff-11-4-q8", "close-8-3-4", "diff-7-3-q4-mutated", "diff-9-3-q7-mutated", "diff-9-4-q5-mutated"],
+    )
+    def test_rank(self, tmp_path, capsys, n, members, argv, expected):
+        fam = tmp_path / "fam.txt"
+        fam.write_text(format_family(SetFamily(n, tuple(members))))
+        code, doc = run_json(capsys, ["verify", "--file", str(fam), *argv])
+        assert code == EXIT_OK
+        payload = doc["payload"]
+        assert (payload["rank"], payload["full_rank"], payload["pattern_ok"]) == expected
 
 
 class TestExitCodes:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from qsperner.families import ConstraintSpec, Kind, SetFamily, max_family
 from qsperner.padic import PrimePower
 from qsperner.polylab import (
     MultilinearPoly,
-    _bareiss_rank,
+    _sparse_rank,
     build_diff_sperner_system,
     build_midband_system,
     multilinear_reduce,
@@ -91,28 +92,107 @@ class TestMultilinear:
         for point in range(1 << n):
             assert reduced.evaluate(point) == eval_plain(tree, point)
 
+    def test_int_and_fraction_coefficients_compare_equal(self):
+        as_ints = MultilinearPoly(3, {0: 2, 0b101: -3})
+        as_fractions = MultilinearPoly(3, {0: Fraction(4, 2), 0b101: Fraction(-3)})
+        assert as_ints == as_fractions
+        assert all(type(c) is int for c in as_fractions.coeffs.values())
+        assert MultilinearPoly.constant(3, Fraction(1, 3)) * 3 == MultilinearPoly.constant(3, 1)
+
+    def test_fraction_scalar_stays_exact(self):
+        x = MultilinearPoly.variable(2, 1)
+        half = x * Fraction(1, 2)
+        assert half.coeffs == {0b01: Fraction(1, 2)}
+        assert half.evaluate(0b01) == Fraction(1, 2)
+        assert half.evaluate(0b10) == 0
+        assert half + half == x
+        assert type((half * 2).coeffs[0b01]) is int
+
+    @given(
+        st.dictionaries(
+            st.integers(0, 15),
+            st.one_of(st.integers(-50, 50), st.fractions(max_denominator=9)),
+            max_size=10,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_evaluate_matches_fraction_evaluation(self, coeffs):
+        poly = MultilinearPoly(4, coeffs)
+        integral = all(type(c) is int for c in poly.coeffs.values())
+        for point in range(16):
+            expected = Fraction(0)
+            for m, c in coeffs.items():
+                if m & ~point == 0:
+                    expected += Fraction(c)
+            got = poly.evaluate(point)
+            assert got == expected
+            assert type(got) is int or not integral
+
     def test_degree_and_affine(self):
         p = MultilinearPoly.affine(3, 2, {1: -1, 3: -1})
         assert p.degree == 1
         assert p.evaluate(0b101) == 0
 
 
-class TestBareiss:
-    def test_known_rank(self):
-        assert _bareiss_rank([[1, 2], [2, 4]]) == 1
-        assert _bareiss_rank([[1, 0, 0], [0, 0, 1]]) == 2
-        assert _bareiss_rank([[0, 0], [0, 0]]) == 0
+def sparse_rank(rows):
+    return _sparse_rank({j: x for j, x in enumerate(row)} for row in rows)
 
-    @given(
-        st.lists(
-            st.lists(st.integers(-9, 9), min_size=4, max_size=4),
-            min_size=1,
-            max_size=6,
-        )
-    )
-    @settings(max_examples=80, deadline=None)
+
+@st.composite
+def matrices(draw):
+    """Up to 8 x 8 integer matrices, mostly sparse; some rows are integer
+    combinations of earlier rows, so rank deficiency is common."""
+    ncols = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.integers(-10**6, 10**6))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(-5, 5), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+class TestSparseRank:
+    def test_known_rank(self):
+        assert sparse_rank([[1, 2], [2, 4]]) == 1
+        assert sparse_rank([[1, 0, 0], [0, 0, 1]]) == 2
+        assert sparse_rank([[0, 0], [0, 0]]) == 0
+
+    @given(matrices())
+    @settings(max_examples=100, deadline=None)
     def test_matches_fraction_elimination(self, rows):
-        assert _bareiss_rank(rows) == fraction_rank(rows)
+        assert sparse_rank(rows) == fraction_rank(rows)
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_fraction_coefficients_in_a_proof_system(self, data):
+        """Non-integral coefficients go through the denominator scaling."""
+        pp3 = PrimePower.from_q(3)
+        fam = SetFamily.from_sets(4, [{1}, {2}, {3, 4}, {1, 2, 4}])
+        sys_ = build_diff_sperner_system(fam, FactoredIntPoly(1, (1, 2)), pp3)
+        polys = sys_.all_polys()
+        scales = st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool)
+        mixed = []
+        for poly in polys:
+            if mixed and data.draw(st.booleans()):
+                # a rational combination of the earlier rows
+                picks = data.draw(st.lists(st.sampled_from(mixed), min_size=1, max_size=3))
+                poly = MultilinearPoly(4)
+                for earlier in picks:
+                    poly = poly + earlier * data.draw(scales)
+            else:
+                poly = poly * data.draw(scales)
+            mixed.append(poly)
+        sys_ = dataclasses.replace(sys_, blocks={"P": mixed[:len(fam)], "F": mixed[len(fam):]})
+        support = sorted({m for p in mixed for m in p.coeffs})
+        rows = [[p.coeffs.get(m, 0) for m in support] for p in mixed]
+        report = verify_independence(sys_, 3)
+        assert report.rank == fraction_rank(rows)
+        assert report.total_polys == len(polys)
+        assert report.stats["columns"] == len(support)
+        assert report.stats["nonzeros"] == sum(len(p.coeffs) for p in mixed)
 
 
 class TestDiffSystem:
