@@ -3,19 +3,25 @@
 Every rule below checks its hypotheses exactly (using the p-adic, closure,
 and separating-polynomial machinery), produces an auditable certificate
 with a binomial-sum descriptor, and the engine returns the minimum over
-all applicable certificates.  Non-modular difference/Hamming/intersecting
-constraints are additionally lifted to the p-modular setting at the
-smallest prime exceeding both max(L) and n, which is always faithful
-because no cardinality statistic can reach that prime.
+all applicable certificates.  `_PORTFOLIO` holds, per kind, the rules read
+without a modulus and the rules read modulo q.  A modular spec runs the
+modular rules; a non-modular one runs the direct rules, then the modular
+ones lifted to the smallest prime exceeding both max(L) and n, which is
+always faithful because no cardinality statistic can reach that prime.
+The intersecting-uniform kind alone is mapped by hand: R16, then the
+intersecting modular rules on the complement of its residue.
 
-Rule R22 draws its separating polynomials from `_zero_separation_candidates`,
-which yields, in non-decreasing degree, the plain residues, the closed
-superinterval of their hull and the full range [1, q-1].  Candidates are
-built lazily and screened with the yes/no `seppoly.separates`; the
-per-residue construction of the intersecting kinds takes the first one
-that separates (`first_zero_separator`), which is the lowest-degree one,
-the earliest on ties.  The difference and Hamming kinds build the full
-report, with its shifted side conditions, only for candidates that pass.
+R22's certificate is assembled in one place per shape, `_r22_zero_cert`
+(difference and Hamming kinds) and `_r22_per_alpha_cert` (intersecting
+kinds), for `best_bound` and `bound_from_seppoly` alike.  R22 draws its
+separating polynomials from `_zero_separation_candidates`, which yields,
+in non-decreasing degree, the plain residues, the closed superinterval of
+their hull and the full range [1, q-1].  Candidates are built lazily and
+screened with the yes/no `seppoly.separates`; the per-residue construction
+of the intersecting kinds takes the first one that separates
+(`first_zero_separator`), which is the lowest-degree one, the earliest on
+ties.  The difference and Hamming kinds build the full report, with its
+shifted side conditions, only for candidates that pass.
 """
 
 from __future__ import annotations
@@ -158,18 +164,35 @@ def _cert(ctx, rule, texts, bound, aux=None) -> BoundCertificate:
     return BoundCertificate(rule, ctx.hyp(*texts), bound, aux)
 
 
+# --- kind hypotheses ---------------------------------------------------------
+
+_KIND_WORDING = {
+    Kind.DIFF_SPERNER: "family is {q}-modular L-differencing Sperner",
+    Kind.INTERSECTING: "family is {q}-modular L-avoiding L-intersecting",
+    Kind.HAMMING: "pairwise Hamming distances lie in L modulo {q}",
+}
+
+
+def _kind_hyp(ctx: _Ctx) -> str:
+    """The kind hypothesis of every rule read modulo q."""
+    return _KIND_WORDING[ctx.kind].format(q=ctx.pp.q)
+
+
+def _close_hyp(ctx: _Ctx) -> str:
+    """The kind hypothesis of the close-Sperner rules R11 and R12."""
+    if ctx.kind is Kind.CLOSE_SPERNER:
+        return "family is L-close Sperner"
+    return "family is L-differencing Sperner, hence L-close Sperner"
+
+
 # --- difference-Sperner rules (modular) ------------------------------------
-
-
-def _diff_kind_hyp(ctx: _Ctx) -> str:
-    return f"family is {ctx.pp.q}-modular L-differencing Sperner"
 
 
 def _r2(ctx: _Ctx):
     if ctx.pp.k != 1:
         return []
     s = len(ctx.L)
-    texts = (_diff_kind_hyp(ctx), f"modulus {ctx.pp.p} is prime", f"L within [1, {ctx.pp.p - 1}]")
+    texts = (_kind_hyp(ctx), f"modulus {ctx.pp.p} is prime", f"L within [1, {ctx.pp.p - 1}]")
     return [_cert(ctx, "R2", texts, binom_sum(ctx.n, 0, s, "n-1"))]
 
 
@@ -181,7 +204,7 @@ def _r4(ctx: _Ctx):
     if not lucas_nondivisible(ctx.pp.p, b, s):
         return []
     texts = (
-        _diff_kind_hyp(ctx),
+        _kind_hyp(ctx),
         f"modulus {ctx.pp.q} is a prime power",
         f"L is the interval {iv}",
         f"{ctx.pp.p} does not divide C({b}, {s})",
@@ -195,7 +218,7 @@ def _r5(ctx: _Ctx):
     if ctx.L != tuple(range(1, q)):
         return []
     texts = (
-        _diff_kind_hyp(ctx),
+        _kind_hyp(ctx),
         f"modulus {q} is a prime power",
         f"L = [1, {q - 1}], the full nonzero residue range",
     )
@@ -215,7 +238,7 @@ def _r6(ctx: _Ctx):
     if lhs >= rhs:
         return []
     texts = (
-        _diff_kind_hyp(ctx),
+        _kind_hyp(ctx),
         f"modulus {ctx.pp.q} is a prime power",
         f"L is the arithmetic progression {a} + {d}*[0, {s - 1}]",
         f"sum of valuations {lhs} < max((s-1)v(d)+v(q), s v(d)+v(s!)+1) = {rhs}",
@@ -229,7 +252,7 @@ def _r7(ctx: _Ctx):
     if total >= k:
         return []
     texts = (
-        _diff_kind_hyp(ctx),
+        _kind_hyp(ctx),
         f"modulus {ctx.pp.q} is a prime power",
         f"sum of element valuations {total} < k = {k}",
     )
@@ -250,7 +273,7 @@ def _r8(ctx: _Ctx):
         branches["prime-square"] = binom_sum(ctx.n, 0, 2 * s - 1, "n")
     winner = min(branches, key=lambda name: branches[name].value)
     texts = (
-        _diff_kind_hyp(ctx),
+        _kind_hyp(ctx),
         f"modulus {ctx.pp.q} is a prime power",
         f"L is the interval {iv}",
     )
@@ -265,7 +288,7 @@ def _r8(ctx: _Ctx):
 def _r9(ctx: _Ctx):
     s = len(ctx.L)
     texts = (
-        _diff_kind_hyp(ctx),
+        _kind_hyp(ctx),
         f"modulus {ctx.pp.q} is a prime power",
         f"L within [1, {ctx.pp.q - 1}]",
         f"worst-case separating degree 2^(s-1) = {2 ** (s - 1)}",
@@ -298,35 +321,21 @@ def first_zero_separator(pp: PrimePower, L) -> tuple[str, FactoredIntPoly]:
     raise AssertionError("the full-range polynomial always separates")  # pragma: no cover
 
 
-def _r22_diff_hamming(ctx: _Ctx, rule_kind_text: str, allow_column_upgrade: bool):
-    # A higher degree with the n-1 column can beat a lower one without it,
-    # so later candidates still compete, until even their best column
-    # cannot beat the incumbent (degrees never decrease, so none after can
-    # either).  The full report is built only for candidates that pass the
-    # yes/no screen.
-    best_column = "n-1" if allow_column_upgrade else "n"
-    best = None
-    for label, g in _zero_separation_candidates(ctx.pp, ctx.L):
-        if best is not None and binom_sum(ctx.n, 0, g.degree, best_column).value >= best[0]:
-            break
-        if not separates(ctx.pp, g, 0, ctx.L):
-            continue
-        rep = check_separation(ctx.pp, g, 0, ctx.L)
-        shifted = rep.shifted_minus_ok or rep.shifted_plus_ok
-        column = "n-1" if allow_column_upgrade and shifted else "n"
-        b = binom_sum(ctx.n, 0, g.degree, column)
-        entry = (b.value, g.degree, label, g, rep, column)
-        if best is None or entry[:2] < best[:2]:
-            best = entry
-    if best is None:  # pragma: no cover
-        return []
-    _, _, label, g, rep, column = best
-    texts = [
-        rule_kind_text,
-        f"modulus {ctx.pp.q} is a prime power",
-        f"candidate roots from {label}",
-        "polynomial separates 0 from L modulo q",
-    ]
+def _r22_column(kind: Kind, shifted: bool) -> str:
+    # the shifted-condition column upgrade is only sound in the
+    # difference-Sperner setting (see the note in _r21_prime)
+    return "n-1" if shifted and kind is Kind.DIFF_SPERNER else "n"
+
+
+def _r22_zero_cert(ctx: _Ctx, g: FactoredIntPoly, rep, label: str | None = None):
+    """R22's certificate for the difference and Hamming kinds from a
+    polynomial g separating 0 from L modulo q and its separation report;
+    `label` names the candidate g was drawn from, if any."""
+    column = _r22_column(ctx.kind, rep.shifted_minus_ok or rep.shifted_plus_ok)
+    texts = [_kind_hyp(ctx), f"modulus {ctx.pp.q} is a prime power"]
+    if label is not None:
+        texts.append(f"candidate roots from {label}")
+    texts.append("polynomial separates 0 from L modulo q")
     if column == "n-1":
         side = "u-1" if rep.shifted_minus_ok else "u+1"
         texts.append(f"shifted condition over {side} holds, granting the n-1 column")
@@ -337,14 +346,28 @@ def _r22_diff_hamming(ctx: _Ctx, rule_kind_text: str, allow_column_upgrade: bool
         "shifted_minus_ok": rep.shifted_minus_ok,
         "shifted_plus_ok": rep.shifted_plus_ok,
     }
-    return [_cert(ctx, "R22", tuple(texts), binom_sum(ctx.n, 0, g.degree, column), aux)]
+    return _cert(ctx, "R22", texts, binom_sum(ctx.n, 0, g.degree, column), aux)
 
 
-def _r22_diff(ctx: _Ctx):
-    return _r22_diff_hamming(ctx, _diff_kind_hyp(ctx), allow_column_upgrade=True)
-
-
-_DIFF_MODULAR_RULES = (_r2, _r4, _r5, _r6, _r7, _r8, _r9, _r22_diff)
+def _r22_zero(ctx: _Ctx):
+    # A higher degree with the n-1 column can beat a lower one without it,
+    # so later candidates still compete, until even their best column
+    # cannot beat the incumbent (degrees never decrease, so none after can
+    # either).  The full report is built only for candidates that pass the
+    # yes/no screen.
+    best_column = _r22_column(ctx.kind, shifted=True)
+    best = None
+    for label, g in _zero_separation_candidates(ctx.pp, ctx.L):
+        if best is not None and (
+            binom_sum(ctx.n, 0, g.degree, best_column).value >= best.bound.value
+        ):
+            break
+        if not separates(ctx.pp, g, 0, ctx.L):
+            continue
+        cert = _r22_zero_cert(ctx, g, check_separation(ctx.pp, g, 0, ctx.L), label)
+        if best is None or (cert.bound.value, g.degree) < (best.bound.value, best.bound.upper):
+            best = cert
+    return [best]
 
 
 # --- non-modular difference / close-Sperner rules ---------------------------
@@ -366,28 +389,10 @@ def _r10(ctx: _Ctx):
 
 def _r11(ctx: _Ctx):
     s = len(ctx.L)
-    kind_text = (
-        "family is L-close Sperner"
-        if ctx.kind is Kind.CLOSE_SPERNER
-        else "family is L-differencing Sperner, hence L-close Sperner"
-    )
-    certs = [
-        _cert(
-            ctx,
-            "R11",
-            (kind_text, "L is a set of positive integers"),
-            binom_sum(ctx.n, 0, s, "n"),
-        )
-    ]
+    texts = (_close_hyp(ctx), "L is a set of positive integers")
+    certs = [_cert(ctx, "R11", texts, binom_sum(ctx.n, 0, s, "n"))]
     if s == 1:
-        certs.append(
-            _cert(
-                ctx,
-                "R11",
-                (kind_text, "L is a set of positive integers", "|L| = 1"),
-                binom_sum(ctx.n, 1, 1, "n"),
-            )
-        )
+        certs.append(_cert(ctx, "R11", texts + ("|L| = 1",), binom_sum(ctx.n, 1, 1, "n")))
     return certs
 
 
@@ -397,13 +402,8 @@ def _r12(ctx: _Ctx):
         return []
     if not (ctx.n + 1 <= 3 * s and 2 * s <= ctx.n):
         return []
-    kind_text = (
-        "family is L-close Sperner"
-        if ctx.kind is Kind.CLOSE_SPERNER
-        else "family is L-differencing Sperner, hence L-close Sperner"
-    )
     texts = (
-        kind_text,
+        _close_hyp(ctx),
         f"L = [{s}]",
         f"(n+1)/3 <= s <= n/2 with n = {ctx.n}, s = {s}",
     )
@@ -411,12 +411,6 @@ def _r12(ctx: _Ctx):
 
 
 # --- intersecting rules ------------------------------------------------------
-
-
-def _int_kind_hyp(ctx: _Ctx) -> str:
-    if ctx.pp is None:
-        return "family is L-avoiding L-intersecting (non-modular)"
-    return f"family is {ctx.pp.q}-modular L-avoiding L-intersecting"
 
 
 def _r13(ctx: _Ctx):
@@ -434,7 +428,7 @@ def _r14(ctx: _Ctx):
     s = len(ctx.L)
     cap = degree_upper_bound(s, ctx.pp.k)
     texts = (
-        _int_kind_hyp(ctx),
+        _kind_hyp(ctx),
         f"modulus {ctx.pp.q} is a prime power",
         f"worst-case separating degree bound {cap}",
     )
@@ -446,7 +440,7 @@ def _r15(ctx: _Ctx):
     if ctx.L != tuple(range(s)) or s >= ctx.pp.q:
         return []
     texts = (
-        _int_kind_hyp(ctx),
+        _kind_hyp(ctx),
         f"modulus {ctx.pp.q} is a prime power",
         f"L = {{0, ..., {s - 1}}}",
         f"s = {s} < q = {ctx.pp.q}",
@@ -460,7 +454,7 @@ def _r17(ctx: _Ctx):
     if s is None or s > ctx.n - q + 2:
         return []
     texts = (
-        _int_kind_hyp(ctx),
+        _kind_hyp(ctx),
         f"modulus {q} is a prime power",
         "L is an interval in the modulo-q sense",
         f"|L| = {s} <= n - q + 2 = {ctx.n - q + 2}",
@@ -475,7 +469,7 @@ def _r18(ctx: _Ctx):
         return []
     mu = closure_length_bound(ctx.pp, s)
     texts = (
-        _int_kind_hyp(ctx),
+        _kind_hyp(ctx),
         f"modulus {q} is a prime power",
         "L is an interval in the modulo-q sense",
     )
@@ -483,7 +477,7 @@ def _r18(ctx: _Ctx):
 
 
 def _r19(ctx: _Ctx):
-    texts = (_int_kind_hyp(ctx), f"modulus {ctx.pp.q} is a prime power")
+    texts = (_kind_hyp(ctx), f"modulus {ctx.pp.q} is a prime power")
     return [_cert(ctx, "R19", texts, binom_sum(ctx.n, 0, ctx.pp.q - 1, "n"))]
 
 
@@ -494,7 +488,7 @@ def _r20(ctx: _Ctx):
     if s is None:
         return []
     texts = (
-        _int_kind_hyp(ctx),
+        _kind_hyp(ctx),
         f"modulus {ctx.pp.q} = {ctx.pp.p}^2 is a prime square",
         "L is an interval in the modulo-q sense",
     )
@@ -514,10 +508,23 @@ def _per_alpha_construction(pp: PrimePower, L: tuple[int, ...], alpha: int):
     return label, h.shift_reflect(alpha)
 
 
+def _r22_per_alpha_cert(ctx: _Ctx, degrees: dict[int, int], wording: str):
+    """R22's certificate for the intersecting kinds from the degrees of
+    the polynomials separating each residue alpha outside L from L."""
+    worst = max(degrees.values(), default=0)
+    texts = (
+        _kind_hyp(ctx),
+        f"modulus {ctx.pp.q} is a prime power",
+        wording,
+        f"maximum degree used is {worst}",
+    )
+    aux = {"per_alpha_degrees": degrees}
+    return _cert(ctx, "R22", texts, binom_sum(ctx.n, 0, worst, "n"), aux)
+
+
 def _r22_intersecting(ctx: _Ctx):
-    q = ctx.pp.q
     Lset = set(ctx.L)
-    alphas = [a for a in range(q) if a not in Lset]
+    alphas = [a for a in range(ctx.pp.q) if a not in Lset]
     if not alphas:
         return []
     # reflection keeps the degree, so the reflected polynomial of
@@ -526,18 +533,8 @@ def _r22_intersecting(ctx: _Ctx):
         alpha: first_zero_separator(ctx.pp, _reflected(ctx.pp, ctx.L, alpha))[1].degree
         for alpha in alphas
     }
-    worst = max(degrees.values())
-    texts = (
-        _int_kind_hyp(ctx),
-        f"modulus {q} is a prime power",
-        "a separating polynomial was constructed for every residue outside L",
-        f"maximum degree used is {worst}",
-    )
-    aux = {"per_alpha_degrees": degrees}
-    return [_cert(ctx, "R22", texts, binom_sum(ctx.n, 0, worst, "n"), aux)]
-
-
-_INT_MODULAR_RULES = (_r14, _r15, _r17, _r18, _r19, _r20, _r22_intersecting)
+    wording = "a separating polynomial was constructed for every residue outside L"
+    return [_r22_per_alpha_cert(ctx, degrees, wording)]
 
 
 # --- uniform intersecting ----------------------------------------------------
@@ -558,14 +555,8 @@ def _r16(ctx: _Ctx, residue: int):
 # --- Hamming rules -----------------------------------------------------------
 
 
-def _hamming_kind_hyp(ctx: _Ctx) -> str:
-    if ctx.pp is None:
-        return "pairwise Hamming distances lie in L"
-    return f"pairwise Hamming distances lie in L modulo {ctx.pp.q}"
-
-
 def _r21_nonmodular(ctx: _Ctx):
-    texts = (_hamming_kind_hyp(ctx), "no modulus (Delsarte bound)")
+    texts = ("pairwise Hamming distances lie in L", "no modulus (Delsarte bound)")
     return [_cert(ctx, "R21", texts, binom_sum(ctx.n, 0, len(ctx.L), "n"))]
 
 
@@ -577,7 +568,7 @@ def _r21_prime(ctx: _Ctx):
     if ctx.pp.k != 1:
         return []
     texts = (
-        _hamming_kind_hyp(ctx),
+        _kind_hyp(ctx),
         f"modulus {ctx.pp.p} is prime and L avoids its multiples",
     )
     return [_cert(ctx, "R21", texts, binom_sum(ctx.n, 0, len(ctx.L), "n"))]
@@ -588,22 +579,27 @@ def _r21_initial_interval(ctx: _Ctx):
     if ctx.L != tuple(range(1, s + 1)):
         return []
     texts = (
-        _hamming_kind_hyp(ctx),
+        _kind_hyp(ctx),
         f"modulus {ctx.pp.q} is a prime power",
         f"L = [{s}]",
     )
     return [_cert(ctx, "R21", texts, binom_sum(ctx.n, 0, s, "n"))]
 
 
-def _r22_hamming(ctx: _Ctx):
-    # same soundness caveat as in _r21_prime: no column upgrade here
-    return _r22_diff_hamming(ctx, _hamming_kind_hyp(ctx), allow_column_upgrade=False)
-
-
-_HAMMING_MODULAR_RULES = (_r21_prime, _r21_initial_interval, _r22_hamming)
-
-
 # --- the engine --------------------------------------------------------------
+
+# Per kind: the rules read without a modulus, then the rules read modulo q
+# (the spec's own modulus, or the lifted prime of `_lifted_ctx`).  A rule
+# order here is the order of ties in `best_bound`.
+_PORTFOLIO = {
+    Kind.DIFF_SPERNER: (
+        (_r10, _r11, _r12),
+        (_r2, _r4, _r5, _r6, _r7, _r8, _r9, _r22_zero),
+    ),
+    Kind.CLOSE_SPERNER: ((_r11, _r12), ()),
+    Kind.INTERSECTING: ((_r13,), (_r14, _r15, _r17, _r18, _r19, _r20, _r22_intersecting)),
+    Kind.HAMMING: ((_r21_nonmodular,), (_r21_prime, _r21_initial_interval, _r22_zero)),
+}
 
 
 def _lifted_ctx(kind: Kind, n: int, L: tuple[int, ...]) -> _Ctx:
@@ -616,64 +612,33 @@ def _lifted_ctx(kind: Kind, n: int, L: tuple[int, ...]) -> _Ctx:
     return _Ctx(kind, n, L, PrimePower(p, 1), lift_note=note)
 
 
+def _run(ctx: _Ctx, rules) -> list[BoundCertificate]:
+    return [cert for rule in rules for cert in rule(ctx)]
+
+
 def _applicable(spec: ConstraintSpec) -> list[BoundCertificate]:
-    if not spec.L and spec.kind is not Kind.INTERSECTING_UNIFORM:
+    kind, n, pp = spec.kind, spec.n, spec.modulus
+    if not spec.L and kind is not Kind.INTERSECTING_UNIFORM:
         raise ValueError("empty L is rejected by the bound engine")
-    L = tuple(sorted(spec.L))
-    certs: list[BoundCertificate] = []
-    kind = spec.kind
-    if kind is Kind.DIFF_SPERNER:
-        if spec.modulus is not None:
-            ctx = _Ctx(kind, spec.n, L, spec.modulus)
-            for rule in _DIFF_MODULAR_RULES:
-                certs.extend(rule(ctx))
-        else:
-            direct = _Ctx(kind, spec.n, L, None)
-            for rule in (_r10, _r11, _r12):
-                certs.extend(rule(direct))
-            lifted = _lifted_ctx(kind, spec.n, L)
-            for rule in _DIFF_MODULAR_RULES:
-                certs.extend(rule(lifted))
-    elif kind is Kind.CLOSE_SPERNER:
-        ctx = _Ctx(kind, spec.n, L, None)
-        for rule in (_r11, _r12):
-            certs.extend(rule(ctx))
-    elif kind is Kind.INTERSECTING:
-        if spec.modulus is not None:
-            ctx = _Ctx(kind, spec.n, L, spec.modulus)
-            for rule in _INT_MODULAR_RULES:
-                certs.extend(rule(ctx))
-        else:
-            certs.extend(_r13(_Ctx(kind, spec.n, L, None)))
-            lifted = _lifted_ctx(kind, spec.n, L)
-            for rule in _INT_MODULAR_RULES:
-                certs.extend(rule(lifted))
-    elif kind is Kind.INTERSECTING_UNIFORM:
-        q = spec.modulus.q
+    if kind is Kind.INTERSECTING_UNIFORM:
         r = spec.uniform_residue
-        complement = tuple(x for x in range(q) if x != r)
-        ctx = _Ctx(kind, spec.n, complement, spec.modulus)
-        certs.extend(_r16(ctx, r))
+        L = tuple(x for x in range(pp.q) if x != r)
         note = (
             f"uniform residue {r} read as L-avoiding L-intersecting with "
             f"L = all residues except {r}",
             True,
         )
-        mapped = _Ctx(Kind.INTERSECTING, spec.n, complement, spec.modulus, lift_note=note)
-        for rule in _INT_MODULAR_RULES:
-            certs.extend(rule(mapped))
-    elif kind is Kind.HAMMING:
-        if spec.modulus is not None:
-            ctx = _Ctx(kind, spec.n, L, spec.modulus)
-            for rule in _HAMMING_MODULAR_RULES:
-                certs.extend(rule(ctx))
-        else:
-            certs.extend(_r21_nonmodular(_Ctx(kind, spec.n, L, None)))
-            lifted = _lifted_ctx(kind, spec.n, L)
-            for rule in _HAMMING_MODULAR_RULES:
-                certs.extend(rule(lifted))
-    else:
+        mapped = _Ctx(Kind.INTERSECTING, n, L, pp, lift_note=note)
+        return _r16(_Ctx(kind, n, L, pp), r) + _run(mapped, _PORTFOLIO[Kind.INTERSECTING][1])
+    if kind not in _PORTFOLIO:
         raise ValueError(f"no bound rules for kind {kind.value}")
+    direct, modular = _PORTFOLIO[kind]
+    L = tuple(sorted(spec.L))
+    if pp is not None:
+        return _run(_Ctx(kind, n, L, pp), modular)
+    certs = _run(_Ctx(kind, n, L, None), direct)
+    if modular:
+        certs += _run(_lifted_ctx(kind, n, L), modular)
     return certs
 
 
@@ -710,7 +675,8 @@ def bound_from_seppoly(
     a shifted separation upgrades the column to n-1.  Intersecting kinds
     need one polynomial per residue alpha outside L, and the bound uses the
     maximum degree.  Raises SeparationFailure naming the failing class when
-    a supplied polynomial does not separate.
+    a supplied polynomial does not separate.  The certificate is R22's, as
+    `best_bound` would state it for the same polynomials.
     """
     if spec.modulus is None:
         raise ValueError("bound_from_seppoly needs a modular constraint")
@@ -718,6 +684,7 @@ def bound_from_seppoly(
     L = tuple(sorted(spec.L))
     if not L:
         raise ValueError("empty L is rejected")
+    ctx = _Ctx(spec.kind, spec.n, L, pp)
     if spec.kind in (Kind.DIFF_SPERNER, Kind.HAMMING):
         if g is None:
             if search_max_degree is None:
@@ -737,38 +704,7 @@ def bound_from_seppoly(
                 ell,
                 rep,
             )
-        # the shifted-condition column upgrade is only sound in the
-        # difference-Sperner setting (see the note in _r21_prime)
-        shifted = (
-            spec.kind is Kind.DIFF_SPERNER
-            and (rep.shifted_minus_ok or rep.shifted_plus_ok)
-        )
-        column = "n-1" if shifted else "n"
-        kind_text = (
-            f"family is {pp.q}-modular L-differencing Sperner"
-            if spec.kind is Kind.DIFF_SPERNER
-            else f"pairwise Hamming distances lie in L modulo {pp.q}"
-        )
-        texts = [
-            (kind_text, True),
-            (f"modulus {pp.q} is a prime power", True),
-            ("polynomial separates 0 from L modulo q", True),
-        ]
-        if shifted:
-            side = "u-1" if rep.shifted_minus_ok else "u+1"
-            texts.append(
-                (f"shifted condition over {side} holds, granting the n-1 column", True)
-            )
-        aux = {
-            "roots": list(g.roots),
-            "lead": g.lead,
-            "v0": None if rep.v0.is_infinite else rep.v0.value,
-            "shifted_minus_ok": rep.shifted_minus_ok,
-            "shifted_plus_ok": rep.shifted_plus_ok,
-        }
-        return BoundCertificate(
-            "R22", tuple(texts), binom_sum(spec.n, 0, g.degree, column), aux
-        )
+        return _r22_zero_cert(ctx, g, rep)
     if spec.kind is Kind.INTERSECTING:
         q = pp.q
         Lset = set(L)
@@ -793,8 +729,6 @@ def bound_from_seppoly(
             raise SeparationFailure(
                 f"no polynomial supplied for alpha = {missing[0]}", missing[0]
             )
-        worst = 0
-        degrees = {}
         for alpha in alphas:
             if not separates(pp, per_alpha[alpha], alpha, L):
                 rep = check_separation(pp, per_alpha[alpha], alpha, L)
@@ -804,18 +738,7 @@ def bound_from_seppoly(
                     ell,
                     rep,
                 )
-            degrees[alpha] = per_alpha[alpha].degree
-            worst = max(worst, per_alpha[alpha].degree)
-        texts = (
-            (f"family is {q}-modular L-avoiding L-intersecting", True),
-            (f"modulus {q} is a prime power", True),
-            ("every residue outside L has a verified separating polynomial", True),
-            (f"maximum degree used is {worst}", True),
-        )
-        return BoundCertificate(
-            "R22",
-            texts,
-            binom_sum(spec.n, 0, worst, "n"),
-            {"per_alpha_degrees": degrees},
-        )
+        degrees = {alpha: per_alpha[alpha].degree for alpha in alphas}
+        wording = "every residue outside L has a verified separating polynomial"
+        return _r22_per_alpha_cert(ctx, degrees, wording)
     raise ValueError(f"bound_from_seppoly does not apply to kind {spec.kind.value}")

@@ -8,6 +8,7 @@ is written to stdout; otherwise a short human-readable report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -332,8 +333,11 @@ def _cmd_table(args) -> CommandResult:
     for lo in range(1, pp.q):
         for hi in range(lo, pp.q):
             L = frozenset(range(lo, hi + 1))
-            spec = ConstraintSpec(kind=kind, n=args.n, L=L, modulus=pp)
-            best, _ = bounds.best_bound(spec)
+            try:
+                spec = ConstraintSpec(kind=kind, n=args.n, L=L, modulus=pp)
+                best, _ = bounds.best_bound(spec)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
             row = {
                 "L": f"{lo}..{hi}",
                 "bound": best.bound.value,
@@ -491,7 +495,9 @@ def _verification_poly(pp: PrimePower, L) -> seppoly.FactoredIntPoly:
 # --- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="qsperner",
         description="Certified bounds and exact searches for restricted set families",

@@ -199,9 +199,6 @@ class ProofSystem:
     def all_polys(self) -> list[MultilinearPoly]:
         return [poly for block in self.blocks.values() for poly in block]
 
-    def all_probes(self) -> list[int]:
-        return [pt for group in self.probes.values() for pt in group]
-
 
 def _evaluation_matrix(blocks, probes) -> list[list[int | Fraction]]:
     points = [pt for group in probes.values() for pt in group]

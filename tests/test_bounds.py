@@ -1,4 +1,6 @@
 import math
+import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -405,3 +407,152 @@ class TestCandidateOrder:
                     _, _, h, column = r22_reference(kind, n, pp, R)
                     assert cert.bound == binom_sum(n, 0, h.degree, column)
                     assert cert.auxiliary["roots"] == list(h.roots)
+
+
+def r22_sample_sets(q, lo):
+    """Every singleton and pair of residues in [lo, q-1] for small q, and
+    seeded 3- to 5-element sets for every q."""
+    rng = random.Random(q)
+    sets = [(a,) for a in range(lo, q)]
+    if q <= 9:
+        sets += list(combinations(range(lo, q), 2))
+    sets += [tuple(sorted(rng.sample(range(lo, q), rng.randint(3, min(5, q - 1))))) for _ in range(12)]
+    return sets
+
+
+class TestR22Routes:
+    """`best_bound` and `bound_from_seppoly` state R22 for the same
+    polynomials in the same certificate."""
+
+    @pytest.mark.parametrize("q", [4, 8, 9, 25])
+    @pytest.mark.parametrize("kind", [Kind.DIFF_SPERNER, Kind.HAMMING])
+    def test_zero_separation(self, q, kind):
+        for L in r22_sample_sets(q, 1):
+            for n in (3, 10, 40):
+                spec = spec_of(kind, n, L, q=q)
+                (r22,) = [c for c in best_bound(spec)[1] if c.theorem_id == "R22"]
+                g = FactoredIntPoly(r22.auxiliary["lead"], tuple(r22.auxiliary["roots"]))
+                unlabelled = tuple(
+                    h for h in r22.hypotheses if not h[0].startswith("candidate roots from ")
+                )
+                assert bound_from_seppoly(spec, g) == replace(r22, hypotheses=unlabelled)
+
+    @pytest.mark.parametrize("q", [4, 8, 9, 25])
+    def test_per_alpha(self, q):
+        for L in r22_sample_sets(q, 0):
+            for n in (3, 10, 40):
+                spec = spec_of(Kind.INTERSECTING, n, L, q=q)
+                (r22,) = [c for c in best_bound(spec)[1] if c.theorem_id == "R22"]
+                cert = bound_from_seppoly(spec)
+                assert cert.bound == r22.bound
+                assert cert.auxiliary["per_alpha_degrees"] == r22.auxiliary["per_alpha_degrees"]
+
+    def test_no_residue_outside_L(self):
+        spec = spec_of(Kind.INTERSECTING, 5, {0, 1, 2}, q=3)
+        assert not [c for c in best_bound(spec)[1] if c.theorem_id == "R22"]
+        cert = bound_from_seppoly(spec)
+        assert (cert.bound.upper, cert.bound.value) == (0, 1)
+        assert cert.auxiliary == {"per_alpha_degrees": {}}
+
+
+# One spec per route through the rule portfolio (modular, lifted, direct
+# and uniform), with its full list of certificates: the wording, order and
+# evidence of every certificate are part of the engine's output.
+PINNED_CERTIFICATES = [
+    pytest.param(
+        "diff-sperner", 4, (3,), None, 6,
+        [
+            "BoundCertificate(theorem_id='R4', hypotheses=(('family is 4-modular L-differencing Sperner', True), ('modulus 4 is a prime power', True), ('L is the interval {3..3}', True), ('2 does not divide C(3, 1)', True)), bound=BinomSum(lower=0, upper=1, column='n-1', value=6), auxiliary={'b': 3, 's': 1})",
+            "BoundCertificate(theorem_id='R22', hypotheses=(('family is 4-modular L-differencing Sperner', True), ('modulus 4 is a prime power', True), ('candidate roots from given residues', True), ('polynomial separates 0 from L modulo q', True), ('shifted condition over u-1 holds, granting the n-1 column', True)), bound=BinomSum(lower=0, upper=1, column='n-1', value=6), auxiliary={'roots': [3], 'lead': 1, 'v0': 0, 'shifted_minus_ok': True, 'shifted_plus_ok': True})",
+            "BoundCertificate(theorem_id='R7', hypotheses=(('family is 4-modular L-differencing Sperner', True), ('modulus 4 is a prime power', True), ('sum of element valuations 0 < k = 2', True)), bound=BinomSum(lower=0, upper=1, column='n', value=7), auxiliary=None)",
+            "BoundCertificate(theorem_id='R8', hypotheses=(('family is 4-modular L-differencing Sperner', True), ('modulus 4 is a prime power', True), ('L is the interval {3..3}', True)), bound=BinomSum(lower=0, upper=1, column='n', value=7), auxiliary={'branches': {'closure': 16, 'doubling': 7, 'prime-square': 7}, 'winner': 'doubling', 'closure_length_bound': 2})",
+            "BoundCertificate(theorem_id='R6', hypotheses=(('family is 4-modular L-differencing Sperner', True), ('modulus 4 is a prime power', True), ('L is the arithmetic progression 3 + 1*[0, 0]', True), ('sum of valuations 0 < max((s-1)v(d)+v(q), s v(d)+v(s!)+1) = 2', True)), bound=BinomSum(lower=0, upper=1, column='n', value=7), auxiliary={'a': 3, 'd': 1})",
+            "BoundCertificate(theorem_id='R9', hypotheses=(('family is 4-modular L-differencing Sperner', True), ('modulus 4 is a prime power', True), ('L within [1, 3]', True), ('worst-case separating degree 2^(s-1) = 1', True)), bound=BinomSum(lower=0, upper=1, column='n', value=7), auxiliary=None)",
+        ],
+        id="modular diff",
+    ),
+    pytest.param(
+        "diff-sperner", None, (1,), None, 4,
+        [
+            "BoundCertificate(theorem_id='R11', hypotheses=(('family is L-differencing Sperner, hence L-close Sperner', True), ('L is a set of positive integers', True), ('|L| = 1', True)), bound=BinomSum(lower=1, upper=1, column='n', value=4), auxiliary=None)",
+            "BoundCertificate(theorem_id='R2', hypotheses=(('family is 5-modular L-differencing Sperner', True), ('modulus 5 is prime', True), ('L within [1, 4]', True), ('non-modular constraint read modulo p = 5, the smallest prime exceeding max(L) and n', True)), bound=BinomSum(lower=0, upper=1, column='n-1', value=4), auxiliary=None)",
+            "BoundCertificate(theorem_id='R8', hypotheses=(('family is 5-modular L-differencing Sperner', True), ('modulus 5 is a prime power', True), ('L is the interval {1..1}', True), ('non-modular constraint read modulo p = 5, the smallest prime exceeding max(L) and n', True)), bound=BinomSum(lower=0, upper=1, column='n-1', value=4), auxiliary={'branches': {'closure': 4, 'doubling': 5}, 'winner': 'closure', 'closure_length_bound': 1})",
+            "BoundCertificate(theorem_id='R4', hypotheses=(('family is 5-modular L-differencing Sperner', True), ('modulus 5 is a prime power', True), ('L is the interval {1..1}', True), ('5 does not divide C(1, 1)', True), ('non-modular constraint read modulo p = 5, the smallest prime exceeding max(L) and n', True)), bound=BinomSum(lower=0, upper=1, column='n-1', value=4), auxiliary={'b': 1, 's': 1})",
+            "BoundCertificate(theorem_id='R22', hypotheses=(('family is 5-modular L-differencing Sperner', True), ('modulus 5 is a prime power', True), ('candidate roots from given residues', True), ('polynomial separates 0 from L modulo q', True), ('shifted condition over u-1 holds, granting the n-1 column', True), ('non-modular constraint read modulo p = 5, the smallest prime exceeding max(L) and n', True)), bound=BinomSum(lower=0, upper=1, column='n-1', value=4), auxiliary={'roots': [1], 'lead': 1, 'v0': 0, 'shifted_minus_ok': True, 'shifted_plus_ok': True})",
+            "BoundCertificate(theorem_id='R11', hypotheses=(('family is L-differencing Sperner, hence L-close Sperner', True), ('L is a set of positive integers', True)), bound=BinomSum(lower=0, upper=1, column='n', value=5), auxiliary=None)",
+            "BoundCertificate(theorem_id='R7', hypotheses=(('family is 5-modular L-differencing Sperner', True), ('modulus 5 is a prime power', True), ('sum of element valuations 0 < k = 1', True), ('non-modular constraint read modulo p = 5, the smallest prime exceeding max(L) and n', True)), bound=BinomSum(lower=0, upper=1, column='n', value=5), auxiliary=None)",
+            "BoundCertificate(theorem_id='R6', hypotheses=(('family is 5-modular L-differencing Sperner', True), ('modulus 5 is a prime power', True), ('L is the arithmetic progression 1 + 1*[0, 0]', True), ('sum of valuations 0 < max((s-1)v(d)+v(q), s v(d)+v(s!)+1) = 1', True), ('non-modular constraint read modulo p = 5, the smallest prime exceeding max(L) and n', True)), bound=BinomSum(lower=0, upper=1, column='n', value=5), auxiliary={'a': 1, 'd': 1})",
+            "BoundCertificate(theorem_id='R9', hypotheses=(('family is 5-modular L-differencing Sperner', True), ('modulus 5 is a prime power', True), ('L within [1, 4]', True), ('worst-case separating degree 2^(s-1) = 1', True), ('non-modular constraint read modulo p = 5, the smallest prime exceeding max(L) and n', True)), bound=BinomSum(lower=0, upper=1, column='n', value=5), auxiliary=None)",
+        ],
+        id="lifted diff",
+    ),
+    pytest.param(
+        "close-sperner", None, (1, 2), None, 5,
+        [
+            "BoundCertificate(theorem_id='R12', hypotheses=(('family is L-close Sperner', True), ('L = [2]', True), ('(n+1)/3 <= s <= n/2 with n = 5, s = 2', True)), bound=BinomSum(lower=1, upper=2, column='n', value=15), auxiliary=None)",
+            "BoundCertificate(theorem_id='R11', hypotheses=(('family is L-close Sperner', True), ('L is a set of positive integers', True)), bound=BinomSum(lower=0, upper=2, column='n', value=16), auxiliary=None)",
+        ],
+        id="close",
+    ),
+    pytest.param(
+        "intersecting", 4, (0, 1), None, 6,
+        [
+            "BoundCertificate(theorem_id='R14', hypotheses=(('family is 4-modular L-avoiding L-intersecting', True), ('modulus 4 is a prime power', True), ('worst-case separating degree bound 2', True)), bound=BinomSum(lower=0, upper=2, column='n', value=22), auxiliary={'degree_cap': 2})",
+            "BoundCertificate(theorem_id='R18', hypotheses=(('family is 4-modular L-avoiding L-intersecting', True), ('modulus 4 is a prime power', True), ('L is an interval in the modulo-q sense', True)), bound=BinomSum(lower=0, upper=2, column='n', value=22), auxiliary={'closure_length_bound': 2})",
+            "BoundCertificate(theorem_id='R22', hypotheses=(('family is 4-modular L-avoiding L-intersecting', True), ('modulus 4 is a prime power', True), ('a separating polynomial was constructed for every residue outside L', True), ('maximum degree used is 2', True)), bound=BinomSum(lower=0, upper=2, column='n', value=22), auxiliary={'per_alpha_degrees': {2: 2, 3: 2}})",
+            "BoundCertificate(theorem_id='R17', hypotheses=(('family is 4-modular L-avoiding L-intersecting', True), ('modulus 4 is a prime power', True), ('L is an interval in the modulo-q sense', True), ('|L| = 2 <= n - q + 2 = 4', True)), bound=BinomSum(lower=2, upper=3, column='n', value=35), auxiliary=None)",
+            "BoundCertificate(theorem_id='R19', hypotheses=(('family is 4-modular L-avoiding L-intersecting', True), ('modulus 4 is a prime power', True)), bound=BinomSum(lower=0, upper=3, column='n', value=42), auxiliary=None)",
+            "BoundCertificate(theorem_id='R20', hypotheses=(('family is 4-modular L-avoiding L-intersecting', True), ('modulus 4 = 2^2 is a prime square', True), ('L is an interval in the modulo-q sense', True)), bound=BinomSum(lower=0, upper=3, column='n', value=42), auxiliary=None)",
+            "BoundCertificate(theorem_id='R15', hypotheses=(('family is 4-modular L-avoiding L-intersecting', True), ('modulus 4 is a prime power', True), ('L = {0, ..., 1}', True), ('s = 2 < q = 4', True)), bound=BinomSum(lower=0, upper=4, column='n', value=57), auxiliary=None)",
+        ],
+        id="modular intersecting",
+    ),
+    pytest.param(
+        "intersecting", None, (1,), None, 3,
+        [
+            "BoundCertificate(theorem_id='R13', hypotheses=(('family is L-intersecting (non-modular)', True), ('L is a set of positive integers', True), ('modulus-free Snevily bound', True)), bound=BinomSum(lower=0, upper=1, column='n-1', value=3), auxiliary=None)",
+            "BoundCertificate(theorem_id='R14', hypotheses=(('family is 5-modular L-avoiding L-intersecting', True), ('modulus 5 is a prime power', True), ('worst-case separating degree bound 1', True), ('non-modular constraint read modulo p = 5, the smallest prime exceeding max(L) and n', True)), bound=BinomSum(lower=0, upper=1, column='n', value=4), auxiliary={'degree_cap': 1})",
+            "BoundCertificate(theorem_id='R18', hypotheses=(('family is 5-modular L-avoiding L-intersecting', True), ('modulus 5 is a prime power', True), ('L is an interval in the modulo-q sense', True), ('non-modular constraint read modulo p = 5, the smallest prime exceeding max(L) and n', True)), bound=BinomSum(lower=0, upper=1, column='n', value=4), auxiliary={'closure_length_bound': 1})",
+            "BoundCertificate(theorem_id='R22', hypotheses=(('family is 5-modular L-avoiding L-intersecting', True), ('modulus 5 is a prime power', True), ('a separating polynomial was constructed for every residue outside L', True), ('maximum degree used is 1', True), ('non-modular constraint read modulo p = 5, the smallest prime exceeding max(L) and n', True)), bound=BinomSum(lower=0, upper=1, column='n', value=4), auxiliary={'per_alpha_degrees': {0: 1, 2: 1, 3: 1, 4: 1}})",
+            "BoundCertificate(theorem_id='R19', hypotheses=(('family is 5-modular L-avoiding L-intersecting', True), ('modulus 5 is a prime power', True), ('non-modular constraint read modulo p = 5, the smallest prime exceeding max(L) and n', True)), bound=BinomSum(lower=0, upper=4, column='n', value=8), auxiliary=None)",
+        ],
+        id="lifted intersecting",
+    ),
+    pytest.param(
+        "intersecting-uniform", 3, (), 0, 4,
+        [
+            "BoundCertificate(theorem_id='R16', hypotheses=(('member sizes are congruent to 0 and no intersection is (mod 3)', True), ('modulus 3 is a prime power', True), ('2(q-1) = 4 <= n = 4', True)), bound=BinomSum(lower=2, upper=2, column='n', value=6), auxiliary=None)",
+            "BoundCertificate(theorem_id='R17', hypotheses=(('family is 3-modular L-avoiding L-intersecting', True), ('modulus 3 is a prime power', True), ('L is an interval in the modulo-q sense', True), ('|L| = 2 <= n - q + 2 = 3', True), ('uniform residue 0 read as L-avoiding L-intersecting with L = all residues except 0', True)), bound=BinomSum(lower=2, upper=2, column='n', value=6), auxiliary=None)",
+            "BoundCertificate(theorem_id='R19', hypotheses=(('family is 3-modular L-avoiding L-intersecting', True), ('modulus 3 is a prime power', True), ('uniform residue 0 read as L-avoiding L-intersecting with L = all residues except 0', True)), bound=BinomSum(lower=0, upper=2, column='n', value=11), auxiliary=None)",
+            "BoundCertificate(theorem_id='R14', hypotheses=(('family is 3-modular L-avoiding L-intersecting', True), ('modulus 3 is a prime power', True), ('worst-case separating degree bound 2', True), ('uniform residue 0 read as L-avoiding L-intersecting with L = all residues except 0', True)), bound=BinomSum(lower=0, upper=2, column='n', value=11), auxiliary={'degree_cap': 2})",
+            "BoundCertificate(theorem_id='R18', hypotheses=(('family is 3-modular L-avoiding L-intersecting', True), ('modulus 3 is a prime power', True), ('L is an interval in the modulo-q sense', True), ('uniform residue 0 read as L-avoiding L-intersecting with L = all residues except 0', True)), bound=BinomSum(lower=0, upper=2, column='n', value=11), auxiliary={'closure_length_bound': 2})",
+            "BoundCertificate(theorem_id='R22', hypotheses=(('family is 3-modular L-avoiding L-intersecting', True), ('modulus 3 is a prime power', True), ('a separating polynomial was constructed for every residue outside L', True), ('maximum degree used is 2', True), ('uniform residue 0 read as L-avoiding L-intersecting with L = all residues except 0', True)), bound=BinomSum(lower=0, upper=2, column='n', value=11), auxiliary={'per_alpha_degrees': {0: 2}})",
+        ],
+        id="uniform",
+    ),
+    pytest.param(
+        "hamming", 3, (1, 2), None, 4,
+        [
+            "BoundCertificate(theorem_id='R21', hypotheses=(('pairwise Hamming distances lie in L modulo 3', True), ('modulus 3 is prime and L avoids its multiples', True)), bound=BinomSum(lower=0, upper=2, column='n', value=11), auxiliary=None)",
+            "BoundCertificate(theorem_id='R21', hypotheses=(('pairwise Hamming distances lie in L modulo 3', True), ('modulus 3 is a prime power', True), ('L = [2]', True)), bound=BinomSum(lower=0, upper=2, column='n', value=11), auxiliary=None)",
+            "BoundCertificate(theorem_id='R22', hypotheses=(('pairwise Hamming distances lie in L modulo 3', True), ('modulus 3 is a prime power', True), ('candidate roots from given residues', True), ('polynomial separates 0 from L modulo q', True)), bound=BinomSum(lower=0, upper=2, column='n', value=11), auxiliary={'roots': [1, 2], 'lead': 1, 'v0': 0, 'shifted_minus_ok': True, 'shifted_plus_ok': True})",
+        ],
+        id="modular Hamming",
+    ),
+    pytest.param(
+        "hamming", None, (2,), None, 4,
+        [
+            "BoundCertificate(theorem_id='R21', hypotheses=(('pairwise Hamming distances lie in L', True), ('no modulus (Delsarte bound)', True)), bound=BinomSum(lower=0, upper=1, column='n', value=5), auxiliary=None)",
+            "BoundCertificate(theorem_id='R21', hypotheses=(('pairwise Hamming distances lie in L modulo 5', True), ('modulus 5 is prime and L avoids its multiples', True), ('non-modular constraint read modulo p = 5, the smallest prime exceeding max(L) and n', True)), bound=BinomSum(lower=0, upper=1, column='n', value=5), auxiliary=None)",
+            "BoundCertificate(theorem_id='R22', hypotheses=(('pairwise Hamming distances lie in L modulo 5', True), ('modulus 5 is a prime power', True), ('candidate roots from given residues', True), ('polynomial separates 0 from L modulo q', True), ('non-modular constraint read modulo p = 5, the smallest prime exceeding max(L) and n', True)), bound=BinomSum(lower=0, upper=1, column='n', value=5), auxiliary={'roots': [2], 'lead': 1, 'v0': 0, 'shifted_minus_ok': True, 'shifted_plus_ok': True})",
+        ],
+        id="lifted Hamming",
+    ),
+]
+
+
+class TestCertificateText:
+    @pytest.mark.parametrize("kind, q, L, r, n, expected", PINNED_CERTIFICATES)
+    def test_certificates(self, kind, q, L, r, n, expected):
+        _, certs = best_bound(spec_of(Kind(kind), n, L, q=q, residue=r))
+        assert [repr(c) for c in certs] == expected

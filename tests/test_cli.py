@@ -7,6 +7,7 @@ from qsperner.cli import (
     EXIT_OK,
     EXIT_USAGE,
     UsageError,
+    _build_parser,
     _parse_L,
     dispatch,
     main,
@@ -304,6 +305,23 @@ class TestExitCodes:
         assert doc["status"] == "error"
         assert f"got {kind}" in doc["diagnostics"][0]
 
+    @pytest.mark.parametrize(
+        "kind, n, message",
+        [
+            ("close-sperner", "5", "close-Sperner constraints are non-modular"),
+            ("intersecting-uniform", "5", "uniform kind needs a modulus and a residue"),
+            ("antichain", "5", "no bound rules for kind antichain"),
+            ("diff-sperner", "-1", "n must be non-negative"),
+        ],
+    )
+    def test_table_bad_input(self, capsys, kind, n, message):
+        argv = ["table", "--kind", kind, "--q", "4", "--n", n]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_USAGE
+        assert doc == {"schema": 1, "status": "error", "payload": {}, "diagnostics": [message]}
+
     def test_budget_exhaustion_code(self, capsys):
         code, doc = run_json(
             capsys,
@@ -320,3 +338,24 @@ class TestExitCodes:
         one = dispatch(["bound", "--kind", "hamming", "--q", "3", "--L", "1,2", "--n", "5"])
         two = dispatch(["bound", "--kind", "hamming", "--q", "3", "--L", "1,2", "--n", "5"])
         assert one.payload == two.payload
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["bound", "--kind", "intersecting-uniform", "--q", "4", "--uniform-residue", "1", "--n", "6"],
+        ["bound", "--kind", "diff-sperner", "--q", "4", "--L", "1..3", "--n", "6", "--bogus"],
+        ["bound", "--kind", "diff-sperner", "--q", "4", "--L", "1..3", "--n", "6"],
+        ["table", "--kind", "hamming", "--q", "4", "--n", "5", "--no-brute"],
+        ["seppoly", "find", "--q", "4", "--alpha", "0", "--L", "1..3"],
+        ["mu", "--q", "9", "--s", "1"],
+    ]
+
+    def test_back_to_back_calls_match_fresh_parsers(self, capsys):
+        fresh = []
+        for argv in self.ARGVS:
+            _build_parser.cache_clear()
+            fresh.append(run_json(capsys, argv))
+        reused = [run_json(capsys, argv) for argv in self.ARGVS]
+        assert reused == fresh
+        assert [code for code, _ in reused] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
+        assert _build_parser.cache_info().misses == 1
