@@ -1,17 +1,25 @@
 """Executable polynomial-method verifier.
 
 Builds the exact multilinear proof polynomials attached to a family
-(difference systems and the two mid-band systems), evaluates them on
-characteristic vectors, and certifies linear independence by exact rank
-over the rationals via sparse integer elimination on the coefficients.
+(difference systems and the two mid-band systems) and certifies linear
+independence by exact rank over the rationals via sparse integer
+elimination on the coefficients.  Every block polynomial has the closed
+form x^F * t(sum of x_i over a set disjoint from F): its coefficients are
+forward differences of t (Moebius inversion) and its value at a 0/1 point
+one lookup in a table of t, so nothing is multiplied or evaluated term by
+term.  The pattern checks read those values; the evaluation matrix is
+formed only when `ProofSystem.matrix` is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 from math import comb, gcd, lcm
 from time import perf_counter
+from typing import NamedTuple
 
 from .families import SetFamily
 from .padic import PrimePower, _vp_int
@@ -177,15 +185,51 @@ def multilinear_reduce(n: int, expr) -> MultilinearPoly:
     raise ValueError(f"cannot interpret expression node {expr!r}")
 
 
+class _ClosedForm(NamedTuple):
+    """The polynomial x^fixed * t(sum of x_i over free), fixed and free
+    disjoint, with t given by its values t(0..|free|): at a 0/1 point B it
+    is t(|B & free|) when fixed lies inside B, else 0.
+
+    Every block row takes this form: P row i is g(|A_i| - v_i . x) (free
+    A_i, t(j) = g(|A_i| - j)), F row b is (x_n - 1) x^b or x_n x^b (free
+    {n}), H row c is W(sum over head) x^c (free head - c, t(j) = W(|c| + j)).
+    """
+
+    fixed: int
+    free: int
+    t: tuple[int, ...]
+
+    def at(self, points) -> list[int]:
+        """The values at the 0/1 points given as masks."""
+        fixed, free, t = self
+        if fixed:
+            return [t[(pt & free).bit_count()] if fixed & ~pt == 0 else 0 for pt in points]
+        return [t[(pt & free).bit_count()] for pt in points]
+
+    def poly(self, n: int) -> MultilinearPoly:
+        """Moebius inversion on the Boolean lattice: the coefficient on
+        x^(fixed + S), S inside free, is the |S|-th forward difference of
+        t at 0."""
+        coeffs = {}
+        diffs = list(self.t)
+        for size in range(len(self.t)):
+            if diffs[0]:
+                for s in _subsets(self.free, size):
+                    coeffs[self.fixed | s] = diffs[0]
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        return MultilinearPoly(n, coeffs)
+
+
 @dataclass
 class ProofSystem:
     """A family together with its proof-polynomial blocks.
 
     `order` is the proof ordering of the member masks (not necessarily the
-    family's canonical order); blocks maps block names to polynomial lists;
-    `probes` maps probe-group names to mask tuples; `matrix` holds the
-    exact evaluations, rows following the concatenated blocks and columns
-    the concatenated probe groups.
+    family's canonical order); blocks maps block names to polynomial lists
+    and `forms` to the same polynomials in closed form; `probes` maps
+    probe-group names to mask tuples.  `matrix`, built on first access,
+    holds the exact evaluations, rows following the concatenated blocks
+    and columns the concatenated probe groups.
     """
 
     family: SetFamily
@@ -193,37 +237,48 @@ class ProofSystem:
     blocks: dict[str, list[MultilinearPoly]]
     degree_cap: int
     probes: dict[str, tuple[int, ...]]
-    matrix: list[list[int | Fraction]]
+    forms: dict[str, list[_ClosedForm]]
     meta: dict = field(default_factory=dict)
 
     def all_polys(self) -> list[MultilinearPoly]:
         return [poly for block in self.blocks.values() for poly in block]
 
+    @cached_property
+    def matrix(self) -> list[list[int]]:
+        points = [pt for group in self.probes.values() for pt in group]
+        return [form.at(points) for forms in self.forms.values() for form in forms]
 
-def _evaluation_matrix(blocks, probes) -> list[list[int | Fraction]]:
-    points = [pt for group in probes.values() for pt in group]
-    return [[poly.evaluate(pt) for pt in points] for block in blocks.values() for poly in block]
+
+def _subsets(within: int, size: int):
+    """The masks inside `within` of popcount `size`, in no fixed order."""
+    bits = [1 << i for i in range(within.bit_length()) if within >> i & 1]
+    return map(sum, combinations(bits, size))
 
 
-def _masks_by_size(n_vars: int, max_size: int, within: int) -> list[int]:
+def _masks_by_size(max_size: int, within: int) -> list[int]:
     """All masks inside `within` of popcount <= max_size, ordered by
     (size, numeric value)."""
-    out = [m for m in range(1 << n_vars) if m & ~within == 0 and m.bit_count() <= max_size]
-    out.sort(key=lambda m: (m.bit_count(), m))
-    return out
+    return [m for size in range(max_size + 1) for m in sorted(_subsets(within, size))]
 
 
-def _difference_polys(n: int, order, g: FactoredIntPoly) -> list[MultilinearPoly]:
-    """p_i: the reduction of g(|A_i| - v_i . x) for each member."""
-    polys = []
-    for mask in order:
-        size = mask.bit_count()
-        weights = {i + 1: -1 for i in range(n) if mask >> i & 1}
-        prod = MultilinearPoly.constant(n, g.lead)
-        for r in g.roots:
-            prod = prod * MultilinearPoly.affine(n, size - r, weights)
-        polys.append(prod)
-    return polys
+def _difference_forms(n: int, order, g: FactoredIntPoly) -> list[_ClosedForm]:
+    """p_i = g(|A_i| - v_i . x) for each member A_i."""
+    values = [g(k) for k in range(n + 1)]
+    return [_ClosedForm(0, mask, tuple(values[mask.bit_count()::-1])) for mask in order]
+
+
+def _window_forms(lo: int, hi: int, head: int, c_masks) -> list[_ClosedForm]:
+    """W(sum of x_i over head) * x^c for each c inside head, where W(t) is
+    the product of (t - c) over lo <= c <= hi."""
+    window = FactoredIntPoly(1, tuple(range(lo, hi + 1)))
+    values = [window(t) for t in range(head.bit_count() + 1)]
+    return [_ClosedForm(c, head & ~c, tuple(values[c.bit_count():])) for c in c_masks]
+
+
+def _system(fam, order, forms, degree_cap, probes, meta) -> ProofSystem:
+    n = fam.n
+    blocks = {name: [form.poly(n) for form in block] for name, block in forms.items()}
+    return ProofSystem(fam, order, blocks, degree_cap, probes, forms, meta)
 
 
 def build_diff_sperner_system(
@@ -247,24 +302,17 @@ def build_diff_sperner_system(
     without = [m for m in fam.members if not m & top]
     withn = [m for m in fam.members if m & top]
     order = tuple(without + withn)
-    d = g.degree
-    p_block = _difference_polys(n, order, g)
-    blocks: dict[str, list[MultilinearPoly]] = {"P": p_block}
+    forms = {"P": _difference_forms(n, order, g)}
     probes: dict[str, tuple[int, ...]] = {"family": order}
     if variant != "none":
-        xn = MultilinearPoly.variable(n, n)
-        factor = xn - 1 if variant == "minus" else xn
-        f_block = []
-        b_masks = _masks_by_size(n, d - 1, within=top - 1)
-        for b in b_masks:
-            f_block.append(factor * MultilinearPoly.monomial(n, b))
-        blocks["F"] = f_block
+        b_masks = _masks_by_size(g.degree - 1, within=top - 1)
+        factor = (-1, 0) if variant == "minus" else (0, 1)
+        forms["F"] = [_ClosedForm(b, top, factor) for b in b_masks]
         probes["index_masks"] = tuple(b_masks)
     if variant == "plus":
         probes["family_shifted"] = tuple(m & ~top for m in withn)
     else:
         probes["family_shifted"] = tuple(m | top for m in without)
-    matrix = _evaluation_matrix(blocks, probes)
     meta = {
         "system": "diff",
         "variant": variant,
@@ -274,7 +322,7 @@ def build_diff_sperner_system(
         "g_at_zero": g(0),
         "q": pp.q,
     }
-    return ProofSystem(fam, order, blocks, d, probes, matrix, meta)
+    return _system(fam, order, forms, g.degree, probes, meta)
 
 
 def build_midband_system(fam: SetFamily, s: int, variant: str) -> ProofSystem:
@@ -305,17 +353,13 @@ def build_midband_system(fam: SetFamily, s: int, variant: str) -> ProofSystem:
         without = [m for m in fam.members if not m & top]
         withn = [m for m in fam.members if m & top]
         order = tuple(without + withn)
-        p_block = _difference_polys(n, order, g)
-        xn = MultilinearPoly.variable(n, n)
-        b_masks = _masks_by_size(n, s - 1, within=top - 1)
-        f_block = [(xn - 1) * MultilinearPoly.monomial(n, b) for b in b_masks]
-        window = MultilinearPoly.constant(n, 1)
-        head_sum = MultilinearPoly(n, {1 << i: 1 for i in range(n - 1)})
-        for c in range(s - 1, n - s + 1):
-            window = window * (head_sum - c)
-        c_masks = _masks_by_size(n, 3 * s - n - 2, within=top - 1)
-        h_block = [window * MultilinearPoly.monomial(n, cm) for cm in c_masks]
-        blocks = {"P": p_block, "F": f_block, "H": h_block}
+        b_masks = _masks_by_size(s - 1, within=top - 1)
+        c_masks = _masks_by_size(3 * s - n - 2, within=top - 1)
+        forms = {
+            "P": _difference_forms(n, order, g),
+            "F": [_ClosedForm(b, top, (-1, 0)) for b in b_masks],
+            "H": _window_forms(s - 1, n - s, top - 1, c_masks),
+        }
         probes = {
             "family": order,
             "family_shifted": tuple(m | top for m in without),
@@ -334,21 +378,15 @@ def build_midband_system(fam: SetFamily, s: int, variant: str) -> ProofSystem:
         order = tuple(
             sorted(fam.members, key=lambda m: (-m.bit_count(), m))
         )
-        p_block = _difference_polys(n, order, g)
         full = (1 << n) - 1
-        window = MultilinearPoly.constant(n, 1)
-        full_sum = MultilinearPoly(n, {1 << i: 1 for i in range(n)})
-        for c in range(s, n - s + 1):
-            window = window * (full_sum - c)
-        b_masks = _masks_by_size(n, 3 * s - n - 1, within=full)
-        h_block = [window * MultilinearPoly.monomial(n, b) for b in b_masks]
-        blocks = {"P": p_block, "H": h_block}
+        b_masks = _masks_by_size(3 * s - n - 1, within=full)
+        forms = {
+            "P": _difference_forms(n, order, g),
+            "H": _window_forms(s, n - s, full, b_masks),
+        }
         probes = {"family": order, "window_masks": tuple(b_masks)}
         meta = {"system": "close", "s": s, "g_at_zero": g(0)}
-    if any(poly.degree > s for block in blocks.values() for poly in block):
-        raise AssertionError("block polynomial exceeds the degree cap")
-    matrix = _evaluation_matrix(blocks, probes)
-    return ProofSystem(fam, order, blocks, s, probes, matrix, meta)
+    return _system(fam, order, forms, s, probes, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -403,84 +441,71 @@ class RankReport:
     stats: dict = field(default_factory=dict)
 
 
-def _padic_pattern(sys: ProofSystem, p: int) -> tuple[bool, list[str]]:
+def _padic_pattern(sys: ProofSystem, p: int) -> tuple[list[str], int]:
     """Valuation pattern that drives the difference-system argument: on the
     family probes, the P block has v_p(M[i][i]) = v_p(g(0)) and strictly
-    larger valuations off the diagonal."""
+    larger valuations off the diagonal.  M[i][j] = g(|A_i - A_j|), so the
+    diagonal is g(0) itself and v_p is needed on g(0..n) only.  Returns
+    the failures and the number of entries read."""
     g0 = sys.meta["g_at_zero"]
     v0 = _vp_int(p, g0) if g0 else None
-    m = len(sys.blocks["P"])
+    forms = sys.forms["P"]
+    # the values an off-diagonal entry may not take, with their valuations
+    low = {val: _vp_int(p, val) for val in set().union(*(form.t for form in forms)) - {0}}
+    low = {val: v for val, v in low.items() if v0 is None or v <= v0}
+    fam = sys.probes["family"]
     failures = []
-    for i in range(m):
-        for j in range(m):
-            entry = sys.matrix[i][j]
-            if entry.denominator != 1:  # pragma: no cover
-                raise AssertionError("family evaluations must be integral")
-            val = entry.numerator
-            if i == j:
-                same = (val == 0) == (g0 == 0) and (
-                    val == 0 or _vp_int(p, val) == v0
-                )
-                if not same:
-                    failures.append(
-                        f"diagonal entry ({i}, {i}) has valuation "
-                        f"{'inf' if val == 0 else _vp_int(p, val)}, expected "
-                        f"{'inf' if v0 is None else v0}"
-                    )
-            elif val != 0 and (v0 is None or _vp_int(p, val) <= v0):
-                failures.append(
-                    f"off-diagonal entry ({i}, {j}) has valuation "
-                    f"{_vp_int(p, val)}, not above {v0}"
-                )
-    return not failures, failures
+    for i, form in enumerate(forms):
+        row = form.at(fam)
+        row[i] = 0
+        if not low.keys().isdisjoint(row):
+            failures += [
+                f"off-diagonal entry ({i}, {j}) has valuation {low[val]}, not above {v0}"
+                for j, val in enumerate(row)
+                if val in low
+            ]
+    return failures, len(forms) * len(fam)
 
 
-def _triangular_pattern(sys: ProofSystem) -> tuple[bool, list[str]]:
-    """Triangular laws for the mid-band systems: window-block polynomials
-    vanish on every family probe; on their own index probes each block is
-    triangular with nonzero diagonal; for the close system the P block is
-    triangular on the family probes as well."""
+def _triangular(forms, points, below: str, diagonal: str) -> tuple[list[str], int]:
+    """Failures of the law "row i is zero at the points before points[i]
+    and nonzero at points[i]", worded by the two templates, and the number
+    of entries read."""
     failures = []
-    fam_probes = list(sys.probes["family"])
-    offset = 0
-    col_offsets = {}
-    for name, group in sys.probes.items():
-        col_offsets[name] = offset
-        offset += len(group)
-    row = 0
-    row_ranges = {}
-    for name, block in sys.blocks.items():
-        row_ranges[name] = (row, row + len(block))
-        row += len(block)
-    if sys.meta["system"] == "close":
-        p0, _ = row_ranges["P"]
-        for i in range(len(fam_probes)):
-            for j in range(len(fam_probes)):
-                val = sys.matrix[p0 + i][col_offsets["family"] + j]
-                if i == j and val == 0:
-                    failures.append(f"P diagonal ({i}, {i}) vanishes")
-                if j < i and val != 0:
-                    failures.append(f"P entry ({i}, {j}) below the diagonal is nonzero")
-    window_name = "H"
-    h0, h1 = row_ranges[window_name]
-    for i in range(h1 - h0):
-        for j, _ in enumerate(fam_probes):
-            if sys.matrix[h0 + i][col_offsets["family"] + j] != 0:
-                failures.append(f"window polynomial {i} does not vanish on member {j}")
-        if "family_shifted" in sys.probes:
-            for j in range(len(sys.probes["family_shifted"])):
-                if sys.matrix[h0 + i][col_offsets["family_shifted"] + j] != 0:
-                    failures.append(
-                        f"window polynomial {i} does not vanish on shifted member {j}"
-                    )
-    w0 = col_offsets["window_masks"]
-    for i in range(h1 - h0):
-        if sys.matrix[h0 + i][w0 + i] == 0:
-            failures.append(f"window diagonal ({i}, {i}) vanishes")
-        for j in range(i):
-            if sys.matrix[h0 + i][w0 + j] != 0:
-                failures.append(f"window entry ({i}, {j}) below the diagonal is nonzero")
-    return not failures, failures
+    for i, form in enumerate(forms):
+        row = form.at(points[: i + 1])
+        diag = row.pop()
+        failures += [below.format(i=i, j=j) for j, val in enumerate(row) if val != 0]
+        if diag == 0:
+            failures.append(diagonal.format(i=i))
+    return failures, len(forms) * (len(forms) + 1) // 2
+
+
+def _triangular_pattern(sys: ProofSystem) -> tuple[list[str], int]:
+    """Triangular laws for the mid-band systems: on the family probes the
+    P block is triangular with nonzero diagonal, window-block polynomials
+    vanish on every family probe, and on their own index probes they are
+    triangular with nonzero diagonal.  Returns the failures and the number
+    of entries read."""
+    fam = sys.probes["family"]
+    shifted = sys.probes.get("family_shifted", ())
+    windows = sys.forms["H"]
+    failures, cells = _triangular(
+        sys.forms["P"], fam,
+        "P entry ({i}, {j}) below the diagonal is nonzero", "P diagonal ({i}, {i}) vanishes",
+    )
+    for i, form in enumerate(windows):
+        for what, points in (("member", fam), ("shifted member", shifted)):
+            failures += [
+                f"window polynomial {i} does not vanish on {what} {j}"
+                for j, val in enumerate(form.at(points)) if val != 0
+            ]
+    window_failures, window_cells = _triangular(
+        windows, sys.probes["window_masks"],
+        "window entry ({i}, {j}) below the diagonal is nonzero", "window diagonal ({i}, {i}) vanishes",
+    )
+    cells += len(windows) * (len(fam) + len(shifted)) + window_cells
+    return failures + window_failures, cells
 
 
 def verify_independence(sys: ProofSystem, p: int) -> RankReport:
@@ -488,9 +513,11 @@ def verify_independence(sys: ProofSystem, p: int) -> RankReport:
     valuation or triangular pattern the underlying argument relies on.
 
     Rank is computed on coefficient vectors (the proofs' probe sets are not
-    square in general); the pattern is read off the evaluation matrix.
-    `stats` gives the distinct monomials (`columns`), the coefficients
-    (`nonzeros`) and the elimination time in seconds (`rank_s`).
+    square in general); the pattern is read off the closed-form entries of
+    the evaluation matrix, never forming the matrix itself.  `stats` gives
+    the distinct monomials (`columns`), the coefficients (`nonzeros`), the
+    elimination time in seconds (`rank_s`), the matrix entries the pattern
+    read (`pattern_cells`) and its time in seconds (`pattern_s`).
     """
     polys = sys.all_polys()
     start = perf_counter()
@@ -498,12 +525,14 @@ def verify_independence(sys: ProofSystem, p: int) -> RankReport:
     rank_s = perf_counter() - start
     n = sys.family.n
     dimension = sum(comb(n, i) for i in range(min(sys.degree_cap, n) + 1))
+    start = perf_counter()
     if sys.meta["system"] == "diff":
         pattern = "padic-diagonal"
-        ok, failures = _padic_pattern(sys, p)
+        failures, cells = _padic_pattern(sys, p)
     else:
         pattern = "triangular"
-        ok, failures = _triangular_pattern(sys)
+        failures, cells = _triangular_pattern(sys)
+    pattern_s = perf_counter() - start
     return RankReport(
         rank=rank,
         total_polys=len(polys),
@@ -511,11 +540,13 @@ def verify_independence(sys: ProofSystem, p: int) -> RankReport:
         dimension=dimension,
         block_sizes={name: len(block) for name, block in sys.blocks.items()},
         pattern=pattern,
-        pattern_ok=ok,
+        pattern_ok=not failures,
         pattern_failures=failures,
         stats={
             "columns": len({m for poly in polys for m in poly.coeffs}),
             "nonzeros": sum(len(poly.coeffs) for poly in polys),
             "rank_s": rank_s,
+            "pattern_cells": cells,
+            "pattern_s": pattern_s,
         },
     )

@@ -170,10 +170,14 @@ class TestCommands:
         assert doc["payload"]["rank"] == doc["payload"]["total_polys"] == 5
         assert doc["payload"]["pattern_ok"] is True
         stats = doc["payload"]["stats"]
-        assert set(stats) == {"columns", "nonzeros", "rank_s", "build_s"}
+        assert set(stats) == {
+            "columns", "nonzeros", "rank_s", "build_s", "pattern_cells", "pattern_s",
+        }
         # g(t) = t - 1, so P holds the four -x_i; F holds x_4 - 1
         assert (stats["columns"], stats["nonzeros"]) == (5, 6)
-        assert stats["rank_s"] >= 0 and stats["build_s"] >= 0
+        # the valuation pattern reads P on the four member probes
+        assert stats["pattern_cells"] == 16
+        assert stats["rank_s"] >= 0 and stats["build_s"] >= 0 and stats["pattern_s"] >= 0
 
     def test_verify_midband(self, tmp_path, capsys):
         fam = tmp_path / "fam.txt"
@@ -187,6 +191,27 @@ class TestCommands:
         )
         assert code == EXIT_OK
         assert doc["payload"]["full_rank"] is True
+
+    def test_verify_sym_reads_the_p_block(self, tmp_path, capsys):
+        # not [3]-differencing: |{4,5,6,7} - {1,2,3}| = 4
+        fam = tmp_path / "fam.txt"
+        fam.write_text("{1,2,3}\n{4,5,6,7}\n")
+        code, doc = run_json(
+            capsys, ["check", "--kind", "diff-sperner", "--file", str(fam), "--L", "1..3"]
+        )
+        assert doc["payload"]["satisfied"] is False
+        code, doc = run_json(
+            capsys,
+            [
+                "verify", "--kind", "diff-sperner", "--file", str(fam),
+                "--variant", "sym", "--s", "3", "--n", "7",
+            ],
+        )
+        assert code == EXIT_OK
+        payload = doc["payload"]
+        assert (payload["rank"], payload["total_polys"]) == (25, 25)
+        assert payload["pattern_ok"] is False
+        assert payload["pattern_failures"] == ["P entry (1, 0) below the diagonal is nonzero"]
 
 
 def layer(n, k):

@@ -1,15 +1,18 @@
 import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsperner.bounds import first_zero_separator
 from qsperner.families import ConstraintSpec, Kind, SetFamily, max_family
 from qsperner.padic import PrimePower
 from qsperner.polylab import (
     MultilinearPoly,
+    _masks_by_size,
     _sparse_rank,
     build_diff_sperner_system,
     build_midband_system,
@@ -343,3 +346,125 @@ class TestRankOracle:
         support = sorted({m for p in polys for m in p.coeffs})
         rows = [[p.coeffs.get(m, Fraction(0)) for m in support] for p in polys]
         assert verify_independence(sys_, 2).rank == fraction_rank(rows)
+
+
+def product_blocks(sys_):
+    """Oracle: the block polynomials as products of affine forms, straight
+    from their definitions: g(|A_i| - v_i . x), (x_n - 1) x^b or x_n x^b,
+    and the window product over the head variables times x^c."""
+    n = sys_.family.n
+    meta = sys_.meta
+    xn = MultilinearPoly.variable(n, n)
+
+    def differences(g):
+        polys = []
+        for mask in sys_.order:
+            weights = {i + 1: -1 for i in range(n) if mask >> i & 1}
+            prod = MultilinearPoly.constant(n, g.lead)
+            for r in g.roots:
+                prod = prod * MultilinearPoly.affine(n, mask.bit_count() - r, weights)
+            polys.append(prod)
+        return polys
+
+    def windows(lo, hi, head_size):
+        window = MultilinearPoly.constant(n, 1)
+        head_sum = MultilinearPoly(n, {1 << i: 1 for i in range(head_size)})
+        for c in range(lo, hi + 1):
+            window = window * (head_sum - c)
+        return [window * MultilinearPoly.monomial(n, c) for c in sys_.probes["window_masks"]]
+
+    def index_block(factor):
+        return [factor * MultilinearPoly.monomial(n, b) for b in sys_.probes["index_masks"]]
+
+    if meta["system"] == "diff":
+        blocks = {"P": differences(FactoredIntPoly(meta["g_lead"], meta["g_roots"]))}
+        if meta["variant"] != "none":
+            blocks["F"] = index_block(xn - 1 if meta["variant"] == "minus" else xn)
+        return blocks
+    s = meta["s"]
+    g = FactoredIntPoly(1, tuple(range(1, s + 1)))
+    if meta["system"] == "sym":
+        return {"P": differences(g), "F": index_block(xn - 1), "H": windows(s - 1, n - s, n - 1)}
+    return {"P": differences(g), "H": windows(s, n - s, n)}
+
+
+def band_shapes(lowest):
+    """(n, s) with n <= 9 inside a mid-band window: lowest(n) <= 3s, 2s <= n."""
+    return [(n, s) for n in range(2, 10) for s in range(1, n) if lowest(n) <= 3 * s and 2 * s <= n]
+
+
+@st.composite
+def proof_systems(draw):
+    """Systems of every variant on random families at n <= 9."""
+    variant = draw(st.sampled_from(["minus", "plus", "none", "sym", "close"]))
+    if variant in ("sym", "close"):
+        n, s = draw(st.sampled_from(band_shapes(lambda n: n + 2 if variant == "sym" else n + 1)))
+        sizes = st.integers(s, n - s)
+    else:
+        n = draw(st.integers(1, 9))
+        sizes = st.integers(0, n)
+    members = set()
+    for size in draw(st.lists(sizes, max_size=10)):
+        members.add(sum(1 << i for i in draw(st.permutations(range(n)))[:size]))
+    fam = SetFamily(n, tuple(sorted(members)))
+    if variant in ("sym", "close"):
+        return build_midband_system(fam, s, variant)
+    roots = draw(st.lists(st.integers(-2, n + 2), min_size=1, max_size=4))
+    g = FactoredIntPoly(draw(st.sampled_from([1, 2, -3])), tuple(roots))
+    pp = PrimePower.from_q(draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9])))
+    return build_diff_sperner_system(fam, g, pp, variant)
+
+
+class TestClosedForms:
+    @given(proof_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_every_matrix_entry_is_an_evaluation(self, sys_):
+        points = [pt for group in sys_.probes.values() for pt in group]
+        polys = sys_.all_polys()
+        assert len(sys_.matrix) == len(polys)
+        for poly, row in zip(polys, sys_.matrix):
+            assert row == [poly.evaluate(pt) for pt in points]
+
+    @given(proof_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_moebius_polynomials_equal_product_build(self, sys_):
+        assert sys_.blocks == product_blocks(sys_)
+        assert all(poly.degree <= sys_.degree_cap for poly in sys_.all_polys())
+
+    def test_masks_by_size_matches_full_scan(self):
+        rng = random.Random(7)
+        for n in range(11):
+            withins = range(1 << n) if n <= 5 else [(1 << n) - 1, (1 << (n - 1)) - 1] + [
+                rng.randrange(1 << n) for _ in range(6)
+            ]
+            for within in withins:
+                for max_size in range(-1, n + 1):
+                    scan = [
+                        m for m in range(1 << n)
+                        if m & ~within == 0 and m.bit_count() <= max_size
+                    ]
+                    scan.sort(key=lambda m: (m.bit_count(), m))
+                    assert _masks_by_size(max_size, within) == scan
+
+    def test_five_layer_of_13(self):
+        pp8 = PrimePower.from_q(8)
+        g = first_zero_separator(pp8, (1, 2, 3, 4, 5))[1]
+        fam = SetFamily(13, tuple(m for m in range(1 << 13) if m.bit_count() == 5))
+        report = verify_independence(build_diff_sperner_system(fam, g, pp8), pp8.p)
+        assert (report.rank, report.total_polys) == (2081, 2081)
+        assert report.pattern_ok
+        assert report.stats["pattern_cells"] == 1287 * 1287
+
+
+class TestSymPattern:
+    def test_sym_checks_the_p_block(self):
+        # |{4,5,6,7} - {1,2,3}| = 4 lies outside L = [3]: P is [[-6, 0], [6, -6]]
+        fam = SetFamily.from_sets(7, [{1, 2, 3}, {4, 5, 6, 7}])
+        sys_ = build_midband_system(fam, 3, "sym")
+        assert [row[:2] for row in sys_.matrix[:2]] == [[-6, 0], [6, -6]]
+        report = verify_independence(sys_, 2)
+        assert (report.rank, report.total_polys) == (25, 25)
+        assert not report.pattern_ok
+        assert report.pattern_failures == ["P entry (1, 0) below the diagonal is nonzero"]
+        # P reads 1 + 2 entries; H (one row) reads 2 members, 1 shifted, 1 index probe
+        assert report.stats["pattern_cells"] == 7
