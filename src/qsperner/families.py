@@ -8,9 +8,10 @@ condition, its pair statistic with the values it accepts, the wording of
 its violations and its symmetry group.  `satisfies`, the antichain
 precondition of push-to-the-middle and the search all read that table.
 The maximum-family search builds the compatibility graph (admissible
-subsets as vertices, edges where the pairwise constraint holds), testing
-each pair of size levels once, and runs a deterministic branch-and-bound
-maximum clique with greedy-coloring upper bounds on bitset adjacency rows.
+subsets as vertices, edges where the pairwise constraint holds) a row at
+a time from bit-sliced counts of |A∩B|, and runs a deterministic
+branch-and-bound maximum clique with greedy-coloring upper bounds on
+bitset adjacency rows.
 
 The search breaks the symmetry of the constraint kinds by orbital
 branching (Ostrowski, Linderoth, Rossi & Smriglio, Math. Programming
@@ -426,8 +427,8 @@ def push_to_middle(fam: SetFamily, s: int) -> SetFamily:
 @dataclass
 class SearchResult:
     """`nodes_explored` counts search and restoration nodes together; `stats`
-    splits them and adds the graph-build time, the vertex count and the
-    number of root orbits whose branch was searched."""
+    splits them and adds the graph-build time, the vertex and edge counts
+    and the number of root orbits whose branch was searched."""
 
     max_size: int
     witness: SetFamily
@@ -461,32 +462,48 @@ def _orbits(P: int, verts: list[int], key) -> dict:
 
 
 def _build_graph(spec: ConstraintSpec) -> tuple[list[int], list[int]]:
-    """Admissible subsets ordered by (size, value) and their adjacency rows.
-    Compatibility depends on the two size levels and |A∩B| alone, so each
-    pair of levels is read from the kind table once and skipped when it
-    accepts no intersection size."""
+    """Admissible subsets ordered by (size, value) and their adjacency rows,
+    built bit-sliced (San Segundo, Rodríguez-Losada & Jiménez, Comput. Oper.
+    Res. 2011).  Bit-plane counters hold |m ∩ verts[j]| for all j: those of
+    m are those of m minus its top element e plus the bitset of the
+    vertices holding e, by ripple carry, one size level at a time.  A row
+    ORs, per accepted |A∩B| = i, the vertices counting i in the levels
+    accepting i (|m| >= i, so m has a plane per bit of i).  It never holds
+    its vertex: the `avoiding` kinds reject A, A by the member condition,
+    the rest read it as statistic 0, which they never accept."""
     by_size: list[list[int]] = [[] for _ in range(spec.n + 1)]
     for m in range(1 << spec.n):
         by_size[m.bit_count()].append(m)
-    levels, verts = [], []
+    verts, level_mask = [], {}
     for k, level in enumerate(by_size):
         if _admissible(spec, k):
-            levels.append((k, level, len(verts)))
+            level_mask[k] = ((1 << len(level)) - 1) << len(verts)
             verts.extend(level)
-    adj = [0] * len(verts)
-    for x, (ka, A, oa) in enumerate(levels):
-        for kb, B, ob in levels[x:]:
-            ok = _accepted(spec, ka, kb)
-            if not ok:
-                continue
-            for i, a in enumerate(A):
-                u = oa + i
-                ubit, row = 1 << u, 0
-                for j in range(i + 1 if kb == ka else 0, len(B)):
-                    if (a & B[j]).bit_count() in ok:
-                        row |= 1 << (ob + j)
-                        adj[ob + j] |= ubit
-                adj[u] |= row
+    holders = [sum(1 << j for j, b in enumerate(verts) if b >> e & 1) for e in range(spec.n)]
+    adj, counts = [], {0: []}
+    for k in range(max(level_mask, default=-1) + 1):
+        if k:
+            prev, counts = counts, {}
+            for m in by_size[k]:
+                top = m.bit_length() - 1
+                carry, planes = holders[top], []
+                for p in prev[m ^ (1 << top)]:
+                    planes.append(p ^ carry)
+                    carry &= p
+                counts[m] = planes + [carry] if carry else planes
+        if k not in level_mask:
+            continue
+        within: dict[int, int] = {}  # i -> the levels accepting |A∩B| = i
+        for kb, mask in level_mask.items():
+            for i in _accepted(spec, k, kb):
+                within[i] = within.get(i, 0) | mask
+        for m in by_size[k]:
+            planes, row = counts[m], 0
+            for i, mask in within.items():  # count == i: each plane matches i's bit
+                for b, p in enumerate(planes):
+                    mask &= p if i >> b & 1 else ~p
+                row |= mask
+            adj.append(row)
     return verts, adj
 
 
@@ -677,6 +694,8 @@ def max_family(
     if node_budget is None:
         env = os.environ.get(NODE_BUDGET_ENV)
         node_budget = int(env) if env else None
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be non-negative, got {node_budget}")
     start = time.perf_counter()
     verts, adj = _build_graph(spec)
     stats = {"graph_build_s": time.perf_counter() - start, "vertices": len(verts)}
@@ -688,6 +707,7 @@ def max_family(
     else:
         witness_idx = search.best
     stats.update(
+        edges=sum(row.bit_count() for row in adj) // 2,
         root_orbits=search.root_orbits,
         search_nodes=search.nodes,
         restore_nodes=search.restore_nodes,

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +75,9 @@ class TestCommands:
         assert doc["payload"]["exact"] is True
         stats = doc["payload"]["stats"]
         assert stats["vertices"] == 8
+        # skew distance 1: the singletons, the pairs, and each singleton
+        # with the pair avoiding it
+        assert stats["edges"] == 9
         assert (
             stats["search_nodes"] + stats["restore_nodes"]
             == doc["payload"]["nodes_explored"]
@@ -359,6 +366,22 @@ class TestExitCodes:
         assert doc["status"] == "budget-exhausted"
         assert doc["payload"]["exact"] is False
 
+    @pytest.mark.parametrize("budget_flag", [True, False])
+    def test_negative_budget(self, capsys, monkeypatch, budget_flag):
+        argv = ["search", "--kind", "diff-sperner", "--n", "8", "--q", "2", "--L", "1"]
+        if budget_flag:
+            argv += ["--budget", "-1"]
+        else:
+            monkeypatch.setenv("QSPERNER_NODE_BUDGET", "-1")
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_USAGE
+        assert doc == {
+            "schema": 1,
+            "status": "error",
+            "payload": {},
+            "diagnostics": ["node budget must be non-negative, got -1"],
+        }
+
     def test_dispatch_is_deterministic(self):
         one = dispatch(["bound", "--kind", "hamming", "--q", "3", "--L", "1,2", "--n", "5"])
         two = dispatch(["bound", "--kind", "hamming", "--q", "3", "--L", "1,2", "--n", "5"])
@@ -384,3 +407,17 @@ class TestParserReuse:
         assert reused == fresh
         assert [code for code, _ in reused] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
         assert _build_parser.cache_info().misses == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsperner", "vp", "--p", "3", "--n", "162", "--json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["command"] == "vp" and doc["status"] == "ok"
+    assert doc["payload"]["valuation"] == 4  # 162 = 2 * 3^4

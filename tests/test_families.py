@@ -12,6 +12,7 @@ from qsperner.families import (
     Kind,
     SetFamily,
     _accepted,
+    _build_graph,
     _refine,
     _region_key,
     format_family,
@@ -71,20 +72,33 @@ def oracle_compatible(spec, A, B):
     return not (A <= B or B <= A)
 
 
-def bron_kerbosch_witness(spec):
-    """Oracle for n <= 5: every maximal clique of the compatibility graph by
-    plain Bron-Kerbosch (no coloring, no symmetry), with admissibility and
-    compatibility from the set-based definitions above, not from the
-    library.  Returns the maximum size and the lexicographically smallest
-    maximum clique under (size, value) order."""
+def pairwise_graph(spec):
+    """Oracle for the compatibility graph: admissible subsets in (size,
+    value) order and their adjacency rows, testing every pair with the
+    set-based definitions above."""
     order = sorted(range(1 << spec.n), key=lambda m: (m.bit_count(), m))
     as_set = {m: frozenset(i for i in range(spec.n) if m >> i & 1) for m in order}
     verts = [m for m in order if oracle_admissible(spec, as_set[m])]
+    adj = [0] * len(verts)
+    for u, a in enumerate(verts):
+        for w in range(u + 1, len(verts)):
+            if oracle_compatible(spec, as_set[a], as_set[verts[w]]):
+                adj[u] |= 1 << w
+                adj[w] |= 1 << u
+    return verts, adj
+
+
+def bron_kerbosch_witness(spec):
+    """Oracle for n <= 5: every maximal clique of the compatibility graph by
+    plain Bron-Kerbosch (no coloring, no symmetry), on the pairwise graph
+    above, not the library's.  Returns the maximum size and the
+    lexicographically smallest maximum clique under (size, value) order."""
+    verts, adj = pairwise_graph(spec)
     nbrs = {
-        a: {b for b in verts if b != a and oracle_compatible(spec, as_set[a], as_set[b])}
-        for a in verts
+        a: {b for w, b in enumerate(verts) if adj[u] >> w & 1}
+        for u, a in enumerate(verts)
     }
-    rank = {m: i for i, m in enumerate(order)}
+    rank = {m: i for i, m in enumerate(verts)}
     best = []
 
     def extend(clique, cand, excluded):
@@ -403,6 +417,15 @@ class TestMaxFamily:
         with pytest.raises(ValueError):
             max_family(ConstraintSpec(kind=Kind.ANTICHAIN, n=13))
 
+    def test_negative_budget(self, monkeypatch):
+        spec = ConstraintSpec(kind=Kind.ANTICHAIN, n=3)
+        with pytest.raises(ValueError, match="non-negative"):
+            max_family(spec, node_budget=-1)
+        monkeypatch.setenv("QSPERNER_NODE_BUDGET", "-1")
+        with pytest.raises(ValueError, match="non-negative"):
+            max_family(spec)
+        assert satisfies(spec, max_family(spec, node_budget=0).witness)
+
     def test_env_var_budget(self, monkeypatch):
         monkeypatch.setenv("QSPERNER_NODE_BUDGET", "2")
         spec = ConstraintSpec(
@@ -532,6 +555,48 @@ class TestBruteForceOracle:
                 assert bool(satisfies(spec, single)) == bool(satisfies(spec, moved))
 
 
+# (kind, q, variants): L for most kinds, the residue for the uniform kind;
+# the empty L, an L out of reach of every statistic and the mod-2
+# intersecting L = {0, 1} leave levels, or every level, accepting nothing
+_GRAPH_CASES = [
+    (Kind.DIFF_SPERNER, None, [set(), {1}, {2, 3}, {1, 2, 4}, {9}]),
+    (Kind.DIFF_SPERNER, 3, [{1}, {1, 2}]),
+    (Kind.DIFF_SPERNER, 4, [{2}, {1, 3}]),
+    (Kind.CLOSE_SPERNER, None, [set(), {1}, {1, 2}, {3}, {5}]),
+    (Kind.INTERSECTING, None, [set(), {0}, {1, 3}, {0, 2, 4}, {9}]),
+    (Kind.INTERSECTING, 2, [{0, 1}, {1}]),
+    (Kind.INTERSECTING, 3, [{0}, {1, 2}]),
+    (Kind.HAMMING, None, [set(), {1}, {2, 4}, {1, 3, 5}, {9}]),
+    (Kind.HAMMING, 3, [{1}, {1, 2}]),
+    (Kind.HAMMING, 4, [{2}]),
+    (Kind.INTERSECTING_UNIFORM, 2, [0, 1]),
+    (Kind.INTERSECTING_UNIFORM, 3, [0, 2]),
+    (Kind.INTERSECTING_UNIFORM, 4, [1]),
+    (Kind.ANTICHAIN, None, [set()]),
+]
+
+
+class TestGraphOracle:
+    @pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
+    def test_build_matches_pairwise_definitions(self, kind):
+        edgeless = 0
+        for case_kind, q, variants in _GRAPH_CASES:
+            if case_kind is not kind:
+                continue
+            pp = PrimePower.from_q(q) if q else None
+            for variant in variants:
+                for n in range(9):
+                    if kind is Kind.INTERSECTING_UNIFORM:
+                        spec = ConstraintSpec(kind=kind, n=n, modulus=pp, uniform_residue=variant)
+                    else:
+                        spec = ConstraintSpec(kind=kind, n=n, L=variant, modulus=pp)
+                    verts, adj = _build_graph(spec)
+                    assert (verts, adj) == pairwise_graph(spec), spec
+                    edgeless += n >= 2 and not any(adj)
+        # every kind but antichain has a spec with several vertices and no edge
+        assert edgeless or kind is Kind.ANTICHAIN
+
+
 def _relabellings(n, translations):
     """The maps b -> perm(b) ^ t on subsets of [n], as image lists."""
     for perm in itertools.permutations(range(n)):
@@ -591,7 +656,8 @@ class TestSearchStats:
         res = max_family(spec)
         stats = res.stats
         assert set(stats) == {
-            "graph_build_s", "vertices", "root_orbits", "search_nodes", "restore_nodes",
+            "graph_build_s", "vertices", "edges", "root_orbits", "search_nodes",
+            "restore_nodes",
         }
         assert stats["vertices"] == 128
         assert 1 <= stats["root_orbits"] <= spec.n + 1
