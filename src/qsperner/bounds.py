@@ -667,7 +667,6 @@ def bound_from_seppoly(
     per_alpha: dict[int, FactoredIntPoly] | None = None,
     *,
     search_max_degree: int | None = None,
-    search_window: range | None = None,
 ) -> BoundCertificate:
     """Degree-based bound from explicit (or searched) separating polynomials.
 
@@ -689,7 +688,7 @@ def bound_from_seppoly(
         if g is None:
             if search_max_degree is None:
                 raise ValueError("supply a polynomial or a search_max_degree")
-            found = search_min_degree(pp, 0, L, search_max_degree, search_window)
+            found = search_min_degree(pp, 0, L, search_max_degree)
             if found is None:
                 raise SeparationFailure(
                     f"no separating polynomial found up to degree {search_max_degree}",
@@ -713,9 +712,7 @@ def bound_from_seppoly(
             per_alpha = {}
             for alpha in alphas:
                 if search_max_degree is not None:
-                    found = search_min_degree(
-                        pp, alpha, L, search_max_degree, search_window
-                    )
+                    found = search_min_degree(pp, alpha, L, search_max_degree)
                     if found is None:
                         raise SeparationFailure(
                             f"no separating polynomial found for alpha = {alpha}",

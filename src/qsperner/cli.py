@@ -3,6 +3,11 @@
 Exit codes: 0 for ok or infeasible results, 2 for usage errors, 3 when a
 search budget was exhausted.  With --json a single JSON document (schema 1)
 is written to stdout; otherwise a short human-readable report.
+
+`main` is the one error boundary: a `ValueError` (a library rejecting an
+input, or the CLI's own `UsageError`) or a `PushError` becomes exit 2 with
+the exception's message, as the schema-1 error document or an `error:`
+line on stderr.  Any other exception is an internal failure and propagates.
 """
 
 from __future__ import annotations
@@ -43,8 +48,8 @@ class CommandResult:
         return EXIT_USAGE
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A rejected command line, reported by `main` as exit 2."""
 
 
 def _parse_L(text: str, q: int | None) -> list[int]:
@@ -84,13 +89,6 @@ def _parse_L(text: str, q: int | None) -> list[int]:
         raise UsageError(f"malformed L {text!r}") from exc
 
 
-def _prime_power(q: int) -> PrimePower:
-    try:
-        return PrimePower.from_q(q)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _kind(text: str) -> Kind:
     try:
         return Kind(text)
@@ -101,17 +99,12 @@ def _kind(text: str) -> Kind:
 
 def _build_spec(args, *, need_L=True) -> ConstraintSpec:
     kind = _kind(args.kind)
-    pp = _prime_power(args.q) if getattr(args, "q", None) else None
+    pp = PrimePower.from_q(args.q) if getattr(args, "q", None) else None
     L = frozenset(_parse_L(args.L, pp.q if pp else None)) if getattr(args, "L", None) else frozenset()
     if need_L and not L and kind not in (Kind.ANTICHAIN, Kind.INTERSECTING_UNIFORM):
         raise UsageError(f"kind {kind.value} needs --L")
     residue = getattr(args, "uniform_residue", None)
-    try:
-        return ConstraintSpec(
-            kind=kind, n=args.n, L=L, modulus=pp, uniform_residue=residue
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return ConstraintSpec(kind=kind, n=args.n, L=L, modulus=pp, uniform_residue=residue)
 
 
 def _read_family(args) -> SetFamily:
@@ -119,9 +112,10 @@ def _read_family(args) -> SetFamily:
     if not path.exists():
         raise UsageError(f"family file {path} does not exist")
     try:
-        return families.parse_family(path.read_text(), getattr(args, "n", None))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        text = path.read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read family file {path}: {exc.strerror}") from exc
+    return families.parse_family(text, getattr(args, "n", None))
 
 
 def _val_json(v) -> int | str:
@@ -150,19 +144,13 @@ def _family_json(fam: SetFamily) -> list[list[int]]:
 
 
 def _cmd_vp(args) -> CommandResult:
-    try:
-        v = vp(args.p, args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    v = vp(args.p, args.n)
     human = f"v_{args.p}({args.n}) = {'infinity' if v.is_infinite else v.value}"
     return CommandResult("ok", {"p": args.p, "n": args.n, "valuation": _val_json(v)}, human=human)
 
 
 def _cmd_binom(args) -> CommandResult:
-    try:
-        v = vp_binomial(args.p, args.a, args.b)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    v = vp_binomial(args.p, args.a, args.b)
     human = f"v_{args.p}(C({args.a + args.b}, {args.a})) = {v.value}"
     return CommandResult(
         "ok",
@@ -172,7 +160,7 @@ def _cmd_binom(args) -> CommandResult:
 
 
 def _cmd_digits(args) -> CommandResult:
-    pp = _prime_power(args.q)
+    pp = PrimePower.from_q(args.q)
     if not 0 <= args.s < pp.q:
         raise UsageError(f"s = {args.s} out of range [0, {pp.q - 1}]")
     dv = to_digits(pp, args.s)
@@ -185,13 +173,10 @@ def _cmd_digits(args) -> CommandResult:
 
 
 def _cmd_closure(args) -> CommandResult:
-    pp = _prime_power(args.q)
-    try:
-        interval = closure.IntervalL(args.lo, args.hi)
-        result = closure.q_closure(pp, interval)
-        already = closure.is_q_closed(pp, interval)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    pp = PrimePower.from_q(args.q)
+    interval = closure.IntervalL(args.lo, args.hi)
+    result = closure.q_closure(pp, interval)
+    already = closure.is_q_closed(pp, interval)
     human = (
         f"closure of {interval} in [1, {pp.q - 1}]: {result.interval} "
         f"(length {result.length}{', already closed' if already else ''})"
@@ -210,11 +195,8 @@ def _cmd_closure(args) -> CommandResult:
 
 
 def _cmd_mu(args) -> CommandResult:
-    pp = _prime_power(args.q)
-    try:
-        value = closure.closure_length_bound(pp, args.s)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    pp = PrimePower.from_q(args.q)
+    value = closure.closure_length_bound(pp, args.s)
     return CommandResult(
         "ok",
         {"q": pp.q, "s": args.s, "closure_length_bound": value},
@@ -223,7 +205,7 @@ def _cmd_mu(args) -> CommandResult:
 
 
 def _cmd_census(args) -> CommandResult:
-    pp = _prime_power(args.q)
+    pp = PrimePower.from_q(args.q)
     census = closure.count_closed_pairs(pp)
     diag = [
         "alt_form disagrees with the enumeration; it is recorded for "
@@ -247,17 +229,14 @@ def _cmd_census(args) -> CommandResult:
 
 
 def _cmd_seppoly(args) -> CommandResult:
-    pp = _prime_power(args.q)
+    pp = PrimePower.from_q(args.q)
     L = _parse_L(args.L, pp.q)
     if args.action == "check":
         if not args.roots:
             raise UsageError("seppoly check needs --roots")
         roots = _parse_L(args.roots, None)
-        try:
-            g = seppoly.FactoredIntPoly(args.lead, tuple(roots))
-            rep = seppoly.check_separation(pp, g, args.alpha, L)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        g = seppoly.FactoredIntPoly(args.lead, tuple(roots))
+        rep = seppoly.check_separation(pp, g, args.alpha, L)
         payload = {
             "q": pp.q,
             "alpha": args.alpha,
@@ -275,10 +254,7 @@ def _cmd_seppoly(args) -> CommandResult:
         )
         return CommandResult("ok", payload, human=human)
     window = range(0, args.window) if args.window else None
-    try:
-        found = seppoly.search_min_degree(pp, args.alpha, L, args.max_degree, window)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    found = seppoly.search_min_degree(pp, args.alpha, L, args.max_degree, window)
     if found is None:
         return CommandResult(
             "infeasible",
@@ -303,10 +279,7 @@ def _cmd_seppoly(args) -> CommandResult:
 
 def _cmd_bound(args) -> CommandResult:
     spec = _build_spec(args)
-    try:
-        best, all_certs = bounds.best_bound(spec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    best, all_certs = bounds.best_bound(spec)
     payload = {
         "kind": spec.kind.value,
         "n": spec.n,
@@ -326,18 +299,15 @@ def _cmd_bound(args) -> CommandResult:
 
 
 def _cmd_table(args) -> CommandResult:
-    pp = _prime_power(args.q)
+    pp = PrimePower.from_q(args.q)
     kind = _kind(args.kind)
     rows = []
     brute_ok = args.n <= families.DEFAULT_N_LIMIT and not args.no_brute
     for lo in range(1, pp.q):
         for hi in range(lo, pp.q):
             L = frozenset(range(lo, hi + 1))
-            try:
-                spec = ConstraintSpec(kind=kind, n=args.n, L=L, modulus=pp)
-                best, _ = bounds.best_bound(spec)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
+            spec = ConstraintSpec(kind=kind, n=args.n, L=L, modulus=pp)
+            best, _ = bounds.best_bound(spec)
             row = {
                 "L": f"{lo}..{hi}",
                 "bound": best.bound.value,
@@ -366,13 +336,8 @@ def _cmd_table(args) -> CommandResult:
 
 
 def _cmd_search(args) -> CommandResult:
-    spec = _build_spec(args, need_L=False)
-    if spec.kind not in (Kind.ANTICHAIN, Kind.INTERSECTING_UNIFORM) and not spec.L:
-        raise UsageError(f"kind {spec.kind.value} needs --L")
-    try:
-        result = families.max_family(spec, node_budget=args.budget)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    spec = _build_spec(args)
+    result = families.max_family(spec, node_budget=args.budget)
     payload = {
         "kind": spec.kind.value,
         "n": spec.n,
@@ -412,10 +377,7 @@ def _cmd_check(args) -> CommandResult:
 
 def _cmd_push(args) -> CommandResult:
     fam = _read_family(args)
-    try:
-        pushed = families.push_to_middle(fam, args.s)
-    except (ValueError, families.PushError) as exc:
-        raise UsageError(str(exc)) from exc
+    pushed = families.push_to_middle(fam, args.s)
     payload = {
         "n": fam.n,
         "s": args.s,
@@ -443,27 +405,24 @@ def _cmd_verify(args) -> CommandResult:
         )
     fam = _read_family(args)
     n = fam.n
-    pp = _prime_power(args.q) if args.q else None
+    pp = PrimePower.from_q(args.q) if args.q else None
     L = _parse_L(args.L, pp.q if pp else None) if args.L else []
     if not args.variant and (pp is None or not L):
         raise UsageError("verify needs --q and --L (or --variant sym|close)")
-    try:
-        if args.variant:
-            s = args.s if args.s is not None else max(L, default=0)
-            p = pp.p if pp else 2
-            start = perf_counter()
-            sys_ = polylab.build_midband_system(fam, s, args.variant)
-        else:
-            g = _verification_poly(pp, L)
-            rep = seppoly.check_separation(pp, g, 0, L)
-            variant = "minus" if rep.shifted_minus_ok or not rep.shifted_plus_ok else "plus"
-            p = pp.p
-            start = perf_counter()
-            sys_ = polylab.build_diff_sperner_system(fam, g, pp, variant)
-        build_s = perf_counter() - start
-        report = polylab.verify_independence(sys_, p)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.variant:
+        s = args.s if args.s is not None else max(L, default=0)
+        p = pp.p if pp else 2
+        start = perf_counter()
+        sys_ = polylab.build_midband_system(fam, s, args.variant)
+    else:
+        g = _verification_poly(pp, L)
+        rep = seppoly.check_separation(pp, g, 0, L)
+        variant = "minus" if rep.shifted_minus_ok or not rep.shifted_plus_ok else "plus"
+        p = pp.p
+        start = perf_counter()
+        sys_ = polylab.build_diff_sperner_system(fam, g, pp, variant)
+    build_s = perf_counter() - start
+    report = polylab.verify_independence(sys_, p)
     payload = {
         "n": n,
         "q": pp.q if pp else None,
@@ -610,7 +569,7 @@ def main(argv: list[str] | None = None) -> int:
     want_json = "--json" in argv
     try:
         result = dispatch(argv)
-    except UsageError as exc:
+    except (ValueError, families.PushError) as exc:
         message = str(exc)
         if want_json:
             doc = {

@@ -677,11 +677,7 @@ def _lex_smallest_optimum(
     return chosen
 
 
-def max_family(
-    spec: ConstraintSpec,
-    node_budget: int | None = None,
-    n_limit: int = DEFAULT_N_LIMIT,
-) -> SearchResult:
+def max_family(spec: ConstraintSpec, node_budget: int | None = None) -> SearchResult:
     """Exact maximum family size and a canonical witness.
 
     Vertices are admissible subsets ordered by (size, numeric value); the
@@ -689,8 +685,8 @@ def max_family(
     order.  A node budget (argument or QSPERNER_NODE_BUDGET) truncates the
     search, flagging the result as inexact with the best clique found.
     """
-    if spec.n > n_limit:
-        raise ValueError(f"n = {spec.n} exceeds the search limit {n_limit}")
+    if spec.n > DEFAULT_N_LIMIT:
+        raise ValueError(f"n = {spec.n} exceeds the search limit {DEFAULT_N_LIMIT}")
     if node_budget is None:
         env = os.environ.get(NODE_BUDGET_ENV)
         node_budget = int(env) if env else None

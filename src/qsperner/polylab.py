@@ -225,20 +225,25 @@ class ProofSystem:
     """A family together with its proof-polynomial blocks.
 
     `order` is the proof ordering of the member masks (not necessarily the
-    family's canonical order); blocks maps block names to polynomial lists
-    and `forms` to the same polynomials in closed form; `probes` maps
-    probe-group names to mask tuples.  `matrix`, built on first access,
-    holds the exact evaluations, rows following the concatenated blocks
-    and columns the concatenated probe groups.
+    family's canonical order); `forms` maps block names to closed-form
+    polynomial lists and `blocks`, expanded from them at construction, to
+    the same polynomials as `MultilinearPoly`s; `probes` maps probe-group
+    names to mask tuples.  `matrix`, built on first access, holds the exact
+    evaluations, rows following the concatenated blocks and columns the
+    concatenated probe groups.
     """
 
     family: SetFamily
     order: tuple[int, ...]
-    blocks: dict[str, list[MultilinearPoly]]
     degree_cap: int
     probes: dict[str, tuple[int, ...]]
     forms: dict[str, list[_ClosedForm]]
     meta: dict = field(default_factory=dict)
+    blocks: dict[str, list[MultilinearPoly]] = field(init=False)
+
+    def __post_init__(self):
+        n = self.family.n
+        self.blocks = {name: [f.poly(n) for f in block] for name, block in self.forms.items()}
 
     def all_polys(self) -> list[MultilinearPoly]:
         return [poly for block in self.blocks.values() for poly in block]
@@ -273,12 +278,6 @@ def _window_forms(lo: int, hi: int, head: int, c_masks) -> list[_ClosedForm]:
     window = FactoredIntPoly(1, tuple(range(lo, hi + 1)))
     values = [window(t) for t in range(head.bit_count() + 1)]
     return [_ClosedForm(c, head & ~c, tuple(values[c.bit_count():])) for c in c_masks]
-
-
-def _system(fam, order, forms, degree_cap, probes, meta) -> ProofSystem:
-    n = fam.n
-    blocks = {name: [form.poly(n) for form in block] for name, block in forms.items()}
-    return ProofSystem(fam, order, blocks, degree_cap, probes, forms, meta)
 
 
 def build_diff_sperner_system(
@@ -322,7 +321,7 @@ def build_diff_sperner_system(
         "g_at_zero": g(0),
         "q": pp.q,
     }
-    return _system(fam, order, forms, g.degree, probes, meta)
+    return ProofSystem(fam, order, g.degree, probes, forms, meta)
 
 
 def build_midband_system(fam: SetFamily, s: int, variant: str) -> ProofSystem:
@@ -386,7 +385,7 @@ def build_midband_system(fam: SetFamily, s: int, variant: str) -> ProofSystem:
         }
         probes = {"family": order, "window_masks": tuple(b_masks)}
         meta = {"system": "close", "s": s, "g_at_zero": g(0)}
-    return _system(fam, order, forms, s, probes, meta)
+    return ProofSystem(fam, order, s, probes, forms, meta)
 
 
 # ---------------------------------------------------------------------------

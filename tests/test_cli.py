@@ -354,6 +354,63 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert doc == {"schema": 1, "status": "error", "payload": {}, "diagnostics": [message]}
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["vp", "--p", "4", "--n", "3"], "p = 4 is not prime"),
+            (["binom", "--p", "2", "--a", "-1", "--b", "2"], "a and b must be non-negative"),
+            (["closure", "--q", "4", "--lo", "0", "--hi", "2"], "need 1 <= lo <= hi, got [0, 2]"),
+            (["mu", "--q", "4", "--s", "0"], "s = 0 out of range [1, 3]"),
+            (
+                ["bound", "--kind", "diff-sperner", "--q", "4", "--L", "1", "--n", "-1"],
+                "n must be non-negative",
+            ),
+            (
+                ["check", "--kind", "intersecting-uniform", "--file", "FAMILY"],
+                "uniform kind needs a modulus and a residue",
+            ),
+            (["push", "--file", "FAMILY", "--s", "-1"], "need 0 <= 2s <= n, got s = -1, n = 3"),
+        ],
+        ids=["vp", "binom", "closure", "mu", "bound", "check", "push"],
+    )
+    def test_library_rejection_is_a_usage_error(self, tmp_path, capsys, argv, message):
+        """A library ValueError reaches the user as exit 2 with its message."""
+        fam = tmp_path / "fam.txt"
+        fam.write_text("{1}\n{2,3}\n")
+        argv = [str(fam) if arg == "FAMILY" else arg for arg in argv]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_USAGE
+        assert doc == {"schema": 1, "status": "error", "payload": {}, "diagnostics": [message]}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--kind", "antichain"],
+            ["push", "--s", "1"],
+            ["verify", "--kind", "diff-sperner", "--q", "2", "--L", "1"],
+        ],
+        ids=["check", "push", "verify"],
+    )
+    def test_family_file_is_a_directory(self, tmp_path, capsys, argv):
+        argv = [*argv, "--file", str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: cannot read family file {tmp_path}: ")
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_USAGE
+        assert doc["status"] == "error" and doc["payload"] == {}
+        assert doc["diagnostics"][0].startswith(f"cannot read family file {tmp_path}: ")
+
+    @pytest.mark.parametrize("command", ["bound", "search"])
+    @pytest.mark.parametrize("extra", [["--n", "-1"], ["--n", "3", "--q", "4"]])
+    def test_missing_L_is_named_first(self, capsys, command, extra):
+        """bound and search share one spec builder, so an input that both
+        lacks --L and fails the spec gets the same message from each."""
+        code, doc = run_json(capsys, [command, "--kind", "close-sperner", *extra])
+        assert code == EXIT_USAGE
+        assert doc["diagnostics"] == ["kind close-sperner needs --L"]
+
     def test_budget_exhaustion_code(self, capsys):
         code, doc = run_json(
             capsys,
@@ -381,6 +438,12 @@ class TestExitCodes:
             "payload": {},
             "diagnostics": ["node budget must be non-negative, got -1"],
         }
+
+    def test_table_negative_budget_from_the_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("QSPERNER_NODE_BUDGET", "-1")
+        code, doc = run_json(capsys, ["table", "--kind", "diff-sperner", "--q", "2", "--n", "3"])
+        assert code == EXIT_USAGE
+        assert doc["diagnostics"] == ["node budget must be non-negative, got -1"]
 
     def test_dispatch_is_deterministic(self):
         one = dispatch(["bound", "--kind", "hamming", "--q", "3", "--L", "1,2", "--n", "5"])

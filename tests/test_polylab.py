@@ -188,14 +188,21 @@ class TestSparseRank:
             else:
                 poly = poly * data.draw(scales)
             mixed.append(poly)
-        sys_ = dataclasses.replace(sys_, blocks={"P": mixed[:len(fam)], "F": mixed[len(fam):]})
         support = sorted({m for p in mixed for m in p.coeffs})
         rows = [[p.coeffs.get(m, 0) for m in support] for p in mixed]
-        report = verify_independence(sys_, 3)
-        assert report.rank == fraction_rank(rows)
-        assert report.total_polys == len(polys)
-        assert report.stats["columns"] == len(support)
-        assert report.stats["nonzeros"] == sum(len(p.coeffs) for p in mixed)
+        assert _sparse_rank(p.coeffs for p in mixed) == fraction_rank(rows)
+
+    def test_blocks_follow_the_closed_forms(self):
+        """The blocks are expanded from the forms, so a system can never be
+        ranked on one set of polynomials and pattern-checked on another."""
+        pp3 = PrimePower.from_q(3)
+        fam = SetFamily.from_sets(4, [{1}, {2}, {3, 4}, {1, 2, 4}])
+        sys_ = build_diff_sperner_system(fam, FactoredIntPoly(1, (1, 2)), pp3)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(sys_, blocks={"P": []})
+        only_p = dataclasses.replace(sys_, forms={"P": sys_.forms["P"]})
+        assert only_p.blocks == {"P": sys_.blocks["P"]}
+        assert verify_independence(only_p, 3).block_sizes == {"P": len(fam)}
 
 
 class TestDiffSystem:
