@@ -5,9 +5,9 @@ search budget was exhausted.  With --json a single JSON document (schema 1)
 is written to stdout; otherwise a short human-readable report.
 
 `main` is the one error boundary: a `ValueError` (a library rejecting an
-input, or the CLI's own `UsageError`) or a `PushError` becomes exit 2 with
-the exception's message, as the schema-1 error document or an `error:`
-line on stderr.  Any other exception is an internal failure and propagates.
+input, or the CLI's own `UsageError`) becomes exit 2 with the exception's
+message, as the schema-1 error document or an `error:` line on stderr.
+Any other exception is an internal failure and propagates.
 """
 
 from __future__ import annotations
@@ -97,14 +97,14 @@ def _kind(text: str) -> Kind:
         raise UsageError(f"unknown kind {text!r}; choose one of: {names}") from exc
 
 
-def _build_spec(args, *, need_L=True) -> ConstraintSpec:
+def _build_spec(args, n: int, *, need_L=True) -> ConstraintSpec:
     kind = _kind(args.kind)
     pp = PrimePower.from_q(args.q) if getattr(args, "q", None) else None
     L = frozenset(_parse_L(args.L, pp.q if pp else None)) if getattr(args, "L", None) else frozenset()
     if need_L and not L and kind not in (Kind.ANTICHAIN, Kind.INTERSECTING_UNIFORM):
         raise UsageError(f"kind {kind.value} needs --L")
     residue = getattr(args, "uniform_residue", None)
-    return ConstraintSpec(kind=kind, n=args.n, L=L, modulus=pp, uniform_residue=residue)
+    return ConstraintSpec(kind=kind, n=n, L=L, modulus=pp, uniform_residue=residue)
 
 
 def _read_family(args) -> SetFamily:
@@ -115,6 +115,10 @@ def _read_family(args) -> SetFamily:
         text = path.read_text()
     except OSError as exc:
         raise UsageError(f"cannot read family file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(
+            f"cannot read family file {path}: not UTF-8 text ({exc.reason} at offset {exc.start})"
+        ) from exc
     return families.parse_family(text, getattr(args, "n", None))
 
 
@@ -278,7 +282,7 @@ def _cmd_seppoly(args) -> CommandResult:
 
 
 def _cmd_bound(args) -> CommandResult:
-    spec = _build_spec(args)
+    spec = _build_spec(args, args.n)
     best, all_certs = bounds.best_bound(spec)
     payload = {
         "kind": spec.kind.value,
@@ -336,7 +340,7 @@ def _cmd_table(args) -> CommandResult:
 
 
 def _cmd_search(args) -> CommandResult:
-    spec = _build_spec(args)
+    spec = _build_spec(args, args.n)
     result = families.max_family(spec, node_budget=args.budget)
     payload = {
         "kind": spec.kind.value,
@@ -360,9 +364,7 @@ def _cmd_search(args) -> CommandResult:
 
 def _cmd_check(args) -> CommandResult:
     fam = _read_family(args)  # honors --n when given
-    ns = argparse.Namespace(**vars(args))
-    ns.n = fam.n
-    spec = _build_spec(ns, need_L=False)
+    spec = _build_spec(args, fam.n, need_L=False)
     result = families.satisfies(spec, fam)
     payload = {
         "kind": spec.kind.value,
@@ -415,8 +417,9 @@ def _cmd_verify(args) -> CommandResult:
         start = perf_counter()
         sys_ = polylab.build_midband_system(fam, s, args.variant)
     else:
-        g = _verification_poly(pp, L)
-        rep = seppoly.check_separation(pp, g, 0, L)
+        spec = _build_spec(args, n)
+        g = _verification_poly(pp, spec.L)
+        rep = seppoly.check_separation(pp, g, 0, spec.L)
         variant = "minus" if rep.shifted_minus_ok or not rep.shifted_plus_ok else "plus"
         p = pp.p
         start = perf_counter()
@@ -569,7 +572,7 @@ def main(argv: list[str] | None = None) -> int:
     want_json = "--json" in argv
     try:
         result = dispatch(argv)
-    except (ValueError, families.PushError) as exc:
+    except ValueError as exc:
         message = str(exc)
         if want_json:
             doc = {

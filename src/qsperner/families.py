@@ -43,7 +43,6 @@ __all__ = [
     "ConstraintSpec",
     "CheckResult",
     "SearchResult",
-    "PushError",
     "satisfies",
     "push_to_middle",
     "push_to_middle_with_map",
@@ -324,73 +323,31 @@ def satisfies(spec: ConstraintSpec, fam: SetFamily) -> CheckResult:
 # push to the middle
 
 
-class PushError(RuntimeError):
-    """Raised when a saturating matching does not exist, which indicates a
-    violated precondition (the input was not an antichain with 2s <= n)."""
+def _on_chain(n: int, m: int, level: int) -> int:
+    """The member at `level` of the symmetric chain through m, in the
+    decomposition of 2^[n] by de Bruijn, Tengbergen and Kruyswijk (1951),
+    as bracketed by Greene and Kleitman (1976).
 
-
-def _maximum_matching(left: list[int], right: list[int]) -> dict[int, int]:
-    """Maximum bipartite matching by augmenting paths (Kuhn).  Edges join a
-    left mask to each right mask covering it with exactly one extra element.
-    The depth-first search for a path keeps its own stack, since a path can
-    pass through every left vertex of a whole layer."""
-    right_index = {m: j for j, m in enumerate(right)}
-    universe = max(right, default=0).bit_length()
-    adj: list[list[int]] = []
-    for a in left:
-        nbrs = []
-        for x in range(universe):
-            if not a >> x & 1:
-                j = right_index.get(a | (1 << x))
-                if j is not None:
-                    nbrs.append(j)
-        adj.append(nbrs)
-    match_right = [-1] * len(right)
-    for u in range(len(left)):
-        seen = [False] * len(right)
-        # the path so far: left vertices with their untried neighbours, and
-        # the right vertices joining each one to the next
-        path, via = [(u, iter(adj[u]))], []
-        while path:
-            for j in path[-1][1]:
-                if not seen[j]:
-                    break
-            else:
-                path.pop()
-                if via:
-                    via.pop()
-                continue
-            seen[j] = True
-            if match_right[j] == -1:
-                for (x, _), y in zip(path, via + [j]):
-                    match_right[y] = x
-                break
-            via.append(j)
-            path.append((match_right[j], iter(adj[match_right[j]])))
-    return {
-        left[u]: right[j] for j, u in enumerate(match_right) if u != -1
-    }
-
-
-def _raise_lowest_level(n: int, current: dict[int, int]) -> None:
-    """Replace every minimum-size image by a one-element-larger superset via
-    a perfect matching, mutating the original -> current mapping in place."""
-    masks = set(current.values())
-    k = min(m.bit_count() for m in masks)
-    low = sorted(m for m in masks if m.bit_count() == k)
-    supers = sorted(
-        {m | (1 << x) for m in low for x in range(n) if not m >> x & 1}
-    )
-    if any(m in masks for m in supers):
-        raise PushError("a one-element superset already belongs to the family")
-    matched = _maximum_matching(low, supers)
-    if len(matched) < len(low):
-        raise PushError(
-            f"no saturating matching from level {k} into level {k + 1}"
-        )
-    for orig, image in current.items():
-        if image in matched:
-            current[orig] = matched[image]
+    Read element i as ")" when it is in m and "(" when it is not, and pair
+    each ")" with the nearest unpaired "(" before it.  The unpaired
+    positions then read ")))(((".  Every set on the chain through m has the
+    same pairs: it keeps m's paired elements and takes the first
+    `level - p` unpaired positions, where p is the number of pairs, so the
+    chain runs from level p to level n - p.  The chains partition 2^[n]
+    and two sets on one chain are nested, so the members of an antichain
+    lie on distinct chains and their images are distinct."""
+    kept, closes, opens = 0, [], []  # closes, opens: unpaired positions
+    for i in range(n):
+        if not m >> i & 1:
+            opens.append(i)
+        elif opens:
+            opens.pop()
+            kept |= 1 << i
+        else:
+            closes.append(i)
+    for i in (closes + opens)[: level - kept.bit_count()]:
+        kept |= 1 << i
+    return kept
 
 
 def push_to_middle_with_map(fam: SetFamily, s: int) -> tuple[SetFamily, dict[int, int]]:
@@ -400,23 +357,18 @@ def push_to_middle_with_map(fam: SetFamily, s: int) -> tuple[SetFamily, dict[int
         raise ValueError(f"need 0 <= 2s <= n, got s = {s}, n = {n}")
     if _first_violation(ConstraintSpec(Kind.ANTICHAIN, n), fam.members):
         raise ValueError("push_to_middle requires an antichain")
-    current = {m: m for m in fam.members}
-    while current and min(m.bit_count() for m in current.values()) < s:
-        _raise_lowest_level(n, current)
-    full = (1 << n) - 1
-    for orig in current:
-        current[orig] ^= full
-    while current and min(m.bit_count() for m in current.values()) < s:
-        _raise_lowest_level(n, current)
-    for orig in current:
-        current[orig] ^= full
-    return SetFamily(n, tuple(current.values())), current
+    moved = {
+        m: _on_chain(n, m, min(max(m.bit_count(), s), n - s)) for m in fam.members
+    }
+    return SetFamily(n, tuple(moved.values())), moved
 
 
 def push_to_middle(fam: SetFamily, s: int) -> SetFamily:
     """Move every member size into the band [s, n-s] without changing the
-    family size, by repeated one-level matchings (low levels raised, high
-    levels lowered through complementation)."""
+    family size, each member along its symmetric chain: a member below the
+    band is raised to a superset of size s, one above it lowered to a
+    subset of size n - s.  The images form an antichain, and a difference
+    |A \\ B| of at most s stays at most s."""
     return push_to_middle_with_map(fam, s)[0]
 
 

@@ -161,6 +161,7 @@ class TestCommands:
         code, doc = run_json(capsys, ["push", "--file", str(fam), "--s", "2"])
         assert code == EXIT_OK
         assert sorted(len(s) for s in doc["payload"]["pushed"]) == [2, 2]
+        assert run_json(capsys, ["push", "--file", str(fam), "--s", "2"]) == (code, doc)
 
     def test_verify(self, tmp_path, capsys):
         fam = tmp_path / "fam.txt"
@@ -370,8 +371,12 @@ class TestExitCodes:
                 "uniform kind needs a modulus and a residue",
             ),
             (["push", "--file", "FAMILY", "--s", "-1"], "need 0 <= 2s <= n, got s = -1, n = 3"),
+            (
+                ["verify", "--kind", "diff-sperner", "--q", "4", "--L", "1,4", "--file", "FAMILY"],
+                "L may not contain 0 modulo q",
+            ),
         ],
-        ids=["vp", "binom", "closure", "mu", "bound", "check", "push"],
+        ids=["vp", "binom", "closure", "mu", "bound", "check", "push", "verify"],
     )
     def test_library_rejection_is_a_usage_error(self, tmp_path, capsys, argv, message):
         """A library ValueError reaches the user as exit 2 with its message."""
@@ -384,7 +389,8 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert doc == {"schema": 1, "status": "error", "payload": {}, "diagnostics": [message]}
 
-    @pytest.mark.parametrize(
+    # the commands that read a family file
+    READERS = pytest.mark.parametrize(
         "argv",
         [
             ["check", "--kind", "antichain"],
@@ -393,6 +399,8 @@ class TestExitCodes:
         ],
         ids=["check", "push", "verify"],
     )
+
+    @READERS
     def test_family_file_is_a_directory(self, tmp_path, capsys, argv):
         argv = [*argv, "--file", str(tmp_path)]
         assert main(argv) == EXIT_USAGE
@@ -401,6 +409,18 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert doc["status"] == "error" and doc["payload"] == {}
         assert doc["diagnostics"][0].startswith(f"cannot read family file {tmp_path}: ")
+
+    @READERS
+    def test_family_file_is_not_utf8(self, tmp_path, capsys, argv):
+        fam = tmp_path / "fam.txt"
+        fam.write_bytes(b"{1}\n{2,\xff3}\n")
+        message = f"cannot read family file {fam}: not UTF-8 text (invalid start byte at offset 7)"
+        argv = [*argv, "--file", str(fam)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_USAGE
+        assert doc == {"schema": 1, "status": "error", "payload": {}, "diagnostics": [message]}
 
     @pytest.mark.parametrize("command", ["bound", "search"])
     @pytest.mark.parametrize("extra", [["--n", "-1"], ["--n", "3", "--q", "4"]])

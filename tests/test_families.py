@@ -134,6 +134,16 @@ def random_antichain(rng, n, target):
     return SetFamily(n, tuple(masks))
 
 
+def all_antichains(n):
+    """Every antichain of [n], members in ascending mask order.  A proper
+    subset has the smaller mask, so a mask larger than every member so far
+    can only be comparable with one by containing it."""
+    out = [()]
+    for m in range(1 << n):
+        out += [a + (m,) for a in out if all(m & b != b for b in a)]
+    return out
+
+
 class TestSetFamily:
     def test_canonical_order_and_duplicates(self):
         fam = SetFamily(3, (4, 1, 2))
@@ -322,15 +332,51 @@ class TestPush:
         with pytest.raises(ValueError):
             push_to_middle(SetFamily.from_sets(4, [{1}]), 3)  # 2s > n
 
-    def test_whole_layer_of_fourteen(self):
-        # 3003 six-sets pushed into the 7-layer: augmenting paths here run
-        # through thousands of members, deeper than Python's recursion limit
-        n = 14
-        fam = SetFamily(n, tuple(m for m in range(1 << n) if m.bit_count() == 6))
-        out, mapping = push_to_middle_with_map(fam, 7)
-        assert len(out) == len(fam)
-        assert all(m.bit_count() == 7 for m in out.members)
-        assert all(orig & ~image == 0 for orig, image in mapping.items())
+    def test_bracket_rule(self):
+        # {1} is an unpaired ")" and takes the next unpaired position 2; in
+        # {2} and {3} the ")" pairs with the "(" just before it and the
+        # member takes the first unpaired "(" (3 and 1 respectively)
+        fam = SetFamily.from_sets(4, [{1}, {2}, {3}])
+        _, mapping = push_to_middle_with_map(fam, 2)
+        assert mapping == {0b0001: 0b0011, 0b0010: 0b0110, 0b0100: 0b0101}
+
+    @pytest.mark.parametrize(
+        "n, k, s",
+        [(14, 6, 7), (14, 8, 7), (12, 2, 5), (12, 10, 4), (11, 0, 5), (11, 11, 3), (9, 7, 2)],
+    )
+    def test_whole_layer(self, n, k, s):
+        # a whole layer below the band is raised and one above it lowered,
+        # every member straight to the band edge along its own chain, with
+        # no search; the 3003 six-sets of [14] once overflowed a recursive
+        # matching
+        fam = SetFamily(n, tuple(m for m in range(1 << n) if m.bit_count() == k))
+        out, mapping = push_to_middle_with_map(fam, s)
+        level = min(max(k, s), n - s)
+        assert len(out) == len(fam) == len(set(mapping.values()))
+        assert all(m.bit_count() == level for m in out.members)
+        if k <= level:
+            assert all(orig & ~image == 0 for orig, image in mapping.items())
+        else:
+            assert all(image & ~orig == 0 for orig, image in mapping.items())
+
+    def test_every_antichain_up_to_five(self):
+        pushes = 0
+        for n in range(6):
+            for members in all_antichains(n):
+                fam = SetFamily(n, members)
+                for s in range(n // 2 + 1):
+                    out, mapping = push_to_middle_with_map(fam, s)
+                    assert len(out) == len(fam)
+                    assert all(s <= m.bit_count() <= n - s for m in out.members)
+                    for a, image in mapping.items():
+                        assert a & image in (a, image)  # comparable
+                    for a, b in itertools.permutations(members, 2):
+                        fa, fb = mapping[a], mapping[b]
+                        assert fa & ~fb, (n, s, members)  # still an antichain
+                        if (a & ~b).bit_count() <= s:
+                            assert (fa & ~fb).bit_count() <= s, (n, s, members)
+                    pushes += 1
+        assert pushes == 23304
 
     def test_randomized_case_analysis(self):
         rng = random.Random(20240802)
