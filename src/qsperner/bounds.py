@@ -16,12 +16,19 @@ R22's certificate is assembled in one place per shape, `_r22_zero_cert`
 kinds), for `best_bound` and `bound_from_seppoly` alike.  R22 draws its
 separating polynomials from `_zero_separation_candidates`, which yields,
 in non-decreasing degree, the plain residues, the closed superinterval of
-their hull and the full range [1, q-1].  Candidates are built lazily and
-screened with the yes/no `seppoly.separates`; the per-residue construction
-of the intersecting kinds takes the first one that separates
-(`first_zero_separator`), which is the lowest-degree one, the earliest on
-ties.  The difference and Hamming kinds build the full report, with its
-shifted side conditions, only for candidates that pass.
+their hull and the full range [1, q-1].  Candidates are built lazily.
+The difference and Hamming kinds screen them with the yes/no
+`seppoly.separates` and build the full report, with its shifted side
+conditions, only for candidates that pass.  The per-residue construction
+of the intersecting kinds takes the first one that separates, which is
+the lowest-degree one, the earliest on ties.  `first_zero_separator`
+judges it with `separates`; `_r22_intersecting` reads the same answer
+from one table of v_p over [1, q-1], because every candidate has distinct
+roots in [1, q-1], exactly one in each class it must avoid, and
+v_p(x) = v_p(x mod q) when q does not divide x.  For the plain residues
+the class side does not depend on the residue outside L, so one minimum
+per spec and one sum per residue decide most residues; only those that
+fail walk the candidates.
 """
 
 from __future__ import annotations
@@ -523,16 +530,30 @@ def _r22_per_alpha_cert(ctx: _Ctx, degrees: dict[int, int], wording: str):
 
 
 def _r22_intersecting(ctx: _Ctx):
-    Lset = set(ctx.L)
-    alphas = [a for a in range(ctx.pp.q) if a not in Lset]
+    # first_zero_separator's degree on every reflected set (reflection keeps
+    # the degree), read from V[x] = v_p(x): a candidate g separates when
+    # v_p(g(0)) = sum V[r] is below k + sum_{r != c} V[c - r] for each class c
+    pp, L, q = ctx.pp, ctx.L, ctx.pp.q
+    Lset = set(L)
+    alphas = [a for a in range(q) if a not in Lset]
     if not alphas:
         return []
-    # reflection keeps the degree, so the reflected polynomial of
-    # _per_alpha_construction is never built here
-    degrees = {
-        alpha: first_zero_separator(ctx.pp, _reflected(ctx.pp, ctx.L, alpha))[1].degree
-        for alpha in alphas
-    }
+    V = [0] + [_vp_int(pp.p, x) for x in range(1, q)]
+
+    def screen(roots, classes) -> bool:
+        v0 = sum(V[r] for r in roots)
+        return all(v0 < pp.k + sum(V[(c - r) % q] for r in roots if r != c) for c in classes)
+
+    # the plain roots (alpha - L) mod q have class sides free of alpha
+    plain = min(pp.k + sum(V[(m - ell) % q] for m in L if m != ell) for ell in L)
+    degrees = {}
+    for alpha in alphas:
+        if sum(V[(alpha - ell) % q] for ell in L) < plain:
+            degrees[alpha] = len(L)
+        else:
+            Lr = _reflected(pp, L, alpha)
+            cands = _zero_separation_candidates(pp, Lr)
+            degrees[alpha] = next(h.degree for _, h in cands if screen(h.roots, Lr))
     wording = "a separating polynomial was constructed for every residue outside L"
     return [_r22_per_alpha_cert(ctx, degrees, wording)]
 

@@ -5,8 +5,9 @@ Members of a family over the ground set [n] are stored as bit masks with
 bit i-1 standing for element i.  Every constraint kind reads only |A|, |B|
 and |A∩B|, and each is defined once, as a record of `_KINDS`: its member
 condition, its pair statistic with the values it accepts, the wording of
-its violations and its symmetry group.  `satisfies`, the antichain
-precondition of push-to-the-middle and the search all read that table.
+its violations and its symmetry group.  `satisfies` and the search read
+that table; the antichain precondition of push-to-the-middle compares
+only members of different sizes.
 The maximum-family search builds the compatibility graph (admissible
 subsets as vertices, edges where the pairwise constraint holds) a row at
 a time from bit-sliced counts of |A∩B|, and runs a deterministic
@@ -350,12 +351,26 @@ def _on_chain(n: int, m: int, level: int) -> int:
     return kept
 
 
+def _is_antichain(members: tuple[int, ...]) -> bool:
+    """Whether no member contains another.  Distinct sets of one size are
+    never nested, so only members of different sizes are compared."""
+    by_size: dict[int, list[int]] = {}
+    for m in members:
+        by_size.setdefault(m.bit_count(), []).append(m)
+    sizes = sorted(by_size)
+    for i, k in enumerate(sizes):
+        above = [b for kb in sizes[i + 1 :] for b in by_size[kb]]
+        if any(a & b == a for a in by_size[k] for b in above):
+            return False
+    return True
+
+
 def push_to_middle_with_map(fam: SetFamily, s: int) -> tuple[SetFamily, dict[int, int]]:
     """push_to_middle plus the injection original member -> moved member."""
     n = fam.n
     if s < 0 or 2 * s > n:
         raise ValueError(f"need 0 <= 2s <= n, got s = {s}, n = {n}")
-    if _first_violation(ConstraintSpec(Kind.ANTICHAIN, n), fam.members):
+    if not _is_antichain(fam.members):
         raise ValueError("push_to_middle requires an antichain")
     moved = {
         m: _on_chain(n, m, min(max(m.bit_count(), s), n - s)) for m in fam.members

@@ -23,7 +23,7 @@ from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .padic import PrimePower, Valuation, _vp_int, vp
+from .padic import INFINITY, PrimePower, Valuation, _vp_int
 
 __all__ = [
     "FactoredIntPoly",
@@ -176,13 +176,19 @@ def _separation_inputs(pp: PrimePower, alpha: int, L) -> list[int]:
     return residues
 
 
+def _value_valuation(pp: PrimePower, g: FactoredIntPoly, alpha: int) -> Valuation:
+    """v_p(g(alpha)); pp is a validated PrimePower, so p is not re-tested."""
+    value = g(alpha)
+    return Valuation(_vp_int(pp.p, value)) if value else INFINITY
+
+
 def check_separation(
     pp: PrimePower, g: FactoredIntPoly, alpha: int, L
 ) -> SeparationReport:
     """Full separation report for g, alpha and the residue set L."""
     q = pp.q
     residues = _separation_inputs(pp, alpha, L)
-    v0 = vp(pp.p, g(alpha))
+    v0 = _value_valuation(pp, g, alpha)
     minima = {ell: min_valuation_over_class(pp, g, ell % q) for ell in sorted(set(L))}
     separated = all(v0 < m for m in minima.values())
     minus_ok = all(
@@ -200,7 +206,7 @@ def separates(pp: PrimePower, g: FactoredIntPoly, alpha: int, L) -> bool:
     errors, but stops at the first class whose minimum is not above
     v_p(g(alpha)) and skips the shifted side conditions."""
     residues = _separation_inputs(pp, alpha, L)
-    v0 = vp(pp.p, g(alpha))
+    v0 = _value_valuation(pp, g, alpha)
     return all(v0 < min_valuation_over_class(pp, g, r) for r in residues)
 
 

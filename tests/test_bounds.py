@@ -455,6 +455,45 @@ class TestR22Routes:
         assert cert.auxiliary == {"per_alpha_degrees": {}}
 
 
+def prime_powers(limit):
+    out = []
+    for q in range(2, limit + 1):
+        try:
+            PP(q)
+        except ValueError:
+            continue
+        out.append(q)
+    return out
+
+
+class TestR22Table:
+    """The intersecting R22 degrees, read from one valuation table per
+    modulus, equal those of `first_zero_separator`, which judges each
+    candidate with `separates`."""
+
+    def test_matches_separates_route(self):
+        rng = random.Random(2022)
+        labels = set()
+        for q in prime_powers(49):
+            pp = PP(q)
+            for size in range(1, min(6, q - 1) + 1):
+                for _ in range(4):
+                    L = tuple(sorted(rng.sample(range(q), size)))
+                    spec = spec_of(Kind.INTERSECTING, 10, L, q=q)
+                    (r22,) = [c for c in best_bound(spec)[1] if c.theorem_id == "R22"]
+                    expected = {}
+                    for alpha in sorted(set(range(q)) - set(L)):
+                        label, h = first_zero_separator(pp, bounds._reflected(pp, L, alpha))
+                        expected[alpha] = h.degree
+                        labels.add((label.split()[0], h.degree == q - 1))
+                    assert r22.auxiliary["per_alpha_degrees"] == expected, (q, L)
+        # some residues need a closed superinterval short of the full
+        # range, some need all of [1, q-1].  The latter is reached as the
+        # closure of the hull: a q-closed interval always separates 0 from
+        # its residues, so the last candidate is never taken here.
+        assert {("closed", False), ("closed", True)} <= labels
+
+
 # One spec per route through the rule portfolio (modular, lifted, direct
 # and uniform), with its full list of certificates: the wording, order and
 # evidence of every certificate are part of the engine's output.

@@ -13,6 +13,7 @@ from qsperner.families import (
     SetFamily,
     _accepted,
     _build_graph,
+    _first_violation,
     _refine,
     _region_key,
     format_family,
@@ -331,6 +332,34 @@ class TestPush:
             push_to_middle(fam, 2)  # not an antichain
         with pytest.raises(ValueError):
             push_to_middle(SetFamily.from_sets(4, [{1}]), 3)  # 2s > n
+
+    def test_precondition_matches_pairwise_check(self):
+        # push compares only members of different sizes; it must reject
+        # exactly the families in which the all-pairs check finds a nesting
+        def agrees(fam):
+            nested = _first_violation(ConstraintSpec(Kind.ANTICHAIN, fam.n), fam.members)
+            try:
+                push_to_middle(fam, fam.n // 2)
+            except ValueError as e:
+                assert str(e) == "push_to_middle requires an antichain"
+                return nested is not None
+            return nested is None
+
+        for r in range(5):
+            for members in itertools.combinations(range(16), r):
+                assert agrees(SetFamily(4, members)), members
+        rng = random.Random(88)
+        outcomes = set()
+        for _ in range(400):
+            fam = random_antichain(rng, 8, rng.randint(2, 12))
+            extra = rng.randrange(1 << 8)
+            if rng.random() < 0.5 and extra not in fam.members:
+                fam = SetFamily(8, fam.members + (extra,))
+            assert agrees(fam), fam.members
+            nested = _first_violation(ConstraintSpec(Kind.ANTICHAIN, 8), fam.members)
+            outcomes.add((len({m.bit_count() for m in fam.members}) > 1, nested is None))
+        # mixed-size antichains and mixed-size nested families both occur
+        assert {(True, True), (True, False)} <= outcomes
 
     def test_bracket_rule(self):
         # {1} is an unpaired ")" and takes the next unpaired position 2; in
