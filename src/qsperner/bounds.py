@@ -38,7 +38,7 @@ from math import comb
 
 from .closure import IntervalL, closure_length_bound, q_closure
 from .families import ConstraintSpec, Kind
-from .padic import PrimePower, is_prime, lucas_nondivisible, vp_factorial, _vp_int
+from .padic import PrimePower, _lucas_nondivisible, _vp_int, is_prime, vp_factorial
 from .seppoly import (
     FactoredIntPoly,
     canonical_interval_poly,
@@ -208,7 +208,7 @@ def _r4(ctx: _Ctx):
     if iv is None:
         return []
     b, s = iv.hi, iv.size
-    if not lucas_nondivisible(ctx.pp.p, b, s):
+    if not _lucas_nondivisible(ctx.pp.p, b, s):
         return []
     texts = (
         _kind_hyp(ctx),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .padic import PrimePower, lucas_nondivisible, to_digits, _vp_int
+from .padic import PrimePower, _lucas_nondivisible, _vp_int, to_digits
 
 __all__ = [
     "IntervalL",
@@ -59,7 +59,7 @@ def _check_range(pp: PrimePower, interval: IntervalL) -> None:
 def is_q_closed(pp: PrimePower, interval: IntervalL) -> bool:
     """Whether the interval is q-closed: p does not divide C(hi, size)."""
     _check_range(pp, interval)
-    return lucas_nondivisible(pp.p, interval.hi, interval.size)
+    return _lucas_nondivisible(pp.p, interval.hi, interval.size)
 
 
 def closure_length_bound(pp: PrimePower, s: int) -> int:
@@ -124,7 +124,7 @@ def count_closed_pairs(pp: PrimePower) -> ClosedPairCensus:
         1
         for b in range(1, q)
         for s in range(1, b + 1)
-        if lucas_nondivisible(p, b, s)
+        if _lucas_nondivisible(p, b, s)
     )
     closed_form = (p * (p + 1) // 2) ** k - q
     alt_form = p ** k * (p - 1) ** k // 2 ** k - q

@@ -6,8 +6,9 @@ bit i-1 standing for element i.  Every constraint kind reads only |A|, |B|
 and |A∩B|, and each is defined once, as a record of `_KINDS`: its member
 condition, its pair statistic with the values it accepts, the wording of
 its violations and its symmetry group.  `satisfies` and the search read
-that table; the antichain precondition of push-to-the-middle compares
-only members of different sizes.
+that table, and both count |A∩B| bit-sliced, against many sets at once;
+the antichain precondition of push-to-the-middle compares only members of
+different sizes.
 The maximum-family search builds the compatibility graph (admissible
 subsets as vertices, edges where the pairwise constraint holds) a row at
 a time from bit-sliced counts of |A∩B|, and runs a deterministic
@@ -287,24 +288,93 @@ def _words(spec: ConstraintSpec, text: str, x: int, y: int, v: int) -> str:
     )
 
 
+# ---------------------------------------------------------------------------
+# bit-sliced meet counts (San Segundo, Rodríguez-Losada & Jiménez, Comput.
+# Oper. Res. 2011): |m ∩ b| against every point b of a list at once, as
+# bit-plane counters over the points' indices
+
+
+def _elements(m: int):
+    """The bit positions of m, ascending."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _holders(points) -> list[int]:
+    """For each element e up to the highest any point holds (never more,
+    whatever the ground set), the bitset of the indices j with e in
+    points[j]."""
+    span = max(points, default=0).bit_length()
+    rows = ("".join("1" if p >> e & 1 else "0" for p in reversed(points)) for e in range(span))
+    return [int(row, 2) for row in rows]
+
+
+def _ripple_add(planes: list[int], holder: int) -> list[int]:
+    """Bit-plane counters (plane b holds bit b of each point's count) plus
+    one at the points of `holder`, by ripple carry."""
+    out, carry = [], holder
+    for p in planes:
+        out.append(p ^ carry)
+        carry &= p
+    return out + [carry] if carry else out
+
+
+def _counting(planes: list[int], table: dict[int, int]) -> int:
+    """The points whose count is i among the points of table[i], for every
+    i of the table."""
+    out = 0
+    for i, mask in table.items():
+        if i >> len(planes):
+            continue
+        for b, p in enumerate(planes):  # each plane matches i's bit
+            mask &= p if i >> b & 1 else ~p
+        out |= mask
+    return out
+
+
+def _meet_table(spec: ConstraintSpec, k: int, levels: dict, accepted: bool) -> dict[int, int]:
+    """For a k-set A: |A∩B| = i -> the OR of the masks of `levels` (size
+    -> bitset of points) whose sets B it accepts at i.  With `accepted`
+    false, those it rejects at i instead, over the i at which a distinct
+    set of that size can meet A."""
+    table: dict[int, int] = {}
+    for kb, mask in levels.items():
+        ok = _accepted(spec, k, kb)
+        meets = range(max(0, k + kb - spec.n), min(k, kb) + (k != kb))
+        values = ok if accepted else set(meets) - ok
+        for i in values:
+            table[i] = table.get(i, 0) | mask
+    return table
+
+
 def _first_violation(spec: ConstraintSpec, members: tuple[int, ...]) -> str | None:
     """The first failing member, else the first failing pair (in member
-    order), in words; None when there is none."""
+    order), in words; None when there is none.  The later members a member
+    a fails with are those whose count of |a∩b| its size level rejects;
+    only the first of them is worded.  A level that rejects nothing (a
+    whole layer of an antichain, say) is never counted."""
     kd = _KINDS[spec.kind]
     for a in members:
         if not _admissible(spec, a.bit_count()):
             return _words(spec, kd.avoiding, a, a, a.bit_count())
-    accepted: dict[tuple[int, int], frozenset[int]] = {}
+    levels: dict[int, int] = {}
     for j, a in enumerate(members):
-        ka = a.bit_count()
-        for b in members[j + 1 :]:
-            kb = b.bit_count()
-            ok = accepted.get((ka, kb))
-            if ok is None:
-                ok = accepted[ka, kb] = _accepted(spec, ka, kb)
-            i = (a & b).bit_count()
-            if i in ok:
-                continue
+        levels[a.bit_count()] = levels.get(a.bit_count(), 0) | 1 << j
+    rejects = {k: _meet_table(spec, k, levels, accepted=False) for k in levels}
+    holders = _holders(members) if any(rejects.values()) else []
+    for j, a in enumerate(members):
+        table, later = rejects[a.bit_count()], -2 << j
+        if not table:
+            continue
+        planes: list[int] = []
+        for e in _elements(a):
+            planes = _ripple_add(planes, holders[e])
+        bad = _counting(planes, table) & later
+        if bad:
+            b = members[(bad & -bad).bit_length() - 1]
+            ka, kb, i = a.bit_count(), b.bit_count(), (a & b).bit_count()
             for x, y, kx, ky in ((a, b, ka, kb), (b, a, kb, ka)):
                 v = kd.stat(kx, ky, i)
                 if not kd.accept(spec, v):
@@ -435,9 +505,9 @@ def _build_graph(spec: ConstraintSpec) -> tuple[list[int], list[int]]:
     m are those of m minus its top element e plus the bitset of the
     vertices holding e, by ripple carry, one size level at a time.  A row
     ORs, per accepted |A∩B| = i, the vertices counting i in the levels
-    accepting i (|m| >= i, so m has a plane per bit of i).  It never holds
-    its vertex: the `avoiding` kinds reject A, A by the member condition,
-    the rest read it as statistic 0, which they never accept."""
+    accepting i.  It never holds its vertex: the `avoiding` kinds reject
+    A, A by the member condition, the rest read it as statistic 0, which
+    they never accept."""
     by_size: list[list[int]] = [[] for _ in range(spec.n + 1)]
     for m in range(1 << spec.n):
         by_size[m.bit_count()].append(m)
@@ -446,31 +516,18 @@ def _build_graph(spec: ConstraintSpec) -> tuple[list[int], list[int]]:
         if _admissible(spec, k):
             level_mask[k] = ((1 << len(level)) - 1) << len(verts)
             verts.extend(level)
-    holders = [sum(1 << j for j, b in enumerate(verts) if b >> e & 1) for e in range(spec.n)]
+    holders = _holders(verts)  # all of [n] once a level above 0 is admissible
     adj, counts = [], {0: []}
     for k in range(max(level_mask, default=-1) + 1):
         if k:
             prev, counts = counts, {}
             for m in by_size[k]:
                 top = m.bit_length() - 1
-                carry, planes = holders[top], []
-                for p in prev[m ^ (1 << top)]:
-                    planes.append(p ^ carry)
-                    carry &= p
-                counts[m] = planes + [carry] if carry else planes
+                counts[m] = _ripple_add(prev[m ^ (1 << top)], holders[top])
         if k not in level_mask:
             continue
-        within: dict[int, int] = {}  # i -> the levels accepting |A∩B| = i
-        for kb, mask in level_mask.items():
-            for i in _accepted(spec, k, kb):
-                within[i] = within.get(i, 0) | mask
-        for m in by_size[k]:
-            planes, row = counts[m], 0
-            for i, mask in within.items():  # count == i: each plane matches i's bit
-                for b, p in enumerate(planes):
-                    mask &= p if i >> b & 1 else ~p
-                row |= mask
-            adj.append(row)
+        within = _meet_table(spec, k, level_mask, accepted=True)
+        adj.extend(_counting(counts[m], within) for m in by_size[k])
     return verts, adj
 
 

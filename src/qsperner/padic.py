@@ -201,6 +201,17 @@ def vp_binomial(p: int, a: int, b: int) -> Valuation:
     return Valuation(carries)
 
 
+def _lucas_nondivisible(p: int, x: int, y: int) -> bool:
+    """lucas_nondivisible without its argument checks, for callers that
+    hold an already validated prime (a `PrimePower`'s p) and x, y >= 0."""
+    while y:
+        if y % p > x % p:
+            return False
+        x //= p
+        y //= p
+    return True
+
+
 def lucas_nondivisible(p: int, x: int, y: int) -> bool:
     """True iff p does not divide C(x, y).
 
@@ -210,12 +221,7 @@ def lucas_nondivisible(p: int, x: int, y: int) -> bool:
     _require_prime(p)
     if x < 0 or y < 0:
         raise ValueError("x and y must be non-negative")
-    while y:
-        if y % p > x % p:
-            return False
-        x //= p
-        y //= p
-    return True
+    return _lucas_nondivisible(p, x, y)
 
 
 @dataclass(frozen=True)

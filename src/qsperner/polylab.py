@@ -21,7 +21,7 @@ from math import comb, gcd, lcm
 from time import perf_counter
 from typing import NamedTuple
 
-from .families import SetFamily
+from .families import SetFamily, _counting, _elements, _holders, _ripple_add
 from .padic import PrimePower, _vp_int
 from .seppoly import FactoredIntPoly
 
@@ -205,6 +205,20 @@ class _ClosedForm(NamedTuple):
         if fixed:
             return [t[(pt & free).bit_count()] if fixed & ~pt == 0 else 0 for pt in points]
         return [t[(pt & free).bit_count()] for pt in points]
+
+    def where(self, holders: list[int], among: int, keep=bool) -> int:
+        """The points of `among` (bits indexing the points of `holders`, see
+        `families._holders`) whose value v has keep(v).  The points missing
+        part of `fixed`, where v = 0, are left out, so keep(0) should be
+        false.  One bit-sliced count of |B & free| serves every value."""
+        fixed, free, t = self
+        for e in _elements(fixed):
+            among &= holders[e] if e < len(holders) else 0
+        planes: list[int] = []
+        for e in _elements(free):
+            if e < len(holders):
+                planes = _ripple_add(planes, holders[e])
+        return _counting(planes, {c: among for c, val in enumerate(t) if keep(val)})
 
     def poly(self, n: int) -> MultilinearPoly:
         """Moebius inversion on the Boolean lattice: the coefficient on
@@ -453,16 +467,12 @@ def _padic_pattern(sys: ProofSystem, p: int) -> tuple[list[str], int]:
     low = {val: _vp_int(p, val) for val in set().union(*(form.t for form in forms)) - {0}}
     low = {val: v for val, v in low.items() if v0 is None or v <= v0}
     fam = sys.probes["family"]
+    holders, everywhere = _holders(fam), (1 << len(fam)) - 1
     failures = []
     for i, form in enumerate(forms):
-        row = form.at(fam)
-        row[i] = 0
-        if not low.keys().isdisjoint(row):
-            failures += [
-                f"off-diagonal entry ({i}, {j}) has valuation {low[val]}, not above {v0}"
-                for j, val in enumerate(row)
-                if val in low
-            ]
+        for j in _elements(form.where(holders, everywhere ^ 1 << i, low.__contains__)):
+            v = low[form.t[(fam[j] & form.free).bit_count()]]
+            failures.append(f"off-diagonal entry ({i}, {j}) has valuation {v}, not above {v0}")
     return failures, len(forms) * len(fam)
 
 
@@ -470,12 +480,11 @@ def _triangular(forms, points, below: str, diagonal: str) -> tuple[list[str], in
     """Failures of the law "row i is zero at the points before points[i]
     and nonzero at points[i]", worded by the two templates, and the number
     of entries read."""
-    failures = []
+    holders, failures = _holders(points), []
     for i, form in enumerate(forms):
-        row = form.at(points[: i + 1])
-        diag = row.pop()
-        failures += [below.format(i=i, j=j) for j, val in enumerate(row) if val != 0]
-        if diag == 0:
+        nonzero = form.where(holders, (2 << i) - 1)
+        failures += [below.format(i=i, j=j) for j in _elements(nonzero & ((1 << i) - 1))]
+        if not nonzero >> i & 1:
             failures.append(diagonal.format(i=i))
     return failures, len(forms) * (len(forms) + 1) // 2
 
@@ -493,11 +502,15 @@ def _triangular_pattern(sys: ProofSystem) -> tuple[list[str], int]:
         sys.forms["P"], fam,
         "P entry ({i}, {j}) below the diagonal is nonzero", "P diagonal ({i}, {i}) vanishes",
     )
+    probes = [
+        (what, _holders(pts), (1 << len(pts)) - 1)
+        for what, pts in (("member", fam), ("shifted member", shifted))
+    ]
     for i, form in enumerate(windows):
-        for what, points in (("member", fam), ("shifted member", shifted)):
+        for what, holders, everywhere in probes:
             failures += [
                 f"window polynomial {i} does not vanish on {what} {j}"
-                for j, val in enumerate(form.at(points)) if val != 0
+                for j in _elements(form.where(holders, everywhere))
             ]
     window_failures, window_cells = _triangular(
         windows, sys.probes["window_masks"],

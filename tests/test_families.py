@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,10 +13,12 @@ from qsperner.families import (
     Kind,
     SetFamily,
     _accepted,
+    _admissible,
     _build_graph,
     _first_violation,
     _refine,
     _region_key,
+    _words,
     format_family,
     max_family,
     parse_family,
@@ -304,6 +307,138 @@ class TestViolationText:
                 assert satisfies(spec, SetFamily(spec.n, tuple(members))).ok == expected, spec
 
 
+def first_violation_by_pairs(spec, members):
+    """Oracle: the first failing member, else the first failing pair in
+    member order, found by testing every pair in turn with one popcount
+    each, over the same `_KINDS` records and wording as the library."""
+    kd = _KINDS[spec.kind]
+    for a in members:
+        if not _admissible(spec, a.bit_count()):
+            return _words(spec, kd.avoiding, a, a, a.bit_count())
+    accepted = {}
+    for j, a in enumerate(members):
+        ka = a.bit_count()
+        for b in members[j + 1 :]:
+            kb = b.bit_count()
+            ok = accepted.get((ka, kb))
+            if ok is None:
+                ok = accepted[ka, kb] = _accepted(spec, ka, kb)
+            i = (a & b).bit_count()
+            if i in ok:
+                continue
+            for x, y, kx, ky in ((a, b, ka, kb), (b, a, kb, ka)):
+                v = kd.stat(kx, ky, i)
+                if not kd.accept(spec, v):
+                    return _words(spec, kd.pair, x, y, v)
+    return None
+
+
+def random_spec(rng, n):
+    """A spec of a random kind on [n], with a random modulus where the kind
+    allows one and a random non-empty L."""
+    kind = rng.choice(list(Kind))
+    if kind is Kind.ANTICHAIN:
+        return ConstraintSpec(kind, n)
+    q = rng.choice([None, 2, 3, 4, 5, 7, 8, 9])
+    if kind is Kind.INTERSECTING_UNIFORM:
+        q = q or 3
+        return ConstraintSpec(kind, n, modulus=PrimePower.from_q(q), uniform_residue=rng.randrange(q))
+    if kind is Kind.CLOSE_SPERNER:
+        q = None
+    lo = 0 if kind is Kind.INTERSECTING else 1
+    pool = range(lo, q) if q else range(lo, n + 2)
+    L = rng.sample(pool, rng.randint(1, len(pool)))
+    return ConstraintSpec(kind, n, L=L, modulus=PrimePower.from_q(q) if q else None)
+
+
+def random_members(rng, spec):
+    """Members of mixed sizes: a greedy family that meets the spec, with a
+    random extra member wedged in now and then (a violation at a random
+    pair), or a plain random sample."""
+    universe = 1 << spec.n
+    if rng.random() < 0.3:
+        return tuple(rng.sample(range(universe), rng.randint(0, min(8, universe))))
+    members = []
+    for _ in range(4 * spec.n + 4):
+        cand = rng.randrange(universe)
+        if cand not in members and satisfies(spec, SetFamily(spec.n, tuple(members + [cand]))):
+            members.append(cand)
+    if rng.random() < 0.6:
+        extra = rng.randrange(universe)
+        while rng.random() < 0.8 and not _admissible(spec, extra.bit_count()):
+            extra = rng.randrange(universe)
+        if extra not in members:
+            members.append(extra)
+    return tuple(members)
+
+
+LAYER_14_6 = tuple(m for m in range(1 << 14) if m.bit_count() == 6)
+
+
+class TestFirstViolationOracle:
+    def test_random_families_all_kinds(self):
+        rng = random.Random(20)
+        seen = {kind: [0, 0] for kind in Kind}  # kind -> [satisfied, violated]
+        for _ in range(700):
+            spec = random_spec(rng, rng.randint(0, 9))
+            members = SetFamily(spec.n, random_members(rng, spec)).members
+            expected = first_violation_by_pairs(spec, members)
+            assert _first_violation(spec, members) == expected, (spec, members)
+            seen[spec.kind][expected is not None] += 1
+        assert all(ok and bad for ok, bad in seen.values()), seen
+
+    def test_empty_single_and_n_zero(self):
+        rng = random.Random(21)
+        for _ in range(200):
+            spec = random_spec(rng, rng.randint(0, 6))
+            for members in ((), (rng.randrange(1 << spec.n),)):
+                assert _first_violation(spec, members) == first_violation_by_pairs(spec, members)
+        for kind, L in ((Kind.INTERSECTING, {0}), (Kind.INTERSECTING, {1}), (Kind.HAMMING, {1})):
+            spec = ConstraintSpec(kind, 0, L=L)
+            assert _first_violation(spec, (0,)) == first_violation_by_pairs(spec, (0,))
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_violation_in_first_or_last_pair(self, where):
+        # pairwise disjoint singletons, then {1,2} (meets the first) or
+        # {4,5} (meets only the last singleton, and is the largest mask)
+        spec = ConstraintSpec(Kind.INTERSECTING, 6, L={0})
+        sets = [{1}, {2}, {3}, {4}] + [{1, 2} if where == "first" else {4, 5}]
+        members = SetFamily.from_sets(6, sets).members
+        pair = ("{1}, {1,2}" if where == "first" else "{4}, {4,5}")
+        expected = f"pair {pair}: intersection size 1 not in L"
+        assert first_violation_by_pairs(spec, members) == expected
+        assert _first_violation(spec, members) == expected
+
+    def test_six_layer_of_14(self):
+        q8 = PrimePower.from_q(8)
+        specs = [ConstraintSpec(Kind.ANTICHAIN, 14), ConstraintSpec(Kind.DIFF_SPERNER, 14, L=range(1, 7), modulus=q8)]
+        victim = LAYER_14_6[400]
+        mutated = SetFamily(14, tuple(victim & (victim - 1) if m == victim else m for m in LAYER_14_6))
+        for spec in specs:
+            assert satisfies(spec, SetFamily(14, LAYER_14_6)) == CheckResult(True, None)
+            expected = first_violation_by_pairs(spec, mutated.members)
+            assert expected is not None
+            assert satisfies(spec, mutated) == CheckResult(False, expected)
+
+    def test_constant_memory_in_n(self):
+        # the counters are sized by the members' span, not by n
+        n = 10**9
+        fam = SetFamily.from_sets(n, [{1, 2}, {2, 3, 5}])
+        specs = [
+            (ConstraintSpec(Kind.ANTICHAIN, n), True),
+            (ConstraintSpec(Kind.DIFF_SPERNER, n, L={1}), False),
+        ]
+        tracemalloc.start()
+        try:
+            results = [satisfies(spec, fam) for spec, _ in specs]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.ok for r in results] == [ok for _, ok in specs]
+        assert results[1].violation == "pair {2,3,5}, {1,2}: |A\\B| = 2 not in L"
+        assert peak < 1 << 20
+
+
 class TestPush:
     def test_single_small_member(self):
         fam = SetFamily.from_sets(4, [{1}])
@@ -337,7 +472,7 @@ class TestPush:
         # push compares only members of different sizes; it must reject
         # exactly the families in which the all-pairs check finds a nesting
         def agrees(fam):
-            nested = _first_violation(ConstraintSpec(Kind.ANTICHAIN, fam.n), fam.members)
+            nested = first_violation_by_pairs(ConstraintSpec(Kind.ANTICHAIN, fam.n), fam.members)
             try:
                 push_to_middle(fam, fam.n // 2)
             except ValueError as e:
@@ -356,7 +491,7 @@ class TestPush:
             if rng.random() < 0.5 and extra not in fam.members:
                 fam = SetFamily(8, fam.members + (extra,))
             assert agrees(fam), fam.members
-            nested = _first_violation(ConstraintSpec(Kind.ANTICHAIN, 8), fam.members)
+            nested = first_violation_by_pairs(ConstraintSpec(Kind.ANTICHAIN, 8), fam.members)
             outcomes.add((len({m.bit_count() for m in fam.members}) > 1, nested is None))
         # mixed-size antichains and mixed-size nested families both occur
         assert {(True, True), (True, False)} <= outcomes

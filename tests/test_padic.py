@@ -9,6 +9,7 @@ from qsperner.padic import (
     DigitVector,
     PrimePower,
     Valuation,
+    _lucas_nondivisible,
     is_prime,
     lucas_nondivisible,
     to_digits,
@@ -145,6 +146,20 @@ class TestLucas:
                     assert lucas_nondivisible(p, x, y) == (
                         vp_binomial(p, y, x - y) == 0
                     )
+
+    def test_rejects_composite_and_negative(self):
+        # the internal test skips these checks; the public one keeps them
+        for p in (1, 4, 9, 15):
+            with pytest.raises(ValueError):
+                lucas_nondivisible(p, 5, 2)
+        with pytest.raises(ValueError):
+            lucas_nondivisible(3, -1, 2)
+
+    def test_internal_path_agrees(self):
+        for p in (2, 3, 5, 7, 11):
+            for x in range(0, 40):
+                for y in range(0, 45):
+                    assert _lucas_nondivisible(p, x, y) == lucas_nondivisible(p, x, y)
 
 
 class TestConsecutiveProductValuations:

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from qsperner.bounds import first_zero_separator
 from qsperner.families import ConstraintSpec, Kind, SetFamily, max_family
-from qsperner.padic import PrimePower
+from qsperner.padic import PrimePower, vp
 from qsperner.polylab import (
     MultilinearPoly,
     _masks_by_size,
+    _padic_pattern,
     _sparse_rank,
+    _triangular_pattern,
     build_diff_sperner_system,
     build_midband_system,
     multilinear_reduce,
@@ -475,3 +477,100 @@ class TestSymPattern:
         assert report.pattern_failures == ["P entry (1, 0) below the diagonal is nonzero"]
         # P reads 1 + 2 entries; H (one row) reads 2 members, 1 shifted, 1 index probe
         assert report.stats["pattern_cells"] == 7
+
+
+def pattern_failures_by_entries(sys_, p):
+    """Oracle: the pattern failures of `verify_independence`, reading every
+    matrix entry the pattern covers one by one through `_ClosedForm.at`."""
+    fam = sys_.probes["family"]
+    failures = []
+    if sys_.meta["system"] == "diff":
+        g0 = sys_.meta["g_at_zero"]
+        v0 = vp(p, g0).value if g0 else None
+        for i, form in enumerate(sys_.forms["P"]):
+            for j, val in enumerate(form.at(fam)):
+                if j != i and val and (v0 is None or vp(p, val).value <= v0):
+                    failures.append(
+                        f"off-diagonal entry ({i}, {j}) has valuation {vp(p, val).value}, not above {v0}"
+                    )
+        return failures
+
+    def triangular(forms, points, name):
+        out = []
+        for i, form in enumerate(forms):
+            row = form.at(points[: i + 1])
+            out += [f"{name} entry ({i}, {j}) below the diagonal is nonzero" for j, val in enumerate(row[:-1]) if val]
+            if not row[-1]:
+                out.append(f"{name} diagonal ({i}, {i}) vanishes")
+        return out
+
+    failures = triangular(sys_.forms["P"], fam, "P")
+    for i, form in enumerate(sys_.forms["H"]):
+        for what, points in (("member", fam), ("shifted member", sys_.probes.get("family_shifted", ()))):
+            failures += [
+                f"window polynomial {i} does not vanish on {what} {j}"
+                for j, val in enumerate(form.at(points)) if val
+            ]
+    return failures + triangular(sys_.forms["H"], sys_.probes["window_masks"], "window")
+
+
+def seeded_systems(rng, count):
+    """(system, p) over every variant: random families of mixed sizes, layers
+    and layers with one member replaced by a proper subset."""
+    out = []
+    for _ in range(count):
+        variant = rng.choice(["minus", "plus", "none", "sym", "close"])
+        if variant in ("sym", "close"):
+            n, s = rng.choice(band_shapes(lambda n: n + 2 if variant == "sym" else n + 1))
+            sizes = range(s, n - s + 1)
+        else:
+            n = rng.randint(1, 8)
+            sizes = range(n + 1)
+        shape = rng.choice(["random", "layer", "mutated"])
+        if shape == "random":
+            members = {
+                sum(1 << i for i in rng.sample(range(n), rng.choice(sizes)))
+                for _ in range(rng.randint(0, 12))
+            }
+        else:
+            k = rng.choice(sizes)
+            members = {m for m in range(1 << n) if m.bit_count() == k}
+            if shape == "mutated" and members and (variant not in ("sym", "close") or k > sizes[0]):
+                victim = rng.choice(sorted(members))
+                members = (members - {victim}) | {victim & (victim - 1)}
+        fam = SetFamily(n, tuple(sorted(members)))
+        if variant in ("sym", "close"):
+            out.append((build_midband_system(fam, s, variant), rng.choice([2, 3, 5])))
+            continue
+        roots = tuple(rng.randint(-2, n + 2) for _ in range(rng.randint(1, 4)))
+        g = FactoredIntPoly(rng.choice([1, 2, -3]), roots)
+        pp = PrimePower.from_q(rng.choice([2, 3, 4, 5, 7, 8, 9]))
+        out.append((build_diff_sperner_system(fam, g, pp, variant), pp.p))
+    return out
+
+
+class TestPatternOracle:
+    def test_failures_match_entry_by_entry(self):
+        failing = {}
+        for sys_, p in seeded_systems(random.Random(31), 600):
+            expected = pattern_failures_by_entries(sys_, p)
+            if sys_.meta["system"] == "diff":
+                got = _padic_pattern(sys_, p)[0]
+            else:
+                got = _triangular_pattern(sys_)[0]
+            assert got == expected, (sys_.meta, sys_.family)
+            name = sys_.meta.get("variant", sys_.meta["system"])
+            failing.setdefault(name, [0, 0])[bool(expected)] += 1
+        assert sorted(failing) == ["close", "minus", "none", "plus", "sym"]
+        assert all(ok and bad for ok, bad in failing.values()), failing
+
+    def test_five_layer_of_13_against_entries(self):
+        pp8 = PrimePower.from_q(8)
+        g = first_zero_separator(pp8, (1, 2, 3, 4, 5))[1]
+        layer = [m for m in range(1 << 13) if m.bit_count() == 5]
+        victim = layer[200]
+        fam = SetFamily(13, tuple(victim & (victim - 1) if m == victim else m for m in layer))
+        sys_ = build_diff_sperner_system(fam, g, pp8)
+        report = verify_independence(sys_, pp8.p)
+        assert report.pattern_failures
+        assert report.pattern_failures == pattern_failures_by_entries(sys_, pp8.p)
