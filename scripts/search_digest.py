@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Digest of what the exact search returns on the benchmark's search specs
+and on seeded random specs, to show that a change to the search leaves its
+answers identical.
+
+The specs are every presentation of the 91 `search-exact` slots, as
+`perfbench/workloads.py` defines them, then seeded random specs of all six
+kinds at n <= 8.  For each spec the script hashes the maximum size, the
+exactness flag and the canonical witness that `max_family` returns, so a
+change to any of them changes the digest.  It also prints the search and
+restoration nodes summed over all specs, which a faster search may lower
+but never needs to raise.  Run it on two checkouts and compare the lines.
+
+Usage:
+  python3 scripts/search_digest.py [--seed N] [--random COUNT]
+"""
+
+import argparse
+import hashlib
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # leave perfbench/ as checked out
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from qsperner.families import Kind, max_family
+from workloads import SEARCH_SLOTS, make_spec, presentations
+
+MODULI = (None, 2, 3, 4, 5, 7, 8, 9)
+
+
+def random_spec(rng: random.Random):
+    """One spec of a random kind on [n], n <= 8: a residue set L of the
+    kind's range (non-empty, and modular where the kind allows it), or a
+    uniform residue."""
+    kind = rng.choice(list(Kind))
+    n = rng.randint(1, 8)
+    if kind is Kind.ANTICHAIN:
+        return make_spec(kind.value, n, None, ())
+    if kind is Kind.INTERSECTING_UNIFORM:
+        q = rng.choice(MODULI[1:])
+        return make_spec(kind.value, n, q, (), rng.randrange(q))
+    q = None if kind is Kind.CLOSE_SPERNER else rng.choice(MODULI)
+    if kind is Kind.INTERSECTING:
+        values = range(q) if q else range(n + 1)
+    else:
+        values = range(1, q) if q else range(1, (n // 2 if kind is Kind.CLOSE_SPERNER else n) + 1)
+    values = list(values) or [1]
+    return make_spec(kind.value, n, q, rng.sample(values, rng.randint(1, len(values))))
+
+
+def specs(seed: int, count: int):
+    for slot in SEARCH_SLOTS:
+        n = slot[1]
+        for kind, q, L, r in presentations(*slot):
+            yield make_spec(kind, n, q, L, r)
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield random_spec(rng)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=1, help="seed of the random specs")
+    ap.add_argument("--random", type=int, default=300, help="number of random specs")
+    args = ap.parse_args()
+    digest = hashlib.sha256()
+    count = search_nodes = restore_nodes = 0
+    for spec in specs(args.seed, args.random):
+        res = max_family(spec)
+        digest.update(repr((res.max_size, res.exact, res.witness.members)).encode())
+        digest.update(b"\n")
+        count += 1
+        search_nodes += res.stats["search_nodes"]
+        restore_nodes += res.stats["restore_nodes"]
+    print(f"specs {count}")
+    print(f"search_nodes {search_nodes}")
+    print(f"restore_nodes {restore_nodes}")
+    print(f"sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

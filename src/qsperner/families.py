@@ -13,7 +13,11 @@ The maximum-family search builds the compatibility graph (admissible
 subsets as vertices, edges where the pairwise constraint holds) a row at
 a time from bit-sliced counts of |A∩B|, and runs a deterministic
 branch-and-bound maximum clique with greedy-coloring upper bounds on
-bitset adjacency rows.
+bitset adjacency rows.  It starts from the larger of a greedy clique and
+one-pass cliques in three vertex orders, lists only the vertices whose
+colour can beat the incumbent (the k_min cut-off of MCS/BBMC), and keeps
+its depth-first path on an explicit stack, so a clique of thousands of
+members needs no recursion.
 
 The search breaks the symmetry of the constraint kinds by orbital
 branching (Ostrowski, Linderoth, Rossi & Smriglio, Math. Programming
@@ -25,7 +29,9 @@ for level k, the empty set for Hamming), then once per orbit of that
 root's stabiliser, dropping each orbit after its branch.  The canonical
 witness, the lexicographically smallest maximum clique, is then restored
 vertex by vertex; a candidate that fails takes its whole orbit under the
-stabiliser of the sets chosen so far with it.
+stabiliser of the sets chosen so far with it.  An orbit of a stabiliser
+of sets is a class of equal counts |b ∩ x| over their Venn regions x,
+and the classes are split from those counts held bit-sliced.
 """
 
 from __future__ import annotations
@@ -215,16 +221,18 @@ class _KindDef:
     words that member violation, as `pair` words the pair violation: X and
     Y are the sets, v the statistic, res it reduced mod q, mod the " (mod
     q)" suffix of modular specs, q and r the modulus and uniform residue.
-    `orbit` keys the orbits of the kind's symmetry group: relabelling [n]
-    for every kind, whose orbits are the size levels, and for Hamming also
-    XOR translation b -> b ^ t, which makes all of 2^[n] one orbit."""
+    `root_regions(full)` gives the regions whose counts |b ∩ x| key the
+    orbits of the kind's symmetry group (see `_orbits`): relabelling [n]
+    for every kind, whose orbits are the size levels, keyed by [full]; for
+    Hamming also XOR translation b -> b ^ t, which makes all of 2^[n] one
+    orbit, keyed by no region."""
 
     stat: Callable[[int, int, int], int]
     accept: Callable[[ConstraintSpec, int], bool]
     pair: str
     directed: bool = False
     avoiding: str | None = None
-    orbit: Callable[[int], int] = int.bit_count
+    root_regions: Callable[[int], list[int]] = lambda full: [full]
 
 
 _KINDS = {
@@ -248,7 +256,8 @@ _KINDS = {
     ),
     Kind.HAMMING: _KindDef(
         lambda kx, ky, i: kx + ky - 2 * i, _in_L,
-        "pair {X}, {Y}: Hamming distance {v} not in L{mod}", orbit=lambda b: 0,
+        "pair {X}, {Y}: Hamming distance {v} not in L{mod}",
+        root_regions=lambda full: [],
     ),
     Kind.ANTICHAIN: _KindDef(
         lambda kx, ky, i: kx - i, lambda spec, v: v > 0,
@@ -267,12 +276,23 @@ def _accepted(spec: ConstraintSpec, ka: int, kb: int) -> frozenset[int]:
     """The values of |A∩B| at which subsets of [n] of sizes ka and kb are
     compatible."""
     kd = _KINDS[spec.kind]
-    sides = ((ka, kb), (kb, ka)) if kd.directed else ((ka, kb),)
     return frozenset(
         i
         for i in range(max(0, ka + kb - spec.n), min(ka, kb) + 1)
-        if all(kd.accept(spec, kd.stat(x, y, i)) for x, y in sides)
+        if kd.accept(spec, kd.stat(ka, kb, i))
+        and (not kd.directed or kd.accept(spec, kd.stat(kb, ka, i)))
     )
+
+
+def _accepted_sizes(spec: ConstraintSpec, sizes) -> dict[tuple[int, int], frozenset[int]]:
+    """`_accepted` at every pair of the sizes.  Every kind's acceptance is
+    symmetric in the two sizes, so each unordered pair is computed once."""
+    table: dict[tuple[int, int], frozenset[int]] = {}
+    for ka in sizes:
+        for kb in sizes:
+            if (ka, kb) not in table:
+                table[ka, kb] = table[kb, ka] = _accepted(spec, ka, kb)
+    return table
 
 
 def _words(spec: ConstraintSpec, text: str, x: int, y: int, v: int) -> str:
@@ -334,14 +354,17 @@ def _counting(planes: list[int], table: dict[int, int]) -> int:
     return out
 
 
-def _meet_table(spec: ConstraintSpec, k: int, levels: dict, accepted: bool) -> dict[int, int]:
+def _meet_table(
+    spec: ConstraintSpec, k: int, levels: dict, sizes_ok: dict, accepted: bool
+) -> dict[int, int]:
     """For a k-set A: |A∩B| = i -> the OR of the masks of `levels` (size
-    -> bitset of points) whose sets B it accepts at i.  With `accepted`
-    false, those it rejects at i instead, over the i at which a distinct
-    set of that size can meet A."""
+    -> bitset of points) whose sets B it accepts at i, read from the
+    `_accepted_sizes` table `sizes_ok`.  With `accepted` false, those it
+    rejects at i instead, over the i at which a distinct set of that size
+    can meet A."""
     table: dict[int, int] = {}
     for kb, mask in levels.items():
-        ok = _accepted(spec, k, kb)
+        ok = sizes_ok[k, kb]
         meets = range(max(0, k + kb - spec.n), min(k, kb) + (k != kb))
         values = ok if accepted else set(meets) - ok
         for i in values:
@@ -362,7 +385,8 @@ def _first_violation(spec: ConstraintSpec, members: tuple[int, ...]) -> str | No
     levels: dict[int, int] = {}
     for j, a in enumerate(members):
         levels[a.bit_count()] = levels.get(a.bit_count(), 0) | 1 << j
-    rejects = {k: _meet_table(spec, k, levels, accepted=False) for k in levels}
+    sizes_ok = _accepted_sizes(spec, levels)
+    rejects = {k: _meet_table(spec, k, levels, sizes_ok, accepted=False) for k in levels}
     holders = _holders(members) if any(rejects.values()) else []
     for j, a in enumerate(members):
         table, later = rejects[a.bit_count()], -2 << j
@@ -464,8 +488,9 @@ def push_to_middle(fam: SetFamily, s: int) -> SetFamily:
 @dataclass
 class SearchResult:
     """`nodes_explored` counts search and restoration nodes together; `stats`
-    splits them and adds the graph-build time, the vertex and edge counts
-    and the number of root orbits whose branch was searched."""
+    splits them and adds the graph-build time, the vertex and edge counts,
+    the size and source of the seed clique and the number of root orbits
+    whose branch was searched."""
 
     max_size: int
     witness: SetFamily
@@ -479,35 +504,34 @@ def _refine(regions: list[int], m: int) -> list[int]:
     return [part for x in regions for part in (x & m, x & ~m) if part]
 
 
-def _region_key(regions: list[int]):
-    """Orbit of a subset under the relabellings that keep every region, the
-    product of their symmetric groups: the stabiliser of every set whose
-    Venn regions they are.  The orbit of b is fixed by |b & region|."""
-    return lambda b: tuple((b & x).bit_count() for x in regions)
+def _orbits(P: int, holders: list[int], regions: list[int]) -> list[int]:
+    """Partition of the vertex bitmask P into classes of equal |b ∩ x| for
+    every region x, ordered by least vertex.  These are the orbits of the
+    relabellings that keep every region, the product of their symmetric
+    groups: the stabiliser of every set whose Venn regions they are.  Each
+    count is held bit-sliced over the vertex `holders`, and the classes
+    split on each of its bit planes.  No vertex holds an element past the
+    holders, so such elements add nothing to a count."""
+    parts, held = [P] if P else [], (1 << len(holders)) - 1
+    for x in regions:
+        planes: list[int] = []
+        for e in _elements(x & held):
+            planes = _ripple_add(planes, holders[e])
+        for plane in planes:
+            parts = [c for part in parts for c in (part & plane, part & ~plane) if c]
+    return sorted(parts, key=lambda c: c & -c)
 
 
-def _orbits(P: int, verts: list[int], key) -> dict:
-    """Partition of the vertex bitmask P into classes of equal key(subset),
-    ordered by least vertex."""
-    parts: dict = {}
-    while P:
-        low = P & -P
-        k = key(verts[low.bit_length() - 1])
-        parts[k] = parts.get(k, 0) | low
-        P ^= low
-    return parts
-
-
-def _build_graph(spec: ConstraintSpec) -> tuple[list[int], list[int]]:
-    """Admissible subsets ordered by (size, value) and their adjacency rows,
-    built bit-sliced (San Segundo, Rodríguez-Losada & Jiménez, Comput. Oper.
-    Res. 2011).  Bit-plane counters hold |m ∩ verts[j]| for all j: those of
-    m are those of m minus its top element e plus the bitset of the
-    vertices holding e, by ripple carry, one size level at a time.  A row
-    ORs, per accepted |A∩B| = i, the vertices counting i in the levels
-    accepting i.  It never holds its vertex: the `avoiding` kinds reject
-    A, A by the member condition, the rest read it as statistic 0, which
-    they never accept."""
+def _graph_with_holders(spec: ConstraintSpec) -> tuple[list[int], list[int], list[int]]:
+    """Admissible subsets ordered by (size, value), their adjacency rows and
+    the vertex holders of each element (see `_holders`), built bit-sliced
+    (San Segundo, Rodríguez-Losada & Jiménez, Comput. Oper. Res. 2011).
+    Bit-plane counters hold |m ∩ verts[j]| for all j: those of m are those
+    of m minus its top element e plus the bitset of the vertices holding e,
+    by ripple carry, one size level at a time.  A row ORs, per accepted
+    |A∩B| = i, the vertices counting i in the levels accepting i.  It never
+    holds its vertex: the `avoiding` kinds reject A, A by the member
+    condition, the rest read it as statistic 0, which they never accept."""
     by_size: list[list[int]] = [[] for _ in range(spec.n + 1)]
     for m in range(1 << spec.n):
         by_size[m.bit_count()].append(m)
@@ -517,6 +541,7 @@ def _build_graph(spec: ConstraintSpec) -> tuple[list[int], list[int]]:
             level_mask[k] = ((1 << len(level)) - 1) << len(verts)
             verts.extend(level)
     holders = _holders(verts)  # all of [n] once a level above 0 is admissible
+    sizes_ok = _accepted_sizes(spec, level_mask)
     adj, counts = [], {0: []}
     for k in range(max(level_mask, default=-1) + 1):
         if k:
@@ -526,15 +551,24 @@ def _build_graph(spec: ConstraintSpec) -> tuple[list[int], list[int]]:
                 counts[m] = _ripple_add(prev[m ^ (1 << top)], holders[top])
         if k not in level_mask:
             continue
-        within = _meet_table(spec, k, level_mask, accepted=True)
+        within = _meet_table(spec, k, level_mask, sizes_ok, accepted=True)
         adj.extend(_counting(counts[m], within) for m in by_size[k])
-    return verts, adj
+    return verts, adj, holders
 
 
-def _color_sort(P: int, nadj: list[int]) -> tuple[list[int], list[int]]:
-    """Greedy coloring of the candidate set from the complement rows; returns
-    vertices in coloring order with their color numbers (a clique-size upper
-    bound for the vertices up to that position)."""
+def _build_graph(spec: ConstraintSpec) -> tuple[list[int], list[int]]:
+    """The vertices and adjacency rows of `_graph_with_holders`."""
+    return _graph_with_holders(spec)[:2]
+
+
+def _color_sort(P: int, nadj: list[int], kmin: int) -> tuple[list[int], list[int]]:
+    """Greedy colouring of the candidate set from the complement rows (each
+    without its own vertex).  Returns the vertices of colour at least kmin
+    in colouring order with their colour numbers, a clique-size upper bound
+    for the vertices up to that position.  The lower colour classes are
+    formed all the same, since the later classes depend on them, but not
+    listed: a branch on one of their vertices is pruned (Tomita et al.,
+    WALCOM 2010; San Segundo et al., Comput. Oper. Res. 2011)."""
     order: list[int] = []
     bounds: list[int] = []
     color = 0
@@ -544,39 +578,70 @@ def _color_sort(P: int, nadj: list[int]) -> tuple[list[int], list[int]]:
         while avail:
             low = avail & -avail
             v = low.bit_length() - 1
-            avail &= nadj[v] & ~low
-            P &= ~low
-            order.append(v)
-            bounds.append(color)
+            avail &= nadj[v]
+            P ^= low
+            if color >= kmin:
+                order.append(v)
+                bounds.append(color)
     return order, bounds
 
 
-def _greedy_clique(nv: int, adj: list[int]) -> list[int]:
-    best: list[int] = []
-    starts = sorted(range(nv), key=lambda v: -adj[v].bit_count())[:3]
-    for start in starts:
-        clique = [start]
-        cand = adj[start]
-        while cand:
-            pick, pick_deg = -1, -1
-            c = cand
-            while c:
-                u = (c & -c).bit_length() - 1
-                c &= c - 1
-                deg = (adj[u] & cand).bit_count()
-                if deg > pick_deg:
-                    pick, pick_deg = u, deg
-            clique.append(pick)
-            cand &= adj[pick]
+def _greedy_clique(start: int, adj: list[int]) -> list[int]:
+    """From `start`, repeatedly add the candidate with the most neighbours
+    among the candidates."""
+    clique = [start]
+    cand = adj[start]
+    while cand:
+        pick, pick_deg = -1, -1
+        c = cand
+        while c:
+            u = (c & -c).bit_length() - 1
+            c &= c - 1
+            deg = (adj[u] & cand).bit_count()
+            if deg > pick_deg:
+                pick, pick_deg = u, deg
+        clique.append(pick)
+        cand &= adj[pick]
+    return clique
+
+
+def _one_pass_clique(order, adj: list[int]) -> list[int]:
+    """Each vertex of `order` that is adjacent to every vertex kept so far."""
+    clique, cand = [], -1
+    for v in order:
+        if cand >> v & 1:
+            clique.append(v)
+            cand &= adj[v]
+            if not cand:
+                break
+    return clique
+
+
+def _seed(adj: list[int]) -> tuple[list[int], str]:
+    """The clique the search starts from, with its source: the greedy clique
+    from the vertex of highest degree, or a one-pass clique in vertex,
+    reverse or degree order when it is larger (the first such on a tie)."""
+    nv = len(adj)
+    if not nv:
+        return [], "greedy"
+    by_degree = sorted(range(nv), key=lambda v: -adj[v].bit_count())
+    best, source = _greedy_clique(by_degree[0], adj), "greedy"
+    orders = {
+        "vertex order": range(nv),
+        "reverse order": range(nv - 1, -1, -1),
+        "degree order": by_degree,
+    }
+    for name, order in orders.items():
+        clique = _one_pass_clique(order, adj)
         if len(clique) > len(best):
-            best = clique
-    return best
+            best, source = clique, name
+    return best, source
 
 
 class _CliqueSearch:
     def __init__(self, adj: list[int], node_budget: int | None):
         self.adj = adj
-        self.nadj = [~a for a in adj]
+        self.nadj = [~(a | 1 << v) for v, a in enumerate(adj)]
         self.budget = node_budget
         self.nodes = 0
         self.restore_nodes = 0
@@ -585,7 +650,10 @@ class _CliqueSearch:
         self.best_size = 0
         self.best: list[int] = []
 
-    def run(self, seed: list[int], verts: list[int], n: int, root_key) -> None:
+    def run(
+        self, seed: list[int], verts: list[int], holders: list[int], n: int,
+        root_regions: list[int],
+    ) -> None:
         """Orbital branching at the top two levels.  A maximum clique meeting
         a root orbit can be mapped onto one holding its representative (its
         least vertex) without meeting the earlier orbits, so each root orbit
@@ -598,15 +666,14 @@ class _CliqueSearch:
         self.best_size, self.best = len(seed), list(seed)
         adj = self.adj
         pool = (1 << len(verts)) - 1
-        for orbit in _orbits(pool, verts, root_key).values():
+        for orbit in _orbits(pool, holders, root_regions):
             r = (orbit & -orbit).bit_length() - 1
             P = pool & adj[r]
             pool &= ~orbit
             if P.bit_count() < self.best_size:
                 continue
             self.root_orbits += 1
-            stab_key = _region_key(_refine([(1 << n) - 1], verts[r]))
-            for sub in _orbits(P, verts, stab_key).values():
+            for sub in _orbits(P, holders, _refine([(1 << n) - 1], verts[r])):
                 s = (sub & -sub).bit_length() - 1
                 cand = P & adj[s]
                 P &= ~sub
@@ -619,65 +686,90 @@ class _CliqueSearch:
                 else:
                     self.best_size, self.best = 2, [r, s]
 
-    def _expand(self, stack: list[int], P: int) -> bool:
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            self.exact = False
-            return True
-        adj = self.adj
-        depth = len(stack)
-        order, bounds = _color_sort(P, self.nadj)
-        for i in range(len(order) - 1, -1, -1):
-            if depth + bounds[i] <= self.best_size:
-                return False
-            v = order[i]
-            stack.append(v)
-            newP = P & adj[v]
-            if newP:
-                if self._expand(stack, newP):
-                    stack.pop()
-                    return True
-            elif depth + 1 > self.best_size:
-                self.best_size = depth + 1
-                self.best = stack.copy()
-            stack.pop()
-            P &= ~(1 << v)
-        return False
+    def _expand(self, clique: list[int], P: int) -> None:
+        """Branch and bound below `clique` on the candidates P, depth first
+        on an explicit stack of frames [candidates, order, bounds], one per
+        open node.  Each node branches on its colour order from the end and
+        stops at the first vertex whose colour bound cannot beat the
+        incumbent; a vertex branched on leaves its node's candidates."""
+        adj, nadj = self.adj, self.nadj
+        frames: list[list] = []
+        while True:  # open the node of `clique` on P
+            self.nodes += 1
+            if self.budget is not None and self.nodes > self.budget:
+                self.exact = False
+                return
+            frames.append([P, *_color_sort(P, nadj, self.best_size - len(clique) + 1)])
+            while True:  # the next branch, closing exhausted nodes
+                frame = frames[-1]
+                P, order, bounds = frame
+                depth = len(clique)
+                if order and depth + bounds[-1] > self.best_size:
+                    v = order.pop()
+                    bounds.pop()
+                    frame[0] = P & ~(1 << v)
+                    P &= adj[v]
+                    if P:
+                        clique.append(v)
+                        break
+                    if depth + 1 > self.best_size:
+                        self.best_size, self.best = depth + 1, clique + [v]
+                    continue
+                frames.pop()
+                if not frames:
+                    return
+                clique.pop()
 
     def has_clique(self, P: int, target: int) -> list[int] | None:
-        """Decision search: a clique of size target inside P, or None."""
+        """Decision search: a clique of size target inside P, or None.  The
+        same depth-first branching as `_expand`, on an explicit stack of
+        [candidates, order] frames; the colouring lists only the vertices
+        whose colour reaches the size still needed."""
         if target <= 0:
             return []
         if P.bit_count() < target:
             return None
-        self.restore_nodes += 1
-        order, bounds = _color_sort(P, self.nadj)
-        for i in range(len(order) - 1, -1, -1):
-            if bounds[i] < target:
-                return None
-            v = order[i]
-            found = self.has_clique(P & self.adj[v], target - 1)
-            if found is not None:
-                found.append(v)
-                return found
-            P &= ~(1 << v)
-        return None
+        adj, nadj = self.adj, self.nadj
+        clique: list[int] = []
+        frames: list[list] = []
+        while True:  # a node needing target - |clique| more vertices from P
+            need = target - len(clique)
+            if not need:
+                return clique
+            if P.bit_count() >= need:
+                self.restore_nodes += 1
+                frames.append([P, _color_sort(P, nadj, need)[0]])
+            else:
+                clique.pop()
+            while True:  # the next branch, closing exhausted nodes
+                frame = frames[-1]
+                P, order = frame
+                if order:
+                    v = order.pop()
+                    frame[0] = P & ~(1 << v)
+                    P &= adj[v]
+                    clique.append(v)
+                    break
+                frames.pop()
+                if not frames:
+                    return None
+                clique.pop()
 
 
 def _lex_smallest_optimum(
-    search: _CliqueSearch, verts: list[int], n: int, omega: int
+    search: _CliqueSearch, verts: list[int], holders: list[int], n: int, omega: int
 ) -> list[int]:
     """The lexicographically smallest maximum clique, taking vertex by vertex
     the least one of the pool that extends the chosen ones to a maximum
     clique.  `known` extends the chosen ones, so a candidate in it needs no
     search.  A candidate that fails takes its orbit under the stabiliser of
-    the chosen sets with it (see `_region_key`)."""
+    the chosen sets with it: its part of `_orbits` over their Venn
+    regions."""
     chosen: list[int] = []
     known = set(search.best)
     P = (1 << len(verts)) - 1
     regions = [(1 << n) - 1]
-    key = _region_key(regions)
-    orbits = None
+    parts = None
     while len(chosen) < omega:
         if not P:  # pragma: no cover
             raise AssertionError("lexicographic restoration failed")
@@ -688,16 +780,15 @@ def _lex_smallest_optimum(
         else:
             completion = search.has_clique(newP, omega - len(chosen) - 1)
         if completion is None:
-            if orbits is None:
-                orbits = _orbits(P, verts, key)
-            P &= ~orbits[key(verts[v])]
+            if parts is None:
+                parts = _orbits(P, holders, regions)
+            P &= ~next(part for part in parts if part >> v & 1)
             continue
         known = set(completion)
         chosen.append(v)
         P = newP
         regions = _refine(regions, verts[v])
-        key = _region_key(regions)
-        orbits = None
+        parts = None
     return chosen
 
 
@@ -717,17 +808,20 @@ def max_family(spec: ConstraintSpec, node_budget: int | None = None) -> SearchRe
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be non-negative, got {node_budget}")
     start = time.perf_counter()
-    verts, adj = _build_graph(spec)
+    verts, adj, holders = _graph_with_holders(spec)
     stats = {"graph_build_s": time.perf_counter() - start, "vertices": len(verts)}
     search = _CliqueSearch(adj, node_budget)
-    seed = _greedy_clique(len(verts), adj)
-    search.run(seed, verts, spec.n, _KINDS[spec.kind].orbit)
+    seed, source = _seed(adj)
+    root_regions = _KINDS[spec.kind].root_regions((1 << spec.n) - 1)
+    search.run(seed, verts, holders, spec.n, root_regions)
     if search.exact:
-        witness_idx = _lex_smallest_optimum(search, verts, spec.n, search.best_size)
+        witness_idx = _lex_smallest_optimum(search, verts, holders, spec.n, search.best_size)
     else:
         witness_idx = search.best
     stats.update(
         edges=sum(row.bit_count() for row in adj) // 2,
+        seed_size=len(seed),
+        seed_source=source,
         root_orbits=search.root_orbits,
         search_nodes=search.nodes,
         restore_nodes=search.restore_nodes,

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -15,9 +16,12 @@ from qsperner.families import (
     _accepted,
     _admissible,
     _build_graph,
+    _CliqueSearch,
+    _color_sort,
     _first_violation,
+    _holders,
+    _orbits,
     _refine,
-    _region_key,
     _words,
     format_family,
     max_family,
@@ -738,7 +742,11 @@ class TestBruteForceOracle:
         rng = random.Random(11)
         n = 6
         full = (1 << n) - 1
-        key = _KINDS[kind].orbit
+        regions = _KINDS[kind].root_regions(full)
+
+        def key(m):
+            return [(m & x).bit_count() for x in regions]
+
         specs = [spec for spec in _oracle_specs() if spec.kind is kind]
         for spec in rng.sample(specs, min(5, len(specs))):
             spec = ConstraintSpec(
@@ -828,9 +836,17 @@ def _orbit_partition(n, group, fixing=()):
     )
 
 
+def _bit_sliced_partition(n, regions):
+    """`_orbits` over all of 2^[n], vertex j standing for the set j, as sets;
+    its parts must come ordered by least vertex."""
+    parts = _orbits((1 << (1 << n)) - 1, _holders(list(range(1 << n))), regions)
+    assert parts == sorted(parts, key=lambda c: c & -c)
+    return {frozenset(j for j in range(1 << n) if c >> j & 1) for c in parts}
+
+
 class TestOrbitKeys:
-    """The keys the search branches on must be exactly the orbits of the
-    declared groups (checked by listing the groups at n = 4)."""
+    """The partitions the search branches on must be exactly the orbits of
+    the declared groups (checked by listing the groups at n = 4)."""
 
     n = 4
     full = (1 << n) - 1
@@ -838,12 +854,14 @@ class TestOrbitKeys:
     @pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
     def test_root_and_stabiliser_orbits(self, kind):
         group = list(_relabellings(self.n, kind is Kind.HAMMING))
-        assert _partition(self.n, _KINDS[kind].orbit) == _orbit_partition(self.n, group)
+        roots = _KINDS[kind].root_regions(self.full)
+        assert _bit_sliced_partition(self.n, roots) == _orbit_partition(self.n, group)
         # the search roots Hamming at the empty set, every other kind anywhere
-        roots = [0] if kind is Kind.HAMMING else range(1 << self.n)
-        for r in roots:
-            key = _region_key(_refine([self.full], r))
-            assert _partition(self.n, key) == _orbit_partition(self.n, group, (r,)), r
+        for r in [0] if kind is Kind.HAMMING else range(1 << self.n):
+            regions = _refine([self.full], r)
+            assert _bit_sliced_partition(self.n, regions) == _orbit_partition(
+                self.n, group, (r,)
+            ), r
 
     def test_stabiliser_of_chosen_sets(self):
         rng = random.Random(3)
@@ -853,9 +871,21 @@ class TestOrbitKeys:
             regions = [self.full]
             for c in chosen:
                 regions = _refine(regions, c)
-            assert _partition(self.n, _region_key(regions)) == _orbit_partition(
+            assert _bit_sliced_partition(self.n, regions) == _orbit_partition(
                 self.n, group, chosen
             ), chosen
+
+    def test_elements_held_by_no_vertex(self):
+        # the 2-sets of [3] hold no element past 3, so a region reaching
+        # into [4] counts as its part inside [3]
+        verts = [m for m in range(1 << 3) if m.bit_count() == 2]
+        holders = _holders(verts)
+        assert len(holders) == 3
+        everything = (1 << len(verts)) - 1
+        for region in (0b1001, 0b1101):
+            parts = _orbits(everything, holders, [region])
+            inside = _orbits(everything, holders, [region & 0b111])
+            assert parts == inside
 
 
 class TestSearchStats:
@@ -866,8 +896,8 @@ class TestSearchStats:
         res = max_family(spec)
         stats = res.stats
         assert set(stats) == {
-            "graph_build_s", "vertices", "edges", "root_orbits", "search_nodes",
-            "restore_nodes",
+            "graph_build_s", "vertices", "edges", "seed_size", "seed_source",
+            "root_orbits", "search_nodes", "restore_nodes",
         }
         assert stats["vertices"] == 128
         assert 1 <= stats["root_orbits"] <= spec.n + 1
@@ -886,6 +916,66 @@ class TestSearchStats:
         res = max_family(spec)
         assert res.max_size == 0 and res.exact
         assert res.stats["vertices"] == 0 and res.nodes_explored == 0
+        assert (res.stats["seed_size"], res.stats["seed_source"]) == (0, "greedy")
+
+    def test_one_pass_seed_beats_greedy_on_the_antichain(self):
+        # in degree order the one-pass seed keeps the whole 4-layer of [9];
+        # the greedy clique from the vertex of highest degree stops short
+        res = max_family(ConstraintSpec(kind=Kind.ANTICHAIN, n=9))
+        assert (res.stats["seed_size"], res.stats["seed_source"]) == (126, "degree order")
+        assert res.max_size == 126 and res.exact
+
+
+def _reference_coloring(P, adj):
+    """Sequential greedy colouring: each vertex of P, ascending, goes to the
+    lowest colour class holding none of its neighbours."""
+    classes = []
+    for v in (j for j in range(P.bit_length()) if P >> j & 1):
+        for members in classes:
+            if not any(adj[v] >> u & 1 for u in members):
+                members.append(v)
+                break
+        else:
+            classes.append([v])
+    return [(v, c) for c, members in enumerate(classes, start=1) for v in members]
+
+
+def _random_graph(rng, nv, density):
+    adj = [0] * nv
+    for u, v in itertools.combinations(range(nv), 2):
+        if rng.random() < density:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
+
+
+class TestCliqueKernels:
+    def test_color_sort_lists_the_suffix_from_kmin(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            nv = rng.randint(1, 40)
+            adj = _random_graph(rng, nv, rng.choice((0.1, 0.5, 0.9)))
+            nadj = _CliqueSearch(adj, None).nadj
+            P = rng.getrandbits(nv) | 1
+            full = _reference_coloring(P, adj)
+            for kmin in range(0, full[-1][1] + 2):
+                order, bounds = _color_sort(P, nadj, kmin)
+                assert list(zip(order, bounds)) == [(v, c) for v, c in full if c >= kmin]
+
+    def test_deep_cliques_need_no_recursion(self):
+        # both searches descend one level per clique member; a complete
+        # graph deeper than the interpreter's recursion limit must finish
+        nv = 1200
+        assert sys.getrecursionlimit() < nv
+        everything = (1 << nv) - 1
+        adj = [everything ^ 1 << v for v in range(nv)]
+        search = _CliqueSearch(adj, None)
+        search._expand([], everything)
+        assert search.best_size == nv and sorted(search.best) == list(range(nv))
+        assert search.nodes == nv and search.exact
+        assert sorted(search.has_clique(everything, nv)) == list(range(nv))
+        assert search.has_clique(everything, nv + 1) is None
+        assert search.restore_nodes == nv
 
 
 class TestConstructionFromUniformShift:
