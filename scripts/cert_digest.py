@@ -9,12 +9,18 @@ portfolio that `best_bound` returns, so a change to any certificate's value,
 rule, hypothesis wording or auxiliary evidence changes the digest.  Run it
 on two checkouts and compare the printed lines.
 
+After the digest it prints how often the specs called each function of
+COUNTED, one `calls <module>.<name> <count>` line each: counts that do not
+depend on the machine, taken by wrapping the functions at every name the
+`qsperner` modules hold them by, for the duration of this script only.
+
 Usage:
   python3 scripts/cert_digest.py
 """
 
 import hashlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,6 +30,35 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from qsperner.bounds import best_bound
 from workloads import N_CHOICES, make_spec, random_strata, table_strata
+
+COUNTED = (
+    ("seppoly", "check_separation"),
+    ("seppoly", "separates"),
+    ("seppoly", "min_valuation_over_class"),
+    ("padic", "_vp_int"),
+    ("closure", "q_closure"),
+    ("closure", "is_q_closed"),
+)
+
+
+def count_calls() -> Counter:
+    """Wrap each COUNTED function wherever a qsperner module binds it;
+    the returned counter fills as the wrappers are called."""
+    calls = Counter()
+    modules = [m for name, m in list(sys.modules.items()) if name.startswith("qsperner.")]
+    for home, name in COUNTED:
+        original = getattr(sys.modules[f"qsperner.{home}"], name)
+        key = f"{home}.{name}"
+
+        def wrapper(*args, _original=original, _key=key, **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    setattr(module, attr, wrapper)
+    return calls
 
 
 def specs():
@@ -37,6 +72,7 @@ def specs():
 
 
 def main() -> int:
+    calls = count_calls()
     digest = hashlib.sha256()
     count = 0
     for spec in specs():
@@ -45,6 +81,8 @@ def main() -> int:
         count += 1
     print(f"specs {count}")
     print(f"sha256 {digest.hexdigest()}")
+    for home, name in COUNTED:
+        print(f"calls {home}.{name} {calls[f'{home}.{name}']}")
     return 0
 
 

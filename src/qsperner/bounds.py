@@ -17,23 +17,22 @@ kinds), for `best_bound` and `bound_from_seppoly` alike.  R22 draws its
 separating polynomials from `_zero_separation_candidates`, which yields,
 in non-decreasing degree, the plain residues, the closed superinterval of
 their hull and the full range [1, q-1].  Candidates are built lazily.
-The difference and Hamming kinds screen them with the yes/no
-`seppoly.separates` and build the full report, with its shifted side
-conditions, only for candidates that pass.  The per-residue construction
-of the intersecting kinds takes the first one that separates, which is
-the lowest-degree one, the earliest on ties.  `first_zero_separator`
-judges it with `separates`; `_r22_intersecting` reads the same answer
-from one table of v_p over [1, q-1], because every candidate has distinct
-roots in [1, q-1], exactly one in each class it must avoid, and
-v_p(x) = v_p(x mod q) when q does not divide x.  For the plain residues
-the class side does not depend on the residue outside L, so one minimum
-per spec and one sum per residue decide most residues; only those that
-fail walk the candidates.
+Every candidate is monic with distinct roots in [1, q-1], so `best_bound`
+decides it from one table W[x] = min(v_p(x), k) on [0, q-1]: v_p(g(0)) is
+the sum of W[r], and the minimum of v_p(g) over class c the sum of
+W[(c - r) mod q], over the roots r.  `_run_minima` reads a run of
+consecutive roots as one range sum of W's prefix sums, for the classes of
+L (separation) and of (r -+ 1) mod q (the shifted side conditions).  For
+the intersecting kinds the plain candidate of each residue alpha outside
+L reflects the polynomial with roots L, so all share its class minima.
+`check_separation` and `separates` stay the independent route of
+`bound_from_seppoly` and `first_zero_separator`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, islice
 from math import comb
 
 from .closure import IntervalL, closure_length_bound, q_closure
@@ -317,6 +316,32 @@ def _zero_separation_candidates(pp: PrimePower, L: tuple[int, ...]):
         yield "full range", canonical_interval_poly(range(1, pp.q))
 
 
+def _valuation_sums(pp: PrimePower) -> list[int]:
+    """Prefix sums over [0, 2q) of W[x mod q], W[x] = min(v_p(x), k) on
+    [0, q-1] (so W[0] = k): entry i is the sum of the first i terms."""
+    W = [0] * pp.q
+    for j in range(1, pp.k + 1):
+        for x in range(0, pp.q, pp.p**j):
+            W[x] += 1
+    return list(accumulate(W + W, initial=0))
+
+
+def _run_minima(P: list[int], roots, classes) -> tuple[int, list[int]]:
+    """v_p(g(0)) and the minimum of v_p(g) over each residue class c in
+    `classes`, for the monic g with the sorted distinct `roots` in [0, q-1]
+    and P from `_valuation_sums` (v_p(g(0)) needs 0 not a root).  Class c's
+    minimum is the sum of W[(c - r) mod q] over the roots r: a maximal run
+    [lo, hi] of consecutive roots adds P[c - lo + q + 1] - P[c - hi + q]."""
+    q, v0, minima = len(P) // 2, 0, [0] * len(classes)
+    cuts = [i for i in range(1, len(roots)) if roots[i] != roots[i - 1] + 1]
+    for i, j in zip([0, *cuts], [*cuts, len(roots)]):
+        lo, hi = roots[i], roots[j - 1]
+        v0 += P[hi + 1] - P[lo]
+        a, b = q + 1 - lo, q - hi
+        minima = [m + P[c + a] - P[c + b] for m, c in zip(minima, classes)]
+    return v0, minima
+
+
 def first_zero_separator(pp: PrimePower, L) -> tuple[str, FactoredIntPoly]:
     """Label and polynomial of the first candidate that separates 0 from
     the sorted residues L within [1, q-1].  The candidates come in
@@ -334,24 +359,24 @@ def _r22_column(kind: Kind, shifted: bool) -> str:
     return "n-1" if shifted and kind is Kind.DIFF_SPERNER else "n"
 
 
-def _r22_zero_cert(ctx: _Ctx, g: FactoredIntPoly, rep, label: str | None = None):
+def _r22_zero_cert(ctx: _Ctx, g: FactoredIntPoly, v0: int, minus_ok, plus_ok, label=None):
     """R22's certificate for the difference and Hamming kinds from a
-    polynomial g separating 0 from L modulo q and its separation report;
-    `label` names the candidate g was drawn from, if any."""
-    column = _r22_column(ctx.kind, rep.shifted_minus_ok or rep.shifted_plus_ok)
+    polynomial g separating 0 from L modulo q, v0 = v_p(g(0)) and the two
+    shifted side conditions; `label` names g's candidate, if any."""
+    column = _r22_column(ctx.kind, minus_ok or plus_ok)
     texts = [_kind_hyp(ctx), f"modulus {ctx.pp.q} is a prime power"]
     if label is not None:
         texts.append(f"candidate roots from {label}")
     texts.append("polynomial separates 0 from L modulo q")
     if column == "n-1":
-        side = "u-1" if rep.shifted_minus_ok else "u+1"
+        side = "u-1" if minus_ok else "u+1"
         texts.append(f"shifted condition over {side} holds, granting the n-1 column")
     aux = {
         "roots": list(g.roots),
         "lead": g.lead,
-        "v0": None if rep.v0.is_infinite else rep.v0.value,
-        "shifted_minus_ok": rep.shifted_minus_ok,
-        "shifted_plus_ok": rep.shifted_plus_ok,
+        "v0": v0,
+        "shifted_minus_ok": minus_ok,
+        "shifted_plus_ok": plus_ok,
     }
     return _cert(ctx, "R22", texts, binom_sum(ctx.n, 0, g.degree, column), aux)
 
@@ -360,18 +385,20 @@ def _r22_zero(ctx: _Ctx):
     # A higher degree with the n-1 column can beat a lower one without it,
     # so later candidates still compete, until even their best column
     # cannot beat the incumbent (degrees never decrease, so none after can
-    # either).  The full report is built only for candidates that pass the
-    # yes/no screen.
+    # either).  Classes: L, then (r - 1) mod q and (r + 1) mod q for r in L.
+    P, L, s = _valuation_sums(ctx.pp), ctx.L, len(ctx.L)
+    classes = [*L, *((r - 1) % ctx.pp.q for r in L), *((r + 1) % ctx.pp.q for r in L)]
     best_column = _r22_column(ctx.kind, shifted=True)
     best = None
-    for label, g in _zero_separation_candidates(ctx.pp, ctx.L):
+    for label, g in _zero_separation_candidates(ctx.pp, L):
         if best is not None and (
             binom_sum(ctx.n, 0, g.degree, best_column).value >= best.bound.value
         ):
             break
-        if not separates(ctx.pp, g, 0, ctx.L):
+        v0, m = _run_minima(P, g.roots, classes)
+        if v0 >= min(m[:s]):
             continue
-        cert = _r22_zero_cert(ctx, g, check_separation(ctx.pp, g, 0, ctx.L), label)
+        cert = _r22_zero_cert(ctx, g, v0, v0 <= min(m[s : 2 * s]), v0 <= min(m[2 * s :]), label)
         if best is None or (cert.bound.value, g.degree) < (best.bound.value, best.bound.upper):
             best = cert
     return [best]
@@ -531,29 +558,27 @@ def _r22_per_alpha_cert(ctx: _Ctx, degrees: dict[int, int], wording: str):
 
 def _r22_intersecting(ctx: _Ctx):
     # first_zero_separator's degree on every reflected set (reflection keeps
-    # the degree), read from V[x] = v_p(x): a candidate g separates when
-    # v_p(g(0)) = sum V[r] is below k + sum_{r != c} V[c - r] for each class c
+    # the degree).  The plain roots (alpha - L) mod q reflect g_L, with roots
+    # L, and W[x] = W[-x mod q]: v_p(h(0)) is g_L's minimum over class
+    # alpha, and h's class minima are g_L's over L, the same for every alpha.
     pp, L, q = ctx.pp, ctx.L, ctx.pp.q
     Lset = set(L)
     alphas = [a for a in range(q) if a not in Lset]
     if not alphas:
         return []
-    V = [0] + [_vp_int(pp.p, x) for x in range(1, q)]
-
-    def screen(roots, classes) -> bool:
-        v0 = sum(V[r] for r in roots)
-        return all(v0 < pp.k + sum(V[(c - r) % q] for r in roots if r != c) for c in classes)
-
-    # the plain roots (alpha - L) mod q have class sides free of alpha
-    plain = min(pp.k + sum(V[(m - ell) % q] for m in L if m != ell) for ell in L)
+    P = _valuation_sums(pp)
+    plain = min(_run_minima(P, L, L)[1])
     degrees = {}
-    for alpha in alphas:
-        if sum(V[(alpha - ell) % q] for ell in L) < plain:
+    for alpha, side in zip(alphas, _run_minima(P, L, alphas)[1]):
+        if side < plain:
             degrees[alpha] = len(L)
-        else:
-            Lr = _reflected(pp, L, alpha)
-            cands = _zero_separation_candidates(pp, Lr)
-            degrees[alpha] = next(h.degree for _, h in cands if screen(h.roots, Lr))
+            continue
+        Lr = _reflected(pp, L, alpha)
+        for _, h in islice(_zero_separation_candidates(pp, Lr), 1, None):  # plain failed
+            v0, minima = _run_minima(P, h.roots, Lr)
+            if v0 < min(minima):
+                degrees[alpha] = h.degree
+                break
     wording = "a separating polynomial was constructed for every residue outside L"
     return [_r22_per_alpha_cert(ctx, degrees, wording)]
 
@@ -724,7 +749,7 @@ def bound_from_seppoly(
                 ell,
                 rep,
             )
-        return _r22_zero_cert(ctx, g, rep)
+        return _r22_zero_cert(ctx, g, rep.v0.value, rep.shifted_minus_ok, rep.shifted_plus_ok)
     if spec.kind is Kind.INTERSECTING:
         q = pp.q
         Lset = set(L)

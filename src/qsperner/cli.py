@@ -258,16 +258,17 @@ def _cmd_seppoly(args) -> CommandResult:
         )
         return CommandResult("ok", payload, human=human)
     window = range(0, args.window) if args.window else None
-    found = seppoly.search_min_degree(pp, args.alpha, L, args.max_degree, window)
+    budget = families.node_budget_or_env(args.budget)
+    searched = {"q": pp.q, "alpha": args.alpha, "L": sorted(set(L)), "max_degree": args.max_degree}
+    try:
+        found = seppoly.search_min_degree(pp, args.alpha, L, args.max_degree, window, budget)
+    except seppoly.SearchBudgetExhausted as exc:
+        payload = {**searched, "tried": exc.tried, "degree_reached": exc.degree}
+        return CommandResult("budget-exhausted", payload, human=str(exc))
     if found is None:
         return CommandResult(
             "infeasible",
-            {
-                "q": pp.q,
-                "alpha": args.alpha,
-                "L": sorted(set(L)),
-                "max_degree": args.max_degree,
-            },
+            searched,
             human=f"no separating polynomial of degree <= {args.max_degree} found",
         )
     g, d = found
@@ -506,6 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lead", type=int, default=1)
     p.add_argument("--max-degree", type=int, default=3)
     p.add_argument("--window", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None)
 
     p = add("bound", _cmd_bound, help="best certified upper bound")
     p.add_argument("--kind", type=str, required=True)

@@ -96,9 +96,8 @@ def q_closure(pp: PrimePower, interval: IntervalL) -> ClosureResult:
         lo_min = max(1, interval.hi - length + 1)
         lo_max = min(interval.lo, q - length)
         for lo in range(lo_min, lo_max + 1):
-            cand = IntervalL(lo, lo + length - 1)
-            if is_q_closed(pp, cand):
-                return ClosureResult(cand, length)
+            if _lucas_nondivisible(pp.p, lo + length - 1, length):
+                return ClosureResult(IntervalL(lo, lo + length - 1), length)
     raise AssertionError("unreachable: [1, q-1] is q-closed")
 
 

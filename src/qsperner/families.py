@@ -59,10 +59,19 @@ __all__ = [
     "format_family",
     "DEFAULT_N_LIMIT",
     "NODE_BUDGET_ENV",
+    "node_budget_or_env",
 ]
 
 DEFAULT_N_LIMIT = 12
 NODE_BUDGET_ENV = "QSPERNER_NODE_BUDGET"
+
+
+def node_budget_or_env(node_budget: int | None) -> int | None:
+    """The node budget given, else QSPERNER_NODE_BUDGET's, else None."""
+    if node_budget is None:
+        env = os.environ.get(NODE_BUDGET_ENV)
+        node_budget = int(env) if env else None
+    return node_budget
 
 
 class Kind(str, Enum):
@@ -802,9 +811,7 @@ def max_family(spec: ConstraintSpec, node_budget: int | None = None) -> SearchRe
     """
     if spec.n > DEFAULT_N_LIMIT:
         raise ValueError(f"n = {spec.n} exceeds the search limit {DEFAULT_N_LIMIT}")
-    if node_budget is None:
-        env = os.environ.get(NODE_BUDGET_ENV)
-        node_budget = int(env) if env else None
+    node_budget = node_budget_or_env(node_budget)
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be non-negative, got {node_budget}")
     start = time.perf_counter()

@@ -11,8 +11,10 @@ class minima be computed exactly by a digit recursion instead of a scan.
 shifted side conditions.  `separates` answers only the yes/no question: it
 stops at the first residue class whose minimum is not above v_p(g(alpha))
 and never evaluates the side conditions, so callers that only choose a
-polynomial (the bound engine's candidate screens) pay for one class at a
-time.
+polynomial (`bounds.first_zero_separator`, `search_min_degree`) pay for
+one class at a time.  The bound engine's portfolio reads its own
+candidates from a valuation table instead; these functions are the
+independent route that `bounds.bound_from_seppoly` and the CLI use.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .padic import INFINITY, PrimePower, Valuation, _vp_int
 __all__ = [
     "FactoredIntPoly",
     "SeparationReport",
+    "SearchBudgetExhausted",
     "canonical_interval_poly",
     "min_valuation_over_class",
     "check_separation",
@@ -210,12 +213,24 @@ def separates(pp: PrimePower, g: FactoredIntPoly, alpha: int, L) -> bool:
     return all(v0 < min_valuation_over_class(pp, g, r) for r in residues)
 
 
+class SearchBudgetExhausted(Exception):
+    """`search_min_degree` tried its `node_budget` of root multisets
+    without finding a separating polynomial; `degree` is the degree it was
+    searching when it stopped."""
+
+    def __init__(self, tried: int, degree: int):
+        super().__init__(f"node budget exhausted after {tried} root multisets at degree {degree}")
+        self.tried = tried
+        self.degree = degree
+
+
 def search_min_degree(
     pp: PrimePower,
     alpha: int,
     L,
     max_degree: int,
     root_window: range | None = None,
+    node_budget: int | None = None,
 ) -> tuple[FactoredIntPoly, int] | None:
     """Lowest-degree monic integer-rooted polynomial separating alpha from L.
 
@@ -223,13 +238,21 @@ def search_min_degree(
     `root_window` (default [0, q**2)) in sorted-multiset lexicographic
     order, so the result is reproducible byte for byte.  The degree found
     is an upper bound on the true minimum over the factored candidate
-    class only; returns None when nothing passes within the limits.
+    class only; returns None when nothing passes within the limits.  With
+    a `node_budget`, at most that many root multisets are tried before
+    `SearchBudgetExhausted` is raised.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be non-negative, got {node_budget}")
     window = root_window if root_window is not None else range(0, pp.q ** 2)
+    tried = 0
     for d in range(1, max_degree + 1):
         for roots in combinations_with_replacement(window, d):
+            if tried == node_budget:
+                raise SearchBudgetExhausted(tried, d)
+            tried += 1
             g = FactoredIntPoly(1, roots)
             if separates(pp, g, alpha, L):
                 return g, d

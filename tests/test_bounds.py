@@ -16,8 +16,13 @@ from qsperner.bounds import (
 )
 from qsperner.closure import IntervalL, closure_length_bound, q_closure
 from qsperner.families import ConstraintSpec, Kind, max_family
-from qsperner.padic import PrimePower
-from qsperner.seppoly import FactoredIntPoly, canonical_interval_poly, check_separation
+from qsperner.padic import PrimePower, vp
+from qsperner.seppoly import (
+    FactoredIntPoly,
+    canonical_interval_poly,
+    check_separation,
+    min_valuation_over_class,
+)
 
 PP = PrimePower.from_q
 
@@ -424,7 +429,7 @@ class TestR22Routes:
     """`best_bound` and `bound_from_seppoly` state R22 for the same
     polynomials in the same certificate."""
 
-    @pytest.mark.parametrize("q", [4, 8, 9, 25])
+    @pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 32, 49])
     @pytest.mark.parametrize("kind", [Kind.DIFF_SPERNER, Kind.HAMMING])
     def test_zero_separation(self, q, kind):
         for L in r22_sample_sets(q, 1):
@@ -437,7 +442,7 @@ class TestR22Routes:
                 )
                 assert bound_from_seppoly(spec, g) == replace(r22, hypotheses=unlabelled)
 
-    @pytest.mark.parametrize("q", [4, 8, 9, 25])
+    @pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 32, 49])
     def test_per_alpha(self, q):
         for L in r22_sample_sets(q, 0):
             for n in (3, 10, 40):
@@ -492,6 +497,51 @@ class TestR22Table:
         # closure of the hull: a q-closed interval always separates 0 from
         # its residues, so the last candidate is never taken here.
         assert {("closed", False), ("closed", True)} <= labels
+
+
+def run_root_sets(q, rng):
+    """Seeded distinct roots in [1, q-1]: single runs, several runs, and
+    wrap-adjacent sets holding both 1 and q-1."""
+    top = q - 1
+    sets = [(1,), (top,), tuple(range(1, q))]
+    for _ in range(6):
+        lo = rng.randint(1, top)
+        sets.append(tuple(range(lo, rng.randint(lo, top) + 1)))
+        sets.append(tuple(sorted(rng.sample(range(1, q), rng.randint(1, top)))))
+        middle = rng.sample(range(2, top), rng.randint(0, top - 2)) if q > 2 else []
+        sets.append(tuple(sorted({1, top, *middle})))
+    return sets
+
+
+class TestRunMinima:
+    """`bounds._run_minima` reads v_p(g(0)) and every class minimum from
+    valuation prefix sums; the digit recursion of `seppoly` is the oracle."""
+
+    def test_matches_min_valuation_over_class(self):
+        rng = random.Random(49)
+        for q in prime_powers(49):
+            pp = PP(q)
+            P = bounds._valuation_sums(pp)
+            for roots in run_root_sets(q, rng):
+                g = canonical_interval_poly(roots)
+                v0, minima = bounds._run_minima(P, g.roots, range(q))
+                assert v0 == vp(pp.p, g(0)), (q, roots)
+                expected = [min_valuation_over_class(pp, g, c) for c in range(q)]
+                assert minima == expected, (q, roots)
+
+    def test_matches_check_separation_on_candidates(self):
+        rng = random.Random(7)
+        for q in prime_powers(49):
+            pp = PP(q)
+            P = bounds._valuation_sums(pp)
+            for roots in run_root_sets(q, rng):
+                for _, g in bounds._zero_separation_candidates(pp, roots):
+                    rep = check_separation(pp, g, 0, roots)
+                    v0, minima = bounds._run_minima(P, g.roots, roots)
+                    assert (v0, v0 < min(minima)) == (rep.v0, rep.separates), (q, roots)
+                    for d, ok in ((-1, rep.shifted_minus_ok), (1, rep.shifted_plus_ok)):
+                        shifted = bounds._run_minima(P, g.roots, [(r + d) % q for r in roots])[1]
+                        assert (v0 <= min(shifted)) == ok, (q, roots, d)
 
 
 # One spec per route through the rule portfolio (modular, lifted, direct

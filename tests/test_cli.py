@@ -140,6 +140,36 @@ class TestCommands:
         assert code == EXIT_OK
         assert doc["status"] == "infeasible"
 
+    SEPPOLY_FIND_Q49 = [
+        "seppoly", "find", "--q", "49", "--alpha", "0",
+        "--L", "1,2,3,4,5,6,7", "--max-degree", "3",
+    ]
+
+    def test_seppoly_find_budget_exhausted(self, capsys):
+        # degree 1 has 49**2 = 2401 root multisets, so a budget of 3000 ends
+        # inside degree 2, long before the C(2403, 3) multisets of degree 3
+        code, doc = run_json(capsys, [*self.SEPPOLY_FIND_Q49, "--budget", "3000"])
+        assert code == EXIT_BUDGET
+        assert doc["status"] == "budget-exhausted"
+        assert doc["payload"] == {
+            "q": 49, "alpha": 0, "L": [1, 2, 3, 4, 5, 6, 7], "max_degree": 3,
+            "tried": 3000, "degree_reached": 2,
+        }
+
+    def test_seppoly_find_budget_from_the_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("QSPERNER_NODE_BUDGET", "10")
+        code, doc = run_json(capsys, self.SEPPOLY_FIND_Q49)
+        assert code == EXIT_BUDGET
+        assert (doc["payload"]["tried"], doc["payload"]["degree_reached"]) == (10, 1)
+        monkeypatch.setenv("QSPERNER_NODE_BUDGET", "-1")
+        code, doc = run_json(capsys, self.SEPPOLY_FIND_Q49)
+        assert code == EXIT_USAGE
+        assert doc["diagnostics"] == ["node budget must be non-negative, got -1"]
+
+    def test_seppoly_find_within_budget(self, capsys):
+        argv = ["seppoly", "find", "--q", "4", "--alpha", "0", "--L", "1..3"]
+        assert run_json(capsys, [*argv, "--budget", "1000"]) == run_json(capsys, argv)
+
     def test_table_rows_sound(self, capsys):
         code, doc = run_json(
             capsys, ["table", "--kind", "diff-sperner", "--q", "4", "--n", "5"]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from qsperner.padic import INFINITY, PrimePower
 from qsperner.seppoly import (
     FactoredIntPoly,
+    SearchBudgetExhausted,
     _joint_min,
     canonical_interval_poly,
     check_separation,
@@ -235,6 +236,21 @@ class TestSearch:
     def test_not_found_within_budget(self):
         pp = PrimePower.from_q(4)
         assert search_min_degree(pp, 0, {1, 2, 3}, 2) is None
+
+    def test_node_budget_counts_root_multisets(self):
+        # 16 multisets of degree 1 and C(17, 2) = 136 of degree 2 fail over
+        # [0, 16); (1, 1, 2) is the 138th of degree 3, so the 290th overall
+        pp = PrimePower.from_q(4)
+        found = search_min_degree(pp, 0, {1, 2, 3}, 4)
+        assert search_min_degree(pp, 0, {1, 2, 3}, 4, node_budget=290) == found
+        with pytest.raises(SearchBudgetExhausted) as exc:
+            search_min_degree(pp, 0, {1, 2, 3}, 4, node_budget=289)
+        assert (exc.value.tried, exc.value.degree) == (289, 3)
+        with pytest.raises(SearchBudgetExhausted) as exc:
+            search_min_degree(pp, 0, {1, 2, 3}, 4, node_budget=0)
+        assert (exc.value.tried, exc.value.degree) == (0, 1)
+        with pytest.raises(ValueError, match="non-negative"):
+            search_min_degree(pp, 0, {1, 2, 3}, 4, node_budget=-1)
 
     def test_reproducible(self):
         pp = PrimePower.from_q(8)
