@@ -44,12 +44,10 @@ from .padic import (
     vp_factorial,
 )
 from .polylab import (
-    MultilinearPoly,
     ProofSystem,
     RankReport,
     build_diff_sperner_system,
     build_midband_system,
-    multilinear_reduce,
     verify_independence,
 )
 from .seppoly import (

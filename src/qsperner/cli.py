@@ -414,7 +414,6 @@ def _cmd_verify(args) -> CommandResult:
         raise UsageError("verify needs --q and --L (or --variant sym|close)")
     if args.variant:
         s = args.s if args.s is not None else max(L, default=0)
-        p = pp.p if pp else 2
         start = perf_counter()
         sys_ = polylab.build_midband_system(fam, s, args.variant)
     else:
@@ -422,11 +421,10 @@ def _cmd_verify(args) -> CommandResult:
         g = _verification_poly(pp, spec.L)
         rep = seppoly.check_separation(pp, g, 0, spec.L)
         variant = "minus" if rep.shifted_minus_ok or not rep.shifted_plus_ok else "plus"
-        p = pp.p
         start = perf_counter()
         sys_ = polylab.build_diff_sperner_system(fam, g, pp, variant)
     build_s = perf_counter() - start
-    report = polylab.verify_independence(sys_, p)
+    report = polylab.verify_independence(sys_)
     payload = {
         "n": n,
         "q": pp.q if pp else None,

@@ -565,11 +565,6 @@ def _graph_with_holders(spec: ConstraintSpec) -> tuple[list[int], list[int], lis
     return verts, adj, holders
 
 
-def _build_graph(spec: ConstraintSpec) -> tuple[list[int], list[int]]:
-    """The vertices and adjacency rows of `_graph_with_holders`."""
-    return _graph_with_holders(spec)[:2]
-
-
 def _color_sort(P: int, nadj: list[int], kmin: int) -> tuple[list[int], list[int]]:
     """Greedy colouring of the candidate set from the complement rows (each
     without its own vertex).  Returns the vertices of colour at least kmin

@@ -285,9 +285,6 @@ class DigitVector:
             v = v * p + d
         return v
 
-    def least_significant_first(self) -> tuple[int, ...]:
-        return tuple(reversed(self.digits))
-
 
 def to_digits(pp: PrimePower, s: int) -> DigitVector:
     """Width-k, most-significant-first base-p digits of s in [0, q-1]."""

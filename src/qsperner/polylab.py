@@ -1,23 +1,21 @@
 """Executable polynomial-method verifier.
 
-Builds the exact multilinear proof polynomials attached to a family
-(difference systems and the two mid-band systems) and certifies linear
-independence by exact rank over the rationals via sparse integer
-elimination on the coefficients.  Every block polynomial has the closed
-form x^F * t(sum of x_i over a set disjoint from F): its coefficients are
-forward differences of t (Moebius inversion) and its value at a 0/1 point
-one lookup in a table of t, so nothing is multiplied or evaluated term by
-term.  The pattern checks read those values; the evaluation matrix is
-formed only when `ProofSystem.matrix` is first read.
+Builds the proof polynomials attached to a family (difference systems and
+the two mid-band systems) and certifies their linear independence by exact
+rank over the rationals via sparse integer elimination on the
+coefficients.  Every block polynomial is kept in the closed form
+x^F * t(sum of x_i over a set disjoint from F), t integer-valued: its
+coefficients are forward differences of t (Moebius inversion) and its
+value at a 0/1 point one lookup in a table of t, so nothing is multiplied
+or evaluated term by term.  The pattern checks read those values without
+forming the evaluation matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd
 from time import perf_counter
 from typing import NamedTuple
 
@@ -26,163 +24,16 @@ from .padic import PrimePower, _vp_int
 from .seppoly import FactoredIntPoly
 
 __all__ = [
-    "MultilinearPoly",
     "ProofSystem",
     "RankReport",
-    "multilinear_reduce",
     "build_diff_sperner_system",
     "build_midband_system",
     "verify_independence",
 ]
 
-
-def _exact(c) -> int | Fraction:
-    """c as an int when integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
-class MultilinearPoly:
-    """A multilinear polynomial in x_1..x_n: subset-mask -> exact rational.
-
-    Arithmetic happens in the quotient algebra where x_i**2 = x_i, so any
-    product of affine forms lands directly in reduced form; evaluation at
-    0/1 vectors agrees with the unreduced polynomial.  Integral
-    coefficients are ints, the rest Fractions.
-    """
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs: dict[int, int | Fraction] | None = None):
-        self.n = n
-        self.coeffs = {
-            m: _exact(c) for m, c in (coeffs or {}).items() if c != 0
-        }
-
-    @classmethod
-    def constant(cls, n: int, c) -> "MultilinearPoly":
-        return cls(n, {0: c})
-
-    @classmethod
-    def variable(cls, n: int, i: int) -> "MultilinearPoly":
-        if not 1 <= i <= n:
-            raise ValueError(f"variable index {i} outside [1, {n}]")
-        return cls(n, {1 << (i - 1): 1})
-
-    @classmethod
-    def monomial(cls, n: int, mask: int, c=1) -> "MultilinearPoly":
-        return cls(n, {mask: c})
-
-    @classmethod
-    def affine(cls, n: int, const, weights: dict[int, int]) -> "MultilinearPoly":
-        """const + sum of weight_i * x_i."""
-        coeffs = {0: const}
-        for i, w in weights.items():
-            coeffs[1 << (i - 1)] = w
-        return cls(n, coeffs)
-
-    @property
-    def degree(self) -> int:
-        return max((m.bit_count() for m in self.coeffs), default=0)
-
-    def evaluate(self, point_mask: int) -> int | Fraction:
-        total = 0
-        for m, c in self.coeffs.items():
-            if m & ~point_mask == 0:
-                total += c
-        return total
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0) + c
-        return MultilinearPoly(self.n, out)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __neg__(self):
-        return MultilinearPoly(self.n, {m: -c for m, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return MultilinearPoly(
-                self.n, {m: c * other for m, c in self.coeffs.items()}
-            )
-        other = self._coerce(other)
-        out: dict[int, int | Fraction] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                key = m1 | m2
-                out[key] = out.get(key, 0) + c1 * c2
-        return MultilinearPoly(self.n, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers are not defined")
-        result = MultilinearPoly.constant(self.n, 1)
-        for _ in range(e):
-            result = result * self
-        return result
-
-    def _coerce(self, other) -> "MultilinearPoly":
-        if isinstance(other, MultilinearPoly):
-            if other.n != self.n:
-                raise ValueError("mixed variable counts")
-            return other
-        return MultilinearPoly.constant(self.n, other)
-
-    def __eq__(self, other):
-        if not isinstance(other, MultilinearPoly):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "MultilinearPoly(0)"
-        parts = []
-        for m in sorted(self.coeffs, key=lambda m: (m.bit_count(), m)):
-            vars_ = "*".join(f"x{i + 1}" for i in range(self.n) if m >> i & 1)
-            c = self.coeffs[m]
-            parts.append(f"{c}" if not vars_ else f"{c}*{vars_}")
-        return "MultilinearPoly(" + " + ".join(parts) + ")"
-
-
-def multilinear_reduce(n: int, expr) -> MultilinearPoly:
-    """Multilinear reduction of an expression tree.
-
-    Nodes: numbers, MultilinearPoly, ("x", i), ("+", *args), ("*", *args),
-    ("^", base, exponent).  Reduction is the image in the algebra with
-    x_i**2 = x_i, so anything that agrees on all 0/1 points agrees here.
-    """
-    if isinstance(expr, MultilinearPoly):
-        if expr.n != n:
-            raise ValueError("mixed variable counts")
-        return expr
-    if isinstance(expr, (int, Fraction)):
-        return MultilinearPoly.constant(n, expr)
-    if isinstance(expr, tuple) and expr:
-        op = expr[0]
-        if op == "x":
-            return MultilinearPoly.variable(n, expr[1])
-        if op == "+":
-            out = MultilinearPoly.constant(n, 0)
-            for sub in expr[1:]:
-                out = out + multilinear_reduce(n, sub)
-            return out
-        if op == "*":
-            out = MultilinearPoly.constant(n, 1)
-            for sub in expr[1:]:
-                out = out * multilinear_reduce(n, sub)
-            return out
-        if op == "^":
-            return multilinear_reduce(n, expr[1]) ** expr[2]
-    raise ValueError(f"cannot interpret expression node {expr!r}")
+# the most polynomials a builder enumerates: a larger system is refused
+# before any mask is listed
+_MAX_POLYS = 10**6
 
 
 class _ClosedForm(NamedTuple):
@@ -200,7 +51,8 @@ class _ClosedForm(NamedTuple):
     t: tuple[int, ...]
 
     def at(self, points) -> list[int]:
-        """The values at the 0/1 points given as masks."""
+        """The values at the 0/1 points given as masks, one by one: the
+        entry-wise reference for `where`."""
         fixed, free, t = self
         if fixed:
             return [t[(pt & free).bit_count()] if fixed & ~pt == 0 else 0 for pt in points]
@@ -220,10 +72,10 @@ class _ClosedForm(NamedTuple):
                 planes = _ripple_add(planes, holders[e])
         return _counting(planes, {c: among for c, val in enumerate(t) if keep(val)})
 
-    def poly(self, n: int) -> MultilinearPoly:
-        """Moebius inversion on the Boolean lattice: the coefficient on
-        x^(fixed + S), S inside free, is the |S|-th forward difference of
-        t at 0."""
+    def coeffs(self) -> dict[int, int]:
+        """The nonzero coefficients, monomial mask -> int, by Moebius
+        inversion on the Boolean lattice: the coefficient on x^(fixed + S),
+        S inside free, is the |S|-th forward difference of t at 0."""
         coeffs = {}
         diffs = list(self.t)
         for size in range(len(self.t)):
@@ -231,7 +83,7 @@ class _ClosedForm(NamedTuple):
                 for s in _subsets(self.free, size):
                     coeffs[self.fixed | s] = diffs[0]
             diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        return MultilinearPoly(n, coeffs)
+        return coeffs
 
 
 @dataclass
@@ -240,11 +92,9 @@ class ProofSystem:
 
     `order` is the proof ordering of the member masks (not necessarily the
     family's canonical order); `forms` maps block names to closed-form
-    polynomial lists and `blocks`, expanded from them at construction, to
-    the same polynomials as `MultilinearPoly`s; `probes` maps probe-group
-    names to mask tuples.  `matrix`, built on first access, holds the exact
-    evaluations, rows following the concatenated blocks and columns the
-    concatenated probe groups.
+    polynomial lists; `probes` maps probe-group names to mask tuples, the
+    0/1 points the pattern checks evaluate at; `meta` names the system and
+    its parameters (the prime `p` of a difference system among them).
     """
 
     family: SetFamily
@@ -253,19 +103,6 @@ class ProofSystem:
     probes: dict[str, tuple[int, ...]]
     forms: dict[str, list[_ClosedForm]]
     meta: dict = field(default_factory=dict)
-    blocks: dict[str, list[MultilinearPoly]] = field(init=False)
-
-    def __post_init__(self):
-        n = self.family.n
-        self.blocks = {name: [f.poly(n) for f in block] for name, block in self.forms.items()}
-
-    def all_polys(self) -> list[MultilinearPoly]:
-        return [poly for block in self.blocks.values() for poly in block]
-
-    @cached_property
-    def matrix(self) -> list[list[int]]:
-        points = [pt for group in self.probes.values() for pt in group]
-        return [form.at(points) for forms in self.forms.values() for form in forms]
 
 
 def _subsets(within: int, size: int):
@@ -278,6 +115,17 @@ def _masks_by_size(max_size: int, within: int) -> list[int]:
     """All masks inside `within` of popcount <= max_size, ordered by
     (size, numeric value)."""
     return [m for size in range(max_size + 1) for m in sorted(_subsets(within, size))]
+
+
+def _require_size(members: int, *mask_blocks: tuple[int, int]) -> None:
+    """Refuse a system of more than `_MAX_POLYS` polynomials, counted
+    before any mask is listed: one per member plus, for each (max_size,
+    bits) block, one per mask of popcount <= max_size over that many bits."""
+    total = members + sum(
+        comb(bits, size) for max_size, bits in mask_blocks for size in range(min(max_size, bits) + 1)
+    )
+    if total > _MAX_POLYS:
+        raise ValueError(f"the proof system has {total} polynomials, more than the limit of {_MAX_POLYS}")
 
 
 def _difference_forms(n: int, order, g: FactoredIntPoly) -> list[_ClosedForm]:
@@ -311,6 +159,7 @@ def build_diff_sperner_system(
     n = fam.n
     if n < 1:
         raise ValueError("need at least one ground element")
+    _require_size(len(fam), (g.degree - 1 if variant != "none" else -1, n - 1))
     top = 1 << (n - 1)
     without = [m for m in fam.members if not m & top]
     withn = [m for m in fam.members if m & top]
@@ -334,6 +183,7 @@ def build_diff_sperner_system(
         "g_roots": g.roots,
         "g_at_zero": g(0),
         "q": pp.q,
+        "p": pp.p,
     }
     return ProofSystem(fam, order, g.degree, probes, forms, meta)
 
@@ -362,6 +212,7 @@ def build_midband_system(fam: SetFamily, s: int, variant: str) -> ProofSystem:
     if variant == "sym":
         if not (n + 2 <= 3 * s and 2 * s <= n):
             raise ValueError(f"need (n+2)/3 <= s <= n/2, got n = {n}, s = {s}")
+        _require_size(len(fam), (s - 1, n - 1), (3 * s - n - 2, n - 1))
         top = 1 << (n - 1)
         without = [m for m in fam.members if not m & top]
         withn = [m for m in fam.members if m & top]
@@ -388,6 +239,7 @@ def build_midband_system(fam: SetFamily, s: int, variant: str) -> ProofSystem:
     else:
         if not (n + 1 <= 3 * s and 2 * s <= n):
             raise ValueError(f"need (n+1)/3 <= s <= n/2, got n = {n}, s = {s}")
+        _require_size(len(fam), (3 * s - n - 1, n))
         order = tuple(
             sorted(fam.members, key=lambda m: (-m.bit_count(), m))
         )
@@ -407,18 +259,17 @@ def build_midband_system(fam: SetFamily, s: int, variant: str) -> ProofSystem:
 
 
 def _sparse_rank(rows) -> int:
-    """Exact rank over Q of sparse rows (dicts column -> int or Fraction).
+    """Exact rank over Q of sparse integer rows (dicts column -> int, every
+    entry nonzero).
 
-    Each row, scaled to integers, is reduced at its least column against
-    the pivot kept there by row <- (a/g) row - (b/g) pivot (a, b the two
-    leading entries, g their gcd), then divided by its content.  The steps
-    are invertible and the pivots' leading columns distinct, so the rank
-    is the number of pivots.
+    Each row is reduced at its least column against the pivot kept there
+    by row <- (a/g) row - (b/g) pivot (a, b the two leading entries, g
+    their gcd), then divided by its content.  The steps are invertible and
+    the pivots' leading columns distinct, so the rank is the number of
+    pivots.  The rows passed in are not modified.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        scale = lcm(*(c.denominator for c in row.values()))
-        row = {m: int(c * scale) for m, c in row.items() if c}
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
@@ -454,13 +305,14 @@ class RankReport:
     stats: dict = field(default_factory=dict)
 
 
-def _padic_pattern(sys: ProofSystem, p: int) -> tuple[list[str], int]:
+def _padic_pattern(sys: ProofSystem) -> tuple[list[str], int]:
     """Valuation pattern that drives the difference-system argument: on the
     family probes, the P block has v_p(M[i][i]) = v_p(g(0)) and strictly
-    larger valuations off the diagonal.  M[i][j] = g(|A_i - A_j|), so the
-    diagonal is g(0) itself and v_p is needed on g(0..n) only.  Returns
-    the failures and the number of entries read."""
-    g0 = sys.meta["g_at_zero"]
+    larger valuations off the diagonal, p the system's prime.
+    M[i][j] = g(|A_i - A_j|), so the diagonal is g(0) itself and v_p is
+    needed on g(0..n) only.  Returns the failures and the number of
+    entries read."""
+    p, g0 = sys.meta["p"], sys.meta["g_at_zero"]
     v0 = _vp_int(p, g0) if g0 else None
     forms = sys.forms["P"]
     # the values an off-diagonal entry may not take, with their valuations
@@ -520,7 +372,7 @@ def _triangular_pattern(sys: ProofSystem) -> tuple[list[str], int]:
     return failures + window_failures, cells
 
 
-def verify_independence(sys: ProofSystem, p: int) -> RankReport:
+def verify_independence(sys: ProofSystem) -> RankReport:
     """Exact rank of the block polynomials over the rationals plus the
     valuation or triangular pattern the underlying argument relies on.
 
@@ -531,32 +383,32 @@ def verify_independence(sys: ProofSystem, p: int) -> RankReport:
     elimination time in seconds (`rank_s`), the matrix entries the pattern
     read (`pattern_cells`) and its time in seconds (`pattern_s`).
     """
-    polys = sys.all_polys()
+    rows = [form.coeffs() for forms in sys.forms.values() for form in forms]
     start = perf_counter()
-    rank = _sparse_rank(poly.coeffs for poly in polys)
+    rank = _sparse_rank(rows)
     rank_s = perf_counter() - start
     n = sys.family.n
     dimension = sum(comb(n, i) for i in range(min(sys.degree_cap, n) + 1))
     start = perf_counter()
     if sys.meta["system"] == "diff":
         pattern = "padic-diagonal"
-        failures, cells = _padic_pattern(sys, p)
+        failures, cells = _padic_pattern(sys)
     else:
         pattern = "triangular"
         failures, cells = _triangular_pattern(sys)
     pattern_s = perf_counter() - start
     return RankReport(
         rank=rank,
-        total_polys=len(polys),
-        full_rank=rank == len(polys),
+        total_polys=len(rows),
+        full_rank=rank == len(rows),
         dimension=dimension,
-        block_sizes={name: len(block) for name, block in sys.blocks.items()},
+        block_sizes={name: len(forms) for name, forms in sys.forms.items()},
         pattern=pattern,
         pattern_ok=not failures,
         pattern_failures=failures,
         stats={
-            "columns": len({m for poly in polys for m in poly.coeffs}),
-            "nonzeros": sum(len(poly.coeffs) for poly in polys),
+            "columns": len(set().union(*rows)),
+            "nonzeros": sum(map(len, rows)),
             "rank_s": rank_s,
             "pattern_cells": cells,
             "pattern_s": pattern_s,

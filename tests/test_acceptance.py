@@ -210,7 +210,7 @@ def test_criterion_8_independence_verification():
         witness = max_family(spec).witness
         g = canonical_interval_poly(L)
         system = build_diff_sperner_system(witness, g, pp, "minus")
-        report = verify_independence(system, pp.p)
+        report = verify_independence(system)
         assert report.full_rank, (pp.q, b, s, n)
         assert report.rank == len(witness) + report.block_sizes["F"]
         assert report.pattern_ok
@@ -236,7 +236,7 @@ def test_criterion_8_independence_verification():
         mutated = SetFamily(witness.n, tuple(members))
         assert not satisfies(spec, mutated)
         system = build_diff_sperner_system(mutated, canonical_interval_poly(L), pp, "minus")
-        report = verify_independence(system, pp.p)
+        report = verify_independence(system)
         assert not report.pattern_ok, (pp.q, b, s, n)
         mutated_checked += 1
     assert mutated_checked == 20

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -417,6 +418,37 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         code, doc = run_json(capsys, argv)
         assert code == EXIT_USAGE
+        assert doc == {"schema": 1, "status": "error", "payload": {}, "diagnostics": [message]}
+
+    @pytest.mark.parametrize(
+        "members, argv, count",
+        [
+            (
+                [{1, 2}, {64}],
+                ["--kind", "diff-sperner", "--q", "32", "--L", "1..16"],
+                2 + sum(math.comb(63, i) for i in range(16)),
+            ),
+            (
+                [range(1, 21), range(21, 41)],
+                ["--kind", "diff-sperner", "--variant", "sym", "--s", "20"],
+                2 + sum(math.comb(39, i) for i in range(20)) + sum(math.comb(39, i) for i in range(19)),
+            ),
+            (
+                [range(1, 21), range(21, 41)],
+                ["--kind", "close-sperner", "--variant", "close", "--s", "20"],
+                2 + sum(math.comb(40, i) for i in range(20)),
+            ),
+        ],
+        ids=["diff", "sym", "close"],
+    )
+    def test_verify_refuses_an_oversized_system(self, tmp_path, capsys, members, argv, count):
+        """The polynomials are counted before any index or window mask is
+        listed, so a system of about 10**14 polynomials is refused at once."""
+        fam = tmp_path / "fam.txt"
+        fam.write_text(format_family(SetFamily.from_sets(max(map(max, members)), members)))
+        code, doc = run_json(capsys, ["verify", "--file", str(fam), *argv])
+        assert code == EXIT_USAGE
+        message = f"the proof system has {count} polynomials, more than the limit of 1000000"
         assert doc == {"schema": 1, "status": "error", "payload": {}, "diagnostics": [message]}
 
     # the commands that read a family file

@@ -15,10 +15,10 @@ from qsperner.families import (
     SetFamily,
     _accepted,
     _admissible,
-    _build_graph,
     _CliqueSearch,
     _color_sort,
     _first_violation,
+    _graph_with_holders,
     _holders,
     _orbits,
     _refine,
@@ -808,7 +808,7 @@ class TestGraphOracle:
                         spec = ConstraintSpec(kind=kind, n=n, modulus=pp, uniform_residue=variant)
                     else:
                         spec = ConstraintSpec(kind=kind, n=n, L=variant, modulus=pp)
-                    verts, adj = _build_graph(spec)
+                    verts, adj = _graph_with_holders(spec)[:2]
                     assert (verts, adj) == pairwise_graph(spec), spec
                     edgeless += n >= 2 and not any(adj)
         # every kind but antichain has a spec with several vertices and no edge

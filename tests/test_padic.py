@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from qsperner.padic import (
     INFINITY,
-    DigitVector,
     PrimePower,
     Valuation,
     _lucas_nondivisible,
@@ -235,7 +234,3 @@ class TestDigits:
                     break
                 trailing += 1
             assert vp(3, s) == trailing
-
-    def test_least_significant_first_helper(self):
-        dv = DigitVector((0, 1, 1), 3)
-        assert dv.least_significant_first() == (1, 1, 0)

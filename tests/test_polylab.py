@@ -11,14 +11,12 @@ from qsperner.bounds import first_zero_separator
 from qsperner.families import ConstraintSpec, Kind, SetFamily, max_family
 from qsperner.padic import PrimePower, vp
 from qsperner.polylab import (
-    MultilinearPoly,
     _masks_by_size,
     _padic_pattern,
     _sparse_rank,
     _triangular_pattern,
     build_diff_sperner_system,
     build_midband_system,
-    multilinear_reduce,
     verify_independence,
 )
 from qsperner.seppoly import FactoredIntPoly
@@ -44,103 +42,38 @@ def fraction_rank(rows):
     return rank
 
 
-class TestMultilinear:
-    def test_power_collapse(self):
-        assert multilinear_reduce(2, ("*", ("x", 1), ("x", 1), ("x", 2))) == (
-            MultilinearPoly(2, {0b11: Fraction(1)})
-        )
+def mul(f, g):
+    """Oracle: the product of two multilinear polynomials, given as dicts
+    monomial mask -> coefficient, reduced by x_i**2 = x_i."""
+    out = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            out[m1 | m2] = out.get(m1 | m2, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
-    def test_square_of_sum(self):
-        got = multilinear_reduce(2, ("^", ("+", ("x", 1), ("x", 2)), 2))
-        assert got == MultilinearPoly(
-            2, {0b01: Fraction(1), 0b10: Fraction(1), 0b11: Fraction(2)}
-        )
 
-    def test_constant(self):
-        assert multilinear_reduce(3, 5) == MultilinearPoly.constant(3, 5)
+def evaluate(f, point):
+    """Oracle: the value of f at the 0/1 point given as a mask, term by term."""
+    return sum(c for m, c in f.items() if m & ~point == 0)
 
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_agrees_on_boolean_points(self, data):
-        n = data.draw(st.integers(2, 5))
 
-        def expr(depth):
-            if depth == 0:
-                return data.draw(
-                    st.one_of(
-                        st.integers(-3, 3),
-                        st.tuples(st.just("x"), st.integers(1, n)),
-                    )
-                )
-            op = data.draw(st.sampled_from(["+", "*", "^"]))
-            if op == "^":
-                return ("^", expr(depth - 1), data.draw(st.integers(0, 3)))
-            return (op, expr(depth - 1), expr(depth - 1))
+def degree(f):
+    return max((m.bit_count() for m in f), default=0)
 
-        tree = expr(3)
 
-        def eval_plain(node, point):
-            if isinstance(node, int):
-                return node
-            if node[0] == "x":
-                return point >> (node[1] - 1) & 1
-            if node[0] == "+":
-                return sum(eval_plain(sub, point) for sub in node[1:])
-            if node[0] == "*":
-                out = 1
-                for sub in node[1:]:
-                    out *= eval_plain(sub, point)
-                return out
-            return eval_plain(node[1], point) ** node[2]
+def matrix(sys_):
+    """The evaluation matrix: rows follow the concatenated blocks, columns
+    the concatenated probe groups."""
+    points = [pt for group in sys_.probes.values() for pt in group]
+    return [form.at(points) for forms in sys_.forms.values() for form in forms]
 
-        reduced = multilinear_reduce(n, tree)
-        for point in range(1 << n):
-            assert reduced.evaluate(point) == eval_plain(tree, point)
 
-    def test_int_and_fraction_coefficients_compare_equal(self):
-        as_ints = MultilinearPoly(3, {0: 2, 0b101: -3})
-        as_fractions = MultilinearPoly(3, {0: Fraction(4, 2), 0b101: Fraction(-3)})
-        assert as_ints == as_fractions
-        assert all(type(c) is int for c in as_fractions.coeffs.values())
-        assert MultilinearPoly.constant(3, Fraction(1, 3)) * 3 == MultilinearPoly.constant(3, 1)
-
-    def test_fraction_scalar_stays_exact(self):
-        x = MultilinearPoly.variable(2, 1)
-        half = x * Fraction(1, 2)
-        assert half.coeffs == {0b01: Fraction(1, 2)}
-        assert half.evaluate(0b01) == Fraction(1, 2)
-        assert half.evaluate(0b10) == 0
-        assert half + half == x
-        assert type((half * 2).coeffs[0b01]) is int
-
-    @given(
-        st.dictionaries(
-            st.integers(0, 15),
-            st.one_of(st.integers(-50, 50), st.fractions(max_denominator=9)),
-            max_size=10,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_evaluate_matches_fraction_evaluation(self, coeffs):
-        poly = MultilinearPoly(4, coeffs)
-        integral = all(type(c) is int for c in poly.coeffs.values())
-        for point in range(16):
-            expected = Fraction(0)
-            for m, c in coeffs.items():
-                if m & ~point == 0:
-                    expected += Fraction(c)
-            got = poly.evaluate(point)
-            assert got == expected
-            assert type(got) is int or not integral
-
-    def test_degree_and_affine(self):
-        p = MultilinearPoly.affine(3, 2, {1: -1, 3: -1})
-        assert p.degree == 1
-        assert p.evaluate(0b101) == 0
+def coefficient_rows(sys_):
+    return [form.coeffs() for forms in sys_.forms.values() for form in forms]
 
 
 def sparse_rank(rows):
-    return _sparse_rank({j: x for j, x in enumerate(row)} for row in rows)
+    return _sparse_rank({j: x for j, x in enumerate(row) if x} for row in rows)
 
 
 @st.composite
@@ -170,41 +103,17 @@ class TestSparseRank:
     def test_matches_fraction_elimination(self, rows):
         assert sparse_rank(rows) == fraction_rank(rows)
 
-    @given(st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_fraction_coefficients_in_a_proof_system(self, data):
-        """Non-integral coefficients go through the denominator scaling."""
-        pp3 = PrimePower.from_q(3)
-        fam = SetFamily.from_sets(4, [{1}, {2}, {3, 4}, {1, 2, 4}])
-        sys_ = build_diff_sperner_system(fam, FactoredIntPoly(1, (1, 2)), pp3)
-        polys = sys_.all_polys()
-        scales = st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool)
-        mixed = []
-        for poly in polys:
-            if mixed and data.draw(st.booleans()):
-                # a rational combination of the earlier rows
-                picks = data.draw(st.lists(st.sampled_from(mixed), min_size=1, max_size=3))
-                poly = MultilinearPoly(4)
-                for earlier in picks:
-                    poly = poly + earlier * data.draw(scales)
-            else:
-                poly = poly * data.draw(scales)
-            mixed.append(poly)
-        support = sorted({m for p in mixed for m in p.coeffs})
-        rows = [[p.coeffs.get(m, 0) for m in support] for p in mixed]
-        assert _sparse_rank(p.coeffs for p in mixed) == fraction_rank(rows)
-
     def test_blocks_follow_the_closed_forms(self):
-        """The blocks are expanded from the forms, so a system can never be
-        ranked on one set of polynomials and pattern-checked on another."""
+        """Rank, sizes and pattern all read the forms, so a system can never
+        be ranked on one set of polynomials and pattern-checked on another."""
         pp3 = PrimePower.from_q(3)
         fam = SetFamily.from_sets(4, [{1}, {2}, {3, 4}, {1, 2, 4}])
         sys_ = build_diff_sperner_system(fam, FactoredIntPoly(1, (1, 2)), pp3)
-        with pytest.raises(ValueError, match="init=False"):
-            dataclasses.replace(sys_, blocks={"P": []})
         only_p = dataclasses.replace(sys_, forms={"P": sys_.forms["P"]})
-        assert only_p.blocks == {"P": sys_.blocks["P"]}
-        assert verify_independence(only_p, 3).block_sizes == {"P": len(fam)}
+        report = verify_independence(only_p)
+        assert report.block_sizes == {"P": len(fam)}
+        assert report.total_polys == len(fam)
+        assert report.stats["nonzeros"] == sum(map(len, coefficient_rows(only_p)))
 
 
 class TestDiffSystem:
@@ -212,19 +121,16 @@ class TestDiffSystem:
         pp3 = PrimePower.from_q(3)
         fam = SetFamily.from_sets(2, [{1}, {2}])
         sys_ = build_diff_sperner_system(fam, FactoredIntPoly(1, (1, 2)), pp3)
-        assert [row[:2] for row in sys_.matrix[:2]] == [
-            [Fraction(2), Fraction(0)],
-            [Fraction(0), Fraction(2)],
-        ]
+        assert [row[:2] for row in matrix(sys_)[:2]] == [[2, 0], [0, 2]]
 
     def test_diagonal_is_g_at_zero(self):
         pp2 = PrimePower.from_q(2)
         fam = SetFamily.from_sets(4, [{1}, {2}, {3}, {1, 2, 3}])
         g = FactoredIntPoly(1, (1,))
         sys_ = build_diff_sperner_system(fam, g, pp2)
-        m = len(fam)
-        for i in range(m):
-            assert sys_.matrix[i][i] == g(0)
+        rows = matrix(sys_)
+        for i in range(len(fam)):
+            assert rows[i][i] == g(0)
 
     def test_index_block_count(self):
         pp2 = PrimePower.from_q(2)
@@ -235,7 +141,7 @@ class TestDiffSystem:
         expected_t = sum(
             len(list(itertools.combinations(range(4), i))) for i in range(d)
         )
-        assert len(sys_.blocks["F"]) == expected_t
+        assert len(sys_.forms["F"]) == expected_t
 
     def test_members_reordered_around_last_element(self):
         pp2 = PrimePower.from_q(2)
@@ -249,7 +155,7 @@ class TestDiffSystem:
         spec = ConstraintSpec(kind=Kind.DIFF_SPERNER, n=4, L={1}, modulus=pp2)
         witness = max_family(spec).witness
         sys_ = build_diff_sperner_system(witness, FactoredIntPoly(1, (1,)), pp2)
-        report = verify_independence(sys_, 2)
+        report = verify_independence(sys_)
         assert report.full_rank
         assert report.rank == len(witness) + report.block_sizes["F"]
         assert report.pattern_ok
@@ -261,7 +167,7 @@ class TestDiffSystem:
         sys_ = build_diff_sperner_system(
             SetFamily(4, ()), FactoredIntPoly(1, (1, 2)), pp2
         )
-        report = verify_independence(sys_, 2)
+        report = verify_independence(sys_)
         assert report.block_sizes == {"P": 0, "F": 4}
         assert report.rank == 4
 
@@ -270,7 +176,7 @@ class TestDiffSystem:
         # {1} inside {1,2} gives a zero difference, hitting the diagonal value
         fam = SetFamily.from_sets(4, [{1}, {1, 2}])
         sys_ = build_diff_sperner_system(fam, FactoredIntPoly(1, (1,)), pp2)
-        report = verify_independence(sys_, 2)
+        report = verify_independence(sys_)
         assert not report.pattern_ok
         assert report.pattern_failures
 
@@ -281,12 +187,6 @@ class TestDiffSystem:
         xn_low = [m & ~(1 << 2) for m in sys_.order if m >> 2 & 1]
         assert list(sys_.probes["family_shifted"]) == xn_low
 
-    def test_rank_invariant_under_prime_choice(self):
-        pp2 = PrimePower.from_q(2)
-        fam = SetFamily.from_sets(4, [{1}, {2}, {3}])
-        sys_ = build_diff_sperner_system(fam, FactoredIntPoly(1, (1,)), pp2)
-        assert verify_independence(sys_, 2).rank == verify_independence(sys_, 5).rank
-
 
 class TestMidbandSystems:
     def sym_system(self):
@@ -296,32 +196,28 @@ class TestMidbandSystems:
 
     def test_sym_block_budget(self):
         sys_ = self.sym_system()
-        m = len(sys_.blocks["P"])
-        t = len(sys_.blocks["F"])
-        T = len(sys_.blocks["H"])
-        dim = verify_independence(sys_, 5).dimension
+        m = len(sys_.forms["P"])
+        t = len(sys_.forms["F"])
+        T = len(sys_.forms["H"])
+        dim = verify_independence(sys_).dimension
         assert m + t + T <= dim
         assert T == 1  # subsets of [n-1] of size <= 3s-n-2 = 0
 
     def test_sym_window_vanishing_and_rank(self):
         sys_ = self.sym_system()
-        report = verify_independence(sys_, 5)
+        report = verify_independence(sys_)
         assert report.pattern_ok
         assert report.full_rank
 
     def test_sym_degree_cap(self):
         sys_ = self.sym_system()
-        assert all(
-            poly.degree <= sys_.degree_cap
-            for block in sys_.blocks.values()
-            for poly in block
-        )
+        assert all(degree(row) <= sys_.degree_cap for row in coefficient_rows(sys_))
 
     def test_close_triangular_laws(self):
         spec = ConstraintSpec(kind=Kind.CLOSE_SPERNER, n=5, L={1, 2})
         witness = max_family(spec).witness
         sys_ = build_midband_system(witness, 2, "close")
-        report = verify_independence(sys_, 5)
+        report = verify_independence(sys_)
         assert report.pattern_ok
         assert report.full_rank
         sizes = [m.bit_count() for m in sys_.order]
@@ -341,7 +237,7 @@ class TestMidbandSystems:
         # a containment pair (skew distance 0) breaks the triangular law
         fam = SetFamily.from_sets(5, [{1, 2}, {1, 2, 3}])
         sys_ = build_midband_system(fam, 2, "close")
-        report = verify_independence(sys_, 5)
+        report = verify_independence(sys_)
         assert not report.pattern_ok
         assert report.pattern_failures
 
@@ -351,10 +247,11 @@ class TestRankOracle:
         pp2 = PrimePower.from_q(2)
         fam = SetFamily.from_sets(4, [{1}, {2}, {3}, {4}])
         sys_ = build_diff_sperner_system(fam, FactoredIntPoly(1, (1,)), pp2)
-        polys = sys_.all_polys()
-        support = sorted({m for p in polys for m in p.coeffs})
-        rows = [[p.coeffs.get(m, Fraction(0)) for m in support] for p in polys]
-        assert verify_independence(sys_, 2).rank == fraction_rank(rows)
+        rows = coefficient_rows(sys_)
+        support = sorted(set().union(*rows))
+        assert verify_independence(sys_).rank == fraction_rank(
+            [[row.get(m, 0) for m in support] for row in rows]
+        )
 
 
 def product_blocks(sys_):
@@ -363,37 +260,36 @@ def product_blocks(sys_):
     and the window product over the head variables times x^c."""
     n = sys_.family.n
     meta = sys_.meta
-    xn = MultilinearPoly.variable(n, n)
+    xn = 1 << (n - 1)
 
     def differences(g):
         polys = []
         for mask in sys_.order:
-            weights = {i + 1: -1 for i in range(n) if mask >> i & 1}
-            prod = MultilinearPoly.constant(n, g.lead)
+            weights = {1 << i: -1 for i in range(n) if mask >> i & 1}
+            prod = {0: g.lead}
             for r in g.roots:
-                prod = prod * MultilinearPoly.affine(n, mask.bit_count() - r, weights)
+                prod = mul(prod, {0: mask.bit_count() - r, **weights})
             polys.append(prod)
         return polys
 
     def windows(lo, hi, head_size):
-        window = MultilinearPoly.constant(n, 1)
-        head_sum = MultilinearPoly(n, {1 << i: 1 for i in range(head_size)})
+        window = {0: 1}
         for c in range(lo, hi + 1):
-            window = window * (head_sum - c)
-        return [window * MultilinearPoly.monomial(n, c) for c in sys_.probes["window_masks"]]
+            window = mul(window, {0: -c, **{1 << i: 1 for i in range(head_size)}})
+        return [mul(window, {c: 1}) for c in sys_.probes["window_masks"]]
 
     def index_block(factor):
-        return [factor * MultilinearPoly.monomial(n, b) for b in sys_.probes["index_masks"]]
+        return [mul(factor, {b: 1}) for b in sys_.probes["index_masks"]]
 
     if meta["system"] == "diff":
         blocks = {"P": differences(FactoredIntPoly(meta["g_lead"], meta["g_roots"]))}
         if meta["variant"] != "none":
-            blocks["F"] = index_block(xn - 1 if meta["variant"] == "minus" else xn)
+            blocks["F"] = index_block({0: -1, xn: 1} if meta["variant"] == "minus" else {xn: 1})
         return blocks
     s = meta["s"]
     g = FactoredIntPoly(1, tuple(range(1, s + 1)))
     if meta["system"] == "sym":
-        return {"P": differences(g), "F": index_block(xn - 1), "H": windows(s - 1, n - s, n - 1)}
+        return {"P": differences(g), "F": index_block({0: -1, xn: 1}), "H": windows(s - 1, n - s, n - 1)}
     return {"P": differences(g), "H": windows(s, n - s, n)}
 
 
@@ -429,16 +325,18 @@ class TestClosedForms:
     @settings(max_examples=60, deadline=None)
     def test_every_matrix_entry_is_an_evaluation(self, sys_):
         points = [pt for group in sys_.probes.values() for pt in group]
-        polys = sys_.all_polys()
-        assert len(sys_.matrix) == len(polys)
-        for poly, row in zip(polys, sys_.matrix):
-            assert row == [poly.evaluate(pt) for pt in points]
+        polys = [poly for block in product_blocks(sys_).values() for poly in block]
+        rows = matrix(sys_)
+        assert len(rows) == len(polys)
+        for poly, row in zip(polys, rows):
+            assert row == [evaluate(poly, pt) for pt in points]
 
     @given(proof_systems())
     @settings(max_examples=60, deadline=None)
     def test_moebius_polynomials_equal_product_build(self, sys_):
-        assert sys_.blocks == product_blocks(sys_)
-        assert all(poly.degree <= sys_.degree_cap for poly in sys_.all_polys())
+        moebius = {name: [form.coeffs() for form in forms] for name, forms in sys_.forms.items()}
+        assert moebius == product_blocks(sys_)
+        assert all(degree(row) <= sys_.degree_cap for row in coefficient_rows(sys_))
 
     def test_masks_by_size_matches_full_scan(self):
         rng = random.Random(7)
@@ -459,7 +357,7 @@ class TestClosedForms:
         pp8 = PrimePower.from_q(8)
         g = first_zero_separator(pp8, (1, 2, 3, 4, 5))[1]
         fam = SetFamily(13, tuple(m for m in range(1 << 13) if m.bit_count() == 5))
-        report = verify_independence(build_diff_sperner_system(fam, g, pp8), pp8.p)
+        report = verify_independence(build_diff_sperner_system(fam, g, pp8))
         assert (report.rank, report.total_polys) == (2081, 2081)
         assert report.pattern_ok
         assert report.stats["pattern_cells"] == 1287 * 1287
@@ -470,8 +368,8 @@ class TestSymPattern:
         # |{4,5,6,7} - {1,2,3}| = 4 lies outside L = [3]: P is [[-6, 0], [6, -6]]
         fam = SetFamily.from_sets(7, [{1, 2, 3}, {4, 5, 6, 7}])
         sys_ = build_midband_system(fam, 3, "sym")
-        assert [row[:2] for row in sys_.matrix[:2]] == [[-6, 0], [6, -6]]
-        report = verify_independence(sys_, 2)
+        assert [row[:2] for row in matrix(sys_)[:2]] == [[-6, 0], [6, -6]]
+        report = verify_independence(sys_)
         assert (report.rank, report.total_polys) == (25, 25)
         assert not report.pattern_ok
         assert report.pattern_failures == ["P entry (1, 0) below the diagonal is nonzero"]
@@ -479,13 +377,13 @@ class TestSymPattern:
         assert report.stats["pattern_cells"] == 7
 
 
-def pattern_failures_by_entries(sys_, p):
+def pattern_failures_by_entries(sys_):
     """Oracle: the pattern failures of `verify_independence`, reading every
     matrix entry the pattern covers one by one through `_ClosedForm.at`."""
     fam = sys_.probes["family"]
     failures = []
     if sys_.meta["system"] == "diff":
-        g0 = sys_.meta["g_at_zero"]
+        p, g0 = sys_.meta["p"], sys_.meta["g_at_zero"]
         v0 = vp(p, g0).value if g0 else None
         for i, form in enumerate(sys_.forms["P"]):
             for j, val in enumerate(form.at(fam)):
@@ -515,7 +413,7 @@ def pattern_failures_by_entries(sys_, p):
 
 
 def seeded_systems(rng, count):
-    """(system, p) over every variant: random families of mixed sizes, layers
+    """Systems of every variant: random families of mixed sizes, layers
     and layers with one member replaced by a proper subset."""
     out = []
     for _ in range(count):
@@ -540,22 +438,22 @@ def seeded_systems(rng, count):
                 members = (members - {victim}) | {victim & (victim - 1)}
         fam = SetFamily(n, tuple(sorted(members)))
         if variant in ("sym", "close"):
-            out.append((build_midband_system(fam, s, variant), rng.choice([2, 3, 5])))
+            out.append(build_midband_system(fam, s, variant))
             continue
         roots = tuple(rng.randint(-2, n + 2) for _ in range(rng.randint(1, 4)))
         g = FactoredIntPoly(rng.choice([1, 2, -3]), roots)
         pp = PrimePower.from_q(rng.choice([2, 3, 4, 5, 7, 8, 9]))
-        out.append((build_diff_sperner_system(fam, g, pp, variant), pp.p))
+        out.append(build_diff_sperner_system(fam, g, pp, variant))
     return out
 
 
 class TestPatternOracle:
     def test_failures_match_entry_by_entry(self):
         failing = {}
-        for sys_, p in seeded_systems(random.Random(31), 600):
-            expected = pattern_failures_by_entries(sys_, p)
+        for sys_ in seeded_systems(random.Random(31), 600):
+            expected = pattern_failures_by_entries(sys_)
             if sys_.meta["system"] == "diff":
-                got = _padic_pattern(sys_, p)[0]
+                got = _padic_pattern(sys_)[0]
             else:
                 got = _triangular_pattern(sys_)[0]
             assert got == expected, (sys_.meta, sys_.family)
@@ -571,6 +469,6 @@ class TestPatternOracle:
         victim = layer[200]
         fam = SetFamily(13, tuple(victim & (victim - 1) if m == victim else m for m in layer))
         sys_ = build_diff_sperner_system(fam, g, pp8)
-        report = verify_independence(sys_, pp8.p)
+        report = verify_independence(sys_)
         assert report.pattern_failures
-        assert report.pattern_failures == pattern_failures_by_entries(sys_, pp8.p)
+        assert report.pattern_failures == pattern_failures_by_entries(sys_)
