@@ -14,6 +14,12 @@ COUNTED, one `calls <module>.<name> <count>` line each: counts that do not
 depend on the machine, taken by wrapping the functions at every name the
 `qsperner` modules hold them by, for the duration of this script only.
 
+Last it prints `seppoly-sha256`, a digest of the certificate that the
+second route, `bound_from_seppoly`, gives on every modular difference,
+Hamming and intersecting spec among them: with `first_zero_separator`'s
+polynomial for the first two kinds, and by the default per-alpha
+construction for the intersecting kind.
+
 Usage:
   python3 scripts/cert_digest.py
 """
@@ -28,7 +34,8 @@ sys.dont_write_bytecode = True  # leave perfbench/ as checked out
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from qsperner.bounds import best_bound
+from qsperner.bounds import best_bound, bound_from_seppoly, first_zero_separator
+from qsperner.families import Kind
 from workloads import N_CHOICES, make_spec, random_strata, table_strata
 
 COUNTED = (
@@ -71,6 +78,18 @@ def specs():
             yield make_spec(kind, n, q, L)
 
 
+def seppoly_certificate(spec):
+    """`bound_from_seppoly`'s certificate for a modular difference, Hamming
+    or intersecting spec, or None for any other spec."""
+    if spec.modulus is None:
+        return None
+    if spec.kind in (Kind.DIFF_SPERNER, Kind.HAMMING):
+        return bound_from_seppoly(spec, first_zero_separator(spec.modulus, tuple(sorted(spec.L)))[1])
+    if spec.kind is Kind.INTERSECTING:
+        return bound_from_seppoly(spec)
+    return None
+
+
 def main() -> int:
     calls = count_calls()
     digest = hashlib.sha256()
@@ -83,6 +102,13 @@ def main() -> int:
     print(f"sha256 {digest.hexdigest()}")
     for home, name in COUNTED:
         print(f"calls {home}.{name} {calls[f'{home}.{name}']}")
+    digest = hashlib.sha256()
+    for spec in specs():
+        cert = seppoly_certificate(spec)
+        if cert is not None:
+            digest.update(repr(cert).encode())
+            digest.update(b"\n")
+    print(f"seppoly-sha256 {digest.hexdigest()}")
     return 0
 
 

@@ -637,6 +637,54 @@ PINNED_CERTIFICATES = [
         ],
         id="lifted Hamming",
     ),
+    pytest.param(
+        "diff-sperner", 4, (1, 2, 3), None, 6,
+        [
+            "BoundCertificate(theorem_id='R5', hypotheses=(('family is 4-modular L-differencing Sperner', True), ('modulus 4 is a prime power', True), ('L = [1, 3], the full nonzero residue range', True)), bound=BinomSum(lower=0, upper=3, column='n-1', value=26), auxiliary=None)",
+            "BoundCertificate(theorem_id='R8', hypotheses=(('family is 4-modular L-differencing Sperner', True), ('modulus 4 is a prime power', True), ('L is the interval {1..3}', True)), bound=BinomSum(lower=0, upper=3, column='n-1', value=26), auxiliary={'branches': {'closure': 26, 'doubling': 57, 'prime-square': 63}, 'winner': 'closure', 'closure_length_bound': 3})",
+            "BoundCertificate(theorem_id='R4', hypotheses=(('family is 4-modular L-differencing Sperner', True), ('modulus 4 is a prime power', True), ('L is the interval {1..3}', True), ('2 does not divide C(3, 3)', True)), bound=BinomSum(lower=0, upper=3, column='n-1', value=26), auxiliary={'b': 3, 's': 3})",
+            "BoundCertificate(theorem_id='R22', hypotheses=(('family is 4-modular L-differencing Sperner', True), ('modulus 4 is a prime power', True), ('candidate roots from given residues', True), ('polynomial separates 0 from L modulo q', True), ('shifted condition over u-1 holds, granting the n-1 column', True)), bound=BinomSum(lower=0, upper=3, column='n-1', value=26), auxiliary={'roots': [1, 2, 3], 'lead': 1, 'v0': 1, 'shifted_minus_ok': True, 'shifted_plus_ok': True})",
+            "BoundCertificate(theorem_id='R7', hypotheses=(('family is 4-modular L-differencing Sperner', True), ('modulus 4 is a prime power', True), ('sum of element valuations 1 < k = 2', True)), bound=BinomSum(lower=0, upper=3, column='n', value=42), auxiliary=None)",
+            "BoundCertificate(theorem_id='R6', hypotheses=(('family is 4-modular L-differencing Sperner', True), ('modulus 4 is a prime power', True), ('L is the arithmetic progression 1 + 1*[0, 2]', True), ('sum of valuations 1 < max((s-1)v(d)+v(q), s v(d)+v(s!)+1) = 2', True)), bound=BinomSum(lower=0, upper=3, column='n', value=42), auxiliary={'a': 1, 'd': 1})",
+            "BoundCertificate(theorem_id='R9', hypotheses=(('family is 4-modular L-differencing Sperner', True), ('modulus 4 is a prime power', True), ('L within [1, 3]', True), ('worst-case separating degree 2^(s-1) = 4', True)), bound=BinomSum(lower=0, upper=4, column='n', value=57), auxiliary=None)",
+        ],
+        id="R5 full range",
+    ),
+    pytest.param(
+        "diff-sperner", None, (1, 2), None, 4,
+        [
+            "BoundCertificate(theorem_id='R10', hypotheses=(('family is L-differencing Sperner (non-modular)', True), ('L = [2]', True), ('(n+2)/3 <= s <= n/2 with n = 4, s = 2', True)), bound=BinomSum(lower=1, upper=2, column='n-1', value=6), auxiliary=None)",
+            "BoundCertificate(theorem_id='R12', hypotheses=(('family is L-differencing Sperner, hence L-close Sperner', True), ('L = [2]', True), ('(n+1)/3 <= s <= n/2 with n = 4, s = 2', True)), bound=BinomSum(lower=2, upper=2, column='n', value=6), auxiliary=None)",
+            "BoundCertificate(theorem_id='R2', hypotheses=(('family is 5-modular L-differencing Sperner', True), ('modulus 5 is prime', True), ('L within [1, 4]', True), ('non-modular constraint read modulo p = 5, the smallest prime exceeding max(L) and n', True)), bound=BinomSum(lower=0, upper=2, column='n-1', value=7), auxiliary=None)",
+            "BoundCertificate(theorem_id='R8', hypotheses=(('family is 5-modular L-differencing Sperner', True), ('modulus 5 is a prime power', True), ('L is the interval {1..2}', True), ('non-modular constraint read modulo p = 5, the smallest prime exceeding max(L) and n', True)), bound=BinomSum(lower=0, upper=2, column='n-1', value=7), auxiliary={'branches': {'closure': 7, 'doubling': 11}, 'winner': 'closure', 'closure_length_bound': 2})",
+            "BoundCertificate(theorem_id='R4', hypotheses=(('family is 5-modular L-differencing Sperner', True), ('modulus 5 is a prime power', True), ('L is the interval {1..2}', True), ('5 does not divide C(2, 2)', True), ('non-modular constraint read modulo p = 5, the smallest prime exceeding max(L) and n', True)), bound=BinomSum(lower=0, upper=2, column='n-1', value=7), auxiliary={'b': 2, 's': 2})",
+            "BoundCertificate(theorem_id='R22', hypotheses=(('family is 5-modular L-differencing Sperner', True), ('modulus 5 is a prime power', True), ('candidate roots from given residues', True), ('polynomial separates 0 from L modulo q', True), ('shifted condition over u-1 holds, granting the n-1 column', True), ('non-modular constraint read modulo p = 5, the smallest prime exceeding max(L) and n', True)), bound=BinomSum(lower=0, upper=2, column='n-1', value=7), auxiliary={'roots': [1, 2], 'lead': 1, 'v0': 0, 'shifted_minus_ok': True, 'shifted_plus_ok': True})",
+            "BoundCertificate(theorem_id='R11', hypotheses=(('family is L-differencing Sperner, hence L-close Sperner', True), ('L is a set of positive integers', True)), bound=BinomSum(lower=0, upper=2, column='n', value=11), auxiliary=None)",
+            "BoundCertificate(theorem_id='R7', hypotheses=(('family is 5-modular L-differencing Sperner', True), ('modulus 5 is a prime power', True), ('sum of element valuations 0 < k = 1', True), ('non-modular constraint read modulo p = 5, the smallest prime exceeding max(L) and n', True)), bound=BinomSum(lower=0, upper=2, column='n', value=11), auxiliary=None)",
+            "BoundCertificate(theorem_id='R6', hypotheses=(('family is 5-modular L-differencing Sperner', True), ('modulus 5 is a prime power', True), ('L is the arithmetic progression 1 + 1*[0, 1]', True), ('sum of valuations 0 < max((s-1)v(d)+v(q), s v(d)+v(s!)+1) = 1', True), ('non-modular constraint read modulo p = 5, the smallest prime exceeding max(L) and n', True)), bound=BinomSum(lower=0, upper=2, column='n', value=11), auxiliary={'a': 1, 'd': 1})",
+            "BoundCertificate(theorem_id='R9', hypotheses=(('family is 5-modular L-differencing Sperner', True), ('modulus 5 is a prime power', True), ('L within [1, 4]', True), ('worst-case separating degree 2^(s-1) = 2', True), ('non-modular constraint read modulo p = 5, the smallest prime exceeding max(L) and n', True)), bound=BinomSum(lower=0, upper=2, column='n', value=11), auxiliary=None)",
+        ],
+        id="R10 direct diff",
+    ),
+    pytest.param(
+        "diff-sperner", 5, (1, 3), None, 5,
+        [
+            "BoundCertificate(theorem_id='R2', hypotheses=(('family is 5-modular L-differencing Sperner', True), ('modulus 5 is prime', True), ('L within [1, 4]', True)), bound=BinomSum(lower=0, upper=2, column='n-1', value=11), auxiliary=None)",
+            "BoundCertificate(theorem_id='R22', hypotheses=(('family is 5-modular L-differencing Sperner', True), ('modulus 5 is a prime power', True), ('candidate roots from given residues', True), ('polynomial separates 0 from L modulo q', True), ('shifted condition over u-1 holds, granting the n-1 column', True)), bound=BinomSum(lower=0, upper=2, column='n-1', value=11), auxiliary={'roots': [1, 3], 'lead': 1, 'v0': 0, 'shifted_minus_ok': True, 'shifted_plus_ok': True})",
+            "BoundCertificate(theorem_id='R7', hypotheses=(('family is 5-modular L-differencing Sperner', True), ('modulus 5 is a prime power', True), ('sum of element valuations 0 < k = 1', True)), bound=BinomSum(lower=0, upper=2, column='n', value=16), auxiliary=None)",
+            "BoundCertificate(theorem_id='R6', hypotheses=(('family is 5-modular L-differencing Sperner', True), ('modulus 5 is a prime power', True), ('L is the arithmetic progression 1 + 2*[0, 1]', True), ('sum of valuations 0 < max((s-1)v(d)+v(q), s v(d)+v(s!)+1) = 1', True)), bound=BinomSum(lower=0, upper=2, column='n', value=16), auxiliary={'a': 1, 'd': 2})",
+            "BoundCertificate(theorem_id='R9', hypotheses=(('family is 5-modular L-differencing Sperner', True), ('modulus 5 is a prime power', True), ('L within [1, 4]', True), ('worst-case separating degree 2^(s-1) = 2', True)), bound=BinomSum(lower=0, upper=2, column='n', value=16), auxiliary=None)",
+        ],
+        id="R2 native prime",
+    ),
+    pytest.param(
+        "diff-sperner", 8, (1, 2, 4), None, 6,
+        [
+            "BoundCertificate(theorem_id='R22', hypotheses=(('family is 8-modular L-differencing Sperner', True), ('modulus 8 is a prime power', True), ('candidate roots from closed superinterval {1..4}', True), ('polynomial separates 0 from L modulo q', True), ('shifted condition over u-1 holds, granting the n-1 column', True)), bound=BinomSum(lower=0, upper=4, column='n-1', value=31), auxiliary={'roots': [1, 2, 3, 4], 'lead': 1, 'v0': 3, 'shifted_minus_ok': True, 'shifted_plus_ok': True})",
+            "BoundCertificate(theorem_id='R9', hypotheses=(('family is 8-modular L-differencing Sperner', True), ('modulus 8 is a prime power', True), ('L within [1, 7]', True), ('worst-case separating degree 2^(s-1) = 4', True)), bound=BinomSum(lower=0, upper=4, column='n', value=57), auxiliary=None)",
+        ],
+        id="R22 closed superinterval",
+    ),
 ]
 
 
