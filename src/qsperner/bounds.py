@@ -1,22 +1,31 @@
 """Theorem-portfolio bound engine.
 
-Every rule below checks its hypotheses exactly (using the p-adic, closure,
-and separating-polynomial machinery), produces an auditable certificate
-with a binomial-sum descriptor, and the engine returns the minimum over
-all applicable certificates.  `_PORTFOLIO` holds, per kind, the rules read
-without a modulus and the rules read modulo q.  A modular spec runs the
-modular rules; a non-modular one runs the direct rules, then the modular
-ones lifted to the smallest prime exceeding both max(L) and n, which is
-always faithful because no cardinality statistic can reach that prime.
-The intersecting-uniform kind alone is mapped by hand: R16, then the
-intersecting modular rules on the complement of its residue.
+Every rule is a record, `_Rule`: its theorem id, the condition it needs of
+the modulus (prime power, prime, prime square, prime with L avoiding its
+multiples, or none for the rules read without a modulus) and a function
+that checks the rule's own hypotheses exactly (using the p-adic, closure
+and separating-polynomial machinery) and yields its own hypothesis texts,
+its bound as a binomial-sum descriptor and its evidence.  One builder,
+`_certificate`, assembles every certificate in a fixed order: the kind
+hypothesis, the modulus hypothesis, the rule's own texts, then the note of
+a lifted or uniform reading.  The engine returns the minimum over all
+applicable certificates.
 
-R22's certificate is assembled in one place per shape, `_r22_zero_cert`
-(difference and Hamming kinds) and `_r22_per_alpha_cert` (intersecting
-kinds), for `best_bound` and `bound_from_seppoly` alike.  R22 draws its
-separating polynomials from `_zero_separation_candidates`, which yields,
-in non-decreasing degree, the plain residues, the closed superinterval of
-their hull and the full range [1, q-1].  Candidates are built lazily.
+`_PORTFOLIO` holds, per kind, the rules read without a modulus and the
+rules read modulo q.  A modular spec runs the modular rules; a non-modular
+one runs the direct rules, then the modular ones lifted to the smallest
+prime exceeding both max(L) and n, which is always faithful because no
+cardinality statistic can reach that prime.  The intersecting-uniform kind
+runs R16 on its own residue, then the intersecting modular rules on the
+complement of that residue.
+
+R22's own texts are written in one place per shape, `_r22_zero_own`
+(difference and Hamming kinds) and `_r22_per_alpha_own` (intersecting
+kinds), and pass through `_certificate` for `best_bound` and
+`bound_from_seppoly` alike.  R22 draws its separating polynomials from
+`_zero_separation_candidates`, which yields, in non-decreasing degree, the
+plain residues, the closed superinterval of their hull and the full range
+[1, q-1].  Candidates are built lazily.
 Every candidate is monic with distinct roots in [1, q-1], so `best_bound`
 decides it from one table W[x] = min(v_p(x), k) on [0, q-1]: v_p(g(0)) is
 the sum of W[r], and the minimum of v_p(g) over class c the sum of
@@ -31,6 +40,7 @@ L reflects the polynomial with roots L, so all share its class minima.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from math import comb
@@ -115,27 +125,6 @@ def _next_prime(m: int) -> int:
     return c
 
 
-def _as_interval(L: tuple[int, ...]) -> IntervalL | None:
-    """The plain interval equal to L, if there is one."""
-    if L and L[-1] - L[0] + 1 == len(L) and L[0] >= 1:
-        return IntervalL(L[0], L[-1])
-    return None
-
-
-def _as_mod_interval(L: tuple[int, ...], q: int) -> int | None:
-    """Size of L as an interval in the modulo-q sense (wrap-around allowed);
-    returns None when L is not one.  Tested by rotating every candidate
-    start through L."""
-    s = len(L)
-    if s == 0 or s > q:
-        return None
-    Lset = set(L)
-    for start in L:
-        if all((start + i) % q in Lset for i in range(s)):
-            return s
-    return None
-
-
 def _as_arithmetic_progression(L: tuple[int, ...]) -> tuple[int, int] | None:
     """(first term, common difference) when sorted L is an AP of positive
     integers; singletons count with difference 1."""
@@ -151,37 +140,27 @@ def _as_arithmetic_progression(L: tuple[int, ...]) -> tuple[int, int] | None:
     return None
 
 
-@dataclass
-class _Ctx:
-    kind: Kind
-    n: int
-    L: tuple[int, ...]  # sorted
-    pp: PrimePower | None
-    lift_note: tuple[str, bool] | None = None
+# --- contexts, rule records and the certificate builder --------------------
 
-    def hyp(self, *texts: str) -> tuple[tuple[str, bool], ...]:
-        hyps = [(t, True) for t in texts]
-        if self.lift_note is not None:
-            hyps.append(self.lift_note)
-        return tuple(hyps)
-
-
-def _cert(ctx, rule, texts, bound, aux=None) -> BoundCertificate:
-    return BoundCertificate(rule, ctx.hyp(*texts), bound, aux)
-
-
-# --- kind hypotheses ---------------------------------------------------------
-
+# The kind hypothesis, by kind and whether the rule reads L modulo q.
 _KIND_WORDING = {
-    Kind.DIFF_SPERNER: "family is {q}-modular L-differencing Sperner",
-    Kind.INTERSECTING: "family is {q}-modular L-avoiding L-intersecting",
-    Kind.HAMMING: "pairwise Hamming distances lie in L modulo {q}",
+    (Kind.DIFF_SPERNER, True): "family is {q}-modular L-differencing Sperner",
+    (Kind.INTERSECTING, True): "family is {q}-modular L-avoiding L-intersecting",
+    (Kind.HAMMING, True): "pairwise Hamming distances lie in L modulo {q}",
+    (Kind.INTERSECTING_UNIFORM, True): (
+        "member sizes are congruent to {r} and no intersection is (mod {q})"
+    ),
+    (Kind.DIFF_SPERNER, False): "family is L-differencing Sperner (non-modular)",
+    (Kind.INTERSECTING, False): "family is L-intersecting (non-modular)",
+    (Kind.HAMMING, False): "pairwise Hamming distances lie in L",
 }
 
 
 def _kind_hyp(ctx: _Ctx) -> str:
-    """The kind hypothesis of every rule read modulo q."""
-    return _KIND_WORDING[ctx.kind].format(q=ctx.pp.q)
+    """The kind hypothesis of every rule but the close-Sperner ones."""
+    if ctx.pp is None:
+        return _KIND_WORDING[ctx.kind, False]
+    return _KIND_WORDING[ctx.kind, True].format(q=ctx.pp.q, r=ctx.residue)
 
 
 def _close_hyp(ctx: _Ctx) -> str:
@@ -191,84 +170,146 @@ def _close_hyp(ctx: _Ctx) -> str:
     return "family is L-differencing Sperner, hence L-close Sperner"
 
 
+class _computed_once:
+    """A `_Ctx` attribute computed on its first read and then stored on the
+    instance: `functools.cached_property` without the lock that it takes
+    on every first read before Python 3.12 (about 3 us, a rule's worth)."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, ctx, owner=None):
+        value = ctx.__dict__[self.name] = self.compute(ctx)
+        return value
+
+
+@dataclass
+class _Ctx:
+    kind: Kind
+    n: int
+    L: tuple[int, ...]  # sorted
+    pp: PrimePower | None
+    lift_note: str | None = None  # a lifted or uniform reading, stated last
+    residue: int | None = None  # the intersecting-uniform residue
+
+    kind_hyp = _computed_once(_kind_hyp)
+
+    @_computed_once
+    def interval(self) -> IntervalL | None:
+        """The plain interval equal to L, if there is one."""
+        L = self.L
+        if L and L[-1] - L[0] + 1 == len(L) and L[0] >= 1:
+            return IntervalL(L[0], L[-1])
+        return None
+
+    @_computed_once
+    def mod_interval(self) -> int | None:
+        """Size of L as an interval in the modulo-q sense (wrap-around
+        allowed); None when L is not one.  Tested by rotating every
+        candidate start through L."""
+        s, q = len(self.L), self.pp.q
+        if s == 0 or s > q:
+            return None
+        Lset = set(self.L)
+        for start in self.L:
+            if all((start + i) % q in Lset for i in range(s)):
+                return s
+        return None
+
+
+@dataclass(frozen=True)
+class _Modulus:
+    """A rule's condition on the modulus p^k: the exponent k it needs
+    (None for any) and its wording."""
+
+    k: int | None
+    wording: Callable[[PrimePower], str]
+
+
+_PRIME_POWER = _Modulus(None, lambda pp: f"modulus {pp.q} is a prime power")
+_PRIME = _Modulus(1, lambda pp: f"modulus {pp.p} is prime")
+_PRIME_SQUARE = _Modulus(2, lambda pp: f"modulus {pp.q} = {pp.p}^2 is a prime square")
+# L never holds a multiple of p here: a modular Hamming L lies in [1, q-1],
+# and a lifted p exceeds max(L).
+_PRIME_AVOIDING_L = _Modulus(1, lambda pp: f"modulus {pp.p} is prime and L avoids its multiples")
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """One theorem of the portfolio.  `own(ctx)` yields, per certificate
+    the rule grants, its own hypothesis texts, its bound and its evidence
+    (or None).  `modulus` is None for the rules read without a modulus;
+    `close` marks the rules that read the family as close-Sperner."""
+
+    theorem_id: str
+    modulus: _Modulus | None
+    own: Callable[[_Ctx], Iterator[tuple[tuple[str, ...], BinomSum, dict | None]]]
+    close: bool = False
+
+
+def _certificate(ctx: _Ctx, rule: _Rule, texts, bound: BinomSum, aux) -> BoundCertificate:
+    """Every certificate, in one order: the kind hypothesis, the modulus
+    hypothesis, the rule's own texts, then the lifted or uniform note."""
+    hyps = [_close_hyp(ctx) if rule.close else ctx.kind_hyp]
+    if rule.modulus is not None:
+        hyps.append(rule.modulus.wording(ctx.pp))
+    hyps += texts
+    if ctx.lift_note is not None:
+        hyps.append(ctx.lift_note)
+    return BoundCertificate(rule.theorem_id, tuple([(t, True) for t in hyps]), bound, aux)
+
+
 # --- difference-Sperner rules (modular) ------------------------------------
 
 
 def _r2(ctx: _Ctx):
-    if ctx.pp.k != 1:
-        return []
-    s = len(ctx.L)
-    texts = (_kind_hyp(ctx), f"modulus {ctx.pp.p} is prime", f"L within [1, {ctx.pp.p - 1}]")
-    return [_cert(ctx, "R2", texts, binom_sum(ctx.n, 0, s, "n-1"))]
-
+    yield (f"L within [1, {ctx.pp.p - 1}]",), binom_sum(ctx.n, 0, len(ctx.L), "n-1"), None
 
 def _r4(ctx: _Ctx):
-    iv = _as_interval(ctx.L)
-    if iv is None:
-        return []
-    b, s = iv.hi, iv.size
-    if not _lucas_nondivisible(ctx.pp.p, b, s):
-        return []
-    texts = (
-        _kind_hyp(ctx),
-        f"modulus {ctx.pp.q} is a prime power",
-        f"L is the interval {iv}",
-        f"{ctx.pp.p} does not divide C({b}, {s})",
-    )
-    aux = {"b": b, "s": s}
-    return [_cert(ctx, "R4", texts, binom_sum(ctx.n, 0, s, "n-1"), aux)]
-
+    iv = ctx.interval
+    if iv is not None and _lucas_nondivisible(ctx.pp.p, iv.hi, iv.size):
+        b, s = iv.hi, iv.size
+        texts = (f"L is the interval {iv}", f"{ctx.pp.p} does not divide C({b}, {s})")
+        yield texts, binom_sum(ctx.n, 0, s, "n-1"), {"b": b, "s": s}
 
 def _r5(ctx: _Ctx):
+    # L holds sorted distinct residues in [1, q-1], so its size decides
     q = ctx.pp.q
-    if ctx.L != tuple(range(1, q)):
-        return []
-    texts = (
-        _kind_hyp(ctx),
-        f"modulus {q} is a prime power",
-        f"L = [1, {q - 1}], the full nonzero residue range",
-    )
-    return [_cert(ctx, "R5", texts, binom_sum(ctx.n, 0, q - 1, "n-1"))]
-
+    if len(ctx.L) == q - 1:
+        texts = (f"L = [1, {q - 1}], the full nonzero residue range",)
+        yield texts, binom_sum(ctx.n, 0, q - 1, "n-1"), None
 
 def _r6(ctx: _Ctx):
     ap = _as_arithmetic_progression(ctx.L)
     if ap is None:
-        return []
+        return
     a, d = ap
     p, k = ctx.pp.p, ctx.pp.k
     s = len(ctx.L)
     lhs = sum(_vp_int(p, ell) for ell in ctx.L)
     vd = _vp_int(p, d)
     rhs = max((s - 1) * vd + k, s * vd + vp_factorial(p, s).value + 1)
-    if lhs >= rhs:
-        return []
-    texts = (
-        _kind_hyp(ctx),
-        f"modulus {ctx.pp.q} is a prime power",
-        f"L is the arithmetic progression {a} + {d}*[0, {s - 1}]",
-        f"sum of valuations {lhs} < max((s-1)v(d)+v(q), s v(d)+v(s!)+1) = {rhs}",
-    )
-    return [_cert(ctx, "R6", texts, binom_sum(ctx.n, 0, s, "n"), {"a": a, "d": d})]
-
+    if lhs < rhs:
+        texts = (
+            f"L is the arithmetic progression {a} + {d}*[0, {s - 1}]",
+            f"sum of valuations {lhs} < max((s-1)v(d)+v(q), s v(d)+v(s!)+1) = {rhs}",
+        )
+        yield texts, binom_sum(ctx.n, 0, s, "n"), {"a": a, "d": d}
 
 def _r7(ctx: _Ctx):
-    p, k = ctx.pp.p, ctx.pp.k
-    total = sum(_vp_int(p, ell) for ell in ctx.L)
-    if total >= k:
-        return []
-    texts = (
-        _kind_hyp(ctx),
-        f"modulus {ctx.pp.q} is a prime power",
-        f"sum of element valuations {total} < k = {k}",
-    )
-    return [_cert(ctx, "R7", texts, binom_sum(ctx.n, 0, len(ctx.L), "n"))]
-
+    k = ctx.pp.k
+    total = sum(_vp_int(ctx.pp.p, ell) for ell in ctx.L)
+    if total < k:
+        texts = (f"sum of element valuations {total} < k = {k}",)
+        yield texts, binom_sum(ctx.n, 0, len(ctx.L), "n"), None
 
 def _r8(ctx: _Ctx):
-    iv = _as_interval(ctx.L)
+    iv = ctx.interval
     if iv is None:
-        return []
+        return
     s = iv.size
     mu = closure_length_bound(ctx.pp, s)
     branches = {
@@ -278,29 +319,20 @@ def _r8(ctx: _Ctx):
     if ctx.pp.k == 2:
         branches["prime-square"] = binom_sum(ctx.n, 0, 2 * s - 1, "n")
     winner = min(branches, key=lambda name: branches[name].value)
-    texts = (
-        _kind_hyp(ctx),
-        f"modulus {ctx.pp.q} is a prime power",
-        f"L is the interval {iv}",
-    )
     aux = {
         "branches": {name: b.value for name, b in branches.items()},
         "winner": winner,
         "closure_length_bound": mu,
     }
-    return [_cert(ctx, "R8", texts, branches[winner], aux)]
-
+    yield (f"L is the interval {iv}",), branches[winner], aux
 
 def _r9(ctx: _Ctx):
     s = len(ctx.L)
     texts = (
-        _kind_hyp(ctx),
-        f"modulus {ctx.pp.q} is a prime power",
         f"L within [1, {ctx.pp.q - 1}]",
         f"worst-case separating degree 2^(s-1) = {2 ** (s - 1)}",
     )
-    return [_cert(ctx, "R9", texts, binom_sum(ctx.n, 0, 2 ** (s - 1), "n"))]
-
+    yield texts, binom_sum(ctx.n, 0, 2 ** (s - 1), "n"), None
 
 def _zero_separation_candidates(pp: PrimePower, L: tuple[int, ...]):
     """Deterministic factored candidates for separating 0 from the sorted
@@ -359,14 +391,13 @@ def _r22_column(kind: Kind, shifted: bool) -> str:
     return "n-1" if shifted and kind is Kind.DIFF_SPERNER else "n"
 
 
-def _r22_zero_cert(ctx: _Ctx, g: FactoredIntPoly, v0: int, minus_ok, plus_ok, label=None):
-    """R22's certificate for the difference and Hamming kinds from a
-    polynomial g separating 0 from L modulo q, v0 = v_p(g(0)) and the two
-    shifted side conditions; `label` names g's candidate, if any."""
+def _r22_zero_own(ctx: _Ctx, g: FactoredIntPoly, v0: int, minus_ok, plus_ok, label=None):
+    """R22's own texts, bound and evidence for the difference and Hamming
+    kinds from a polynomial g separating 0 from L modulo q, v0 = v_p(g(0))
+    and the two shifted side conditions; `label` names g's candidate, if
+    any."""
     column = _r22_column(ctx.kind, minus_ok or plus_ok)
-    texts = [_kind_hyp(ctx), f"modulus {ctx.pp.q} is a prime power"]
-    if label is not None:
-        texts.append(f"candidate roots from {label}")
+    texts = [] if label is None else [f"candidate roots from {label}"]
     texts.append("polynomial separates 0 from L modulo q")
     if column == "n-1":
         side = "u-1" if minus_ok else "u+1"
@@ -378,7 +409,7 @@ def _r22_zero_cert(ctx: _Ctx, g: FactoredIntPoly, v0: int, minus_ok, plus_ok, la
         "shifted_minus_ok": minus_ok,
         "shifted_plus_ok": plus_ok,
     }
-    return _cert(ctx, "R22", texts, binom_sum(ctx.n, 0, g.degree, column), aux)
+    return texts, binom_sum(ctx.n, 0, g.degree, column), aux
 
 
 def _r22_zero(ctx: _Ctx):
@@ -391,17 +422,15 @@ def _r22_zero(ctx: _Ctx):
     best_column = _r22_column(ctx.kind, shifted=True)
     best = None
     for label, g in _zero_separation_candidates(ctx.pp, L):
-        if best is not None and (
-            binom_sum(ctx.n, 0, g.degree, best_column).value >= best.bound.value
-        ):
+        if best is not None and binom_sum(ctx.n, 0, g.degree, best_column).value >= best[1].value:
             break
         v0, m = _run_minima(P, g.roots, classes)
         if v0 >= min(m[:s]):
             continue
-        cert = _r22_zero_cert(ctx, g, v0, v0 <= min(m[s : 2 * s]), v0 <= min(m[2 * s :]), label)
-        if best is None or (cert.bound.value, g.degree) < (best.bound.value, best.bound.upper):
-            best = cert
-    return [best]
+        own = _r22_zero_own(ctx, g, v0, v0 <= min(m[s : 2 * s]), v0 <= min(m[2 * s :]), label)
+        if best is None or (own[1].value, g.degree) < (best[1].value, best[1].upper):
+            best = own
+    yield best
 
 
 # --- non-modular difference / close-Sperner rules ---------------------------
@@ -409,125 +438,66 @@ def _r22_zero(ctx: _Ctx):
 
 def _r10(ctx: _Ctx):
     s = len(ctx.L)
-    if ctx.L != tuple(range(1, s + 1)):
-        return []
-    if not (ctx.n + 2 <= 3 * s and 2 * s <= ctx.n):
-        return []
-    texts = (
-        "family is L-differencing Sperner (non-modular)",
-        f"L = [{s}]",
-        f"(n+2)/3 <= s <= n/2 with n = {ctx.n}, s = {s}",
-    )
-    return [_cert(ctx, "R10", texts, binom_sum(ctx.n, 3 * s - ctx.n - 1, s, "n-1"))]
-
+    if ctx.L == tuple(range(1, s + 1)) and ctx.n + 2 <= 3 * s and 2 * s <= ctx.n:
+        texts = (f"L = [{s}]", f"(n+2)/3 <= s <= n/2 with n = {ctx.n}, s = {s}")
+        yield texts, binom_sum(ctx.n, 3 * s - ctx.n - 1, s, "n-1"), None
 
 def _r11(ctx: _Ctx):
     s = len(ctx.L)
-    texts = (_close_hyp(ctx), "L is a set of positive integers")
-    certs = [_cert(ctx, "R11", texts, binom_sum(ctx.n, 0, s, "n"))]
+    texts = ("L is a set of positive integers",)
+    yield texts, binom_sum(ctx.n, 0, s, "n"), None
     if s == 1:
-        certs.append(_cert(ctx, "R11", texts + ("|L| = 1",), binom_sum(ctx.n, 1, 1, "n")))
-    return certs
-
+        yield texts + ("|L| = 1",), binom_sum(ctx.n, 1, 1, "n"), None
 
 def _r12(ctx: _Ctx):
     s = len(ctx.L)
-    if ctx.L != tuple(range(1, s + 1)):
-        return []
-    if not (ctx.n + 1 <= 3 * s and 2 * s <= ctx.n):
-        return []
-    texts = (
-        _close_hyp(ctx),
-        f"L = [{s}]",
-        f"(n+1)/3 <= s <= n/2 with n = {ctx.n}, s = {s}",
-    )
-    return [_cert(ctx, "R12", texts, binom_sum(ctx.n, 3 * s - ctx.n, s, "n"))]
-
+    if ctx.L == tuple(range(1, s + 1)) and ctx.n + 1 <= 3 * s and 2 * s <= ctx.n:
+        texts = (f"L = [{s}]", f"(n+1)/3 <= s <= n/2 with n = {ctx.n}, s = {s}")
+        yield texts, binom_sum(ctx.n, 3 * s - ctx.n, s, "n"), None
 
 # --- intersecting rules ------------------------------------------------------
 
 
 def _r13(ctx: _Ctx):
-    if ctx.L and ctx.L[0] >= 1:
-        texts = (
-            "family is L-intersecting (non-modular)",
-            "L is a set of positive integers",
-            "modulus-free Snevily bound",
-        )
-        return [_cert(ctx, "R13", texts, binom_sum(ctx.n, 0, len(ctx.L), "n-1"))]
-    return []
-
+    if ctx.L[0] >= 1:
+        texts = ("L is a set of positive integers", "modulus-free Snevily bound")
+        yield texts, binom_sum(ctx.n, 0, len(ctx.L), "n-1"), None
 
 def _r14(ctx: _Ctx):
-    s = len(ctx.L)
-    cap = degree_upper_bound(s, ctx.pp.k)
-    texts = (
-        _kind_hyp(ctx),
-        f"modulus {ctx.pp.q} is a prime power",
-        f"worst-case separating degree bound {cap}",
-    )
-    return [_cert(ctx, "R14", texts, binom_sum(ctx.n, 0, cap, "n"), {"degree_cap": cap})]
-
+    cap = degree_upper_bound(len(ctx.L), ctx.pp.k)
+    texts = (f"worst-case separating degree bound {cap}",)
+    yield texts, binom_sum(ctx.n, 0, cap, "n"), {"degree_cap": cap}
 
 def _r15(ctx: _Ctx):
-    s = len(ctx.L)
-    if ctx.L != tuple(range(s)) or s >= ctx.pp.q:
-        return []
-    texts = (
-        _kind_hyp(ctx),
-        f"modulus {ctx.pp.q} is a prime power",
-        f"L = {{0, ..., {s - 1}}}",
-        f"s = {s} < q = {ctx.pp.q}",
-    )
-    return [_cert(ctx, "R15", texts, binom_sum(ctx.n, 0, 2 * s, "n"))]
-
+    s, q = len(ctx.L), ctx.pp.q
+    if ctx.L == tuple(range(s)) and s < q:
+        texts = (f"L = {{0, ..., {s - 1}}}", f"s = {s} < q = {q}")
+        yield texts, binom_sum(ctx.n, 0, 2 * s, "n"), None
 
 def _r17(ctx: _Ctx):
-    q = ctx.pp.q
-    s = _as_mod_interval(ctx.L, q)
-    if s is None or s > ctx.n - q + 2:
-        return []
-    texts = (
-        _kind_hyp(ctx),
-        f"modulus {q} is a prime power",
-        "L is an interval in the modulo-q sense",
-        f"|L| = {s} <= n - q + 2 = {ctx.n - q + 2}",
-    )
-    return [_cert(ctx, "R17", texts, binom_sum(ctx.n, s, q - 1, "n"))]
-
+    s, q = ctx.mod_interval, ctx.pp.q
+    if s is not None and s <= ctx.n - q + 2:
+        texts = (
+            "L is an interval in the modulo-q sense",
+            f"|L| = {s} <= n - q + 2 = {ctx.n - q + 2}",
+        )
+        yield texts, binom_sum(ctx.n, s, q - 1, "n"), None
 
 def _r18(ctx: _Ctx):
-    q = ctx.pp.q
-    s = _as_mod_interval(ctx.L, q)
-    if s is None or s > q - 1:
-        return []
-    mu = closure_length_bound(ctx.pp, s)
-    texts = (
-        _kind_hyp(ctx),
-        f"modulus {q} is a prime power",
-        "L is an interval in the modulo-q sense",
-    )
-    return [_cert(ctx, "R18", texts, binom_sum(ctx.n, 0, mu, "n"), {"closure_length_bound": mu})]
-
+    s = ctx.mod_interval
+    if s is not None and s <= ctx.pp.q - 1:
+        mu = closure_length_bound(ctx.pp, s)
+        texts = ("L is an interval in the modulo-q sense",)
+        yield texts, binom_sum(ctx.n, 0, mu, "n"), {"closure_length_bound": mu}
 
 def _r19(ctx: _Ctx):
-    texts = (_kind_hyp(ctx), f"modulus {ctx.pp.q} is a prime power")
-    return [_cert(ctx, "R19", texts, binom_sum(ctx.n, 0, ctx.pp.q - 1, "n"))]
-
+    yield (), binom_sum(ctx.n, 0, ctx.pp.q - 1, "n"), None
 
 def _r20(ctx: _Ctx):
-    if ctx.pp.k != 2:
-        return []
-    s = _as_mod_interval(ctx.L, ctx.pp.q)
-    if s is None:
-        return []
-    texts = (
-        _kind_hyp(ctx),
-        f"modulus {ctx.pp.q} = {ctx.pp.p}^2 is a prime square",
-        "L is an interval in the modulo-q sense",
-    )
-    return [_cert(ctx, "R20", texts, binom_sum(ctx.n, 0, 2 * s - 1, "n"))]
-
+    s = ctx.mod_interval
+    if s is not None:
+        texts = ("L is an interval in the modulo-q sense",)
+        yield texts, binom_sum(ctx.n, 0, 2 * s - 1, "n"), None
 
 def _reflected(pp: PrimePower, L: tuple[int, ...], alpha: int) -> tuple[int, ...]:
     """The sorted residues (alpha - L) mod q."""
@@ -542,18 +512,13 @@ def _per_alpha_construction(pp: PrimePower, L: tuple[int, ...], alpha: int):
     return label, h.shift_reflect(alpha)
 
 
-def _r22_per_alpha_cert(ctx: _Ctx, degrees: dict[int, int], wording: str):
-    """R22's certificate for the intersecting kinds from the degrees of
-    the polynomials separating each residue alpha outside L from L."""
+def _r22_per_alpha_own(ctx: _Ctx, degrees: dict[int, int], wording: str):
+    """R22's own texts, bound and evidence for the intersecting kinds from
+    the degrees of the polynomials separating each residue alpha outside L
+    from L."""
     worst = max(degrees.values(), default=0)
-    texts = (
-        _kind_hyp(ctx),
-        f"modulus {ctx.pp.q} is a prime power",
-        wording,
-        f"maximum degree used is {worst}",
-    )
-    aux = {"per_alpha_degrees": degrees}
-    return _cert(ctx, "R22", texts, binom_sum(ctx.n, 0, worst, "n"), aux)
+    texts = (wording, f"maximum degree used is {worst}")
+    return texts, binom_sum(ctx.n, 0, worst, "n"), {"per_alpha_degrees": degrees}
 
 
 def _r22_intersecting(ctx: _Ctx):
@@ -565,7 +530,7 @@ def _r22_intersecting(ctx: _Ctx):
     Lset = set(L)
     alphas = [a for a in range(q) if a not in Lset]
     if not alphas:
-        return []
+        return
     P = _valuation_sums(pp)
     plain = min(_run_minima(P, L, L)[1])
     degrees = {}
@@ -580,86 +545,100 @@ def _r22_intersecting(ctx: _Ctx):
                 degrees[alpha] = h.degree
                 break
     wording = "a separating polynomial was constructed for every residue outside L"
-    return [_r22_per_alpha_cert(ctx, degrees, wording)]
+    yield _r22_per_alpha_own(ctx, degrees, wording)
 
 
 # --- uniform intersecting ----------------------------------------------------
 
 
-def _r16(ctx: _Ctx, residue: int):
+def _r16(ctx: _Ctx):
     q = ctx.pp.q
-    if 2 * (q - 1) > ctx.n:
-        return []
-    texts = (
-        f"member sizes are congruent to {residue} and no intersection is (mod {q})",
-        f"modulus {q} is a prime power",
-        f"2(q-1) = {2 * (q - 1)} <= n = {ctx.n}",
-    )
-    return [_cert(ctx, "R16", texts, binom_sum(ctx.n, q - 1, q - 1, "n"))]
-
+    if 2 * (q - 1) <= ctx.n:
+        texts = (f"2(q-1) = {2 * (q - 1)} <= n = {ctx.n}",)
+        yield texts, binom_sum(ctx.n, q - 1, q - 1, "n"), None
 
 # --- Hamming rules -----------------------------------------------------------
 
 
 def _r21_nonmodular(ctx: _Ctx):
-    texts = ("pairwise Hamming distances lie in L", "no modulus (Delsarte bound)")
-    return [_cert(ctx, "R21", texts, binom_sum(ctx.n, 0, len(ctx.L), "n"))]
-
+    yield ("no modulus (Delsarte bound)",), binom_sum(ctx.n, 0, len(ctx.L), "n"), None
 
 def _r21_prime(ctx: _Ctx):
     # Note: the n-1 column is NOT sound in the Hamming setting even at a
     # prime modulus.  The 8 even-weight subsets of [4] have pairwise
     # symmetric differences in {2, 4}, both nonzero mod 3, beating
     # sum of C(3, i) for i <= 2 = 7.  Only the full-column bound holds.
-    if ctx.pp.k != 1:
-        return []
-    texts = (
-        _kind_hyp(ctx),
-        f"modulus {ctx.pp.p} is prime and L avoids its multiples",
-    )
-    return [_cert(ctx, "R21", texts, binom_sum(ctx.n, 0, len(ctx.L), "n"))]
+    yield (), binom_sum(ctx.n, 0, len(ctx.L), "n"), None
 
 
 def _r21_initial_interval(ctx: _Ctx):
     s = len(ctx.L)
-    if ctx.L != tuple(range(1, s + 1)):
-        return []
-    texts = (
-        _kind_hyp(ctx),
-        f"modulus {ctx.pp.q} is a prime power",
-        f"L = [{s}]",
-    )
-    return [_cert(ctx, "R21", texts, binom_sum(ctx.n, 0, s, "n"))]
-
+    if ctx.L == tuple(range(1, s + 1)):
+        yield (f"L = [{s}]",), binom_sum(ctx.n, 0, s, "n"), None
 
 # --- the engine --------------------------------------------------------------
+
+_R11 = _Rule("R11", None, _r11, close=True)
+_R12 = _Rule("R12", None, _r12, close=True)
+_R16 = _Rule("R16", _PRIME_POWER, _r16)
+_R22_ZERO = _Rule("R22", _PRIME_POWER, _r22_zero)
+_R22_PER_ALPHA = _Rule("R22", _PRIME_POWER, _r22_intersecting)
 
 # Per kind: the rules read without a modulus, then the rules read modulo q
 # (the spec's own modulus, or the lifted prime of `_lifted_ctx`).  A rule
 # order here is the order of ties in `best_bound`.
 _PORTFOLIO = {
     Kind.DIFF_SPERNER: (
-        (_r10, _r11, _r12),
-        (_r2, _r4, _r5, _r6, _r7, _r8, _r9, _r22_zero),
+        (_Rule("R10", None, _r10), _R11, _R12),
+        (
+            _Rule("R2", _PRIME, _r2),
+            _Rule("R4", _PRIME_POWER, _r4),
+            _Rule("R5", _PRIME_POWER, _r5),
+            _Rule("R6", _PRIME_POWER, _r6),
+            _Rule("R7", _PRIME_POWER, _r7),
+            _Rule("R8", _PRIME_POWER, _r8),
+            _Rule("R9", _PRIME_POWER, _r9),
+            _R22_ZERO,
+        ),
     ),
-    Kind.CLOSE_SPERNER: ((_r11, _r12), ()),
-    Kind.INTERSECTING: ((_r13,), (_r14, _r15, _r17, _r18, _r19, _r20, _r22_intersecting)),
-    Kind.HAMMING: ((_r21_nonmodular,), (_r21_prime, _r21_initial_interval, _r22_zero)),
+    Kind.CLOSE_SPERNER: ((_R11, _R12), ()),
+    Kind.INTERSECTING: (
+        (_Rule("R13", None, _r13),),
+        (
+            _Rule("R14", _PRIME_POWER, _r14),
+            _Rule("R15", _PRIME_POWER, _r15),
+            _Rule("R17", _PRIME_POWER, _r17),
+            _Rule("R18", _PRIME_POWER, _r18),
+            _Rule("R19", _PRIME_POWER, _r19),
+            _Rule("R20", _PRIME_SQUARE, _r20),
+            _R22_PER_ALPHA,
+        ),
+    ),
+    Kind.HAMMING: (
+        (_Rule("R21", None, _r21_nonmodular),),
+        (
+            _Rule("R21", _PRIME_AVOIDING_L, _r21_prime),
+            _Rule("R21", _PRIME_POWER, _r21_initial_interval),
+            _R22_ZERO,
+        ),
+    ),
 }
 
 
 def _lifted_ctx(kind: Kind, n: int, L: tuple[int, ...]) -> _Ctx:
     p = _next_prime(max(max(L), n))
-    note = (
-        f"non-modular constraint read modulo p = {p}, the smallest prime "
-        f"exceeding max(L) and n",
-        True,
-    )
-    return _Ctx(kind, n, L, PrimePower(p, 1), lift_note=note)
+    note = f"non-modular constraint read modulo p = {p}, the smallest prime exceeding max(L) and n"
+    return _Ctx(kind, n, L, PrimePower(p, 1), note)
 
 
 def _run(ctx: _Ctx, rules) -> list[BoundCertificate]:
-    return [cert for rule in rules for cert in rule(ctx)]
+    """The certificates of every rule whose modulus condition ctx meets."""
+    return [
+        _certificate(ctx, rule, *own)
+        for rule in rules
+        if rule.modulus is None or rule.modulus.k in (None, ctx.pp.k)
+        for own in rule.own(ctx)
+    ]
 
 
 def _applicable(spec: ConstraintSpec) -> list[BoundCertificate]:
@@ -671,11 +650,11 @@ def _applicable(spec: ConstraintSpec) -> list[BoundCertificate]:
         L = tuple(x for x in range(pp.q) if x != r)
         note = (
             f"uniform residue {r} read as L-avoiding L-intersecting with "
-            f"L = all residues except {r}",
-            True,
+            f"L = all residues except {r}"
         )
-        mapped = _Ctx(Kind.INTERSECTING, n, L, pp, lift_note=note)
-        return _r16(_Ctx(kind, n, L, pp), r) + _run(mapped, _PORTFOLIO[Kind.INTERSECTING][1])
+        mapped = _Ctx(Kind.INTERSECTING, n, L, pp, note)
+        uniform = _run(_Ctx(kind, n, L, pp, residue=r), (_R16,))
+        return uniform + _run(mapped, _PORTFOLIO[Kind.INTERSECTING][1])
     if kind not in _PORTFOLIO:
         raise ValueError(f"no bound rules for kind {kind.value}")
     direct, modular = _PORTFOLIO[kind]
@@ -749,7 +728,8 @@ def bound_from_seppoly(
                 ell,
                 rep,
             )
-        return _r22_zero_cert(ctx, g, rep.v0.value, rep.shifted_minus_ok, rep.shifted_plus_ok)
+        own = _r22_zero_own(ctx, g, rep.v0.value, rep.shifted_minus_ok, rep.shifted_plus_ok)
+        return _certificate(ctx, _R22_ZERO, *own)
     if spec.kind is Kind.INTERSECTING:
         q = pp.q
         Lset = set(L)
@@ -783,5 +763,5 @@ def bound_from_seppoly(
                 )
         degrees = {alpha: per_alpha[alpha].degree for alpha in alphas}
         wording = "every residue outside L has a verified separating polynomial"
-        return _r22_per_alpha_cert(ctx, degrees, wording)
+        return _certificate(ctx, _R22_PER_ALPHA, *_r22_per_alpha_own(ctx, degrees, wording))
     raise ValueError(f"bound_from_seppoly does not apply to kind {spec.kind.value}")

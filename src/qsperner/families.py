@@ -118,10 +118,7 @@ class SetFamily:
         return cls(n, tuple(masks))
 
     def sets(self) -> list[frozenset[int]]:
-        return [
-            frozenset(i + 1 for i in range(self.n) if m >> i & 1)
-            for m in self.members
-        ]
+        return [frozenset(i + 1 for i in _elements(m)) for m in self.members]
 
 
 _LINE_RE = re.compile(r"^\{\s*((?:\d+\s*(?:,\s*\d+\s*)*)?)\}$")
@@ -208,7 +205,7 @@ class CheckResult:
 
 
 def _set_str(mask: int) -> str:
-    return "{" + ",".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1) + "}"
+    return "{" + ",".join(str(i + 1) for i in _elements(mask)) + "}"
 
 
 def _in_L(spec: ConstraintSpec, v: int) -> bool:

@@ -107,7 +107,7 @@ class ProofSystem:
 
 def _subsets(within: int, size: int):
     """The masks inside `within` of popcount `size`, in no fixed order."""
-    bits = [1 << i for i in range(within.bit_length()) if within >> i & 1]
+    bits = [1 << i for i in _elements(within)] if size else []
     return map(sum, combinations(bits, size))
 
 

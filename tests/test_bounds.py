@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import replace
 from itertools import combinations
 
@@ -693,3 +694,16 @@ class TestCertificateText:
     def test_certificates(self, kind, q, L, r, n, expected):
         _, certs = best_bound(spec_of(Kind(kind), n, L, q=q, residue=r))
         assert [repr(c) for c in certs] == expected
+
+    def test_every_rule_is_pinned(self):
+        pinned = {
+            re.match(r"BoundCertificate\(theorem_id='(R\d+)'", text).group(1)
+            for param in PINNED_CERTIFICATES
+            for text in param.values[-1]
+        }
+        rules = {
+            rule.theorem_id
+            for direct, modular in bounds._PORTFOLIO.values()
+            for rule in (*direct, *modular)
+        }
+        assert rules | {bounds._R16.theorem_id} <= pinned

@@ -218,6 +218,21 @@ class TestCommands:
         assert stats["pattern_cells"] == 16
         assert stats["rank_s"] >= 0 and stats["build_s"] >= 0 and stats["pattern_s"] >= 0
 
+    def test_verify_over_a_large_ground_set(self, tmp_path, capsys):
+        """Three polynomials over 300,000 elements: the system lists only
+        the members' bits, never every element of the ground set."""
+        fam = tmp_path / "fam.txt"
+        fam.write_text("{1}\n{2}\n")
+        code, doc = run_json(
+            capsys,
+            [
+                "verify", "--kind", "diff-sperner", "--file", str(fam),
+                "--q", "4", "--L", "1", "--n", "300000",
+            ],
+        )
+        assert code == EXIT_OK
+        assert (doc["payload"]["rank"], doc["payload"]["total_polys"]) == (3, 3)
+
     def test_verify_midband(self, tmp_path, capsys):
         fam = tmp_path / "fam.txt"
         fam.write_text("{1,2}\n{1,3}\n{2,3}\n")

@@ -14,6 +14,7 @@ from qsperner.polylab import (
     _masks_by_size,
     _padic_pattern,
     _sparse_rank,
+    _subsets,
     _triangular_pattern,
     build_diff_sperner_system,
     build_midband_system,
@@ -352,6 +353,16 @@ class TestClosedForms:
                     ]
                     scan.sort(key=lambda m: (m.bit_count(), m))
                     assert _masks_by_size(max_size, within) == scan
+
+    @pytest.mark.parametrize(
+        "within, size",
+        [((1 << 5000) | 0b1011, 2), ((1 << 5000) | 0b1011, 4), ((1 << 3000) - 1, 0)],
+        ids=["sparse-high-bit", "sparse-all", "dense-size-0"],
+    )
+    def test_subsets_match_combinations(self, within, size):
+        bits = [1 << i for i in range(within.bit_length()) if within >> i & 1]
+        expected = sorted(sum(c) for c in itertools.combinations(bits, size))
+        assert sorted(_subsets(within, size)) == expected
 
     def test_five_layer_of_13(self):
         pp8 = PrimePower.from_q(8)
