@@ -1,15 +1,13 @@
 """Theorem-portfolio bound engine.
 
-Every rule is a record, `_Rule`: its theorem id, the condition it needs of
-the modulus (prime power, prime, prime square, prime with L avoiding its
-multiples, or none for the rules read without a modulus) and a function
-that checks the rule's own hypotheses exactly (using the p-adic, closure
-and separating-polynomial machinery) and yields its own hypothesis texts,
-its bound as a binomial-sum descriptor and its evidence.  One builder,
-`_certificate`, assembles every certificate in a fixed order: the kind
-hypothesis, the modulus hypothesis, the rule's own texts, then the note of
-a lifted or uniform reading.  The engine returns the minimum over all
-applicable certificates.
+Every rule is a `_Rule` record: its theorem id, the condition it needs of
+the modulus, and a function that checks the rule's own hypotheses exactly
+(using the p-adic, closure and separating-polynomial machinery) and yields
+its own hypothesis texts, its bound as a binomial-sum descriptor and its
+evidence.  One builder, `_certificate`, states every certificate in one
+order: the kind hypothesis, the modulus hypothesis, the rule's own texts,
+then the note of a lifted or uniform reading.  The engine returns the
+minimum over all applicable certificates.
 
 `_PORTFOLIO` holds, per kind, the rules read without a modulus and the
 rules read modulo q.  A modular spec runs the modular rules; a non-modular
@@ -41,7 +39,7 @@ L reflects the polynomial with roots L, so all share its class minima.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, islice
 from math import comb
 
@@ -151,13 +149,13 @@ _KIND_WORDING = {
         "member sizes are congruent to {r} and no intersection is (mod {q})"
     ),
     (Kind.DIFF_SPERNER, False): "family is L-differencing Sperner (non-modular)",
+    (Kind.CLOSE_SPERNER, False): "family is L-close Sperner",
     (Kind.INTERSECTING, False): "family is L-intersecting (non-modular)",
     (Kind.HAMMING, False): "pairwise Hamming distances lie in L",
 }
 
 
 def _kind_hyp(ctx: _Ctx) -> str:
-    """The kind hypothesis of every rule but the close-Sperner ones."""
     if ctx.pp is None:
         return _KIND_WORDING[ctx.kind, False]
     return _KIND_WORDING[ctx.kind, True].format(q=ctx.pp.q, r=ctx.residue)
@@ -166,58 +164,33 @@ def _kind_hyp(ctx: _Ctx) -> str:
 def _close_hyp(ctx: _Ctx) -> str:
     """The kind hypothesis of the close-Sperner rules R11 and R12."""
     if ctx.kind is Kind.CLOSE_SPERNER:
-        return "family is L-close Sperner"
+        return ctx.kind_hyp
     return "family is L-differencing Sperner, hence L-close Sperner"
-
-
-class _computed_once:
-    """A `_Ctx` attribute computed on its first read and then stored on the
-    instance: `functools.cached_property` without the lock that it takes
-    on every first read before Python 3.12 (about 3 us, a rule's worth)."""
-
-    def __init__(self, compute):
-        self.compute = compute
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, ctx, owner=None):
-        value = ctx.__dict__[self.name] = self.compute(ctx)
-        return value
 
 
 @dataclass
 class _Ctx:
     kind: Kind
     n: int
-    L: tuple[int, ...]  # sorted
+    L: tuple[int, ...]  # sorted, distinct, nonempty; residues when pp is set
     pp: PrimePower | None
     lift_note: str | None = None  # a lifted or uniform reading, stated last
     residue: int | None = None  # the intersecting-uniform residue
+    # read by several rules, so computed once per context:
+    kind_hyp: str = field(init=False)
+    interval: IntervalL | None = field(init=False)  # the plain interval equal to L
+    mod_interval: int | None = field(init=False)  # |L| if L is an interval modulo q
 
-    kind_hyp = _computed_once(_kind_hyp)
-
-    @_computed_once
-    def interval(self) -> IntervalL | None:
-        """The plain interval equal to L, if there is one."""
-        L = self.L
-        if L and L[-1] - L[0] + 1 == len(L) and L[0] >= 1:
-            return IntervalL(L[0], L[-1])
-        return None
-
-    @_computed_once
-    def mod_interval(self) -> int | None:
-        """Size of L as an interval in the modulo-q sense (wrap-around
-        allowed); None when L is not one.  Tested by rotating every
-        candidate start through L."""
-        s, q = len(self.L), self.pp.q
-        if s == 0 or s > q:
-            return None
-        Lset = set(self.L)
-        for start in self.L:
-            if all((start + i) % q in Lset for i in range(s)):
-                return s
-        return None
+    def __post_init__(self):
+        L, s = self.L, len(self.L)
+        self.kind_hyp = _kind_hyp(self)
+        self.interval = IntervalL(L[0], L[-1]) if L[0] >= 1 and L[-1] - L[0] + 1 == s else None
+        # L is an interval modulo q, wrap-around allowed, when at most one
+        # of its s cyclic steps L[i] -> L[i+1] skips a residue
+        self.mod_interval = None
+        if self.pp is not None:
+            skips = sum(b != a + 1 for a, b in zip(L, L[1:])) + (L[-1] + 1 != L[0] + self.pp.q)
+            self.mod_interval = s if skips <= 1 else None
 
 
 @dataclass(frozen=True)
@@ -268,6 +241,7 @@ def _certificate(ctx: _Ctx, rule: _Rule, texts, bound: BinomSum, aux) -> BoundCe
 def _r2(ctx: _Ctx):
     yield (f"L within [1, {ctx.pp.p - 1}]",), binom_sum(ctx.n, 0, len(ctx.L), "n-1"), None
 
+
 def _r4(ctx: _Ctx):
     iv = ctx.interval
     if iv is not None and _lucas_nondivisible(ctx.pp.p, iv.hi, iv.size):
@@ -275,12 +249,14 @@ def _r4(ctx: _Ctx):
         texts = (f"L is the interval {iv}", f"{ctx.pp.p} does not divide C({b}, {s})")
         yield texts, binom_sum(ctx.n, 0, s, "n-1"), {"b": b, "s": s}
 
+
 def _r5(ctx: _Ctx):
     # L holds sorted distinct residues in [1, q-1], so its size decides
     q = ctx.pp.q
     if len(ctx.L) == q - 1:
         texts = (f"L = [1, {q - 1}], the full nonzero residue range",)
         yield texts, binom_sum(ctx.n, 0, q - 1, "n-1"), None
+
 
 def _r6(ctx: _Ctx):
     ap = _as_arithmetic_progression(ctx.L)
@@ -299,12 +275,14 @@ def _r6(ctx: _Ctx):
         )
         yield texts, binom_sum(ctx.n, 0, s, "n"), {"a": a, "d": d}
 
+
 def _r7(ctx: _Ctx):
     k = ctx.pp.k
     total = sum(_vp_int(ctx.pp.p, ell) for ell in ctx.L)
     if total < k:
         texts = (f"sum of element valuations {total} < k = {k}",)
         yield texts, binom_sum(ctx.n, 0, len(ctx.L), "n"), None
+
 
 def _r8(ctx: _Ctx):
     iv = ctx.interval
@@ -326,6 +304,7 @@ def _r8(ctx: _Ctx):
     }
     yield (f"L is the interval {iv}",), branches[winner], aux
 
+
 def _r9(ctx: _Ctx):
     s = len(ctx.L)
     texts = (
@@ -333,6 +312,7 @@ def _r9(ctx: _Ctx):
         f"worst-case separating degree 2^(s-1) = {2 ** (s - 1)}",
     )
     yield texts, binom_sum(ctx.n, 0, 2 ** (s - 1), "n"), None
+
 
 def _zero_separation_candidates(pp: PrimePower, L: tuple[int, ...]):
     """Deterministic factored candidates for separating 0 from the sorted
@@ -442,6 +422,7 @@ def _r10(ctx: _Ctx):
         texts = (f"L = [{s}]", f"(n+2)/3 <= s <= n/2 with n = {ctx.n}, s = {s}")
         yield texts, binom_sum(ctx.n, 3 * s - ctx.n - 1, s, "n-1"), None
 
+
 def _r11(ctx: _Ctx):
     s = len(ctx.L)
     texts = ("L is a set of positive integers",)
@@ -449,11 +430,13 @@ def _r11(ctx: _Ctx):
     if s == 1:
         yield texts + ("|L| = 1",), binom_sum(ctx.n, 1, 1, "n"), None
 
+
 def _r12(ctx: _Ctx):
     s = len(ctx.L)
     if ctx.L == tuple(range(1, s + 1)) and ctx.n + 1 <= 3 * s and 2 * s <= ctx.n:
         texts = (f"L = [{s}]", f"(n+1)/3 <= s <= n/2 with n = {ctx.n}, s = {s}")
         yield texts, binom_sum(ctx.n, 3 * s - ctx.n, s, "n"), None
+
 
 # --- intersecting rules ------------------------------------------------------
 
@@ -463,16 +446,19 @@ def _r13(ctx: _Ctx):
         texts = ("L is a set of positive integers", "modulus-free Snevily bound")
         yield texts, binom_sum(ctx.n, 0, len(ctx.L), "n-1"), None
 
+
 def _r14(ctx: _Ctx):
     cap = degree_upper_bound(len(ctx.L), ctx.pp.k)
     texts = (f"worst-case separating degree bound {cap}",)
     yield texts, binom_sum(ctx.n, 0, cap, "n"), {"degree_cap": cap}
+
 
 def _r15(ctx: _Ctx):
     s, q = len(ctx.L), ctx.pp.q
     if ctx.L == tuple(range(s)) and s < q:
         texts = (f"L = {{0, ..., {s - 1}}}", f"s = {s} < q = {q}")
         yield texts, binom_sum(ctx.n, 0, 2 * s, "n"), None
+
 
 def _r17(ctx: _Ctx):
     s, q = ctx.mod_interval, ctx.pp.q
@@ -483,6 +469,7 @@ def _r17(ctx: _Ctx):
         )
         yield texts, binom_sum(ctx.n, s, q - 1, "n"), None
 
+
 def _r18(ctx: _Ctx):
     s = ctx.mod_interval
     if s is not None and s <= ctx.pp.q - 1:
@@ -490,14 +477,17 @@ def _r18(ctx: _Ctx):
         texts = ("L is an interval in the modulo-q sense",)
         yield texts, binom_sum(ctx.n, 0, mu, "n"), {"closure_length_bound": mu}
 
+
 def _r19(ctx: _Ctx):
     yield (), binom_sum(ctx.n, 0, ctx.pp.q - 1, "n"), None
+
 
 def _r20(ctx: _Ctx):
     s = ctx.mod_interval
     if s is not None:
         texts = ("L is an interval in the modulo-q sense",)
         yield texts, binom_sum(ctx.n, 0, 2 * s - 1, "n"), None
+
 
 def _reflected(pp: PrimePower, L: tuple[int, ...], alpha: int) -> tuple[int, ...]:
     """The sorted residues (alpha - L) mod q."""
@@ -557,11 +547,13 @@ def _r16(ctx: _Ctx):
         texts = (f"2(q-1) = {2 * (q - 1)} <= n = {ctx.n}",)
         yield texts, binom_sum(ctx.n, q - 1, q - 1, "n"), None
 
+
 # --- Hamming rules -----------------------------------------------------------
 
 
 def _r21_nonmodular(ctx: _Ctx):
     yield ("no modulus (Delsarte bound)",), binom_sum(ctx.n, 0, len(ctx.L), "n"), None
+
 
 def _r21_prime(ctx: _Ctx):
     # Note: the n-1 column is NOT sound in the Hamming setting even at a
@@ -575,6 +567,7 @@ def _r21_initial_interval(ctx: _Ctx):
     s = len(ctx.L)
     if ctx.L == tuple(range(1, s + 1)):
         yield (f"L = [{s}]",), binom_sum(ctx.n, 0, s, "n"), None
+
 
 # --- the engine --------------------------------------------------------------
 

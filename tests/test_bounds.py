@@ -239,6 +239,25 @@ class TestPortfolioProperties:
                     assert found.exact
                     assert found.max_size <= best.bound.value
 
+    def test_mod_interval_matches_rotation(self):
+        # L is an interval modulo q when some start in L runs through all
+        # of L in |L| steps, wrapping past q - 1
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            for size in range(1, q + 1):
+                for L in combinations(range(q), size):
+                    rotated = any(all((a + i) % q in L for i in range(size)) for a in L)
+                    ctx = bounds._Ctx(Kind.INTERSECTING, 6, L, PP(q))
+                    assert ctx.mod_interval == (size if rotated else None), (q, L)
+
+    def test_uniform_wide_modulus(self):
+        # L holds every residue but the middle one: an interval modulo q,
+        # read in time linear in q
+        spec = spec_of(Kind.INTERSECTING_UNIFORM, 10, (), q=1 << 15, residue=1 << 14)
+        best, certs = best_bound(spec)
+        assert (best.theorem_id, best.bound.value) == ("R19", 1024)
+        r18 = next(c for c in certs if c.theorem_id == "R18")
+        assert ("L is an interval in the modulo-q sense", True) in r18.hypotheses
+
 
 class TestBoundFromSeppoly:
     def test_diff_full_range(self):
