@@ -43,6 +43,7 @@ COUNTED = (
     ("seppoly", "separates"),
     ("seppoly", "min_valuation_over_class"),
     ("padic", "_vp_int"),
+    ("padic", "_lucas_nondivisible"),
     ("closure", "q_closure"),
     ("closure", "is_q_closed"),
 )

@@ -23,24 +23,30 @@ kinds), and pass through `_certificate` for `best_bound` and
 `bound_from_seppoly` alike.  R22 draws its separating polynomials from
 `_zero_separation_candidates`, which yields, in non-decreasing degree, the
 plain residues, the closed superinterval of their hull and the full range
-[1, q-1].  Candidates are built lazily.
-Every candidate is monic with distinct roots in [1, q-1], so `best_bound`
-decides it from one table W[x] = min(v_p(x), k) on [0, q-1]: v_p(g(0)) is
-the sum of W[r], and the minimum of v_p(g) over class c the sum of
-W[(c - r) mod q], over the roots r.  `_run_minima` reads a run of
-consecutive roots as one range sum of W's prefix sums, for the classes of
-L (separation) and of (r -+ 1) mod q (the shifted side conditions).  For
-the intersecting kinds the plain candidate of each residue alpha outside
-L reflects the polynomial with roots L, so all share its class minima.
-`check_separation` and `separates` stay the independent route of
-`bound_from_seppoly` and `first_zero_separator`.
+[1, q-1], each as its root runs: maximal ranges (lo, hi) of consecutive
+roots, so the two wider candidates are one run each.  Candidates are
+produced lazily.  Every candidate is monic with distinct roots in
+[1, q-1], so `best_bound` decides it from its runs and one table
+W[x] = min(v_p(x), k) on [0, q-1]: v_p(g(0)) is the sum of W[r], and the
+minimum of v_p(g) over class c the sum of W[(c - r) mod q], over the roots
+r.  `_run_minima` reads each run as one range sum of W's prefix sums, for
+the classes of L (separation) and of (r -+ 1) mod q (the shifted side
+conditions).  A polynomial is built only for the evidence of the
+difference or Hamming candidate that wins; the intersecting evidence is
+degrees alone.  For the intersecting kinds the plain candidate of each
+residue alpha outside L reflects the polynomial with roots L, so all
+share its class minima, and a residue it fails tries only the wider
+candidates.  `check_separation` and `separates` stay the independent
+route of `bound_from_seppoly` and `first_zero_separator`, which builds
+each candidate's polynomial from its runs.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 from .closure import IntervalL, closure_length_bound, q_closure
@@ -48,7 +54,6 @@ from .families import ConstraintSpec, Kind
 from .padic import PrimePower, _lucas_nondivisible, _vp_int, is_prime, vp_factorial
 from .seppoly import (
     FactoredIntPoly,
-    canonical_interval_poly,
     check_separation,
     degree_upper_bound,
     search_min_degree,
@@ -77,13 +82,38 @@ class BinomSum:
     value: int
 
 
+# Rows are memoized so that a repeated column sum costs two lookups; the
+# bounds keep a long-running process's memory flat.  A row of width w
+# holds about w^2 bits when full, so wider rows are summed term by term.
+_ROW_CACHE_SIZE = 1 << 8
+_ROW_WIDTH_LIMIT = 1 << 10
+
+
+@lru_cache(maxsize=_ROW_CACHE_SIZE)
+def _cumulative_row(width: int) -> list[int]:
+    """Prefix sums of row `width` of Pascal's triangle: entry i is the sum
+    of C(width, j) for j < i.  `binom_sum` grows it in place as far as it
+    is read."""
+    return [0, 1]
+
+
 def binom_sum(n: int, lower: int, upper: int, column: str = "n") -> BinomSum:
     if column not in ("n", "n-1"):
         raise ValueError(f"unknown column {column!r}")
     width = n if column == "n" else n - 1
     lo = max(lower, 0)
     hi = min(upper, width)
-    value = sum(comb(width, i) for i in range(lo, hi + 1)) if lo <= hi else 0
+    if lo > hi:
+        value = 0
+    elif width > _ROW_WIDTH_LIMIT:
+        value = sum(comb(width, i) for i in range(lo, hi + 1))
+    else:
+        row = _cumulative_row(width)
+        c = row[-1] - row[-2]  # C(width, len(row) - 2)
+        for j in range(len(row) - 1, hi + 1):
+            c = c * (width - j + 1) // j
+            row.append(row[-1] + c)
+        value = row[hi + 1] - row[lo]
     return BinomSum(lower, upper, column, value)
 
 
@@ -314,18 +344,46 @@ def _r9(ctx: _Ctx):
     yield texts, binom_sum(ctx.n, 0, 2 ** (s - 1), "n"), None
 
 
-def _zero_separation_candidates(pp: PrimePower, L: tuple[int, ...]):
-    """Deterministic factored candidates for separating 0 from the sorted
-    residues L within [1, q-1]: the plain root set, the closed
-    superinterval of its hull, and the full range [1, q-1] (which always
-    works).  Degrees never decrease along the sequence, since L lies in its
-    hull, the hull in its closure and the closure in [1, q-1].  Lazy: the
-    closure is computed only when a caller asks past the plain root set."""
-    yield "given residues", canonical_interval_poly(L)
-    closed = q_closure(pp, IntervalL(L[0], L[-1])).interval
-    yield f"closed superinterval {closed}", canonical_interval_poly(closed.residues())
+def _runs(residues) -> list[tuple[int, int]]:
+    """The maximal runs (lo, hi) of consecutive integers among the sorted
+    distinct `residues`."""
+    runs: list[tuple[int, int]] = []
+    for r in residues:
+        if runs and runs[-1][1] == r - 1:
+            runs[-1] = (runs[-1][0], r)
+        else:
+            runs.append((r, r))
+    return runs
+
+
+def _degree(runs) -> int:
+    return sum(hi - lo + 1 for lo, hi in runs)
+
+
+def _run_poly(runs) -> FactoredIntPoly:
+    """The monic polynomial whose roots are the integers of the runs."""
+    return FactoredIntPoly(1, tuple(r for lo, hi in runs for r in range(lo, hi + 1)))
+
+
+def _wider_candidates(pp: PrimePower, lo: int, hi: int):
+    """The candidates after a plain root set with hull [lo, hi]: the
+    closed superinterval of the hull, then the full range [1, q-1] (which
+    always works), one run each."""
+    closed = q_closure(pp, IntervalL(lo, hi)).interval
+    yield f"closed superinterval {closed}", [(closed.lo, closed.hi)]
     if pp.q > 2:
-        yield "full range", canonical_interval_poly(range(1, pp.q))
+        yield "full range", [(1, pp.q - 1)]
+
+
+def _zero_separation_candidates(pp: PrimePower, L: tuple[int, ...]):
+    """Deterministic candidates, as (label, root runs), for separating 0
+    from the sorted residues L within [1, q-1]: the plain root set, then
+    `_wider_candidates`.  Degrees never decrease along the sequence, since
+    L lies in its hull, the hull in its closure and the closure in
+    [1, q-1].  Lazy: the closure is computed only when a caller asks past
+    the plain root set."""
+    yield "given residues", _runs(L)
+    yield from _wider_candidates(pp, L[0], L[-1])
 
 
 def _valuation_sums(pp: PrimePower) -> list[int]:
@@ -338,16 +396,15 @@ def _valuation_sums(pp: PrimePower) -> list[int]:
     return list(accumulate(W + W, initial=0))
 
 
-def _run_minima(P: list[int], roots, classes) -> tuple[int, list[int]]:
+def _run_minima(P: list[int], runs, classes) -> tuple[int, list[int]]:
     """v_p(g(0)) and the minimum of v_p(g) over each residue class c in
-    `classes`, for the monic g with the sorted distinct `roots` in [0, q-1]
-    and P from `_valuation_sums` (v_p(g(0)) needs 0 not a root).  Class c's
-    minimum is the sum of W[(c - r) mod q] over the roots r: a maximal run
-    [lo, hi] of consecutive roots adds P[c - lo + q + 1] - P[c - hi + q]."""
+    `classes`, for the monic g whose roots are the integers of the
+    disjoint `runs` (lo, hi) within [0, q-1], and P from `_valuation_sums`
+    (v_p(g(0)) needs 0 not a root).  Class c's minimum is the sum of
+    W[(c - r) mod q] over the roots r: a run [lo, hi] adds
+    P[c - lo + q + 1] - P[c - hi + q]."""
     q, v0, minima = len(P) // 2, 0, [0] * len(classes)
-    cuts = [i for i in range(1, len(roots)) if roots[i] != roots[i - 1] + 1]
-    for i, j in zip([0, *cuts], [*cuts, len(roots)]):
-        lo, hi = roots[i], roots[j - 1]
+    for lo, hi in runs:
         v0 += P[hi + 1] - P[lo]
         a, b = q + 1 - lo, q - hi
         minima = [m + P[c + a] - P[c + b] for m, c in zip(minima, classes)]
@@ -359,7 +416,8 @@ def first_zero_separator(pp: PrimePower, L) -> tuple[str, FactoredIntPoly]:
     the sorted residues L within [1, q-1].  The candidates come in
     non-decreasing degree, so this is the lowest-degree separating
     candidate, the earliest one on ties."""
-    for label, h in _zero_separation_candidates(pp, L):
+    for label, runs in _zero_separation_candidates(pp, L):
+        h = _run_poly(runs)
         if separates(pp, h, 0, L):
             return label, h
     raise AssertionError("the full-range polynomial always separates")  # pragma: no cover
@@ -397,20 +455,24 @@ def _r22_zero(ctx: _Ctx):
     # so later candidates still compete, until even their best column
     # cannot beat the incumbent (degrees never decrease, so none after can
     # either).  Classes: L, then (r - 1) mod q and (r + 1) mod q for r in L.
-    P, L, s = _valuation_sums(ctx.pp), ctx.L, len(ctx.L)
-    classes = [*L, *((r - 1) % ctx.pp.q for r in L), *((r + 1) % ctx.pp.q for r in L)]
+    # Only the winner's polynomial is built, for its evidence.
+    P, L, s, q = _valuation_sums(ctx.pp), ctx.L, len(ctx.L), ctx.pp.q
+    classes = [*L, *((r - 1) % q for r in L), *((r + 1) % q for r in L)]
     best_column = _r22_column(ctx.kind, shifted=True)
-    best = None
-    for label, g in _zero_separation_candidates(ctx.pp, L):
-        if best is not None and binom_sum(ctx.n, 0, g.degree, best_column).value >= best[1].value:
+    best = None  # (bound, label, runs, v0, minus_ok, plus_ok)
+    for label, runs in _zero_separation_candidates(ctx.pp, L):
+        degree = _degree(runs)
+        if best is not None and binom_sum(ctx.n, 0, degree, best_column).value >= best[0].value:
             break
-        v0, m = _run_minima(P, g.roots, classes)
+        v0, m = _run_minima(P, runs, classes)
         if v0 >= min(m[:s]):
             continue
-        own = _r22_zero_own(ctx, g, v0, v0 <= min(m[s : 2 * s]), v0 <= min(m[2 * s :]), label)
-        if best is None or (own[1].value, g.degree) < (best[1].value, best[1].upper):
-            best = own
-    yield best
+        minus_ok, plus_ok = v0 <= min(m[s : 2 * s]), v0 <= min(m[2 * s :])
+        bound = binom_sum(ctx.n, 0, degree, _r22_column(ctx.kind, minus_ok or plus_ok))
+        if best is None or (bound.value, degree) < (best[0].value, best[0].upper):
+            best = bound, label, runs, v0, minus_ok, plus_ok
+    _, label, runs, v0, minus_ok, plus_ok = best
+    yield _r22_zero_own(ctx, _run_poly(runs), v0, minus_ok, plus_ok, label)
 
 
 # --- non-modular difference / close-Sperner rules ---------------------------
@@ -516,23 +578,25 @@ def _r22_intersecting(ctx: _Ctx):
     # the degree).  The plain roots (alpha - L) mod q reflect g_L, with roots
     # L, and W[x] = W[-x mod q]: v_p(h(0)) is g_L's minimum over class
     # alpha, and h's class minima are g_L's over L, the same for every alpha.
+    # A residue the plain roots fail tries only the wider candidates of its
+    # reflected set, which are single runs.
     pp, L, q = ctx.pp, ctx.L, ctx.pp.q
     Lset = set(L)
     alphas = [a for a in range(q) if a not in Lset]
     if not alphas:
         return
-    P = _valuation_sums(pp)
-    plain = min(_run_minima(P, L, L)[1])
+    P, runs = _valuation_sums(pp), _runs(L)
+    plain = min(_run_minima(P, runs, L)[1])
     degrees = {}
-    for alpha, side in zip(alphas, _run_minima(P, L, alphas)[1]):
+    for alpha, side in zip(alphas, _run_minima(P, runs, alphas)[1]):
         if side < plain:
             degrees[alpha] = len(L)
             continue
-        Lr = _reflected(pp, L, alpha)
-        for _, h in islice(_zero_separation_candidates(pp, Lr), 1, None):  # plain failed
-            v0, minima = _run_minima(P, h.roots, Lr)
+        Lr = [(alpha - ell) % q for ell in L]
+        for _, wider in _wider_candidates(pp, min(Lr), max(Lr)):
+            v0, minima = _run_minima(P, wider, Lr)
             if v0 < min(minima):
-                degrees[alpha] = h.degree
+                degrees[alpha] = _degree(wider)
                 break
     wording = "a separating polynomial was constructed for every residue outside L"
     yield _r22_per_alpha_own(ctx, degrees, wording)
@@ -692,8 +756,10 @@ def bound_from_seppoly(
     a shifted separation upgrades the column to n-1.  Intersecting kinds
     need one polynomial per residue alpha outside L, and the bound uses the
     maximum degree.  Raises SeparationFailure naming the failing class when
-    a supplied polynomial does not separate.  The certificate is R22's, as
-    `best_bound` would state it for the same polynomials.
+    a supplied polynomial does not separate, and naming alpha when a
+    per-alpha polynomial that separates has a root congruent to alpha.
+    The certificate is R22's, as `best_bound` would state it for the same
+    polynomials.
     """
     if spec.modulus is None:
         raise ValueError("bound_from_seppoly needs a modular constraint")
@@ -753,6 +819,13 @@ def bound_from_seppoly(
                     f"polynomial for alpha = {alpha} fails on class {ell} (mod {q})",
                     ell,
                     rep,
+                )
+            # `separates` reads h(alpha) alone, but the argument needs
+            # v_p(h(u)) for every u == alpha, and such a root zeroes h there
+            if any((r - alpha) % q == 0 for r in per_alpha[alpha].roots):
+                raise SeparationFailure(
+                    f"polynomial for alpha = {alpha} has a root congruent to {alpha} (mod {q})",
+                    alpha,
                 )
         degrees = {alpha: per_alpha[alpha].degree for alpha in alphas}
         wording = "every residue outside L has a verified separating polynomial"

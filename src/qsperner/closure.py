@@ -83,21 +83,37 @@ def closure_length_bound(pp: PrimePower, s: int) -> int:
     return s + max(0, pp.q // pp.p ** j - pp.p ** v)
 
 
+def _least_dominating(p: int, h: int, ell: int) -> int:
+    """The least b >= h whose base-p digits are each at least ell's, so
+    that p does not divide C(b, ell) by Lucas's theorem.  With j the
+    highest digit where h is below ell, b keeps h's digits above j and
+    takes ell's from j down; when there is no such digit, b = h."""
+    x, y, place, cut = h, ell, 1, 0
+    while y:
+        place *= p
+        if y % p > x % p:
+            cut = place
+        x //= p
+        y //= p
+    return h - h % cut + ell % cut if cut else h
+
+
 def q_closure(pp: PrimePower, interval: IntervalL) -> ClosureResult:
     """A shortest q-closed superinterval of `interval` inside [1, q-1].
 
-    Exhaustive scan over candidates ordered by length; among equally short
-    candidates the one with the smallest lo wins, so output is deterministic
-    even though shortest closures need not be unique.
+    For each length upward from the interval's size, the closed candidate
+    [b - length + 1, b] with the least b >= max(hi, length) is built from
+    digits; it is accepted when it still reaches down to lo.  Among
+    equally short closures the one with the smallest lo wins, so output is
+    deterministic even though shortest closures need not be unique.  b
+    has no more base-p digits than q - 1, so it never passes q - 1.
     """
     _check_range(pp, interval)
-    q = pp.q
-    for length in range(interval.size, q):
-        lo_min = max(1, interval.hi - length + 1)
-        lo_max = min(interval.lo, q - length)
-        for lo in range(lo_min, lo_max + 1):
-            if _lucas_nondivisible(pp.p, lo + length - 1, length):
-                return ClosureResult(IntervalL(lo, lo + length - 1), length)
+    lo, hi = interval.lo, interval.hi
+    for length in range(interval.size, pp.q):
+        b = _least_dominating(pp.p, max(hi, length), length)
+        if b <= lo + length - 1:
+            return ClosureResult(IntervalL(b - length + 1, b), length)
     raise AssertionError("unreachable: [1, q-1] is q-closed")
 
 

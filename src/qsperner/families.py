@@ -436,18 +436,35 @@ def _on_chain(n: int, m: int, level: int) -> int:
     `level - p` unpaired positions, where p is the number of pairs, so the
     chain runs from level p to level n - p.  The chains partition 2^[n]
     and two sets on one chain are nested, so the members of an antichain
-    lie on distinct chains and their images are distinct."""
-    kept, closes, opens = 0, [], []  # closes, opens: unpaired positions
-    for i in range(n):
-        if not m >> i & 1:
-            opens.append(i)
-        elif opens:
-            opens.pop()
-            kept |= 1 << i
+    lie on distinct chains and their images are distinct.
+
+    Only m's elements and the gaps between them are visited: the unpaired
+    "(" positions are kept as a stack of runs [a, b), so the loop takes
+    O(|m| + level) steps, whatever n."""
+    kept, closes, opens, nxt = 0, [], [], 0  # closes, opens: unpaired positions
+    for e in _elements(m):
+        if nxt < e:
+            opens.append([nxt, e])
+        nxt = e + 1
+        if opens:
+            opens[-1][1] -= 1  # pair e with the nearest "(" before it
+            if opens[-1][0] == opens[-1][1]:
+                opens.pop()
+            kept |= 1 << e
         else:
-            closes.append(i)
-    for i in (closes + opens)[: level - kept.bit_count()]:
-        kept |= 1 << i
+            closes.append(e)
+    if nxt < n:
+        opens.append([nxt, n])
+    need = level - kept.bit_count()
+    for e in closes[:need]:
+        kept |= 1 << e
+    need -= len(closes)
+    for a, b in opens:
+        if need <= 0:
+            break
+        b = min(b, a + need)
+        kept |= (1 << b) - (1 << a)
+        need -= b - a
     return kept
 
 

@@ -19,10 +19,8 @@ independent route that `bounds.bound_from_seppoly` and the CLI use.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .padic import INFINITY, PrimePower, Valuation, _vp_int
@@ -262,10 +260,9 @@ def search_min_degree(
 def degree_upper_bound(s: int, k: int) -> int:
     """Worst-case separating degree over all size-s residue sets mod p**k.
 
-    floor of min(2**(s-1), (1 + (s-1)/k)**k), evaluated in exact rational
-    arithmetic before flooring.
+    floor of min(2**(s-1), (1 + (s-1)/k)**k), in integers: the floor of
+    min(a, b/c) for integers a, b and c > 0 is min(a, b // c).
     """
     if s < 1 or k < 1:
         raise ValueError("s and k must be positive")
-    alt = Fraction(k + s - 1, k) ** k
-    return math.floor(min(Fraction(2 ** (s - 1)), alt))
+    return min(2 ** (s - 1), (k + s - 1) ** k // k**k)

@@ -23,6 +23,7 @@ from qsperner.seppoly import (
     canonical_interval_poly,
     check_separation,
     min_valuation_over_class,
+    separates,
 )
 
 PP = PrimePower.from_q
@@ -54,6 +55,28 @@ class TestBinomSum:
     def test_bad_column(self):
         with pytest.raises(ValueError):
             binom_sum(4, 0, 1, "m")
+
+    @pytest.mark.parametrize("column", ["n", "n-1"])
+    def test_matches_term_by_term(self, column):
+        # n = 0 and 1 give widths -1, 0 and 1; bounds past the width, below
+        # 0 and crossed (lower > upper) are all read; n = 1030 has rows too
+        # wide to keep
+        for n in (0, 1, 2, 5, 16, 40, 1030):
+            width = n if column == "n" else n - 1
+            for lower in range(-2, min(n, 45) + 3):
+                for upper in range(-2, min(n, 45) + 3):
+                    expected = sum(
+                        math.comb(width, i) for i in range(max(lower, 0), min(upper, width) + 1)
+                    )
+                    b = binom_sum(n, lower, upper, column)
+                    assert b == bounds.BinomSum(lower, upper, column, expected), (n, lower, upper)
+
+    def test_rows_grow_in_any_order(self):
+        # a later, narrower read must not shorten what an earlier one grew
+        bounds._cumulative_row.cache_clear()
+        for upper in (3, 40, 1, 25, 2):
+            assert binom_sum(40, 0, upper).value == sum(math.comb(40, i) for i in range(upper + 1))
+        assert binom_sum(1030, 0, 1030).value == 2**1030
 
 
 class TestBestBoundExamples:
@@ -347,6 +370,23 @@ class TestBoundFromSeppoly:
                 spec, per_alpha={1: FactoredIntPoly(1, (1, 2)).shift_reflect(1)}
             )
 
+    def test_intersecting_root_congruent_to_alpha_refused(self):
+        # (y-5)(y-2)^2 separates 1 from class 2 modulo 4, judged at 1
+        # alone, but vanishes at 5 == 1 (mod 4)
+        spec = spec_of(Kind.INTERSECTING, 8, {2}, q=4)
+        per = {
+            0: FactoredIntPoly(1, (2,)),
+            1: FactoredIntPoly(1, (5, 2, 2)),
+            3: FactoredIntPoly(1, (2,)),
+        }
+        assert separates(PP(4), per[1], 1, (2,))
+        with pytest.raises(SeparationFailure) as info:
+            bound_from_seppoly(spec, per_alpha=per)
+        assert str(info.value) == "polynomial for alpha = 1 has a root congruent to 1 (mod 4)"
+        assert info.value.failing_class == 1
+        per[1] = FactoredIntPoly(1, (2,))
+        assert bound_from_seppoly(spec, per_alpha=per).bound.value == 9
+
     def test_search_route(self):
         spec = spec_of(Kind.DIFF_SPERNER, 6, {2}, q=4)
         cert = bound_from_seppoly(spec, search_max_degree=2)
@@ -535,7 +575,8 @@ def run_root_sets(q, rng):
 
 class TestRunMinima:
     """`bounds._run_minima` reads v_p(g(0)) and every class minimum from
-    valuation prefix sums; the digit recursion of `seppoly` is the oracle."""
+    a polynomial's root runs and the valuation prefix sums; the digit
+    recursion of `seppoly` is the oracle."""
 
     def test_matches_min_valuation_over_class(self):
         rng = random.Random(49)
@@ -544,10 +585,20 @@ class TestRunMinima:
             P = bounds._valuation_sums(pp)
             for roots in run_root_sets(q, rng):
                 g = canonical_interval_poly(roots)
-                v0, minima = bounds._run_minima(P, g.roots, range(q))
-                assert v0 == vp(pp.p, g(0)), (q, roots)
                 expected = [min_valuation_over_class(pp, g, c) for c in range(q)]
-                assert minima == expected, (q, roots)
+                # maximal runs, and the same roots as runs of one root each
+                for runs in (bounds._runs(roots), [(r, r) for r in roots]):
+                    v0, minima = bounds._run_minima(P, runs, range(q))
+                    assert v0 == vp(pp.p, g(0)), (q, roots)
+                    assert minima == expected, (q, roots)
+
+    def test_runs_are_maximal(self):
+        assert bounds._runs((1, 2, 3, 5, 7, 8)) == [(1, 3), (5, 5), (7, 8)]
+        assert bounds._runs((4,)) == [(4, 4)]
+        for runs in ([(1, 3), (5, 5), (7, 8)], [(2, 9)]):
+            roots = bounds._run_poly(runs).roots
+            assert bounds._runs(roots) == runs
+            assert bounds._degree(runs) == len(roots)
 
     def test_matches_check_separation_on_candidates(self):
         rng = random.Random(7)
@@ -555,12 +606,13 @@ class TestRunMinima:
             pp = PP(q)
             P = bounds._valuation_sums(pp)
             for roots in run_root_sets(q, rng):
-                for _, g in bounds._zero_separation_candidates(pp, roots):
+                for _, runs in bounds._zero_separation_candidates(pp, roots):
+                    g = bounds._run_poly(runs)
                     rep = check_separation(pp, g, 0, roots)
-                    v0, minima = bounds._run_minima(P, g.roots, roots)
+                    v0, minima = bounds._run_minima(P, runs, roots)
                     assert (v0, v0 < min(minima)) == (rep.v0, rep.separates), (q, roots)
                     for d, ok in ((-1, rep.shifted_minus_ok), (1, rep.shifted_plus_ok)):
-                        shifted = bounds._run_minima(P, g.roots, [(r + d) % q for r in roots])[1]
+                        shifted = bounds._run_minima(P, runs, [(r + d) % q for r in roots])[1]
                         assert (v0 <= min(shifted)) == ok, (q, roots, d)
 
 

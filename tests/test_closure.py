@@ -4,14 +4,16 @@ import pytest
 
 from qsperner.closure import (
     IntervalL,
+    _least_dominating,
     closure_length_bound,
     count_closed_pairs,
     is_q_closed,
     q_closure,
 )
-from qsperner.padic import PrimePower
+from qsperner.padic import PrimePower, _lucas_nondivisible, lucas_nondivisible
 
 QS = [4, 8, 9, 16, 25, 27]
+SCAN_QS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128, 243]
 
 
 def closed_by_arithmetic(q: int, lo: int, hi: int) -> bool:
@@ -116,6 +118,43 @@ class TestClosure:
         pp = PrimePower(p, 2)
         res = q_closure(pp, IntervalL(p, p))
         assert res.length == p == closure_length_bound(pp, 1)
+
+
+def closure_by_scan(pp, interval, closed):
+    """Oracle: the start scan, lengths upward and starts from the left,
+    reading each Lucas test from `closed` (see `closed_table`)."""
+    q = pp.q
+    for length in range(interval.size, q):
+        lo_min = max(1, interval.hi - length + 1)
+        lo_max = min(interval.lo, q - length)
+        for lo in range(lo_min, lo_max + 1):
+            if closed[length][lo + length - 1]:
+                return IntervalL(lo, lo + length - 1), length
+    raise AssertionError("[1, q-1] is q-closed")
+
+
+def closed_table(pp):
+    """closed[s][b]: whether p does not divide C(b, s), one Lucas test per
+    pair."""
+    return [[_lucas_nondivisible(pp.p, b, s) for b in range(pp.q)] for s in range(pp.q)]
+
+
+class TestDigitClosure:
+    @pytest.mark.parametrize("q", SCAN_QS)
+    def test_matches_start_scan(self, q):
+        pp = PrimePower.from_q(q)
+        closed = closed_table(pp)
+        for lo in range(1, q):
+            for hi in range(lo, q):
+                res = q_closure(pp, IntervalL(lo, hi))
+                assert (res.interval, res.length) == closure_by_scan(pp, IntervalL(lo, hi), closed)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_least_dominating_by_search(self, p):
+        for h in range(p**3):
+            for ell in range(1, p**3):
+                b = next(b for b in range(h, p**4) if lucas_nondivisible(p, b, ell))
+                assert _least_dominating(p, h, ell) == b, (p, h, ell)
 
 
 class TestCensus:

@@ -20,6 +20,7 @@ from qsperner.families import (
     _first_violation,
     _graph_with_holders,
     _holders,
+    _on_chain,
     _orbits,
     _refine,
     _words,
@@ -441,6 +442,55 @@ class TestFirstViolationOracle:
         assert [r.ok for r in results] == [ok for _, ok in specs]
         assert results[1].violation == "pair {2,3,5}, {1,2}: |A\\B| = 2 not in L"
         assert peak < 1 << 20
+
+
+def on_chain_by_scan(n, m, level):
+    """Oracle: the bracket scan over every i < n."""
+    kept, closes, opens = 0, [], []
+    for i in range(n):
+        if not m >> i & 1:
+            opens.append(i)
+        elif opens:
+            opens.pop()
+            kept |= 1 << i
+        else:
+            closes.append(i)
+    for i in (closes + opens)[: level - kept.bit_count()]:
+        kept |= 1 << i
+    return kept
+
+
+def chain_pairs(n, m):
+    """The number p of bracket pairs of m: its chain runs from level p to
+    n - p."""
+    depth = pairs = 0
+    for i in range(n):
+        if not m >> i & 1:
+            depth += 1
+        elif depth:
+            depth -= 1
+            pairs += 1
+    return pairs
+
+
+class TestOnChain:
+    def test_matches_bracket_scan(self):
+        # every m below 2^n and every level of its chain, p to n - p;
+        # the chain passes through m itself at level |m|
+        for n in range(11):
+            for m in range(1 << n):
+                pairs = chain_pairs(n, m)
+                assert pairs <= m.bit_count() <= n - pairs
+                for level in range(pairs, n - pairs + 1):
+                    assert _on_chain(n, m, level) == on_chain_by_scan(n, m, level), (n, m, level)
+                assert _on_chain(n, m, m.bit_count()) == m
+
+    def test_high_element(self):
+        # {1} and {300000}, pushed to level 1 of 2^[300001]: both stay
+        n = 300001
+        for m in (1 << 1, 1 << 300000):
+            assert _on_chain(n, m, 1) == m
+        assert _on_chain(n, 1 << 300000, 2) == 1 | 1 << 300000
 
 
 class TestPush:

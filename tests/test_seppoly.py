@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -296,6 +298,12 @@ class TestDegreeUpperBound:
         assert degree_upper_bound(4, 2) == 6  # min(8, 6.25)
         for k in range(1, 10):
             assert degree_upper_bound(1, k) == 1
+
+    def test_matches_rational_formula(self):
+        for s in range(1, 81):
+            for k in range(1, 13):
+                expected = math.floor(min(Fraction(2 ** (s - 1)), Fraction(k + s - 1, k) ** k))
+                assert degree_upper_bound(s, k) == expected, (s, k)
 
     def test_monotone_in_s(self):
         for k in (1, 2, 3):
