@@ -52,9 +52,15 @@ class UsageError(ValueError):
     """A rejected command line, reported by `main` as exit 2."""
 
 
+# the most elements an interval of --L or --roots may list: a longer one is
+# refused before any element is
+_MAX_INTERVAL = 10**6
+
+
 def _parse_L(text: str, q: int | None) -> list[int]:
     """Residue sets: comma list `1,2,3`, inclusive interval `1..3`, or a
-    wrap-around interval `7..1@wrap` (needs a modulus)."""
+    wrap-around interval `7..1@wrap` (needs a modulus).  An interval of
+    more than `_MAX_INTERVAL` elements is refused."""
     text = text.strip()
     if not text:
         raise UsageError("empty L")
@@ -70,17 +76,16 @@ def _parse_L(text: str, q: int | None) -> list[int]:
         if wrap:
             if q is None:
                 raise UsageError("wrap-around intervals need --q")
-            out = []
-            x = lo % q
-            while True:
-                out.append(x)
-                if x == hi % q:
-                    break
-                x = (x + 1) % q
-            return out
-        if lo > hi:
+            lo, count = lo % q, (hi - lo) % q + 1
+        elif lo > hi:
             raise UsageError(f"interval {text!r} has lo > hi (use @wrap?)")
-        return list(range(lo, hi + 1))
+        else:
+            count = hi - lo + 1
+        if count > _MAX_INTERVAL:
+            raise UsageError(
+                f"interval {text!r} has {count} elements, more than the limit of {_MAX_INTERVAL}"
+            )
+        return [(lo + i) % q for i in range(count)] if wrap else list(range(lo, hi + 1))
     if wrap:
         raise UsageError("@wrap only applies to interval syntax a..b@wrap")
     try:
@@ -257,11 +262,10 @@ def _cmd_seppoly(args) -> CommandResult:
             f"{args.alpha} from L mod {pp.q}"
         )
         return CommandResult("ok", payload, human=human)
-    window = range(0, args.window) if args.window else None
-    budget = families.node_budget_or_env(args.budget)
+    window = range(0, args.window) if args.window is not None else None
     searched = {"q": pp.q, "alpha": args.alpha, "L": sorted(set(L)), "max_degree": args.max_degree}
     try:
-        found = seppoly.search_min_degree(pp, args.alpha, L, args.max_degree, window, budget)
+        found = seppoly.search_min_degree(pp, args.alpha, L, args.max_degree, window, args.budget)
     except seppoly.SearchBudgetExhausted as exc:
         payload = {**searched, "tried": exc.tried, "degree_reached": exc.degree}
         return CommandResult("budget-exhausted", payload, human=str(exc))

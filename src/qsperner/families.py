@@ -28,7 +28,10 @@ search branches once per orbit, rooted at the orbit's least vertex ({1..k}
 for level k, the empty set for Hamming), then once per orbit of that
 root's stabiliser, dropping each orbit after its branch.  The canonical
 witness, the lexicographically smallest maximum clique, is then restored
-vertex by vertex; a candidate that fails takes its whole orbit under the
+vertex by vertex.  Whether a candidate extends the chosen ones to a
+maximum clique is decided by the search's own loop, started with its
+incumbent one short of the size still needed and stopped when it gets
+there; a candidate that fails takes its whole orbit under the
 stabiliser of the sets chosen so far with it.  An orbit of a stabiliser
 of sets is a class of equal counts |b ∩ x| over their Venn regions x,
 and the classes are split from those counts held bit-sliced.
@@ -36,7 +39,6 @@ and the classes are split from those counts held bit-sliced.
 
 from __future__ import annotations
 
-import os
 import re
 import time
 from collections.abc import Callable
@@ -58,20 +60,9 @@ __all__ = [
     "parse_family",
     "format_family",
     "DEFAULT_N_LIMIT",
-    "NODE_BUDGET_ENV",
-    "node_budget_or_env",
 ]
 
 DEFAULT_N_LIMIT = 12
-NODE_BUDGET_ENV = "QSPERNER_NODE_BUDGET"
-
-
-def node_budget_or_env(node_budget: int | None) -> int | None:
-    """The node budget given, else QSPERNER_NODE_BUDGET's, else None."""
-    if node_budget is None:
-        env = os.environ.get(NODE_BUDGET_ENV)
-        node_budget = int(env) if env else None
-    return node_budget
 
 
 class Kind(str, Enum):
@@ -513,7 +504,9 @@ class SearchResult:
     """`nodes_explored` counts search and restoration nodes together; `stats`
     splits them and adds the graph-build time, the vertex and edge counts,
     the size and source of the seed clique and the number of root orbits
-    whose branch was searched."""
+    whose branch was searched.  Both kinds of node are opened by the same
+    branch-and-bound loop: restoration runs it as a decision search, one
+    per candidate vertex, with the incumbent set one short of its target."""
 
     max_size: int
     witness: SetFamily
@@ -662,7 +655,6 @@ class _CliqueSearch:
         self.nadj = [~(a | 1 << v) for v, a in enumerate(adj)]
         self.budget = node_budget
         self.nodes = 0
-        self.restore_nodes = 0
         self.root_orbits = 0
         self.exact = True
         self.best_size = 0
@@ -695,21 +687,23 @@ class _CliqueSearch:
                 s = (sub & -sub).bit_length() - 1
                 cand = P & adj[s]
                 P &= ~sub
-                if cand.bit_count() + 2 <= self.best_size:
-                    continue
-                if cand:
-                    self._expand([r, s], cand)
-                    if not self.exact:
-                        return
-                else:
-                    self.best_size, self.best = 2, [r, s]
+                self._expand([r, s], cand)
+                if not self.exact:
+                    return
 
-    def _expand(self, clique: list[int], P: int) -> None:
+    def _expand(self, clique: list[int], P: int, target: int | None = None) -> None:
         """Branch and bound below `clique` on the candidates P, depth first
         on an explicit stack of frames [candidates, order, bounds], one per
         open node.  Each node branches on its colour order from the end and
         stops at the first vertex whose colour bound cannot beat the
-        incumbent; a vertex branched on leaves its node's candidates."""
+        incumbent; a vertex branched on leaves its node's candidates.  A
+        clique that beats the incumbent becomes it, and the search returns
+        once the incumbent reaches `target`.  No node is opened when P
+        cannot beat the incumbent."""
+        if len(clique) > self.best_size:
+            self.best_size, self.best = len(clique), list(clique)
+        if self.best_size == target or len(clique) + P.bit_count() <= self.best_size:
+            return
         adj, nadj = self.adj, self.nadj
         frames: list[list] = []
         while True:  # open the node of `clique` on P
@@ -726,65 +720,34 @@ class _CliqueSearch:
                     v = order.pop()
                     bounds.pop()
                     frame[0] = P & ~(1 << v)
+                    if depth + 1 > self.best_size:
+                        self.best_size, self.best = depth + 1, clique + [v]
+                        if self.best_size == target:
+                            return
                     P &= adj[v]
                     if P:
                         clique.append(v)
                         break
-                    if depth + 1 > self.best_size:
-                        self.best_size, self.best = depth + 1, clique + [v]
                     continue
                 frames.pop()
                 if not frames:
                     return
                 clique.pop()
 
-    def has_clique(self, P: int, target: int) -> list[int] | None:
-        """Decision search: a clique of size target inside P, or None.  The
-        same depth-first branching as `_expand`, on an explicit stack of
-        [candidates, order] frames; the colouring lists only the vertices
-        whose colour reaches the size still needed."""
-        if target <= 0:
-            return []
-        if P.bit_count() < target:
-            return None
-        adj, nadj = self.adj, self.nadj
-        clique: list[int] = []
-        frames: list[list] = []
-        while True:  # a node needing target - |clique| more vertices from P
-            need = target - len(clique)
-            if not need:
-                return clique
-            if P.bit_count() >= need:
-                self.restore_nodes += 1
-                frames.append([P, _color_sort(P, nadj, need)[0]])
-            else:
-                clique.pop()
-            while True:  # the next branch, closing exhausted nodes
-                frame = frames[-1]
-                P, order = frame
-                if order:
-                    v = order.pop()
-                    frame[0] = P & ~(1 << v)
-                    P &= adj[v]
-                    clique.append(v)
-                    break
-                frames.pop()
-                if not frames:
-                    return None
-                clique.pop()
-
 
 def _lex_smallest_optimum(
-    search: _CliqueSearch, verts: list[int], holders: list[int], n: int, omega: int
+    decide: _CliqueSearch, known: list[int], verts: list[int], holders: list[int], n: int
 ) -> list[int]:
-    """The lexicographically smallest maximum clique, taking vertex by vertex
-    the least one of the pool that extends the chosen ones to a maximum
-    clique.  `known` extends the chosen ones, so a candidate in it needs no
-    search.  A candidate that fails takes its orbit under the stabiliser of
-    the chosen sets with it: its part of `_orbits` over their Venn
-    regions."""
+    """The lexicographically smallest maximum clique, given the maximum
+    clique `known`, taking vertex by vertex the least one of the pool that
+    extends the chosen ones to a maximum clique.  Whether one does is asked
+    of `decide`, a search whose incumbent is set one short of the size
+    still needed and which stops on reaching it.  `known` extends the
+    chosen ones, so a candidate in it needs no search.  A candidate that
+    fails takes its orbit under the stabiliser of the chosen sets with it:
+    its part of `_orbits` over their Venn regions."""
+    omega, known = len(known), set(known)
     chosen: list[int] = []
-    known = set(search.best)
     P = (1 << len(verts)) - 1
     regions = [(1 << n) - 1]
     parts = None
@@ -792,17 +755,17 @@ def _lex_smallest_optimum(
         if not P:  # pragma: no cover
             raise AssertionError("lexicographic restoration failed")
         v = (P & -P).bit_length() - 1
-        newP = P & search.adj[v]
-        if v in known:
-            completion = known
-        else:
-            completion = search.has_clique(newP, omega - len(chosen) - 1)
-        if completion is None:
-            if parts is None:
-                parts = _orbits(P, holders, regions)
-            P &= ~next(part for part in parts if part >> v & 1)
-            continue
-        known = set(completion)
+        newP = P & decide.adj[v]
+        if v not in known:
+            need = omega - len(chosen) - 1
+            decide.best_size, decide.best = need - 1, []
+            decide._expand([], newP, need)
+            if decide.best_size < need:
+                if parts is None:
+                    parts = _orbits(P, holders, regions)
+                P &= ~next(part for part in parts if part >> v & 1)
+                continue
+            known = set(decide.best)
         chosen.append(v)
         P = newP
         regions = _refine(regions, verts[v])
@@ -815,12 +778,11 @@ def max_family(spec: ConstraintSpec, node_budget: int | None = None) -> SearchRe
 
     Vertices are admissible subsets ordered by (size, numeric value); the
     witness is the lexicographically smallest maximum clique under that
-    order.  A node budget (argument or QSPERNER_NODE_BUDGET) truncates the
-    search, flagging the result as inexact with the best clique found.
+    order.  A node budget truncates the search, flagging the result as
+    inexact with the best clique found.
     """
     if spec.n > DEFAULT_N_LIMIT:
         raise ValueError(f"n = {spec.n} exceeds the search limit {DEFAULT_N_LIMIT}")
-    node_budget = node_budget_or_env(node_budget)
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be non-negative, got {node_budget}")
     start = time.perf_counter()
@@ -830,8 +792,9 @@ def max_family(spec: ConstraintSpec, node_budget: int | None = None) -> SearchRe
     seed, source = _seed(adj)
     root_regions = _KINDS[spec.kind].root_regions((1 << spec.n) - 1)
     search.run(seed, verts, holders, spec.n, root_regions)
+    restore = _CliqueSearch(adj, None)
     if search.exact:
-        witness_idx = _lex_smallest_optimum(search, verts, holders, spec.n, search.best_size)
+        witness_idx = _lex_smallest_optimum(restore, search.best, verts, holders, spec.n)
     else:
         witness_idx = search.best
     stats.update(
@@ -840,13 +803,13 @@ def max_family(spec: ConstraintSpec, node_budget: int | None = None) -> SearchRe
         seed_source=source,
         root_orbits=search.root_orbits,
         search_nodes=search.nodes,
-        restore_nodes=search.restore_nodes,
+        restore_nodes=restore.nodes,
     )
     witness = SetFamily(spec.n, tuple(verts[i] for i in witness_idx))
     return SearchResult(
         search.best_size,
         witness,
-        search.nodes + search.restore_nodes,
+        search.nodes + restore.nodes,
         search.exact,
         stats,
     )

@@ -7,7 +7,7 @@ or rounds.  All functions are pure and safe to call from any thread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "Valuation",
@@ -230,15 +230,13 @@ class PrimePower:
 
     p: int
     k: int
+    q: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("exponent k must be positive")
         _require_prime(self.p)
-
-    @property
-    def q(self) -> int:
-        return self.p ** self.k
+        object.__setattr__(self, "q", self.p ** self.k)
 
     @classmethod
     def from_q(cls, q: int) -> "PrimePower":

@@ -49,6 +49,13 @@ class TestParseL:
         with pytest.raises(UsageError):
             _parse_L("a,b", None)
 
+    def test_interval_size_limit(self):
+        assert len(_parse_L("1..1000000", None)) == 10**6
+        with pytest.raises(UsageError, match="has 1000001 elements, more than the limit of 1000000"):
+            _parse_L("0..1000000", None)
+        with pytest.raises(UsageError, match=f"has {2**40} elements"):
+            _parse_L("1..0@wrap", 2**40)
+
 
 class TestCommands:
     def test_bound_json_document(self, capsys):
@@ -157,15 +164,18 @@ class TestCommands:
             "tried": 3000, "degree_reached": 2,
         }
 
-    def test_seppoly_find_budget_from_the_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("QSPERNER_NODE_BUDGET", "10")
-        code, doc = run_json(capsys, self.SEPPOLY_FIND_Q49)
-        assert code == EXIT_BUDGET
-        assert (doc["payload"]["tried"], doc["payload"]["degree_reached"]) == (10, 1)
-        monkeypatch.setenv("QSPERNER_NODE_BUDGET", "-1")
-        code, doc = run_json(capsys, self.SEPPOLY_FIND_Q49)
+    def test_seppoly_find_negative_budget(self, capsys):
+        code, doc = run_json(capsys, [*self.SEPPOLY_FIND_Q49, "--budget", "-1"])
         assert code == EXIT_USAGE
         assert doc["diagnostics"] == ["node budget must be non-negative, got -1"]
+
+    def test_seppoly_find_empty_window(self, capsys):
+        # --window 0 is the empty window [0, 0), not the default [0, q**2)
+        argv = ["seppoly", "find", "--q", "4", "--alpha", "0", "--L", "1..3"]
+        assert run_json(capsys, argv)[1]["status"] == "ok"
+        code, doc = run_json(capsys, [*argv, "--window", "0"])
+        assert code == EXIT_OK
+        assert doc["status"] == "infeasible"
 
     def test_seppoly_find_within_budget(self, capsys):
         argv = ["seppoly", "find", "--q", "4", "--alpha", "0", "--L", "1..3"]
@@ -520,13 +530,11 @@ class TestExitCodes:
         assert doc["status"] == "budget-exhausted"
         assert doc["payload"]["exact"] is False
 
-    @pytest.mark.parametrize("budget_flag", [True, False])
-    def test_negative_budget(self, capsys, monkeypatch, budget_flag):
-        argv = ["search", "--kind", "diff-sperner", "--n", "8", "--q", "2", "--L", "1"]
-        if budget_flag:
-            argv += ["--budget", "-1"]
-        else:
-            monkeypatch.setenv("QSPERNER_NODE_BUDGET", "-1")
+    def test_negative_budget(self, capsys):
+        argv = [
+            "search", "--kind", "diff-sperner", "--n", "8", "--q", "2", "--L", "1",
+            "--budget", "-1",
+        ]
         code, doc = run_json(capsys, argv)
         assert code == EXIT_USAGE
         assert doc == {
@@ -536,11 +544,18 @@ class TestExitCodes:
             "diagnostics": ["node budget must be non-negative, got -1"],
         }
 
-    def test_table_negative_budget_from_the_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("QSPERNER_NODE_BUDGET", "-1")
-        code, doc = run_json(capsys, ["table", "--kind", "diff-sperner", "--q", "2", "--n", "3"])
+    def test_huge_interval_is_refused_before_it_is_listed(self, capsys):
+        argv = ["bound", "--kind", "diff-sperner", "--q", "4", "--L", "1..10000000000", "--n", "5"]
+        code, doc = run_json(capsys, argv)
         assert code == EXIT_USAGE
-        assert doc["diagnostics"] == ["node budget must be non-negative, got -1"]
+        assert doc == {
+            "schema": 1,
+            "status": "error",
+            "payload": {},
+            "diagnostics": [
+                "interval '1..10000000000' has 10000000000 elements, more than the limit of 1000000"
+            ],
+        }
 
     def test_dispatch_is_deterministic(self):
         one = dispatch(["bound", "--kind", "hamming", "--q", "3", "--L", "1,2", "--n", "5"])

@@ -681,23 +681,11 @@ class TestMaxFamily:
         with pytest.raises(ValueError):
             max_family(ConstraintSpec(kind=Kind.ANTICHAIN, n=13))
 
-    def test_negative_budget(self, monkeypatch):
+    def test_negative_budget(self):
         spec = ConstraintSpec(kind=Kind.ANTICHAIN, n=3)
         with pytest.raises(ValueError, match="non-negative"):
             max_family(spec, node_budget=-1)
-        monkeypatch.setenv("QSPERNER_NODE_BUDGET", "-1")
-        with pytest.raises(ValueError, match="non-negative"):
-            max_family(spec)
         assert satisfies(spec, max_family(spec, node_budget=0).witness)
-
-    def test_env_var_budget(self, monkeypatch):
-        monkeypatch.setenv("QSPERNER_NODE_BUDGET", "2")
-        spec = ConstraintSpec(
-            kind=Kind.DIFF_SPERNER, n=6, L={1}, modulus=PrimePower.from_q(2)
-        )
-        assert not max_family(spec).exact
-        monkeypatch.delenv("QSPERNER_NODE_BUDGET")
-        assert max_family(spec).exact
 
     def test_relabeling_invariance(self):
         rng = random.Random(7)
@@ -990,6 +978,16 @@ def _reference_coloring(P, adj):
     return [(v, c) for c, members in enumerate(classes, start=1) for v in members]
 
 
+def _decide(adj, P, target):
+    """A clique of size target inside P, or None, asked as the witness
+    restoration asks it: an unbudgeted search whose incumbent is one short
+    of the target.  Returns the clique with the nodes spent."""
+    search = _CliqueSearch(adj, None)
+    search.best_size, search.best = target - 1, []
+    search._expand([], P, target)
+    return (search.best if search.best_size == target else None), search.nodes
+
+
 def _random_graph(rng, nv, density):
     adj = [0] * nv
     for u, v in itertools.combinations(range(nv), 2):
@@ -1013,8 +1011,9 @@ class TestCliqueKernels:
                 assert list(zip(order, bounds)) == [(v, c) for v, c in full if c >= kmin]
 
     def test_deep_cliques_need_no_recursion(self):
-        # both searches descend one level per clique member; a complete
-        # graph deeper than the interpreter's recursion limit must finish
+        # the search descends one level per clique member, maximising or
+        # deciding; a complete graph deeper than the interpreter's
+        # recursion limit must finish
         nv = 1200
         assert sys.getrecursionlimit() < nv
         everything = (1 << nv) - 1
@@ -1023,9 +1022,29 @@ class TestCliqueKernels:
         search._expand([], everything)
         assert search.best_size == nv and sorted(search.best) == list(range(nv))
         assert search.nodes == nv and search.exact
-        assert sorted(search.has_clique(everything, nv)) == list(range(nv))
-        assert search.has_clique(everything, nv + 1) is None
-        assert search.restore_nodes == nv
+        clique, nodes = _decide(adj, everything, nv)
+        assert sorted(clique) == list(range(nv)) and nodes == nv
+        assert _decide(adj, everything, nv + 1) == (None, 0)
+
+    def test_decision_search_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(18)
+        for _ in range(40):
+            nv = rng.randint(1, 40)
+            adj = _random_graph(rng, nv, rng.choice((0.1, 0.5, 0.9)))
+            P = rng.getrandbits(nv)
+            inside = [v for v in range(nv) if P >> v & 1]
+            graph = nx.Graph()
+            graph.add_nodes_from(inside)
+            graph.add_edges_from((u, v) for u in inside for v in inside if u < v and adj[u] >> v & 1)
+            omega = nx.max_weight_clique(graph, weight=None)[1]
+            for target in range(nv + 2):
+                clique, _ = _decide(adj, P, target)
+                assert (clique is not None) == (target <= omega)
+                if clique is not None:
+                    assert len(set(clique)) == target
+                    assert all(P >> v & 1 for v in clique)
+                    assert all(adj[u] >> v & 1 for u, v in itertools.combinations(clique, 2))
 
 
 class TestConstructionFromUniformShift:
