@@ -8,7 +8,7 @@ searches exhaustively at desk scale and logs every instance where the
 exact maximum exceeds the layer, i.e. candidate counterexample gaps.
 
 Usage:
-  python3 scripts/initial_interval_gap_probe.py --max-n 9
+  python3 scripts/initial_interval_gap_probe.py --max-n 12
 """
 
 import argparse

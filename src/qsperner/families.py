@@ -21,20 +21,21 @@ members needs no recursion.
 
 The search breaks the symmetry of the constraint kinds by orbital
 branching (Ostrowski, Linderoth, Rossi & Smriglio, Math. Programming
-2011) at its top two levels.  Every kind is invariant under relabelling
-[n], whose orbits on subsets are the size levels; Hamming distance is also
+2011) at every depth.  Every kind is invariant under relabelling [n],
+whose orbits on subsets are the size levels; Hamming distance is also
 invariant under XOR translation, which makes 2^[n] a single orbit.  The
 search branches once per orbit, rooted at the orbit's least vertex ({1..k}
-for level k, the empty set for Hamming), then once per orbit of that
-root's stabiliser, dropping each orbit after its branch.  The canonical
-witness, the lexicographically smallest maximum clique, is then restored
-vertex by vertex.  Whether a candidate extends the chosen ones to a
-maximum clique is decided by the search's own loop, started with its
+for level k, the empty set for Hamming).  Below the root, the stabiliser
+of the clique's sets keeps each node's candidates, and a vertex branched
+on takes its whole orbit out of them.  The canonical witness, the
+lexicographically smallest maximum clique, is then restored vertex by
+vertex.  Whether a candidate extends the chosen ones to a maximum clique
+is decided by the search's own loop, orbits included, started with its
 incumbent one short of the size still needed and stopped when it gets
-there; a candidate that fails takes its whole orbit under the
-stabiliser of the sets chosen so far with it.  An orbit of a stabiliser
-of sets is a class of equal counts |b ∩ x| over their Venn regions x,
-and the classes are split from those counts held bit-sliced.
+there; a candidate that fails takes its whole orbit under the stabiliser
+of the sets chosen so far with it.  An orbit of a stabiliser of sets is a
+class of equal counts |b ∩ x| over their Venn regions x, and the classes
+are split from those counts held bit-sliced.
 """
 
 from __future__ import annotations
@@ -503,10 +504,12 @@ def push_to_middle(fam: SetFamily, s: int) -> SetFamily:
 class SearchResult:
     """`nodes_explored` counts search and restoration nodes together; `stats`
     splits them and adds the graph-build time, the vertex and edge counts,
-    the size and source of the seed clique and the number of root orbits
-    whose branch was searched.  Both kinds of node are opened by the same
-    branch-and-bound loop: restoration runs it as a decision search, one
-    per candidate vertex, with the incumbent set one short of its target."""
+    the size and source of the seed clique, the number of root orbits
+    whose branch was searched, the nodes that split their candidates into
+    orbits and the candidates dropped as orbit-mates of a branched vertex.
+    Both kinds of node are opened by the same branch-and-bound loop:
+    restoration runs it as a decision search, one per candidate vertex,
+    with the incumbent set one short of its target."""
 
     max_size: int
     witness: SetFamily
@@ -650,76 +653,91 @@ def _seed(adj: list[int]) -> tuple[list[int], str]:
 
 
 class _CliqueSearch:
-    def __init__(self, adj: list[int], node_budget: int | None):
+    def __init__(self, adj: list[int], node_budget: int | None, verts=(), holders=()):
         self.adj = adj
         self.nadj = [~(a | 1 << v) for v, a in enumerate(adj)]
+        self.verts = verts
+        self.holders = holders
         self.budget = node_budget
-        self.nodes = 0
-        self.root_orbits = 0
+        self.nodes = self.root_orbits = self.orbit_nodes = self.orbit_pruned = 0
         self.exact = True
         self.best_size = 0
         self.best: list[int] = []
 
-    def run(
-        self, seed: list[int], verts: list[int], holders: list[int], n: int,
-        root_regions: list[int],
-    ) -> None:
-        """Orbital branching at the top two levels.  A maximum clique meeting
-        a root orbit can be mapped onto one holding its representative (its
-        least vertex) without meeting the earlier orbits, so each root orbit
-        is one branch and is then dropped from the pool.  Inside the branch
-        for r the pool is invariant under the stabiliser of r, and its
-        orbits are branched on and dropped the same way; for Hamming r is
-        the empty set, whose stabiliser is the relabellings alone.  Only the
-        incumbent prunes: no certified bound is fed in, since the search is
-        what checks those bounds."""
+    def run(self, seed: list[int], n: int, root_regions: list[int]) -> None:
+        """Orbital branching at the root, continued by `_expand` at every
+        depth.  A maximum clique meeting a root orbit can be mapped onto one
+        holding its representative (its least vertex) without meeting the
+        earlier orbits, so each root orbit is one branch and is then dropped
+        from the pool.  The branch for r is searched with r's Venn regions;
+        for Hamming r is the empty set, whose stabiliser is the relabellings
+        alone.  Only the incumbent prunes: no certified bound is fed in,
+        since the search is what checks those bounds."""
         self.best_size, self.best = len(seed), list(seed)
-        adj = self.adj
-        pool = (1 << len(verts)) - 1
-        for orbit in _orbits(pool, holders, root_regions):
+        pool = (1 << len(self.verts)) - 1
+        for orbit in _orbits(pool, self.holders, root_regions):
             r = (orbit & -orbit).bit_length() - 1
-            P = pool & adj[r]
+            P = pool & self.adj[r]
             pool &= ~orbit
             if P.bit_count() < self.best_size:
                 continue
             self.root_orbits += 1
-            for sub in _orbits(P, holders, _refine([(1 << n) - 1], verts[r])):
-                s = (sub & -sub).bit_length() - 1
-                cand = P & adj[s]
-                P &= ~sub
-                self._expand([r, s], cand)
-                if not self.exact:
-                    return
+            self._expand([r], P, regions=_refine([(1 << n) - 1], self.verts[r]))
+            if not self.exact:
+                return
 
-    def _expand(self, clique: list[int], P: int, target: int | None = None) -> None:
+    def _expand(
+        self, clique: list[int], P: int, target: int | None = None,
+        regions: list[int] | None = None,
+    ) -> None:
         """Branch and bound below `clique` on the candidates P, depth first
-        on an explicit stack of frames [candidates, order, bounds], one per
-        open node.  Each node branches on its colour order from the end and
-        stops at the first vertex whose colour bound cannot beat the
-        incumbent; a vertex branched on leaves its node's candidates.  A
-        clique that beats the incumbent becomes it, and the search returns
-        once the incumbent reaches `target`.  No node is opened when P
-        cannot beat the incumbent."""
+        on an explicit stack of frames [candidates, order, bounds, regions,
+        orbits], one per open node.  Each node branches on its colour order
+        from the end and stops at the first vertex whose colour bound cannot
+        beat the incumbent; a vertex branched on leaves its node's
+        candidates.  A clique that beats the incumbent becomes it, and the
+        search returns once the incumbent reaches `target`.  No node is
+        opened when P cannot beat the incumbent.
+
+        Given `regions`, the Venn regions of the clique's sets, whose
+        stabiliser must keep P, a node whose regions are not all singletons
+        and which can take a second branch splits P into that stabiliser's
+        orbits, and a vertex branched on takes its orbit with it: a clique
+        through an orbit-mate maps onto one through the vertex.  A child's
+        candidates, the parent's minus whole orbits met with the vertex's
+        row, are kept by its own stabiliser."""
         if len(clique) > self.best_size:
             self.best_size, self.best = len(clique), list(clique)
         if self.best_size == target or len(clique) + P.bit_count() <= self.best_size:
             return
-        adj, nadj = self.adj, self.nadj
+        adj, nadj, verts = self.adj, self.nadj, self.verts
         frames: list[list] = []
         while True:  # open the node of `clique` on P
             self.nodes += 1
             if self.budget is not None and self.nodes > self.budget:
                 self.exact = False
                 return
-            frames.append([P, *_color_sort(P, nadj, self.best_size - len(clique) + 1)])
+            order, bounds = _color_sort(P, nadj, self.best_size - len(clique) + 1)
+            if regions and not any(x & x - 1 for x in regions):
+                regions = None  # a trivial stabiliser, here and below
+            mates = None  # the orbits of more than one vertex
+            if regions and len(order) > 1 and len(clique) + bounds[-2] > self.best_size:
+                self.orbit_nodes += 1
+                mates = [c for c in _orbits(P, self.holders, regions) if c & c - 1]
+            frames.append([P, order, bounds, regions, mates])
             while True:  # the next branch, closing exhausted nodes
                 frame = frames[-1]
-                P, order, bounds = frame
+                P, order, bounds, regions, mates = frame
+                while order and not P >> order[-1] & 1:  # left with an orbit-mate
+                    order.pop()
+                    bounds.pop()
                 depth = len(clique)
                 if order and depth + bounds[-1] > self.best_size:
                     v = order.pop()
                     bounds.pop()
-                    frame[0] = P & ~(1 << v)
+                    orbit = next((c for c in mates if c >> v & 1), 1 << v) if mates else 1 << v
+                    self.orbit_pruned += orbit.bit_count() - 1
+                    frame[0] = P & ~orbit
                     if depth + 1 > self.best_size:
                         self.best_size, self.best = depth + 1, clique + [v]
                         if self.best_size == target:
@@ -727,6 +745,8 @@ class _CliqueSearch:
                     P &= adj[v]
                     if P:
                         clique.append(v)
+                        if regions:
+                            regions = _refine(regions, verts[v])
                         break
                     continue
                 frames.pop()
@@ -735,20 +755,19 @@ class _CliqueSearch:
                 clique.pop()
 
 
-def _lex_smallest_optimum(
-    decide: _CliqueSearch, known: list[int], verts: list[int], holders: list[int], n: int
-) -> list[int]:
+def _lex_smallest_optimum(decide: _CliqueSearch, known: list[int], n: int) -> list[int]:
     """The lexicographically smallest maximum clique, given the maximum
     clique `known`, taking vertex by vertex the least one of the pool that
     extends the chosen ones to a maximum clique.  Whether one does is asked
     of `decide`, a search whose incumbent is set one short of the size
-    still needed and which stops on reaching it.  `known` extends the
-    chosen ones, so a candidate in it needs no search.  A candidate that
-    fails takes its orbit under the stabiliser of the chosen sets with it:
-    its part of `_orbits` over their Venn regions."""
+    still needed and which stops on reaching it, given the Venn regions of
+    the chosen sets and the candidate, whose stabiliser keeps its pool.
+    `known` extends the chosen ones, so a candidate in it needs no search.
+    A candidate that fails takes its orbit under the stabiliser of the
+    chosen sets with it."""
     omega, known = len(known), set(known)
     chosen: list[int] = []
-    P = (1 << len(verts)) - 1
+    P = (1 << len(decide.verts)) - 1
     regions = [(1 << n) - 1]
     parts = None
     while len(chosen) < omega:
@@ -756,20 +775,21 @@ def _lex_smallest_optimum(
             raise AssertionError("lexicographic restoration failed")
         v = (P & -P).bit_length() - 1
         newP = P & decide.adj[v]
+        inner = _refine(regions, decide.verts[v])
         if v not in known:
             need = omega - len(chosen) - 1
             decide.best_size, decide.best = need - 1, []
-            decide._expand([], newP, need)
+            decide._expand([], newP, need, inner)
             if decide.best_size < need:
                 if parts is None:
-                    parts = _orbits(P, holders, regions)
-                P &= ~next(part for part in parts if part >> v & 1)
+                    parts = _orbits(P, decide.holders, regions)
+                orbit = next(part for part in parts if part >> v & 1)
+                decide.orbit_pruned += orbit.bit_count() - 1
+                P &= ~orbit
                 continue
             known = set(decide.best)
         chosen.append(v)
-        P = newP
-        regions = _refine(regions, verts[v])
-        parts = None
+        P, regions, parts = newP, inner, None
     return chosen
 
 
@@ -788,13 +808,13 @@ def max_family(spec: ConstraintSpec, node_budget: int | None = None) -> SearchRe
     start = time.perf_counter()
     verts, adj, holders = _graph_with_holders(spec)
     stats = {"graph_build_s": time.perf_counter() - start, "vertices": len(verts)}
-    search = _CliqueSearch(adj, node_budget)
+    search = _CliqueSearch(adj, node_budget, verts, holders)
     seed, source = _seed(adj)
     root_regions = _KINDS[spec.kind].root_regions((1 << spec.n) - 1)
-    search.run(seed, verts, holders, spec.n, root_regions)
-    restore = _CliqueSearch(adj, None)
+    search.run(seed, spec.n, root_regions)
+    restore = _CliqueSearch(adj, None, verts, holders)
     if search.exact:
-        witness_idx = _lex_smallest_optimum(restore, search.best, verts, holders, spec.n)
+        witness_idx = _lex_smallest_optimum(restore, search.best, spec.n)
     else:
         witness_idx = search.best
     stats.update(
@@ -804,12 +824,9 @@ def max_family(spec: ConstraintSpec, node_budget: int | None = None) -> SearchRe
         root_orbits=search.root_orbits,
         search_nodes=search.nodes,
         restore_nodes=restore.nodes,
+        orbit_nodes=search.orbit_nodes + restore.orbit_nodes,
+        orbit_pruned=search.orbit_pruned + restore.orbit_pruned,
     )
     witness = SetFamily(spec.n, tuple(verts[i] for i in witness_idx))
-    return SearchResult(
-        search.best_size,
-        witness,
-        search.nodes + restore.nodes,
-        search.exact,
-        stats,
-    )
+    nodes = search.nodes + restore.nodes
+    return SearchResult(search.best_size, witness, nodes, search.exact, stats)

@@ -90,6 +90,7 @@ class TestCommands:
             stats["search_nodes"] + stats["restore_nodes"]
             == doc["payload"]["nodes_explored"]
         )
+        assert stats["orbit_nodes"] >= 0 and stats["orbit_pruned"] >= 0
 
     def test_vp_infinity(self, capsys):
         code, doc = run_json(capsys, ["vp", "--p", "3", "--n", "0"])

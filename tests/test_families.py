@@ -935,7 +935,7 @@ class TestSearchStats:
         stats = res.stats
         assert set(stats) == {
             "graph_build_s", "vertices", "edges", "seed_size", "seed_source",
-            "root_orbits", "search_nodes", "restore_nodes",
+            "root_orbits", "search_nodes", "restore_nodes", "orbit_nodes", "orbit_pruned",
         }
         assert stats["vertices"] == 128
         assert 1 <= stats["root_orbits"] <= spec.n + 1
@@ -978,13 +978,20 @@ def _reference_coloring(P, adj):
     return [(v, c) for c, members in enumerate(classes, start=1) for v in members]
 
 
-def _decide(adj, P, target):
-    """A clique of size target inside P, or None, asked as the witness
-    restoration asks it: an unbudgeted search whose incumbent is one short
-    of the target.  Returns the clique with the nodes spent."""
-    search = _CliqueSearch(adj, None)
+def _decider(adj, P, target, verts=(), holders=(), regions=None):
+    """The search that asks for a clique of size target inside P as the
+    witness restoration asks it: unbudgeted, its incumbent one short of the
+    target, given the Venn regions of the sets P must be invariant under
+    the stabiliser of (none: no orbits)."""
+    search = _CliqueSearch(adj, None, verts, holders)
     search.best_size, search.best = target - 1, []
-    search._expand([], P, target)
+    search._expand([], P, target, regions)
+    return search
+
+
+def _decide(adj, P, target):
+    """A clique of size target inside P, or None, with the nodes spent."""
+    search = _decider(adj, P, target)
     return (search.best if search.best_size == target else None), search.nodes
 
 
@@ -1045,6 +1052,95 @@ class TestCliqueKernels:
                     assert len(set(clique)) == target
                     assert all(P >> v & 1 for v in clique)
                     assert all(adj[u] >> v & 1 for u, v in itertools.combinations(clique, 2))
+
+
+class TestOrbitalBranching:
+    @pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
+    def test_decisions_below_a_clique_match_networkx(self, kind):
+        # below a random clique C of a random spec, the common neighbours of
+        # C are invariant under the stabiliser of C's sets; dropping whole
+        # orbits of it at every depth must decide every target as the plain
+        # search and networkx do
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(19)
+        draws = (random_spec(rng, rng.randint(4, 6)) for _ in range(400))
+        specs = [spec for spec in draws if spec.kind is kind][:10]
+        pruned = 0
+        for spec in specs:
+            verts, adj, holders = _graph_with_holders(spec)
+            P, regions = (1 << len(verts)) - 1, [(1 << spec.n) - 1]
+            for _ in range(rng.randint(1, 2)):
+                if not P:
+                    break
+                c = rng.choice([v for v in range(len(verts)) if P >> v & 1])
+                P, regions = P & adj[c], _refine(regions, verts[c])
+            inside = [v for v in range(len(verts)) if P >> v & 1]
+            graph = nx.Graph()
+            graph.add_nodes_from(inside)
+            graph.add_edges_from((u, v) for u in inside for v in inside if u < v and adj[u] >> v & 1)
+            omega = nx.max_weight_clique(graph, weight=None)[1]
+            for target in range(len(inside) + 2):
+                plain = _decider(adj, P, target)
+                orbital = _decider(adj, P, target, verts, holders, regions)
+                pruned += orbital.orbit_pruned
+                found = orbital.best_size == target
+                assert found == (plain.best_size == target) == (target <= omega), spec
+                if found:
+                    clique = orbital.best
+                    assert len(set(clique)) == target and all(P >> v & 1 for v in clique)
+                    assert all(adj[u] >> v & 1 for u, v in itertools.combinations(clique, 2))
+        assert len(specs) == 10 and pruned
+
+    def test_maxima_below_a_clique_match_the_plain_search(self):
+        # n = 7 graphs are large enough that orbits taken over the wrong
+        # regions (a child's sets not refining its parent's) lose the
+        # maximum; the plain search is checked against networkx above
+        rng = random.Random(7)
+        compared = 0
+        for _ in range(400):
+            spec = random_spec(rng, 7)
+            verts, adj, holders = _graph_with_holders(spec)
+            P, regions = (1 << len(verts)) - 1, [(1 << spec.n) - 1]
+            for _ in range(rng.randint(1, 3)):
+                if not P:
+                    break
+                c = rng.choice([v for v in range(len(verts)) if P >> v & 1])
+                P, regions = P & adj[c], _refine(regions, verts[c])
+            plain = _CliqueSearch(adj, 2000)
+            plain._expand([], P)
+            if not plain.exact:
+                continue
+            orbital = _CliqueSearch(adj, 2000, verts, holders)
+            orbital._expand([], P, regions=regions)
+            assert orbital.exact and orbital.best_size == plain.best_size, spec
+            compared += 1
+        assert compared >= 390
+
+    def test_singleton_regions_compute_no_orbits(self):
+        n = 6
+        spec = ConstraintSpec(kind=Kind.DIFF_SPERNER, n=n, L={1, 2}, modulus=PrimePower.from_q(3))
+        verts, adj, holders = _graph_with_holders(spec)
+        everything = (1 << len(verts)) - 1
+        plain = _CliqueSearch(adj, None)
+        plain._expand([], everything)
+        singletons = _CliqueSearch(adj, None, verts, holders)
+        singletons._expand([], everything, regions=[1 << e for e in range(n)])
+        assert (singletons.orbit_nodes, singletons.orbit_pruned) == (0, 0)
+        assert (singletons.nodes, singletons.best) == (plain.nodes, plain.best)
+        # the whole of [n] as one region splits the root into size levels
+        whole = _CliqueSearch(adj, None, verts, holders)
+        whole._expand([], everything, regions=[(1 << n) - 1])
+        assert whole.orbit_nodes and whole.orbit_pruned
+        assert whole.best_size == plain.best_size
+
+    def test_diff_q8_n10_is_exact(self):
+        # one of three n = 10 instances that stopped inexact after 300,000
+        # nodes while only the top two levels branched on orbits
+        spec = ConstraintSpec(kind=Kind.DIFF_SPERNER, n=10, L={2, 3}, modulus=PrimePower.from_q(8))
+        res = max_family(spec)
+        assert res.exact and res.max_size == 15
+        assert satisfies(spec, res.witness)
+        assert res.stats["search_nodes"] + res.stats["restore_nodes"] < 12_000
 
 
 class TestConstructionFromUniformShift:
