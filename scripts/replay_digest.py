@@ -9,8 +9,15 @@ pushes and its probe), as `perfbench/workloads.py` builds them, plus the
 6-layer of [14] checked as an antichain and as a q = 8, L = [6]
 difference-Sperner family, pushed to s = 7 and verified under the sym
 system with s = 6.  Each document is hashed as sorted JSON with every key
-ending in `_s` (a timing) dropped.  Run it on two checkouts and compare
-the printed lines.
+ending in `_s` (a timing) dropped.
+
+The last line, `arith-sha256`, hashes the same way the `--json` documents
+of the arithmetic commands (`vp`, `binom`, `digits`, `closure`, `mu`,
+`census` and `seppoly check`) over a small fixed grid of prime powers
+q <= 27, a few rejected inputs included, to show that a change to
+`padic`, `closure` or `seppoly` leaves them identical.
+
+Run it on two checkouts and compare the printed lines.
 
 Usage:
   python3 scripts/replay_digest.py [--seed N ...]
@@ -73,6 +80,44 @@ def argvs(seeds: list[int], workdir: Path):
         yield "layer-14-6:" + " ".join(argv), [argv[0], "--file", str(path), *argv[1:], "--json"]
 
 
+ARITH_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)
+ARITH_REJECTED = (
+    ["vp", "--p", "4", "--n", "8"],
+    ["digits", "--q", "8", "--s", "8"],
+    ["closure", "--q", "8", "--lo", "2", "--hi", "8"],
+    ["mu", "--q", "8", "--s", "0"],
+    ["census", "--q", "6"],
+    ["seppoly", "check", "--q", "4", "--alpha", "1", "--L", "1", "--roots", "1"],
+)
+
+
+def arith_argvs():
+    for p in (2, 3, 5, 7):
+        for n in range(-27, 28):
+            yield ["vp", "--p", str(p), "--n", str(n)]
+        for a in range(10):
+            for b in range(10):
+                yield ["binom", "--p", str(p), "--a", str(a), "--b", str(b)]
+    for q in ARITH_QS:
+        yield ["census", "--q", str(q)]
+        for s in range(q):
+            yield ["digits", "--q", str(q), "--s", str(s)]
+        for s in range(1, q):
+            yield ["mu", "--q", str(q), "--s", str(s)]
+        for lo in range(1, q):
+            for hi in range(lo, q):
+                yield ["closure", "--q", str(q), "--lo", str(lo), "--hi", str(hi)]
+    # every root set of up to two roots in [0, q), so some vanish at alpha
+    for q in (4, 8, 9):
+        root_sets = [*map(str, range(q)), *(f"{a},{b}" for a in range(q) for b in range(a, q))]
+        for L in ((1,), (1, 2), (q - 1,), tuple(range(1, q))):
+            for alpha in (a for a in range(q) if a not in L):
+                for roots in root_sets:
+                    argv = ["seppoly", "check", "--q", str(q), "--alpha", str(alpha)]
+                    yield [*argv, "--L", ",".join(map(str, L)), "--roots", roots]
+    yield from ARITH_REJECTED
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, action="append", help="proof-replay seed (repeatable; default 11)")
@@ -85,6 +130,10 @@ def main() -> int:
             count += 1
     print(f"documents {count}")
     print(f"sha256 {digest.hexdigest()}")
+    arith = hashlib.sha256()
+    for argv in arith_argvs():
+        arith.update(f"{' '.join(argv)}\n{run([*argv, '--json'])}\n".encode())
+    print(f"arith-sha256 {arith.hexdigest()}")
     return 0
 
 

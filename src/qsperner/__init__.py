@@ -12,7 +12,6 @@ from .bounds import (
 )
 from .closure import (
     ClosedPairCensus,
-    ClosureResult,
     IntervalL,
     closure_length_bound,
     count_closed_pairs,
@@ -33,9 +32,7 @@ from .families import (
 )
 from .padic import (
     INFINITY,
-    DigitVector,
     PrimePower,
-    Valuation,
     is_prime,
     lucas_nondivisible,
     to_digits,
@@ -53,7 +50,6 @@ from .polylab import (
 from .seppoly import (
     FactoredIntPoly,
     SeparationReport,
-    canonical_interval_poly,
     check_separation,
     degree_upper_bound,
     min_valuation_over_class,

@@ -297,7 +297,7 @@ def _r6(ctx: _Ctx):
     s = len(ctx.L)
     lhs = sum(_vp_int(p, ell) for ell in ctx.L)
     vd = _vp_int(p, d)
-    rhs = max((s - 1) * vd + k, s * vd + vp_factorial(p, s).value + 1)
+    rhs = max((s - 1) * vd + k, s * vd + vp_factorial(p, s) + 1)
     if lhs < rhs:
         texts = (
             f"L is the arithmetic progression {a} + {d}*[0, {s - 1}]",
@@ -369,7 +369,7 @@ def _wider_candidates(pp: PrimePower, lo: int, hi: int):
     """The candidates after a plain root set with hull [lo, hi]: the
     closed superinterval of the hull, then the full range [1, q-1] (which
     always works), one run each."""
-    closed = q_closure(pp, IntervalL(lo, hi)).interval
+    closed = q_closure(pp, IntervalL(lo, hi))
     yield f"closed superinterval {closed}", [(closed.lo, closed.hi)]
     if pp.q > 2:
         yield "full range", [(1, pp.q - 1)]
@@ -787,7 +787,7 @@ def bound_from_seppoly(
                 ell,
                 rep,
             )
-        own = _r22_zero_own(ctx, g, rep.v0.value, rep.shifted_minus_ok, rep.shifted_plus_ok)
+        own = _r22_zero_own(ctx, g, rep.v0, rep.shifted_minus_ok, rep.shifted_plus_ok)
         return _certificate(ctx, _R22_ZERO, *own)
     if spec.kind is Kind.INTERSECTING:
         q = pp.q

@@ -22,7 +22,7 @@ from time import perf_counter
 
 from . import bounds, closure, families, polylab, seppoly
 from .families import ConstraintSpec, Kind, SetFamily
-from .padic import PrimePower, to_digits, vp, vp_binomial
+from .padic import INFINITY, PrimePower, to_digits, vp, vp_binomial
 
 SCHEMA_VERSION = 1
 
@@ -127,8 +127,8 @@ def _read_family(args) -> SetFamily:
     return families.parse_family(text, getattr(args, "n", None))
 
 
-def _val_json(v) -> int | str:
-    return "infinity" if v.is_infinite else v.value
+def _val_json(v: int | float) -> int | str:
+    return "infinity" if v == INFINITY else v
 
 
 def _cert_json(cert: bounds.BoundCertificate) -> dict:
@@ -154,16 +154,16 @@ def _family_json(fam: SetFamily) -> list[list[int]]:
 
 def _cmd_vp(args) -> CommandResult:
     v = vp(args.p, args.n)
-    human = f"v_{args.p}({args.n}) = {'infinity' if v.is_infinite else v.value}"
+    human = f"v_{args.p}({args.n}) = {_val_json(v)}"
     return CommandResult("ok", {"p": args.p, "n": args.n, "valuation": _val_json(v)}, human=human)
 
 
 def _cmd_binom(args) -> CommandResult:
     v = vp_binomial(args.p, args.a, args.b)
-    human = f"v_{args.p}(C({args.a + args.b}, {args.a})) = {v.value}"
+    human = f"v_{args.p}(C({args.a + args.b}, {args.a})) = {v}"
     return CommandResult(
         "ok",
-        {"p": args.p, "a": args.a, "b": args.b, "valuation": _val_json(v)},
+        {"p": args.p, "a": args.a, "b": args.b, "valuation": v},
         human=human,
     )
 
@@ -172,11 +172,11 @@ def _cmd_digits(args) -> CommandResult:
     pp = PrimePower.from_q(args.q)
     if not 0 <= args.s < pp.q:
         raise UsageError(f"s = {args.s} out of range [0, {pp.q - 1}]")
-    dv = to_digits(pp, args.s)
-    human = f"{args.s} = ({','.join(map(str, dv.digits))}) base {pp.p}, width {dv.width}"
+    digits = to_digits(pp, args.s)
+    human = f"{args.s} = ({','.join(map(str, digits))}) base {pp.p}, width {pp.k}"
     return CommandResult(
         "ok",
-        {"q": pp.q, "p": pp.p, "k": pp.k, "s": args.s, "digits": list(dv.digits)},
+        {"q": pp.q, "p": pp.p, "k": pp.k, "s": args.s, "digits": list(digits)},
         human=human,
     )
 
@@ -184,19 +184,19 @@ def _cmd_digits(args) -> CommandResult:
 def _cmd_closure(args) -> CommandResult:
     pp = PrimePower.from_q(args.q)
     interval = closure.IntervalL(args.lo, args.hi)
-    result = closure.q_closure(pp, interval)
+    closed = closure.q_closure(pp, interval)
     already = closure.is_q_closed(pp, interval)
     human = (
-        f"closure of {interval} in [1, {pp.q - 1}]: {result.interval} "
-        f"(length {result.length}{', already closed' if already else ''})"
+        f"closure of {interval} in [1, {pp.q - 1}]: {closed} "
+        f"(length {closed.size}{', already closed' if already else ''})"
     )
     return CommandResult(
         "ok",
         {
             "q": pp.q,
             "input": {"lo": args.lo, "hi": args.hi},
-            "closure": {"lo": result.interval.lo, "hi": result.interval.hi},
-            "length": result.length,
+            "closure": {"lo": closed.lo, "hi": closed.hi},
+            "length": closed.size,
             "already_closed": already,
         },
         human=human,

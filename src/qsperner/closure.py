@@ -14,7 +14,6 @@ from .padic import PrimePower, _lucas_nondivisible, _vp_int, to_digits
 
 __all__ = [
     "IntervalL",
-    "ClosureResult",
     "ClosedPairCensus",
     "is_q_closed",
     "closure_length_bound",
@@ -38,17 +37,8 @@ class IntervalL:
     def size(self) -> int:
         return self.hi - self.lo + 1
 
-    def residues(self) -> range:
-        return range(self.lo, self.hi + 1)
-
     def __str__(self):
         return f"{{{self.lo}..{self.hi}}}"
-
-
-@dataclass(frozen=True)
-class ClosureResult:
-    interval: IntervalL
-    length: int
 
 
 def _check_range(pp: PrimePower, interval: IntervalL) -> None:
@@ -63,7 +53,7 @@ def is_q_closed(pp: PrimePower, interval: IntervalL) -> bool:
 
 
 def closure_length_bound(pp: PrimePower, s: int) -> int:
-    """Guaranteed upper bound on q_closure length for any size-s interval.
+    """Guaranteed upper bound on the size of q_closure for any size-s interval.
 
     Computed from the base-p digits of s (most significant first): with j
     the position of the first digit below p-1 and v the count of trailing
@@ -74,7 +64,7 @@ def closure_length_bound(pp: PrimePower, s: int) -> int:
         raise ValueError(f"s = {s} out of range [1, {pp.q - 1}]")
     if s == pp.q - 1:
         return s
-    digits = to_digits(pp, s).digits
+    digits = to_digits(pp, s)
     j = next(i for i, d in enumerate(digits, start=1) if d != pp.p - 1)
     v = _vp_int(pp.p, s)
     # The digit-raising construction widens only positions strictly between
@@ -98,7 +88,7 @@ def _least_dominating(p: int, h: int, ell: int) -> int:
     return h - h % cut + ell % cut if cut else h
 
 
-def q_closure(pp: PrimePower, interval: IntervalL) -> ClosureResult:
+def q_closure(pp: PrimePower, interval: IntervalL) -> IntervalL:
     """A shortest q-closed superinterval of `interval` inside [1, q-1].
 
     For each length upward from the interval's size, the closed candidate
@@ -113,7 +103,7 @@ def q_closure(pp: PrimePower, interval: IntervalL) -> ClosureResult:
     for length in range(interval.size, pp.q):
         b = _least_dominating(pp.p, max(hi, length), length)
         if b <= lo + length - 1:
-            return ClosureResult(IntervalL(b - length + 1, b), length)
+            return IntervalL(b - length + 1, b)
     raise AssertionError("unreachable: [1, q-1] is q-closed")
 
 
@@ -132,9 +122,21 @@ class ClosedPairCensus:
     alt_form: int
 
 
+_MAX_CENSUS_PAIRS = 10**7
+
+
 def count_closed_pairs(pp: PrimePower) -> ClosedPairCensus:
-    """Census of q-closed intervals, one per qualifying (b, s) pair."""
+    """Census of q-closed intervals, one per qualifying (b, s) pair.
+
+    Runs one Lucas test per pair, so a q with more than 10**7 of the
+    (q-1)q/2 pairs is refused with a ValueError before any test runs.
+    """
     p, k, q = pp.p, pp.k, pp.q
+    pairs = (q - 1) * q // 2
+    if pairs > _MAX_CENSUS_PAIRS:
+        raise ValueError(
+            f"census at q = {q} would test {pairs} pairs, more than the limit {_MAX_CENSUS_PAIRS}"
+        )
     count = sum(
         1
         for b in range(1, q)

@@ -1,19 +1,20 @@
-"""Exact p-adic arithmetic: valuations, base-p digit vectors, Legendre's
+"""Exact p-adic arithmetic: valuations, base-p digits, Legendre's
 formula, Kummer's carry criterion, and the Lucas divisibility test.
 
-Everything here works on arbitrary-precision integers; nothing overflows
-or rounds.  All functions are pure and safe to call from any thread.
+Answers are plain values: a valuation is an int, or INFINITY (`math.inf`)
+for v_p(0), and digits are a tuple of ints.  Everything here works on
+arbitrary-precision integers; nothing overflows or rounds.  All functions
+are pure and safe to call from any thread.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 __all__ = [
-    "Valuation",
     "INFINITY",
     "PrimePower",
-    "DigitVector",
     "is_prime",
     "vp",
     "vp_factorial",
@@ -55,99 +56,13 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"p = {p} is not prime")
 
 
-class Valuation:
-    """A p-adic valuation: a non-negative integer, or INFINITY for v_p(0).
-
-    INFINITY compares strictly greater than every finite valuation and
-    absorbs addition, so sums and comparisons are total.  Instances
-    compare equal to plain ints: ``vp(2, 12) == 2``.
-    """
-
-    __slots__ = ("_v",)
-
-    def __init__(self, value: int | None):
-        if value is not None:
-            if value < 0:
-                raise ValueError("a valuation is never negative")
-            value = int(value)
-        self._v = value
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._v is None
-
-    @property
-    def value(self) -> int:
-        if self._v is None:
-            raise ValueError("INFINITY has no finite value")
-        return self._v
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, Valuation):
-            return other._v
-        if isinstance(other, int):
-            return other
-        return NotImplemented
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._v == o
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if self._v is None:
-            return False
-        if o is None:
-            return True
-        return self._v < o
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if self._v is None:
-            return o is None
-        return o is None or self._v <= o
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return not self.__le__(other)
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return not self.__lt__(other)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if self._v is None or o is None:
-            return INFINITY
-        return Valuation(self._v + o)
-
-    __radd__ = __add__
-
-    def __hash__(self):
-        return hash(("Valuation", self._v))
-
-    def __repr__(self):
-        return "INFINITY" if self._v is None else f"Valuation({self._v})"
-
-
-INFINITY = Valuation(None)
+# v_p(0): above every int and absorbing under addition, so sums and
+# comparisons of valuations stay total
+INFINITY = math.inf
 
 
 def _vp_int(p: int, n: int) -> int:
-    """v_p(n) as a plain int for n != 0; internal fast path."""
+    """v_p(n) for n != 0 without vp's prime check; internal fast path."""
     n = abs(n)
     e = 0
     while n % p == 0:
@@ -156,21 +71,21 @@ def _vp_int(p: int, n: int) -> int:
     return e
 
 
-def vp(p: int, n: int) -> Valuation:
+def vp(p: int, n: int) -> int | float:
     """The largest e with p**e dividing n; INFINITY for n = 0.
 
     >>> vp(2, 12)
-    Valuation(2)
+    2
     >>> vp(3, 0)
-    INFINITY
+    inf
     """
     _require_prime(p)
     if n == 0:
         return INFINITY
-    return Valuation(_vp_int(p, n))
+    return _vp_int(p, n)
 
 
-def vp_factorial(p: int, s: int) -> Valuation:
+def vp_factorial(p: int, s: int) -> int:
     """v_p(s!) by Legendre's formula: the sum of floor(s / p**j) over j >= 1."""
     _require_prime(p)
     if s < 0:
@@ -180,10 +95,10 @@ def vp_factorial(p: int, s: int) -> Valuation:
     while power <= s:
         total += s // power
         power *= p
-    return Valuation(total)
+    return total
 
 
-def vp_binomial(p: int, a: int, b: int) -> Valuation:
+def vp_binomial(p: int, a: int, b: int) -> int:
     """v_p of the binomial coefficient C(a+b, a).
 
     Kummer: equal to the number of carries when a is added to b in base p.
@@ -198,7 +113,7 @@ def vp_binomial(p: int, a: int, b: int) -> Valuation:
         carries += carry
         a //= p
         b //= p
-    return Valuation(carries)
+    return carries
 
 
 def _lucas_nondivisible(p: int, x: int, y: int) -> bool:
@@ -262,34 +177,16 @@ class PrimePower:
         return f"{self.q} = {self.p}^{self.k}" if self.k > 1 else str(self.q)
 
 
-@dataclass(frozen=True)
-class DigitVector:
-    """Fixed-width base-p digit vector, most significant digit first.
+def to_digits(pp: PrimePower, s: int) -> tuple[int, ...]:
+    """The k base-p digits of s in [0, q-1], most significant first.
 
-    With digits (d_1, ..., d_k) the value is sum of d_i * p**(k-i); the
-    count of trailing zero digits equals the p-adic valuation of the value.
+    With digits (d_1, ..., d_k), s is the sum of d_i * p**(k-i), and the
+    count of trailing zero digits is v_p(s) for s > 0.
     """
-
-    digits: tuple[int, ...]
-    width: int
-
-    def __post_init__(self):
-        if len(self.digits) != self.width:
-            raise ValueError("digit count must equal the declared width")
-
-    def value(self, p: int) -> int:
-        v = 0
-        for d in self.digits:
-            v = v * p + d
-        return v
-
-
-def to_digits(pp: PrimePower, s: int) -> DigitVector:
-    """Width-k, most-significant-first base-p digits of s in [0, q-1]."""
     if not 0 <= s < pp.q:
         raise ValueError(f"s = {s} out of range [0, {pp.q - 1}]")
     digits = []
     for _ in range(pp.k):
         digits.append(s % pp.p)
         s //= pp.p
-    return DigitVector(tuple(reversed(digits)), pp.k)
+    return tuple(reversed(digits))

@@ -23,13 +23,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .padic import INFINITY, PrimePower, Valuation, _vp_int
+from .padic import INFINITY, PrimePower, _vp_int
 
 __all__ = [
     "FactoredIntPoly",
     "SeparationReport",
     "SearchBudgetExhausted",
-    "canonical_interval_poly",
     "min_valuation_over_class",
     "check_separation",
     "separates",
@@ -71,14 +70,6 @@ class FactoredIntPoly:
             f"(y-{r})" if r >= 0 else f"(y+{-r})" for r in self.roots
         )
         return head + (factors or "1")
-
-
-def canonical_interval_poly(L) -> FactoredIntPoly:
-    """The monic polynomial whose roots are exactly the elements of L."""
-    roots = tuple(sorted(L))
-    if not roots:
-        raise ValueError("L must be nonempty")
-    return FactoredIntPoly(1, roots)
 
 
 # Subproblems repeat across classes and polynomials, so the recursion is
@@ -125,7 +116,7 @@ def _joint_min_normalised(p: int, norm: tuple[int, ...]) -> int:
 
 def min_valuation_over_class(
     pp: PrimePower, g: FactoredIntPoly, residue: int
-) -> Valuation:
+) -> int:
     """Exact minimum of v_p(g(u)) over all integers u == residue (mod q).
 
     Roots outside the residue class contribute the fixed amount
@@ -144,22 +135,24 @@ def min_valuation_over_class(
             offsets.append((r - residue) // q)
     if offsets:
         total += pp.k * len(offsets) + _joint_min(p, tuple(offsets))
-    return Valuation(total)
+    return total
 
 
 @dataclass
 class SeparationReport:
     """Outcome of testing whether g separates alpha from L + qZ.
 
-    `class_minima` maps each element of L to the exact minimum valuation of
-    g over that element's residue class.  The shifted flags test the two
-    side conditions v_p(g(alpha)) <= v_p(g(u -+ 1)) over the same classes,
-    which unlock the stronger (n-1)-column bounds downstream.
+    `v0` is v_p(g(alpha)), an int, or INFINITY when g vanishes at alpha.
+    `class_minima` maps each element of L to the exact minimum valuation
+    of g over that element's residue class, always an int.  The shifted
+    flags test the two side conditions v_p(g(alpha)) <= v_p(g(u -+ 1))
+    over the same classes, which unlock the stronger (n-1)-column bounds
+    downstream.
     """
 
     alpha: int
-    v0: Valuation
-    class_minima: dict[int, Valuation]
+    v0: int | float
+    class_minima: dict[int, int]
     separates: bool
     shifted_minus_ok: bool
     shifted_plus_ok: bool
@@ -177,10 +170,10 @@ def _separation_inputs(pp: PrimePower, alpha: int, L) -> list[int]:
     return residues
 
 
-def _value_valuation(pp: PrimePower, g: FactoredIntPoly, alpha: int) -> Valuation:
+def _value_valuation(pp: PrimePower, g: FactoredIntPoly, alpha: int) -> int | float:
     """v_p(g(alpha)); pp is a validated PrimePower, so p is not re-tested."""
     value = g(alpha)
-    return Valuation(_vp_int(pp.p, value)) if value else INFINITY
+    return _vp_int(pp.p, value) if value else INFINITY
 
 
 def check_separation(

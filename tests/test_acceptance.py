@@ -28,7 +28,6 @@ from qsperner.padic import PrimePower, lucas_nondivisible, vp_binomial, vp_facto
 from qsperner.polylab import build_diff_sperner_system, verify_independence
 from qsperner.seppoly import (
     FactoredIntPoly,
-    canonical_interval_poly,
     check_separation,
     min_valuation_over_class,
 )
@@ -115,12 +114,12 @@ def test_criterion_4_closure_calculus():
         pp = PrimePower.from_q(q)
         for lo in range(1, q):
             for hi in range(lo, q):
-                result = q_closure(pp, IntervalL(lo, hi))
-                assert result.length <= closure_length_bound(pp, hi - lo + 1), (q, lo, hi)
+                closed = q_closure(pp, IntervalL(lo, hi))
+                assert closed.size <= closure_length_bound(pp, hi - lo + 1), (q, lo, hi)
     for p in (2, 3, 5):
         pp = PrimePower(p, 2)
-        result = q_closure(pp, IntervalL(p, p))
-        assert result.length == p == closure_length_bound(pp, 1)
+        closed = q_closure(pp, IntervalL(p, p))
+        assert closed.size == p == closure_length_bound(pp, 1)
     print("[criterion 4] PASS: closure lengths within the digit bound, tight at prime squares")
 
 
@@ -161,7 +160,7 @@ def test_criterion_6_interval_polynomial_bridge():
                 if not lucas_nondivisible(pp.p, b, s):
                     continue
                 L = set(range(b - s + 1, b + 1))
-                g = canonical_interval_poly(L)
+                g = FactoredIntPoly(1, tuple(sorted(L)))
                 report = check_separation(pp, g, 0, L)
                 assert report.separates, (q, b, s)
                 assert report.v0 == vp_factorial(pp.p, s), (q, b, s)
@@ -208,7 +207,7 @@ def test_criterion_8_independence_verification():
         L = set(range(b - s + 1, b + 1))
         spec = ConstraintSpec(kind=Kind.DIFF_SPERNER, n=n, L=L, modulus=pp)
         witness = max_family(spec).witness
-        g = canonical_interval_poly(L)
+        g = FactoredIntPoly(1, tuple(sorted(L)))
         system = build_diff_sperner_system(witness, g, pp, "minus")
         report = verify_independence(system)
         assert report.full_rank, (pp.q, b, s, n)
@@ -235,7 +234,7 @@ def test_criterion_8_independence_verification():
         members[-1] = sub
         mutated = SetFamily(witness.n, tuple(members))
         assert not satisfies(spec, mutated)
-        system = build_diff_sperner_system(mutated, canonical_interval_poly(L), pp, "minus")
+        system = build_diff_sperner_system(mutated, FactoredIntPoly(1, tuple(sorted(L))), pp, "minus")
         report = verify_independence(system)
         assert not report.pattern_ok, (pp.q, b, s, n)
         mutated_checked += 1

@@ -117,6 +117,19 @@ class TestCommands:
         assert doc["payload"]["alt_form"] == -3
         assert doc["diagnostics"]
 
+    def test_census_size_limit(self, capsys):
+        """q = 2^20 has about 5.5e11 (b, s) pairs: refused before any is tested."""
+        code, doc = run_json(capsys, ["census", "--q", "1048576"])
+        assert code == EXIT_USAGE
+        assert doc == {
+            "schema": 1,
+            "status": "error",
+            "payload": {},
+            "diagnostics": [
+                "census at q = 1048576 would test 549755289600 pairs, more than the limit 10000000"
+            ],
+        }
+
     def test_seppoly_check(self, capsys):
         code, doc = run_json(
             capsys,
@@ -288,6 +301,72 @@ def without_lowest_of_first(members):
     by itself minus its lowest element, a proper subset of it."""
     first = members[0]
     return [first & (first - 1)] + members[1:]
+
+
+class TestArithmeticGolden:
+    """The human lines and documents of the arithmetic commands, byte for
+    byte: valuations print as ints or `infinity`, never as a float."""
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["vp", "--p", "2", "--n", "12"], "v_2(12) = 2"),
+            (["vp", "--p", "3", "--n", "0"], "v_3(0) = infinity"),
+            (["binom", "--p", "2", "--a", "3", "--b", "3"], "v_2(C(6, 3)) = 2"),
+            (["digits", "--q", "27", "--s", "9"], "9 = (1,0,0) base 3, width 3"),
+            (["closure", "--q", "9", "--lo", "3", "--hi", "3"], "closure of {3..3} in [1, 8]: {1..3} (length 3)"),
+            (
+                ["closure", "--q", "9", "--lo", "1", "--hi", "3"],
+                "closure of {1..3} in [1, 8]: {1..3} (length 3, already closed)",
+            ),
+        ],
+    )
+    def test_human_line(self, capsys, argv, line):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == line + "\n"
+
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (["vp", "--p", "2", "--n", "12"], {"p": 2, "n": 12, "valuation": 2}),
+            (["vp", "--p", "3", "--n", "0"], {"p": 3, "n": 0, "valuation": "infinity"}),
+            (["binom", "--p", "2", "--a", "3", "--b", "3"], {"p": 2, "a": 3, "b": 3, "valuation": 2}),
+            (["digits", "--q", "27", "--s", "9"], {"q": 27, "p": 3, "k": 3, "s": 9, "digits": [1, 0, 0]}),
+            (
+                ["closure", "--q", "9", "--lo", "3", "--hi", "3"],
+                {
+                    "q": 9,
+                    "input": {"lo": 3, "hi": 3},
+                    "closure": {"lo": 1, "hi": 3},
+                    "length": 3,
+                    "already_closed": False,
+                },
+            ),
+            (
+                # (y-0)(y-3) vanishes at alpha = 0
+                ["seppoly", "check", "--q", "4", "--alpha", "0", "--L", "1,2", "--roots", "0,3"],
+                {
+                    "q": 4,
+                    "alpha": 0,
+                    "L": [1, 2],
+                    "poly": {"lead": 1, "roots": [0, 3]},
+                    "v0": "infinity",
+                    "class_minima": {"1": 1, "2": 1},
+                    "separates": False,
+                    "shifted_minus_ok": False,
+                    "shifted_plus_ok": False,
+                },
+            ),
+        ],
+    )
+    def test_json_document(self, capsys, argv, payload):
+        assert main(argv + ["--json"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "Infinity" not in out and "NaN" not in out
+        doc = json.loads(out)
+        assert doc == {"schema": 1, "command": argv[0], "status": "ok", "payload": payload, "diagnostics": []}
+        for value in doc["payload"].get("class_minima", {}).values():
+            assert type(value) is int
 
 
 class TestReplayRanks:

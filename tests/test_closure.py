@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from qsperner import closure
 from qsperner.closure import (
     IntervalL,
     _least_dominating,
@@ -79,27 +80,20 @@ class TestLengthBound:
 class TestClosure:
     def test_examples(self):
         pp9 = PrimePower.from_q(9)
-        res = q_closure(pp9, IntervalL(3, 3))
-        assert res.length == 3 and res.interval == IntervalL(1, 3)
-
-        res = q_closure(PrimePower.from_q(4), IntervalL(2, 2))
-        assert res.length == 2 and res.interval == IntervalL(1, 2)
-
-        res = q_closure(pp9, IntervalL(1, 3))
-        assert res.length == 3 and res.interval == IntervalL(1, 3)
+        assert q_closure(pp9, IntervalL(3, 3)) == IntervalL(1, 3)
+        assert q_closure(PrimePower.from_q(4), IntervalL(2, 2)) == IntervalL(1, 2)
+        assert q_closure(pp9, IntervalL(1, 3)) == IntervalL(1, 3)
 
     @pytest.mark.parametrize("q", QS)
     def test_contains_closed_minimal(self, q):
         pp = PrimePower.from_q(q)
         for lo in range(1, q):
             for hi in range(lo, q):
-                res = q_closure(pp, IntervalL(lo, hi))
-                out = res.interval
+                out = q_closure(pp, IntervalL(lo, hi))
                 assert out.lo <= lo and hi <= out.hi
                 assert is_q_closed(pp, out)
-                assert res.length == out.size
                 # exhaustive minimality check by the arithmetic oracle
-                for length in range(hi - lo + 1, res.length):
+                for length in range(hi - lo + 1, out.size):
                     for lo2 in range(max(1, hi - length + 1), lo + 1):
                         hi2 = lo2 + length - 1
                         if hi2 <= q - 1:
@@ -110,14 +104,14 @@ class TestClosure:
         pp = PrimePower.from_q(q)
         for lo in range(1, q):
             for hi in range(lo, q):
-                res = q_closure(pp, IntervalL(lo, hi))
-                assert res.length <= closure_length_bound(pp, hi - lo + 1)
+                out = q_closure(pp, IntervalL(lo, hi))
+                assert out.size <= closure_length_bound(pp, hi - lo + 1)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_tightness_at_prime_squares(self, p):
         pp = PrimePower(p, 2)
-        res = q_closure(pp, IntervalL(p, p))
-        assert res.length == p == closure_length_bound(pp, 1)
+        out = q_closure(pp, IntervalL(p, p))
+        assert out.size == p == closure_length_bound(pp, 1)
 
 
 def closure_by_scan(pp, interval, closed):
@@ -129,7 +123,7 @@ def closure_by_scan(pp, interval, closed):
         lo_max = min(interval.lo, q - length)
         for lo in range(lo_min, lo_max + 1):
             if closed[length][lo + length - 1]:
-                return IntervalL(lo, lo + length - 1), length
+                return IntervalL(lo, lo + length - 1)
     raise AssertionError("[1, q-1] is q-closed")
 
 
@@ -146,8 +140,8 @@ class TestDigitClosure:
         closed = closed_table(pp)
         for lo in range(1, q):
             for hi in range(lo, q):
-                res = q_closure(pp, IntervalL(lo, hi))
-                assert (res.interval, res.length) == closure_by_scan(pp, IntervalL(lo, hi), closed)
+                out = q_closure(pp, IntervalL(lo, hi))
+                assert out == closure_by_scan(pp, IntervalL(lo, hi), closed)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_least_dominating_by_search(self, p):
@@ -187,3 +181,12 @@ class TestCensus:
             if math.comb(b, s) % pp.p != 0
         )
         assert count_closed_pairs(pp).count == direct
+
+    def test_size_limit_refused_before_enumeration(self, monkeypatch):
+        with pytest.raises(ValueError, match="would test 33550336 pairs"):
+            count_closed_pairs(PrimePower.from_q(8192))
+        # the limit is inclusive: q = 4 has exactly 6 pairs
+        monkeypatch.setattr(closure, "_MAX_CENSUS_PAIRS", 6)
+        assert count_closed_pairs(PrimePower.from_q(4)).count == 5
+        with pytest.raises(ValueError, match="more than the limit 6"):
+            count_closed_pairs(PrimePower.from_q(5))

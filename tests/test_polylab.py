@@ -395,12 +395,12 @@ def pattern_failures_by_entries(sys_):
     failures = []
     if sys_.meta["system"] == "diff":
         p, g0 = sys_.meta["p"], sys_.meta["g_at_zero"]
-        v0 = vp(p, g0).value if g0 else None
+        v0 = vp(p, g0) if g0 else None
         for i, form in enumerate(sys_.forms["P"]):
             for j, val in enumerate(form.at(fam)):
-                if j != i and val and (v0 is None or vp(p, val).value <= v0):
+                if j != i and val and (v0 is None or vp(p, val) <= v0):
                     failures.append(
-                        f"off-diagonal entry ({i}, {j}) has valuation {vp(p, val).value}, not above {v0}"
+                        f"off-diagonal entry ({i}, {j}) has valuation {vp(p, val)}, not above {v0}"
                     )
         return failures
 

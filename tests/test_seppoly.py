@@ -11,7 +11,6 @@ from qsperner.seppoly import (
     FactoredIntPoly,
     SearchBudgetExhausted,
     _joint_min,
-    canonical_interval_poly,
     check_separation,
     degree_upper_bound,
     min_valuation_over_class,
@@ -64,11 +63,9 @@ class TestFactoredPoly:
             assert h(y) == g(5 - y)
 
     def test_canonical(self):
-        assert canonical_interval_poly({1, 2, 3}).roots == (1, 2, 3)
-        assert canonical_interval_poly({3}).roots == (3,)
-        assert canonical_interval_poly([2, 4]).roots == (2, 4)
-        with pytest.raises(ValueError):
-            canonical_interval_poly([])
+        """Roots are kept sorted, so equal polynomials compare equal."""
+        assert FactoredIntPoly(1, (3, 1, 2)).roots == (1, 2, 3)
+        assert FactoredIntPoly(1, (4, 2)) == FactoredIntPoly(1, (2, 4))
 
 
 class TestMinValuation:
@@ -189,7 +186,7 @@ class TestSeparatesFastPath:
         # roots on L itself, the bound engine's first candidate: every class
         # holds a root, so each minimum goes through the digit recursion
         pp, _, alpha, L = case
-        g = canonical_interval_poly(L)
+        g = FactoredIntPoly(1, tuple(sorted(L)))
         assert separates(pp, g, alpha, L) == check_separation(pp, g, alpha, L).separates
 
     @pytest.mark.parametrize(
@@ -286,7 +283,7 @@ class TestProgressionBridge:
                     rhs = max((s - 1) * vd + pp.k, s * vd + fact + 1)
                     if lhs >= rhs:
                         continue
-                    rep = check_separation(pp, canonical_interval_poly(L), 0, L)
+                    rep = check_separation(pp, FactoredIntPoly(1, tuple(sorted(L))), 0, L)
                     assert rep.separates, (q, a, d, s)
                     checked += 1
         assert checked > 0
