@@ -7,7 +7,9 @@ may pick, then the whole `bound-random` pool, both as `perfbench/workloads.py`
 defines them.  For each spec the script hashes `repr` of the full sorted
 portfolio that `best_bound` returns, so a change to any certificate's value,
 rule, hypothesis wording or auxiliary evidence changes the digest.  Run it
-on two checkouts and compare the printed lines.
+on two checkouts and compare the printed lines.  `best-sha256` hashes the
+best certificate of each spec alone, so a change that drops a rule which
+never wins changes `sha256` but leaves `best-sha256` as it was.
 
 After the digest it prints how often the specs called each function of
 COUNTED, one `calls <module>.<name> <count>` line each: counts that do not
@@ -93,14 +95,16 @@ def seppoly_certificate(spec):
 
 def main() -> int:
     calls = count_calls()
-    digest = hashlib.sha256()
+    digest, best_digest = hashlib.sha256(), hashlib.sha256()
     count = 0
     for spec in specs():
-        digest.update(repr(best_bound(spec)[1]).encode())
-        digest.update(b"\n")
+        best, certs = best_bound(spec)
+        digest.update(repr(certs).encode() + b"\n")
+        best_digest.update(repr(best).encode() + b"\n")
         count += 1
     print(f"specs {count}")
     print(f"sha256 {digest.hexdigest()}")
+    print(f"best-sha256 {best_digest.hexdigest()}")
     for home, name in COUNTED:
         print(f"calls {home}.{name} {calls[f'{home}.{name}']}")
     digest = hashlib.sha256()

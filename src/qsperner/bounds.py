@@ -39,6 +39,21 @@ share its class minima, and a residue it fails tries only the wider
 candidates.  `check_separation` and `separates` stay the independent
 route of `bound_from_seppoly` and `first_zero_separator`, which builds
 each candidate's polynomial from its runs.
+
+R20, the sum of C(n, i) for i <= 2s-1 when an intersecting L is an
+interval of size s modulo q = p^2, is left out: it never comes first.
+Adding m and l-m in base p carries only from digit v_p(m) to below l's
+top digit, so v_p(m C(l, m)) <= k-1 for 1 <= m <= l < q (Kummer).  So a
+closed C = [b-l+1, b] separates 0 from its residues: v_p(g(0)) = v_p(l!),
+and class b-i has minimum k + v_p(i!) + v_p((l-1-i)!) = k + v_p(l!) -
+v_p((i+1) C(l, i+1)) > v_p(l!).  Each alpha outside L reflects L to an
+interval of size s in [1, q-1], so R22's degree for alpha is s or at most
+its closure's size, s + x%m - h%m <= s + p - 1 at q = p^2 (`q_closure`'s
+m <= p there, as lo-1 < hi leaves only digit 0).  For s <= p it is s:
+v_p(g(0)) = v_p(C(b, s)) + v_p(s!) = v_p(s C(b, s)) <= 1, below k = 2 and
+so below every class minimum.  R22 is thus below R20 when s >= 2 and
+2s-1 <= n.  At s = 1, R14 ties R20 earlier in tie order; when 2s-1 >= n,
+or L is every residue, R19 is at most R20 with fewer hypotheses.
 """
 
 from __future__ import annotations
@@ -153,21 +168,6 @@ def _next_prime(m: int) -> int:
     return c
 
 
-def _as_arithmetic_progression(L: tuple[int, ...]) -> tuple[int, int] | None:
-    """(first term, common difference) when sorted L is an AP of positive
-    integers; singletons count with difference 1."""
-    if not L or L[0] < 1:
-        return None
-    if len(L) == 1:
-        return L[0], 1
-    d = L[1] - L[0]
-    if d < 1:
-        return None
-    if all(L[i + 1] - L[i] == d for i in range(len(L) - 1)):
-        return L[0], d
-    return None
-
-
 # --- contexts, rule records and the certificate builder --------------------
 
 # The kind hypothesis, by kind and whether the rule reads L modulo q.
@@ -234,7 +234,6 @@ class _Modulus:
 
 _PRIME_POWER = _Modulus(None, lambda pp: f"modulus {pp.q} is a prime power")
 _PRIME = _Modulus(1, lambda pp: f"modulus {pp.p} is prime")
-_PRIME_SQUARE = _Modulus(2, lambda pp: f"modulus {pp.q} = {pp.p}^2 is a prime square")
 # L never holds a multiple of p here: a modular Hamming L lies in [1, q-1],
 # and a lifted p exceeds max(L).
 _PRIME_AVOIDING_L = _Modulus(1, lambda pp: f"modulus {pp.p} is prime and L avoids its multiples")
@@ -289,12 +288,13 @@ def _r5(ctx: _Ctx):
 
 
 def _r6(ctx: _Ctx):
-    ap = _as_arithmetic_progression(ctx.L)
-    if ap is None:
+    # L is sorted and distinct: an arithmetic progression of positive
+    # integers when every step is the first one (1 for a singleton)
+    L, s = ctx.L, len(ctx.L)
+    a, d = L[0], (L[1] - L[0] if s > 1 else 1)
+    if a < 1 or any(y - x != d for x, y in zip(L, L[1:])):
         return
-    a, d = ap
     p, k = ctx.pp.p, ctx.pp.k
-    s = len(ctx.L)
     lhs = sum(_vp_int(p, ell) for ell in ctx.L)
     vd = _vp_int(p, d)
     rhs = max((s - 1) * vd + k, s * vd + vp_factorial(p, s) + 1)
@@ -544,13 +544,6 @@ def _r19(ctx: _Ctx):
     yield (), binom_sum(ctx.n, 0, ctx.pp.q - 1, "n"), None
 
 
-def _r20(ctx: _Ctx):
-    s = ctx.mod_interval
-    if s is not None:
-        texts = ("L is an interval in the modulo-q sense",)
-        yield texts, binom_sum(ctx.n, 0, 2 * s - 1, "n"), None
-
-
 def _reflected(pp: PrimePower, L: tuple[int, ...], alpha: int) -> tuple[int, ...]:
     """The sorted residues (alpha - L) mod q."""
     return tuple(sorted({(alpha - ell) % pp.q for ell in L}))
@@ -667,7 +660,6 @@ _PORTFOLIO = {
             _Rule("R17", _PRIME_POWER, _r17),
             _Rule("R18", _PRIME_POWER, _r18),
             _Rule("R19", _PRIME_POWER, _r19),
-            _Rule("R20", _PRIME_SQUARE, _r20),
             _R22_PER_ALPHA,
         ),
     ),

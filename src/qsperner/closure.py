@@ -3,7 +3,8 @@
 An interval {b-s+1, ..., b} inside [q-1] is *q-closed* when p does not
 divide C(b, s); a *q-closure* of an interval is a shortest q-closed
 superinterval inside [q-1].  One always exists because [1, q-1] itself is
-q-closed (C(q-1, q-1) = 1).
+q-closed (C(q-1, q-1) = 1), and `q_closure` finds it from the base-p
+digits of lo-1 and hi alone, keeping hi as its right end.
 """
 
 from __future__ import annotations
@@ -73,38 +74,30 @@ def closure_length_bound(pp: PrimePower, s: int) -> int:
     return s + max(0, pp.q // pp.p ** j - pp.p ** v)
 
 
-def _least_dominating(p: int, h: int, ell: int) -> int:
-    """The least b >= h whose base-p digits are each at least ell's, so
-    that p does not divide C(b, ell) by Lucas's theorem.  With j the
-    highest digit where h is below ell, b keeps h's digits above j and
-    takes ell's from j down; when there is no such digit, b = h."""
-    x, y, place, cut = h, ell, 1, 0
-    while y:
-        place *= p
-        if y % p > x % p:
-            cut = place
-        x //= p
-        y //= p
-    return h - h % cut + ell % cut if cut else h
-
-
 def q_closure(pp: PrimePower, interval: IntervalL) -> IntervalL:
-    """A shortest q-closed superinterval of `interval` inside [1, q-1].
+    """The shortest q-closed superinterval of `interval` inside [1, q-1],
+    the one with the smallest lo among equally short ones.
 
-    For each length upward from the interval's size, the closed candidate
-    [b - length + 1, b] with the least b >= max(hi, length) is built from
-    digits; it is accepted when it still reaches down to lo.  Among
-    equally short closures the one with the smallest lo wins, so output is
-    deterministic even though shortest closures need not be unique.  b
-    has no more base-p digits than q - 1, so it never passes q - 1.
+    [y+1, b] is q-closed when p does not divide C(b, b-y), that is (Lucas,
+    Kummer) when adding y and b-y in base p carries nothing: every base-p
+    digit of y is at most b's.  Let x = lo-1, h = hi, j the highest digit
+    position where h's digit is below x's, and m = p**(j+1) (m = 1 when
+    there is none).  The closure is [z+1, h] with z = x - x%m + h%m: z keeps
+    x's digits above j and takes h's from j down, so it is the largest
+    number up to x whose digits are each at most h's, and h - z =
+    (h//m - x//m)*m.  No closed [y+1, b] with y <= x and b >= h is shorter:
+    its digits give y%m <= b%m, so b - y >= (b//m - y//m)*m >= h - z.  One
+    as short has lo = b - (h - z) + 1 >= z + 1, so the right end stays at
+    hi.  One pass over the digits of x finds m.
     """
     _check_range(pp, interval)
-    lo, hi = interval.lo, interval.hi
-    for length in range(interval.size, pp.q):
-        b = _least_dominating(pp.p, max(hi, length), length)
-        if b <= lo + length - 1:
-            return IntervalL(b - length + 1, b)
-    raise AssertionError("unreachable: [1, q-1] is q-closed")
+    p, x, h = pp.p, interval.lo - 1, interval.hi
+    place, m = 1, 1
+    while x >= place:
+        if h // place % p < x // place % p:
+            m = place * p
+        place *= p
+    return IntervalL(x - x % m + h % m + 1, h)
 
 
 @dataclass(frozen=True)

@@ -128,9 +128,10 @@ def _require_size(members: int, *mask_blocks: tuple[int, int]) -> None:
         raise ValueError(f"the proof system has {total} polynomials, more than the limit of {_MAX_POLYS}")
 
 
-def _difference_forms(n: int, order, g: FactoredIntPoly) -> list[_ClosedForm]:
-    """p_i = g(|A_i| - v_i . x) for each member A_i."""
-    values = [g(k) for k in range(n + 1)]
+def _difference_forms(order, g: FactoredIntPoly) -> list[_ClosedForm]:
+    """p_i = g(|A_i| - v_i . x) for each member A_i; g is evaluated only up
+    to the largest member size."""
+    values = [g(k) for k in range(max((m.bit_count() for m in order), default=-1) + 1)]
     return [_ClosedForm(0, mask, tuple(values[mask.bit_count()::-1])) for mask in order]
 
 
@@ -164,7 +165,7 @@ def build_diff_sperner_system(
     without = [m for m in fam.members if not m & top]
     withn = [m for m in fam.members if m & top]
     order = tuple(without + withn)
-    forms = {"P": _difference_forms(n, order, g)}
+    forms = {"P": _difference_forms(order, g)}
     probes: dict[str, tuple[int, ...]] = {"family": order}
     if variant != "none":
         b_masks = _masks_by_size(g.degree - 1, within=top - 1)
@@ -220,7 +221,7 @@ def build_midband_system(fam: SetFamily, s: int, variant: str) -> ProofSystem:
         b_masks = _masks_by_size(s - 1, within=top - 1)
         c_masks = _masks_by_size(3 * s - n - 2, within=top - 1)
         forms = {
-            "P": _difference_forms(n, order, g),
+            "P": _difference_forms(order, g),
             "F": [_ClosedForm(b, top, (-1, 0)) for b in b_masks],
             "H": _window_forms(s - 1, n - s, top - 1, c_masks),
         }
@@ -246,7 +247,7 @@ def build_midband_system(fam: SetFamily, s: int, variant: str) -> ProofSystem:
         full = (1 << n) - 1
         b_masks = _masks_by_size(3 * s - n - 1, within=full)
         forms = {
-            "P": _difference_forms(n, order, g),
+            "P": _difference_forms(order, g),
             "H": _window_forms(s, n - s, full, b_masks),
         }
         probes = {"family": order, "window_masks": tuple(b_masks)}

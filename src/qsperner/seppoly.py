@@ -215,6 +215,9 @@ class SearchBudgetExhausted(Exception):
         self.degree = degree
 
 
+_MAX_ROOT_WINDOW = 10**6
+
+
 def search_min_degree(
     pp: PrimePower,
     alpha: int,
@@ -227,7 +230,8 @@ def search_min_degree(
 
     Iterative deepening over the degree; root multisets are drawn from
     `root_window` (default [0, q**2)) in sorted-multiset lexicographic
-    order, so the result is reproducible byte for byte.  The degree found
+    order, so the result is reproducible byte for byte, and a window of
+    more than 10**6 values is refused with a ValueError.  The degree found
     is an upper bound on the true minimum over the factored candidate
     class only; returns None when nothing passes within the limits.  With
     a `node_budget`, at most that many root multisets are tried before
@@ -238,6 +242,10 @@ def search_min_degree(
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be non-negative, got {node_budget}")
     window = root_window if root_window is not None else range(0, pp.q ** 2)
+    if window[_MAX_ROOT_WINDOW:]:  # not len(), which overflows past sys.maxsize
+        raise ValueError(
+            f"the root window holds more than {_MAX_ROOT_WINDOW} values; pass a smaller --window"
+        )
     tried = 0
     for d in range(1, max_degree + 1):
         for roots in combinations_with_replacement(window, d):

@@ -250,6 +250,21 @@ class TestPortfolioProperties:
                         kept = (best.bound.value, len(best.hypotheses), int(best.theorem_id[1:]))
                         assert kept == min([kept, *removed]), (q, L, n)
 
+    def test_r20_never_sets_the_minimum(self):
+        # R20 (q = p^2, L an interval of size s modulo q) bounded by sum
+        # C(n, i) over i <= 2s - 1 with three hypotheses; the proof that R22,
+        # R14 or R19 always comes first is in `bounds`' docstring.
+        # Re-implemented here over every cyclic interval, it may not beat
+        # the best.
+        for q in (4, 9, 25):
+            for L in {frozenset((a + i) % q for i in range(s)) for a in range(q) for s in range(1, q + 1)}:
+                for n in (1, 3, 6, 10, 24):
+                    best, certs = best_bound(spec_of(Kind.INTERSECTING, n, L, q=q))
+                    value = sum(math.comb(n, i) for i in range(min(2 * len(L) - 1, n) + 1))
+                    kept = (best.bound.value, len(best.hypotheses), int(best.theorem_id[1:]))
+                    assert kept < (value, 3, 20), (q, sorted(L), n)
+                    assert "R20" not in {c.theorem_id for c in certs}
+
     def test_soundness_small_sweep(self):
         pp = PP(4)
         for n in (4, 5):
@@ -662,7 +677,6 @@ PINNED_CERTIFICATES = [
             "BoundCertificate(theorem_id='R22', hypotheses=(('family is 4-modular L-avoiding L-intersecting', True), ('modulus 4 is a prime power', True), ('a separating polynomial was constructed for every residue outside L', True), ('maximum degree used is 2', True)), bound=BinomSum(lower=0, upper=2, column='n', value=22), auxiliary={'per_alpha_degrees': {2: 2, 3: 2}})",
             "BoundCertificate(theorem_id='R17', hypotheses=(('family is 4-modular L-avoiding L-intersecting', True), ('modulus 4 is a prime power', True), ('L is an interval in the modulo-q sense', True), ('|L| = 2 <= n - q + 2 = 4', True)), bound=BinomSum(lower=2, upper=3, column='n', value=35), auxiliary=None)",
             "BoundCertificate(theorem_id='R19', hypotheses=(('family is 4-modular L-avoiding L-intersecting', True), ('modulus 4 is a prime power', True)), bound=BinomSum(lower=0, upper=3, column='n', value=42), auxiliary=None)",
-            "BoundCertificate(theorem_id='R20', hypotheses=(('family is 4-modular L-avoiding L-intersecting', True), ('modulus 4 = 2^2 is a prime square', True), ('L is an interval in the modulo-q sense', True)), bound=BinomSum(lower=0, upper=3, column='n', value=42), auxiliary=None)",
             "BoundCertificate(theorem_id='R15', hypotheses=(('family is 4-modular L-avoiding L-intersecting', True), ('modulus 4 is a prime power', True), ('L = {0, ..., 1}', True), ('s = 2 < q = 4', True)), bound=BinomSum(lower=0, upper=4, column='n', value=57), auxiliary=None)",
         ],
         id="modular intersecting",

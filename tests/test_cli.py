@@ -511,8 +511,12 @@ class TestExitCodes:
                 ["verify", "--kind", "diff-sperner", "--q", "4", "--L", "1,4", "--file", "FAMILY"],
                 "L may not contain 0 modulo q",
             ),
+            (
+                ["seppoly", "find", "--q", "65536", "--alpha", "0", "--L", "1..3"],
+                "the root window holds more than 1000000 values; pass a smaller --window",
+            ),
         ],
-        ids=["vp", "binom", "closure", "mu", "bound", "check", "push", "verify"],
+        ids=["vp", "binom", "closure", "mu", "bound", "check", "push", "verify", "seppoly find"],
     )
     def test_library_rejection_is_a_usage_error(self, tmp_path, capsys, argv, message):
         """A library ValueError reaches the user as exit 2 with its message."""
@@ -664,15 +668,28 @@ class TestParserReuse:
         assert _build_parser.cache_info().misses == 1
 
 
-def test_python_dash_m_runs_the_cli():
+def run_module(argv, timeout=60):
+    """`python -m qsperner argv`, in a subprocess stopped after `timeout` s."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qsperner", "vp", "--p", "3", "--n", "162", "--json"],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "qsperner", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = run_module(["vp", "--p", "3", "--n", "162", "--json"])
     assert proc.returncode == EXIT_OK, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["command"] == "vp" and doc["status"] == "ok"
     assert doc["payload"]["valuation"] == 4  # 162 = 2 * 3^4
+
+
+def test_closure_straddle_at_q_2_40():
+    # the closure of {2^39 - 1, 2^39} reaches down to 1
+    argv = ["closure", "--q", "1099511627776", "--lo", "549755813887", "--hi", "549755813888"]
+    proc = run_module([*argv, "--json"], timeout=30)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["payload"]["closure"] == {"lo": 1, "hi": 549755813888}

@@ -1,17 +1,18 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qsperner import closure
 from qsperner.closure import (
     IntervalL,
-    _least_dominating,
     closure_length_bound,
     count_closed_pairs,
     is_q_closed,
     q_closure,
 )
-from qsperner.padic import PrimePower, _lucas_nondivisible, lucas_nondivisible
+from qsperner.padic import PrimePower, _lucas_nondivisible
 
 QS = [4, 8, 9, 16, 25, 27]
 SCAN_QS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128, 243]
@@ -83,6 +84,8 @@ class TestClosure:
         assert q_closure(pp9, IntervalL(3, 3)) == IntervalL(1, 3)
         assert q_closure(PrimePower.from_q(4), IntervalL(2, 2)) == IntervalL(1, 2)
         assert q_closure(pp9, IntervalL(1, 3)) == IntervalL(1, 3)
+        straddle = IntervalL(2**39 - 1, 2**39)
+        assert q_closure(PrimePower(2, 40), straddle) == IntervalL(1, 2**39)
 
     @pytest.mark.parametrize("q", QS)
     def test_contains_closed_minimal(self, q):
@@ -143,12 +146,31 @@ class TestDigitClosure:
                 out = q_closure(pp, IntervalL(lo, hi))
                 assert out == closure_by_scan(pp, IntervalL(lo, hi), closed)
 
-    @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_least_dominating_by_search(self, p):
-        for h in range(p**3):
-            for ell in range(1, p**3):
-                b = next(b for b in range(h, p**4) if lucas_nondivisible(p, b, ell))
-                assert _least_dominating(p, h, ell) == b, (p, h, ell)
+
+# Primes with the largest exponent k that keeps p**k <= 2**64.
+HYP_PRIMES = [(p, max(k for k in range(1, 65) if p**k <= 2**64))
+              for p in (2, 3, 5, 7, 11, 13, 251, 65521, 4294967291)]
+
+
+@st.composite
+def prime_power_intervals(draw):
+    """(p^k <= 2^64, lo, hi) with 1 <= lo <= hi <= q-1; the interval's size
+    is drawn below 1, p or q, so short and long intervals both occur."""
+    p, k_max = draw(st.sampled_from(HYP_PRIMES))
+    k = draw(st.integers(1, k_max))
+    hi = draw(st.integers(1, p**k - 1))
+    width = draw(st.sampled_from([1, p, p**k]))
+    lo = draw(st.integers(max(1, hi - width + 1), hi))
+    return PrimePower(p, k), lo, hi
+
+
+@given(prime_power_intervals())
+def test_closure_property_up_to_2_64(case):
+    pp, lo, hi = case
+    out = q_closure(pp, IntervalL(lo, hi))
+    assert out.lo <= lo and out.hi == hi
+    assert is_q_closed(pp, out)
+    assert out.size <= closure_length_bound(pp, hi - lo + 1)
 
 
 class TestCensus:

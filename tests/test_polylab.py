@@ -181,6 +181,15 @@ class TestDiffSystem:
         assert not report.pattern_ok
         assert report.pattern_failures
 
+    def test_g_evaluated_up_to_largest_member(self, monkeypatch):
+        calls = []
+        original = FactoredIntPoly.__call__
+        monkeypatch.setattr(FactoredIntPoly, "__call__", lambda g, y: calls.append(y) or original(g, y))
+        fam = SetFamily.from_sets(10**6, [{1}, {2, 10**6}])
+        sys_ = build_diff_sperner_system(fam, FactoredIntPoly(1, (1,)), PrimePower.from_q(2))
+        assert sorted(calls) == [0, 0, 1, 2]  # g(0..2), then g(0) for the metadata
+        assert [f.t for f in sys_.forms["P"]] == [(0, -1), (1, 0, -1)]
+
     def test_plus_variant(self):
         pp4 = PrimePower.from_q(4)
         fam = SetFamily.from_sets(3, [{1}, {3}, {2, 3}])

@@ -251,6 +251,18 @@ class TestSearch:
         with pytest.raises(ValueError, match="non-negative"):
             search_min_degree(pp, 0, {1, 2, 3}, 4, node_budget=-1)
 
+    def test_root_window_limit(self):
+        # the limit is inclusive; the default window [0, q**2) of q = 2**16
+        # and one too large for len() are refused before any multiset
+        pp = PrimePower.from_q(4)
+        assert search_min_degree(pp, 0, {1}, 1, range(10**6)) == (FactoredIntPoly(1, (1,)), 1)
+        message = "the root window holds more than 1000000 values; pass a smaller --window"
+        with pytest.raises(ValueError, match=message):
+            search_min_degree(pp, 0, {1}, 1, range(10**6 + 1))
+        for q in (2**16, 2**40):
+            with pytest.raises(ValueError, match=message):
+                search_min_degree(PrimePower.from_q(q), 0, {1, 2, 3}, 3)
+
     def test_reproducible(self):
         pp = PrimePower.from_q(8)
         a = search_min_degree(pp, 0, {1, 5}, 2)
