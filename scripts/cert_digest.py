@@ -16,11 +16,11 @@ COUNTED, one `calls <module>.<name> <count>` line each: counts that do not
 depend on the machine, taken by wrapping the functions at every name the
 `qsperner` modules hold them by, for the duration of this script only.
 
-Last it prints `seppoly-sha256`, a digest of the certificate that the
-second route, `bound_from_seppoly`, gives on every modular difference,
-Hamming and intersecting spec among them: with `first_zero_separator`'s
-polynomial for the first two kinds, and by the default per-alpha
-construction for the intersecting kind.
+Last it prints `seppoly-sha256`, a digest of the certificate that R22's
+checker, `bound_from_seppoly`, gives on every modular difference, Hamming
+and intersecting spec among them, each by one call with its default
+polynomials: `first_zero_separator`'s for the first two kinds, and their
+reflections per residue for the intersecting kind.
 
 Usage:
   python3 scripts/cert_digest.py
@@ -36,7 +36,7 @@ sys.dont_write_bytecode = True  # leave perfbench/ as checked out
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from qsperner.bounds import best_bound, bound_from_seppoly, first_zero_separator
+from qsperner.bounds import best_bound, bound_from_seppoly
 from qsperner.families import Kind
 from workloads import N_CHOICES, make_spec, random_strata, table_strata
 
@@ -84,13 +84,9 @@ def specs():
 def seppoly_certificate(spec):
     """`bound_from_seppoly`'s certificate for a modular difference, Hamming
     or intersecting spec, or None for any other spec."""
-    if spec.modulus is None:
+    if spec.modulus is None or spec.kind is Kind.INTERSECTING_UNIFORM:
         return None
-    if spec.kind in (Kind.DIFF_SPERNER, Kind.HAMMING):
-        return bound_from_seppoly(spec, first_zero_separator(spec.modulus, tuple(sorted(spec.L)))[1])
-    if spec.kind is Kind.INTERSECTING:
-        return bound_from_seppoly(spec)
-    return None
+    return bound_from_seppoly(spec)
 
 
 def main() -> int:

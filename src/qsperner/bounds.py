@@ -36,9 +36,11 @@ difference or Hamming candidate that wins; the intersecting evidence is
 degrees alone.  For the intersecting kinds the plain candidate of each
 residue alpha outside L reflects the polynomial with roots L, so all
 share its class minima, and a residue it fails tries only the wider
-candidates.  `check_separation` and `separates` stay the independent
-route of `bound_from_seppoly` and `first_zero_separator`, which builds
-each candidate's polynomial from its runs.
+candidates.  `bound_from_seppoly` is R22's checker: it takes polynomials,
+by default `first_zero_separator`'s (reflected per residue for the
+intersecting kinds), which builds each candidate's polynomial from its
+runs, and judges every one by `seppoly`'s digit recursion
+(`check_separation`, `separates`), never by the table.
 
 R20, the sum of C(n, i) for i <= 2s-1 when an intersecting L is an
 interval of size s modulo q = p^2, is left out: it never comes first.
@@ -71,7 +73,6 @@ from .seppoly import (
     FactoredIntPoly,
     check_separation,
     degree_upper_bound,
-    search_min_degree,
     separates,
 )
 
@@ -386,9 +387,16 @@ def _zero_separation_candidates(pp: PrimePower, L: tuple[int, ...]):
     yield from _wider_candidates(pp, L[0], L[-1])
 
 
+# The valuation table holds 2q + 1 prefix sums: at q = 2^22 one `bound`
+# takes about 1 s and 430 MB.  A larger q is refused.
+_MAX_TABLE_Q = 1 << 22
+
+
 def _valuation_sums(pp: PrimePower) -> list[int]:
     """Prefix sums over [0, 2q) of W[x mod q], W[x] = min(v_p(x), k) on
     [0, q-1] (so W[0] = k): entry i is the sum of the first i terms."""
+    if pp.q > _MAX_TABLE_Q:
+        raise ValueError(f"q = {pp.q} is above {_MAX_TABLE_Q}, the limit of R22's valuation table")
     W = [0] * pp.q
     for j in range(1, pp.k + 1):
         for x in range(0, pp.q, pp.p**j):
@@ -547,14 +555,6 @@ def _r19(ctx: _Ctx):
 def _reflected(pp: PrimePower, L: tuple[int, ...], alpha: int) -> tuple[int, ...]:
     """The sorted residues (alpha - L) mod q."""
     return tuple(sorted({(alpha - ell) % pp.q for ell in L}))
-
-
-def _per_alpha_construction(pp: PrimePower, L: tuple[int, ...], alpha: int):
-    """Cheapest deterministic factored polynomial separating alpha from
-    L + qZ, built by reflecting a polynomial that separates 0 from the
-    reflected residues (alpha - L) mod q."""
-    label, h = first_zero_separator(pp, _reflected(pp, L, alpha))
-    return label, h.shift_reflect(alpha)
 
 
 def _r22_per_alpha_own(ctx: _Ctx, degrees: dict[int, int], wording: str):
@@ -739,16 +739,17 @@ def bound_from_seppoly(
     spec: ConstraintSpec,
     g: FactoredIntPoly | None = None,
     per_alpha: dict[int, FactoredIntPoly] | None = None,
-    *,
-    search_max_degree: int | None = None,
 ) -> BoundCertificate:
-    """Degree-based bound from explicit (or searched) separating polynomials.
+    """R22's certificate from separating polynomials, each checked by
+    `seppoly`'s digit recursion rather than the portfolio's valuation table.
 
-    Difference/Hamming kinds need one polynomial separating 0 from L mod q;
+    Difference/Hamming kinds need one polynomial g separating 0 from L mod q;
     a shifted separation upgrades the column to n-1.  Intersecting kinds
     need one polynomial per residue alpha outside L, and the bound uses the
-    maximum degree.  Raises SeparationFailure naming the failing class when
-    a supplied polynomial does not separate, and naming alpha when a
+    maximum degree.  With no polynomial given, g is `first_zero_separator`'s
+    for L, and each alpha's is the reflection of `first_zero_separator`'s
+    for (alpha - L) mod q.  Raises SeparationFailure naming the failing
+    class when a polynomial does not separate, and naming alpha when a
     per-alpha polynomial that separates has a root congruent to alpha.
     The certificate is R22's, as `best_bound` would state it for the same
     polynomials.
@@ -762,15 +763,7 @@ def bound_from_seppoly(
     ctx = _Ctx(spec.kind, spec.n, L, pp)
     if spec.kind in (Kind.DIFF_SPERNER, Kind.HAMMING):
         if g is None:
-            if search_max_degree is None:
-                raise ValueError("supply a polynomial or a search_max_degree")
-            found = search_min_degree(pp, 0, L, search_max_degree)
-            if found is None:
-                raise SeparationFailure(
-                    f"no separating polynomial found up to degree {search_max_degree}",
-                    -1,
-                )
-            g = found[0]
+            g = first_zero_separator(pp, L)[1]
         rep = check_separation(pp, g, 0, L)
         if not rep.separates:
             ell = _first_failing_class(rep)
@@ -786,23 +779,13 @@ def bound_from_seppoly(
         Lset = set(L)
         alphas = [a for a in range(q) if a not in Lset]
         if per_alpha is None:
-            per_alpha = {}
-            for alpha in alphas:
-                if search_max_degree is not None:
-                    found = search_min_degree(pp, alpha, L, search_max_degree)
-                    if found is None:
-                        raise SeparationFailure(
-                            f"no separating polynomial found for alpha = {alpha}",
-                            alpha,
-                        )
-                    per_alpha[alpha] = found[0]
-                else:
-                    per_alpha[alpha] = _per_alpha_construction(pp, L, alpha)[1]
+            per_alpha = {
+                alpha: first_zero_separator(pp, _reflected(pp, L, alpha))[1].shift_reflect(alpha)
+                for alpha in alphas
+            }
         missing = [a for a in alphas if a not in per_alpha]
         if missing:
-            raise SeparationFailure(
-                f"no polynomial supplied for alpha = {missing[0]}", missing[0]
-            )
+            raise SeparationFailure(f"no polynomial supplied for alpha = {missing[0]}", missing[0])
         for alpha in alphas:
             if not separates(pp, per_alpha[alpha], alpha, L):
                 rep = check_separation(pp, per_alpha[alpha], alpha, L)

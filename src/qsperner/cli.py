@@ -422,7 +422,7 @@ def _cmd_verify(args) -> CommandResult:
         sys_ = polylab.build_midband_system(fam, s, args.variant)
     else:
         spec = _build_spec(args, n)
-        g = _verification_poly(pp, spec.L)
+        g = bounds.first_zero_separator(pp, tuple(sorted(spec.L)))[1]
         rep = seppoly.check_separation(pp, g, 0, spec.L)
         variant = "minus" if rep.shifted_minus_ok or not rep.shifted_plus_ok else "plus"
         start = perf_counter()
@@ -449,12 +449,6 @@ def _cmd_verify(args) -> CommandResult:
         f"{'holds' if report.pattern_ok else 'FAILS'}"
     )
     return CommandResult("ok", payload, human=human)
-
-
-def _verification_poly(pp: PrimePower, L) -> seppoly.FactoredIntPoly:
-    """Deterministic separating polynomial for 0 against L: the bound
-    engine's first candidate that separates 0 from L reduced mod q."""
-    return bounds.first_zero_separator(pp, tuple(sorted({ell % pp.q for ell in L})))[1]
 
 
 # --- parser ------------------------------------------------------------------

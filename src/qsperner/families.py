@@ -320,13 +320,16 @@ def _elements(m: int):
         m ^= low
 
 
-def _holders(points) -> list[int]:
-    """For each element e up to the highest any point holds (never more,
-    whatever the ground set), the bitset of the indices j with e in
-    points[j]."""
-    span = max(points, default=0).bit_length()
-    rows = ("".join("1" if p >> e & 1 else "0" for p in reversed(points)) for e in range(span))
-    return [int(row, 2) for row in rows]
+def _holders(points) -> dict[int, int]:
+    """For each element e some point holds, and for no other, the bitset
+    of the indices j with e in points[j]."""
+    held = 0
+    for p in points:
+        held |= p
+    return {
+        e: int("".join("1" if p >> e & 1 else "0" for p in reversed(points)), 2)
+        for e in _elements(held)
+    }
 
 
 def _ripple_add(planes: list[int], holder: int) -> list[int]:
@@ -385,7 +388,7 @@ def _first_violation(spec: ConstraintSpec, members: tuple[int, ...]) -> str | No
         levels[a.bit_count()] = levels.get(a.bit_count(), 0) | 1 << j
     sizes_ok = _accepted_sizes(spec, levels)
     rejects = {k: _meet_table(spec, k, levels, sizes_ok, accepted=False) for k in levels}
-    holders = _holders(members) if any(rejects.values()) else []
+    holders = _holders(members) if any(rejects.values()) else {}
     for j, a in enumerate(members):
         table, later = rejects[a.bit_count()], -2 << j
         if not table:
@@ -523,25 +526,25 @@ def _refine(regions: list[int], m: int) -> list[int]:
     return [part for x in regions for part in (x & m, x & ~m) if part]
 
 
-def _orbits(P: int, holders: list[int], regions: list[int]) -> list[int]:
+def _orbits(P: int, holders: dict[int, int], regions: list[int]) -> list[int]:
     """Partition of the vertex bitmask P into classes of equal |b ∩ x| for
     every region x, ordered by least vertex.  These are the orbits of the
     relabellings that keep every region, the product of their symmetric
     groups: the stabiliser of every set whose Venn regions they are.  Each
     count is held bit-sliced over the vertex `holders`, and the classes
-    split on each of its bit planes.  No vertex holds an element past the
-    holders, so such elements add nothing to a count."""
-    parts, held = [P] if P else [], (1 << len(holders)) - 1
+    split on each of its bit planes.  An element no vertex holds adds
+    nothing to a count."""
+    parts = [P] if P else []
     for x in regions:
         planes: list[int] = []
-        for e in _elements(x & held):
-            planes = _ripple_add(planes, holders[e])
+        for e in _elements(x):
+            planes = _ripple_add(planes, holders.get(e, 0))
         for plane in planes:
             parts = [c for part in parts for c in (part & plane, part & ~plane) if c]
     return sorted(parts, key=lambda c: c & -c)
 
 
-def _graph_with_holders(spec: ConstraintSpec) -> tuple[list[int], list[int], list[int]]:
+def _graph_with_holders(spec: ConstraintSpec) -> tuple[list[int], list[int], dict[int, int]]:
     """Admissible subsets ordered by (size, value), their adjacency rows and
     the vertex holders of each element (see `_holders`), built bit-sliced
     (San Segundo, Rodríguez-Losada & Jiménez, Comput. Oper. Res. 2011).

@@ -3,14 +3,16 @@ formula, Kummer's carry criterion, and the Lucas divisibility test.
 
 Answers are plain values: a valuation is an int, or INFINITY (`math.inf`)
 for v_p(0), and digits are a tuple of ints.  Everything here works on
-arbitrary-precision integers; nothing overflows or rounds.  All functions
-are pure and safe to call from any thread.
+arbitrary-precision integers; nothing overflows or rounds.  `is_prime` is
+exact below psi_12 (about 3.2e23) and refuses to call a larger number
+prime.  All functions are pure and safe to call from any thread.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 __all__ = [
     "INFINITY",
@@ -23,13 +25,16 @@ __all__ = [
     "to_digits",
 ]
 
-# Witnesses that make Miller-Rabin deterministic for n < 3.3e24, far past
-# the 2**31 ceiling this toolkit promises to handle.
+# The first twelve primes as Miller-Rabin witnesses decide primality below
+# psi_12, a composite that passes all twelve (Sorenson & Webster 2017).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with a fixed witness set)."""
+    """Deterministic primality test (Miller-Rabin with a fixed witness set).
+    A witness proves n composite at any size; an n >= psi_12 that passes
+    every witness is refused with a ValueError, not called prime."""
     if n < 2:
         return False
     for w in _MR_WITNESSES:
@@ -48,6 +53,10 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(
+            f"n = {n} passes every witness, which proves primality only below {_MR_EXACT_BELOW}"
+        )
     return True
 
 
@@ -139,6 +148,19 @@ def lucas_nondivisible(p: int, x: int, y: int) -> bool:
     return _lucas_nondivisible(p, x, y)
 
 
+def _exact_root(q: int, k: int) -> int | None:
+    """The integer r with r**k == q >= 1, or None if there is none, by
+    Newton's method on integers from above the root.  It starts from the
+    float 2**e, e = log2(q)/k, within a relative (e + 1) * 2**-51 of the
+    root, raised by eight times that error: a few steps for any k."""
+    e = math.log2(q) / k
+    a = max(int(e) - 40, 0)
+    r = int(2 ** (e - a) * (1 + (e + 1) * 2**-48)) + 1 << a
+    while (y := ((k - 1) * r + q // r ** (k - 1)) // k) < r:
+        r = y
+    return r if r**k == q else None
+
+
 @dataclass(frozen=True)
 class PrimePower:
     """q = p**k with p prime and k >= 1."""
@@ -154,24 +176,21 @@ class PrimePower:
         object.__setattr__(self, "q", self.p ** self.k)
 
     @classmethod
+    @lru_cache(maxsize=1 << 8)
     def from_q(cls, q: int) -> "PrimePower":
-        """Factor q as p**k, rejecting integers that are not prime powers."""
+        """Factor q as p**k, rejecting integers that are not prime powers.
+        q = p**k has no exact root for an exponent above k, so the first
+        exact root, k running down from log2(q), decides.  Memoized:
+        callers build many specs over a few moduli."""
         if q < 2:
             raise ValueError(f"q = {q} is not a prime power")
-        p = q
-        f = 2
-        while f * f <= q:
-            if q % f == 0:
-                p = f
+        for k in range(q.bit_length() - 1, 0, -1):
+            p = _exact_root(q, k)
+            if p is not None:
+                if is_prime(p):
+                    return cls(p, k)
                 break
-            f += 1
-        m, k = q, 0
-        while m % p == 0:
-            m //= p
-            k += 1
-        if m != 1:
-            raise ValueError(f"q = {q} is not a prime power")
-        return cls(p, k)
+        raise ValueError(f"q = {q} is not a prime power")
 
     def __str__(self):
         return f"{self.q} = {self.p}^{self.k}" if self.k > 1 else str(self.q)

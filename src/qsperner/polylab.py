@@ -58,18 +58,17 @@ class _ClosedForm(NamedTuple):
             return [t[(pt & free).bit_count()] if fixed & ~pt == 0 else 0 for pt in points]
         return [t[(pt & free).bit_count()] for pt in points]
 
-    def where(self, holders: list[int], among: int, keep=bool) -> int:
+    def where(self, holders: dict[int, int], among: int, keep=bool) -> int:
         """The points of `among` (bits indexing the points of `holders`, see
         `families._holders`) whose value v has keep(v).  The points missing
         part of `fixed`, where v = 0, are left out, so keep(0) should be
         false.  One bit-sliced count of |B & free| serves every value."""
         fixed, free, t = self
         for e in _elements(fixed):
-            among &= holders[e] if e < len(holders) else 0
+            among &= holders.get(e, 0)
         planes: list[int] = []
         for e in _elements(free):
-            if e < len(holders):
-                planes = _ripple_add(planes, holders[e])
+            planes = _ripple_add(planes, holders.get(e, 0))
         return _counting(planes, {c: among for c, val in enumerate(t) if keep(val)})
 
     def coeffs(self) -> dict[int, int]:

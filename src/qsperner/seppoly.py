@@ -13,8 +13,8 @@ stops at the first residue class whose minimum is not above v_p(g(alpha))
 and never evaluates the side conditions, so callers that only choose a
 polynomial (`bounds.first_zero_separator`, `search_min_degree`) pay for
 one class at a time.  The bound engine's portfolio reads its own
-candidates from a valuation table instead; these functions are the
-independent route that `bounds.bound_from_seppoly` and the CLI use.
+candidates from a valuation table instead; R22's checker
+`bounds.bound_from_seppoly` and the CLI judge polynomials with these.
 """
 
 from __future__ import annotations

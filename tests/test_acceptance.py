@@ -9,7 +9,7 @@ import itertools
 import math
 import random
 
-from qsperner.bounds import best_bound, binom_sum
+from qsperner.bounds import best_bound, binom_sum, bound_from_seppoly
 from qsperner.closure import (
     IntervalL,
     closure_length_bound,
@@ -57,8 +57,21 @@ def interval_and_small_L(q):
     return sorted(out)
 
 
+def every_certificate_holds(spec, label) -> int:
+    """The exact search maximum is within every certificate `best_bound`
+    returns and within `bound_from_seppoly`'s; returns how many were
+    checked."""
+    _, certs = best_bound(spec)
+    certs.append(bound_from_seppoly(spec))
+    found = max_family(spec)
+    assert found.exact, label
+    for cert in certs:
+        assert found.max_size <= cert.bound.value, (*label, cert.theorem_id)
+    return len(certs)
+
+
 def test_criterion_1_soundness_sweep():
-    checked = 0
+    instances = certificates = 0
     for q in (2, 3, 4, 5, 7, 8, 9):
         pp = PrimePower.from_q(q)
         for n in range(4, 9):
@@ -66,23 +79,20 @@ def test_criterion_1_soundness_sweep():
                 spec = ConstraintSpec(
                     kind=Kind.DIFF_SPERNER, n=n, L=set(L), modulus=pp
                 )
-                best, _ = best_bound(spec)
-                found = max_family(spec)
-                assert found.exact, (q, n, L)
-                assert found.max_size <= best.bound.value, (q, n, L)
-                checked += 1
+                certificates += every_certificate_holds(spec, (q, n, L))
+                instances += 1
     for q in (2, 3, 4):
         pp = PrimePower.from_q(q)
         for kind in (Kind.INTERSECTING, Kind.HAMMING):
             for n in range(4, 8):
                 for L in interval_and_small_L(q):
                     spec = ConstraintSpec(kind=kind, n=n, L=set(L), modulus=pp)
-                    best, _ = best_bound(spec)
-                    found = max_family(spec)
-                    assert found.exact, (kind, q, n, L)
-                    assert found.max_size <= best.bound.value, (kind, q, n, L)
-                    checked += 1
-    print(f"\n[criterion 1] PASS: brute force <= bound on {checked} instances, zero violations")
+                    certificates += every_certificate_holds(spec, (kind, q, n, L))
+                    instances += 1
+    print(
+        f"\n[criterion 1] PASS: brute force <= bound on {instances} instances "
+        f"({certificates} certificates), zero violations"
+    )
 
 
 def test_criterion_2_sharpness_q2():

@@ -9,7 +9,6 @@ import pytest
 from qsperner import bounds
 from qsperner.bounds import (
     SeparationFailure,
-    _per_alpha_construction,
     best_bound,
     binom_sum,
     bound_from_seppoly,
@@ -22,6 +21,7 @@ from qsperner.seppoly import (
     FactoredIntPoly,
     check_separation,
     min_valuation_over_class,
+    search_min_degree,
     separates,
 )
 
@@ -403,7 +403,8 @@ class TestBoundFromSeppoly:
 
     def test_search_route(self):
         spec = spec_of(Kind.DIFF_SPERNER, 6, {2}, q=4)
-        cert = bound_from_seppoly(spec, search_max_degree=2)
+        g, _ = search_min_degree(PP(4), 0, spec.L, 2)
+        cert = bound_from_seppoly(spec, g)
         assert cert.bound.value <= sum(math.comb(6, i) for i in range(2))
 
     def test_nonmodular_rejected(self):
@@ -465,10 +466,7 @@ class TestCandidateOrder:
                 # an alpha and L whose reflected residues are R
                 alpha = R[-1]
                 L = tuple(sorted((alpha - r) % q for r in R))
-                assert _per_alpha_construction(pp, L, alpha) == (
-                    label,
-                    h.shift_reflect(alpha),
-                )
+                assert bounds._reflected(pp, L, alpha) == R
 
     def test_q2(self):
         pp = PP(2)
@@ -515,6 +513,9 @@ class TestR22Routes:
                     h for h in r22.hypotheses if not h[0].startswith("candidate roots from ")
                 )
                 assert bound_from_seppoly(spec, g) == replace(r22, hypotheses=unlabelled)
+                assert bound_from_seppoly(spec) == bound_from_seppoly(
+                    spec, first_zero_separator(PP(q), L)[1]
+                )
 
     @pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 32, 49])
     def test_per_alpha(self, q):
@@ -571,6 +572,14 @@ class TestR22Table:
         # closure of the hull: a q-closed interval always separates 0 from
         # its residues, so the last candidate is never taken here.
         assert {("closed", False), ("closed", True)} <= labels
+
+    def test_size_limit(self, monkeypatch):
+        # the limit is inclusive, and both R22 routes are refused above it
+        monkeypatch.setattr(bounds, "_MAX_TABLE_Q", 25)
+        assert len(bounds._valuation_sums(PP(25))) == 2 * 25 + 1
+        for kind in (Kind.DIFF_SPERNER, Kind.INTERSECTING):
+            with pytest.raises(ValueError, match="^q = 27 is above 25, the limit of R22's valuation table$"):
+                best_bound(spec_of(kind, 10, (1, 2), q=27))
 
 
 def run_root_sets(q, rng):

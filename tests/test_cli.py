@@ -110,6 +110,27 @@ class TestCommands:
         assert doc["payload"]["length"] == 3
         assert doc["payload"]["closure"] == {"lo": 1, "hi": 3}
 
+    def test_closure_at_a_large_prime_square(self, capsys):
+        # 4294967291^2: factored from integer roots, not by trial division
+        code, doc = run_json(capsys, ["closure", "--q", str(4294967291**2), "--lo", "5", "--hi", "6"])
+        assert code == 0
+        assert doc["payload"]["closure"] == {"lo": 5, "hi": 6}
+
+    def test_bound_table_size_limit(self, capsys):
+        """R22's valuation table at 4294967291^2 would need 2q + 1 entries:
+        refused before it is built."""
+        q = 4294967291**2
+        code, doc = run_json(capsys, ["bound", "--kind", "diff-sperner", "--q", str(q), "--L", "1,2", "--n", "20"])
+        assert code == EXIT_USAGE
+        assert doc == {
+            "schema": 1,
+            "status": "error",
+            "payload": {},
+            "diagnostics": [
+                f"q = {q} is above 4194304, the limit of R22's valuation table"
+            ],
+        }
+
     def test_census(self, capsys):
         code, doc = run_json(capsys, ["census", "--q", "4"])
         assert doc["payload"]["count"] == 5

@@ -926,6 +926,47 @@ class TestOrbitKeys:
             assert parts == inside
 
 
+def counted_int_type():
+    """A fresh int subclass whose `steps` counts the big-int operations
+    taken on its values and on the values they return."""
+
+    class Counted(int):
+        steps = 0
+
+    def counted(name):
+        def op(self, *args):
+            Counted.steps += 1
+            return Counted(getattr(int, name)(self, *args))
+
+        return op
+
+    for name in ("__and__", "__neg__", "__xor__", "__rshift__"):
+        setattr(Counted, name, counted(name))
+    return Counted
+
+
+class TestHolders:
+    def test_matches_membership(self):
+        rng = random.Random(7)
+        for _ in range(50):
+            points = [rng.getrandbits(rng.choice((1, 6, 70, 300))) for _ in range(rng.randint(0, 12))]
+            points += [1 << rng.randrange(5000)] if rng.random() < 0.5 else []
+            expected = {}
+            for j, p in enumerate(points):
+                for e in range(p.bit_length()):
+                    if p >> e & 1:
+                        expected[e] = expected.get(e, 0) | 1 << j
+            assert _holders(points) == expected
+
+    def test_work_follows_the_held_elements(self):
+        # {1} and {100001}: two steps per (point, held element), none per
+        # element between them
+        Counted = counted_int_type()
+        holders = _holders([Counted(1), Counted(1 << 100000)])
+        assert holders == {0: 0b01, 100000: 0b10}
+        assert Counted.steps <= 2 * 2 * 2
+
+
 class TestSearchStats:
     def test_stats_split_the_node_count(self):
         spec = ConstraintSpec(

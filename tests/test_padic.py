@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from qsperner.padic import (
     INFINITY,
     PrimePower,
+    _exact_root,
     _lucas_nondivisible,
     is_prime,
     lucas_nondivisible,
@@ -176,16 +178,68 @@ class TestConsecutiveProductValuations:
                     assert base < got, (q, s, k)
 
 
+# 399165290221 * 798330580441, the least strong pseudoprime to the twelve
+# Miller-Rabin witnesses 2..37
+PSI_12 = 318665857834031151167461
+
+
 class TestPrimePower:
     def test_from_q(self):
         assert PrimePower.from_q(8) == PrimePower(2, 3)
         assert PrimePower.from_q(9) == PrimePower(3, 2)
         assert PrimePower.from_q(7).q == 7
 
-    @pytest.mark.parametrize("bad", [1, 6, 12, 100, 0, -4])
+    @pytest.mark.parametrize("bad", [1, 6, 12, 100, 0, -4, -7, -8, 2**64 - 1])
     def test_rejects_non_prime_powers(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^q = {bad} is not a prime power$"):
             PrimePower.from_q(bad)
+
+    @pytest.mark.parametrize("q", [PSI_12, PSI_12**2, 2**89 - 1, (2**89 - 1) ** 3])
+    def test_refuses_roots_past_exact_primality(self, q):
+        with pytest.raises(ValueError, match=f"proves primality only below {PSI_12}$"):
+            PrimePower.from_q(q)
+
+    def test_large_moduli(self):
+        # the square of the largest prime below 2^32, and a prime near 2^64
+        assert PrimePower.from_q(4294967291**2) == PrimePower(4294967291, 2)
+        assert PrimePower.from_q(2**64 - 59) == PrimePower(2**64 - 59, 1)
+        assert PrimePower.from_q(3**200) == PrimePower(3, 200)
+
+    def test_exact_root(self):
+        def by_floor_root(q, k):
+            # Newton from 2**ceil(bits / k), which is at least the root
+            x = 1 << -(-q.bit_length() // k)
+            while (y := ((k - 1) * x + q // x ** (k - 1)) // k) < x:
+                x = y
+            assert x**k <= q < (x + 1) ** k
+            return x if x**k == q else None
+
+        rng = random.Random(11)
+        for _ in range(200):
+            q = rng.getrandbits(rng.choice((8, 64, 200, 3000, 14000))) + 1
+            for k in (1, 2, 3, rng.randint(1, q.bit_length())):
+                assert _exact_root(q, k) == by_floor_root(q, k), (q, k)
+            # roots on both sides of the float route's 2**40
+            r0, k = rng.getrandbits(rng.choice((2, 39, 40, 41, 61, 300))) + 2, rng.randint(1, 40)
+            assert _exact_root(r0**k, k) == r0
+            assert _exact_root(r0**k + 1, k) == by_floor_root(r0**k + 1, k)
+
+    def test_from_q_matches_trial_division(self):
+        def by_trial_division(q):
+            f = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+            k = 0
+            while q % f == 0:
+                q //= f
+                k += 1
+            return (f, k) if q == 1 else None
+
+        for q in range(2, 10**4):
+            try:
+                pp = PrimePower.from_q(q)
+                got = (pp.p, pp.k)
+            except ValueError:
+                got = None
+            assert got == by_trial_division(q), q
 
     def test_rejects_composite_base(self):
         with pytest.raises(ValueError):
@@ -194,6 +248,15 @@ class TestPrimePower:
     def test_is_prime_spot_checks(self):
         assert is_prime(2) and is_prime(97) and is_prime(2**31 - 1)
         assert not is_prime(1) and not is_prime(561) and not is_prime(2**31)
+
+    def test_is_prime_refuses_what_it_cannot_prove(self):
+        # a witness proves compositeness at any size; passing all twelve
+        # proves primality only below PSI_12, itself a strong pseudoprime
+        assert not is_prime(PSI_12 + 2) and not is_prime(2**89 + 1)
+        assert not is_prime(PSI_12 - 1)
+        for n in (PSI_12, 2**89 - 1):
+            with pytest.raises(ValueError, match=f"^n = {n} passes every witness, which proves primality only below {PSI_12}$"):
+                is_prime(n)
 
 
 class TestDigits:
