@@ -17,6 +17,13 @@ of the arithmetic commands (`vp`, `binom`, `digits`, `closure`, `mu`,
 q <= 27, a few rejected inputs included, to show that a change to
 `padic`, `closure` or `seppoly` leaves them identical.
 
+The fourth line, `systems-sha256`, hashes every proof system that
+`polylab.verify_independence` receives during those runs: per block, in
+order, each form's (fixed, free, t), then the probe groups sorted by name,
+`degree_cap` and `meta` sorted by key.  Rank, block sizes and pattern
+failures can agree while the blocks differ; this line shows that a change
+to the builders leaves the P, F and H blocks themselves identical.
+
 Run it on two checkouts and compare the printed lines.
 
 Usage:
@@ -37,7 +44,7 @@ sys.dont_write_bytecode = True  # leave perfbench/ as checked out
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from qsperner import cli
+from qsperner import cli, polylab
 from qsperner.families import SetFamily, format_family
 from workloads import build, layer
 
@@ -65,6 +72,24 @@ def run(argv: list[str]) -> str:
     doc = untimed(json.loads(buf.getvalue()))
     doc["exit_code"] = code
     return json.dumps(doc, sort_keys=True)
+
+
+def hash_systems(digest) -> None:
+    """Wrap `polylab.verify_independence` wherever a qsperner module binds
+    it, so that each system it receives is hashed into `digest` first."""
+    original = polylab.verify_independence
+
+    def wrapper(sys_):
+        blocks = [(name, [tuple(form) for form in forms]) for name, forms in sys_.forms.items()]
+        record = (blocks, sorted(sys_.probes.items()), sys_.degree_cap, sorted(sys_.meta.items()))
+        digest.update(repr(record).encode() + b"\n")
+        return original(sys_)
+
+    for name, module in list(sys.modules.items()):
+        if name == "qsperner" or name.startswith("qsperner."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    setattr(module, attr, wrapper)
 
 
 def argvs(seeds: list[int], workdir: Path):
@@ -122,7 +147,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, action="append", help="proof-replay seed (repeatable; default 11)")
     args = parser.parse_args()
-    digest = hashlib.sha256()
+    digest, systems = hashlib.sha256(), hashlib.sha256()
+    hash_systems(systems)
     count = 0
     with tempfile.TemporaryDirectory() as tmp:
         for label, argv in argvs(args.seed or [11], Path(tmp)):
@@ -134,6 +160,7 @@ def main() -> int:
     for argv in arith_argvs():
         arith.update(f"{' '.join(argv)}\n{run([*argv, '--json'])}\n".encode())
     print(f"arith-sha256 {arith.hexdigest()}")
+    print(f"systems-sha256 {systems.hexdigest()}")
     return 0
 
 

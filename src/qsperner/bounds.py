@@ -392,11 +392,15 @@ def _zero_separation_candidates(pp: PrimePower, L: tuple[int, ...]):
 _MAX_TABLE_Q = 1 << 22
 
 
+def _require_table(pp: PrimePower) -> None:
+    if pp.q > _MAX_TABLE_Q:
+        raise ValueError(f"q = {pp.q} is above {_MAX_TABLE_Q}, the limit of R22's valuation table")
+
+
 def _valuation_sums(pp: PrimePower) -> list[int]:
     """Prefix sums over [0, 2q) of W[x mod q], W[x] = min(v_p(x), k) on
     [0, q-1] (so W[0] = k): entry i is the sum of the first i terms."""
-    if pp.q > _MAX_TABLE_Q:
-        raise ValueError(f"q = {pp.q} is above {_MAX_TABLE_Q}, the limit of R22's valuation table")
+    _require_table(pp)
     W = [0] * pp.q
     for j in range(1, pp.k + 1):
         for x in range(0, pp.q, pp.p**j):
@@ -574,11 +578,11 @@ def _r22_intersecting(ctx: _Ctx):
     # A residue the plain roots fail tries only the wider candidates of its
     # reflected set, which are single runs.
     pp, L, q = ctx.pp, ctx.L, ctx.pp.q
+    P, runs = _valuation_sums(pp), _runs(L)  # first: it refuses a q too large to list in full
     Lset = set(L)
     alphas = [a for a in range(q) if a not in Lset]
     if not alphas:
         return
-    P, runs = _valuation_sums(pp), _runs(L)
     plain = min(_run_minima(P, runs, L)[1])
     degrees = {}
     for alpha, side in zip(alphas, _run_minima(P, runs, alphas)[1]):
@@ -695,6 +699,7 @@ def _applicable(spec: ConstraintSpec) -> list[BoundCertificate]:
     if not spec.L and kind is not Kind.INTERSECTING_UNIFORM:
         raise ValueError("empty L is rejected by the bound engine")
     if kind is Kind.INTERSECTING_UNIFORM:
+        _require_table(pp)  # R22 runs on the q - 1 residues listed next
         r = spec.uniform_residue
         L = tuple(x for x in range(pp.q) if x != r)
         note = (

@@ -422,9 +422,9 @@ def _cmd_verify(args) -> CommandResult:
         sys_ = polylab.build_midband_system(fam, s, args.variant)
     else:
         spec = _build_spec(args, n)
-        g = bounds.first_zero_separator(pp, tuple(sorted(spec.L)))[1]
-        rep = seppoly.check_separation(pp, g, 0, spec.L)
-        variant = "minus" if rep.shifted_minus_ok or not rep.shifted_plus_ok else "plus"
+        aux = bounds.bound_from_seppoly(spec).auxiliary
+        g = seppoly.FactoredIntPoly(aux["lead"], aux["roots"])
+        variant = "minus" if aux["shifted_minus_ok"] or not aux["shifted_plus_ok"] else "plus"
         start = perf_counter()
         sys_ = polylab.build_diff_sperner_system(fam, g, pp, variant)
     build_s = perf_counter() - start

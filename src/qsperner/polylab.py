@@ -1,14 +1,16 @@
 """Executable polynomial-method verifier.
 
-Builds the proof polynomials attached to a family (difference systems and
-the two mid-band systems) and certifies their linear independence by exact
-rank over the rationals via sparse integer elimination on the
-coefficients.  Every block polynomial is kept in the closed form
-x^F * t(sum of x_i over a set disjoint from F), t integer-valued: its
-coefficients are forward differences of t (Moebius inversion) and its
-value at a 0/1 point one lookup in a table of t, so nothing is multiplied
-or evaluated term by term.  The pattern checks read those values without
-forming the evaluation matrix.
+Builds the proof polynomials attached to a family and certifies their
+linear independence by exact rank over the rationals via sparse integer
+elimination on the coefficients.  One builder writes the difference
+system (blocks P and F): the sym mid-band system is its minus variant
+plus a window block H; the close system has its own order.  Every block
+polynomial is kept in the closed form x^F * t(sum of x_i over a set
+disjoint from F), t integer-valued: its coefficients are forward
+differences of t (Moebius inversion) and its value at a 0/1 point one
+lookup in a table of t, so nothing is multiplied or evaluated term by
+term.  The pattern checks read those values without forming the
+evaluation matrix.
 """
 
 from __future__ import annotations
@@ -142,62 +144,59 @@ def _window_forms(lo: int, hi: int, head: int, c_masks) -> list[_ClosedForm]:
     return [_ClosedForm(c, head & ~c, tuple(values[c.bit_count():])) for c in c_masks]
 
 
-def build_diff_sperner_system(
-    fam: SetFamily, g: FactoredIntPoly, pp: PrimePower, variant: str = "minus"
-) -> ProofSystem:
-    """Proof system for a q-modular difference-Sperner family.
+def _difference_system(fam: SetFamily, g: FactoredIntPoly, minus: bool) -> ProofSystem:
+    """The difference system on `fam` for g, the one both public builders
+    extend; the caller has checked its size.
 
-    Members are reordered so the last element n appears exactly in the tail
-    (index > r).  The P block holds the reductions of g(|A_i| - v_i . x);
-    the F block holds (x_n - 1) * I_B ("minus" variant) or x_n * I_B
-    ("plus") over all B inside [n-1] with |B| <= deg(g) - 1, ordered by
-    size; "none" omits the F block.  Probe columns are the characteristic
-    vectors, then the element-n-toggled vectors the argument evaluates at.
+    The r members without the last element n come first, then those with
+    it.  The P block holds g(|A_i| - v_i . x); the F block holds
+    (x_n - 1) x^B if `minus`, else x_n x^B, over every B inside [n-1] with
+    |B| <= deg(g) - 1, by size.  The probes are the members (`family`),
+    the B (`index_masks`) and the points the F block's argument evaluates
+    at (`family_shifted`): the members without n with n added if `minus`,
+    else the members with n with it removed.  `meta` holds r and g(0).
     """
-    if variant not in ("minus", "plus", "none"):
-        raise ValueError(f"unknown variant {variant!r}")
-    n = fam.n
-    if n < 1:
-        raise ValueError("need at least one ground element")
-    _require_size(len(fam), (g.degree - 1 if variant != "none" else -1, n - 1))
-    top = 1 << (n - 1)
+    top = 1 << (fam.n - 1)
     without = [m for m in fam.members if not m & top]
     withn = [m for m in fam.members if m & top]
     order = tuple(without + withn)
-    forms = {"P": _difference_forms(order, g)}
-    probes: dict[str, tuple[int, ...]] = {"family": order}
-    if variant != "none":
-        b_masks = _masks_by_size(g.degree - 1, within=top - 1)
-        factor = (-1, 0) if variant == "minus" else (0, 1)
-        forms["F"] = [_ClosedForm(b, top, factor) for b in b_masks]
-        probes["index_masks"] = tuple(b_masks)
-    if variant == "plus":
-        probes["family_shifted"] = tuple(m & ~top for m in withn)
-    else:
-        probes["family_shifted"] = tuple(m | top for m in without)
-    meta = {
-        "system": "diff",
-        "variant": variant,
-        "r": len(without),
-        "g_lead": g.lead,
-        "g_roots": g.roots,
-        "g_at_zero": g(0),
-        "q": pp.q,
-        "p": pp.p,
-    }
+    b_masks = _masks_by_size(g.degree - 1, within=top - 1)
+    factor = (-1, 0) if minus else (0, 1)
+    forms = {"P": _difference_forms(order, g), "F": [_ClosedForm(b, top, factor) for b in b_masks]}
+    shifted = [m | top for m in without] if minus else [m & ~top for m in withn]
+    probes = {"family": order, "index_masks": tuple(b_masks), "family_shifted": tuple(shifted)}
+    meta = {"r": len(without), "g_at_zero": g(0)}
     return ProofSystem(fam, order, g.degree, probes, forms, meta)
+
+
+def build_diff_sperner_system(
+    fam: SetFamily, g: FactoredIntPoly, pp: PrimePower, variant: str = "minus"
+) -> ProofSystem:
+    """Proof system for a q-modular difference-Sperner family: the
+    difference system for g (see `_difference_system`) with the
+    (x_n - 1) x^B F block ("minus" variant) or the x_n x^B one ("plus"),
+    and g and the modulus in `meta`.
+    """
+    if variant not in ("minus", "plus"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if fam.n < 1:
+        raise ValueError("need at least one ground element")
+    _require_size(len(fam), (g.degree - 1, fam.n - 1))
+    sys_ = _difference_system(fam, g, variant == "minus")
+    sys_.meta.update(system="diff", variant=variant, g_lead=g.lead, g_roots=g.roots, q=pp.q, p=pp.p)
+    return sys_
 
 
 def build_midband_system(fam: SetFamily, s: int, variant: str) -> ProofSystem:
     """Proof system for families whose member sizes lie in [s, n-s].
 
     variant "sym": difference-Sperner argument for L = [s] under
-    (n+2)/3 <= s <= n/2, with blocks P, F and the window block H built from
-    the size-window product over x_1..x_{n-1}.  variant "close": close-
-    Sperner argument under (n+1)/3 <= s <= n/2, members ordered by
-    non-increasing size, with blocks P and H over the full variable range.
-    Members outside the band are rejected; push the family to the middle
-    first.
+    (n+2)/3 <= s <= n/2, the minus difference system for
+    g = (y-1)...(y-s) plus the window block H built from the size-window
+    product over x_1..x_{n-1}.  variant "close": close-Sperner argument
+    under (n+1)/3 <= s <= n/2, members ordered by non-increasing size,
+    with blocks P and H over the full variable range.  Members outside the
+    band are rejected; push the family to the middle first.
     """
     n = fam.n
     if variant not in ("sym", "close"):
@@ -213,44 +212,22 @@ def build_midband_system(fam: SetFamily, s: int, variant: str) -> ProofSystem:
         if not (n + 2 <= 3 * s and 2 * s <= n):
             raise ValueError(f"need (n+2)/3 <= s <= n/2, got n = {n}, s = {s}")
         _require_size(len(fam), (s - 1, n - 1), (3 * s - n - 2, n - 1))
-        top = 1 << (n - 1)
-        without = [m for m in fam.members if not m & top]
-        withn = [m for m in fam.members if m & top]
-        order = tuple(without + withn)
-        b_masks = _masks_by_size(s - 1, within=top - 1)
-        c_masks = _masks_by_size(3 * s - n - 2, within=top - 1)
-        forms = {
-            "P": _difference_forms(order, g),
-            "F": [_ClosedForm(b, top, (-1, 0)) for b in b_masks],
-            "H": _window_forms(s - 1, n - s, top - 1, c_masks),
-        }
-        probes = {
-            "family": order,
-            "family_shifted": tuple(m | top for m in without),
-            "index_masks": tuple(b_masks),
-            "window_masks": tuple(c_masks),
-        }
-        meta = {
-            "system": "sym",
-            "r": len(without),
-            "s": s,
-            "g_at_zero": g(0),
-        }
-    else:
-        if not (n + 1 <= 3 * s and 2 * s <= n):
-            raise ValueError(f"need (n+1)/3 <= s <= n/2, got n = {n}, s = {s}")
-        _require_size(len(fam), (3 * s - n - 1, n))
-        order = tuple(
-            sorted(fam.members, key=lambda m: (-m.bit_count(), m))
-        )
-        full = (1 << n) - 1
-        b_masks = _masks_by_size(3 * s - n - 1, within=full)
-        forms = {
-            "P": _difference_forms(order, g),
-            "H": _window_forms(s, n - s, full, b_masks),
-        }
-        probes = {"family": order, "window_masks": tuple(b_masks)}
-        meta = {"system": "close", "s": s, "g_at_zero": g(0)}
+        head = (1 << (n - 1)) - 1
+        c_masks = _masks_by_size(3 * s - n - 2, within=head)
+        sys_ = _difference_system(fam, g, minus=True)
+        sys_.forms["H"] = _window_forms(s - 1, n - s, head, c_masks)
+        sys_.probes["window_masks"] = tuple(c_masks)
+        sys_.meta.update(system="sym", s=s)
+        return sys_
+    if not (n + 1 <= 3 * s and 2 * s <= n):
+        raise ValueError(f"need (n+1)/3 <= s <= n/2, got n = {n}, s = {s}")
+    _require_size(len(fam), (3 * s - n - 1, n))
+    order = tuple(sorted(fam.members, key=lambda m: (-m.bit_count(), m)))
+    full = (1 << n) - 1
+    b_masks = _masks_by_size(3 * s - n - 1, within=full)
+    forms = {"P": _difference_forms(order, g), "H": _window_forms(s, n - s, full, b_masks)}
+    probes = {"family": order, "window_masks": tuple(b_masks)}
+    meta = {"system": "close", "s": s, "g_at_zero": g(0)}
     return ProofSystem(fam, order, s, probes, forms, meta)
 
 

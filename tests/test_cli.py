@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from qsperner import polylab
+from qsperner.bounds import bound_from_seppoly
 from qsperner.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -17,7 +19,9 @@ from qsperner.cli import (
     dispatch,
     main,
 )
-from qsperner.families import SetFamily, format_family
+from qsperner.families import ConstraintSpec, Kind, SetFamily, format_family
+from qsperner.padic import PrimePower
+from qsperner.seppoly import FactoredIntPoly
 
 
 def run_json(capsys, argv):
@@ -121,6 +125,29 @@ class TestCommands:
         refused before it is built."""
         q = 4294967291**2
         code, doc = run_json(capsys, ["bound", "--kind", "diff-sperner", "--q", str(q), "--L", "1,2", "--n", "20"])
+        assert code == EXIT_USAGE
+        assert doc == {
+            "schema": 1,
+            "status": "error",
+            "payload": {},
+            "diagnostics": [
+                f"q = {q} is above 4194304, the limit of R22's valuation table"
+            ],
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kind", "intersecting", "--L", "0,1"],
+            ["--kind", "intersecting-uniform", "--uniform-residue", "0"],
+        ],
+        ids=["intersecting", "intersecting-uniform"],
+    )
+    def test_bound_intersecting_size_limit(self, capsys, argv):
+        """At q = 2^40 the q - |L| residues R22 reads are refused before
+        they are listed, as the table they need would be."""
+        q = 1 << 40
+        code, doc = run_json(capsys, ["bound", *argv, "--q", str(q), "--n", "20"])
         assert code == EXIT_USAGE
         assert doc == {
             "schema": 1,
@@ -262,6 +289,37 @@ class TestCommands:
         # the valuation pattern reads P on the four member probes
         assert stats["pattern_cells"] == 16
         assert stats["rank_s"] >= 0 and stats["build_s"] >= 0 and stats["pattern_s"] >= 0
+
+    @pytest.mark.parametrize(
+        "n, members, q, L, variant",
+        [
+            (8, (15, 51, 60, 85, 106, 150, 169, 216, 228), 8, (2, 3, 6), "plus"),
+            (7, tuple(m for m in range(1 << 7) if m.bit_count() == 3), 8, (1, 2, 3), "minus"),
+        ],
+        ids=["benchmark-q8", "uniform-layer"],
+    )
+    def test_verify_replays_the_seppoly_certificate(
+        self, tmp_path, capsys, monkeypatch, n, members, q, L, variant
+    ):
+        """verify builds the difference system from the polynomial and the
+        shifted side of R22's certificate from `bound_from_seppoly`."""
+        built = []
+        build = polylab.build_diff_sperner_system
+
+        def record(fam, g, pp, side="minus"):
+            built.append((g, side))
+            return build(fam, g, pp, side)
+
+        monkeypatch.setattr(polylab, "build_diff_sperner_system", record)
+        fam = tmp_path / "fam.txt"
+        fam.write_text(format_family(SetFamily(n, members)))
+        L_arg = ",".join(map(str, L))
+        argv = ["verify", "--kind", "diff-sperner", "--file", str(fam), "--q", str(q), "--L", L_arg]
+        code, _ = run_json(capsys, argv)
+        assert code == EXIT_OK
+        spec = ConstraintSpec(Kind.DIFF_SPERNER, n, frozenset(L), PrimePower.from_q(q))
+        aux = bound_from_seppoly(spec).auxiliary
+        assert built == [(FactoredIntPoly(aux["lead"], aux["roots"]), variant)]
 
     def test_verify_over_a_large_ground_set(self, tmp_path, capsys):
         """Three polynomials over 300,000 elements: the system lists only

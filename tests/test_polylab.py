@@ -252,6 +252,35 @@ class TestMidbandSystems:
         assert report.pattern_failures
 
 
+class TestSharedBuilder:
+    def test_sym_is_the_minus_difference_system(self):
+        """The sym system's P and F blocks and its difference probes are
+        the minus difference system's for g = (y-1)...(y-s), on every band
+        shape with n <= 9: the full lowest layer of the band, and a random
+        band family."""
+        rng = random.Random(5)
+        pp = PrimePower.from_q(2)
+        for n, s in band_shapes(lambda n: n + 2):
+            g = FactoredIntPoly(1, range(1, s + 1))
+            band = [m for m in range(1 << n) if s <= m.bit_count() <= n - s]
+            lowest = tuple(m for m in band if m.bit_count() == s)
+            for members in (lowest, tuple(sorted(rng.sample(band, min(len(band), 12))))):
+                fam = SetFamily(n, members)
+                sym = build_midband_system(fam, s, "sym")
+                diff = build_diff_sperner_system(fam, g, pp, "minus")
+                assert [sym.forms[b] for b in "PF"] == [diff.forms[b] for b in "PF"]
+                assert sym.order == diff.order
+                for probe in ("family", "index_masks", "family_shifted"):
+                    assert sym.probes[probe] == diff.probes[probe]
+                assert (sym.degree_cap, sym.meta["r"]) == (diff.degree_cap, diff.meta["r"])
+
+    def test_variants(self):
+        fam, g, pp = SetFamily.from_sets(3, [{1}, {3}]), FactoredIntPoly(1, (1,)), PrimePower.from_q(2)
+        for variant in ("none", "sym"):
+            with pytest.raises(ValueError, match="unknown variant"):
+                build_diff_sperner_system(fam, g, pp, variant)
+
+
 class TestRankOracle:
     def test_system_rank_matches_fraction_oracle(self):
         pp2 = PrimePower.from_q(2)
@@ -292,10 +321,9 @@ def product_blocks(sys_):
         return [mul(factor, {b: 1}) for b in sys_.probes["index_masks"]]
 
     if meta["system"] == "diff":
-        blocks = {"P": differences(FactoredIntPoly(meta["g_lead"], meta["g_roots"]))}
-        if meta["variant"] != "none":
-            blocks["F"] = index_block({0: -1, xn: 1} if meta["variant"] == "minus" else {xn: 1})
-        return blocks
+        g = FactoredIntPoly(meta["g_lead"], meta["g_roots"])
+        factor = {0: -1, xn: 1} if meta["variant"] == "minus" else {xn: 1}
+        return {"P": differences(g), "F": index_block(factor)}
     s = meta["s"]
     g = FactoredIntPoly(1, tuple(range(1, s + 1)))
     if meta["system"] == "sym":
@@ -311,7 +339,7 @@ def band_shapes(lowest):
 @st.composite
 def proof_systems(draw):
     """Systems of every variant on random families at n <= 9."""
-    variant = draw(st.sampled_from(["minus", "plus", "none", "sym", "close"]))
+    variant = draw(st.sampled_from(["minus", "plus", "sym", "close"]))
     if variant in ("sym", "close"):
         n, s = draw(st.sampled_from(band_shapes(lambda n: n + 2 if variant == "sym" else n + 1)))
         sizes = st.integers(s, n - s)
@@ -437,7 +465,7 @@ def seeded_systems(rng, count):
     and layers with one member replaced by a proper subset."""
     out = []
     for _ in range(count):
-        variant = rng.choice(["minus", "plus", "none", "sym", "close"])
+        variant = rng.choice(["minus", "plus", "sym", "close"])
         if variant in ("sym", "close"):
             n, s = rng.choice(band_shapes(lambda n: n + 2 if variant == "sym" else n + 1))
             sizes = range(s, n - s + 1)
@@ -479,7 +507,7 @@ class TestPatternOracle:
             assert got == expected, (sys_.meta, sys_.family)
             name = sys_.meta.get("variant", sys_.meta["system"])
             failing.setdefault(name, [0, 0])[bool(expected)] += 1
-        assert sorted(failing) == ["close", "minus", "none", "plus", "sym"]
+        assert sorted(failing) == ["close", "minus", "plus", "sym"]
         assert all(ok and bad for ok, bad in failing.values()), failing
 
     def test_five_layer_of_13_against_entries(self):
