@@ -9,7 +9,11 @@ kinds at n <= 8.  For each spec the script hashes the maximum size, the
 exactness flag and the canonical witness that `max_family` returns, so a
 change to any of them changes the digest.  It also prints the search and
 restoration nodes summed over all specs, which a faster search may lower
-but never needs to raise.  Run it on two checkouts and compare the lines.
+but never needs to raise, and `graph-sha256`, a hash of the search graph
+itself (vertices, adjacency rows and element holders, as
+`_graph_with_holders` returns them) for every spec, which a change to how
+the graph is built must leave unchanged.  Run it on two checkouts and
+compare the lines.
 
 Usage:
   python3 scripts/search_digest.py [--seed N] [--random COUNT]
@@ -26,7 +30,7 @@ sys.dont_write_bytecode = True  # leave perfbench/ as checked out
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from qsperner.families import Kind, max_family
+from qsperner.families import Kind, _graph_with_holders, max_family
 from workloads import SEARCH_SLOTS, make_spec, presentations
 
 MODULI = (None, 2, 3, 4, 5, 7, 8, 9)
@@ -67,12 +71,15 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=1, help="seed of the random specs")
     ap.add_argument("--random", type=int, default=300, help="number of random specs")
     args = ap.parse_args()
-    digest = hashlib.sha256()
+    digest, graphs = hashlib.sha256(), hashlib.sha256()
     count = search_nodes = restore_nodes = 0
     for spec in specs(args.seed, args.random):
         res = max_family(spec)
         digest.update(repr((res.max_size, res.exact, res.witness.members)).encode())
         digest.update(b"\n")
+        verts, adj, holders = _graph_with_holders(spec)
+        graphs.update(repr((verts, adj, sorted(holders.items()))).encode())
+        graphs.update(b"\n")
         count += 1
         search_nodes += res.stats["search_nodes"]
         restore_nodes += res.stats["restore_nodes"]
@@ -80,6 +87,7 @@ def main() -> int:
     print(f"search_nodes {search_nodes}")
     print(f"restore_nodes {restore_nodes}")
     print(f"sha256 {digest.hexdigest()}")
+    print(f"graph-sha256 {graphs.hexdigest()}")
     return 0
 
 

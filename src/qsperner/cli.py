@@ -55,6 +55,8 @@ class UsageError(ValueError):
 # the most elements an interval of --L or --roots may list: a longer one is
 # refused before any element is
 _MAX_INTERVAL = 10**6
+# the most rows `table` makes, one per interval lo..hi of [1, q - 1]
+_MAX_TABLE_ROWS = 10**4
 
 
 def _parse_L(text: str, q: int | None) -> list[int]:
@@ -310,6 +312,11 @@ def _cmd_bound(args) -> CommandResult:
 def _cmd_table(args) -> CommandResult:
     pp = PrimePower.from_q(args.q)
     kind = _kind(args.kind)
+    intervals = (pp.q - 1) * pp.q // 2
+    if intervals > _MAX_TABLE_ROWS:
+        raise UsageError(
+            f"a table at q = {pp.q} has {intervals} intervals, more than the limit of {_MAX_TABLE_ROWS}"
+        )
     rows = []
     brute_ok = args.n <= families.DEFAULT_N_LIMIT and not args.no_brute
     for lo in range(1, pp.q):

@@ -10,8 +10,12 @@ that table, and both count |A∩B| bit-sliced, against many sets at once;
 the antichain precondition of push-to-the-middle compares only members of
 different sizes.
 The maximum-family search builds the compatibility graph (admissible
-subsets as vertices, edges where the pairwise constraint holds) a row at
-a time from bit-sliced counts of |A∩B|, and runs a deterministic
+subsets as vertices, edges where the pairwise constraint holds) from the
+cube of [n], which no spec changes and which is built once per n on
+first use: for each subset m, the bitsets of the subsets meeting m in i
+elements, i = 0..|m| (about 0.3 MB at n = 9 and 14 MB at n = 12).  A
+spec only chooses which i each pair of size levels accepts, so a row is
+an OR of those bitsets, masked by level.  The search runs a deterministic
 branch-and-bound maximum clique with greedy-coloring upper bounds on
 bitset adjacency rows.  It starts from the larger of a greedy clique and
 one-pass cliques in three vertex orders, lists only the vertices whose
@@ -40,11 +44,13 @@ are split from those counts held bit-sliced.
 
 from __future__ import annotations
 
+import math
 import re
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 from .padic import PrimePower
 
@@ -544,37 +550,79 @@ def _orbits(P: int, holders: dict[int, int], regions: list[int]) -> list[int]:
     return sorted(parts, key=lambda c: c & -c)
 
 
+@lru_cache(maxsize=DEFAULT_N_LIMIT + 1)
+def _cube(
+    n: int,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The spec-independent part of every search graph on [n], built on
+    first use and kept per n, all in tuples: the subsets of [n] ordered by
+    (size, value); the level offsets (level k is verts[offsets[k]:
+    offsets[k + 1]]); the holders of each element of [n] (see `_holders`);
+    and for each vertex m, the bitsets meets[j][i] of the vertices b with
+    |m ∩ b| = i, for i = 0..|m|.  Those of m are those of m minus its top
+    element e, each split by the holders of e:
+    eq_i(m) = (eq_i(m - e) & ~H_e) | (eq_{i-1}(m - e) & H_e).  The table
+    holds 2^n (n/2 + 1) bitsets of 2^n bits: about 0.3 MB at n = 9 and
+    14 MB at n = 12."""
+    verts = tuple(sorted(range(1 << n), key=lambda m: (m.bit_count(), m)))
+    offsets = tuple(sum(math.comb(n, j) for j in range(k)) for k in range(n + 2))
+    held = _holders(verts)
+    holders = tuple(held[e] for e in range(n))
+    full = (1 << len(verts)) - 1
+    index = [0] * len(verts)
+    meets: list[tuple[int, ...]] = [(full,)]
+    for j in range(1, len(verts)):
+        m = verts[j]
+        index[m] = j
+        top = m.bit_length() - 1
+        h = holders[top]
+        prev = meets[index[m ^ (1 << top)]]
+        meets.append(
+            tuple((p & ~h) | (below & h) for p, below in zip(prev, (0,) + prev)) + (prev[-1] & h,)
+        )
+    return verts, offsets, holders, tuple(meets)
+
+
 def _graph_with_holders(spec: ConstraintSpec) -> tuple[list[int], list[int], dict[int, int]]:
     """Admissible subsets ordered by (size, value), their adjacency rows and
-    the vertex holders of each element (see `_holders`), built bit-sliced
-    (San Segundo, Rodríguez-Losada & Jiménez, Comput. Oper. Res. 2011).
-    Bit-plane counters hold |m ∩ verts[j]| for all j: those of m are those
-    of m minus its top element e plus the bitset of the vertices holding e,
-    by ripple carry, one size level at a time.  A row ORs, per accepted
-    |A∩B| = i, the vertices counting i in the levels accepting i.  It never
-    holds its vertex: the `avoiding` kinds reject A, A by the member
-    condition, the rest read it as statistic 0, which they never accept."""
-    by_size: list[list[int]] = [[] for _ in range(spec.n + 1)]
-    for m in range(1 << spec.n):
-        by_size[m.bit_count()].append(m)
-    verts, level_mask = [], {}
-    for k, level in enumerate(by_size):
-        if _admissible(spec, k):
-            level_mask[k] = ((1 << len(level)) - 1) << len(verts)
-            verts.extend(level)
-    holders = _holders(verts)  # all of [n] once a level above 0 is admissible
+    the vertex holders of each element (see `_holders`), read off the cube
+    of [n] (`_cube`, San Segundo, Rodríguez-Losada & Jiménez's bit-sliced
+    adjacency, Comput. Oper. Res. 2011).  Only which |A∩B| = i a pair of
+    levels accepts depends on the spec: a row ORs, per accepted i, the
+    cube's bitset of the vertices meeting it in i elements, masked by the
+    levels accepting i.  It never holds its vertex: the `avoiding` kinds
+    reject A, A by the member condition, the rest read it as statistic 0,
+    which they never accept.  Where some level is not admissible (the
+    avoiding and uniform kinds), rows and holders are then compressed from
+    the cube's vertex positions to the admissible ones, a level at a
+    time."""
+    cube_verts, offsets, cube_holders, meets = _cube(spec.n)
+    levels = [k for k in range(spec.n + 1) if _admissible(spec, k)]
+    level_mask = {k: (1 << offsets[k + 1]) - (1 << offsets[k]) for k in levels}
     sizes_ok = _accepted_sizes(spec, level_mask)
-    adj, counts = [], {0: []}
-    for k in range(max(level_mask, default=-1) + 1):
-        if k:
-            prev, counts = counts, {}
-            for m in by_size[k]:
-                top = m.bit_length() - 1
-                counts[m] = _ripple_add(prev[m ^ (1 << top)], holders[top])
-        if k not in level_mask:
-            continue
-        within = _meet_table(spec, k, level_mask, sizes_ok, accepted=True)
-        adj.extend(_counting(counts[m], within) for m in by_size[k])
+    verts, adj = [], []
+    for k in levels:
+        start, stop = offsets[k], offsets[k + 1]
+        verts.extend(cube_verts[start:stop])
+        within = list(_meet_table(spec, k, level_mask, sizes_ok, accepted=True).items())
+        for meet in meets[start:stop]:
+            row = 0
+            for i, mask in within:
+                row |= meet[i] & mask
+            adj.append(row)
+    holders = dict(enumerate(cube_holders))
+    if len(levels) <= spec.n:
+
+        def compress(x: int) -> int:
+            out = at = 0
+            for k in levels:
+                size = offsets[k + 1] - offsets[k]
+                out |= ((x >> offsets[k]) & ((1 << size) - 1)) << at
+                at += size
+            return out
+
+        adj = [compress(row) for row in adj]
+        holders = {e: kept for e, h in holders.items() if (kept := compress(h))}
     return verts, adj, holders
 
 

@@ -216,6 +216,23 @@ class SearchBudgetExhausted(Exception):
 
 
 _MAX_ROOT_WINDOW = 10**6
+# without a node budget, the most root factors a search may evaluate: its
+# root multisets, each counted once per root
+_MAX_ROOT_FACTORS = 10**6
+
+
+def _root_factors(width: int, max_degree: int) -> int:
+    """Sum over d = 1..max_degree of d * C(width + d - 1, d), the roots of
+    every multiset of at most max_degree roots from `width` values, or the
+    first partial sum above `_MAX_ROOT_FACTORS`.  Each degree adds at least
+    d, so the loop stops by degree 1,414 whatever max_degree is."""
+    total, multisets = 0, 1
+    for d in range(1, max_degree + 1):
+        multisets = multisets * (width + d - 1) // d  # C(width + d - 1, d)
+        total += d * multisets
+        if not multisets or total > _MAX_ROOT_FACTORS:
+            break
+    return total
 
 
 def search_min_degree(
@@ -235,7 +252,9 @@ def search_min_degree(
     is an upper bound on the true minimum over the factored candidate
     class only; returns None when nothing passes within the limits.  With
     a `node_budget`, at most that many root multisets are tried before
-    `SearchBudgetExhausted` is raised.
+    `SearchBudgetExhausted` is raised.  Without one, the search is counted
+    before it starts: a multiset of degree d costs d root factors, and a
+    search of more than 10**6 root factors is refused with a ValueError.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
@@ -246,6 +265,13 @@ def search_min_degree(
         raise ValueError(
             f"the root window holds more than {_MAX_ROOT_WINDOW} values; pass a smaller --window"
         )
+    if node_budget is None and _root_factors(len(window), max_degree) > _MAX_ROOT_FACTORS:
+        raise ValueError(
+            f"the search would evaluate more than {_MAX_ROOT_FACTORS} root factors; "
+            "pass a --budget, a smaller --window or a lower --max-degree"
+        )
+    if not window:
+        return None
     tried = 0
     for d in range(1, max_degree + 1):
         for roots in combinations_with_replacement(window, d):

@@ -199,6 +199,17 @@ class TestCommands:
         )
         assert doc["payload"]["degree"] == 3
 
+    def test_seppoly_find_readme_document(self, capsys):
+        # the README's example: counting the search first leaves its answer
+        argv = ["seppoly", "find", "--q", "4", "--alpha", "0", "--L", "1..3", "--max-degree", "3"]
+        assert run_json(capsys, argv) == (EXIT_OK, {
+            "schema": 1, "command": "seppoly", "status": "ok", "diagnostics": [],
+            "payload": {
+                "q": 4, "alpha": 0, "L": [1, 2, 3], "degree": 3,
+                "poly": {"lead": 1, "roots": [1, 1, 2]},
+            },
+        })
+
     def test_seppoly_find_infeasible(self, capsys):
         code, doc = run_json(
             capsys,
@@ -594,8 +605,27 @@ class TestExitCodes:
                 ["seppoly", "find", "--q", "65536", "--alpha", "0", "--L", "1..3"],
                 "the root window holds more than 1000000 values; pass a smaller --window",
             ),
+            (
+                # about 1.7e17 multisets of degree 3 alone
+                ["seppoly", "find", "--q", "1024", "--alpha", "0", "--L", "1..3", "--window", "1000000"],
+                "the search would evaluate more than 1000000 root factors; "
+                "pass a --budget, a smaller --window or a lower --max-degree",
+            ),
+            (
+                ["seppoly", "find", "--q", "4", "--alpha", "0", "--L", "1", "--window", "1",
+                 "--max-degree", "1000000000000"],
+                "the search would evaluate more than 1000000 root factors; "
+                "pass a --budget, a smaller --window or a lower --max-degree",
+            ),
+            (
+                ["table", "--kind", "diff-sperner", "--q", "65536", "--n", "6"],
+                "a table at q = 65536 has 2147450880 intervals, more than the limit of 10000",
+            ),
         ],
-        ids=["vp", "binom", "closure", "mu", "bound", "check", "push", "verify", "seppoly find"],
+        ids=[
+            "vp", "binom", "closure", "mu", "bound", "check", "push", "verify", "seppoly find",
+            "seppoly find work", "seppoly find degree", "table",
+        ],
     )
     def test_library_rejection_is_a_usage_error(self, tmp_path, capsys, argv, message):
         """A library ValueError reaches the user as exit 2 with its message."""

@@ -1,8 +1,11 @@
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,7 @@ from qsperner.families import (
     _admissible,
     _CliqueSearch,
     _color_sort,
+    _cube,
     _first_violation,
     _graph_with_holders,
     _holders,
@@ -846,11 +850,70 @@ class TestGraphOracle:
                         spec = ConstraintSpec(kind=kind, n=n, modulus=pp, uniform_residue=variant)
                     else:
                         spec = ConstraintSpec(kind=kind, n=n, L=variant, modulus=pp)
-                    verts, adj = _graph_with_holders(spec)[:2]
+                    verts, adj, holders = _graph_with_holders(spec)
                     assert (verts, adj) == pairwise_graph(spec), spec
+                    assert holders == _holders(verts), spec
                     edgeless += n >= 2 and not any(adj)
         # every kind but antichain has a spec with several vertices and no edge
         assert edgeless or kind is Kind.ANTICHAIN
+
+    # two specs with inadmissible levels below admissible ones, whose rows
+    # and holders are compressed, and two with every level admissible
+    CUBE_SPECS = [
+        (Kind.INTERSECTING_UNIFORM, 3, None, 2),
+        (Kind.INTERSECTING, 2, {1}, None),
+        (Kind.DIFF_SPERNER, 3, {1, 2}, None),
+        (Kind.HAMMING, None, {1, 3}, None),
+    ]
+
+    def cube_specs(self, n):
+        return [
+            ConstraintSpec(
+                kind=kind, n=n, L=L or (), modulus=PrimePower.from_q(q) if q else None,
+                uniform_residue=r,
+            )
+            for kind, q, L, r in self.CUBE_SPECS
+        ]
+
+    def cube_graphs(self, n):
+        return [_graph_with_holders(spec) for spec in self.cube_specs(n)]
+
+    def test_cube_order_does_not_matter(self):
+        # the cube of [n] is built on the first graph at n and kept; graphs
+        # read off it must not depend on which n came first
+        built = []
+        for order in ((8, 5, 8), (5, 8, 5)):
+            _cube.cache_clear()
+            built.append({n: self.cube_graphs(n) for n in order})
+            assert _cube.cache_info().currsize == 2
+        assert built[0] == built[1]
+        for spec, (verts, adj, holders) in zip(self.cube_specs(5), built[0][5]):
+            assert (verts, adj) == pairwise_graph(spec) and holders == _holders(verts)
+
+    def test_callers_cannot_corrupt_the_cube(self):
+        n = 6
+        first = self.cube_graphs(n)
+        expected = [(list(v), list(a), dict(h)) for v, a, h in first]
+        for verts, adj, holders in first:
+            verts[0] ^= 1
+            adj.clear()
+            holders[0] = -1
+        assert self.cube_graphs(n) == expected
+        assert all(type(part) is tuple for part in _cube(n))
+        assert all(type(meet) is tuple for meet in _cube(n)[3])
+
+    def test_import_builds_no_cube(self):
+        code = (
+            "import qsperner, qsperner.cli\n"
+            "from qsperner.families import _cube\n"
+            "print(_cube.cache_info().currsize)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
 def _relabellings(n, translations):

@@ -11,6 +11,7 @@ from qsperner.seppoly import (
     FactoredIntPoly,
     SearchBudgetExhausted,
     _joint_min,
+    _root_factors,
     check_separation,
     degree_upper_bound,
     min_valuation_over_class,
@@ -262,6 +263,27 @@ class TestSearch:
         for q in (2**16, 2**40):
             with pytest.raises(ValueError, match=message):
                 search_min_degree(PrimePower.from_q(q), 0, {1, 2, 3}, 3)
+
+    def test_work_limit(self):
+        # without a budget, a search of more than 10**6 root factors (each
+        # multiset counted once per root) is refused before its first
+        # multiset, whatever the degree; with a budget it is not counted
+        pp = PrimePower.from_q(4)
+        message = "would evaluate more than 1000000 root factors"
+        for window, degree in ((range(1000), 2), (range(2), 10**6), (range(1), 10**12)):
+            with pytest.raises(ValueError, match=message):
+                search_min_degree(pp, 0, {1}, degree, window)
+            with pytest.raises(SearchBudgetExhausted):
+                search_min_degree(pp, 0, {1}, degree, window, node_budget=0)
+        assert search_min_degree(pp, 0, {1}, 10**12, range(0)) is None
+
+    def test_root_factor_count(self):
+        for width in range(8):
+            for max_degree in range(8):
+                expected = sum(d * math.comb(width + d - 1, d) for d in range(1, max_degree + 1))
+                assert _root_factors(width, max_degree) == expected
+        # the partial sum passing the limit, at the degree where it does
+        assert _root_factors(2, 10**9) == sum(d * (d + 1) for d in range(1, 145)) == 1_016_160
 
     def test_reproducible(self):
         pp = PrimePower.from_q(8)
