@@ -21,36 +21,53 @@ R22's own texts are written in one place per shape, `_r22_zero_own`
 (difference and Hamming kinds) and `_r22_per_alpha_own` (intersecting
 kinds), and pass through `_certificate` for `best_bound` and
 `bound_from_seppoly` alike.  R22 draws its separating polynomials from
-`_zero_separation_candidates`, which yields, in non-decreasing degree, the
-plain residues, the closed superinterval of their hull and the full range
-[1, q-1], each as its root runs: maximal ranges (lo, hi) of consecutive
-roots, so the two wider candidates are one run each.  Candidates are
-produced lazily.  Every candidate is monic with distinct roots in
-[1, q-1], so `best_bound` decides it from its runs and one table
+`_zero_separation_candidates`, which yields two candidates in
+non-decreasing degree, each as its root runs (maximal ranges (lo, hi) of
+consecutive roots): the plain residues, then the closed superinterval of
+their hull, one run.  The closure is computed only when a caller asks
+past the plain residues.  Both are monic with distinct roots in
+[1, q-1], so `best_bound` decides each from its runs and one table
 W[x] = min(v_p(x), k) on [0, q-1]: v_p(g(0)) is the sum of W[r], and the
 minimum of v_p(g) over class c the sum of W[(c - r) mod q], over the roots
 r.  `_run_minima` reads each run as one range sum of W's prefix sums, for
 the classes of L (separation) and of (r -+ 1) mod q (the shifted side
-conditions).  A polynomial is built only for the evidence of the
-difference or Hamming candidate that wins; the intersecting evidence is
-degrees alone.  For the intersecting kinds the plain candidate of each
-residue alpha outside L reflects the polynomial with roots L, so all
-share its class minima, and a residue it fails tries only the wider
-candidates.  `bound_from_seppoly` is R22's checker: it takes polynomials,
-by default `first_zero_separator`'s (reflected per residue for the
-intersecting kinds), which builds each candidate's polynomial from its
-runs, and judges every one by `seppoly`'s digit recursion
-(`check_separation`, `separates`), never by the table.
+conditions).  The table holds 2q + 1 entries, so R22 needs q <= 2^22
+(`_MAX_TABLE_Q`) as a hypothesis of its own: above it neither R22 rule
+yields a certificate, and the other rules answer.  A polynomial is built
+only for the evidence of the difference or Hamming candidate that wins;
+the intersecting evidence is degrees alone.  For the intersecting kinds
+the plain candidate of each residue alpha outside L reflects the
+polynomial with roots L, so all share its class minima, and a residue it
+fails takes the size of its reflected hull's closure.
+`bound_from_seppoly` is R22's checker: it takes polynomials, by default
+`first_zero_separator`'s (reflected per residue for the intersecting
+kinds), which builds each candidate's polynomial from its runs, and
+judges every one by `seppoly`'s digit recursion (`check_separation`,
+`separates`), never by the table.
+
+Two candidates suffice, because the closure always separates.  Let
+C = [b-l+1, b] be q-closed with l <= q-1, and g_C the monic polynomial
+with roots C.  Adding m and l-m in base p carries only from digit v_p(m)
+to below l's top digit, so v_p(m C(l, m)) <= k-1 for 1 <= m <= l < q
+(Kummer).  Then v_p(g_C(0)) = v_p(l!) + v_p(C(b, l)) = v_p(l!), as p
+does not divide C(b, l), and class b-i of C has minimum
+k + v_p(i!) + v_p((l-1-i)!) = k + v_p(l!) - v_p((i+1) C(l, i+1)) > v_p(l!):
+C separates 0 from every L inside it.
+The classes b-l and b+1 just outside C see every root at a distance of 1
+to l < q, so their minimum is v_p(l!) exactly.  Each shifted class
+r -+ 1 of an r in L lies in C or in one of these two, so both shifted
+conditions hold, and the difference kind always earns the n-1 column.
+The full range [1, q-1] is q-closed and contains C, so as a third
+candidate its degree would be no smaller and its column no better: it
+could never have a smaller (bound, degree), and ties go to the earlier
+candidate.  The intersecting route and `first_zero_separator` take the
+first candidate that separates, and C always does.
 
 R20, the sum of C(n, i) for i <= 2s-1 when an intersecting L is an
 interval of size s modulo q = p^2, is left out: it never comes first.
-Adding m and l-m in base p carries only from digit v_p(m) to below l's
-top digit, so v_p(m C(l, m)) <= k-1 for 1 <= m <= l < q (Kummer).  So a
-closed C = [b-l+1, b] separates 0 from its residues: v_p(g(0)) = v_p(l!),
-and class b-i has minimum k + v_p(i!) + v_p((l-1-i)!) = k + v_p(l!) -
-v_p((i+1) C(l, i+1)) > v_p(l!).  Each alpha outside L reflects L to an
-interval of size s in [1, q-1], so R22's degree for alpha is s or at most
-its closure's size, s + x%m - h%m <= s + p - 1 at q = p^2 (`q_closure`'s
+Each alpha outside L reflects L to an interval of size s in [1, q-1], so
+R22's degree for alpha is s or, as the closure separates, at most its
+closure's size, s + x%m - h%m <= s + p - 1 at q = p^2 (`q_closure`'s
 m <= p there, as lo-1 < hi leaves only digit 0).  For s <= p it is s:
 v_p(g(0)) = v_p(C(b, s)) + v_p(s!) = v_p(s C(b, s)) <= 1, below k = 2 and
 so below every class minimum.  R22 is thus below R20 when s >= 2 and
@@ -100,7 +117,8 @@ class BinomSum:
 
 # Rows are memoized so that a repeated column sum costs two lookups; the
 # bounds keep a long-running process's memory flat.  A row of width w
-# holds about w^2 bits when full, so wider rows are summed term by term.
+# holds about w^2 bits when full, so a wider row is summed by the same
+# recurrence without being stored.
 _ROW_CACHE_SIZE = 1 << 8
 _ROW_WIDTH_LIMIT = 1 << 10
 
@@ -122,7 +140,10 @@ def binom_sum(n: int, lower: int, upper: int, column: str = "n") -> BinomSum:
     if lo > hi:
         value = 0
     elif width > _ROW_WIDTH_LIMIT:
-        value = sum(comb(width, i) for i in range(lo, hi + 1))
+        c = value = comb(width, lo)
+        for j in range(lo + 1, hi + 1):
+            c = c * (width - j + 1) // j
+            value += c
     else:
         row = _cumulative_row(width)
         c = row[-1] - row[-2]  # C(width, len(row) - 2)
@@ -357,50 +378,32 @@ def _runs(residues) -> list[tuple[int, int]]:
     return runs
 
 
-def _degree(runs) -> int:
-    return sum(hi - lo + 1 for lo, hi in runs)
-
-
 def _run_poly(runs) -> FactoredIntPoly:
     """The monic polynomial whose roots are the integers of the runs."""
     return FactoredIntPoly(1, tuple(r for lo, hi in runs for r in range(lo, hi + 1)))
 
 
-def _wider_candidates(pp: PrimePower, lo: int, hi: int):
-    """The candidates after a plain root set with hull [lo, hi]: the
-    closed superinterval of the hull, then the full range [1, q-1] (which
-    always works), one run each."""
-    closed = q_closure(pp, IntervalL(lo, hi))
-    yield f"closed superinterval {closed}", [(closed.lo, closed.hi)]
-    if pp.q > 2:
-        yield "full range", [(1, pp.q - 1)]
-
-
 def _zero_separation_candidates(pp: PrimePower, L: tuple[int, ...]):
-    """Deterministic candidates, as (label, root runs), for separating 0
-    from the sorted residues L within [1, q-1]: the plain root set, then
-    `_wider_candidates`.  Degrees never decrease along the sequence, since
-    L lies in its hull, the hull in its closure and the closure in
-    [1, q-1].  Lazy: the closure is computed only when a caller asks past
-    the plain root set."""
+    """The two candidates, as (label, root runs), for separating 0 from
+    the sorted residues L within [1, q-1]: the plain root set, then the
+    closed superinterval of its hull, one run, which always separates (see
+    the module docstring).  The degree does not decrease, since L lies in
+    its hull and the hull in its closure.  Lazy: the closure is computed
+    only when a caller asks past the plain root set."""
     yield "given residues", _runs(L)
-    yield from _wider_candidates(pp, L[0], L[-1])
+    closed = q_closure(pp, IntervalL(L[0], L[-1]))
+    yield f"closed superinterval {closed}", [(closed.lo, closed.hi)]
 
 
 # The valuation table holds 2q + 1 prefix sums: at q = 2^22 one `bound`
-# takes about 1 s and 430 MB.  A larger q is refused.
+# takes about 1 s and 430 MB.  R22 needs q at most this; the lists of the
+# q - |L| residues outside an intersecting L are refused above it too.
 _MAX_TABLE_Q = 1 << 22
-
-
-def _require_table(pp: PrimePower) -> None:
-    if pp.q > _MAX_TABLE_Q:
-        raise ValueError(f"q = {pp.q} is above {_MAX_TABLE_Q}, the limit of R22's valuation table")
 
 
 def _valuation_sums(pp: PrimePower) -> list[int]:
     """Prefix sums over [0, 2q) of W[x mod q], W[x] = min(v_p(x), k) on
     [0, q-1] (so W[0] = k): entry i is the sum of the first i terms."""
-    _require_table(pp)
     W = [0] * pp.q
     for j in range(1, pp.k + 1):
         for x in range(0, pp.q, pp.p**j):
@@ -425,14 +428,13 @@ def _run_minima(P: list[int], runs, classes) -> tuple[int, list[int]]:
 
 def first_zero_separator(pp: PrimePower, L) -> tuple[str, FactoredIntPoly]:
     """Label and polynomial of the first candidate that separates 0 from
-    the sorted residues L within [1, q-1].  The candidates come in
-    non-decreasing degree, so this is the lowest-degree separating
-    candidate, the earliest one on ties."""
+    the sorted residues L within [1, q-1]: the plain residues if they
+    separate, else the closure of their hull, which always does."""
     for label, runs in _zero_separation_candidates(pp, L):
         h = _run_poly(runs)
         if separates(pp, h, 0, L):
-            return label, h
-    raise AssertionError("the full-range polynomial always separates")  # pragma: no cover
+            break
+    return label, h
 
 
 def _r22_column(kind: Kind, shifted: bool) -> str:
@@ -464,24 +466,25 @@ def _r22_zero_own(ctx: _Ctx, g: FactoredIntPoly, v0: int, minus_ok, plus_ok, lab
 
 def _r22_zero(ctx: _Ctx):
     # A higher degree with the n-1 column can beat a lower one without it,
-    # so later candidates still compete, until even their best column
-    # cannot beat the incumbent (degrees never decrease, so none after can
-    # either).  Classes: L, then (r - 1) mod q and (r + 1) mod q for r in L.
-    # Only the winner's polynomial is built, for its evidence.
+    # so the closure competes unless even its best column cannot beat the
+    # plain residues, and when it competes it wins: it always separates,
+    # with both shifted conditions.  Classes: L, then (r - 1) mod q and
+    # (r + 1) mod q for r in L.  Only the winner's polynomial is built, for
+    # its evidence.
+    if ctx.pp.q > _MAX_TABLE_Q:
+        return
     P, L, s, q = _valuation_sums(ctx.pp), ctx.L, len(ctx.L), ctx.pp.q
     classes = [*L, *((r - 1) % q for r in L), *((r + 1) % q for r in L)]
     best_column = _r22_column(ctx.kind, shifted=True)
     best = None  # (bound, label, runs, v0, minus_ok, plus_ok)
     for label, runs in _zero_separation_candidates(ctx.pp, L):
-        degree = _degree(runs)
+        degree = sum(hi - lo + 1 for lo, hi in runs)
         if best is not None and binom_sum(ctx.n, 0, degree, best_column).value >= best[0].value:
             break
         v0, m = _run_minima(P, runs, classes)
-        if v0 >= min(m[:s]):
-            continue
-        minus_ok, plus_ok = v0 <= min(m[s : 2 * s]), v0 <= min(m[2 * s :])
-        bound = binom_sum(ctx.n, 0, degree, _r22_column(ctx.kind, minus_ok or plus_ok))
-        if best is None or (bound.value, degree) < (best[0].value, best[0].upper):
+        if v0 < min(m[:s]):
+            minus_ok, plus_ok = v0 <= min(m[s : 2 * s]), v0 <= min(m[2 * s :])
+            bound = binom_sum(ctx.n, 0, degree, _r22_column(ctx.kind, minus_ok or plus_ok))
             best = bound, label, runs, v0, minus_ok, plus_ok
     _, label, runs, v0, minus_ok, plus_ok = best
     yield _r22_zero_own(ctx, _run_poly(runs), v0, minus_ok, plus_ok, label)
@@ -575,10 +578,12 @@ def _r22_intersecting(ctx: _Ctx):
     # the degree).  The plain roots (alpha - L) mod q reflect g_L, with roots
     # L, and W[x] = W[-x mod q]: v_p(h(0)) is g_L's minimum over class
     # alpha, and h's class minima are g_L's over L, the same for every alpha.
-    # A residue the plain roots fail tries only the wider candidates of its
-    # reflected set, which are single runs.
+    # A residue the plain roots fail takes the closure of its reflected
+    # hull, which always separates.
     pp, L, q = ctx.pp, ctx.L, ctx.pp.q
-    P, runs = _valuation_sums(pp), _runs(L)  # first: it refuses a q too large to list in full
+    if q > _MAX_TABLE_Q:
+        return
+    P, runs = _valuation_sums(pp), _runs(L)
     Lset = set(L)
     alphas = [a for a in range(q) if a not in Lset]
     if not alphas:
@@ -590,11 +595,7 @@ def _r22_intersecting(ctx: _Ctx):
             degrees[alpha] = len(L)
             continue
         Lr = [(alpha - ell) % q for ell in L]
-        for _, wider in _wider_candidates(pp, min(Lr), max(Lr)):
-            v0, minima = _run_minima(P, wider, Lr)
-            if v0 < min(minima):
-                degrees[alpha] = _degree(wider)
-                break
+        degrees[alpha] = q_closure(pp, IntervalL(min(Lr), max(Lr))).size
     wording = "a separating polynomial was constructed for every residue outside L"
     yield _r22_per_alpha_own(ctx, degrees, wording)
 
@@ -699,7 +700,10 @@ def _applicable(spec: ConstraintSpec) -> list[BoundCertificate]:
     if not spec.L and kind is not Kind.INTERSECTING_UNIFORM:
         raise ValueError("empty L is rejected by the bound engine")
     if kind is Kind.INTERSECTING_UNIFORM:
-        _require_table(pp)  # R22 runs on the q - 1 residues listed next
+        if pp.q > _MAX_TABLE_Q:
+            raise ValueError(
+                f"q = {pp.q} is above {_MAX_TABLE_Q}, the limit of the uniform reading's residue list"
+            )
         r = spec.uniform_residue
         L = tuple(x for x in range(pp.q) if x != r)
         note = (
@@ -725,8 +729,12 @@ def best_bound(spec: ConstraintSpec) -> tuple[BoundCertificate, list[BoundCertif
     """Minimum certificate plus the full applicable portfolio, sorted by
     (bound value, hypothesis count, rule number)."""
     certs = sorted(_applicable(spec), key=_cert_key)
-    if not certs:  # pragma: no cover
-        raise AssertionError("the rule portfolio is total for supported kinds")
+    if not certs:
+        # only a Hamming spec modulo p^k, k >= 2, above R22's limit with L
+        # not of the form [s] meets no rule
+        raise ValueError(
+            f"no bound rule applies: q = {spec.modulus.q} is above {_MAX_TABLE_Q}, the limit of R22"
+        )
     return certs[0], certs
 
 
@@ -755,7 +763,9 @@ def bound_from_seppoly(
     for L, and each alpha's is the reflection of `first_zero_separator`'s
     for (alpha - L) mod q.  Raises SeparationFailure naming the failing
     class when a polynomial does not separate, and naming alpha when a
-    per-alpha polynomial that separates has a root congruent to alpha.
+    per-alpha polynomial that separates has a root congruent to alpha,
+    and ValueError for a polynomial argument the kind does not read or an
+    intersecting q above 2^22, whose residues outside L are not listed.
     The certificate is R22's, as `best_bound` would state it for the same
     polynomials.
     """
@@ -767,6 +777,8 @@ def bound_from_seppoly(
         raise ValueError("empty L is rejected")
     ctx = _Ctx(spec.kind, spec.n, L, pp)
     if spec.kind in (Kind.DIFF_SPERNER, Kind.HAMMING):
+        if per_alpha is not None:
+            raise ValueError(f"kind {spec.kind.value} takes one polynomial g, not per_alpha")
         if g is None:
             g = first_zero_separator(pp, L)[1]
         rep = check_separation(pp, g, 0, L)
@@ -781,6 +793,10 @@ def bound_from_seppoly(
         return _certificate(ctx, _R22_ZERO, *own)
     if spec.kind is Kind.INTERSECTING:
         q = pp.q
+        if g is not None:
+            raise ValueError("kind intersecting takes per_alpha polynomials, not one g")
+        if q > _MAX_TABLE_Q:
+            raise ValueError(f"q = {q} is above {_MAX_TABLE_Q}, the limit of the residues to list outside L")
         Lset = set(L)
         alphas = [a for a in range(q) if a not in Lset]
         if per_alpha is None:

@@ -18,10 +18,10 @@ spec only chooses which i each pair of size levels accepts, so a row is
 an OR of those bitsets, masked by level.  The search runs a deterministic
 branch-and-bound maximum clique with greedy-coloring upper bounds on
 bitset adjacency rows.  It starts from the larger of a greedy clique and
-one-pass cliques in three vertex orders, lists only the vertices whose
-colour can beat the incumbent (the k_min cut-off of MCS/BBMC), and keeps
-its depth-first path on an explicit stack, so a clique of thousands of
-members needs no recursion.
+one-pass cliques in reverse and degree order, lists only the vertices
+whose colour can beat the incumbent (the k_min cut-off of MCS/BBMC), and
+keeps its depth-first path on an explicit stack, so a clique of thousands
+of members needs no recursion.
 
 The search breaks the symmetry of the constraint kinds by orbital
 branching (Ostrowski, Linderoth, Rossi & Smriglio, Math. Programming
@@ -684,15 +684,14 @@ def _one_pass_clique(order, adj: list[int]) -> list[int]:
 
 def _seed(adj: list[int]) -> tuple[list[int], str]:
     """The clique the search starts from, with its source: the greedy clique
-    from the vertex of highest degree, or a one-pass clique in vertex,
-    reverse or degree order when it is larger (the first such on a tie)."""
+    from the vertex of highest degree, or a one-pass clique in reverse or
+    degree order when it is larger (the first such on a tie)."""
     nv = len(adj)
     if not nv:
         return [], "greedy"
     by_degree = sorted(range(nv), key=lambda v: -adj[v].bit_count())
     best, source = _greedy_clique(by_degree[0], adj), "greedy"
     orders = {
-        "vertex order": range(nv),
         "reverse order": range(nv - 1, -1, -1),
         "degree order": by_degree,
     }

@@ -16,7 +16,7 @@ from qsperner.bounds import (
 )
 from qsperner.closure import IntervalL, closure_length_bound, q_closure
 from qsperner.families import ConstraintSpec, Kind, max_family
-from qsperner.padic import INFINITY, PrimePower, vp
+from qsperner.padic import INFINITY, PrimePower, vp, vp_factorial
 from qsperner.seppoly import (
     FactoredIntPoly,
     check_separation,
@@ -69,6 +69,16 @@ class TestBinomSum:
                     )
                     b = binom_sum(n, lower, upper, column)
                     assert b == bounds.BinomSum(lower, upper, column, expected), (n, lower, upper)
+
+    @pytest.mark.parametrize("column", ["n", "n-1"])
+    def test_wide_rows_match_comb(self, column):
+        # rows wider than 1024 are summed by the recurrence without being
+        # stored: lower > 0 starts it mid-row, upper past the width clamps
+        for n in (1025, 1026, 1100, 30000):
+            width = n if column == "n" else n - 1
+            for lower, upper in ((0, 4), (1, 1), (3, 200), (500, 700), (2950, 3000), (width - 3, width + 5)):
+                expected = sum(math.comb(width, i) for i in range(lower, min(upper, width) + 1))
+                assert binom_sum(n, lower, upper, column).value == expected, (n, lower, upper)
 
     def test_rows_grow_in_any_order(self):
         # a later, narrower read must not shorten what an earlier one grew
@@ -407,6 +417,30 @@ class TestBoundFromSeppoly:
         cert = bound_from_seppoly(spec, g)
         assert cert.bound.value <= sum(math.comb(6, i) for i in range(2))
 
+    def test_intersecting_above_the_list_limit(self):
+        # refused before the q - 2 residues outside L are listed
+        spec = spec_of(Kind.INTERSECTING, 20, {0, 1}, q=1 << 40)
+        with pytest.raises(
+            ValueError, match="^q = 1099511627776 is above 4194304, the limit of the residues to list outside L$"
+        ):
+            bound_from_seppoly(spec)
+
+    @pytest.mark.parametrize(
+        "kind, L, argument, message",
+        [
+            (Kind.DIFF_SPERNER, {1}, {"per_alpha": {}}, "^kind diff-sperner takes one polynomial g, not per_alpha$"),
+            (Kind.HAMMING, {1}, {"per_alpha": {}}, "^kind hamming takes one polynomial g, not per_alpha$"),
+            (
+                Kind.INTERSECTING, {0, 1}, {"g": FactoredIntPoly(1, (1,))},
+                "^kind intersecting takes per_alpha polynomials, not one g$",
+            ),
+        ],
+        ids=["diff-per-alpha", "hamming-per-alpha", "intersecting-g"],
+    )
+    def test_unread_polynomial_refused(self, kind, L, argument, message):
+        with pytest.raises(ValueError, match=message):
+            bound_from_seppoly(spec_of(kind, 6, L, q=4), **argument)
+
     def test_nonmodular_rejected(self):
         spec = spec_of(Kind.DIFF_SPERNER, 6, {1})
         with pytest.raises(ValueError):
@@ -568,18 +602,40 @@ class TestR22Table:
                         labels.add((label.split()[0], h.degree == q - 1))
                     assert r22.auxiliary["per_alpha_degrees"] == expected, (q, L)
         # some residues need a closed superinterval short of the full
-        # range, some need all of [1, q-1].  The latter is reached as the
-        # closure of the hull: a q-closed interval always separates 0 from
-        # its residues, so the last candidate is never taken here.
+        # range, some need all of [1, q-1], reached as the closure of the
+        # hull
         assert {("closed", False), ("closed", True)} <= labels
 
     def test_size_limit(self, monkeypatch):
-        # the limit is inclusive, and both R22 routes are refused above it
+        # the limit is inclusive: both R22 routes are granted at it and
+        # abstain above it, where the other rules still answer
         monkeypatch.setattr(bounds, "_MAX_TABLE_Q", 25)
         assert len(bounds._valuation_sums(PP(25))) == 2 * 25 + 1
-        for kind in (Kind.DIFF_SPERNER, Kind.INTERSECTING):
-            with pytest.raises(ValueError, match="^q = 27 is above 25, the limit of R22's valuation table$"):
-                best_bound(spec_of(kind, 10, (1, 2), q=27))
+        for kind in (Kind.DIFF_SPERNER, Kind.HAMMING, Kind.INTERSECTING):
+            for q, granted in ((25, True), (27, False)):
+                ids = [c.theorem_id for c in best_bound(spec_of(kind, 10, (1, 2), q=q))[1]]
+                assert ids and ("R22" in ids) is granted, (kind, q)
+
+
+class TestClosureSeparates:
+    """The proof in the `bounds` docstring, read through `seppoly`'s digit
+    recursion rather than the valuation table: the closure C of every
+    interval in [1, q-1] separates 0 from its own residues, with both
+    shifted conditions, and v_p(g_C(0)) = v_p(|C|!)."""
+
+    def test_every_closure(self):
+        count = 0
+        for q in prime_powers(49):
+            pp = PP(q)
+            for lo in range(1, q):
+                for hi in range(lo, q):
+                    closed = q_closure(pp, IntervalL(lo, hi))
+                    roots = tuple(range(closed.lo, closed.hi + 1))
+                    rep = check_separation(pp, FactoredIntPoly(1, roots), 0, roots)
+                    assert rep.separates and rep.shifted_minus_ok and rep.shifted_plus_ok, (q, lo, hi)
+                    assert rep.v0 == vp_factorial(pp.p, closed.size), (q, lo, hi)
+                    count += 1
+        assert count == 7582
 
 
 def run_root_sets(q, rng):
@@ -621,7 +677,6 @@ class TestRunMinima:
         for runs in ([(1, 3), (5, 5), (7, 8)], [(2, 9)]):
             roots = bounds._run_poly(runs).roots
             assert bounds._runs(roots) == runs
-            assert bounds._degree(runs) == len(roots)
 
     def test_matches_check_separation_on_candidates(self):
         rng = random.Random(7)

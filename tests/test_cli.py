@@ -122,41 +122,66 @@ class TestCommands:
 
     def test_bound_table_size_limit(self, capsys):
         """R22's valuation table at 4294967291^2 would need 2q + 1 entries:
-        refused before it is built."""
+        R22 abstains before it is built, and the other rules answer."""
         q = 4294967291**2
         code, doc = run_json(capsys, ["bound", "--kind", "diff-sperner", "--q", str(q), "--L", "1,2", "--n", "20"])
+        assert code == EXIT_OK
+        assert doc["status"] == "ok"
+        ids = [c["theorem_id"] for c in doc["payload"]["certificates"]]
+        assert ids and "R22" not in ids
+
+    @pytest.mark.parametrize(
+        "argv, refused",
+        [
+            (["--kind", "intersecting", "--L", "0,1"], False),
+            (["--kind", "intersecting-uniform", "--uniform-residue", "0"], True),
+        ],
+        ids=["intersecting", "intersecting-uniform"],
+    )
+    def test_bound_intersecting_size_limit(self, capsys, argv, refused):
+        """At q = 2^40 R22 abstains before it lists the q - |L| residues
+        outside L; the uniform reading, which lists its q - 1 residues
+        before any rule runs, is refused."""
+        q = 1 << 40
+        code, doc = run_json(capsys, ["bound", *argv, "--q", str(q), "--n", "20"])
+        if not refused:
+            assert code == EXIT_OK
+            ids = [c["theorem_id"] for c in doc["payload"]["certificates"]]
+            assert ids and "R22" not in ids
+            return
         assert code == EXIT_USAGE
         assert doc == {
             "schema": 1,
             "status": "error",
             "payload": {},
             "diagnostics": [
-                f"q = {q} is above 4194304, the limit of R22's valuation table"
+                f"q = {q} is above 4194304, the limit of the uniform reading's residue list"
             ],
         }
+
+    def test_bound_no_rule_above_the_table_limit(self, capsys):
+        """Hamming modulo 2^23 with L = {2}: R21 needs a prime or L = [s],
+        and R22 abstains, so no rule applies."""
+        argv = ["bound", "--kind", "hamming", "--q", str(1 << 23), "--L", "2", "--n", "20"]
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_USAGE
+        assert doc["diagnostics"] == ["no bound rule applies: q = 8388608 is above 4194304, the limit of R22"]
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--kind", "intersecting", "--L", "0,1"],
-            ["--kind", "intersecting-uniform", "--uniform-residue", "0"],
+            ["bound", "--kind", "hamming", "--q", "4194319", "--L", "1", "--n", "20"],
+            ["bound", "--kind", "hamming", "--n", "5000000", "--L", "1"],
         ],
-        ids=["intersecting", "intersecting-uniform"],
+        ids=["prime-above-limit", "lifted-above-limit"],
     )
-    def test_bound_intersecting_size_limit(self, capsys, argv):
-        """At q = 2^40 the q - |L| residues R22 reads are refused before
-        they are listed, as the table they need would be."""
-        q = 1 << 40
-        code, doc = run_json(capsys, ["bound", *argv, "--q", str(q), "--n", "20"])
-        assert code == EXIT_USAGE
-        assert doc == {
-            "schema": 1,
-            "status": "error",
-            "payload": {},
-            "diagnostics": [
-                f"q = {q} is above 4194304, the limit of R22's valuation table"
-            ],
-        }
+    def test_bound_answers_above_the_table_limit(self, capsys, argv):
+        """A prime q above 2^22, given or lifted, answers by R21 with R22
+        abstaining."""
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_OK
+        assert doc["payload"]["theorem_id"] == "R21"
+        assert "R22" not in [c["theorem_id"] for c in doc["payload"]["certificates"]]
 
     def test_census(self, capsys):
         code, doc = run_json(capsys, ["census", "--q", "4"])
@@ -501,6 +526,40 @@ class TestExitCodes:
         doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == "error"
         assert doc["diagnostics"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bound", "--kind", "diff-sperner", "--q", "5", "--L", " ", "--n", "4"], "empty L"),
+            (
+                ["bound", "--kind", "diff-sperner", "--q", "5", "--L", "1..x", "--n", "4"],
+                "malformed interval '1..x'",
+            ),
+            (
+                ["bound", "--kind", "diff-sperner", "--q", "5", "--L", "1,2@wrap", "--n", "4"],
+                "@wrap only applies to interval syntax a..b@wrap",
+            ),
+            (["push", "--file", "{absent}", "--s", "1"], "family file {absent} does not exist"),
+            (["digits", "--q", "8", "--s", "8"], "s = 8 out of range [0, 7]"),
+            (["seppoly", "check", "--q", "4", "--alpha", "0", "--L", "1"], "seppoly check needs --roots"),
+            (
+                ["verify", "--kind", "diff-sperner", "--file", "{family}"],
+                "verify needs --q and --L (or --variant sym|close)",
+            ),
+        ],
+        ids=["empty-L", "malformed-interval", "wrap-list", "missing-file", "digits-s", "check-roots", "verify-q-L"],
+    )
+    def test_usage_error_messages(self, tmp_path, capsys, argv, message):
+        fam = tmp_path / "fam.txt"
+        fam.write_text("{1}\n{2}\n")
+        paths = {"absent": tmp_path / "absent.txt", "family": fam}
+        argv = [a.format(**paths) for a in argv]
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_USAGE
+        assert doc == {
+            "schema": 1, "status": "error", "payload": {},
+            "diagnostics": [message.format(**paths)],
+        }
 
     def test_seed_flag_is_gone(self, capsys):
         code, doc = run_json(

@@ -11,11 +11,13 @@ from qsperner.bounds import first_zero_separator
 from qsperner.families import ConstraintSpec, Kind, SetFamily, max_family
 from qsperner.padic import PrimePower, vp
 from qsperner.polylab import (
+    _difference_forms,
     _masks_by_size,
     _padic_pattern,
     _sparse_rank,
     _subsets,
     _triangular_pattern,
+    _window_forms,
     build_diff_sperner_system,
     build_midband_system,
     verify_independence,
@@ -423,6 +425,36 @@ class TestSymPattern:
         assert report.pattern_failures == ["P entry (1, 0) below the diagonal is nonzero"]
         # P reads 1 + 2 entries; H (one row) reads 2 members, 1 shifted, 1 index probe
         assert report.stats["pattern_cells"] == 7
+
+
+class TestTriangularFailures:
+    """The two triangular failures no built system meets, since the
+    builders fix g(0) != 0 and reject members outside the window's band:
+    each is reached by swapping one block of a built close system."""
+
+    def close_system(self):
+        witness = max_family(ConstraintSpec(kind=Kind.CLOSE_SPERNER, n=5, L={1, 2})).witness
+        return build_midband_system(witness, 2, "close")
+
+    def test_p_diagonal_vanishes(self):
+        sys_ = self.close_system()
+        # g(y) = y(y-1)(y-2) is zero on the diagonal g(0) and still zero
+        # below it
+        forms = {**sys_.forms, "P": _difference_forms(sys_.order, FactoredIntPoly(1, (0, 1, 2)))}
+        mutated = dataclasses.replace(sys_, forms=forms)
+        failures = verify_independence(mutated).pattern_failures
+        expected = [f"P diagonal ({i}, {i}) vanishes" for i in range(len(sys_.order))]
+        assert failures == expected == pattern_failures_by_entries(mutated)
+
+    def test_window_polynomial_misses_members(self):
+        sys_ = self.close_system()
+        # every member has size 2, and a window with the one root 3 is
+        # nonzero there
+        window = _window_forms(3, 3, (1 << 5) - 1, sys_.probes["window_masks"])
+        mutated = dataclasses.replace(sys_, forms={**sys_.forms, "H": window})
+        failures = verify_independence(mutated).pattern_failures
+        expected = [f"window polynomial 0 does not vanish on member {j}" for j in range(len(sys_.order))]
+        assert failures == expected == pattern_failures_by_entries(mutated)
 
 
 def pattern_failures_by_entries(sys_):
