@@ -13,7 +13,8 @@ but never needs to raise, and `graph-sha256`, a hash of the search graph
 itself (vertices, adjacency rows and element holders, as
 `_graph_with_holders` returns them) for every spec, which a change to how
 the graph is built must leave unchanged.  Run it on two checkouts and
-compare the lines.
+compare the lines.  `digest` computes them, and the test suite pins them
+through it.
 
 Usage:
   python3 scripts/search_digest.py [--seed N] [--random COUNT]
@@ -66,28 +67,32 @@ def specs(seed: int, count: int):
         yield random_spec(rng)
 
 
+def digest(seed: int = 1, count: int = 300) -> dict:
+    """The lines the script prints, by name: the number of specs, the
+    search and restoration nodes summed over them, `sha256` and
+    `graph-sha256`."""
+    answers, graphs = hashlib.sha256(), hashlib.sha256()
+    out = {"specs": 0, "search_nodes": 0, "restore_nodes": 0}
+    for spec in specs(seed, count):
+        res = max_family(spec)
+        answers.update(repr((res.max_size, res.exact, res.witness.members)).encode())
+        answers.update(b"\n")
+        verts, adj, holders = _graph_with_holders(spec)
+        graphs.update(repr((verts, adj, sorted(holders.items()))).encode())
+        graphs.update(b"\n")
+        out["specs"] += 1
+        out["search_nodes"] += res.stats["search_nodes"]
+        out["restore_nodes"] += res.stats["restore_nodes"]
+    return {**out, "sha256": answers.hexdigest(), "graph-sha256": graphs.hexdigest()}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=1, help="seed of the random specs")
     ap.add_argument("--random", type=int, default=300, help="number of random specs")
     args = ap.parse_args()
-    digest, graphs = hashlib.sha256(), hashlib.sha256()
-    count = search_nodes = restore_nodes = 0
-    for spec in specs(args.seed, args.random):
-        res = max_family(spec)
-        digest.update(repr((res.max_size, res.exact, res.witness.members)).encode())
-        digest.update(b"\n")
-        verts, adj, holders = _graph_with_holders(spec)
-        graphs.update(repr((verts, adj, sorted(holders.items()))).encode())
-        graphs.update(b"\n")
-        count += 1
-        search_nodes += res.stats["search_nodes"]
-        restore_nodes += res.stats["restore_nodes"]
-    print(f"specs {count}")
-    print(f"search_nodes {search_nodes}")
-    print(f"restore_nodes {restore_nodes}")
-    print(f"sha256 {digest.hexdigest()}")
-    print(f"graph-sha256 {graphs.hexdigest()}")
+    for name, value in digest(args.seed, args.random).items():
+        print(f"{name} {value}")
     return 0
 
 

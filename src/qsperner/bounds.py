@@ -77,6 +77,7 @@ or L is every residue, R19 is at most R20 with fewer hypotheses.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -359,10 +360,11 @@ def _r8(ctx: _Ctx):
 
 def _r9(ctx: _Ctx):
     s = len(ctx.L)
-    texts = (
-        f"L within [1, {ctx.pp.q - 1}]",
-        f"worst-case separating degree 2^(s-1) = {2 ** (s - 1)}",
-    )
+    try:
+        degree = f"2^(s-1) = {2 ** (s - 1)}"
+    except ValueError:  # more digits than Python writes an int in by default
+        degree = f"2^(s-1) = 2^{s - 1}"
+    texts = (f"L within [1, {ctx.pp.q - 1}]", f"worst-case separating degree {degree}")
     yield texts, binom_sum(ctx.n, 0, 2 ** (s - 1), "n"), None
 
 
@@ -579,7 +581,9 @@ def _r22_intersecting(ctx: _Ctx):
     # L, and W[x] = W[-x mod q]: v_p(h(0)) is g_L's minimum over class
     # alpha, and h's class minima are g_L's over L, the same for every alpha.
     # A residue the plain roots fail takes the closure of its reflected
-    # hull, which always separates.
+    # hull, which always separates.  That hull of (alpha - L) mod q runs
+    # from alpha less L's nearest residue below alpha to alpha less its
+    # nearest above, each read cyclically: a bisection, not a pass over L.
     pp, L, q = ctx.pp, ctx.L, ctx.pp.q
     if q > _MAX_TABLE_Q:
         return
@@ -594,8 +598,10 @@ def _r22_intersecting(ctx: _Ctx):
         if side < plain:
             degrees[alpha] = len(L)
             continue
-        Lr = [(alpha - ell) % q for ell in L]
-        degrees[alpha] = q_closure(pp, IntervalL(min(Lr), max(Lr))).size
+        at = bisect_left(L, alpha)
+        below = L[at - 1] if at else L[-1] - q
+        above = L[at] if at < len(L) else L[0] + q
+        degrees[alpha] = q_closure(pp, IntervalL(alpha - below, alpha - above + q)).size
     wording = "a separating polynomial was constructed for every residue outside L"
     yield _r22_per_alpha_own(ctx, degrees, wording)
 

@@ -13,6 +13,7 @@ Any other exception is an internal failure and propagates.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -127,6 +128,21 @@ def _read_family(args) -> SetFamily:
             f"cannot read family file {path}: not UTF-8 text ({exc.reason} at offset {exc.start})"
         ) from exc
     return families.parse_family(text, getattr(args, "n", None))
+
+
+@contextlib.contextmanager
+def _long_ints():
+    """Let Python write ints of any length in the block: a bound can have
+    more digits than its default limit of 4,300, past which `str` and
+    `json.dumps` raise.  The limit is put back after the block; inputs are
+    parsed outside it, where the limit keeps a huge number from taking
+    quadratic time to read."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _val_json(v: int | float) -> int | str:
@@ -301,11 +317,12 @@ def _cmd_bound(args) -> CommandResult:
         "best": _cert_json(best),
         "certificates": [_cert_json(c) for c in all_certs],
     }
-    lines = [f"best bound: {best.bound.value} via {best.theorem_id}"]
-    for c in all_certs:
-        b = c.bound
-        span = f"sum_{{i={b.lower}..{b.upper}}} C({'n-1' if b.column == 'n-1' else 'n'}, i)"
-        lines.append(f"  {c.theorem_id:>4}: {b.value}  ({span})")
+    with _long_ints():
+        lines = [f"best bound: {best.bound.value} via {best.theorem_id}"]
+        for c in all_certs:
+            b = c.bound
+            span = f"sum_{{i={b.lower}..{b.upper}}} C({'n-1' if b.column == 'n-1' else 'n'}, i)"
+            lines.append(f"  {c.theorem_id:>4}: {b.value}  ({span})")
     return CommandResult("ok", payload, human="\n".join(lines))
 
 
@@ -339,11 +356,12 @@ def _cmd_table(args) -> CommandResult:
     if brute_ok:
         header += f" {'brute':>7} {'sound':>6}"
     lines = [header]
-    for row in rows:
-        line = f"{row['L']:>8} {row['bound']:>10} {row['theorem_id']:>5}"
-        if brute_ok:
-            line += f" {row['brute_force']:>7} {str(row['sound']).lower():>6}"
-        lines.append(line)
+    with _long_ints():
+        for row in rows:
+            line = f"{row['L']:>8} {row['bound']:>10} {row['theorem_id']:>5}"
+            if brute_ok:
+                line += f" {row['brute_force']:>7} {str(row['sound']).lower():>6}"
+            lines.append(line)
     return CommandResult(
         "ok",
         {"kind": kind.value, "q": pp.q, "n": args.n, "rows": rows},
@@ -598,7 +616,8 @@ def main(argv: list[str] | None = None) -> int:
             "payload": result.payload,
             "diagnostics": result.diagnostics,
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        with _long_ints():
+            print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         if result.human:
             print(result.human)

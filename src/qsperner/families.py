@@ -6,9 +6,11 @@ bit i-1 standing for element i.  Every constraint kind reads only |A|, |B|
 and |A∩B|, and each is defined once, as a record of `_KINDS`: its member
 condition, its pair statistic with the values it accepts, the wording of
 its violations and its symmetry group.  `satisfies` and the search read
-that table, and both count |A∩B| bit-sliced, against many sets at once;
-the antichain precondition of push-to-the-middle compares only members of
-different sizes.
+that record through one acceptance table per spec (`_meet_tables`: per
+size level, the |A∩B| values each level accepts, reading `accept` once
+per statistic value), and both count |A∩B| bit-sliced, against many sets
+at once; the antichain precondition of push-to-the-middle compares only
+members of different sizes.
 The maximum-family search builds the compatibility graph (admissible
 subsets as vertices, edges where the pairwise constraint holds) from the
 cube of [n], which no spec changes and which is built once per n on
@@ -218,13 +220,14 @@ def _off_residue(spec: ConstraintSpec, v: int) -> bool:
 class _KindDef:
     """One constraint kind, written over cardinalities.
 
-    A pair A, B is compatible when `accept(spec, v)` holds for the pair
-    statistic v = stat(|A|, |B|, |A∩B|) and, for a directed kind, also for
-    stat(|B|, |A|, |A∩B|).  `avoiding` is set for the kinds whose members
-    must fail that test themselves (|A| = |A∩A| may not be accepted) and
-    words that member violation, as `pair` words the pair violation: X and
-    Y are the sets, v the statistic, res it reduced mod q, mod the " (mod
-    q)" suffix of modular specs, q and r the modulus and uniform residue.
+    A pair A, B is compatible when `accept(spec, v)` holds for both pair
+    statistics v = stat(|A|, |B|, |A∩B|) and stat(|B|, |A|, |A∩B|), one
+    value for every kind but diff-Sperner and antichain.  `avoiding` is set
+    for the kinds whose members must fail that test themselves (|A| = |A∩A|
+    may not be accepted) and words that member violation, as `pair` words
+    the pair violation: X and Y are the sets, v the statistic, res it
+    reduced mod q, mod the " (mod q)" suffix of modular specs, q and r the
+    modulus and uniform residue.
     `root_regions(full)` gives the regions whose counts |b ∩ x| key the
     orbits of the kind's symmetry group (see `_orbits`): relabelling [n]
     for every kind, whose orbits are the size levels, keyed by [full]; for
@@ -234,7 +237,6 @@ class _KindDef:
     stat: Callable[[int, int, int], int]
     accept: Callable[[ConstraintSpec, int], bool]
     pair: str
-    directed: bool = False
     avoiding: str | None = None
     root_regions: Callable[[int], list[int]] = lambda full: [full]
 
@@ -242,7 +244,7 @@ class _KindDef:
 _KINDS = {
     Kind.DIFF_SPERNER: _KindDef(
         lambda kx, ky, i: kx - i, _in_L,
-        "pair {X}, {Y}: |A\\B| = {res} not in L{mod}", directed=True,
+        "pair {X}, {Y}: |A\\B| = {res} not in L{mod}",
     ),
     Kind.CLOSE_SPERNER: _KindDef(
         lambda kx, ky, i: min(kx, ky) - i, _in_L,
@@ -265,7 +267,7 @@ _KINDS = {
     ),
     Kind.ANTICHAIN: _KindDef(
         lambda kx, ky, i: kx - i, lambda spec, v: v > 0,
-        "pair {X} is contained in {Y}", directed=True,
+        "pair {X} is contained in {Y}",
     ),
 }
 
@@ -274,29 +276,6 @@ def _admissible(spec: ConstraintSpec, k: int) -> bool:
     """Whether a member of size k is allowed."""
     kd = _KINDS[spec.kind]
     return kd.avoiding is None or not kd.accept(spec, k)
-
-
-def _accepted(spec: ConstraintSpec, ka: int, kb: int) -> frozenset[int]:
-    """The values of |A∩B| at which subsets of [n] of sizes ka and kb are
-    compatible."""
-    kd = _KINDS[spec.kind]
-    return frozenset(
-        i
-        for i in range(max(0, ka + kb - spec.n), min(ka, kb) + 1)
-        if kd.accept(spec, kd.stat(ka, kb, i))
-        and (not kd.directed or kd.accept(spec, kd.stat(kb, ka, i)))
-    )
-
-
-def _accepted_sizes(spec: ConstraintSpec, sizes) -> dict[tuple[int, int], frozenset[int]]:
-    """`_accepted` at every pair of the sizes.  Every kind's acceptance is
-    symmetric in the two sizes, so each unordered pair is computed once."""
-    table: dict[tuple[int, int], frozenset[int]] = {}
-    for ka in sizes:
-        for kb in sizes:
-            if (ka, kb) not in table:
-                table[ka, kb] = table[kb, ka] = _accepted(spec, ka, kb)
-    return table
 
 
 def _words(spec: ConstraintSpec, text: str, x: int, y: int, v: int) -> str:
@@ -361,22 +340,32 @@ def _counting(planes: list[int], table: dict[int, int]) -> int:
     return out
 
 
-def _meet_table(
-    spec: ConstraintSpec, k: int, levels: dict, sizes_ok: dict, accepted: bool
-) -> dict[int, int]:
-    """For a k-set A: |A∩B| = i -> the OR of the masks of `levels` (size
-    -> bitset of points) whose sets B it accepts at i, read from the
-    `_accepted_sizes` table `sizes_ok`.  With `accepted` false, those it
-    rejects at i instead, over the i at which a distinct set of that size
-    can meet A."""
-    table: dict[int, int] = {}
-    for kb, mask in levels.items():
-        ok = sizes_ok[k, kb]
-        meets = range(max(0, k + kb - spec.n), min(k, kb) + (k != kb))
-        values = ok if accepted else set(meets) - ok
-        for i in values:
-            table[i] = table.get(i, 0) | mask
-    return table
+def _meet_tables(
+    spec: ConstraintSpec, levels: dict[int, int], accepted: bool = True
+) -> dict[int, dict[int, int]]:
+    """For each size k of `levels` (size -> bitset of points): |A∩B| = i ->
+    the OR of the levels whose sets B a k-set A accepts at i, over the i at
+    which a distinct set of that size can meet A; with `accepted` false,
+    those it rejects at i instead.  A pair is accepted when both stat(|A|,
+    |B|, i) and stat(|B|, |A|, i) are, and the kind's `accept` is read once
+    per statistic value that occurs."""
+    kd = _KINDS[spec.kind]
+    seen: dict[int, bool] = {}
+
+    def ok(v: int) -> bool:
+        if v not in seen:
+            seen[v] = kd.accept(spec, v)
+        return seen[v]
+
+    tables: dict[int, dict[int, int]] = {k: {} for k in levels}
+    sizes = sorted(levels)
+    for at, ka in enumerate(sizes):
+        for kb in sizes[at:]:  # ka <= kb: each unordered pair once
+            for i in range(max(0, ka + kb - spec.n), ka + (ka != kb)):
+                if (ok(kd.stat(ka, kb, i)) and ok(kd.stat(kb, ka, i))) == accepted:
+                    tables[ka][i] = tables[ka].get(i, 0) | levels[kb]
+                    tables[kb][i] = tables[kb].get(i, 0) | levels[ka]
+    return tables
 
 
 def _first_violation(spec: ConstraintSpec, members: tuple[int, ...]) -> str | None:
@@ -392,8 +381,7 @@ def _first_violation(spec: ConstraintSpec, members: tuple[int, ...]) -> str | No
     levels: dict[int, int] = {}
     for j, a in enumerate(members):
         levels[a.bit_count()] = levels.get(a.bit_count(), 0) | 1 << j
-    sizes_ok = _accepted_sizes(spec, levels)
-    rejects = {k: _meet_table(spec, k, levels, sizes_ok, accepted=False) for k in levels}
+    rejects = _meet_tables(spec, levels, accepted=False)
     holders = _holders(members) if any(rejects.values()) else {}
     for j, a in enumerate(members):
         table, later = rejects[a.bit_count()], -2 << j
@@ -590,21 +578,20 @@ def _graph_with_holders(spec: ConstraintSpec) -> tuple[list[int], list[int], dic
     adjacency, Comput. Oper. Res. 2011).  Only which |A∩B| = i a pair of
     levels accepts depends on the spec: a row ORs, per accepted i, the
     cube's bitset of the vertices meeting it in i elements, masked by the
-    levels accepting i.  It never holds its vertex: the `avoiding` kinds
-    reject A, A by the member condition, the rest read it as statistic 0,
-    which they never accept.  Where some level is not admissible (the
-    avoiding and uniform kinds), rows and holders are then compressed from
-    the cube's vertex positions to the admissible ones, a level at a
-    time."""
+    levels accepting i.  It never holds its vertex, since a level's table
+    lists only the i at which a distinct set can meet it.  Where some level
+    is not admissible (the avoiding and uniform kinds), rows and holders
+    are then compressed from the cube's vertex positions to the admissible
+    ones, a level at a time."""
     cube_verts, offsets, cube_holders, meets = _cube(spec.n)
     levels = [k for k in range(spec.n + 1) if _admissible(spec, k)]
     level_mask = {k: (1 << offsets[k + 1]) - (1 << offsets[k]) for k in levels}
-    sizes_ok = _accepted_sizes(spec, level_mask)
+    tables = _meet_tables(spec, level_mask)
     verts, adj = [], []
     for k in levels:
         start, stop = offsets[k], offsets[k + 1]
         verts.extend(cube_verts[start:stop])
-        within = list(_meet_table(spec, k, level_mask, sizes_ok, accepted=True).items())
+        within = list(tables[k].items())
         for meet in meets[start:stop]:
             row = 0
             for i, mask in within:

@@ -561,6 +561,33 @@ class TestR22Routes:
                 assert cert.bound == r22.bound
                 assert cert.auxiliary["per_alpha_degrees"] == r22.auxiliary["per_alpha_degrees"]
 
+    @pytest.mark.parametrize(
+        "L",
+        [range(31), [*range(3, 20), *range(40, 52)], range(100, 127)],
+        ids=["from-0", "two-runs", "to-q-1"],
+    )
+    def test_per_alpha_closed_hulls(self, L):
+        # long L at q = 128, where most residues fail the plain roots and
+        # take the closure of their reflected hull, bounded by L's
+        # neighbours of alpha: past L's end, before its start, between runs
+        spec = spec_of(Kind.INTERSECTING, 40, L, q=128)
+        (r22,) = [c for c in best_bound(spec)[1] if c.theorem_id == "R22"]
+        degrees = r22.auxiliary["per_alpha_degrees"]
+        assert sum(d != len(spec.L) for d in degrees.values()) >= 40
+        cert = bound_from_seppoly(spec)
+        assert cert.bound == r22.bound
+        assert cert.auxiliary["per_alpha_degrees"] == degrees
+
+    def test_per_alpha_over_a_long_L(self):
+        # 49,536 residues outside L = [0, 15999] at q = 2^16: each hull is
+        # read off L's two neighbours of alpha, where a pass over L per
+        # residue would take minutes
+        spec = spec_of(Kind.INTERSECTING, 40, range(16000), q=65536)
+        (r22,) = [c for c in best_bound(spec)[1] if c.theorem_id == "R22"]
+        degrees = r22.auxiliary["per_alpha_degrees"]
+        assert list(degrees) == list(range(16000, 65536))
+        assert max(degrees.values()) == r22.bound.upper
+
     def test_no_residue_outside_L(self):
         spec = spec_of(Kind.INTERSECTING, 5, {0, 1, 2}, q=3)
         assert not [c for c in best_bound(spec)[1] if c.theorem_id == "R22"]
@@ -855,3 +882,14 @@ class TestCertificateText:
             for rule in (*direct, *modular)
         }
         assert rules | {bounds._R16.theorem_id} <= pinned
+
+    @pytest.mark.parametrize(
+        "s, degree", [(14285, str(2**14284)), (14286, "2^14285")], ids=["written", "as-a-power"]
+    )
+    def test_r9_degree_past_the_int_text_limit(self, s, degree):
+        # 2^(s-1) is written out while `str` can write it (4,300 digits
+        # by default), and as a power beyond, where `str` raises
+        _, certs = best_bound(spec_of(Kind.DIFF_SPERNER, 20, range(1, s + 1), q=32768))
+        (r9,) = [c for c in certs if c.theorem_id == "R9"]
+        assert r9.hypotheses[-1] == (f"worst-case separating degree 2^(s-1) = {degree}", True)
+        assert r9.bound.upper == 2 ** (s - 1)

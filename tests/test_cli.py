@@ -8,13 +8,14 @@ from pathlib import Path
 import pytest
 
 from qsperner import polylab
-from qsperner.bounds import bound_from_seppoly
+from qsperner.bounds import best_bound, binom_sum, bound_from_seppoly
 from qsperner.cli import (
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_USAGE,
     UsageError,
     _build_parser,
+    _long_ints,
     _parse_L,
     dispatch,
     main,
@@ -29,6 +30,15 @@ def run_json(capsys, argv):
     doc = json.loads(capsys.readouterr().out)
     assert doc["schema"] == 1
     return code, doc
+
+
+def _ints(doc):
+    """Every int of a JSON document."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [v for item in doc for v in _ints(item)]
+    return [doc] if type(doc) is int else []
 
 
 class TestParseL:
@@ -182,6 +192,40 @@ class TestCommands:
         assert code == EXIT_OK
         assert doc["payload"]["theorem_id"] == "R21"
         assert "R22" not in [c["theorem_id"] for c in doc["payload"]["certificates"]]
+
+    @pytest.mark.parametrize(
+        "argv, check",
+        [
+            (
+                ["bound", "--kind", "hamming", "--n", "100000", "--L", "1..10000"],
+                lambda doc: doc["bound"] == binom_sum(100000, 0, 10000).value,
+            ),
+            (
+                ["bound", "--kind", "diff-sperner", "--q", "32768", "--L", "1..14286", "--n", "20"],
+                lambda doc: [c["bound"]["upper"] for c in doc["certificates"] if c["theorem_id"] == "R9"]
+                == [2**14285],
+            ),
+            (
+                ["table", "--kind", "diff-sperner", "--q", "9", "--n", str(10**600), "--no-brute"],
+                lambda doc: doc["rows"][-1]["bound"]
+                == best_bound(ConstraintSpec(Kind.DIFF_SPERNER, 10**600, {8}, PrimePower.from_q(9)))[0].bound.value,
+            ),
+        ],
+        ids=["hamming-bound", "r9-degree", "table"],
+    )
+    def test_ints_past_the_text_limit(self, capsys, argv, check):
+        """Values of more than 4,300 digits, where Python's `str` raises by
+        default, are written out, and the limit is left as it was."""
+        limit = sys.get_int_max_str_digits()
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out
+        assert main(argv + ["--json"]) == EXIT_OK
+        assert sys.get_int_max_str_digits() == limit
+        with _long_ints():
+            doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "ok"
+        assert max(_ints(doc["payload"])) >= 10**limit
+        assert check(doc["payload"])
 
     def test_census(self, capsys):
         code, doc = run_json(capsys, ["census", "--q", "4"])

@@ -16,7 +16,6 @@ from qsperner.families import (
     ConstraintSpec,
     Kind,
     SetFamily,
-    _accepted,
     _admissible,
     _CliqueSearch,
     _color_sort,
@@ -24,6 +23,7 @@ from qsperner.families import (
     _first_violation,
     _graph_with_holders,
     _holders,
+    _meet_tables,
     _on_chain,
     _orbits,
     _refine,
@@ -324,21 +324,28 @@ def first_violation_by_pairs(spec, members):
     for a in members:
         if not _admissible(spec, a.bit_count()):
             return _words(spec, kd.avoiding, a, a, a.bit_count())
-    accepted = {}
+    ok = {}  # (|a|, |b|, |a∩b|) -> whether pair_violation passes the pair
     for j, a in enumerate(members):
         ka = a.bit_count()
         for b in members[j + 1 :]:
-            kb = b.bit_count()
-            ok = accepted.get((ka, kb))
-            if ok is None:
-                ok = accepted[ka, kb] = _accepted(spec, ka, kb)
-            i = (a & b).bit_count()
-            if i in ok:
-                continue
-            for x, y, kx, ky in ((a, b, ka, kb), (b, a, kb, ka)):
-                v = kd.stat(kx, ky, i)
-                if not kd.accept(spec, v):
-                    return _words(spec, kd.pair, x, y, v)
+            key = (ka, b.bit_count(), (a & b).bit_count())
+            if key not in ok:
+                ok[key] = pair_violation(spec, a, b) is None
+            if not ok[key]:
+                return pair_violation(spec, a, b)
+    return None
+
+
+def pair_violation(spec, a, b):
+    """Oracle: the words of the first of the pair's two statistics,
+    stat(|a|, |b|, |a∩b|) then stat(|b|, |a|, |a∩b|), that the kind's
+    `accept` rejects, or None when it accepts both."""
+    kd = _KINDS[spec.kind]
+    i = (a & b).bit_count()
+    for x, y in ((a, b), (b, a)):
+        v = kd.stat(x.bit_count(), y.bit_count(), i)
+        if not kd.accept(spec, v):
+            return _words(spec, kd.pair, x, y, v)
     return None
 
 
@@ -382,6 +389,35 @@ def random_members(rng, spec):
 
 
 LAYER_14_6 = tuple(m for m in range(1 << 14) if m.bit_count() == 6)
+
+
+class TestMeetTables:
+    @pytest.mark.parametrize("accepted", [True, False])
+    def test_matches_pairwise_definitions(self, accepted):
+        # per size k of the points: |A∩B| = i -> the points B that some
+        # k-set A other than B accepts (or rejects) at i, by the set-based
+        # pair conditions over every k-set A of [n]
+        rng = random.Random(27)
+        seen = set()
+        for _ in range(150):
+            spec = random_spec(rng, rng.randint(0, 7))
+            as_set = [frozenset(i for i in range(spec.n) if m >> i & 1) for m in range(1 << spec.n)]
+            points = rng.sample(range(1 << spec.n), rng.randint(1, min(10, 1 << spec.n)))
+            levels = {}
+            for j, b in enumerate(points):
+                levels[b.bit_count()] = levels.get(b.bit_count(), 0) | 1 << j
+            expected = {k: {} for k in levels}
+            for a, A in enumerate(as_set):
+                row = expected.get(len(A))
+                if row is None:
+                    continue
+                for j, b in enumerate(points):
+                    if a != b and oracle_compatible(spec, A, as_set[b]) == accepted:
+                        i = (a & b).bit_count()
+                        row[i] = row.get(i, 0) | 1 << j
+            assert _meet_tables(spec, levels, accepted) == expected, (spec, points)
+            seen.add((spec.kind, len(levels) > 1))
+        assert seen >= {(kind, True) for kind in Kind}
 
 
 class TestFirstViolationOracle:
@@ -797,7 +833,7 @@ class TestBruteForceOracle:
             )
 
             def pred(a, b):
-                return (a & b).bit_count() in _accepted(spec, a.bit_count(), b.bit_count())
+                return pair_violation(spec, a, b) is None
 
             for _ in range(40):
                 perm = list(range(n))
