@@ -29,19 +29,21 @@ The search breaks the symmetry of the constraint kinds by orbital
 branching (Ostrowski, Linderoth, Rossi & Smriglio, Math. Programming
 2011) at every depth.  Every kind is invariant under relabelling [n],
 whose orbits on subsets are the size levels; Hamming distance is also
-invariant under XOR translation, which makes 2^[n] a single orbit.  The
-search branches once per orbit, rooted at the orbit's least vertex ({1..k}
-for level k, the empty set for Hamming).  Below the root, the stabiliser
-of the clique's sets keeps each node's candidates, and a vertex branched
-on takes its whole orbit out of them.  The canonical witness, the
-lexicographically smallest maximum clique, is then restored vertex by
-vertex.  Whether a candidate extends the chosen ones to a maximum clique
-is decided by the search's own loop, orbits included, started with its
-incumbent one short of the size still needed and stopped when it gets
-there; a candidate that fails takes its whole orbit under the stabiliser
-of the sets chosen so far with it.  An orbit of a stabiliser of sets is a
-class of equal counts |b ∩ x| over their Venn regions x, and the classes
-are split from those counts held bit-sliced.
+invariant under XOR translation, which makes 2^[n] a single orbit, and
+most kinds under complementation, which merges levels k and n - k.  The
+search branches once per orbit, rooted at the orbit's least vertex
+({1..k} for levels k <= n/2 and n - k, the empty set for Hamming).
+Below the root, the stabiliser of the clique's sets keeps each node's
+candidates, and a vertex branched on takes its whole orbit out of them.
+The canonical witness, the lexicographically smallest maximum clique, is
+then restored vertex by vertex.  Whether a candidate extends the chosen
+ones to a maximum clique is decided by the search's own loop, orbits
+included, started with its incumbent one short of the size still needed
+and stopped when it gets there; a candidate that fails takes its whole
+orbit under the stabiliser of the sets chosen so far with it.  An orbit
+of a stabiliser of sets is a class of equal counts |b ∩ x| over their
+Venn regions x, and the classes are split from those counts held
+bit-sliced.
 """
 
 from __future__ import annotations
@@ -232,13 +234,20 @@ class _KindDef:
     orbits of the kind's symmetry group (see `_orbits`): relabelling [n]
     for every kind, whose orbits are the size levels, keyed by [full]; for
     Hamming also XOR translation b -> b ^ t, which makes all of 2^[n] one
-    orbit, keyed by no region."""
+    orbit, keyed by no region.  `complement(spec)` holds when b -> [n] \\ b
+    is a symmetry too, merging levels k and n - k: it swaps |A \\ B| and
+    |B \\ A|, keeps min(|A|, |B|) - |A∩B| and reverses containment, and
+    for the uniform kind maps |A∩B| = i to n - |A| - |B| + i, which is
+    i mod q on members of size r mod q exactly when n = 2r mod q.  It is
+    false for the intersecting kind, and for Hamming, whose translations
+    already hold it."""
 
     stat: Callable[[int, int, int], int]
     accept: Callable[[ConstraintSpec, int], bool]
     pair: str
     avoiding: str | None = None
     root_regions: Callable[[int], list[int]] = lambda full: [full]
+    complement: Callable[[ConstraintSpec], bool] = lambda spec: True
 
 
 _KINDS = {
@@ -254,16 +263,19 @@ _KINDS = {
         lambda kx, ky, i: i, _in_L,
         "pair {X}, {Y}: intersection size {v} not in L{mod}",
         avoiding="member {X}: size {v} lies in L{mod}",
+        complement=lambda spec: False,
     ),
     Kind.INTERSECTING_UNIFORM: _KindDef(
         lambda kx, ky, i: i, _off_residue,
         "pair {X}, {Y}: intersection size {v} is congruent to {r} (mod {q})",
         avoiding="member {X}: size {v} is not congruent to {r} (mod {q})",
+        complement=lambda spec: (spec.n - 2 * spec.uniform_residue) % spec.q == 0,
     ),
     Kind.HAMMING: _KindDef(
         lambda kx, ky, i: kx + ky - 2 * i, _in_L,
         "pair {X}, {Y}: Hamming distance {v} not in L{mod}",
         root_regions=lambda full: [],
+        complement=lambda spec: False,
     ),
     Kind.ANTICHAIN: _KindDef(
         lambda kx, ky, i: kx - i, lambda spec, v: v > 0,
@@ -502,7 +514,9 @@ class SearchResult:
     """`nodes_explored` counts search and restoration nodes together; `stats`
     splits them and adds the graph-build time, the vertex and edge counts,
     the size and source of the seed clique, the number of root orbits
-    whose branch was searched, the nodes that split their candidates into
+    (size levels, with levels k and n - k one orbit where the kind is
+    symmetric under complementation, and one orbit for Hamming) whose
+    branch was searched, the nodes that split their candidates into
     orbits and the candidates dropped as orbit-mates of a branched vertex.
     Both kinds of node are opened by the same branch-and-bound loop:
     restoration runs it as a decision search, one per candidate vertex,
@@ -536,6 +550,22 @@ def _orbits(P: int, holders: dict[int, int], regions: list[int]) -> list[int]:
         for plane in planes:
             parts = [c for part in parts for c in (part & plane, part & ~plane) if c]
     return sorted(parts, key=lambda c: c & -c)
+
+
+def _root_orbits(spec: ConstraintSpec, verts: list[int], holders: dict[int, int]) -> list[int]:
+    """The orbits of the kind's symmetry group on the vertices, ordered by
+    least vertex: `_orbits` over its `root_regions`, with levels k and
+    n - k merged where `complement` holds."""
+    kd = _KINDS[spec.kind]
+    orbits = _orbits((1 << len(verts)) - 1, holders, kd.root_regions((1 << spec.n) - 1))
+    if not kd.complement(spec):
+        return orbits
+    merged: dict[int, int] = {}  # min(k, n - k) -> its levels, first seen at k
+    for orbit in orbits:
+        k = verts[(orbit & -orbit).bit_length() - 1].bit_count()
+        k = min(k, spec.n - k)
+        merged[k] = merged.get(k, 0) | orbit
+    return list(merged.values())
 
 
 @lru_cache(maxsize=DEFAULT_N_LIMIT + 1)
@@ -640,18 +670,25 @@ def _color_sort(P: int, nadj: list[int], kmin: int) -> tuple[list[int], list[int
 
 def _greedy_clique(start: int, adj: list[int]) -> list[int]:
     """From `start`, repeatedly add the candidate with the most neighbours
-    among the candidates."""
+    among the candidates.  Once each has all |cand| - 1 others, the
+    candidates are a clique, which those picks would take whole, in
+    ascending order."""
     clique = [start]
     cand = adj[start]
     while cand:
-        pick, pick_deg = -1, -1
+        pick, pick_deg, total = -1, -1, 0
         c = cand
         while c:
             u = (c & -c).bit_length() - 1
             c &= c - 1
             deg = (adj[u] & cand).bit_count()
+            total += deg
             if deg > pick_deg:
                 pick, pick_deg = u, deg
+        size = cand.bit_count()
+        if total == size * (size - 1):
+            clique.extend(_elements(cand))
+            break
         clique.append(pick)
         cand &= adj[pick]
     return clique
@@ -669,18 +706,26 @@ def _one_pass_clique(order, adj: list[int]) -> list[int]:
     return clique
 
 
-def _seed(adj: list[int]) -> tuple[list[int], str]:
+def _seed(adj: list[int], orbits: list[int]) -> tuple[list[int], str]:
     """The clique the search starts from, with its source: the greedy clique
     from the vertex of highest degree, or a one-pass clique in reverse or
-    degree order when it is larger (the first such on a tie)."""
+    degree order when it is larger (the first such on a tie).  Degree order
+    is by degree, highest first, then by vertex, and is listed only as far
+    as the one-pass clique reads it.  Degree is constant on each of the
+    root `orbits`, so one row per orbit is counted."""
     nv = len(adj)
     if not nv:
         return [], "greedy"
-    by_degree = sorted(range(nv), key=lambda v: -adj[v].bit_count())
-    best, source = _greedy_clique(by_degree[0], adj), "greedy"
+    by_deg: dict[int, int] = {}
+    for orbit in orbits:
+        deg = adj[(orbit & -orbit).bit_length() - 1].bit_count()
+        by_deg[deg] = by_deg.get(deg, 0) | orbit
+    degs = sorted(by_deg, reverse=True)
+    top = by_deg[degs[0]]
+    best, source = _greedy_clique((top & -top).bit_length() - 1, adj), "greedy"
     orders = {
         "reverse order": range(nv - 1, -1, -1),
-        "degree order": by_degree,
+        "degree order": (v for deg in degs for v in _elements(by_deg[deg])),
     }
     for name, order in orders.items():
         clique = _one_pass_clique(order, adj)
@@ -690,9 +735,9 @@ def _seed(adj: list[int]) -> tuple[list[int], str]:
 
 
 class _CliqueSearch:
-    def __init__(self, adj: list[int], node_budget: int | None, verts=(), holders=()):
+    def __init__(self, adj: list[int], node_budget: int | None, verts=(), holders=(), nadj=None):
         self.adj = adj
-        self.nadj = [~(a | 1 << v) for v, a in enumerate(adj)]
+        self.nadj = nadj or [~(a | 1 << v) for v, a in enumerate(adj)]
         self.verts = verts
         self.holders = holders
         self.budget = node_budget
@@ -701,18 +746,20 @@ class _CliqueSearch:
         self.best_size = 0
         self.best: list[int] = []
 
-    def run(self, seed: list[int], n: int, root_regions: list[int]) -> None:
+    def run(self, seed: list[int], n: int, orbits: list[int]) -> None:
         """Orbital branching at the root, continued by `_expand` at every
-        depth.  A maximum clique meeting a root orbit can be mapped onto one
-        holding its representative (its least vertex) without meeting the
-        earlier orbits, so each root orbit is one branch and is then dropped
-        from the pool.  The branch for r is searched with r's Venn regions;
-        for Hamming r is the empty set, whose stabiliser is the relabellings
-        alone.  Only the incumbent prunes: no certified bound is fed in,
-        since the search is what checks those bounds."""
+        depth.  A maximum clique meeting a root orbit (`_root_orbits`) can
+        be mapped onto one holding its representative (its least vertex)
+        without meeting the earlier orbits, so each root orbit is one branch
+        and is then dropped from the pool.  The branch for r is searched
+        with r's Venn regions, whose stabiliser is the relabellings fixing
+        r: for Hamming r is the empty set, and where complementation merged
+        levels k and n - k, r lies in level min(k, n - k).  Only the
+        incumbent prunes: no certified bound is fed in, since the search is
+        what checks those bounds."""
         self.best_size, self.best = len(seed), list(seed)
         pool = (1 << len(self.verts)) - 1
-        for orbit in _orbits(pool, self.holders, root_regions):
+        for orbit in orbits:
             r = (orbit & -orbit).bit_length() - 1
             P = pool & self.adj[r]
             pool &= ~orbit
@@ -845,17 +892,17 @@ def max_family(spec: ConstraintSpec, node_budget: int | None = None) -> SearchRe
     start = time.perf_counter()
     verts, adj, holders = _graph_with_holders(spec)
     stats = {"graph_build_s": time.perf_counter() - start, "vertices": len(verts)}
+    orbits = _root_orbits(spec, verts, holders)
     search = _CliqueSearch(adj, node_budget, verts, holders)
-    seed, source = _seed(adj)
-    root_regions = _KINDS[spec.kind].root_regions((1 << spec.n) - 1)
-    search.run(seed, spec.n, root_regions)
-    restore = _CliqueSearch(adj, None, verts, holders)
+    seed, source = _seed(adj, orbits)
+    search.run(seed, spec.n, orbits)
+    restore = _CliqueSearch(adj, None, verts, holders, search.nadj)
     if search.exact:
         witness_idx = _lex_smallest_optimum(restore, search.best, spec.n)
     else:
         witness_idx = search.best
     stats.update(
-        edges=sum(row.bit_count() for row in adj) // 2,
+        edges=sum(o.bit_count() * adj[(o & -o).bit_length() - 1].bit_count() for o in orbits) // 2,
         seed_size=len(seed),
         seed_source=source,
         root_orbits=search.root_orbits,

@@ -1,7 +1,8 @@
-"""The answer gates: the digests `scripts/search_digest.py` and
-`scripts/cert_digest.py` print, pinned through the functions the scripts
-print them from.  A change that keeps every answer leaves them as they
-are; a digest that changes on purpose is edited here, with the reason."""
+"""The answer gates: the digests `scripts/search_digest.py`,
+`scripts/cert_digest.py` and `scripts/replay_digest.py` print, pinned
+through the functions the scripts print them from.  A change that keeps
+every answer leaves them as they are; a digest that changes on purpose
+is edited here, with the reason."""
 
 import importlib.util
 import sys
@@ -32,13 +33,14 @@ def perfbench_bytecode() -> set[Path]:
 def test_search_digest():
     """Every answer and every graph of the exact search on the 481 specs:
     the 91 `search-exact` slots in all their presentations and 300 seeded
-    random specs.  A faster search may lower the node totals."""
+    random specs.  A faster search may lower the node totals (complement
+    symmetry at the root lowered the search nodes to 5,839)."""
     before = perfbench_bytecode()
     out = load_script("search_digest").digest()
     assert out["specs"] == 481
     assert out["sha256"] == "62a2c143c03d08a8cca03e13d9ef8da8ad103a74719bae96ce3b9f689b8dc717"
     assert out["graph-sha256"] == "195a23f4bf934dd5134711be370f7511493b18b42d2ab316f88af836b91bf9ba"
-    assert out["search_nodes"] <= 16157
+    assert out["search_nodes"] <= 5839
     assert out["restore_nodes"] <= 1712
     assert perfbench_bytecode() == before
 
@@ -58,4 +60,20 @@ def test_bound_table_digest_at_n_24():
         "e37ab1d1fca8f388d1fbbbde0a82f294a1fa3101659c71ee1616a176cf83ef02",
         "6cdc30bbbddd0a2a958571f26a6c140a7681c5b8107eb78a2eb489e3114f0a78",
     )
+    assert perfbench_bytecode() == before
+
+
+def test_replay_digest_without_the_14_layer():
+    """Every `check`, `push` and `verify --json` document of the seed-11
+    `proof-replay` inputs, every proof system `verify` builds for them and
+    every arithmetic document of the fixed grid; the four documents of the
+    6-layer of [14] are left out (its sym `verify` takes seconds)."""
+    before = perfbench_bytecode()
+    out = load_script("replay_digest").digest([11], layer_14_6=False)
+    assert out == {
+        "documents": 59,
+        "sha256": "0d09fc2660d350d06ab12123e2bbe34b05b2d34623579044d8c40aa8ac807fdd",
+        "arith-sha256": "edba1e7359eb525d4323ac3532ba58cac93b74562314a014cba54c2815045cb2",
+        "systems-sha256": "e5364aa184ca64a74296eba2af284ef4604175ff08ebe1e1f9ef3da0de9c4fbf",
+    }
     assert perfbench_bytecode() == before

@@ -22,11 +22,14 @@ from qsperner.families import (
     _cube,
     _first_violation,
     _graph_with_holders,
+    _greedy_clique,
     _holders,
     _meet_tables,
     _on_chain,
     _orbits,
     _refine,
+    _root_orbits,
+    _seed,
     _words,
     format_family,
     max_family,
@@ -807,6 +810,10 @@ class TestBruteForceOracle:
     def test_omega_and_witness_match(self, kind):
         specs = [spec for spec in _oracle_specs() if spec.kind is kind]
         assert specs
+        # the root merges levels k and n - k on an even n too, where level
+        # n/2 is its own mirror, and on uniform specs with n = 2r mod q
+        mirrored = [spec for spec in specs if spec.n % 2 == 0 and _KINDS[kind].complement(spec)]
+        assert mirrored or kind in (Kind.INTERSECTING, Kind.HAMMING)
         for spec in specs:
             res = max_family(spec)
             omega, witness = bron_kerbosch_witness(spec)
@@ -818,19 +825,20 @@ class TestBruteForceOracle:
         # the search branches once per orbit of the declared group, which
         # is sound only if the group maps the compatibility graph to itself
         rng = random.Random(11)
-        n = 6
-        full = (1 << n) - 1
-        regions = _KINDS[kind].root_regions(full)
-
-        def key(m):
-            return [(m & x).bit_count() for x in regions]
-
         specs = [spec for spec in _oracle_specs() if spec.kind is kind]
-        for spec in rng.sample(specs, min(5, len(specs))):
+        for n, spec in itertools.product((5, 6), rng.sample(specs, min(5, len(specs)))):
+            full = (1 << n) - 1
+            regions = _KINDS[kind].root_regions(full)
+
+            def key(m):
+                return [(m & x).bit_count() for x in regions]
+
             spec = ConstraintSpec(
                 kind=kind, n=n, L=spec.L, modulus=spec.modulus,
                 uniform_residue=spec.uniform_residue,
             )
+            if _KINDS[kind].complement(spec):
+                assert complement_preserves_graph(spec), spec
 
             def pred(a, b):
                 return pair_violation(spec, a, b) is None
@@ -849,6 +857,55 @@ class TestBruteForceOracle:
                 single = SetFamily(n, (a,))
                 moved = SetFamily(n, (image(a),))
                 assert bool(satisfies(spec, single)) == bool(satisfies(spec, moved))
+
+    def test_complement_predicate(self):
+        # diff-Sperner, close-Sperner and antichain have the symmetry for
+        # every L, the uniform kind exactly when n = 2r mod q, and the
+        # intersecting kind and Hamming are never declared to have it
+        for n, spec in itertools.product((5, 6), _oracle_specs()):
+            spec = ConstraintSpec(
+                kind=spec.kind, n=n, L=spec.L, modulus=spec.modulus,
+                uniform_residue=spec.uniform_residue,
+            )
+            expected = spec.kind in (Kind.DIFF_SPERNER, Kind.CLOSE_SPERNER, Kind.ANTICHAIN) or (
+                spec.kind is Kind.INTERSECTING_UNIFORM and (n - 2 * spec.uniform_residue) % spec.q == 0
+            )
+            assert _KINDS[spec.kind].complement(spec) == expected, spec
+
+    @pytest.mark.parametrize(
+        "kind, q, L, r, n",
+        [
+            (Kind.INTERSECTING_UNIFORM, 2, (), 0, 5),
+            (Kind.INTERSECTING_UNIFORM, 3, (), 1, 6),
+            (Kind.INTERSECTING_UNIFORM, 4, (), 1, 5),
+            (Kind.INTERSECTING_UNIFORM, 4, (), 3, 5),
+            (Kind.INTERSECTING, None, {1}, None, 5),
+            (Kind.INTERSECTING, None, {0, 2}, None, 6),
+            (Kind.INTERSECTING, 3, {0}, None, 6),
+        ],
+    )
+    def test_complement_false_where_it_breaks_the_graph(self, kind, q, L, r, n):
+        # a uniform spec with n != 2r mod q and the intersecting kind: the
+        # complement of some member, or of some compatible pair, is not one
+        spec = ConstraintSpec(
+            kind=kind, n=n, L=L, modulus=PrimePower.from_q(q) if q else None, uniform_residue=r
+        )
+        assert not _KINDS[kind].complement(spec)
+        assert not complement_preserves_graph(spec)
+
+
+def complement_preserves_graph(spec):
+    """Whether A -> [n] \\ A maps the pairwise graph onto itself."""
+    verts, adj = pairwise_graph(spec)
+    full = (1 << spec.n) - 1
+    index = {m: u for u, m in enumerate(verts)}
+    if any(m ^ full not in index for m in verts):
+        return False
+    return all(
+        (adj[u] >> w & 1) == (adj[index[a ^ full]] >> index[b ^ full] & 1)
+        for u, a in enumerate(verts)
+        for w, b in enumerate(verts)
+    )
 
 
 # (kind, q, variants): L for most kinds, the residue for the uniform kind;
@@ -999,6 +1056,39 @@ class TestOrbitKeys:
             assert _bit_sliced_partition(self.n, regions) == _orbit_partition(
                 self.n, group, (r,)
             ), r
+
+    # per kind, specs with and without complement symmetry: the uniform kind
+    # has it at n = 4 for r = 0 and r = 1 mod 2, not for r = 1 mod 3
+    ROOT_SPECS = [
+        (Kind.DIFF_SPERNER, 3, {1, 2}, None),
+        (Kind.CLOSE_SPERNER, None, {1}, None),
+        (Kind.ANTICHAIN, None, (), None),
+        (Kind.INTERSECTING_UNIFORM, 2, (), 0),
+        (Kind.INTERSECTING_UNIFORM, 2, (), 1),
+        (Kind.INTERSECTING_UNIFORM, 3, (), 1),
+        (Kind.INTERSECTING, None, {1}, None),
+        (Kind.HAMMING, None, {1, 2}, None),
+    ]
+
+    @pytest.mark.parametrize("kind, q, L, r", ROOT_SPECS)
+    def test_root_orbits_with_complement(self, kind, q, L, r):
+        # the search's root orbits: those of the declared group, with
+        # complementation added where the kind's predicate holds
+        spec = ConstraintSpec(
+            kind=kind, n=self.n, L=L, modulus=PrimePower.from_q(q) if q else None, uniform_residue=r
+        )
+        group = list(_relabellings(self.n, kind is Kind.HAMMING))
+        if _KINDS[kind].complement(spec):
+            group += [[g[m] ^ self.full for m in range(1 << self.n)] for g in group]
+        verts, _, holders = _graph_with_holders(spec)
+        orbits = _root_orbits(spec, verts, holders)
+        assert orbits == sorted(orbits, key=lambda c: c & -c)
+        found = {frozenset(verts[j] for j in range(len(verts)) if c >> j & 1) for c in orbits}
+        expected = {c for c in _orbit_partition(self.n, group) if c <= set(verts)}
+        assert found == expected
+        if kind is not Kind.HAMMING:  # one orbit already
+            merged = len(found) < len({m.bit_count() for m in verts})
+            assert merged == _KINDS[kind].complement(spec)
 
     def test_stabiliser_of_chosen_sets(self):
         rng = random.Random(3)
@@ -1173,6 +1263,49 @@ class TestCliqueKernels:
         assert sorted(clique) == list(range(nv)) and nodes == nv
         assert _decide(adj, everything, nv + 1) == (None, 0)
 
+    def test_greedy_and_seed_match_their_plain_forms(self):
+        # the greedy stops once its candidates are a clique, and degree
+        # order is read off orbits of equal degree (single vertices here,
+        # or the root orbits of a spec): the plain pick-by-pick greedy and
+        # a stable sort by degree must give the same cliques
+        def plain_greedy(start, adj):
+            clique, cand = [start], adj[start]
+            while cand:
+                inside = [u for u in range(len(adj)) if cand >> u & 1]
+                pick = max(inside, key=lambda u: ((adj[u] & cand).bit_count(), -u))
+                clique.append(pick)
+                cand &= adj[pick]
+            return clique
+
+        def plain_seed(adj):
+            by_degree = sorted(range(len(adj)), key=lambda v: -adj[v].bit_count())
+            best, source = plain_greedy(by_degree[0], adj), "greedy"
+            for name, order in (("reverse order", range(len(adj) - 1, -1, -1)), ("degree order", by_degree)):
+                clique, cand = [], -1
+                for v in order:
+                    if cand >> v & 1:
+                        clique.append(v)
+                        cand &= adj[v]
+                if len(clique) > len(best):
+                    best, source = clique, name
+            return best, source
+
+        rng = random.Random(23)
+        graphs = []
+        for _ in range(60):
+            nv = rng.randint(1, 40)
+            adj = _random_graph(rng, nv, rng.choice((0.5, 0.9, 0.97, 1.0)))
+            graphs.append((adj, [1 << v for v in range(nv)]))
+        for _ in range(20):
+            spec = random_spec(rng, rng.randint(3, 7))
+            verts, adj, holders = _graph_with_holders(spec)
+            if verts:
+                graphs.append((adj, _root_orbits(spec, verts, holders)))
+        for adj, orbits in graphs:
+            for start in range(len(adj)):
+                assert _greedy_clique(start, adj) == plain_greedy(start, adj)
+            assert _seed(adj, orbits) == plain_seed(adj)
+
     def test_decision_search_matches_networkx(self):
         nx = pytest.importorskip("networkx")
         rng = random.Random(18)
@@ -1281,6 +1414,20 @@ class TestOrbitalBranching:
         assert res.exact and res.max_size == 15
         assert satisfies(spec, res.witness)
         assert res.stats["search_nodes"] + res.stats["restore_nodes"] < 12_000
+
+
+class TestKnownCodeSizes:
+    """Non-modular Hamming with L = {d..n} is the binary code problem, so
+    its maximum is A(n, d), known from the literature (MacWilliams and
+    Sloane 1977; Brouwer's table): an oracle outside the bound portfolio.
+    The values are test data only, never inputs to the search."""
+
+    @pytest.mark.parametrize("n, d, known", [(7, 3, 16), (8, 4, 16), (8, 5, 4), (9, 5, 6), (10, 5, 12)])
+    def test_search_finds_A_n_d(self, n, d, known):
+        spec = ConstraintSpec(kind=Kind.HAMMING, n=n, L=range(d, n + 1))
+        res = max_family(spec)
+        assert res.exact and res.max_size == known
+        assert satisfies(spec, res.witness)
 
 
 class TestConstructionFromUniformShift:
