@@ -19,11 +19,14 @@ depend on the machine, taken by wrapping the functions at every name the
 Last it prints `seppoly-sha256`, a digest of the certificate that R22's
 checker, `bound_from_seppoly`, gives on every modular difference, Hamming
 and intersecting spec among them, each by one call with its default
-polynomials: `first_zero_separator`'s for the first two kinds, and their
-reflections per residue for the intersecting kind.
+polynomials: R22's own choice, judged by the checker, so that wherever
+R22 fires the certificate is `best_bound`'s R22 (for the intersecting
+kind, its bound and evidence; the wording says "verified" where
+`best_bound` says "constructed").
 
-`portfolio_digests` computes the first two digests for any specs; the
-test suite pins them through it on the `bound-table` keys at n = 24.
+`portfolio_digests` computes the first two digests for any specs and
+`seppoly_digest` the last; the test suite pins all three through them on
+the `bound-table` keys at n = 24.
 
 Usage:
   python3 scripts/cert_digest.py
@@ -84,14 +87,6 @@ def specs():
             yield make_spec(kind, n, q, L)
 
 
-def seppoly_certificate(spec):
-    """`bound_from_seppoly`'s certificate for a modular difference, Hamming
-    or intersecting spec, or None for any other spec."""
-    if spec.modulus is None or spec.kind is Kind.INTERSECTING_UNIFORM:
-        return None
-    return bound_from_seppoly(spec)
-
-
 def portfolio_digests(specs) -> tuple[int, str, str]:
     """The number of specs, then `sha256` and `best-sha256` over them: the
     hashes of `repr` of each spec's sorted portfolio and of its best
@@ -106,6 +101,18 @@ def portfolio_digests(specs) -> tuple[int, str, str]:
     return count, digest.hexdigest(), best_digest.hexdigest()
 
 
+def seppoly_digest(specs) -> str:
+    """`seppoly-sha256` over specs: the hash of `repr` of
+    `bound_from_seppoly`'s certificate, with its default polynomials, on
+    each modular difference, Hamming and intersecting spec among them, in
+    order."""
+    digest = hashlib.sha256()
+    for spec in specs:
+        if spec.modulus is not None and spec.kind is not Kind.INTERSECTING_UNIFORM:
+            digest.update(repr(bound_from_seppoly(spec)).encode() + b"\n")
+    return digest.hexdigest()
+
+
 def main() -> int:
     calls = count_calls()
     count, portfolios, bests = portfolio_digests(specs())
@@ -114,13 +121,7 @@ def main() -> int:
     print(f"best-sha256 {bests}")
     for home, name in COUNTED:
         print(f"calls {home}.{name} {calls[f'{home}.{name}']}")
-    digest = hashlib.sha256()
-    for spec in specs():
-        cert = seppoly_certificate(spec)
-        if cert is not None:
-            digest.update(repr(cert).encode())
-            digest.update(b"\n")
-    print(f"seppoly-sha256 {digest.hexdigest()}")
+    print(f"seppoly-sha256 {seppoly_digest(specs())}")
     return 0
 
 

@@ -25,25 +25,35 @@ kinds), and pass through `_certificate` for `best_bound` and
 non-decreasing degree, each as its root runs (maximal ranges (lo, hi) of
 consecutive roots): the plain residues, then the closed superinterval of
 their hull, one run.  The closure is computed only when a caller asks
-past the plain residues.  Both are monic with distinct roots in
-[1, q-1], so `best_bound` decides each from its runs and one table
-W[x] = min(v_p(x), k) on [0, q-1]: v_p(g(0)) is the sum of W[r], and the
-minimum of v_p(g) over class c the sum of W[(c - r) mod q], over the roots
-r.  `_run_minima` reads each run as one range sum of W's prefix sums, for
-the classes of L (separation) and of (r -+ 1) mod q (the shifted side
-conditions).  The table holds 2q + 1 entries, so R22 needs q <= 2^22
-(`_MAX_TABLE_Q`) as a hypothesis of its own: above it neither R22 rule
-yields a certificate, and the other rules answer.  A polynomial is built
-only for the evidence of the difference or Hamming candidate that wins;
-the intersecting evidence is degrees alone.  For the intersecting kinds
-the plain candidate of each residue alpha outside L reflects the
-polynomial with roots L, so all share its class minima, and a residue it
-fails takes the size of its reflected hull's closure.
+past the plain residues.  For the difference and Hamming kinds, R22's
+choice among them is written once, `_r22_zero_choice`: the candidate of
+least bound, given a judge, and `best_bound` and `bound_from_seppoly`
+differ only in the judge they pass.  For the intersecting kinds each
+residue alpha outside L takes the first candidate of (alpha - L) mod q
+that separates: the plain reflected roots, else the closure of their
+hull, which always does.
+
+Both candidates are monic with distinct roots in [1, q-1], so
+`best_bound` judges each from its runs and one table W[x] = min(v_p(x), k)
+on [0, q-1]: v_p(g(0)) is the sum of W[r], and the minimum of v_p(g) over
+class c the sum of W[(c - r) mod q], over the roots r.  `_run_minima`
+reads each run as one range sum of W's prefix sums, for the classes of L
+(separation) and of (r -+ 1) mod q (the shifted side conditions).  The
+table holds 2q + 1 entries, so R22 needs q <= 2^22 (`_MAX_TABLE_Q`) as a
+hypothesis of its own: above it neither R22 rule yields a certificate,
+and the other rules answer.  A polynomial is built only for the evidence
+of the difference or Hamming candidate that wins; the intersecting
+evidence is degrees alone.  For the intersecting kinds the plain
+candidate of each residue alpha outside L reflects the polynomial with
+roots L, so all share its class minima, and a residue it fails takes the
+size of its reflected hull's closure.
 `bound_from_seppoly` is R22's checker: it takes polynomials, by default
-`first_zero_separator`'s (reflected per residue for the intersecting
-kinds), which builds each candidate's polynomial from its runs, and
-judges every one by `seppoly`'s digit recursion (`check_separation`,
-`separates`), never by the table.
+R22's own choice, and judges every one by `seppoly`'s digit recursion
+(`check_separation` for g, `separates` in alpha's frame per residue),
+never by the table, so its defaults answer at any q the kind allows.
+Each default candidate is judged at most once, and wherever R22 fires
+the default certificate is `best_bound`'s R22 (for the intersecting
+kinds, its bound and evidence; the wording says "verified").
 
 Two candidates suffice, because the closure always separates.  Let
 C = [b-l+1, b] be q-closed with l <= q-1, and g_C the monic polynomial
@@ -60,8 +70,8 @@ conditions hold, and the difference kind always earns the n-1 column.
 The full range [1, q-1] is q-closed and contains C, so as a third
 candidate its degree would be no smaller and its column no better: it
 could never have a smaller (bound, degree), and ties go to the earlier
-candidate.  The intersecting route and `first_zero_separator` take the
-first candidate that separates, and C always does.
+candidate.  The intersecting route takes the first candidate that
+separates, and C always does.
 
 R20, the sum of C(n, i) for i <= 2s-1 when an intersecting L is an
 interval of size s modulo q = p^2, is left out: it never comes first.
@@ -101,7 +111,6 @@ __all__ = [
     "binom_sum",
     "best_bound",
     "bound_from_seppoly",
-    "first_zero_separator",
 ]
 
 
@@ -428,17 +437,6 @@ def _run_minima(P: list[int], runs, classes) -> tuple[int, list[int]]:
     return v0, minima
 
 
-def first_zero_separator(pp: PrimePower, L) -> tuple[str, FactoredIntPoly]:
-    """Label and polynomial of the first candidate that separates 0 from
-    the sorted residues L within [1, q-1]: the plain residues if they
-    separate, else the closure of their hull, which always does."""
-    for label, runs in _zero_separation_candidates(pp, L):
-        h = _run_poly(runs)
-        if separates(pp, h, 0, L):
-            break
-    return label, h
-
-
 def _r22_column(kind: Kind, shifted: bool) -> str:
     # the shifted-condition column upgrade is only sound in the
     # difference-Sperner setting (see the note in _r21_prime)
@@ -466,30 +464,44 @@ def _r22_zero_own(ctx: _Ctx, g: FactoredIntPoly, v0: int, minus_ok, plus_ok, lab
     return texts, binom_sum(ctx.n, 0, g.degree, column), aux
 
 
+def _r22_zero_choice(ctx: _Ctx, judge):
+    """R22's own texts, bound and evidence for the difference and Hamming
+    kinds: the candidate of least bound, the earlier on a tie.
+    `judge(runs)` gives (v0, minus_ok, plus_ok) for the candidate with
+    those root runs, v0 = v_p(g(0)) and its two shifted side conditions,
+    or None when it does not separate 0 from L.  A higher degree with the
+    n-1 column can beat a lower one without it, so the closure is judged
+    unless even its best column cannot beat the plain residues, and when
+    it is judged it wins: it always separates, with both shifted
+    conditions."""
+    best_column = _r22_column(ctx.kind, shifted=True)
+    best = None  # (bound, label, runs, judged)
+    for label, runs in _zero_separation_candidates(ctx.pp, ctx.L):
+        degree = sum(hi - lo + 1 for lo, hi in runs)
+        if best is not None and binom_sum(ctx.n, 0, degree, best_column).value >= best[0].value:
+            break
+        judged = judge(runs)
+        if judged is not None:
+            bound = binom_sum(ctx.n, 0, degree, _r22_column(ctx.kind, judged[1] or judged[2]))
+            best = bound, label, runs, judged
+    _, label, runs, judged = best
+    return _r22_zero_own(ctx, _run_poly(runs), *judged, label)
+
+
 def _r22_zero(ctx: _Ctx):
-    # A higher degree with the n-1 column can beat a lower one without it,
-    # so the closure competes unless even its best column cannot beat the
-    # plain residues, and when it competes it wins: it always separates,
-    # with both shifted conditions.  Classes: L, then (r - 1) mod q and
-    # (r + 1) mod q for r in L.  Only the winner's polynomial is built, for
-    # its evidence.
+    # Judged from the valuation table over the classes L, then (r - 1) mod q
+    # and (r + 1) mod q for r in L; only the winner's polynomial is built,
+    # for its evidence.
     if ctx.pp.q > _MAX_TABLE_Q:
         return
     P, L, s, q = _valuation_sums(ctx.pp), ctx.L, len(ctx.L), ctx.pp.q
     classes = [*L, *((r - 1) % q for r in L), *((r + 1) % q for r in L)]
-    best_column = _r22_column(ctx.kind, shifted=True)
-    best = None  # (bound, label, runs, v0, minus_ok, plus_ok)
-    for label, runs in _zero_separation_candidates(ctx.pp, L):
-        degree = sum(hi - lo + 1 for lo, hi in runs)
-        if best is not None and binom_sum(ctx.n, 0, degree, best_column).value >= best[0].value:
-            break
+
+    def judge(runs):
         v0, m = _run_minima(P, runs, classes)
-        if v0 < min(m[:s]):
-            minus_ok, plus_ok = v0 <= min(m[s : 2 * s]), v0 <= min(m[2 * s :])
-            bound = binom_sum(ctx.n, 0, degree, _r22_column(ctx.kind, minus_ok or plus_ok))
-            best = bound, label, runs, v0, minus_ok, plus_ok
-    _, label, runs, v0, minus_ok, plus_ok = best
-    yield _r22_zero_own(ctx, _run_poly(runs), v0, minus_ok, plus_ok, label)
+        return (v0, v0 <= min(m[s : 2 * s]), v0 <= min(m[2 * s :])) if v0 < min(m[:s]) else None
+
+    yield _r22_zero_choice(ctx, judge)
 
 
 # --- non-modular difference / close-Sperner rules ---------------------------
@@ -566,6 +578,14 @@ def _reflected(pp: PrimePower, L: tuple[int, ...], alpha: int) -> tuple[int, ...
     return tuple(sorted({(alpha - ell) % pp.q for ell in L}))
 
 
+def _reflected_candidates(pp: PrimePower, L: tuple[int, ...], alpha: int):
+    """R22's candidates for a residue alpha outside an intersecting L, in
+    alpha's frame: those of (alpha - L) mod q, each reflected by
+    y -> alpha - y, lazily."""
+    for _, runs in _zero_separation_candidates(pp, _reflected(pp, L, alpha)):
+        yield _run_poly(runs).shift_reflect(alpha)
+
+
 def _r22_per_alpha_own(ctx: _Ctx, degrees: dict[int, int], wording: str):
     """R22's own texts, bound and evidence for the intersecting kinds from
     the degrees of the polynomials separating each residue alpha outside L
@@ -576,7 +596,7 @@ def _r22_per_alpha_own(ctx: _Ctx, degrees: dict[int, int], wording: str):
 
 
 def _r22_intersecting(ctx: _Ctx):
-    # first_zero_separator's degree on every reflected set (reflection keeps
+    # The degree of R22's choice on every reflected set (reflection keeps
     # the degree).  The plain roots (alpha - L) mod q reflect g_L, with roots
     # L, and W[x] = W[-x mod q]: v_p(h(0)) is g_L's minimum over class
     # alpha, and h's class minima are g_L's over L, the same for every alpha.
@@ -765,15 +785,19 @@ def bound_from_seppoly(
     Difference/Hamming kinds need one polynomial g separating 0 from L mod q;
     a shifted separation upgrades the column to n-1.  Intersecting kinds
     need one polynomial per residue alpha outside L, and the bound uses the
-    maximum degree.  With no polynomial given, g is `first_zero_separator`'s
-    for L, and each alpha's is the reflection of `first_zero_separator`'s
-    for (alpha - L) mod q.  Raises SeparationFailure naming the failing
-    class when a polynomial does not separate, and naming alpha when a
-    per-alpha polynomial that separates has a root congruent to alpha,
-    and ValueError for a polynomial argument the kind does not read or an
+    maximum degree.  With no polynomial given, the checker makes R22's own
+    choice among `_zero_separation_candidates`, judging each candidate at
+    most once: for g, the one of least bound by `check_separation`'s
+    reports, so the certificate is `best_bound`'s R22, candidate label
+    included; for each alpha, the plain roots (alpha - L) mod q reflected
+    to alpha's frame if `separates` passes them, else the reflected closure
+    of their hull.  Raises SeparationFailure naming the failing class when
+    a polynomial does not separate, and naming alpha when a per-alpha
+    polynomial that separates has a root congruent to alpha, and
+    ValueError for a polynomial argument the kind does not read or an
     intersecting q above 2^22, whose residues outside L are not listed.
-    The certificate is R22's, as `best_bound` would state it for the same
-    polynomials.
+    For given polynomials the certificate is R22's, as `best_bound` would
+    state it for the same polynomials without a candidate label.
     """
     if spec.modulus is None:
         raise ValueError("bound_from_seppoly needs a modular constraint")
@@ -786,7 +810,12 @@ def bound_from_seppoly(
         if per_alpha is not None:
             raise ValueError(f"kind {spec.kind.value} takes one polynomial g, not per_alpha")
         if g is None:
-            g = first_zero_separator(pp, L)[1]
+
+            def judge(runs):
+                rep = check_separation(pp, _run_poly(runs), 0, L)
+                return (rep.v0, rep.shifted_minus_ok, rep.shifted_plus_ok) if rep.separates else None
+
+            return _certificate(ctx, _R22_ZERO, *_r22_zero_choice(ctx, judge))
         rep = check_separation(pp, g, 0, L)
         if not rep.separates:
             ell = _first_failing_class(rep)
@@ -805,17 +834,16 @@ def bound_from_seppoly(
             raise ValueError(f"q = {q} is above {_MAX_TABLE_Q}, the limit of the residues to list outside L")
         Lset = set(L)
         alphas = [a for a in range(q) if a not in Lset]
-        if per_alpha is None:
-            per_alpha = {
-                alpha: first_zero_separator(pp, _reflected(pp, L, alpha))[1].shift_reflect(alpha)
-                for alpha in alphas
-            }
-        missing = [a for a in alphas if a not in per_alpha]
+        missing = [a for a in alphas if per_alpha is not None and a not in per_alpha]
         if missing:
             raise SeparationFailure(f"no polynomial supplied for alpha = {missing[0]}", missing[0])
+        degrees = {}
         for alpha in alphas:
-            if not separates(pp, per_alpha[alpha], alpha, L):
-                rep = check_separation(pp, per_alpha[alpha], alpha, L)
+            for h in (per_alpha[alpha],) if per_alpha is not None else _reflected_candidates(pp, L, alpha):
+                if ok := separates(pp, h, alpha, L):
+                    break
+            if not ok:
+                rep = check_separation(pp, h, alpha, L)
                 ell = _first_failing_class(rep)
                 raise SeparationFailure(
                     f"polynomial for alpha = {alpha} fails on class {ell} (mod {q})",
@@ -824,12 +852,12 @@ def bound_from_seppoly(
                 )
             # `separates` reads h(alpha) alone, but the argument needs
             # v_p(h(u)) for every u == alpha, and such a root zeroes h there
-            if any((r - alpha) % q == 0 for r in per_alpha[alpha].roots):
+            if any((r - alpha) % q == 0 for r in h.roots):
                 raise SeparationFailure(
                     f"polynomial for alpha = {alpha} has a root congruent to {alpha} (mod {q})",
                     alpha,
                 )
-        degrees = {alpha: per_alpha[alpha].degree for alpha in alphas}
+            degrees[alpha] = h.degree
         wording = "every residue outside L has a verified separating polynomial"
         return _certificate(ctx, _R22_PER_ALPHA, *_r22_per_alpha_own(ctx, degrees, wording))
     raise ValueError(f"bound_from_seppoly does not apply to kind {spec.kind.value}")

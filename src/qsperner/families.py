@@ -168,6 +168,8 @@ class ConstraintSpec:
         object.__setattr__(self, "L", frozenset(self.L))
         if self.n < 0:
             raise ValueError("n must be non-negative")
+        if self.uniform_residue is not None and kind is not Kind.INTERSECTING_UNIFORM:
+            raise ValueError(f"kind {kind.value} takes no uniform residue")
         q = self.modulus.q if self.modulus is not None else None
         if kind in (Kind.DIFF_SPERNER, Kind.HAMMING):
             if q is not None:
@@ -190,7 +192,14 @@ class ConstraintSpec:
         elif kind is Kind.INTERSECTING_UNIFORM:
             if self.modulus is None or self.uniform_residue is None:
                 raise ValueError("uniform kind needs a modulus and a residue")
+            if self.L:
+                raise ValueError("uniform kind takes no L")
             object.__setattr__(self, "uniform_residue", self.uniform_residue % q)
+        else:  # antichain, which reads neither a modulus nor L
+            if self.modulus is not None:
+                raise ValueError("antichain constraints are non-modular")
+            if self.L:
+                raise ValueError("antichain constraints take no L")
 
     @property
     def q(self) -> int | None:

@@ -10,11 +10,12 @@ class minima be computed exactly by a digit recursion instead of a scan.
 `check_separation` returns the full report: every class minimum and the two
 shifted side conditions.  `separates` answers only the yes/no question: it
 stops at the first residue class whose minimum is not above v_p(g(alpha))
-and never evaluates the side conditions, so callers that only choose a
-polynomial (`bounds.first_zero_separator`, `search_min_degree`) pay for
-one class at a time.  The bound engine's portfolio reads its own
-candidates from a valuation table instead; R22's checker
-`bounds.bound_from_seppoly` and the CLI judge polynomials with these.
+and never evaluates the side conditions, so callers that only ask
+whether a polynomial separates (`search_min_degree`, and R22's checker
+per residue of an intersecting L) pay for one class at a time.  The
+bound engine's portfolio reads its own candidates from a valuation table
+instead; R22's checker `bounds.bound_from_seppoly` and the CLI judge
+polynomials with these.
 """
 
 from __future__ import annotations
@@ -129,10 +130,15 @@ def min_valuation_over_class(
     total = _vp_int(p, g.lead)
     offsets = []
     for r in g.roots:
-        if (r - residue) % q:
-            total += _vp_int(p, residue - r)
+        d = r - residue
+        if d % q == 0:
+            offsets.append(d // q)
         else:
-            offsets.append((r - residue) // q)
+            # v_p(d) < k, counted in place: a call per root would be most of
+            # the cost of judging a long polynomial
+            while d % p == 0:
+                d //= p
+                total += 1
     if offsets:
         total += pp.k * len(offsets) + _joint_min(p, tuple(offsets))
     return total

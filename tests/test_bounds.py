@@ -12,7 +12,6 @@ from qsperner.bounds import (
     best_bound,
     binom_sum,
     bound_from_seppoly,
-    first_zero_separator,
 )
 from qsperner.closure import IntervalL, closure_length_bound, q_closure
 from qsperner.families import ConstraintSpec, Kind, max_family
@@ -495,16 +494,19 @@ class TestCandidateOrder:
         pp = PP(q)
         for size in (1, 2, 3):
             for R in combinations(range(1, q), size):
-                label, h = min_degree_separator(pp, R)
-                assert first_zero_separator(pp, R) == (label, h)
                 # an alpha and L whose reflected residues are R
                 alpha = R[-1]
                 L = tuple(sorted((alpha - r) % q for r in R))
                 assert bounds._reflected(pp, L, alpha) == R
+                spec = spec_of(Kind.INTERSECTING, 10, L, q=q)
+                (r22,) = [c for c in best_bound(spec)[1] if c.theorem_id == "R22"]
+                assert r22.auxiliary["per_alpha_degrees"][alpha] == min_degree_separator(pp, R)[1].degree
 
     def test_q2(self):
-        pp = PP(2)
-        assert first_zero_separator(pp, (1,)) == min_degree_separator(pp, (1,))
+        cert = bound_from_seppoly(spec_of(Kind.DIFF_SPERNER, 4, (1,), q=2))
+        label, h = min_degree_separator(PP(2), (1,))
+        assert cert.auxiliary["roots"] == list(h.roots)
+        assert (f"candidate roots from {label}", True) in cert.hypotheses
 
     @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
     @pytest.mark.parametrize("kind", [Kind.DIFF_SPERNER, Kind.HAMMING])
@@ -547,9 +549,18 @@ class TestR22Routes:
                     h for h in r22.hypotheses if not h[0].startswith("candidate roots from ")
                 )
                 assert bound_from_seppoly(spec, g) == replace(r22, hypotheses=unlabelled)
-                assert bound_from_seppoly(spec) == bound_from_seppoly(
-                    spec, first_zero_separator(PP(q), L)[1]
-                )
+                assert bound_from_seppoly(spec) == r22
+
+    def test_closure_beats_separating_residues(self):
+        # the plain residues 2..6 separate 0 from L modulo 16 with neither
+        # shifted condition, for 638 in the n column; their closure 1..6
+        # earns the n-1 column, 466, so R22 and its checker both take it
+        spec = spec_of(Kind.DIFF_SPERNER, 10, range(2, 7), q=16)
+        rep = check_separation(PP(16), FactoredIntPoly(1, tuple(range(2, 7))), 0, spec.L)
+        assert rep.separates and not (rep.shifted_minus_ok or rep.shifted_plus_ok)
+        (r22,) = [c for c in best_bound(spec)[1] if c.theorem_id == "R22"]
+        assert (r22.auxiliary["roots"], r22.bound.value) == (list(range(1, 7)), 466)
+        assert bound_from_seppoly(spec) == r22
 
     @pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 32, 49])
     def test_per_alpha(self, q):
@@ -609,29 +620,26 @@ def prime_powers(limit):
 
 class TestR22Table:
     """The intersecting R22 degrees, read from one valuation table per
-    modulus, equal those of `first_zero_separator`, which judges each
+    modulus, equal those of `bound_from_seppoly`, which judges each
     candidate with `separates`."""
 
     def test_matches_separates_route(self):
         rng = random.Random(2022)
-        labels = set()
+        chosen = set()
         for q in prime_powers(49):
-            pp = PP(q)
             for size in range(1, min(6, q - 1) + 1):
                 for _ in range(4):
                     L = tuple(sorted(rng.sample(range(q), size)))
                     spec = spec_of(Kind.INTERSECTING, 10, L, q=q)
                     (r22,) = [c for c in best_bound(spec)[1] if c.theorem_id == "R22"]
-                    expected = {}
-                    for alpha in sorted(set(range(q)) - set(L)):
-                        label, h = first_zero_separator(pp, bounds._reflected(pp, L, alpha))
-                        expected[alpha] = h.degree
-                        labels.add((label.split()[0], h.degree == q - 1))
-                    assert r22.auxiliary["per_alpha_degrees"] == expected, (q, L)
+                    degrees = bound_from_seppoly(spec).auxiliary["per_alpha_degrees"]
+                    assert r22.auxiliary["per_alpha_degrees"] == degrees, (q, L)
+                    # a degree above |L| is a closure's
+                    chosen |= {(d > size, d == q - 1) for d in degrees.values()}
         # some residues need a closed superinterval short of the full
         # range, some need all of [1, q-1], reached as the closure of the
         # hull
-        assert {("closed", False), ("closed", True)} <= labels
+        assert {(True, False), (True, True)} <= chosen
 
     def test_size_limit(self, monkeypatch):
         # the limit is inclusive: both R22 routes are granted at it and

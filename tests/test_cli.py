@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsperner import polylab
 from qsperner.bounds import best_bound, binom_sum, bound_from_seppoly
@@ -375,14 +379,18 @@ class TestCommands:
         [
             (8, (15, 51, 60, 85, 106, 150, 169, 216, 228), 8, (2, 3, 6), "plus"),
             (7, tuple(m for m in range(1 << 7) if m.bit_count() == 3), 8, (1, 2, 3), "minus"),
+            # the plain residues 2..6 separate, but R22 certifies their
+            # closure 1..6 in the n-1 column (466 against 638)
+            (10, (0b11, 1 << 9), 16, tuple(range(2, 7)), "minus"),
         ],
-        ids=["benchmark-q8", "uniform-layer"],
+        ids=["benchmark-q8", "uniform-layer", "closure-beats-residues"],
     )
     def test_verify_replays_the_seppoly_certificate(
         self, tmp_path, capsys, monkeypatch, n, members, q, L, variant
     ):
         """verify builds the difference system from the polynomial and the
-        shifted side of R22's certificate from `bound_from_seppoly`."""
+        shifted side of `bound_from_seppoly`'s certificate, which is R22's
+        certificate in `best_bound`."""
         built = []
         build = polylab.build_diff_sperner_system
 
@@ -398,7 +406,8 @@ class TestCommands:
         code, _ = run_json(capsys, argv)
         assert code == EXIT_OK
         spec = ConstraintSpec(Kind.DIFF_SPERNER, n, frozenset(L), PrimePower.from_q(q))
-        aux = bound_from_seppoly(spec).auxiliary
+        (r22,) = [c for c in best_bound(spec)[1] if c.theorem_id == "R22"]
+        aux = r22.auxiliary
         assert built == [(FactoredIntPoly(aux["lead"], aux["roots"]), variant)]
 
     def test_verify_over_a_large_ground_set(self, tmp_path, capsys):
@@ -672,7 +681,7 @@ class TestExitCodes:
         [
             ("close-sperner", "5", "close-Sperner constraints are non-modular"),
             ("intersecting-uniform", "5", "uniform kind needs a modulus and a residue"),
-            ("antichain", "5", "no bound rules for kind antichain"),
+            ("antichain", "5", "antichain constraints are non-modular"),
             ("diff-sperner", "-1", "n must be non-negative"),
         ],
     )
@@ -724,10 +733,22 @@ class TestExitCodes:
                 ["table", "--kind", "diff-sperner", "--q", "65536", "--n", "6"],
                 "a table at q = 65536 has 2147450880 intervals, more than the limit of 10000",
             ),
+            (
+                ["search", "--kind", "antichain", "--n", "4", "--L", "5", "--q", "7", "--uniform-residue", "3"],
+                "kind antichain takes no uniform residue",
+            ),
+            (["search", "--kind", "antichain", "--n", "4", "--q", "7"], "antichain constraints are non-modular"),
+            (["check", "--kind", "antichain", "--L", "5", "--file", "FAMILY"], "antichain constraints take no L"),
+            (
+                ["bound", "--kind", "intersecting-uniform", "--q", "4", "--uniform-residue", "1",
+                 "--L", "1", "--n", "6"],
+                "uniform kind takes no L",
+            ),
         ],
         ids=[
             "vp", "binom", "closure", "mu", "bound", "check", "push", "verify", "seppoly find",
-            "seppoly find work", "seppoly find degree", "table",
+            "seppoly find work", "seppoly find degree", "table", "search residue", "search modulus",
+            "check L", "bound uniform L",
         ],
     )
     def test_library_rejection_is_a_usage_error(self, tmp_path, capsys, argv, message):
@@ -905,3 +926,97 @@ def test_closure_straddle_at_q_2_40():
     proc = run_module([*argv, "--json"], timeout=30)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert json.loads(proc.stdout)["payload"]["closure"] == {"lo": 1, "hi": 549755813888}
+
+
+# --- fuzzing the command line -------------------------------------------------
+
+FUZZ_INTS = st.one_of(st.integers(-3, 30), st.sampled_from([2**40, -(2**40), 10**30]))
+# prime powers, small non-moduli, and huge ones: a prime power above R22's
+# table limit, 2^40, the prime 2^61 - 1 and a non-prime-power
+FUZZ_QS = st.one_of(
+    st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 25, 27]),
+    st.integers(-2, 12),
+    st.sampled_from([2**23, 2**40, 2**61 - 1, 10**30]),
+)
+FUZZ_KINDS = st.sampled_from([*(k.value for k in Kind), "nope"])
+
+
+@st.composite
+def fuzz_sets(draw):
+    """An --L or --roots argument: an empty, repeated or negative list, or
+    an interval, wrapped or not."""
+    ints = st.integers(1, 9) | st.integers(-3, 30) | st.sampled_from([2**40, 10**30])
+    if draw(st.booleans()):
+        return ",".join(map(str, draw(st.lists(ints, max_size=5))))
+    return f"{draw(ints)}..{draw(ints)}" + draw(st.sampled_from(["", "@wrap"]))
+
+
+@st.composite
+def fuzz_family(draw) -> bytes:
+    """A family file: drawn bytes, or small sets in the file format, some
+    with an element 0 outside every ground set."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=40))
+    fam = draw(st.lists(st.sets(st.integers(0, 8), max_size=4), max_size=5))
+    return "".join("{" + ",".join(map(str, sorted(s))) + "}\n" for s in fam).encode()
+
+
+@st.composite
+def fuzz_argvs(draw):
+    """A command line of one of the fuzzed subcommands, and the bytes of
+    its family file (None when it reads none).  The n of `bound`, `search`
+    and `check` stays small: a column sum of C(n, i) is added term by
+    term."""
+
+    def opt(flag, strategy):
+        return [flag, str(draw(strategy))] if draw(st.booleans()) else []
+
+    def constraint():
+        kind = draw(FUZZ_KINDS)
+        # a residue mostly where it is read, so that more lines get past the spec
+        read = kind == "intersecting-uniform" or draw(st.booleans())
+        residue = opt("--uniform-residue", FUZZ_INTS) if read else []
+        return ["--kind", kind, *opt("--q", FUZZ_QS), *opt("--L", fuzz_sets()), *residue]
+
+    command = draw(
+        st.sampled_from(["vp", "binom", "digits", "closure", "mu", "census", "bound", "search", "check", "seppoly"])
+    )
+    argv = {
+        "vp": lambda: ["--p", str(draw(FUZZ_INTS)), "--n", str(draw(FUZZ_INTS))],
+        "binom": lambda: [x for a in "pab" for x in (f"--{a}", str(draw(FUZZ_INTS)))],
+        "digits": lambda: ["--q", str(draw(FUZZ_QS)), "--s", str(draw(FUZZ_INTS))],
+        "closure": lambda: ["--q", str(draw(FUZZ_QS)), "--lo", str(draw(FUZZ_INTS)), "--hi", str(draw(FUZZ_INTS))],
+        "mu": lambda: ["--q", str(draw(FUZZ_QS)), "--s", str(draw(FUZZ_INTS))],
+        "census": lambda: ["--q", str(draw(FUZZ_QS))],
+        "bound": lambda: [*constraint(), "--n", str(draw(st.integers(-3, 64)))],
+        "search": lambda: [*constraint(), "--n", str(draw(st.integers(-2, 6))), *opt("--budget", FUZZ_INTS)],
+        "check": lambda: [*constraint(), *opt("--n", st.integers(-2, 8))],
+        "seppoly": lambda: [
+            "check", "--q", str(draw(FUZZ_QS)), "--alpha", str(draw(FUZZ_INTS)),
+            "--L", draw(fuzz_sets()), *opt("--roots", fuzz_sets()), *opt("--lead", FUZZ_INTS),
+        ],
+    }[command]()
+    return [command, *argv], draw(fuzz_family()) if command == "check" else None
+
+
+class TestFuzz:
+    @given(fuzz_argvs())
+    @settings(max_examples=300, deadline=None)
+    def test_one_schema_1_document(self, tmp_path_factory, drawn):
+        """Whatever the input, the CLI answers 0, 2 or 3 with exactly one
+        parseable schema-1 document on stdout."""
+        argv, family = drawn
+        if family is not None:
+            path = tmp_path_factory.mktemp("fuzz") / "fam.txt"
+            path.write_bytes(family)
+            argv = [*argv, "--file", str(path)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, "--json"])
+        doc = json.loads(out.getvalue())
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_BUDGET), argv
+        assert doc["schema"] == 1
+        if code == EXIT_USAGE:
+            assert doc["status"] == "error" and doc["diagnostics"], argv
+        else:
+            assert doc["command"] == argv[0], argv

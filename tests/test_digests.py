@@ -47,7 +47,10 @@ def test_search_digest():
 
 def test_bound_table_digest_at_n_24():
     """Every certificate the bound engine emits on the 5,377 `bound-table`
-    keys at n = 24, a slice of `cert_digest.py`'s specs."""
+    keys at n = 24, a slice of `cert_digest.py`'s specs, and the one R22's
+    checker gives on each modular difference, Hamming and intersecting key
+    with its default polynomials, which wherever R22 fires is
+    `best_bound`'s R22."""
     before = perfbench_bytecode()
     cert = load_script("cert_digest")
     specs = [
@@ -60,6 +63,7 @@ def test_bound_table_digest_at_n_24():
         "e37ab1d1fca8f388d1fbbbde0a82f294a1fa3101659c71ee1616a176cf83ef02",
         "6cdc30bbbddd0a2a958571f26a6c140a7681c5b8107eb78a2eb489e3114f0a78",
     )
+    assert cert.seppoly_digest(specs) == "d285f4f8b6140cab19502671002f9dbbe21581eeac2e1cba5d5a63f615914263"
     assert perfbench_bytecode() == before
 
 

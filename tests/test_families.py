@@ -245,6 +245,29 @@ class TestSatisfies:
         with pytest.raises(ValueError):
             ConstraintSpec(kind=Kind.DIFF_SPERNER, n=4, L={4}, modulus=pp4)
 
+    @pytest.mark.parametrize(
+        "kind, fields, message",
+        [
+            (Kind.ANTICHAIN, {"q": 7}, "antichain constraints are non-modular"),
+            (Kind.ANTICHAIN, {"L": {5}}, "antichain constraints take no L"),
+            (Kind.INTERSECTING_UNIFORM, {"q": 3, "r": 1, "L": {0}}, "uniform kind takes no L"),
+            *[
+                (kind, {"q": 7, "L": {1}, "r": 3}, f"kind {kind.value} takes no uniform residue")
+                for kind in Kind
+                if kind is not Kind.INTERSECTING_UNIFORM
+            ],
+        ],
+    )
+    def test_unread_inputs_refused(self, kind, fields, message):
+        """A spec refuses an input its kind never reads, rather than
+        answering as if it had not been given."""
+        q = fields.get("q")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ConstraintSpec(
+                kind, 4, L=fields.get("L", ()), modulus=PrimePower.from_q(q) if q else None,
+                uniform_residue=fields.get("r"),
+            )
+
 
 # (kind, q, L, uniform residue, n, members, first violation): a failing
 # member for each kind that restricts members, and a failing pair for every
@@ -1422,7 +1445,9 @@ class TestKnownCodeSizes:
     Sloane 1977; Brouwer's table): an oracle outside the bound portfolio.
     The values are test data only, never inputs to the search."""
 
-    @pytest.mark.parametrize("n, d, known", [(7, 3, 16), (8, 4, 16), (8, 5, 4), (9, 5, 6), (10, 5, 12)])
+    @pytest.mark.parametrize(
+        "n, d, known", [(7, 3, 16), (8, 4, 16), (8, 5, 4), (9, 4, 20), (9, 5, 6), (10, 5, 12)]
+    )
     def test_search_finds_A_n_d(self, n, d, known):
         spec = ConstraintSpec(kind=Kind.HAMMING, n=n, L=range(d, n + 1))
         res = max_family(spec)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsperner.bounds import first_zero_separator
 from qsperner.families import ConstraintSpec, Kind, SetFamily, max_family
 from qsperner.padic import PrimePower, vp
 from qsperner.polylab import (
@@ -405,7 +404,7 @@ class TestClosedForms:
 
     def test_five_layer_of_13(self):
         pp8 = PrimePower.from_q(8)
-        g = first_zero_separator(pp8, (1, 2, 3, 4, 5))[1]
+        g = FactoredIntPoly(1, (1, 2, 3, 4, 5))  # R22's polynomial for L = [5] mod 8
         fam = SetFamily(13, tuple(m for m in range(1 << 13) if m.bit_count() == 5))
         report = verify_independence(build_diff_sperner_system(fam, g, pp8))
         assert (report.rank, report.total_polys) == (2081, 2081)
@@ -544,7 +543,7 @@ class TestPatternOracle:
 
     def test_five_layer_of_13_against_entries(self):
         pp8 = PrimePower.from_q(8)
-        g = first_zero_separator(pp8, (1, 2, 3, 4, 5))[1]
+        g = FactoredIntPoly(1, (1, 2, 3, 4, 5))  # R22's polynomial for L = [5] mod 8
         layer = [m for m in range(1 << 13) if m.bit_count() == 5]
         victim = layer[200]
         fam = SetFamily(13, tuple(victim & (victim - 1) if m == victim else m for m in layer))
