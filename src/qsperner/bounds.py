@@ -50,10 +50,12 @@ size of its reflected hull's closure.
 `bound_from_seppoly` is R22's checker: it takes polynomials, by default
 R22's own choice, and judges every one by `seppoly`'s digit recursion
 (`check_separation` for g, `separates` in alpha's frame per residue),
-never by the table, so its defaults answer at any q the kind allows.
-Each default candidate is judged at most once, and wherever R22 fires
-the default certificate is `best_bound`'s R22 (for the intersecting
-kinds, its bound and evidence; the wording says "verified").
+never by the table, so its defaults answer above q = 2^22 too.  There,
+once the plain residues separate, a closure of more than 2^22 roots is
+not judged, so that polynomial is never built.  Each default candidate
+is judged at most once, and wherever R22 fires the default certificate
+is `best_bound`'s R22 (for the intersecting kinds, its bound and
+evidence; the wording says "verified").
 
 Two candidates suffice, because the closure always separates.  Let
 C = [b-l+1, b] be q-closed with l <= q-1, and g_C the monic polynomial
@@ -473,12 +475,16 @@ def _r22_zero_choice(ctx: _Ctx, judge):
     n-1 column can beat a lower one without it, so the closure is judged
     unless even its best column cannot beat the plain residues, and when
     it is judged it wins: it always separates, with both shifted
-    conditions."""
+    conditions.  Once a candidate separates, one of more than
+    `_MAX_TABLE_Q` roots is not judged: that polynomial is never built,
+    and it can arise only above q = 2^22, where the table's R22 abstains."""
     best_column = _r22_column(ctx.kind, shifted=True)
     best = None  # (bound, label, runs, judged)
     for label, runs in _zero_separation_candidates(ctx.pp, ctx.L):
         degree = sum(hi - lo + 1 for lo, hi in runs)
-        if best is not None and binom_sum(ctx.n, 0, degree, best_column).value >= best[0].value:
+        if best is not None and (
+            degree > _MAX_TABLE_Q or binom_sum(ctx.n, 0, degree, best_column).value >= best[0].value
+        ):
             break
         judged = judge(runs)
         if judged is not None:
@@ -723,8 +729,6 @@ def _run(ctx: _Ctx, rules) -> list[BoundCertificate]:
 
 def _applicable(spec: ConstraintSpec) -> list[BoundCertificate]:
     kind, n, pp = spec.kind, spec.n, spec.modulus
-    if not spec.L and kind is not Kind.INTERSECTING_UNIFORM:
-        raise ValueError("empty L is rejected by the bound engine")
     if kind is Kind.INTERSECTING_UNIFORM:
         if pp.q > _MAX_TABLE_Q:
             raise ValueError(
@@ -741,6 +745,8 @@ def _applicable(spec: ConstraintSpec) -> list[BoundCertificate]:
         return uniform + _run(mapped, _PORTFOLIO[Kind.INTERSECTING][1])
     if kind not in _PORTFOLIO:
         raise ValueError(f"no bound rules for kind {kind.value}")
+    if not spec.L:
+        raise ValueError("empty L is rejected by the bound engine")
     direct, modular = _PORTFOLIO[kind]
     L = tuple(sorted(spec.L))
     if pp is not None:
@@ -789,9 +795,10 @@ def bound_from_seppoly(
     choice among `_zero_separation_candidates`, judging each candidate at
     most once: for g, the one of least bound by `check_separation`'s
     reports, so the certificate is `best_bound`'s R22, candidate label
-    included; for each alpha, the plain roots (alpha - L) mod q reflected
-    to alpha's frame if `separates` passes them, else the reflected closure
-    of their hull.  Raises SeparationFailure naming the failing class when
+    included (once the plain roots separate, a closure of more than 2^22
+    roots is not judged); for each alpha, the plain roots (alpha - L)
+    mod q reflected to alpha's frame if `separates` passes them, else the
+    reflected closure of their hull.  Raises SeparationFailure naming the failing class when
     a polynomial does not separate, and naming alpha when a per-alpha
     polynomial that separates has a root congruent to alpha, and
     ValueError for a polynomial argument the kind does not read or an

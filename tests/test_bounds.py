@@ -416,6 +416,17 @@ class TestBoundFromSeppoly:
         cert = bound_from_seppoly(spec, g)
         assert cert.bound.value <= sum(math.comb(6, i) for i in range(2))
 
+    def test_plain_roots_above_the_table_limit(self):
+        # the plain roots {1, 2^39} separate in the n column (7); their
+        # hull is already q-closed and would win in the n-1 column (4),
+        # but a polynomial of 2^39 roots is not built
+        q, half = 1 << 40, 1 << 39
+        assert q_closure(PP(q), IntervalL(1, half)) == IntervalL(1, half)
+        assert binom_sum(3, 0, half, "n-1").value == 4
+        cert = bound_from_seppoly(spec_of(Kind.DIFF_SPERNER, 3, {1, half}, q=q))
+        assert (cert.bound.value, cert.auxiliary["roots"]) == (7, [1, half])
+        assert ("candidate roots from given residues", True) in cert.hypotheses
+
     def test_intersecting_above_the_list_limit(self):
         # refused before the q - 2 residues outside L are listed
         spec = spec_of(Kind.INTERSECTING, 20, {0, 1}, q=1 << 40)

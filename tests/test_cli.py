@@ -410,6 +410,25 @@ class TestCommands:
         aux = r22.auxiliary
         assert built == [(FactoredIntPoly(aux["lead"], aux["roots"]), variant)]
 
+    def test_verify_above_the_table_limit(self, tmp_path, capsys, monkeypatch):
+        """At q = 2^40 the plain roots {1, 2^39} separate; verify builds the
+        system from them, not from their closure of 2^39 roots."""
+        built = []
+        build = polylab.build_diff_sperner_system
+
+        def record(fam, g, pp, side="minus"):
+            built.append(g.roots)
+            return build(fam, g, pp, side)
+
+        monkeypatch.setattr(polylab, "build_diff_sperner_system", record)
+        fam = tmp_path / "fam.txt"
+        fam.write_text("{1}\n{2,3}\n")
+        argv = ["verify", "--kind", "diff-sperner", "--file", str(fam), "--q", str(1 << 40), "--L", f"1,{1 << 39}"]
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_OK
+        assert built == [(1, 1 << 39)]
+        assert doc["payload"]["total_polys"] == 5
+
     def test_verify_over_a_large_ground_set(self, tmp_path, capsys):
         """Three polynomials over 300,000 elements: the system lists only
         the members' bits, never every element of the ground set."""
@@ -739,6 +758,7 @@ class TestExitCodes:
             ),
             (["search", "--kind", "antichain", "--n", "4", "--q", "7"], "antichain constraints are non-modular"),
             (["check", "--kind", "antichain", "--L", "5", "--file", "FAMILY"], "antichain constraints take no L"),
+            (["bound", "--kind", "antichain", "--n", "5"], "no bound rules for kind antichain"),
             (
                 ["bound", "--kind", "intersecting-uniform", "--q", "4", "--uniform-residue", "1",
                  "--L", "1", "--n", "6"],
@@ -748,7 +768,7 @@ class TestExitCodes:
         ids=[
             "vp", "binom", "closure", "mu", "bound", "check", "push", "verify", "seppoly find",
             "seppoly find work", "seppoly find degree", "table", "search residue", "search modulus",
-            "check L", "bound uniform L",
+            "check L", "bound antichain", "bound uniform L",
         ],
     )
     def test_library_rejection_is_a_usage_error(self, tmp_path, capsys, argv, message):
