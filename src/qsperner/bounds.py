@@ -127,20 +127,21 @@ class BinomSum:
     value: int
 
 
-# Rows are memoized so that a repeated column sum costs two lookups; the
-# bounds keep a long-running process's memory flat.  A row of width w
-# holds about w^2 bits when full, so a wider row is summed by the same
-# recurrence without being stored.
-_ROW_CACHE_SIZE = 1 << 8
-_ROW_WIDTH_LIMIT = 1 << 10
-
-
-@lru_cache(maxsize=_ROW_CACHE_SIZE)
-def _cumulative_row(width: int) -> list[int]:
-    """Prefix sums of row `width` of Pascal's triangle: entry i is the sum
-    of C(width, j) for j < i.  `binom_sum` grows it in place as far as it
-    is read."""
-    return [0, 1]
+# Column sums are memoized on the clamped span, so a repeated one costs a
+# lookup; the bound keeps a long-running process's memory flat.  One pass of
+# the sweeps reads a few hundred distinct spans.
+@lru_cache(maxsize=1 << 10)
+def _column_sum(width: int, lo: int, hi: int) -> int:
+    """Sum of C(width, i) for i in [lo, hi], where 0 <= lo <= hi <= width."""
+    if 2 * (hi - lo + 1) > width + 1:
+        # more than half the row: 2^width less the two tails, the upper one
+        # read from the lower end as C(width, i) = C(width, width - i)
+        return 2**width - sum(_column_sum(width, 0, t - 1) for t in (lo, width - hi) if t)
+    c = value = comb(width, lo)
+    for j in range(lo + 1, hi + 1):
+        c = c * (width - j + 1) // j
+        value += c
+    return value
 
 
 def binom_sum(n: int, lower: int, upper: int, column: str = "n") -> BinomSum:
@@ -149,21 +150,7 @@ def binom_sum(n: int, lower: int, upper: int, column: str = "n") -> BinomSum:
     width = n if column == "n" else n - 1
     lo = max(lower, 0)
     hi = min(upper, width)
-    if lo > hi:
-        value = 0
-    elif width > _ROW_WIDTH_LIMIT:
-        c = value = comb(width, lo)
-        for j in range(lo + 1, hi + 1):
-            c = c * (width - j + 1) // j
-            value += c
-    else:
-        row = _cumulative_row(width)
-        c = row[-1] - row[-2]  # C(width, len(row) - 2)
-        for j in range(len(row) - 1, hi + 1):
-            c = c * (width - j + 1) // j
-            row.append(row[-1] + c)
-        value = row[hi + 1] - row[lo]
-    return BinomSum(lower, upper, column, value)
+    return BinomSum(lower, upper, column, _column_sum(width, lo, hi) if lo <= hi else 0)
 
 
 @dataclass(frozen=True)

@@ -107,8 +107,8 @@ def _kind(text: str) -> Kind:
 
 def _build_spec(args, n: int, *, need_L=True) -> ConstraintSpec:
     kind = _kind(args.kind)
-    pp = PrimePower.from_q(args.q) if getattr(args, "q", None) else None
-    L = frozenset(_parse_L(args.L, pp.q if pp else None)) if getattr(args, "L", None) else frozenset()
+    pp = PrimePower.from_q(args.q) if args.q is not None else None
+    L = frozenset(_parse_L(args.L, pp.q if pp else None)) if args.L is not None else frozenset()
     if need_L and not L and kind not in (Kind.ANTICHAIN, Kind.INTERSECTING_UNIFORM):
         raise UsageError(f"kind {kind.value} needs --L")
     residue = getattr(args, "uniform_residue", None)
@@ -331,9 +331,10 @@ def _cmd_table(args) -> CommandResult:
     kind = _kind(args.kind)
     intervals = (pp.q - 1) * pp.q // 2
     if intervals > _MAX_TABLE_ROWS:
-        raise UsageError(
-            f"a table at q = {pp.q} has {intervals} intervals, more than the limit of {_MAX_TABLE_ROWS}"
-        )
+        with _long_ints():  # q and its count of intervals may have any length
+            raise UsageError(
+                f"a table at q = {pp.q} has {intervals} intervals, more than the limit of {_MAX_TABLE_ROWS}"
+            )
     rows = []
     brute_ok = args.n <= families.DEFAULT_N_LIMIT and not args.no_brute
     for lo in range(1, pp.q):
@@ -437,8 +438,8 @@ def _cmd_verify(args) -> CommandResult:
         )
     fam = _read_family(args)
     n = fam.n
-    pp = PrimePower.from_q(args.q) if args.q else None
-    L = _parse_L(args.L, pp.q if pp else None) if args.L else []
+    pp = PrimePower.from_q(args.q) if args.q is not None else None
+    L = _parse_L(args.L, pp.q if pp else None) if args.L is not None else []
     if not args.variant and (pp is None or not L):
         raise UsageError("verify needs --q and --L (or --variant sym|close)")
     if args.variant:
@@ -479,10 +480,19 @@ def _cmd_verify(args) -> CommandResult:
 # --- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that reports a bad command line as a `UsageError`
+    carrying argparse's own reason; its subparsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> _Parser:
     # built once per process: parse_args keeps no state between calls
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsperner",
         description="Certified bounds and exact searches for restricted set families",
     )
@@ -578,13 +588,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def dispatch(argv: list[str]) -> CommandResult:
     """Parse argv, route to the owning module, and return the result."""
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code:  # bad flags; argparse already printed the usage text
-            raise UsageError("argument parsing failed") from exc
-        raise  # --help exits cleanly
+    args = _build_parser().parse_args(argv)
     result = args.handler(args)
     result.command = args.command
     return result

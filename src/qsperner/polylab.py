@@ -121,12 +121,17 @@ def _masks_by_size(max_size: int, within: int) -> list[int]:
 def _require_size(members: int, *mask_blocks: tuple[int, int]) -> None:
     """Refuse a system of more than `_MAX_POLYS` polynomials, counted
     before any mask is listed: one per member plus, for each (max_size,
-    bits) block, one per mask of popcount <= max_size over that many bits."""
-    total = members + sum(
-        comb(bits, size) for max_size, bits in mask_blocks for size in range(min(max_size, bits) + 1)
-    )
+    bits) block, one per mask of popcount <= max_size over that many bits.
+    The count stops once it passes the limit, so a refusal costs a few
+    binomials however wide the blocks are."""
+    total = members
+    for max_size, bits in mask_blocks:
+        for size in range(min(max_size, bits) + 1):
+            if total > _MAX_POLYS:
+                break
+            total += comb(bits, size)
     if total > _MAX_POLYS:
-        raise ValueError(f"the proof system has {total} polynomials, more than the limit of {_MAX_POLYS}")
+        raise ValueError(f"the proof system has more than {_MAX_POLYS} polynomials")
 
 
 def _difference_forms(order, g: FactoredIntPoly) -> list[_ClosedForm]:
@@ -207,10 +212,11 @@ def build_midband_system(fam: SetFamily, s: int, variant: str) -> ProofSystem:
                 f"member {bin(m)} has size {m.bit_count()} outside the band "
                 f"[{s}, {n - s}]; run push_to_middle first"
             )
-    g = FactoredIntPoly(1, tuple(range(1, s + 1)))
+    # g has s roots, so it is built only once s is known to be at most n/2
     if variant == "sym":
         if not (n + 2 <= 3 * s and 2 * s <= n):
             raise ValueError(f"need (n+2)/3 <= s <= n/2, got n = {n}, s = {s}")
+        g = FactoredIntPoly(1, tuple(range(1, s + 1)))
         _require_size(len(fam), (s - 1, n - 1), (3 * s - n - 2, n - 1))
         head = (1 << (n - 1)) - 1
         c_masks = _masks_by_size(3 * s - n - 2, within=head)
@@ -221,6 +227,7 @@ def build_midband_system(fam: SetFamily, s: int, variant: str) -> ProofSystem:
         return sys_
     if not (n + 1 <= 3 * s and 2 * s <= n):
         raise ValueError(f"need (n+1)/3 <= s <= n/2, got n = {n}, s = {s}")
+    g = FactoredIntPoly(1, tuple(range(1, s + 1)))
     _require_size(len(fam), (3 * s - n - 1, n))
     order = tuple(sorted(fam.members, key=lambda m: (-m.bit_count(), m)))
     full = (1 << n) - 1

@@ -57,8 +57,7 @@ class TestBinomSum:
     @pytest.mark.parametrize("column", ["n", "n-1"])
     def test_matches_term_by_term(self, column):
         # n = 0 and 1 give widths -1, 0 and 1; bounds past the width, below
-        # 0 and crossed (lower > upper) are all read; n = 1030 has rows too
-        # wide to keep
+        # 0 and crossed (lower > upper) are all read
         for n in (0, 1, 2, 5, 16, 40, 1030):
             width = n if column == "n" else n - 1
             for lower in range(-2, min(n, 45) + 3):
@@ -71,8 +70,7 @@ class TestBinomSum:
 
     @pytest.mark.parametrize("column", ["n", "n-1"])
     def test_wide_rows_match_comb(self, column):
-        # rows wider than 1024 are summed by the recurrence without being
-        # stored: lower > 0 starts it mid-row, upper past the width clamps
+        # lower > 0 starts a span mid-row, upper past the width clamps
         for n in (1025, 1026, 1100, 30000):
             width = n if column == "n" else n - 1
             for lower, upper in ((0, 4), (1, 1), (3, 200), (500, 700), (2950, 3000), (width - 3, width + 5)):
@@ -80,11 +78,24 @@ class TestBinomSum:
                 assert binom_sum(n, lower, upper, column).value == expected, (n, lower, upper)
 
     def test_rows_grow_in_any_order(self):
-        # a later, narrower read must not shorten what an earlier one grew
-        bounds._cumulative_row.cache_clear()
+        # a read must not depend on which spans the memo already holds
+        bounds._column_sum.cache_clear()
         for upper in (3, 40, 1, 25, 2):
             assert binom_sum(40, 0, upper).value == sum(math.comb(40, i) for i in range(upper + 1))
         assert binom_sum(1030, 0, 1030).value == 2**1030
+
+    def test_spans_over_half_a_row_match_comb(self):
+        # a span of more than half the row is 2^width less its two tails,
+        # one of which may be empty
+        for width in (1, 2, 7, 8, 33, 1030):
+            for lo in range(0, width + 1, max(1, width // 9)):
+                for hi in (width // 2 + lo, width - 1, width):
+                    if 2 * (hi - lo + 1) > width + 1 and hi <= width:
+                        expected = sum(math.comb(width, i) for i in range(lo, hi + 1))
+                        assert binom_sum(width, lo, hi).value == expected, (width, lo, hi)
+                        assert binom_sum(width + 1, lo, hi, "n-1").value == expected, (width, lo, hi)
+        # a column running to the end of a wide row costs no terms
+        assert binom_sum(100000, 2, 100000).value == 2**100000 - 1 - 100000
 
 
 class TestBestBoundExamples:

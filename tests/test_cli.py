@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -230,6 +229,18 @@ class TestCommands:
         assert doc["status"] == "ok"
         assert max(_ints(doc["payload"])) >= 10**limit
         assert check(doc["payload"])
+
+    def test_table_refusal_past_the_text_limit(self, capsys):
+        """A table's size refusal names q and its count of intervals, here
+        of 2,710 and 5,419 digits, and leaves the limit as it was."""
+        q = 2**9000
+        limit = sys.get_int_max_str_digits()
+        code, doc = run_json(capsys, ["table", "--kind", "diff-sperner", "--q", str(q), "--n", "5"])
+        assert code == EXIT_USAGE
+        assert sys.get_int_max_str_digits() == limit
+        with _long_ints():
+            message = f"a table at q = {q} has {(q - 1) * q // 2} intervals, more than the limit of 10000"
+        assert doc == {"schema": 1, "status": "error", "payload": {}, "diagnostics": [message]}
 
     def test_census(self, capsys):
         code, doc = run_json(capsys, ["census", "--q", "4"])
@@ -640,8 +651,50 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert doc == {
             "schema": 1, "status": "error", "payload": {},
-            "diagnostics": ["argument parsing failed"],
+            "diagnostics": ["unrecognized arguments: --seed 1"],
         }
+
+    def test_argparse_reason_is_the_diagnostic(self, capsys):
+        """A value starting with '-' that is not a number is read as a flag;
+        argparse's reason reaches the document, its usage line stderr."""
+        argv = ["seppoly", "check", "--q", "7", "--alpha", "0", "--L", "-3..-1", "--roots", "1", "--json"]
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {
+            "schema": 1, "status": "error", "payload": {},
+            "diagnostics": ["argument --L: expected one argument"],
+        }
+        assert err.startswith("usage: qsperner seppoly")
+
+    def test_help_exits_cleanly(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qsperner bound")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--kind", "diff-sperner", "--n", "4"],
+            ["search", "--kind", "hamming", "--n", "3"],
+            ["check", "--kind", "hamming", "--file", "FAMILY"],
+            ["verify", "--kind", "diff-sperner", "--file", "FAMILY"],
+        ],
+        ids=["bound", "search", "check", "verify"],
+    )
+    @pytest.mark.parametrize(
+        "given, message",
+        [(["--q", "0", "--L", "1"], "q = 0 is not a prime power"), (["--q", "5", "--L", ""], "empty L")],
+        ids=["q-0", "L-empty"],
+    )
+    def test_zero_q_and_empty_L_are_read(self, tmp_path, capsys, argv, given, message):
+        """--q 0 and --L '' are values, refused as such, not absent flags."""
+        fam = tmp_path / "fam.txt"
+        fam.write_text("{1}\n{2,3}\n")
+        argv = [str(fam) if arg == "FAMILY" else arg for arg in argv]
+        code, doc = run_json(capsys, [*argv, *given])
+        assert code == EXIT_USAGE
+        assert doc == {"schema": 1, "status": "error", "payload": {}, "diagnostics": [message]}
 
     def test_seppoly_zero_lead(self, capsys):
         argv = ["seppoly", "check", "--q", "4", "--alpha", "0", "--L", "1",
@@ -677,6 +730,25 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert doc["status"] == "error"
         assert doc["diagnostics"]
+
+    @pytest.mark.parametrize(
+        "kind, variant, message",
+        [
+            ("diff-sperner", "sym", "need (n+2)/3 <= s <= n/2, got n = 6, s = 10000000000"),
+            ("close-sperner", "close", "need (n+1)/3 <= s <= n/2, got n = 6, s = 10000000000"),
+        ],
+        ids=["sym", "close"],
+    )
+    def test_verify_huge_s_on_an_empty_family(self, tmp_path, capsys, kind, variant, message):
+        """An empty family has no member outside any band, so s is checked
+        against n before the s roots of (y-1)...(y-s) are listed."""
+        fam = tmp_path / "fam.txt"
+        fam.write_text("")
+        argv = ["verify", "--kind", kind, "--file", str(fam), "--n", "6", "--variant", variant,
+                "--s", "10000000000"]
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_USAGE
+        assert doc == {"schema": 1, "status": "error", "payload": {}, "diagnostics": [message]}
 
     @pytest.mark.parametrize(
         "kind, extra",
@@ -783,34 +855,28 @@ class TestExitCodes:
         assert doc == {"schema": 1, "status": "error", "payload": {}, "diagnostics": [message]}
 
     @pytest.mark.parametrize(
-        "members, argv, count",
+        "members, argv",
         [
+            ([{1, 2}, {64}], ["--kind", "diff-sperner", "--q", "32", "--L", "1..16"]),
+            ([range(1, 21), range(21, 41)], ["--kind", "diff-sperner", "--variant", "sym", "--s", "20"]),
+            ([range(1, 21), range(21, 41)], ["--kind", "close-sperner", "--variant", "close", "--s", "20"]),
+            # blocks whose full count has far more than 4,300 digits
             (
-                [{1, 2}, {64}],
-                ["--kind", "diff-sperner", "--q", "32", "--L", "1..16"],
-                2 + sum(math.comb(63, i) for i in range(16)),
-            ),
-            (
-                [range(1, 21), range(21, 41)],
-                ["--kind", "diff-sperner", "--variant", "sym", "--s", "20"],
-                2 + sum(math.comb(39, i) for i in range(20)) + sum(math.comb(39, i) for i in range(19)),
-            ),
-            (
-                [range(1, 21), range(21, 41)],
-                ["--kind", "close-sperner", "--variant", "close", "--s", "20"],
-                2 + sum(math.comb(40, i) for i in range(20)),
+                [range(1, 9601)],
+                ["--kind", "diff-sperner", "--variant", "sym", "--s", "9600", "--n", "24000"],
             ),
         ],
-        ids=["diff", "sym", "close"],
+        ids=["diff", "sym", "close", "sym-wide"],
     )
-    def test_verify_refuses_an_oversized_system(self, tmp_path, capsys, members, argv, count):
+    def test_verify_refuses_an_oversized_system(self, tmp_path, capsys, members, argv):
         """The polynomials are counted before any index or window mask is
-        listed, so a system of about 10**14 polynomials is refused at once."""
+        listed, and only until the count passes the limit, so a system of
+        about 10**14 polynomials, or of 10**7000, is refused at once."""
         fam = tmp_path / "fam.txt"
         fam.write_text(format_family(SetFamily.from_sets(max(map(max, members)), members)))
         code, doc = run_json(capsys, ["verify", "--file", str(fam), *argv])
         assert code == EXIT_USAGE
-        message = f"the proof system has {count} polynomials, more than the limit of 1000000"
+        message = "the proof system has more than 1000000 polynomials"
         assert doc == {"schema": 1, "status": "error", "payload": {}, "diagnostics": [message]}
 
     # the commands that read a family file
@@ -959,6 +1025,8 @@ FUZZ_QS = st.one_of(
     st.sampled_from([2**23, 2**40, 2**61 - 1, 10**30]),
 )
 FUZZ_KINDS = st.sampled_from([*(k.value for k in Kind), "nope"])
+# a push or midband s: mostly 0 <= 2s <= n for the drawn families
+SMALL_S = st.integers(-1, 4) | FUZZ_INTS
 
 
 @st.composite
@@ -984,9 +1052,9 @@ def fuzz_family(draw) -> bytes:
 @st.composite
 def fuzz_argvs(draw):
     """A command line of one of the fuzzed subcommands, and the bytes of
-    its family file (None when it reads none).  The n of `bound`, `search`
-    and `check` stays small: a column sum of C(n, i) is added term by
-    term."""
+    its family file (None when it reads none).  The searches stay small:
+    `search` and `table` draw n <= 6, `seppoly find` a budget of at most
+    30 multisets."""
 
     def opt(flag, strategy):
         return [flag, str(draw(strategy))] if draw(st.booleans()) else []
@@ -998,8 +1066,20 @@ def fuzz_argvs(draw):
         residue = opt("--uniform-residue", FUZZ_INTS) if read else []
         return ["--kind", kind, *opt("--q", FUZZ_QS), *opt("--L", fuzz_sets()), *residue]
 
+    def verify():
+        # the kind mostly the one the variant certifies, s mostly in a band
+        variant = draw(st.sampled_from([None, "sym", "close"]))
+        kind = draw(st.just("close-sperner" if variant == "close" else "diff-sperner") | FUZZ_KINDS)
+        return [
+            "--kind", kind, *(["--variant", variant] if variant else []), *opt("--q", FUZZ_QS),
+            *opt("--L", fuzz_sets()), *opt("--n", st.integers(-2, 8)), *opt("--s", SMALL_S),
+        ]
+
     command = draw(
-        st.sampled_from(["vp", "binom", "digits", "closure", "mu", "census", "bound", "search", "check", "seppoly"])
+        st.sampled_from([
+            "vp", "binom", "digits", "closure", "mu", "census", "bound", "table", "search", "check",
+            "push", "verify", "seppoly",
+        ])
     )
     argv = {
         "vp": lambda: ["--p", str(draw(FUZZ_INTS)), "--n", str(draw(FUZZ_INTS))],
@@ -1008,15 +1088,25 @@ def fuzz_argvs(draw):
         "closure": lambda: ["--q", str(draw(FUZZ_QS)), "--lo", str(draw(FUZZ_INTS)), "--hi", str(draw(FUZZ_INTS))],
         "mu": lambda: ["--q", str(draw(FUZZ_QS)), "--s", str(draw(FUZZ_INTS))],
         "census": lambda: ["--q", str(draw(FUZZ_QS))],
-        "bound": lambda: [*constraint(), "--n", str(draw(st.integers(-3, 64)))],
+        "bound": lambda: [*constraint(), "--n", str(draw(st.integers(-3, 10**4)))],
+        "table": lambda: [
+            "--kind", draw(FUZZ_KINDS), "--q", str(draw(FUZZ_QS)), "--n", str(draw(st.integers(-2, 6))),
+            *(["--no-brute"] if draw(st.booleans()) else []),
+        ],
         "search": lambda: [*constraint(), "--n", str(draw(st.integers(-2, 6))), *opt("--budget", FUZZ_INTS)],
         "check": lambda: [*constraint(), *opt("--n", st.integers(-2, 8))],
+        "push": lambda: ["--s", str(draw(SMALL_S)), *opt("--n", st.integers(-2, 8))],
+        "verify": verify,
         "seppoly": lambda: [
             "check", "--q", str(draw(FUZZ_QS)), "--alpha", str(draw(FUZZ_INTS)),
             "--L", draw(fuzz_sets()), *opt("--roots", fuzz_sets()), *opt("--lead", FUZZ_INTS),
+        ] if draw(st.booleans()) else [
+            "find", "--q", str(draw(FUZZ_QS)), "--alpha", str(draw(FUZZ_INTS)), "--L", draw(fuzz_sets()),
+            *opt("--max-degree", FUZZ_INTS), *opt("--window", FUZZ_INTS),
+            "--budget", str(draw(st.integers(-2, 30))),
         ],
     }[command]()
-    return [command, *argv], draw(fuzz_family()) if command == "check" else None
+    return [command, *argv], draw(fuzz_family()) if command in ("check", "push", "verify") else None
 
 
 class TestFuzz:

@@ -1455,6 +1455,24 @@ class TestKnownCodeSizes:
         assert satisfies(spec, res.witness)
 
 
+class TestErdosKoRado:
+    """Intersecting-uniform with residue 0 modulo q = k on [2k] admits only
+    the empty set, the k-sets and [2k]; the empty set and [2k] each conflict
+    with every k-set, and two k-sets are compatible when they meet.  So the
+    maximum is the Erdos-Ko-Rado value C(2k-1, k-1), an oracle outside the
+    bound portfolio.  The values are test data only, never inputs to the
+    search."""
+
+    @pytest.mark.parametrize("k, known", [(3, 10), (4, 35), (5, 126)])
+    def test_search_finds_the_ekr_value(self, k, known):
+        spec = ConstraintSpec(
+            kind=Kind.INTERSECTING_UNIFORM, n=2 * k, modulus=PrimePower.from_q(k), uniform_residue=0
+        )
+        res = max_family(spec)
+        assert res.exact and res.max_size == known
+        assert satisfies(spec, res.witness)
+
+
 class TestConstructionFromUniformShift:
     def test_tail_padded_uniform_system(self):
         # {A + fixed tail of a elements} with A ranging over s-subsets
