@@ -19,14 +19,25 @@ depend on the machine, taken by wrapping the functions at every name the
 Last it prints `seppoly-sha256`, a digest of the certificate that R22's
 checker, `bound_from_seppoly`, gives on every modular difference, Hamming
 and intersecting spec among them, each by one call with its default
-polynomials: R22's own choice, judged by the checker, so that wherever
-R22 fires the certificate is `best_bound`'s R22 (for the intersecting
-kind, its bound and evidence; the wording says "verified" where
-`best_bound` says "constructed").
+polynomials: R22's own choice, made by the checker from `seppoly`'s
+digit recursion, so that wherever R22 fires the certificate is
+`best_bound`'s R22 (for the intersecting kind, its bound and evidence;
+the wording says "verified" where `best_bound` says "constructed").
 
-`portfolio_digests` computes the first two digests for any specs and
-`seppoly_digest` the last; the test suite pins all three through them on
-the `bound-table` keys at n = 24.
+Then it prints the large-q stratum, `large_q_specs`, on three lines of
+its own: `large-q-specs`, `large-q-sha256` and `large-q-seppoly-sha256`.
+It takes every modular kind at prime powers from 2^10 to 2^22 and just
+above, with short intervals, L = 0..4, two far residues and the odd
+residues at q = 1024, and n in {30, 10^3, 10^5}, where the benchmark's
+specs stop at q = 49.  The two digests hash `repr` of each spec's
+portfolio and of its checker certificate, or the message of the
+`ValueError` by which the library refuses the spec.  The printed call
+counts leave the stratum out.
+
+`portfolio_digests` computes the first two digests for any specs,
+`seppoly_digest` the third and `large_q_digests` the stratum's; the test
+suite pins them through these on the `bound-table` keys at n = 24 and on
+a slice of the stratum.
 
 Usage:
   python3 scripts/cert_digest.py
@@ -113,6 +124,71 @@ def seppoly_digest(specs) -> str:
     return digest.hexdigest()
 
 
+# The large-q stratum: prime powers from 2^10 to 2^22 (the valuation
+# table's limit), then the prime just above it and 2^23.
+LARGE_QS = (1024, 2187, 3125, 65536, 1 << 22, 4194319, 1 << 23)
+LARGE_NS = (30, 10**3, 10**5)
+
+
+def large_q_specs():
+    """The stratum as make_spec arguments (kind, n, q, L, r).  Up to
+    q = 65536 every kind takes each of its L shapes at every n: the
+    difference and Hamming kinds a short interval, two far residues and,
+    at q = 1024, the odd residues; the intersecting kind those and
+    L = 0..4.  From 2^22 on, where one valuation table holds 2q + 1
+    entries, the difference and Hamming kinds take one shape per n, the
+    intersecting kind L = 0..4 alone and the uniform kind n = 10^3 alone.
+    Last comes the intersecting row q = 1024, L = 0..249, n = 40."""
+    for q in LARGE_QS:
+        short, far = range(1, 4), (1, q // 2 + 1)
+        shapes = [short, far, range(1, q, 2)] if q == 1024 else [short, far]
+        if q <= 65536:
+            zero = [(L, n) for L in shapes for n in LARGE_NS]
+            per_alpha = [(L, n) for L in (*shapes, range(5)) for n in LARGE_NS]
+            ns = LARGE_NS
+        else:
+            zero = list(zip((short, far, short), LARGE_NS))
+            per_alpha = [(range(5), n) for n in LARGE_NS]
+            ns = (10**3,)
+        for kind, pairs in (("diff-sperner", zero), ("hamming", zero), ("intersecting", per_alpha)):
+            for L, n in pairs:
+                yield kind, n, q, tuple(L), None
+        for n in ns:
+            yield "intersecting-uniform", n, q, (), 1
+    yield "intersecting", 40, 1024, tuple(range(250)), None
+
+
+def _answer(call) -> bytes:
+    """`repr` of call(), or the message of the ValueError it raises."""
+    try:
+        text = repr(call())
+    except ValueError as exc:
+        text = f"ValueError: {exc}"
+    return text.encode() + b"\n"
+
+
+def large_q_digests(entries) -> tuple[int, str, str]:
+    """The number of entries, then `large-q-sha256` and
+    `large-q-seppoly-sha256` over them: the hashes of each entry's sorted
+    portfolio and of `bound_from_seppoly`'s certificate with its default
+    polynomials, each in order, where a refused spec contributes its
+    message.  A certificate at n = 10^5 has values past Python's default
+    limit on the digits of an int's `repr`, so the limit is lifted for the
+    call and restored after it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        digest, checker = hashlib.sha256(), hashlib.sha256()
+        count = 0
+        for entry in entries:
+            digest.update(_answer(lambda: best_bound(make_spec(*entry))[1]))
+            checker.update(_answer(lambda: bound_from_seppoly(make_spec(*entry))))
+            count += 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return count, digest.hexdigest(), checker.hexdigest()
+
+
 def main() -> int:
     calls = count_calls()
     count, portfolios, bests = portfolio_digests(specs())
@@ -122,6 +198,10 @@ def main() -> int:
     for home, name in COUNTED:
         print(f"calls {home}.{name} {calls[f'{home}.{name}']}")
     print(f"seppoly-sha256 {seppoly_digest(specs())}")
+    count, portfolios, certificates = large_q_digests(large_q_specs())
+    print(f"large-q-specs {count}")
+    print(f"large-q-sha256 {portfolios}")
+    print(f"large-q-seppoly-sha256 {certificates}")
     return 0
 
 

@@ -21,41 +21,46 @@ R22's own texts are written in one place per shape, `_r22_zero_own`
 (difference and Hamming kinds) and `_r22_per_alpha_own` (intersecting
 kinds), and pass through `_certificate` for `best_bound` and
 `bound_from_seppoly` alike.  R22 draws its separating polynomials from
-`_zero_separation_candidates`, which yields two candidates in
-non-decreasing degree, each as its root runs (maximal ranges (lo, hi) of
-consecutive roots): the plain residues, then the closed superinterval of
-their hull, one run.  The closure is computed only when a caller asks
-past the plain residues.  For the difference and Hamming kinds, R22's
-choice among them is written once, `_r22_zero_choice`: the candidate of
-least bound, given a judge, and `best_bound` and `bound_from_seppoly`
-differ only in the judge they pass.  For the intersecting kinds each
-residue alpha outside L takes the first candidate of (alpha - L) mod q
-that separates: the plain reflected roots, else the closure of their
-hull, which always does.
+two candidates in non-decreasing degree: the plain residues, then the
+closed superinterval of their hull.  For the difference and Hamming
+kinds, `_zero_separation_candidates` yields them as root runs (maximal
+ranges (lo, hi) of consecutive roots), the closure computed only when a
+caller asks past the plain residues, and R22's choice among them is
+written once, `_r22_zero_choice`: the candidate of least bound, given a
+judge.  For the intersecting kinds each residue alpha outside L takes
+the plain reflected roots (alpha - L) mod q if they separate, else the
+closure of their hull, which always does.  That choice is written once
+too, `_r22_per_alpha_choice`, from the minimum of v_p(g_L) over residue
+classes, g_L the monic polynomial with roots L: the plain candidate of
+every alpha reflects g_L, so g_L's minima over L and over alpha decide
+it.  For either shape `best_bound` and `bound_from_seppoly` differ only
+in the judge, or the class minima, they pass.
 
 Both candidates are monic with distinct roots in [1, q-1], so
 `best_bound` judges each from its runs and one table W[x] = min(v_p(x), k)
 on [0, q-1]: v_p(g(0)) is the sum of W[r], and the minimum of v_p(g) over
 class c the sum of W[(c - r) mod q], over the roots r.  `_run_minima`
 reads each run as one range sum of W's prefix sums, for the classes of L
-(separation) and of (r -+ 1) mod q (the shifted side conditions).  The
-table holds 2q + 1 entries, so R22 needs q <= 2^22 (`_MAX_TABLE_Q`) as a
-hypothesis of its own: above it neither R22 rule yields a certificate,
-and the other rules answer.  A polynomial is built only for the evidence
-of the difference or Hamming candidate that wins; the intersecting
-evidence is degrees alone.  For the intersecting kinds the plain
-candidate of each residue alpha outside L reflects the polynomial with
-roots L, so all share its class minima, and a residue it fails takes the
-size of its reflected hull's closure.
-`bound_from_seppoly` is R22's checker: it takes polynomials, by default
-R22's own choice, and judges every one by `seppoly`'s digit recursion
-(`check_separation` for g, `separates` in alpha's frame per residue),
-never by the table, so its defaults answer above q = 2^22 too.  There,
-once the plain residues separate, a closure of more than 2^22 roots is
-not judged, so that polynomial is never built.  Each default candidate
-is judged at most once, and wherever R22 fires the default certificate
-is `best_bound`'s R22 (for the intersecting kinds, its bound and
-evidence; the wording says "verified").
+(separation) and of (r -+ 1) mod q (the shifted side conditions), and
+reads g_L's minima the same way.  The table holds 2q + 1 entries, so R22
+needs q <= 2^22 (`_MAX_TABLE_Q`) as a hypothesis of its own: above it
+neither R22 rule yields a certificate, and the other rules answer.  A
+polynomial is built only for the evidence of the difference or Hamming
+candidate that wins; the intersecting evidence is degrees alone.
+`bound_from_seppoly` is R22's checker.  It reads no table: for the
+difference and Hamming kinds it judges each polynomial, by default R22's
+own choice, by `seppoly`'s digit recursion (`check_separation`), so its
+default answers above q = 2^22 too.  There, once the plain residues
+separate, a closure of more than 2^22 roots is not judged, so that
+polynomial is never built.  Each default candidate is judged at most
+once.  For the intersecting kinds its default reads g_L's minimum over
+every residue class by `min_valuation_over_class`, about q |L| root
+steps, and passes them to `_r22_per_alpha_choice`; a closure is taken on
+the proof below, which `TestClosureSeparates` checks through the digit
+recursion on all 7,582 closures at q <= 49.  Given per-alpha polynomials
+are each judged by `separates` in alpha's frame.  Wherever R22 fires the
+default certificate is `best_bound`'s R22 (for the intersecting kinds,
+its bound and evidence; the wording says "verified").
 
 Two candidates suffice, because the closure always separates.  Let
 C = [b-l+1, b] be q-closed with l <= q-1, and g_C the monic polynomial
@@ -103,6 +108,7 @@ from .seppoly import (
     FactoredIntPoly,
     check_separation,
     degree_upper_bound,
+    min_valuation_over_class,
     separates,
 )
 
@@ -566,19 +572,6 @@ def _r19(ctx: _Ctx):
     yield (), binom_sum(ctx.n, 0, ctx.pp.q - 1, "n"), None
 
 
-def _reflected(pp: PrimePower, L: tuple[int, ...], alpha: int) -> tuple[int, ...]:
-    """The sorted residues (alpha - L) mod q."""
-    return tuple(sorted({(alpha - ell) % pp.q for ell in L}))
-
-
-def _reflected_candidates(pp: PrimePower, L: tuple[int, ...], alpha: int):
-    """R22's candidates for a residue alpha outside an intersecting L, in
-    alpha's frame: those of (alpha - L) mod q, each reflected by
-    y -> alpha - y, lazily."""
-    for _, runs in _zero_separation_candidates(pp, _reflected(pp, L, alpha)):
-        yield _run_poly(runs).shift_reflect(alpha)
-
-
 def _r22_per_alpha_own(ctx: _Ctx, degrees: dict[int, int], wording: str):
     """R22's own texts, bound and evidence for the intersecting kinds from
     the degrees of the polynomials separating each residue alpha outside L
@@ -588,26 +581,26 @@ def _r22_per_alpha_own(ctx: _Ctx, degrees: dict[int, int], wording: str):
     return texts, binom_sum(ctx.n, 0, worst, "n"), {"per_alpha_degrees": degrees}
 
 
-def _r22_intersecting(ctx: _Ctx):
-    # The degree of R22's choice on every reflected set (reflection keeps
-    # the degree).  The plain roots (alpha - L) mod q reflect g_L, with roots
-    # L, and W[x] = W[-x mod q]: v_p(h(0)) is g_L's minimum over class
-    # alpha, and h's class minima are g_L's over L, the same for every alpha.
-    # A residue the plain roots fail takes the closure of its reflected
-    # hull, which always separates.  That hull of (alpha - L) mod q runs
-    # from alpha less L's nearest residue below alpha to alpha less its
-    # nearest above, each read cyclically: a bisection, not a pass over L.
+def _r22_per_alpha_choice(ctx: _Ctx, minima) -> dict[int, int]:
+    """The degree of R22's choice for each residue alpha outside an
+    intersecting L, given `minima(classes)`: the minimum of v_p(g_L) over
+    each residue class in `classes`, g_L the monic polynomial with roots L.
+
+    The polynomial h with the plain roots (alpha - L) mod q reflects g_L,
+    and negation keeps valuations: v_p(h(0)) is g_L's minimum over class
+    alpha, and h's class minima are g_L's over L, the same for every
+    alpha.  So alpha takes degree |L| when g_L's class-alpha minimum is
+    below its minimum over every class of L.  Otherwise it takes the size
+    of the closure of its reflected hull, which always separates (see the
+    module docstring).  That hull of (alpha - L) mod q runs from alpha
+    less L's nearest residue below alpha to alpha less its nearest above,
+    each read cyclically: a bisection, not a pass over L."""
     pp, L, q = ctx.pp, ctx.L, ctx.pp.q
-    if q > _MAX_TABLE_Q:
-        return
-    P, runs = _valuation_sums(pp), _runs(L)
     Lset = set(L)
     alphas = [a for a in range(q) if a not in Lset]
-    if not alphas:
-        return
-    plain = min(_run_minima(P, runs, L)[1])
+    plain = min(minima(L))
     degrees = {}
-    for alpha, side in zip(alphas, _run_minima(P, runs, alphas)[1]):
+    for alpha, side in zip(alphas, minima(alphas)):
         if side < plain:
             degrees[alpha] = len(L)
             continue
@@ -615,8 +608,18 @@ def _r22_intersecting(ctx: _Ctx):
         below = L[at - 1] if at else L[-1] - q
         above = L[at] if at < len(L) else L[0] + q
         degrees[alpha] = q_closure(pp, IntervalL(alpha - below, alpha - above + q)).size
-    wording = "a separating polynomial was constructed for every residue outside L"
-    yield _r22_per_alpha_own(ctx, degrees, wording)
+    return degrees
+
+
+def _r22_intersecting(ctx: _Ctx):
+    # g_L's class minima read from the valuation table
+    if ctx.pp.q > _MAX_TABLE_Q:
+        return
+    P, runs = _valuation_sums(ctx.pp), _runs(ctx.L)
+    degrees = _r22_per_alpha_choice(ctx, lambda classes: _run_minima(P, runs, classes)[1])
+    if degrees:
+        wording = "a separating polynomial was constructed for every residue outside L"
+        yield _r22_per_alpha_own(ctx, degrees, wording)
 
 
 # --- uniform intersecting ----------------------------------------------------
@@ -772,26 +775,32 @@ def bound_from_seppoly(
     g: FactoredIntPoly | None = None,
     per_alpha: dict[int, FactoredIntPoly] | None = None,
 ) -> BoundCertificate:
-    """R22's certificate from separating polynomials, each checked by
-    `seppoly`'s digit recursion rather than the portfolio's valuation table.
+    """R22's certificate from separating polynomials, checked by `seppoly`'s
+    digit recursion rather than the portfolio's valuation table.
 
     Difference/Hamming kinds need one polynomial g separating 0 from L mod q;
     a shifted separation upgrades the column to n-1.  Intersecting kinds
     need one polynomial per residue alpha outside L, and the bound uses the
     maximum degree.  With no polynomial given, the checker makes R22's own
-    choice among `_zero_separation_candidates`, judging each candidate at
-    most once: for g, the one of least bound by `check_separation`'s
-    reports, so the certificate is `best_bound`'s R22, candidate label
+    choice.  For g it takes, among `_zero_separation_candidates`, the one
+    of least bound by `check_separation`'s reports, judging each at most
+    once, so the certificate is `best_bound`'s R22, candidate label
     included (once the plain roots separate, a closure of more than 2^22
-    roots is not judged); for each alpha, the plain roots (alpha - L)
-    mod q reflected to alpha's frame if `separates` passes them, else the
-    reflected closure of their hull.  Raises SeparationFailure naming the failing class when
-    a polynomial does not separate, and naming alpha when a per-alpha
-    polynomial that separates has a root congruent to alpha, and
-    ValueError for a polynomial argument the kind does not read or an
-    intersecting q above 2^22, whose residues outside L are not listed.
-    For given polynomials the certificate is R22's, as `best_bound` would
-    state it for the same polynomials without a candidate label.
+    roots is not judged).  For the alphas it reads g_L's minimum over
+    every residue class by `min_valuation_over_class` and makes
+    `_r22_per_alpha_choice` from them: |L| where the plain reflected
+    roots separate, else the size of the reflected closure of their
+    hull, which separates by the module docstring's proof (checked
+    through the digit recursion on every closure at q <= 49 in
+    `TestClosureSeparates`).  Given per-alpha polynomials are each judged
+    by `separates` in alpha's frame.  Raises SeparationFailure naming the
+    failing class when a polynomial does not separate, and naming alpha
+    when a per-alpha polynomial is missing, or separates but has a root
+    congruent to alpha, and ValueError for a polynomial argument the kind
+    does not read or an intersecting q above 2^22, whose residues outside
+    L are not listed.  For given polynomials the certificate is R22's, as
+    `best_bound` would state it for the same polynomials without a
+    candidate label.
     """
     if spec.modulus is None:
         raise ValueError("bound_from_seppoly needs a modular constraint")
@@ -826,32 +835,37 @@ def bound_from_seppoly(
             raise ValueError("kind intersecting takes per_alpha polynomials, not one g")
         if q > _MAX_TABLE_Q:
             raise ValueError(f"q = {q} is above {_MAX_TABLE_Q}, the limit of the residues to list outside L")
-        Lset = set(L)
-        alphas = [a for a in range(q) if a not in Lset]
-        missing = [a for a in alphas if per_alpha is not None and a not in per_alpha]
-        if missing:
-            raise SeparationFailure(f"no polynomial supplied for alpha = {missing[0]}", missing[0])
-        degrees = {}
-        for alpha in alphas:
-            for h in (per_alpha[alpha],) if per_alpha is not None else _reflected_candidates(pp, L, alpha):
-                if ok := separates(pp, h, alpha, L):
-                    break
-            if not ok:
-                rep = check_separation(pp, h, alpha, L)
-                ell = _first_failing_class(rep)
-                raise SeparationFailure(
-                    f"polynomial for alpha = {alpha} fails on class {ell} (mod {q})",
-                    ell,
-                    rep,
-                )
-            # `separates` reads h(alpha) alone, but the argument needs
-            # v_p(h(u)) for every u == alpha, and such a root zeroes h there
-            if any((r - alpha) % q == 0 for r in h.roots):
-                raise SeparationFailure(
-                    f"polynomial for alpha = {alpha} has a root congruent to {alpha} (mod {q})",
-                    alpha,
-                )
-            degrees[alpha] = h.degree
+        if per_alpha is None:
+            # g_L's class minima by the digit recursion, never the table
+            g_L = FactoredIntPoly(1, L)
+            degrees = _r22_per_alpha_choice(
+                ctx, lambda classes: [min_valuation_over_class(pp, g_L, c) for c in classes]
+            )
+        else:
+            Lset = set(L)
+            alphas = [a for a in range(q) if a not in Lset]
+            missing = [a for a in alphas if a not in per_alpha]
+            if missing:
+                raise SeparationFailure(f"no polynomial supplied for alpha = {missing[0]}", missing[0])
+            degrees = {}
+            for alpha in alphas:
+                h = per_alpha[alpha]
+                if not separates(pp, h, alpha, L):
+                    rep = check_separation(pp, h, alpha, L)
+                    ell = _first_failing_class(rep)
+                    raise SeparationFailure(
+                        f"polynomial for alpha = {alpha} fails on class {ell} (mod {q})",
+                        ell,
+                        rep,
+                    )
+                # `separates` reads h(alpha) alone, but the argument needs
+                # v_p(h(u)) for every u == alpha, and such a root zeroes h there
+                if any((r - alpha) % q == 0 for r in h.roots):
+                    raise SeparationFailure(
+                        f"polynomial for alpha = {alpha} has a root congruent to {alpha} (mod {q})",
+                        alpha,
+                    )
+                degrees[alpha] = h.degree
         wording = "every residue outside L has a verified separating polynomial"
         return _certificate(ctx, _R22_PER_ALPHA, *_r22_per_alpha_own(ctx, degrees, wording))
     raise ValueError(f"bound_from_seppoly does not apply to kind {spec.kind.value}")

@@ -2,7 +2,9 @@
 
 Exit codes: 0 for ok or infeasible results, 2 for usage errors, 3 when a
 search budget was exhausted.  With --json a single JSON document (schema 1)
-is written to stdout; otherwise a short human-readable report.
+is written to stdout; otherwise a short human-readable report.  `--help`
+with --json is answered by a document whose payload holds the help text,
+with status "ok" and the subcommand asked of (null at the top level).
 
 `main` is the one error boundary: a `ValueError` (a library rejecting an
 input, or the CLI's own `UsageError`) becomes exit 2 with the exception's
@@ -480,9 +482,35 @@ def _cmd_verify(args) -> CommandResult:
 # --- parser ------------------------------------------------------------------
 
 
+class _HelpRequested(Exception):
+    """-h or --help, raised where argparse meets it, with the help text of
+    the parser it was asked of and that parser's subcommand (None at the
+    top level)."""
+
+    def __init__(self, text: str, command: str | None):
+        super().__init__(text)
+        self.text, self.command = text, command
+
+
+class _HelpAction(argparse.Action):
+    """argparse's -h/--help, raising `_HelpRequested` for `main` to answer
+    in place of printing the help and exiting."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise _HelpRequested(parser.format_help(), getattr(namespace, "command", None))
+
+
 class _Parser(argparse.ArgumentParser):
     """An argparse parser that reports a bad command line as a `UsageError`
-    carrying argparse's own reason; its subparsers are of this class too."""
+    carrying argparse's own reason, and a request for help as
+    `_HelpRequested`; its subparsers are of this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, **kwargs)
+        self.add_argument(
+            "-h", "--help", action=_HelpAction, nargs=0, default=argparse.SUPPRESS,
+            help="show this help message and exit",
+        )
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -500,7 +528,8 @@ def _build_parser() -> _Parser:
 
     def add(name, handler, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
+        # the command is a default so that _HelpAction can read it
+        p.set_defaults(handler=handler, command=name)
         p.add_argument("--json", action="store_true", help="emit one JSON document")
         return p
 
@@ -599,6 +628,12 @@ def main(argv: list[str] | None = None) -> int:
     want_json = "--json" in argv
     try:
         result = dispatch(argv)
+    except _HelpRequested as request:
+        if not want_json:
+            # argparse's own behaviour: the help text on stdout, then exit 0
+            sys.stdout.write(request.text)
+            raise SystemExit(EXIT_OK) from None
+        result = CommandResult("ok", {"help": request.text}, command=request.command)
     except ValueError as exc:
         message = str(exc)
         if want_json:

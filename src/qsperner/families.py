@@ -478,26 +478,12 @@ def _on_chain(n: int, m: int, level: int) -> int:
     return kept
 
 
-def _is_antichain(members: tuple[int, ...]) -> bool:
-    """Whether no member contains another.  Distinct sets of one size are
-    never nested, so only members of different sizes are compared."""
-    by_size: dict[int, list[int]] = {}
-    for m in members:
-        by_size.setdefault(m.bit_count(), []).append(m)
-    sizes = sorted(by_size)
-    for i, k in enumerate(sizes):
-        above = [b for kb in sizes[i + 1 :] for b in by_size[kb]]
-        if any(a & b == a for a in by_size[k] for b in above):
-            return False
-    return True
-
-
 def push_to_middle_with_map(fam: SetFamily, s: int) -> tuple[SetFamily, dict[int, int]]:
     """push_to_middle plus the injection original member -> moved member."""
     n = fam.n
     if s < 0 or 2 * s > n:
         raise ValueError(f"need 0 <= 2s <= n, got s = {s}, n = {n}")
-    if not _is_antichain(fam.members):
+    if not satisfies(ConstraintSpec(Kind.ANTICHAIN, n), fam):
         raise ValueError("push_to_middle requires an antichain")
     moved = {
         m: _on_chain(n, m, min(max(m.bit_count(), s), n - s)) for m in fam.members

@@ -12,10 +12,13 @@ shifted side conditions.  `separates` answers only the yes/no question: it
 stops at the first residue class whose minimum is not above v_p(g(alpha))
 and never evaluates the side conditions, so callers that only ask
 whether a polynomial separates (`search_min_degree`, and R22's checker
-per residue of an intersecting L) pay for one class at a time.  The
-bound engine's portfolio reads its own candidates from a valuation table
-instead; R22's checker `bounds.bound_from_seppoly` and the CLI judge
-polynomials with these.
+on the given polynomial of each residue outside an intersecting L) pay
+for one class at a time.  The bound engine's portfolio reads its own
+candidates from a valuation table instead; R22's checker
+`bounds.bound_from_seppoly` and the CLI judge polynomials with these.
+The checker's own intersecting choice needs no polynomial per residue:
+it reads the minimum of one polynomial, g_L with roots L, over every
+residue class by `min_valuation_over_class`.
 """
 
 from __future__ import annotations

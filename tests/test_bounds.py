@@ -5,6 +5,7 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
+from test_digests import load_script
 
 from qsperner import bounds
 from qsperner.bounds import (
@@ -519,7 +520,7 @@ class TestCandidateOrder:
                 # an alpha and L whose reflected residues are R
                 alpha = R[-1]
                 L = tuple(sorted((alpha - r) % q for r in R))
-                assert bounds._reflected(pp, L, alpha) == R
+                assert tuple(sorted((alpha - ell) % q for ell in L)) == R
                 spec = spec_of(Kind.INTERSECTING, 10, L, q=q)
                 (r22,) = [c for c in best_bound(spec)[1] if c.theorem_id == "R22"]
                 assert r22.auxiliary["per_alpha_degrees"][alpha] == min_degree_separator(pp, R)[1].degree
@@ -542,6 +543,36 @@ class TestCandidateOrder:
                     _, _, h, column = r22_reference(kind, n, pp, R)
                     assert cert.bound == binom_sum(n, 0, h.degree, column)
                     assert cert.auxiliary["roots"] == list(h.roots)
+
+
+def per_alpha_reference(spec):
+    """The intersecting checker's former default route, kept as an oracle
+    for R22's per-alpha choice: for each residue alpha outside L, the
+    plain roots (alpha - L) mod q reflected to alpha's frame if
+    `separates` passes them, else the reflected closure of their hull,
+    judged by `separates` too.  Returns the chosen polynomial per alpha."""
+    pp, q, L = spec.modulus, spec.modulus.q, tuple(sorted(spec.L))
+
+    def candidates(R):
+        yield R
+        closed = q_closure(pp, IntervalL(R[0], R[-1]))
+        yield tuple(range(closed.lo, closed.hi + 1))
+
+    chosen = {}
+    for alpha in (a for a in range(q) if a not in spec.L):
+        for roots in candidates(tuple(sorted((alpha - ell) % q for ell in L))):
+            h = FactoredIntPoly(1, roots).shift_reflect(alpha)
+            if separates(pp, h, alpha, L):
+                chosen[alpha] = h
+                break
+        assert alpha in chosen, (q, L, alpha)  # the closure always separates
+    return chosen
+
+
+def assert_checker_matches_reference(spec):
+    """`bound_from_seppoly(spec)` is the certificate the explicit path
+    states for the reference's polynomials."""
+    assert bound_from_seppoly(spec) == bound_from_seppoly(spec, per_alpha=per_alpha_reference(spec))
 
 
 def r22_sample_sets(q, lo):
@@ -610,6 +641,7 @@ class TestR22Routes:
         cert = bound_from_seppoly(spec)
         assert cert.bound == r22.bound
         assert cert.auxiliary["per_alpha_degrees"] == degrees
+        assert_checker_matches_reference(spec)
 
     def test_per_alpha_over_a_long_L(self):
         # 49,536 residues outside L = [0, 15999] at q = 2^16: each hull is
@@ -642,8 +674,9 @@ def prime_powers(limit):
 
 class TestR22Table:
     """The intersecting R22 degrees, read from one valuation table per
-    modulus, equal those of `bound_from_seppoly`, which judges each
-    candidate with `separates`."""
+    modulus, equal those of `bound_from_seppoly`, which reads g_L's class
+    minima by the digit recursion, and both equal the reference route,
+    which judges each candidate with `separates`."""
 
     def test_matches_separates_route(self):
         rng = random.Random(2022)
@@ -656,12 +689,25 @@ class TestR22Table:
                     (r22,) = [c for c in best_bound(spec)[1] if c.theorem_id == "R22"]
                     degrees = bound_from_seppoly(spec).auxiliary["per_alpha_degrees"]
                     assert r22.auxiliary["per_alpha_degrees"] == degrees, (q, L)
+                    assert_checker_matches_reference(spec)
                     # a degree above |L| is a closure's
                     chosen |= {(d > size, d == q - 1) for d in degrees.values()}
         # some residues need a closed superinterval short of the full
         # range, some need all of [1, q-1], reached as the closure of the
         # hull
         assert {(True, False), (True, True)} <= chosen
+
+    def test_bound_table_keys(self):
+        # every modular intersecting key of the benchmark's bound table
+        keys = [
+            key
+            for stratum in load_script("cert_digest").table_strata()
+            for key in stratum
+            if key[0] == "intersecting" and key[1] is not None
+        ]
+        assert len(keys) == 1688
+        for _, q, L, _ in keys:
+            assert_checker_matches_reference(spec_of(Kind.INTERSECTING, 10, L, q=q))
 
     def test_size_limit(self, monkeypatch):
         # the limit is inclusive: both R22 routes are granted at it and

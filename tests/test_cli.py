@@ -673,6 +673,27 @@ class TestExitCodes:
         assert capsys.readouterr().out.startswith("usage: qsperner bound")
 
     @pytest.mark.parametrize(
+        "argv, command, usage",
+        [
+            (["bound", "--help", "--json"], "bound", "usage: qsperner bound"),
+            (["--help", "--json"], None, "usage: qsperner [-h]"),
+        ],
+        ids=["bound", "top-level"],
+    )
+    def test_help_with_json_is_one_document(self, capsys, argv, command, usage):
+        """The help text argparse would print, as the payload of one
+        schema-1 document, and exit 0."""
+        with pytest.raises(SystemExit):
+            main([a for a in argv if a != "--json"])
+        text = capsys.readouterr().out
+        assert main(argv) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {
+            "schema": 1, "command": command, "status": "ok", "payload": {"help": text}, "diagnostics": [],
+        }
+        assert text.startswith(usage) and not err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["bound", "--kind", "diff-sperner", "--n", "4"],
@@ -1051,10 +1072,10 @@ def fuzz_family(draw) -> bytes:
 
 @st.composite
 def fuzz_argvs(draw):
-    """A command line of one of the fuzzed subcommands, and the bytes of
-    its family file (None when it reads none).  The searches stay small:
-    `search` and `table` draw n <= 6, `seppoly find` a budget of at most
-    30 multisets."""
+    """A command line of one of the fuzzed subcommands, one in ten with a
+    --help put anywhere in it, and the bytes of its family file (None
+    when it reads none).  The searches stay small: `search` and `table`
+    draw n <= 6, `seppoly find` a budget of at most 30 multisets."""
 
     def opt(flag, strategy):
         return [flag, str(draw(strategy))] if draw(st.booleans()) else []
@@ -1106,7 +1127,12 @@ def fuzz_argvs(draw):
             "--budget", str(draw(st.integers(-2, 30))),
         ],
     }[command]()
-    return [command, *argv], draw(fuzz_family()) if command in ("check", "push", "verify") else None
+    argv = [command, *argv]
+    if draw(st.integers(0, 9)) == 0:
+        # a request for help anywhere, even before the subcommand or
+        # where an option's value belongs
+        argv.insert(draw(st.integers(0, len(argv))), "--help")
+    return argv, draw(fuzz_family()) if command in ("check", "push", "verify") else None
 
 
 class TestFuzz:
@@ -1129,4 +1155,5 @@ class TestFuzz:
         if code == EXIT_USAGE:
             assert doc["status"] == "error" and doc["diagnostics"], argv
         else:
-            assert doc["command"] == argv[0], argv
+            assert doc["command"] == (None if argv[0] == "--help" else argv[0]), argv
+            assert ("help" in doc["payload"]) == ("--help" in argv), argv

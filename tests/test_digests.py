@@ -67,6 +67,30 @@ def test_bound_table_digest_at_n_24():
     assert perfbench_bytecode() == before
 
 
+def test_large_q_digests():
+    """Every portfolio and checker certificate, or the refusal, of the
+    large-q stratum at q <= 3125, above 2^22 and at q = 65536, n = 30: the
+    intersecting choice read from class minima, the table's limit and the
+    rows above it.  Its q = 2^22 specs and the rest of its q = 65536 specs
+    take tens of seconds and are run by hand.  The checker digest was
+    taken on the checker's former route, `separates` on every candidate
+    (about 35 s per intersecting spec at q = 65536), and did not move when
+    the checker came to read g_L's class minima."""
+    before = perfbench_bytecode()
+    cert = load_script("cert_digest")
+    entries = [
+        (kind, n, q, L, r)
+        for kind, n, q, L, r in cert.large_q_specs()
+        if q <= 3125 or q > 1 << 22 or (q == 65536 and n == 30)
+    ]
+    assert cert.large_q_digests(entries) == (
+        110,
+        "7ec2f09c90e0f7745a31a48c2d8a24d9a617669a025e6e670b0c99c79d199614",
+        "b46fd3771b36d550ac752a9c521fd8e304da9b1d57e7e142d2db7e4397c593f5",
+    )
+    assert perfbench_bytecode() == before
+
+
 def test_replay_digest_without_the_14_layer():
     """Every `check`, `push` and `verify --json` document of the seed-11
     `proof-replay` inputs, every proof system `verify` builds for them and

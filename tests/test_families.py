@@ -589,8 +589,9 @@ class TestPush:
             push_to_middle(SetFamily.from_sets(4, [{1}]), 3)  # 2s > n
 
     def test_precondition_matches_pairwise_check(self):
-        # push compares only members of different sizes; it must reject
-        # exactly the families in which the all-pairs check finds a nesting
+        # push reads its precondition from `satisfies` on the antichain
+        # kind; it must reject exactly the families in which the all-pairs
+        # check finds a nesting
         def agrees(fam):
             nested = first_violation_by_pairs(ConstraintSpec(Kind.ANTICHAIN, fam.n), fam.members)
             try:
@@ -615,6 +616,20 @@ class TestPush:
             outcomes.add((len({m.bit_count() for m in fam.members}) > 1, nested is None))
         # mixed-size antichains and mixed-size nested families both occur
         assert {(True, True), (True, False)} <= outcomes
+
+    def test_large_two_level_antichain(self):
+        # the 7-sets of [16] holding element 1 and the 9-sets missing it:
+        # 10,010 members, none inside another, all pushed to level 8; one
+        # 9-set holding a 7-set makes the family nested
+        seven = [m for m in range(1 << 16) if m.bit_count() == 7 and m & 1]
+        nine = [m for m in range(1 << 16) if m.bit_count() == 9 and not m & 1]
+        fam = SetFamily(16, tuple(seven + nine))
+        out = push_to_middle(fam, 8)
+        assert len(out) == 10010 and {m.bit_count() for m in out.members} == {8}
+        assert satisfies(ConstraintSpec(Kind.ANTICHAIN, 16), out)
+        nested = SetFamily(16, fam.members + (seven[0] | 0b11 << 7,))
+        with pytest.raises(ValueError, match="^push_to_middle requires an antichain$"):
+            push_to_middle(nested, 8)
 
     def test_bracket_rule(self):
         # {1} is an unpaired ")" and takes the next unpaired position 2; in
