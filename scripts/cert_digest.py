@@ -124,8 +124,9 @@ def seppoly_digest(specs) -> str:
     return digest.hexdigest()
 
 
-# The large-q stratum: prime powers from 2^10 to 2^22 (the valuation
-# table's limit), then the prime just above it and 2^23.
+# The large-q stratum: prime powers from 2^10 to 2^22 (R22's limit, where
+# its list of class minima holds q entries), then the prime just above it
+# and 2^23.
 LARGE_QS = (1024, 2187, 3125, 65536, 1 << 22, 4194319, 1 << 23)
 LARGE_NS = (30, 10**3, 10**5)
 
@@ -135,7 +136,7 @@ def large_q_specs():
     q = 65536 every kind takes each of its L shapes at every n: the
     difference and Hamming kinds a short interval, two far residues and,
     at q = 1024, the odd residues; the intersecting kind those and
-    L = 0..4.  From 2^22 on, where one valuation table holds 2q + 1
+    L = 0..4.  From 2^22 on, where R22's list of class minima holds q
     entries, the difference and Hamming kinds take one shape per n, the
     intersecting kind L = 0..4 alone and the uniform kind n = 10^3 alone.
     Last comes the intersecting row q = 1024, L = 0..249, n = 40."""

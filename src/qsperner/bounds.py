@@ -22,45 +22,46 @@ R22's own texts are written in one place per shape, `_r22_zero_own`
 kinds), and pass through `_certificate` for `best_bound` and
 `bound_from_seppoly` alike.  R22 draws its separating polynomials from
 two candidates in non-decreasing degree: the plain residues, then the
-closed superinterval of their hull.  For the difference and Hamming
-kinds, `_zero_separation_candidates` yields them as root runs (maximal
-ranges (lo, hi) of consecutive roots), the closure computed only when a
-caller asks past the plain residues, and R22's choice among them is
-written once, `_r22_zero_choice`: the candidate of least bound, given a
-judge.  For the intersecting kinds each residue alpha outside L takes
-the plain reflected roots (alpha - L) mod q if they separate, else the
-closure of their hull, which always does.  That choice is written once
-too, `_r22_per_alpha_choice`, from the minimum of v_p(g_L) over residue
-classes, g_L the monic polynomial with roots L: the plain candidate of
-every alpha reflects g_L, so g_L's minima over L and over alpha decide
-it.  For either shape `best_bound` and `bound_from_seppoly` differ only
-in the judge, or the class minima, they pass.
+closed superinterval of their hull.  Only the plain residues are ever
+judged.  The closure always separates, with both shifted conditions and
+v_p(g(0)) = v_p(l!) for its l roots, by the proof below, so it is taken
+on that proof wherever R22 picks it.  For the difference and Hamming
+kinds R22's choice is written once, `_r22_zero_choice`: the candidate of
+least bound, given the plain residues' judgement.  For the intersecting
+kinds each residue alpha outside L takes the plain reflected roots
+(alpha - L) mod q if they separate, else the closure of their hull.
+That choice is written once too, `_r22_per_alpha_choice`, from the
+minimum of v_p(g_L) over residue classes, g_L the monic polynomial with
+roots L: the plain candidate of every alpha reflects g_L, so g_L's
+minima over L and over alpha decide it.  For either shape `best_bound`
+and `bound_from_seppoly` differ only in the judgement, or the class
+minima, they pass.
 
-Both candidates are monic with distinct roots in [1, q-1], so
-`best_bound` judges each from its runs and one table W[x] = min(v_p(x), k)
-on [0, q-1]: v_p(g(0)) is the sum of W[r], and the minimum of v_p(g) over
-class c the sum of W[(c - r) mod q], over the roots r.  `_run_minima`
-reads each run as one range sum of W's prefix sums, for the classes of L
-(separation) and of (r -+ 1) mod q (the shifted side conditions), and
-reads g_L's minima the same way.  The table holds 2q + 1 entries, so R22
-needs q <= 2^22 (`_MAX_TABLE_Q`) as a hypothesis of its own: above it
+`best_bound` reads every class minimum it needs from one list,
+`_class_minima`: for a monic g with distinct roots in [0, q-1], the
+minimum of v_p(g) over class c is M[c], the sum over the roots r of
+min(v_p(c - r), k), that is the sum over j = 1..k of #{r == c mod p^j}.
+The plain residues are judged by v0 = M[0] against M over the classes of
+L (separation) and of (r -+ 1) mod q (the shifted side conditions), and
+g_L's minima are M over L and over each alpha.  M holds q entries, so
+R22 needs q <= 2^22 (`_MAX_TABLE_Q`) as a hypothesis of its own: above it
 neither R22 rule yields a certificate, and the other rules answer.  A
 polynomial is built only for the evidence of the difference or Hamming
 candidate that wins; the intersecting evidence is degrees alone.
-`bound_from_seppoly` is R22's checker.  It reads no table: for the
-difference and Hamming kinds it judges each polynomial, by default R22's
-own choice, by `seppoly`'s digit recursion (`check_separation`), so its
-default answers above q = 2^22 too.  There, once the plain residues
-separate, a closure of more than 2^22 roots is not judged, so that
-polynomial is never built.  Each default candidate is judged at most
-once.  For the intersecting kinds its default reads g_L's minimum over
-every residue class by `min_valuation_over_class`, about q |L| root
-steps, and passes them to `_r22_per_alpha_choice`; a closure is taken on
-the proof below, which `TestClosureSeparates` checks through the digit
-recursion on all 7,582 closures at q <= 49.  Given per-alpha polynomials
-are each judged by `separates` in alpha's frame.  Wherever R22 fires the
-default certificate is `best_bound`'s R22 (for the intersecting kinds,
-its bound and evidence; the wording says "verified").
+`bound_from_seppoly` is R22's checker.  It reads no list: for the
+difference and Hamming kinds it judges the plain residues, or a given
+polynomial, by `seppoly`'s digit recursion (`check_separation`), so its
+default answers above q = 2^22 too.  There a closure of more than 2^22
+roots is never built: the plain residues stand if they separate, and a
+ValueError names the closure if they do not.  For the intersecting kinds
+its default reads g_L's minimum over every residue class by
+`min_valuation_over_class`, about q |L| root steps, and passes them to
+`_r22_per_alpha_choice`.  `TestClosureSeparates` checks the proof below
+through the digit recursion on all 7,582 closures at q <= 49.  Given
+per-alpha polynomials are each judged by `separates` in alpha's frame.
+Wherever R22 fires the default certificate is `best_bound`'s R22 (for
+the intersecting kinds, its bound and evidence; the wording says
+"verified").
 
 Two candidates suffice, because the closure always separates.  Let
 C = [b-l+1, b] be q-closed with l <= q-1, and g_C the monic polynomial
@@ -98,8 +99,8 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
 from math import comb
+from operator import add
 
 from .closure import IntervalL, closure_length_bound, q_closure
 from .families import ConstraintSpec, Kind
@@ -372,64 +373,36 @@ def _r9(ctx: _Ctx):
     yield texts, binom_sum(ctx.n, 0, 2 ** (s - 1), "n"), None
 
 
-def _runs(residues) -> list[tuple[int, int]]:
-    """The maximal runs (lo, hi) of consecutive integers among the sorted
-    distinct `residues`."""
-    runs: list[tuple[int, int]] = []
-    for r in residues:
-        if runs and runs[-1][1] == r - 1:
-            runs[-1] = (runs[-1][0], r)
-        else:
-            runs.append((r, r))
-    return runs
-
-
-def _run_poly(runs) -> FactoredIntPoly:
-    """The monic polynomial whose roots are the integers of the runs."""
-    return FactoredIntPoly(1, tuple(r for lo, hi in runs for r in range(lo, hi + 1)))
-
-
-def _zero_separation_candidates(pp: PrimePower, L: tuple[int, ...]):
-    """The two candidates, as (label, root runs), for separating 0 from
-    the sorted residues L within [1, q-1]: the plain root set, then the
-    closed superinterval of its hull, one run, which always separates (see
-    the module docstring).  The degree does not decrease, since L lies in
-    its hull and the hull in its closure.  Lazy: the closure is computed
-    only when a caller asks past the plain root set."""
-    yield "given residues", _runs(L)
-    closed = q_closure(pp, IntervalL(L[0], L[-1]))
-    yield f"closed superinterval {closed}", [(closed.lo, closed.hi)]
-
-
-# The valuation table holds 2q + 1 prefix sums: at q = 2^22 one `bound`
-# takes about 1 s and 430 MB.  R22 needs q at most this; the lists of the
-# q - |L| residues outside an intersecting L are refused above it too.
+# R22's class minima are a list of q entries: at q = 2^22 a diff-Sperner
+# `bound` takes about 0.7 s and 190 MB, an intersecting-uniform one 2.6 s and
+# 570 MB (2-core x86-64).  R22 needs q at most this; the lists of the
+# q - |L| residues outside an intersecting L are refused above it too, and
+# no R22 choice builds a closure of more roots.
 _MAX_TABLE_Q = 1 << 22
 
 
-def _valuation_sums(pp: PrimePower) -> list[int]:
-    """Prefix sums over [0, 2q) of W[x mod q], W[x] = min(v_p(x), k) on
-    [0, q-1] (so W[0] = k): entry i is the sum of the first i terms."""
-    W = [0] * pp.q
-    for j in range(1, pp.k + 1):
-        for x in range(0, pp.q, pp.p**j):
-            W[x] += 1
-    return list(accumulate(W + W, initial=0))
-
-
-def _run_minima(P: list[int], runs, classes) -> tuple[int, list[int]]:
-    """v_p(g(0)) and the minimum of v_p(g) over each residue class c in
-    `classes`, for the monic g whose roots are the integers of the
-    disjoint `runs` (lo, hi) within [0, q-1], and P from `_valuation_sums`
-    (v_p(g(0)) needs 0 not a root).  Class c's minimum is the sum of
-    W[(c - r) mod q] over the roots r: a run [lo, hi] adds
-    P[c - lo + q + 1] - P[c - hi + q]."""
-    q, v0, minima = len(P) // 2, 0, [0] * len(classes)
-    for lo, hi in runs:
-        v0 += P[hi + 1] - P[lo]
-        a, b = q + 1 - lo, q - hi
-        minima = [m + P[c + a] - P[c + b] for m, c in zip(minima, classes)]
-    return v0, minima
+def _class_minima(pp: PrimePower, roots) -> list[int]:
+    """The list M over c in [0, q-1] of the sum of min(v_p(c - r), k) over
+    the distinct residues `roots` in [0, q-1]: the minimum of v_p(g) over
+    class c for the monic g with those roots, as a class holds at most one
+    of them.  The sum is that over j = 1..k of #{r == c mod p^j}, so the
+    roots' indicator is folded from mod p^k down to mod p, then the counts
+    are summed back up, in O(q)."""
+    p = pp.p
+    counts = [0] * pp.q
+    for r in roots:
+        counts[r] = 1
+    levels = []  # the roots counted mod p^k, p^(k-1), ..., p^2
+    while len(counts) > p:
+        levels.append(counts)
+        width = len(counts) // p
+        folded = counts[:width]
+        for i in range(width, len(counts), width):
+            folded = list(map(add, folded, counts[i : i + width]))
+        counts = folded
+    for level in reversed(levels):
+        counts = list(map(add, counts * p, level))
+    return counts
 
 
 def _r22_column(kind: Kind, shifted: bool) -> str:
@@ -459,48 +432,52 @@ def _r22_zero_own(ctx: _Ctx, g: FactoredIntPoly, v0: int, minus_ok, plus_ok, lab
     return texts, binom_sum(ctx.n, 0, g.degree, column), aux
 
 
-def _r22_zero_choice(ctx: _Ctx, judge):
+def _r22_plain(pp: PrimePower, L: tuple[int, ...]):
+    """(v0, minus_ok, plus_ok) for the monic polynomial g with the sorted
+    residues L in [1, q-1] as roots, or None when g does not separate 0
+    from L: `check_separation`'s answer, read from `_class_minima`."""
+    M, q = _class_minima(pp, L), pp.q
+    v0 = M[0]
+    if v0 >= min(M[r] for r in L):
+        return None
+    return v0, v0 <= min(M[r - 1] for r in L), v0 <= min(M[(r + 1) % q] for r in L)
+
+
+def _r22_zero_choice(ctx: _Ctx, plain):
     """R22's own texts, bound and evidence for the difference and Hamming
-    kinds: the candidate of least bound, the earlier on a tie.
-    `judge(runs)` gives (v0, minus_ok, plus_ok) for the candidate with
-    those root runs, v0 = v_p(g(0)) and its two shifted side conditions,
-    or None when it does not separate 0 from L.  A higher degree with the
-    n-1 column can beat a lower one without it, so the closure is judged
-    unless even its best column cannot beat the plain residues, and when
-    it is judged it wins: it always separates, with both shifted
-    conditions.  Once a candidate separates, one of more than
-    `_MAX_TABLE_Q` roots is not judged: that polynomial is never built,
-    and it can arise only above q = 2^22, where the table's R22 abstains."""
-    best_column = _r22_column(ctx.kind, shifted=True)
-    best = None  # (bound, label, runs, judged)
-    for label, runs in _zero_separation_candidates(ctx.pp, ctx.L):
-        degree = sum(hi - lo + 1 for lo, hi in runs)
-        if best is not None and (
-            degree > _MAX_TABLE_Q or binom_sum(ctx.n, 0, degree, best_column).value >= best[0].value
-        ):
-            break
-        judged = judge(runs)
-        if judged is not None:
-            bound = binom_sum(ctx.n, 0, degree, _r22_column(ctx.kind, judged[1] or judged[2]))
-            best = bound, label, runs, judged
-    _, label, runs, judged = best
-    return _r22_zero_own(ctx, _run_poly(runs), *judged, label)
+    kinds, given `plain`: (v0, minus_ok, plus_ok) for the monic polynomial
+    with the plain residues L as roots, v0 = v_p(g(0)) and its two shifted
+    side conditions, or None when it does not separate 0 from L.
+
+    The other candidate, the closure C of L's hull, is not judged: it
+    separates with v0 = v_p(|C|!) and both shifted conditions (see the
+    module docstring).  A higher degree with the n-1 column can beat a
+    lower one without it, so C is taken whenever its bound is below the
+    plain residues', and always when they do not separate; the earlier
+    wins a tie.  A closure of more than `_MAX_TABLE_Q` roots is never
+    built: the plain residues are kept if they separate, and otherwise a
+    ValueError names the closure.  Only the checker meets it, above
+    q = 2^22, where the portfolio's R22 abstains."""
+    closed = q_closure(ctx.pp, IntervalL(ctx.L[0], ctx.L[-1]))
+    if plain is not None:
+        bound = binom_sum(ctx.n, 0, len(ctx.L), _r22_column(ctx.kind, plain[1] or plain[2]))
+        closed_bound = binom_sum(ctx.n, 0, closed.size, _r22_column(ctx.kind, True))
+        if closed.size > _MAX_TABLE_Q or closed_bound.value >= bound.value:
+            return _r22_zero_own(ctx, FactoredIntPoly(1, ctx.L), *plain, "given residues")
+    elif closed.size > _MAX_TABLE_Q:
+        raise ValueError(
+            f"the given residues do not separate 0 from L modulo {ctx.pp.q}, and their closed "
+            f"superinterval {closed} has {closed.size} roots, above the limit {_MAX_TABLE_Q}"
+        )
+    g = FactoredIntPoly(1, tuple(range(closed.lo, closed.hi + 1)))
+    v0 = vp_factorial(ctx.pp.p, closed.size)
+    return _r22_zero_own(ctx, g, v0, True, True, f"closed superinterval {closed}")
 
 
 def _r22_zero(ctx: _Ctx):
-    # Judged from the valuation table over the classes L, then (r - 1) mod q
-    # and (r + 1) mod q for r in L; only the winner's polynomial is built,
-    # for its evidence.
     if ctx.pp.q > _MAX_TABLE_Q:
         return
-    P, L, s, q = _valuation_sums(ctx.pp), ctx.L, len(ctx.L), ctx.pp.q
-    classes = [*L, *((r - 1) % q for r in L), *((r + 1) % q for r in L)]
-
-    def judge(runs):
-        v0, m = _run_minima(P, runs, classes)
-        return (v0, v0 <= min(m[s : 2 * s]), v0 <= min(m[2 * s :])) if v0 < min(m[:s]) else None
-
-    yield _r22_zero_choice(ctx, judge)
+    yield _r22_zero_choice(ctx, _r22_plain(ctx.pp, ctx.L))
 
 
 # --- non-modular difference / close-Sperner rules ---------------------------
@@ -612,11 +589,11 @@ def _r22_per_alpha_choice(ctx: _Ctx, minima) -> dict[int, int]:
 
 
 def _r22_intersecting(ctx: _Ctx):
-    # g_L's class minima read from the valuation table
+    # g_L's class minima read from one list
     if ctx.pp.q > _MAX_TABLE_Q:
         return
-    P, runs = _valuation_sums(ctx.pp), _runs(ctx.L)
-    degrees = _r22_per_alpha_choice(ctx, lambda classes: _run_minima(P, runs, classes)[1])
+    M = _class_minima(ctx.pp, ctx.L)
+    degrees = _r22_per_alpha_choice(ctx, lambda classes: [M[c] for c in classes])
     if degrees:
         wording = "a separating polynomial was constructed for every residue outside L"
         yield _r22_per_alpha_own(ctx, degrees, wording)
@@ -776,31 +753,30 @@ def bound_from_seppoly(
     per_alpha: dict[int, FactoredIntPoly] | None = None,
 ) -> BoundCertificate:
     """R22's certificate from separating polynomials, checked by `seppoly`'s
-    digit recursion rather than the portfolio's valuation table.
+    digit recursion rather than the portfolio's list of class minima.
 
     Difference/Hamming kinds need one polynomial g separating 0 from L mod q;
     a shifted separation upgrades the column to n-1.  Intersecting kinds
     need one polynomial per residue alpha outside L, and the bound uses the
     maximum degree.  With no polynomial given, the checker makes R22's own
-    choice.  For g it takes, among `_zero_separation_candidates`, the one
-    of least bound by `check_separation`'s reports, judging each at most
-    once, so the certificate is `best_bound`'s R22, candidate label
-    included (once the plain roots separate, a closure of more than 2^22
-    roots is not judged).  For the alphas it reads g_L's minimum over
-    every residue class by `min_valuation_over_class` and makes
-    `_r22_per_alpha_choice` from them: |L| where the plain reflected
-    roots separate, else the size of the reflected closure of their
-    hull, which separates by the module docstring's proof (checked
-    through the digit recursion on every closure at q <= 49 in
-    `TestClosureSeparates`).  Given per-alpha polynomials are each judged
-    by `separates` in alpha's frame.  Raises SeparationFailure naming the
-    failing class when a polynomial does not separate, and naming alpha
-    when a per-alpha polynomial is missing, or separates but has a root
-    congruent to alpha, and ValueError for a polynomial argument the kind
-    does not read or an intersecting q above 2^22, whose residues outside
-    L are not listed.  For given polynomials the certificate is R22's, as
-    `best_bound` would state it for the same polynomials without a
-    candidate label.
+    choice.  For g it judges the plain residues by `check_separation` and
+    makes `_r22_zero_choice` from that report, so the certificate is
+    `best_bound`'s R22, candidate label included.  For the alphas it reads
+    g_L's minimum over every residue class by `min_valuation_over_class`
+    and makes `_r22_per_alpha_choice` from them: |L| where the plain
+    reflected roots separate, else the size of the reflected closure of
+    their hull.  Neither choice judges a closure: it separates by the
+    module docstring's proof (checked through the digit recursion on every
+    closure at q <= 49 in `TestClosureSeparates`).  Given per-alpha
+    polynomials are each judged by `separates` in alpha's frame.  Raises
+    SeparationFailure naming the failing class when a polynomial does not
+    separate, and naming alpha when a per-alpha polynomial is missing, or
+    separates but has a root congruent to alpha, and ValueError for a
+    polynomial argument the kind does not read, an intersecting q above
+    2^22, whose residues outside L are not listed, or a default choice
+    that would need a closure of more than 2^22 roots.  For given
+    polynomials the certificate is R22's, as `best_bound` would state it
+    for the same polynomials without a candidate label.
     """
     if spec.modulus is None:
         raise ValueError("bound_from_seppoly needs a modular constraint")
@@ -813,12 +789,9 @@ def bound_from_seppoly(
         if per_alpha is not None:
             raise ValueError(f"kind {spec.kind.value} takes one polynomial g, not per_alpha")
         if g is None:
-
-            def judge(runs):
-                rep = check_separation(pp, _run_poly(runs), 0, L)
-                return (rep.v0, rep.shifted_minus_ok, rep.shifted_plus_ok) if rep.separates else None
-
-            return _certificate(ctx, _R22_ZERO, *_r22_zero_choice(ctx, judge))
+            rep = check_separation(pp, FactoredIntPoly(1, L), 0, L)
+            plain = (rep.v0, rep.shifted_minus_ok, rep.shifted_plus_ok) if rep.separates else None
+            return _certificate(ctx, _R22_ZERO, *_r22_zero_choice(ctx, plain))
         rep = check_separation(pp, g, 0, L)
         if not rep.separates:
             ell = _first_failing_class(rep)
@@ -836,7 +809,7 @@ def bound_from_seppoly(
         if q > _MAX_TABLE_Q:
             raise ValueError(f"q = {q} is above {_MAX_TABLE_Q}, the limit of the residues to list outside L")
         if per_alpha is None:
-            # g_L's class minima by the digit recursion, never the table
+            # g_L's class minima by the digit recursion, never the list
             g_L = FactoredIntPoly(1, L)
             degrees = _r22_per_alpha_choice(
                 ctx, lambda classes: [min_valuation_over_class(pp, g_L, c) for c in classes]

@@ -13,9 +13,11 @@ stops at the first residue class whose minimum is not above v_p(g(alpha))
 and never evaluates the side conditions, so callers that only ask
 whether a polynomial separates (`search_min_degree`, and R22's checker
 on the given polynomial of each residue outside an intersecting L) pay
-for one class at a time.  The bound engine's portfolio reads its own
-candidates from a valuation table instead; R22's checker
-`bounds.bound_from_seppoly` and the CLI judge polynomials with these.
+for one class at a time.  The bound engine's portfolio reads the class
+minima of its plain candidates from one list instead
+(`bounds._class_minima`); R22's checker `bounds.bound_from_seppoly` and
+the CLI judge polynomials with these.  v_p(g(alpha)) is read root by
+root, v_p(lead) plus each v_p(alpha - r), never from the product g(alpha).
 The checker's own intersecting choice needs no polynomial per residue:
 it reads the minimum of one polynomial, g_L with roots L, over every
 residue class by `min_valuation_over_class`.
@@ -180,9 +182,19 @@ def _separation_inputs(pp: PrimePower, alpha: int, L) -> list[int]:
 
 
 def _value_valuation(pp: PrimePower, g: FactoredIntPoly, alpha: int) -> int | float:
-    """v_p(g(alpha)); pp is a validated PrimePower, so p is not re-tested."""
-    value = g(alpha)
-    return _vp_int(pp.p, value) if value else INFINITY
+    """v_p(g(alpha)), or INFINITY when alpha is a root: v_p(lead) plus
+    v_p(alpha - r) over the roots r, each counted in place, so the product
+    g(alpha) is never formed."""
+    p = pp.p
+    total = _vp_int(p, g.lead)
+    for r in g.roots:
+        d = alpha - r
+        if not d:
+            return INFINITY
+        while d % p == 0:
+            d //= p
+            total += 1
+    return total
 
 
 def check_separation(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -439,6 +440,20 @@ class TestBoundFromSeppoly:
         assert (cert.bound.value, cert.auxiliary["roots"]) == (7, [1, half])
         assert ("candidate roots from given residues", True) in cert.hypotheses
 
+    def test_closure_above_the_table_limit_refused(self):
+        # the plain roots fail at q = 2^40: v_p(g(0)) = 37 + 38 + 39 = 114,
+        # class 2^37's minimum; their closure {1..2^39} is never built
+        q = 1 << 40
+        L = {1 << 37, 1 << 38, 1 << 39}
+        g = FactoredIntPoly(1, tuple(sorted(L)))
+        assert min_valuation_over_class(PP(q), g, 1 << 37) == vp(2, g(0)) == 114
+        with pytest.raises(
+            ValueError,
+            match=r"^the given residues do not separate 0 from L modulo 1099511627776, and their closed "
+            r"superinterval \{1\.\.549755813888\} has 549755813888 roots, above the limit 4194304$",
+        ):
+            bound_from_seppoly(spec_of(Kind.DIFF_SPERNER, 20, L, q=q))
+
     def test_intersecting_above_the_list_limit(self):
         # refused before the q - 2 residues outside L are listed
         spec = spec_of(Kind.INTERSECTING, 20, {0, 1}, q=1 << 40)
@@ -673,8 +688,8 @@ def prime_powers(limit):
 
 
 class TestR22Table:
-    """The intersecting R22 degrees, read from one valuation table per
-    modulus, equal those of `bound_from_seppoly`, which reads g_L's class
+    """The intersecting R22 degrees, read from g_L's list of class minima,
+    equal those of `bound_from_seppoly`, which reads g_L's class
     minima by the digit recursion, and both equal the reference route,
     which judges each candidate with `separates`."""
 
@@ -713,7 +728,7 @@ class TestR22Table:
         # the limit is inclusive: both R22 routes are granted at it and
         # abstain above it, where the other rules still answer
         monkeypatch.setattr(bounds, "_MAX_TABLE_Q", 25)
-        assert len(bounds._valuation_sums(PP(25))) == 2 * 25 + 1
+        assert len(bounds._class_minima(PP(25), (1, 2))) == 25
         for kind in (Kind.DIFF_SPERNER, Kind.HAMMING, Kind.INTERSECTING):
             for q, granted in ((25, True), (27, False)):
                 ids = [c.theorem_id for c in best_bound(spec_of(kind, 10, (1, 2), q=q))[1]]
@@ -722,7 +737,7 @@ class TestR22Table:
 
 class TestClosureSeparates:
     """The proof in the `bounds` docstring, read through `seppoly`'s digit
-    recursion rather than the valuation table: the closure C of every
+    recursion rather than the list of class minima: the closure C of every
     interval in [1, q-1] separates 0 from its own residues, with both
     shifted conditions, and v_p(g_C(0)) = v_p(|C|!)."""
 
@@ -755,46 +770,55 @@ def run_root_sets(q, rng):
     return sets
 
 
-class TestRunMinima:
-    """`bounds._run_minima` reads v_p(g(0)) and every class minimum from
-    a polynomial's root runs and the valuation prefix sums; the digit
+class TestClassMinima:
+    """`bounds._class_minima` lists the minimum of v_p(g) over every
+    residue class for the monic g with the given distinct roots; the digit
     recursion of `seppoly` is the oracle."""
 
     def test_matches_min_valuation_over_class(self):
         rng = random.Random(49)
         for q in prime_powers(49):
             pp = PP(q)
-            P = bounds._valuation_sums(pp)
-            for roots in run_root_sets(q, rng):
-                g = FactoredIntPoly(1, tuple(sorted(roots)))
+            # sets holding 0, as an intersecting L may
+            some = rng.sample(range(1, q), rng.randint(0, q - 1))
+            with_zero = [(0,), tuple(range(q)), tuple(sorted({0, *some}))]
+            for roots in run_root_sets(q, rng) + with_zero:
+                g = FactoredIntPoly(1, roots)
                 expected = [min_valuation_over_class(pp, g, c) for c in range(q)]
-                # maximal runs, and the same roots as runs of one root each
-                for runs in (bounds._runs(roots), [(r, r) for r in roots]):
-                    v0, minima = bounds._run_minima(P, runs, range(q))
-                    assert v0 == vp(pp.p, g(0)), (q, roots)
-                    assert minima == expected, (q, roots)
+                assert bounds._class_minima(pp, roots) == expected, (q, roots)
 
-    def test_runs_are_maximal(self):
-        assert bounds._runs((1, 2, 3, 5, 7, 8)) == [(1, 3), (5, 5), (7, 8)]
-        assert bounds._runs((4,)) == [(4, 4)]
-        for runs in ([(1, 3), (5, 5), (7, 8)], [(2, 9)]):
-            roots = bounds._run_poly(runs).roots
-            assert bounds._runs(roots) == runs
-
-    def test_matches_check_separation_on_candidates(self):
+    def test_plain_judge_matches_check_separation(self):
+        # `_r22_zero`'s judgement of the plain residues from the list is
+        # the one the checker takes from `check_separation`
         rng = random.Random(7)
         for q in prime_powers(49):
             pp = PP(q)
-            P = bounds._valuation_sums(pp)
             for roots in run_root_sets(q, rng):
-                for _, runs in bounds._zero_separation_candidates(pp, roots):
-                    g = bounds._run_poly(runs)
-                    rep = check_separation(pp, g, 0, roots)
-                    v0, minima = bounds._run_minima(P, runs, roots)
-                    assert (v0, v0 < min(minima)) == (rep.v0, rep.separates), (q, roots)
-                    for d, ok in ((-1, rep.shifted_minus_ok), (1, rep.shifted_plus_ok)):
-                        shifted = bounds._run_minima(P, runs, [(r + d) % q for r in roots])[1]
-                        assert (v0 <= min(shifted)) == ok, (q, roots, d)
+                rep = check_separation(pp, FactoredIntPoly(1, roots), 0, roots)
+                expected = (rep.v0, rep.shifted_minus_ok, rep.shifted_plus_ok) if rep.separates else None
+                assert bounds._r22_plain(pp, roots) == expected, (q, roots)
+
+
+class TestFrontier:
+    """Portfolios with L the odd residues at n = 40: difference and Hamming
+    modulo 2^14, intersecting modulo 2^12.  The plain roots are q/2
+    residues, none adjacent; reading them as runs of consecutive roots
+    took 20-25 s per difference or Hamming spec, and the digests were
+    taken on that reading."""
+
+    @pytest.mark.parametrize(
+        "kind, q, digest",
+        [
+            (Kind.DIFF_SPERNER, 16384, "d948c0fd00001ab5ae699a3425e1b63b26d31dbd7885a92177db0fe0d6eb0d9a"),
+            (Kind.HAMMING, 16384, "140de9510e8124dae2a20d39fdcb59e2fd094dda13a66d5267bc68552ae8f009"),
+            (Kind.INTERSECTING, 4096, "679b9b6977f80d6564e2b900863f27d7736a6b113b6a0a96df32cdbb0093a293"),
+        ],
+        ids=["diff-sperner", "hamming", "intersecting"],
+    )
+    def test_odd_residues(self, kind, q, digest):
+        certs = best_bound(spec_of(kind, 40, range(1, q, 2), q=q))[1]
+        assert "R22" in [c.theorem_id for c in certs]
+        assert hashlib.sha256(repr(certs).encode()).hexdigest() == digest
 
 
 # One spec per route through the rule portfolio (modular, lifted, direct

@@ -134,7 +134,7 @@ class TestCommands:
         assert doc["payload"]["closure"] == {"lo": 5, "hi": 6}
 
     def test_bound_table_size_limit(self, capsys):
-        """R22's valuation table at 4294967291^2 would need 2q + 1 entries:
+        """R22's list of class minima at 4294967291^2 would need q entries:
         R22 abstains before it is built, and the other rules answer."""
         q = 4294967291**2
         code, doc = run_json(capsys, ["bound", "--kind", "diff-sperner", "--q", str(q), "--L", "1,2", "--n", "20"])
@@ -272,6 +272,18 @@ class TestCommands:
         )
         assert doc["payload"]["separates"] is True
         assert doc["payload"]["shifted_minus_ok"] is True
+
+    def test_seppoly_check_many_roots(self, capsys):
+        # 65,536 roots at q = 2^22: v_2(g(0)) = v_2(65537!) is read root
+        # by root, and ties class 1's minimum v_2(65536!)
+        argv = ["seppoly", "check", "--q", "4194304", "--alpha", "0", "--L", "1", "--roots", "2..65537"]
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_OK
+        payload = doc["payload"]
+        assert payload["poly"]["roots"] == list(range(2, 65538))
+        assert (payload["v0"], payload["class_minima"]) == (65535, {"1": 65535})
+        assert payload["separates"] is False
+        assert payload["shifted_minus_ok"] and payload["shifted_plus_ok"]
 
     def test_seppoly_find(self, capsys):
         code, doc = run_json(
@@ -439,6 +451,21 @@ class TestCommands:
         assert code == EXIT_OK
         assert built == [(1, 1 << 39)]
         assert doc["payload"]["total_polys"] == 5
+
+    def test_verify_refuses_a_closure_above_the_table_limit(self, tmp_path, capsys):
+        """At q = 2^40 the plain roots 2^37, 2^38, 2^39 do not separate, and
+        their closure {1..2^39} is named, not built."""
+        fam = tmp_path / "fam.txt"
+        fam.write_text("{1}\n{2,3}\n")
+        L = f"{1 << 37},{1 << 38},{1 << 39}"
+        argv = ["verify", "--kind", "diff-sperner", "--file", str(fam), "--q", str(1 << 40), "--L", L]
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_USAGE
+        assert doc["status"] == "error"
+        assert doc["diagnostics"] == [
+            "the given residues do not separate 0 from L modulo 1099511627776, and their closed "
+            "superinterval {1..549755813888} has 549755813888 roots, above the limit 4194304"
+        ]
 
     def test_verify_over_a_large_ground_set(self, tmp_path, capsys):
         """Three polynomials over 300,000 elements: the system lists only

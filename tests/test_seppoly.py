@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qsperner.padic import INFINITY, PrimePower
+from qsperner.padic import INFINITY, PrimePower, vp
 from qsperner.seppoly import (
     FactoredIntPoly,
     SearchBudgetExhausted,
     _joint_min,
     _root_factors,
+    _value_valuation,
     check_separation,
     degree_upper_bound,
     min_valuation_over_class,
@@ -158,6 +159,32 @@ class TestSeparation:
         pp = PrimePower.from_q(4)
         rep = check_separation(pp, FactoredIntPoly(1, (1, 2)), 0, {1, 2})
         assert set(rep.class_minima) == {1, 2}
+
+
+class TestValueValuation:
+    """v_p(g(alpha)) read root by root equals `vp` of the product."""
+
+    def test_matches_vp_of_the_value(self):
+        rng = random.Random(31)
+        for q in (2, 4, 9, 25, 27, 32, 49, 1 << 22):
+            pp = PrimePower.from_q(q)
+            for _ in range(40):
+                lead = rng.choice([1, -1, pp.p, -(pp.p**3) * 7, rng.randint(-10**6, 10**6) or 1])
+                roots = tuple(rng.randint(-3 * q, 3 * q) for _ in range(rng.randint(0, 8)))
+                alpha = rng.choice([rng.randint(-3 * q, 3 * q), *roots[:1]])
+                g = FactoredIntPoly(lead, roots)
+                assert _value_valuation(pp, g, alpha) == vp(pp.p, g(alpha)), (q, g, alpha)
+
+    def test_root_at_alpha(self):
+        pp = PrimePower.from_q(8)
+        assert _value_valuation(pp, FactoredIntPoly(-4, (3, 5, 5)), 5) == INFINITY
+
+    def test_many_roots(self):
+        # 2^14 roots at q = 2^22, where the product g(0) = (2^14)! has
+        # about 62,000 digits
+        pp = PrimePower.from_q(1 << 22)
+        g = FactoredIntPoly(1, tuple(range(1, 1 << 14 | 1)))
+        assert _value_valuation(pp, g, 0) == (1 << 14) - 1  # v_2((2^14)!)
 
 
 PRIME_POWERS = [PrimePower.from_q(q) for q in (2, 3, 4, 5, 8, 9, 16, 25, 27)]
