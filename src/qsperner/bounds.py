@@ -243,12 +243,15 @@ class _Ctx:
         L, s = self.L, len(self.L)
         self.kind_hyp = _kind_hyp(self)
         self.interval = IntervalL(L[0], L[-1]) if L[0] >= 1 and L[-1] - L[0] + 1 == s else None
-        # L is an interval modulo q, wrap-around allowed, when at most one
-        # of its s cyclic steps L[i] -> L[i+1] skips a residue
+        # L is an interval modulo q, wrap-around allowed, when it is a plain
+        # interval or runs 0..a-1 and then on from L[a] up to q - 1; L[i] - i
+        # never falls, so L[i] == i exactly on the prefix i < a (and a < s
+        # unless L = 0..s-1, a plain interval)
         self.mod_interval = None
         if self.pp is not None:
-            skips = sum(b != a + 1 for a, b in zip(L, L[1:])) + (L[-1] + 1 != L[0] + self.pp.q)
-            self.mod_interval = s if skips <= 1 else None
+            a = bisect_left(range(s), 1, key=lambda i: L[i] - i)
+            if L[-1] - L[0] + 1 == s or (L[-1] == self.pp.q - 1 and L[-1] - L[a] + 1 == s - a):
+                self.mod_interval = s
 
 
 @dataclass(frozen=True)

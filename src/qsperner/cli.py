@@ -6,6 +6,15 @@ is written to stdout; otherwise a short human-readable report.  `--help`
 with --json is answered by a document whose payload holds the help text,
 with status "ok" and the subcommand asked of (null at the top level).
 
+The CLI parses input, calls the library and writes one document.  A
+payload holds a library result's own fields beside the CLI's header keys
+(kind, n, q, L): each `BoundCertificate` of `bound`, with its `BinomSum`;
+the `SearchResult` of `search`, its witness as sorted member lists; the
+`RankReport` of `verify`, with the system-build time added to its stats;
+the `ClosedPairCensus` of `census`.  A field added to one of those results
+reaches the payload with no change here.  A negative `seppoly find
+--window` is a usage error.
+
 `main` is the one error boundary: a `ValueError` (a library rejecting an
 input, or the CLI's own `UsageError`) becomes exit 2 with the exception's
 message, as the schema-1 error document or an `error:` line on stderr.
@@ -107,14 +116,19 @@ def _kind(text: str) -> Kind:
         raise UsageError(f"unknown kind {text!r}; choose one of: {names}") from exc
 
 
+def _modulus_and_L(args) -> tuple[PrimePower | None, list[int]]:
+    pp = PrimePower.from_q(args.q) if args.q is not None else None
+    return pp, _parse_L(args.L, pp.q if pp else None) if args.L is not None else []
+
+
 def _build_spec(args, n: int, *, need_L=True) -> ConstraintSpec:
     kind = _kind(args.kind)
-    pp = PrimePower.from_q(args.q) if args.q is not None else None
-    L = frozenset(_parse_L(args.L, pp.q if pp else None)) if args.L is not None else frozenset()
+    pp, L = _modulus_and_L(args)
     if need_L and not L and kind not in (Kind.ANTICHAIN, Kind.INTERSECTING_UNIFORM):
         raise UsageError(f"kind {kind.value} needs --L")
-    residue = getattr(args, "uniform_residue", None)
-    return ConstraintSpec(kind=kind, n=n, L=L, modulus=pp, uniform_residue=residue)
+    return ConstraintSpec(
+        kind=kind, n=n, L=frozenset(L), modulus=pp, uniform_residue=args.uniform_residue
+    )
 
 
 def _read_family(args) -> SetFamily:
@@ -129,7 +143,7 @@ def _read_family(args) -> SetFamily:
         raise UsageError(
             f"cannot read family file {path}: not UTF-8 text ({exc.reason} at offset {exc.start})"
         ) from exc
-    return families.parse_family(text, getattr(args, "n", None))
+    return families.parse_family(text, args.n)
 
 
 @contextlib.contextmanager
@@ -152,17 +166,9 @@ def _val_json(v: int | float) -> int | str:
 
 
 def _cert_json(cert: bounds.BoundCertificate) -> dict:
-    return {
-        "theorem_id": cert.theorem_id,
-        "hypotheses": [[text, ok] for text, ok in cert.hypotheses],
-        "bound": {
-            "lower": cert.bound.lower,
-            "upper": cert.bound.upper,
-            "column": cert.bound.column,
-            "value": cert.bound.value,
-        },
-        "auxiliary": cert.auxiliary,
-    }
+    # vars, not dataclasses.asdict, which deep-copies an auxiliary that can
+    # hold a degree per residue
+    return {**vars(cert), "bound": vars(cert.bound)}
 
 
 def _family_json(fam: SetFamily) -> list[list[int]]:
@@ -190,8 +196,6 @@ def _cmd_binom(args) -> CommandResult:
 
 def _cmd_digits(args) -> CommandResult:
     pp = PrimePower.from_q(args.q)
-    if not 0 <= args.s < pp.q:
-        raise UsageError(f"s = {args.s} out of range [0, {pp.q - 1}]")
     digits = to_digits(pp, args.s)
     human = f"{args.s} = ({','.join(map(str, digits))}) base {pp.p}, width {pp.k}"
     return CommandResult(
@@ -244,22 +248,13 @@ def _cmd_census(args) -> CommandResult:
         f"closed pairs (b, s) with 1 <= s <= b < {pp.q}: {census.count} "
         f"(closed form {census.closed_form}, alt form {census.alt_form})"
     )
-    return CommandResult(
-        "ok",
-        {
-            "q": pp.q,
-            "count": census.count,
-            "closed_form": census.closed_form,
-            "alt_form": census.alt_form,
-        },
-        diagnostics=diag,
-        human=human,
-    )
+    return CommandResult("ok", {"q": pp.q, **vars(census)}, diagnostics=diag, human=human)
 
 
 def _cmd_seppoly(args) -> CommandResult:
     pp = PrimePower.from_q(args.q)
     L = _parse_L(args.L, pp.q)
+    header = {"q": pp.q, "alpha": args.alpha, "L": sorted(set(L))}
     if args.action == "check":
         if not args.roots:
             raise UsageError("seppoly check needs --roots")
@@ -267,9 +262,7 @@ def _cmd_seppoly(args) -> CommandResult:
         g = seppoly.FactoredIntPoly(args.lead, tuple(roots))
         rep = seppoly.check_separation(pp, g, args.alpha, L)
         payload = {
-            "q": pp.q,
-            "alpha": args.alpha,
-            "L": sorted(set(L)),
+            **header,
             "poly": {"lead": g.lead, "roots": list(g.roots)},
             "v0": _val_json(rep.v0),
             "class_minima": {str(k): _val_json(v) for k, v in rep.class_minima.items()},
@@ -282,8 +275,10 @@ def _cmd_seppoly(args) -> CommandResult:
             f"{args.alpha} from L mod {pp.q}"
         )
         return CommandResult("ok", payload, human=human)
+    if args.window is not None and args.window < 0:
+        raise UsageError(f"--window must be non-negative, got {args.window}")
     window = range(0, args.window) if args.window is not None else None
-    searched = {"q": pp.q, "alpha": args.alpha, "L": sorted(set(L)), "max_degree": args.max_degree}
+    searched = {**header, "max_degree": args.max_degree}
     try:
         found = seppoly.search_min_degree(pp, args.alpha, L, args.max_degree, window, args.budget)
     except seppoly.SearchBudgetExhausted as exc:
@@ -296,13 +291,7 @@ def _cmd_seppoly(args) -> CommandResult:
             human=f"no separating polynomial of degree <= {args.max_degree} found",
         )
     g, d = found
-    payload = {
-        "q": pp.q,
-        "alpha": args.alpha,
-        "L": sorted(set(L)),
-        "degree": d,
-        "poly": {"lead": g.lead, "roots": list(g.roots)},
-    }
+    payload = {**header, "degree": d, "poly": {"lead": g.lead, "roots": list(g.roots)}}
     return CommandResult("ok", payload, human=f"degree {d}: {g}")
 
 
@@ -376,15 +365,12 @@ def _cmd_search(args) -> CommandResult:
     spec = _build_spec(args, args.n)
     result = families.max_family(spec, node_budget=args.budget)
     payload = {
+        **vars(result),
         "kind": spec.kind.value,
         "n": spec.n,
         "q": spec.q,
         "L": sorted(spec.L),
-        "max_size": result.max_size,
         "witness": _family_json(result.witness),
-        "nodes_explored": result.nodes_explored,
-        "exact": result.exact,
-        "stats": result.stats,
     }
     status = "ok" if result.exact else "budget-exhausted"
     human = (
@@ -439,9 +425,7 @@ def _cmd_verify(args) -> CommandResult:
             f"verify with {variant} needs --kind {expected.value}, got {kind.value}"
         )
     fam = _read_family(args)
-    n = fam.n
-    pp = PrimePower.from_q(args.q) if args.q is not None else None
-    L = _parse_L(args.L, pp.q if pp else None) if args.L is not None else []
+    pp, L = _modulus_and_L(args)
     if not args.variant and (pp is None or not L):
         raise UsageError("verify needs --q and --L (or --variant sym|close)")
     if args.variant:
@@ -449,7 +433,7 @@ def _cmd_verify(args) -> CommandResult:
         start = perf_counter()
         sys_ = polylab.build_midband_system(fam, s, args.variant)
     else:
-        spec = _build_spec(args, n)
+        spec = ConstraintSpec(kind=kind, n=fam.n, L=frozenset(L), modulus=pp)
         aux = bounds.bound_from_seppoly(spec).auxiliary
         g = seppoly.FactoredIntPoly(aux["lead"], aux["roots"])
         variant = "minus" if aux["shifted_minus_ok"] or not aux["shifted_plus_ok"] else "plus"
@@ -458,17 +442,10 @@ def _cmd_verify(args) -> CommandResult:
     build_s = perf_counter() - start
     report = polylab.verify_independence(sys_)
     payload = {
-        "n": n,
+        **vars(report),
+        "n": fam.n,
         "q": pp.q if pp else None,
         "L": sorted(set(L)),
-        "rank": report.rank,
-        "total_polys": report.total_polys,
-        "full_rank": report.full_rank,
-        "dimension": report.dimension,
-        "block_sizes": report.block_sizes,
-        "pattern": report.pattern,
-        "pattern_ok": report.pattern_ok,
-        "pattern_failures": report.pattern_failures,
         "stats": {**report.stats, "build_s": build_s},
     }
     human = (
@@ -492,25 +469,16 @@ class _HelpRequested(Exception):
         self.text, self.command = text, command
 
 
-class _HelpAction(argparse.Action):
-    """argparse's -h/--help, raising `_HelpRequested` for `main` to answer
-    in place of printing the help and exiting."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        raise _HelpRequested(parser.format_help(), getattr(namespace, "command", None))
-
-
 class _Parser(argparse.ArgumentParser):
     """An argparse parser that reports a bad command line as a `UsageError`
     carrying argparse's own reason, and a request for help as
-    `_HelpRequested`; its subparsers are of this class too."""
+    `_HelpRequested` for `main` to answer; its subparsers are of this
+    class too."""
 
-    def __init__(self, **kwargs):
-        super().__init__(add_help=False, **kwargs)
-        self.add_argument(
-            "-h", "--help", action=_HelpAction, nargs=0, default=argparse.SUPPRESS,
-            help="show this help message and exit",
-        )
+    def print_help(self, file=None):
+        # argparse's -h calls this, then exits; a subparser's prog is
+        # "qsperner <command>"
+        raise _HelpRequested(self.format_help(), self.prog.partition(" ")[2] or None)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -528,10 +496,20 @@ def _build_parser() -> _Parser:
 
     def add(name, handler, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        # the command is a default so that _HelpAction can read it
-        p.set_defaults(handler=handler, command=name)
+        p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true", help="emit one JSON document")
         return p
+
+    def add_spec(p, *, n_required, file=False, residue=True):
+        """The constraint spec's options, with --file after --kind."""
+        p.add_argument("--kind", type=str, required=True)
+        if file:
+            p.add_argument("--file", type=str, required=True)
+        p.add_argument("--n", type=int, required=n_required)
+        p.add_argument("--q", type=int, default=None)
+        p.add_argument("--L", type=str, default=None)
+        if residue:
+            p.add_argument("--uniform-residue", type=int, default=None)
 
     p = add("vp", _cmd_vp, help="p-adic valuation of an integer")
     p.add_argument("--p", type=int, required=True)
@@ -569,12 +547,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--budget", type=int, default=None)
 
-    p = add("bound", _cmd_bound, help="best certified upper bound")
-    p.add_argument("--kind", type=str, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--L", type=str, default=None)
-    p.add_argument("--uniform-residue", type=int, default=None)
+    add_spec(add("bound", _cmd_bound, help="best certified upper bound"), n_required=True)
 
     p = add("table", _cmd_table, help="bound vs brute force over all intervals")
     p.add_argument("--kind", type=str, required=True)
@@ -583,20 +556,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--no-brute", action="store_true")
 
     p = add("search", _cmd_search, help="exact maximum family search")
-    p.add_argument("--kind", type=str, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--L", type=str, default=None)
-    p.add_argument("--uniform-residue", type=int, default=None)
+    add_spec(p, n_required=True)
     p.add_argument("--budget", type=int, default=None)
 
     p = add("check", _cmd_check, help="test a family file against a constraint")
-    p.add_argument("--kind", type=str, required=True)
-    p.add_argument("--file", type=str, required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--L", type=str, default=None)
-    p.add_argument("--uniform-residue", type=int, default=None)
+    add_spec(p, n_required=False, file=True)
 
     p = add("push", _cmd_push, help="push a family into the middle band")
     p.add_argument("--file", type=str, required=True)
@@ -604,11 +568,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=None)
 
     p = add("verify", _cmd_verify, help="rank-verify the proof polynomials")
-    p.add_argument("--kind", type=str, required=True)
-    p.add_argument("--file", type=str, required=True)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--L", type=str, default=None)
-    p.add_argument("--n", type=int, default=None)
+    add_spec(p, n_required=False, file=True, residue=False)
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--variant", choices=["sym", "close"], default=None)
 
@@ -635,33 +595,24 @@ def main(argv: list[str] | None = None) -> int:
             raise SystemExit(EXIT_OK) from None
         result = CommandResult("ok", {"help": request.text}, command=request.command)
     except ValueError as exc:
-        message = str(exc)
-        if want_json:
-            doc = {
-                "schema": SCHEMA_VERSION,
-                "status": "error",
-                "payload": {},
-                "diagnostics": [message],
-            }
-            print(json.dumps(doc, indent=2, sort_keys=True))
-        else:
-            print(f"error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+        result = CommandResult("error", diagnostics=[str(exc)])
     if want_json:
         doc = {
             "schema": SCHEMA_VERSION,
-            "command": result.command,
             "status": result.status,
             "payload": result.payload,
             "diagnostics": result.diagnostics,
         }
+        if result.status != "error":  # an error document names no command
+            doc["command"] = result.command
         with _long_ints():
             print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         if result.human:
             print(result.human)
+        label = "error" if result.status == "error" else "note"
         for diag in result.diagnostics:
-            print(f"note: {diag}", file=sys.stderr)
+            print(f"{label}: {diag}", file=sys.stderr)
     return result.exit_code
 
 

@@ -1,16 +1,18 @@
+import argparse
 import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsperner import polylab
+from qsperner import closure, families, polylab
 from qsperner.bounds import best_bound, binom_sum, bound_from_seppoly
 from qsperner.cli import (
     EXIT_BUDGET,
@@ -345,6 +347,15 @@ class TestCommands:
         code, doc = run_json(capsys, [*argv, "--window", "0"])
         assert code == EXIT_OK
         assert doc["status"] == "infeasible"
+
+    def test_seppoly_find_negative_window(self, capsys):
+        # refused like a negative --budget, not read as the empty window
+        argv = ["seppoly", "find", "--q", "4", "--alpha", "0", "--L", "1..3", "--window", "-5"]
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_USAGE
+        assert doc["diagnostics"] == ["--window must be non-negative, got -5"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --window must be non-negative, got -5\n"
 
     def test_seppoly_find_within_budget(self, capsys):
         argv = ["seppoly", "find", "--q", "4", "--alpha", "0", "--L", "1..3"]
@@ -1033,6 +1044,163 @@ class TestParserReuse:
         assert reused == fresh
         assert [code for code, _ in reused] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
         assert _build_parser.cache_info().misses == 1
+
+
+def as_json(value):
+    """A library value as a JSON document writes it."""
+    return json.loads(json.dumps(value))
+
+
+def untimed(stats: dict) -> dict:
+    return {k: v for k, v in stats.items() if not k.endswith("_s")}
+
+
+def field_names(obj) -> set[str]:
+    return {f.name for f in fields(obj)}
+
+
+class TestPayloadContract:
+    """A payload is the library result's own fields beside the CLI's header
+    keys, each with the value the library gives, timings aside."""
+
+    @pytest.mark.parametrize(
+        "argv, spec",
+        [
+            (["--kind", "diff-sperner", "--q", "4", "--L", "1..3", "--n", "6"],
+             ConstraintSpec(Kind.DIFF_SPERNER, 6, {1, 2, 3}, PrimePower.from_q(4))),
+            (["--kind", "intersecting", "--q", "9", "--L", "1,2", "--n", "8"],
+             ConstraintSpec(Kind.INTERSECTING, 8, {1, 2}, PrimePower.from_q(9))),
+            (["--kind", "intersecting-uniform", "--q", "4", "--uniform-residue", "1", "--n", "6"],
+             ConstraintSpec(Kind.INTERSECTING_UNIFORM, 6, modulus=PrimePower.from_q(4), uniform_residue=1)),
+            (["--kind", "hamming", "--L", "1..3", "--n", "7"], ConstraintSpec(Kind.HAMMING, 7, {1, 2, 3})),
+            (["--kind", "close-sperner", "--L", "1", "--n", "5"], ConstraintSpec(Kind.CLOSE_SPERNER, 5, {1})),
+        ],
+        ids=["diff-sperner", "intersecting", "intersecting-uniform", "hamming", "close-sperner"],
+    )
+    def test_bound(self, capsys, argv, spec):
+        code, doc = run_json(capsys, ["bound", *argv])
+        best, certs = best_bound(spec)
+        payload = doc["payload"]
+        assert code == EXIT_OK
+        for cert, written in zip(certs, payload["certificates"], strict=True):
+            assert set(written) == field_names(cert)
+            assert set(written["bound"]) == field_names(cert.bound)
+        assert payload.pop("best") == as_json(asdict(best))
+        assert payload.pop("certificates") == [as_json(asdict(c)) for c in certs]
+        assert payload == {
+            "kind": spec.kind.value, "n": spec.n, "q": spec.q, "L": sorted(spec.L),
+            "bound": best.bound.value, "theorem_id": best.theorem_id,
+        }
+
+    def test_search(self, capsys):
+        argv = ["search", "--kind", "diff-sperner", "--q", "4", "--L", "1..3", "--n", "5"]
+        code, doc = run_json(capsys, argv)
+        spec = ConstraintSpec(Kind.DIFF_SPERNER, 5, {1, 2, 3}, PrimePower.from_q(4))
+        result = families.max_family(spec)
+        payload = doc["payload"]
+        assert code == EXIT_OK
+        assert set(payload) == field_names(result) | {"kind", "n", "q", "L"}
+        assert set(payload["stats"]) == set(result.stats)
+        assert untimed(payload.pop("stats")) == as_json(untimed(result.stats))
+        assert payload == {
+            "kind": "diff-sperner", "n": 5, "q": 4, "L": [1, 2, 3],
+            "max_size": result.max_size, "witness": [sorted(m) for m in result.witness.sets()],
+            "nodes_explored": result.nodes_explored, "exact": result.exact,
+        }
+
+    @pytest.mark.parametrize(
+        "kind, variant, s",
+        [("diff-sperner", "sym", 2), ("close-sperner", "close", 2)],
+        ids=["sym", "close"],
+    )
+    def test_verify(self, tmp_path, capsys, kind, variant, s):
+        fam = tmp_path / "fam.txt"
+        fam.write_text("{1,2}\n{1,3}\n{2,3}\n")
+        argv = ["verify", "--kind", kind, "--file", str(fam), "--variant", variant, "--s", str(s), "--n", "4"]
+        code, doc = run_json(capsys, argv)
+        family = families.parse_family(fam.read_text(), 4)
+        report = polylab.verify_independence(polylab.build_midband_system(family, s, variant))
+        payload = doc["payload"]
+        assert code == EXIT_OK
+        assert set(payload) == field_names(report) | {"n", "q", "L"}
+        assert set(payload["stats"]) == set(report.stats) | {"build_s"}
+        assert untimed(payload.pop("stats")) == as_json(untimed(report.stats))
+        expected = {f: getattr(report, f) for f in field_names(report) - {"stats"}}
+        assert payload == as_json({**expected, "n": 4, "q": None, "L": []})
+
+    def test_census(self, capsys):
+        code, doc = run_json(capsys, ["census", "--q", "9"])
+        census = closure.count_closed_pairs(PrimePower.from_q(9))
+        assert code == EXIT_OK
+        assert doc["payload"] == {"q": 9, **asdict(census)}
+        assert set(doc["payload"]) == field_names(census) | {"q"}
+
+
+def option(flag, type=int, required=False, default=None, choices=None, nargs=None):
+    """One row of a parser's option table: option strings, dest, type,
+    required, default, choices and nargs."""
+    return (flag,), flag.lstrip("-").replace("-", "_"), type, required, default, choices, nargs
+
+
+def required(flag, type=int):
+    return option(flag, type, required=True)
+
+
+HELP_OPTION = (("-h", "--help"), "help", None, False, argparse.SUPPRESS, None, 0)
+JSON_OPTION = option("--json", None, default=False, nargs=0)
+SPEC_OPTIONS = {required("--kind", str), option("--q"), option("--L", str)}
+COMMANDS = (
+    "vp", "binom", "digits", "closure", "mu", "census", "seppoly", "bound", "table", "search",
+    "check", "push", "verify",
+)
+# every subcommand has HELP_OPTION and JSON_OPTION besides these
+PARSER_OPTIONS = {
+    "vp": {required("--p"), required("--n")},
+    "binom": {required("--p"), required("--a"), required("--b")},
+    "digits": {required("--q"), required("--s")},
+    "closure": {required("--q"), required("--lo"), required("--hi")},
+    "mu": {required("--q"), required("--s")},
+    "census": {required("--q")},
+    "seppoly": {
+        ((), "action", None, True, None, ("check", "find"), None),
+        required("--q"), required("--alpha"), required("--L", str), option("--roots", str),
+        option("--lead", default=1), option("--max-degree", default=3), option("--window"),
+        option("--budget"),
+    },
+    "bound": SPEC_OPTIONS | {required("--n"), option("--uniform-residue")},
+    "table": {
+        required("--kind", str), required("--q"), required("--n"),
+        option("--no-brute", None, default=False, nargs=0),
+    },
+    "search": SPEC_OPTIONS | {required("--n"), option("--uniform-residue"), option("--budget")},
+    "check": SPEC_OPTIONS | {required("--file", str), option("--n"), option("--uniform-residue")},
+    "push": {required("--file", str), required("--s"), option("--n")},
+    "verify": SPEC_OPTIONS | {
+        required("--file", str), option("--n"), option("--s"),
+        option("--variant", None, choices=("sym", "close")),
+    },
+}
+
+
+def option_table(parser) -> set[tuple]:
+    return {
+        (
+            tuple(a.option_strings), a.dest, a.type, a.required, a.default,
+            None if a.choices is None else tuple(a.choices), a.nargs,
+        )
+        for a in parser._actions
+    }
+
+
+def test_parser_options():
+    """Every parser's options, as a table: help may list a subcommand's
+    options in another order, but no option, default or type changes."""
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert option_table(parser) == {HELP_OPTION, ((), "command", None, True, None, COMMANDS, argparse.PARSER)}
+    assert {name: option_table(p) for name, p in sub.choices.items()} == {
+        name: options | {HELP_OPTION, JSON_OPTION} for name, options in PARSER_OPTIONS.items()
+    }
 
 
 def run_module(argv, timeout=60):

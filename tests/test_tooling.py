@@ -1,0 +1,49 @@
+"""The functions the benchmark's tracer and `scripts/cert_digest.py` wrap
+by name all resolve, so a rename fails here rather than in a traced
+benchmark run or a digest."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load(path: Path):
+    """Import the file at path, writing no bytecode; sys.path and the
+    bytecode flag are left as they were found."""
+    saved = sys.dont_write_bytecode, list(sys.path)
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location(f"_tooling_{path.stem}", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode, sys.path[:] = saved
+    return module
+
+
+def perfbench_bytecode() -> set[Path]:
+    return set((ROOT / "perfbench").rglob("*.pyc"))
+
+
+def resolves(module: str, name: str) -> bool:
+    return callable(getattr(importlib.import_module(module), name, None))
+
+
+def test_traced_functions_resolve():
+    before = perfbench_bytecode()
+    tracer = load(ROOT / "perfbench" / "tracer.py")
+    named = [(home, name) for home, names, _ in tracer.TRACED.values() for name in names]
+    named += list(tracer.LEAVES.values())
+    assert named and [(home, name) for home, name in named if not resolves(home, name)] == []
+    assert perfbench_bytecode() == before
+
+
+def test_counted_functions_resolve():
+    before = perfbench_bytecode()
+    cert = load(ROOT / "scripts" / "cert_digest.py")
+    missing = [(home, name) for home, name in cert.COUNTED if not resolves(f"qsperner.{home}", name)]
+    assert cert.COUNTED and missing == []
+    assert perfbench_bytecode() == before
