@@ -25,42 +25,38 @@ two candidates in non-decreasing degree: the plain residues, then the
 closed superinterval of their hull.  Only the plain residues are ever
 judged.  The closure always separates, with both shifted conditions and
 v_p(g(0)) = v_p(l!) for its l roots, by the proof below, so it is taken
-on that proof wherever R22 picks it.  For the difference and Hamming
-kinds R22's choice is written once, `_r22_zero_choice`: the candidate of
-least bound, given the plain residues' judgement.  For the intersecting
-kinds each residue alpha outside L takes the plain reflected roots
-(alpha - L) mod q if they separate, else the closure of their hull.
-That choice is written once too, `_r22_per_alpha_choice`, from the
-minimum of v_p(g_L) over residue classes, g_L the monic polynomial with
-roots L: the plain candidate of every alpha reflects g_L, so g_L's
-minima over L and over alpha decide it.  For either shape `best_bound`
-and `bound_from_seppoly` differ only in the judgement, or the class
-minima, they pass.
+on that proof wherever R22 picks it.  R22's choice is written once per
+shape: `_r22_zero_choice` takes the candidate of least bound, and
+`_r22_per_alpha_choice` gives each residue alpha outside an intersecting
+L the plain reflected roots (alpha - L) mod q if they separate, else the
+closure of their hull.  Each choice reads `minimum(c)`, the minimum of
+v_p(g_L) over residue class c, g_L the monic polynomial with roots L,
+and nothing else.  The plain residues are g_L itself, judged by
+`_r22_plain` with v0 = minimum(0), as no root of a difference or Hamming
+L is 0 modulo q; the plain candidate of every alpha reflects g_L, so
+g_L's minima over L and over alpha decide it.  `best_bound` and
+`bound_from_seppoly` differ only in where a class minimum comes from.
 
-`best_bound` reads every class minimum it needs from one list,
-`_class_minima`: for a monic g with distinct roots in [0, q-1], the
-minimum of v_p(g) over class c is M[c], the sum over the roots r of
-min(v_p(c - r), k), that is the sum over j = 1..k of #{r == c mod p^j}.
-The plain residues are judged by v0 = M[0] against M over the classes of
-L (separation) and of (r -+ 1) mod q (the shifted side conditions), and
-g_L's minima are M over L and over each alpha.  M holds q entries, so
-R22 needs q <= 2^22 (`_MAX_TABLE_Q`) as a hypothesis of its own: above it
-neither R22 rule yields a certificate, and the other rules answer.  A
-polynomial is built only for the evidence of the difference or Hamming
-candidate that wins; the intersecting evidence is degrees alone.
-`bound_from_seppoly` is R22's checker.  It reads no list: for the
-difference and Hamming kinds it judges the plain residues, or a given
-polynomial, by `seppoly`'s digit recursion (`check_separation`), so its
-default answers above q = 2^22 too.  There a closure of more than 2^22
-roots is never built: the plain residues stand if they separate, and a
-ValueError names the closure if they do not.  For the intersecting kinds
-its default reads g_L's minimum over every residue class by
-`min_valuation_over_class`, about q |L| root steps, and passes them to
-`_r22_per_alpha_choice`.  `TestClosureSeparates` checks the proof below
-through the digit recursion on all 7,582 closures at q <= 49.  Given
-per-alpha polynomials are each judged by `separates` in alpha's frame.
-Wherever R22 fires the default certificate is `best_bound`'s R22 (for
-the intersecting kinds, its bound and evidence; the wording says
+`best_bound` reads it from one list, `_class_minima`: for a monic g with
+distinct roots in [0, q-1], the minimum of v_p(g) over class c is M[c],
+the sum over the roots r of min(v_p(c - r), k), that is the sum over
+j = 1..k of #{r == c mod p^j}.  M holds q entries, so R22 needs
+q <= 2^22 (`_MAX_TABLE_Q`) as a hypothesis of its own: above it neither
+R22 rule yields a certificate, and the other rules answer.  A polynomial
+is built only for the evidence of the difference or Hamming candidate
+that wins; the intersecting evidence is degrees alone.
+`bound_from_seppoly` is R22's checker.  It reads no list but `seppoly`'s
+digit recursion on g_L, `min_valuation_over_class`, about |L| root steps
+per class: 3|L| + 1 classes at most for the difference and Hamming kinds,
+whose default so answers above q = 2^22 too, and all q for the
+intersecting kinds.  Above 2^22 a closure of more than 2^22 roots is
+never built: the plain residues stand if they separate, and a ValueError
+names the closure if they do not.  `TestClosureSeparates` checks the
+proof below through the digit recursion on all 7,582 closures at
+q <= 49.  A given polynomial g is judged by `check_separation`, given
+per-alpha polynomials each by `separates` in alpha's frame.  Wherever
+R22 fires the default certificate is `best_bound`'s R22 (for the
+intersecting kinds, its bound and evidence; the wording says
 "verified").
 
 Two candidates suffice, because the closure always separates.  Let
@@ -98,7 +94,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 from operator import add
 
@@ -435,22 +431,22 @@ def _r22_zero_own(ctx: _Ctx, g: FactoredIntPoly, v0: int, minus_ok, plus_ok, lab
     return texts, binom_sum(ctx.n, 0, g.degree, column), aux
 
 
-def _r22_plain(pp: PrimePower, L: tuple[int, ...]):
+def _r22_plain(minimum: Callable[[int], int], L: tuple[int, ...], q: int):
     """(v0, minus_ok, plus_ok) for the monic polynomial g with the sorted
     residues L in [1, q-1] as roots, or None when g does not separate 0
-    from L: `check_separation`'s answer, read from `_class_minima`."""
-    M, q = _class_minima(pp, L), pp.q
-    v0 = M[0]
-    if v0 >= min(M[r] for r in L):
+    from L, given `minimum(c)`, g's minimum valuation over class c.  No
+    root is 0 modulo q, so v_p(g) is constant on class 0: v0 = minimum(0)."""
+    v0 = minimum(0)
+    if not all(v0 < minimum(r) for r in L):
         return None
-    return v0, v0 <= min(M[r - 1] for r in L), v0 <= min(M[(r + 1) % q] for r in L)
+    return v0, all(v0 <= minimum(r - 1) for r in L), all(v0 <= minimum((r + 1) % q) for r in L)
 
 
-def _r22_zero_choice(ctx: _Ctx, plain):
+def _r22_zero_choice(ctx: _Ctx, minimum: Callable[[int], int]):
     """R22's own texts, bound and evidence for the difference and Hamming
-    kinds, given `plain`: (v0, minus_ok, plus_ok) for the monic polynomial
-    with the plain residues L as roots, v0 = v_p(g(0)) and its two shifted
-    side conditions, or None when it does not separate 0 from L.
+    kinds, given `minimum(c)`: the minimum of v_p(g_L) over class c, g_L
+    the monic polynomial with the plain residues L as roots, which
+    `_r22_plain` judges.
 
     The other candidate, the closure C of L's hull, is not judged: it
     separates with v0 = v_p(|C|!) and both shifted conditions (see the
@@ -461,6 +457,7 @@ def _r22_zero_choice(ctx: _Ctx, plain):
     built: the plain residues are kept if they separate, and otherwise a
     ValueError names the closure.  Only the checker meets it, above
     q = 2^22, where the portfolio's R22 abstains."""
+    plain = _r22_plain(minimum, ctx.L, ctx.pp.q)
     closed = q_closure(ctx.pp, IntervalL(ctx.L[0], ctx.L[-1]))
     if plain is not None:
         bound = binom_sum(ctx.n, 0, len(ctx.L), _r22_column(ctx.kind, plain[1] or plain[2]))
@@ -480,7 +477,7 @@ def _r22_zero_choice(ctx: _Ctx, plain):
 def _r22_zero(ctx: _Ctx):
     if ctx.pp.q > _MAX_TABLE_Q:
         return
-    yield _r22_zero_choice(ctx, _r22_plain(ctx.pp, ctx.L))
+    yield _r22_zero_choice(ctx, _class_minima(ctx.pp, ctx.L).__getitem__)
 
 
 # --- non-modular difference / close-Sperner rules ---------------------------
@@ -561,10 +558,10 @@ def _r22_per_alpha_own(ctx: _Ctx, degrees: dict[int, int], wording: str):
     return texts, binom_sum(ctx.n, 0, worst, "n"), {"per_alpha_degrees": degrees}
 
 
-def _r22_per_alpha_choice(ctx: _Ctx, minima) -> dict[int, int]:
+def _r22_per_alpha_choice(ctx: _Ctx, minimum: Callable[[int], int]) -> dict[int, int]:
     """The degree of R22's choice for each residue alpha outside an
-    intersecting L, given `minima(classes)`: the minimum of v_p(g_L) over
-    each residue class in `classes`, g_L the monic polynomial with roots L.
+    intersecting L, given `minimum(c)`: the minimum of v_p(g_L) over class
+    c, g_L the monic polynomial with roots L.
 
     The polynomial h with the plain roots (alpha - L) mod q reflects g_L,
     and negation keeps valuations: v_p(h(0)) is g_L's minimum over class
@@ -577,26 +574,26 @@ def _r22_per_alpha_choice(ctx: _Ctx, minima) -> dict[int, int]:
     each read cyclically: a bisection, not a pass over L."""
     pp, L, q = ctx.pp, ctx.L, ctx.pp.q
     Lset = set(L)
-    alphas = [a for a in range(q) if a not in Lset]
-    plain = min(minima(L))
-    degrees = {}
-    for alpha, side in zip(alphas, minima(alphas)):
-        if side < plain:
-            degrees[alpha] = len(L)
-            continue
+    plain = min(map(minimum, L))
+
+    def closure_size(alpha: int) -> int:
         at = bisect_left(L, alpha)
         below = L[at - 1] if at else L[-1] - q
         above = L[at] if at < len(L) else L[0] + q
-        degrees[alpha] = q_closure(pp, IntervalL(alpha - below, alpha - above + q)).size
-    return degrees
+        return q_closure(pp, IntervalL(alpha - below, alpha - above + q)).size
+
+    return {
+        alpha: len(L) if minimum(alpha) < plain else closure_size(alpha)
+        for alpha in range(q)
+        if alpha not in Lset
+    }
 
 
 def _r22_intersecting(ctx: _Ctx):
     # g_L's class minima read from one list
     if ctx.pp.q > _MAX_TABLE_Q:
         return
-    M = _class_minima(ctx.pp, ctx.L)
-    degrees = _r22_per_alpha_choice(ctx, lambda classes: [M[c] for c in classes])
+    degrees = _r22_per_alpha_choice(ctx, _class_minima(ctx.pp, ctx.L).__getitem__)
     if degrees:
         wording = "a separating polynomial was constructed for every residue outside L"
         yield _r22_per_alpha_own(ctx, degrees, wording)
@@ -762,16 +759,16 @@ def bound_from_seppoly(
     a shifted separation upgrades the column to n-1.  Intersecting kinds
     need one polynomial per residue alpha outside L, and the bound uses the
     maximum degree.  With no polynomial given, the checker makes R22's own
-    choice.  For g it judges the plain residues by `check_separation` and
-    makes `_r22_zero_choice` from that report, so the certificate is
-    `best_bound`'s R22, candidate label included.  For the alphas it reads
-    g_L's minimum over every residue class by `min_valuation_over_class`
-    and makes `_r22_per_alpha_choice` from them: |L| where the plain
-    reflected roots separate, else the size of the reflected closure of
-    their hull.  Neither choice judges a closure: it separates by the
-    module docstring's proof (checked through the digit recursion on every
-    closure at q <= 49 in `TestClosureSeparates`).  Given per-alpha
-    polynomials are each judged by `separates` in alpha's frame.  Raises
+    choice from g_L's class minima by `min_valuation_over_class`, g_L the
+    monic polynomial with roots L, and builds no `SeparationReport`:
+    `_r22_zero_choice` for g, so the certificate is `best_bound`'s R22,
+    candidate label included, and `_r22_per_alpha_choice` for the alphas,
+    |L| where the plain reflected roots separate, else the size of the
+    reflected closure of their hull.  Neither choice judges a closure: it
+    separates by the module docstring's proof (checked through the digit
+    recursion on every closure at q <= 49 in `TestClosureSeparates`).  A
+    given g is judged by `check_separation`, and given per-alpha
+    polynomials each by `separates` in alpha's frame.  Raises
     SeparationFailure naming the failing class when a polynomial does not
     separate, and naming alpha when a per-alpha polynomial is missing, or
     separates but has a root congruent to alpha, and ValueError for a
@@ -788,13 +785,13 @@ def bound_from_seppoly(
     if not L:
         raise ValueError("empty L is rejected")
     ctx = _Ctx(spec.kind, spec.n, L, pp)
+    # g_L's class minima by the digit recursion, never the list
+    minimum = partial(min_valuation_over_class, pp, FactoredIntPoly(1, L))
     if spec.kind in (Kind.DIFF_SPERNER, Kind.HAMMING):
         if per_alpha is not None:
             raise ValueError(f"kind {spec.kind.value} takes one polynomial g, not per_alpha")
         if g is None:
-            rep = check_separation(pp, FactoredIntPoly(1, L), 0, L)
-            plain = (rep.v0, rep.shifted_minus_ok, rep.shifted_plus_ok) if rep.separates else None
-            return _certificate(ctx, _R22_ZERO, *_r22_zero_choice(ctx, plain))
+            return _certificate(ctx, _R22_ZERO, *_r22_zero_choice(ctx, minimum))
         rep = check_separation(pp, g, 0, L)
         if not rep.separates:
             ell = _first_failing_class(rep)
@@ -812,11 +809,7 @@ def bound_from_seppoly(
         if q > _MAX_TABLE_Q:
             raise ValueError(f"q = {q} is above {_MAX_TABLE_Q}, the limit of the residues to list outside L")
         if per_alpha is None:
-            # g_L's class minima by the digit recursion, never the list
-            g_L = FactoredIntPoly(1, L)
-            degrees = _r22_per_alpha_choice(
-                ctx, lambda classes: [min_valuation_over_class(pp, g_L, c) for c in classes]
-            )
+            degrees = _r22_per_alpha_choice(ctx, minimum)
         else:
             Lset = set(L)
             alphas = [a for a in range(q) if a not in Lset]

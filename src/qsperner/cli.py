@@ -2,9 +2,10 @@
 
 Exit codes: 0 for ok or infeasible results, 2 for usage errors, 3 when a
 search budget was exhausted.  With --json a single JSON document (schema 1)
-is written to stdout; otherwise a short human-readable report.  `--help`
-with --json is answered by a document whose payload holds the help text,
-with status "ok" and the subcommand asked of (null at the top level).
+is written to stdout on one line; otherwise a short human-readable
+report.  `--help` with --json is answered by a document whose payload
+holds the help text, with status "ok" and the subcommand asked of (null
+at the top level).
 
 The CLI parses input, calls the library and writes one document.  A
 payload holds a library result's own fields beside the CLI's header keys
@@ -511,30 +512,18 @@ def _build_parser() -> _Parser:
         if residue:
             p.add_argument("--uniform-residue", type=int, default=None)
 
-    p = add("vp", _cmd_vp, help="p-adic valuation of an integer")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("binom", _cmd_binom, help="valuation of a binomial coefficient C(a+b, a)")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-
-    p = add("digits", _cmd_digits, help="fixed-width base-p digits modulo q")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-
-    p = add("closure", _cmd_closure, help="shortest closed superinterval")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--lo", type=int, required=True)
-    p.add_argument("--hi", type=int, required=True)
-
-    p = add("mu", _cmd_mu, help="closure length bound for size-s intervals")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-
-    p = add("census", _cmd_census, help="count of closed (b, s) pairs below q")
-    p.add_argument("--q", type=int, required=True)
+    # the arithmetic commands, which take required int options only
+    for name, handler, text, options in (
+        ("vp", _cmd_vp, "p-adic valuation of an integer", ("p", "n")),
+        ("binom", _cmd_binom, "valuation of a binomial coefficient C(a+b, a)", ("p", "a", "b")),
+        ("digits", _cmd_digits, "fixed-width base-p digits modulo q", ("q", "s")),
+        ("closure", _cmd_closure, "shortest closed superinterval", ("q", "lo", "hi")),
+        ("mu", _cmd_mu, "closure length bound for size-s intervals", ("q", "s")),
+        ("census", _cmd_census, "count of closed (b, s) pairs below q", ("q",)),
+    ):
+        p = add(name, handler, help=text)
+        for option in options:
+            p.add_argument(f"--{option}", type=int, required=True)
 
     p = add("seppoly", _cmd_seppoly, help="check or search separating polynomials")
     p.add_argument("action", choices=["check", "find"])
@@ -606,7 +595,8 @@ def main(argv: list[str] | None = None) -> int:
         if result.status != "error":  # an error document names no command
             doc["command"] = result.command
         with _long_ints():
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            # one line: without indent, json uses its C encoder
+            print(json.dumps(doc, sort_keys=True))
     else:
         if result.human:
             print(result.human)

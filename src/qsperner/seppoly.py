@@ -13,14 +13,18 @@ stops at the first residue class whose minimum is not above v_p(g(alpha))
 and never evaluates the side conditions, so callers that only ask
 whether a polynomial separates (`search_min_degree`, and R22's checker
 on the given polynomial of each residue outside an intersecting L) pay
-for one class at a time.  The bound engine's portfolio reads the class
-minima of its plain candidates from one list instead
-(`bounds._class_minima`); R22's checker `bounds.bound_from_seppoly` and
-the CLI judge polynomials with these.  v_p(g(alpha)) is read root by
-root, v_p(lead) plus each v_p(alpha - r), never from the product g(alpha).
-The checker's own intersecting choice needs no polynomial per residue:
-it reads the minimum of one polynomial, g_L with roots L, over every
-residue class by `min_valuation_over_class`.
+for one class at a time.  v_p(g(alpha)) is read root by root, v_p(lead)
+plus each v_p(alpha - r), never from the product g(alpha).
+
+The bound engine's portfolio reads the class minima of its plain
+candidates from one list instead (`bounds._class_minima`).  R22's
+checker, `bounds.bound_from_seppoly`, calls `check_separation` only on a
+given polynomial: the g of a difference or Hamming spec, and the given
+polynomial of the residue whose `separates` fails, for the failure's
+report.  Its own choice, for every kind, reads the minimum of one
+polynomial, g_L with roots L, over each residue class it needs by
+`min_valuation_over_class`.  The CLI's `seppoly check` prints
+`check_separation`'s report.
 """
 
 from __future__ import annotations
@@ -271,12 +275,15 @@ def search_min_degree(
     order, so the result is reproducible byte for byte, and a window of
     more than 10**6 values is refused with a ValueError.  The degree found
     is an upper bound on the true minimum over the factored candidate
-    class only; returns None when nothing passes within the limits.  With
+    class only; returns None when nothing passes within the limits, the
+    empty window included.  An empty L, or an alpha in L modulo q, is
+    refused with `check_separation`'s ValueError before the window.  With
     a `node_budget`, at most that many root multisets are tried before
     `SearchBudgetExhausted` is raised.  Without one, the search is counted
     before it starts: a multiset of degree d costs d root factors, and a
     search of more than 10**6 root factors is refused with a ValueError.
     """
+    _separation_inputs(pp, alpha, L)  # an empty window answers only valid inputs
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     if node_budget is not None and node_budget < 0:

@@ -3,6 +3,7 @@ import math
 import random
 import re
 from dataclasses import replace
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -788,15 +789,20 @@ class TestClassMinima:
                 assert bounds._class_minima(pp, roots) == expected, (q, roots)
 
     def test_plain_judge_matches_check_separation(self):
-        # `_r22_zero`'s judgement of the plain residues from the list is
-        # the one the checker takes from `check_separation`
+        # R22's judgement of the plain residues, from the portfolio's list
+        # and from the checker's digit recursion, is `check_separation`'s
         rng = random.Random(7)
         for q in prime_powers(49):
             pp = PP(q)
             for roots in run_root_sets(q, rng):
-                rep = check_separation(pp, FactoredIntPoly(1, roots), 0, roots)
+                g = FactoredIntPoly(1, roots)
+                rep = check_separation(pp, g, 0, roots)
                 expected = (rep.v0, rep.shifted_minus_ok, rep.shifted_plus_ok) if rep.separates else None
-                assert bounds._r22_plain(pp, roots) == expected, (q, roots)
+                for minimum in (
+                    bounds._class_minima(pp, roots).__getitem__,
+                    partial(min_valuation_over_class, pp, g),
+                ):
+                    assert bounds._r22_plain(minimum, roots, q) == expected, (q, roots, minimum)
 
 
 class TestFrontier:

@@ -880,6 +880,11 @@ class TestExitCodes:
                 "pass a --budget, a smaller --window or a lower --max-degree",
             ),
             (
+                # checked before the empty window answers
+                ["seppoly", "find", "--q", "7", "--alpha", "0", "--L", "7", "--window", "0"],
+                "alpha = 0 lies in L modulo 7",
+            ),
+            (
                 ["table", "--kind", "diff-sperner", "--q", "65536", "--n", "6"],
                 "a table at q = 65536 has 2147450880 intervals, more than the limit of 10000",
             ),
@@ -898,7 +903,7 @@ class TestExitCodes:
         ],
         ids=[
             "vp", "binom", "closure", "mu", "bound", "check", "push", "verify", "seppoly find",
-            "seppoly find work", "seppoly find degree", "table", "search residue", "search modulus",
+            "seppoly find work", "seppoly find degree", "seppoly find empty window", "table", "search residue", "search modulus",
             "check L", "bound antichain", "bound uniform L",
         ],
     )
@@ -1212,6 +1217,23 @@ def run_module(argv, timeout=60):
         [sys.executable, "-m", "qsperner", *argv],
         capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--kind", "intersecting", "--q", "8", "--L", "1", "--n", "6"],
+        ["seppoly", "find", "--q", "49", "--alpha", "0", "--L", "1..7", "--budget", "3"],
+        ["bound", "--kind", "diff-sperner", "--q", "6", "--L", "1", "--n", "4"],
+        ["mu", "--help"],
+    ],
+    ids=["ok", "budget-exhausted", "error", "help"],
+)
+def test_json_document_is_one_line(capsys, argv):
+    main([*argv, "--json"])
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out)["schema"] == 1
 
 
 def test_python_dash_m_runs_the_cli():

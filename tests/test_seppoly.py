@@ -304,6 +304,14 @@ class TestSearch:
                 search_min_degree(pp, 0, {1}, degree, window, node_budget=0)
         assert search_min_degree(pp, 0, {1}, 10**12, range(0)) is None
 
+    def test_empty_window_checks_inputs(self):
+        # an empty window answers None only for inputs a search may take
+        pp = PrimePower.from_q(7)
+        with pytest.raises(ValueError, match="alpha = 0 lies in L modulo 7"):
+            search_min_degree(pp, 0, {7}, 3, range(0))
+        with pytest.raises(ValueError, match="L must be nonempty"):
+            search_min_degree(pp, 0, set(), 3, range(0))
+
     def test_root_factor_count(self):
         for width in range(8):
             for max_degree in range(8):

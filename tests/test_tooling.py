@@ -1,6 +1,7 @@
 """The functions the benchmark's tracer and `scripts/cert_digest.py` wrap
-by name all resolve, so a rename fails here rather than in a traced
-benchmark run or a digest."""
+by name all resolve, and `scripts/initial_interval_gap_probe.py` runs, so
+a rename fails here rather than in a traced benchmark run, a digest or a
+probe."""
 
 import importlib
 import importlib.util
@@ -47,3 +48,18 @@ def test_counted_functions_resolve():
     missing = [(home, name) for home, name in cert.COUNTED if not resolves(f"qsperner.{home}", name)]
     assert cert.COUNTED and missing == []
     assert perfbench_bytecode() == before
+
+
+def test_gap_probe_runs(monkeypatch, capsys):
+    """`scripts/initial_interval_gap_probe.py` up to n = 8: every exact
+    maximum is within the best bound, and none beats the layer."""
+    probe = load(ROOT / "scripts" / "initial_interval_gap_probe.py")
+    monkeypatch.setattr(sys, "argv", ["initial_interval_gap_probe.py", "--max-n", "8"])
+    assert probe.main() == 0
+    header, *rows, blank, last = capsys.readouterr().out.splitlines()
+    assert header.split() == ["n", "s", "layer", "exact", "bound", "excess"]
+    assert (blank, last) == ("", "no instance beats the layer construction at this scale")
+    assert len(rows) == sum(n // 2 for n in range(2, 9))
+    for row in rows:
+        n, s, layer, exact, bound, excess = map(int, row.split()[:6])
+        assert layer <= exact <= bound and excess == exact - layer, row
