@@ -9,12 +9,13 @@ at the top level).
 
 The CLI parses input, calls the library and writes one document.  A
 payload holds a library result's own fields beside the CLI's header keys
-(kind, n, q, L): each `BoundCertificate` of `bound`, with its `BinomSum`;
-the `SearchResult` of `search`, its witness as sorted member lists; the
-`RankReport` of `verify`, with the system-build time added to its stats;
-the `ClosedPairCensus` of `census`.  A field added to one of those results
-reaches the payload with no change here.  A negative `seppoly find
---window` is a usage error.
+(kind, n, q, L, alpha): each `BoundCertificate` of `bound`, with its
+`BinomSum`; the `SearchResult` of `search`, its witness as sorted member
+lists; the `RankReport` of `verify`, with the system-build time added to
+its stats; the `ClosedPairCensus` of `census`; the `SeparationReport` of
+`seppoly check`, with the polynomial checked.  A field added to one of
+those results reaches the payload with no change here.  A negative
+`seppoly find --window` is a usage error.
 
 `main` is the one error boundary: a `ValueError` (a library rejecting an
 input, or the CLI's own `UsageError`) becomes exit 2 with the exception's
@@ -262,15 +263,8 @@ def _cmd_seppoly(args) -> CommandResult:
         roots = _parse_L(args.roots, None)
         g = seppoly.FactoredIntPoly(args.lead, tuple(roots))
         rep = seppoly.check_separation(pp, g, args.alpha, L)
-        payload = {
-            **header,
-            "poly": {"lead": g.lead, "roots": list(g.roots)},
-            "v0": _val_json(rep.v0),
-            "class_minima": {str(k): _val_json(v) for k, v in rep.class_minima.items()},
-            "separates": rep.separates,
-            "shifted_minus_ok": rep.shifted_minus_ok,
-            "shifted_plus_ok": rep.shifted_plus_ok,
-        }
+        poly = {"lead": g.lead, "roots": list(g.roots)}
+        payload = {**header, **vars(rep), "v0": _val_json(rep.v0), "poly": poly}
         human = (
             f"{g} {'separates' if rep.separates else 'does not separate'} "
             f"{args.alpha} from L mod {pp.q}"

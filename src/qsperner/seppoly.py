@@ -6,6 +6,10 @@ below v_p(g(u)) for every integer u congruent mod q to an element of L.
 Polynomials are kept in factored form (integer lead times integer roots),
 which is the shape of every construction this toolkit produces and lets
 class minima be computed exactly by a digit recursion instead of a scan.
+The recursion on base-p digits is one loop over an explicit stack
+(`_joint_min`): no function here calls itself and none keeps a cache, so
+roots of any digit length are judged in one pass and the module holds no
+process-wide state.
 
 `check_separation` returns the full report: every class minimum and the two
 shifted side conditions.  `separates` answers only the yes/no question: it
@@ -30,7 +34,6 @@ polynomial, g_L with roots L, over each residue class it needs by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .padic import INFINITY, PrimePower, _vp_int
@@ -82,45 +85,30 @@ class FactoredIntPoly:
         return head + (factors or "1")
 
 
-# Subproblems repeat across classes and polynomials, so the recursion is
-# memoized; the bound keeps a long-running process's memory flat.
-_JOINT_CACHE_SIZE = 1 << 16
-
-
-def _joint_min(p: int, offsets: tuple[int, ...]) -> int:
+def _joint_min(p: int, offsets: tuple[int, ...] | list[int]) -> int:
     """min over integers t of the sum of v_p(t - d) for d in offsets.
 
-    A single offset (or all offsets equal) can be dodged entirely by
-    choosing t in another residue class mod p, so the minimum is 0.
-    Otherwise the offsets are shifted so the least is 0, sorted, and
-    handed to `_joint_min_normalised`.
-    """
-    if len(offsets) <= 1:
-        return 0
-    base = min(offsets)
-    norm = tuple(sorted(d - base for d in offsets))
-    if norm[-1] == 0:
-        return 0
-    return _joint_min_normalised(p, norm)
-
-
-@lru_cache(maxsize=_JOINT_CACHE_SIZE)
-def _joint_min_normalised(p: int, norm: tuple[int, ...]) -> int:
-    """`_joint_min` of a sorted, min-shifted multiset that is not constant.
-
     Fix the last base-p digit c of t: offsets outside c's class contribute
-    nothing and the rest recurse one digit deeper.  Memoized (bounded LRU);
-    depth is bounded by the digit length of the largest pairwise offset
-    difference.
+    nothing and each inside contributes 1 plus the same question one digit
+    up, on d // p.  When fewer than p classes hold an offset, t takes a free
+    digit and the rest contribute nothing.  One loop over an explicit stack
+    of (offsets, valuation spent) walks these digit choices, dropping an
+    entry that cannot beat the best found; every group pushed is smaller
+    than its parent, so the loop ends, and no digit length of the offsets
+    can exhaust a recursion limit.
     """
-    best: int | None = None
-    for c in range(p):
-        bucket = [d for d in norm if d % p == c]
-        if not bucket:
-            return 0
-        cand = len(bucket) + _joint_min(p, tuple((d - c) // p for d in bucket))
-        if best is None or cand < best:
-            best = cand
+    best, stack = INFINITY, [(offsets, 0)]
+    while stack:
+        offsets, spent = stack.pop()
+        if spent >= best:
+            continue
+        groups: dict[int, list[int]] = {}
+        for d in offsets:
+            groups.setdefault(d % p, []).append(d // p)
+        if len(groups) < p:
+            best = spent
+        else:
+            stack.extend((group, spent + len(group)) for group in groups.values())
     return best
 
 
@@ -149,7 +137,7 @@ def min_valuation_over_class(
                 d //= p
                 total += 1
     if offsets:
-        total += pp.k * len(offsets) + _joint_min(p, tuple(offsets))
+        total += pp.k * len(offsets) + _joint_min(p, offsets)
     return total
 
 

@@ -27,7 +27,7 @@ from qsperner.cli import (
 )
 from qsperner.families import ConstraintSpec, Kind, SetFamily, format_family
 from qsperner.padic import PrimePower
-from qsperner.seppoly import FactoredIntPoly
+from qsperner.seppoly import FactoredIntPoly, check_separation
 
 
 def run_json(capsys, argv):
@@ -286,6 +286,16 @@ class TestCommands:
         assert (payload["v0"], payload["class_minima"]) == (65535, {"1": 65535})
         assert payload["separates"] is False
         assert payload["shifted_minus_ok"] and payload["shifted_plus_ok"]
+
+    def test_seppoly_check_long_roots(self, capsys):
+        # roots 2**400 apart are judged, as human output and as --json: the
+        # digit recursion is a loop, so no RecursionError
+        argv = ["seppoly", "check", "--q", "2", "--alpha", "1", "--L", "0", "--roots", f"0,{2**400}"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.rstrip().endswith("separates 1 from L mod 2")
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_OK
+        assert doc["payload"]["class_minima"] == {"0": 2}
 
     def test_seppoly_find(self, capsys):
         code, doc = run_json(
@@ -1132,6 +1142,24 @@ class TestPayloadContract:
         assert untimed(payload.pop("stats")) == as_json(untimed(report.stats))
         expected = {f: getattr(report, f) for f in field_names(report) - {"stats"}}
         assert payload == as_json({**expected, "n": 4, "q": None, "L": []})
+
+    @pytest.mark.parametrize(
+        "roots, expected_v0",
+        [("1..12", 10), ("0,3,5", "infinity")],
+        ids=["finite", "root-at-alpha"],
+    )
+    def test_seppoly_check(self, capsys, roots, expected_v0):
+        argv = ["seppoly", "check", "--q", "16", "--alpha", "0", "--L", "1..12", "--roots", roots]
+        code, doc = run_json(capsys, argv)
+        g = FactoredIntPoly(1, tuple(_parse_L(roots, None)))
+        report = check_separation(PrimePower.from_q(16), g, 0, range(1, 13))
+        payload = doc["payload"]
+        assert code == EXIT_OK
+        assert set(payload) == field_names(report) | {"q", "L", "poly"}
+        assert payload.pop("v0") == expected_v0
+        assert payload.pop("poly") == {"lead": 1, "roots": list(g.roots)}
+        expected = {f: getattr(report, f) for f in field_names(report) - {"v0"}}
+        assert payload == as_json({**expected, "q": 16, "L": list(range(1, 13))})
 
     def test_census(self, capsys):
         code, doc = run_json(capsys, ["census", "--q", "9"])

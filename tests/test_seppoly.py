@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -83,18 +84,41 @@ class TestMinValuation:
         assert brute_min_valuation(pp, g, 0, 64) == 3
         assert min_valuation_over_class(pp, g, 0) == 3
 
-    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_joint_min_oracle(self, p):
         rng = random.Random(2000 + p)
-        span = p**5
-        for _ in range(30):
-            offsets = tuple(rng.randint(-p**3, p**3) for _ in range(rng.randint(1, 5)))
-            brute = min(
+
+        def brute(offsets, span):
+            return min(
                 sum(vp_int(p, t - d) for d in offsets)
                 for t in range(-span, span)
                 if t not in offsets
             )
-            assert _joint_min(p, offsets) == brute
+
+        for _ in range(30):
+            offsets = tuple(rng.randint(-p**3, p**3) for _ in range(rng.randint(1, 5)))
+            assert _joint_min(p, offsets) == brute(offsets, p**5)
+        # every residue mod p**j, some twice, beside offsets sharing the last
+        # j digits b: every digit class is held for j levels, so the search
+        # walks that deep on each path and drops the paths that cannot win;
+        # with every offset below p**(j + 1), a minimiser lies below p**(j + 2)
+        for _ in range(10):
+            j = rng.randint(*{2: (2, 5), 3: (2, 3), 5: (1, 2), 7: (1, 2)}[p])
+            b = rng.randrange(p**j)
+            offsets = [r for r in range(p**j) for _ in range(rng.randint(1, 2))]
+            offsets += [b + p**j * rng.randrange(p) for _ in range(rng.randint(1, p + 1))]
+            rng.shuffle(offsets)
+            assert _joint_min(p, tuple(offsets)) == brute(offsets, p ** (j + 2)), offsets
+
+    def test_long_digit_roots(self):
+        # roots whose differences run to thousands of digits: the digit
+        # recursion is a loop, so no depth reaches the recursion limit
+        assert min_valuation_over_class(PrimePower.from_q(2), FactoredIntPoly(1, (0, 2**400)), 0) == 2
+        assert min_valuation_over_class(PrimePower.from_q(2), FactoredIntPoly(1, (0, 2**4000)), 0) == 2
+        pp = PrimePower.from_q(9)
+        assert min_valuation_over_class(pp, FactoredIntPoly(1, (1, 1 + 9 * 3**3000)), 1) == 4
+        # t = 3 meets only the offset 1 at one digit
+        assert _joint_min(2, (0, *(2**j for j in range(3000)))) == 1
 
     def test_mixed_class_example(self):
         pp = PrimePower.from_q(4)
@@ -319,6 +343,25 @@ class TestSearch:
                 assert _root_factors(width, max_degree) == expected
         # the partial sum passing the limit, at the degree where it does
         assert _root_factors(2, 10**9) == sum(d * (d + 1) for d in range(1, 145)) == 1_016_160
+
+    def test_answer_gate(self):
+        # 57 budgeted searches over small prime powers: every answer, found
+        # polynomial or budget exhaustion, hashed and pinned
+        outcomes = []
+        for q in (4, 8, 9, 16, 25, 27):
+            pp = PrimePower.from_q(q)
+            for L in ((1,), (1, 2), (1, 2, 3), (1, q // 2), (1, 3, 5, 7)):
+                for alpha in (0, q - 1):
+                    if alpha % q in {ell % q for ell in L}:
+                        continue
+                    try:
+                        g, d = search_min_degree(pp, alpha, L, 3, node_budget=5000)
+                        outcomes.append((q, alpha, L, g.roots, d))
+                    except SearchBudgetExhausted as exc:
+                        outcomes.append((q, alpha, L, exc.tried, exc.degree))
+        assert len(outcomes) == 57
+        digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+        assert digest == "34afdbde4efbfbd154a9b8d27dd5d8b597d849be547d2b427b40c4d00ab36159"
 
     def test_reproducible(self):
         pp = PrimePower.from_q(8)
