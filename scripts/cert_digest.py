@@ -31,8 +31,10 @@ above, with short intervals, L = 0..4, two far residues and the odd
 residues at q = 1024, and n in {30, 10^3, 10^5}, where the benchmark's
 specs stop at q = 49.  The two digests hash `repr` of each spec's
 portfolio and of its checker certificate, or the message of the
-`ValueError` by which the library refuses the spec.  The printed call
-counts leave the stratum out.
+`ValueError` by which the library refuses the spec.  The uniform rows
+above 2^22 answer by R19: the uniform reading lists no residues, and it
+refused those rows while it listed its q - 1.  The printed call counts
+leave the stratum out.
 
 `portfolio_digests` computes the first two digests for any specs,
 `seppoly_digest` the third and `large_q_digests` the stratum's; the test

@@ -9,13 +9,15 @@ order: the kind hypothesis, the modulus hypothesis, the rule's own texts,
 then the note of a lifted or uniform reading.  The engine returns the
 minimum over all applicable certificates.
 
-`_PORTFOLIO` holds, per kind, the rules read without a modulus and the
-rules read modulo q.  A modular spec runs the modular rules; a non-modular
-one runs the direct rules, then the modular ones lifted to the smallest
-prime exceeding both max(L) and n, which is always faithful because no
-cardinality statistic can reach that prime.  The intersecting-uniform kind
-runs R16 on its own residue, then the intersecting modular rules on the
-complement of that residue.
+`_PORTFOLIO` holds, per kind, the rules read without a modulus, the rules
+read modulo q and the rules of a lifted reading.  A modular spec runs the
+modular rules; a non-modular one runs the direct rules, then the lifted
+ones at the smallest prime exceeding both max(L) and n, which is always
+faithful because no cardinality statistic can reach that prime.  The
+intersecting-uniform kind runs R16 on its own residue, then R17 and R19
+on the complement of that residue.  The lifted and uniform readings run
+only the rules that can come first in them (the proofs close this
+docstring).
 
 R22's own texts are written in one place per shape, `_r22_zero_own`
 (difference and Hamming kinds) and `_r22_per_alpha_own` (intersecting
@@ -87,6 +89,35 @@ v_p(g(0)) = v_p(C(b, s)) + v_p(s!) = v_p(s C(b, s)) <= 1, below k = 2 and
 so below every class minimum.  R22 is thus below R20 when s >= 2 and
 2s-1 <= n.  At s = 1, R14 ties R20 earlier in tie order; when 2s-1 >= n,
 or L is every residue, R19 is at most R20 with fewer hypotheses.
+
+The same tie key, (value, number of hypotheses, rule number), leaves each
+lifted and uniform reading only a few rules that can come first.  A
+lifted reading is modulo a prime p, so k = 1.
+- Difference: R2, the sum of C(n-1, i) for i <= |L| with four
+  hypotheses, is at most every other lifted rule and wins its ties.  Each
+  other rule reads a degree of at least |L| (R8's closure branch is |L|
+  at k = 1, its doubling branch 2^(|L|-1)), in the n-1 column or in the n
+  column, which is never below it, with at least four hypotheses and a
+  higher number.
+- Hamming: the direct R21, the sum of C(n, i) for i <= |L| with two
+  hypotheses, equals every lifted certificate at best, since R22's
+  Hamming column is n (`_r22_column`), and each lifted one has more
+  hypotheses.  So the lifted Hamming reading runs no rule.
+- Intersecting: at k = 1, R14's cap min(2^(s-1), s) is s = |L|, with four
+  hypotheses.  R15 sums to 2|L| with five, R18 is |L| at k = 1 with four
+  and a higher number, and R22's degree for each alpha is |L| or the size
+  of a closure holding |L| residues, with five.  So only R14, R17 and R19
+  run.
+- Uniform: L is the q - 1 residues other than r, and R19 has three
+  hypotheses.  R18's `closure_length_bound(pp, q - 1)` is q - 1, so R18
+  ties R19 with four.  R14's cap, min(2^(q-2), (1 + (q-2)/k)^k), is at
+  least q - 1 (Bernoulli), R15 sums to 2(q - 1), and R22's only alpha is
+  r, whose plain roots are all q - 1 nonzero residues, read in column n;
+  each has four or five hypotheses.  So only R16, R17 and R19 can come
+  first, and none reads a residue: R17 needs |L| = q - 1 and L an
+  interval modulo q, which the complement of one residue always is, and
+  R19 needs nothing.  The reading's L is therefore the range
+  r+1..r+q-1, one integer per residue other than r, never a list.
 """
 
 from __future__ import annotations
@@ -226,7 +257,9 @@ def _close_hyp(ctx: _Ctx) -> str:
 class _Ctx:
     kind: Kind
     n: int
-    L: tuple[int, ...]  # sorted, distinct, nonempty; residues when pp is set
+    # sorted, distinct, nonempty; residues when pp is set, but for the
+    # uniform reading the range r+1..r+q-1, one integer per residue other than r
+    L: tuple[int, ...] | range
     pp: PrimePower | None
     lift_note: str | None = None  # a lifted or uniform reading, stated last
     residue: int | None = None  # the intersecting-uniform residue
@@ -373,10 +406,8 @@ def _r9(ctx: _Ctx):
 
 
 # R22's class minima are a list of q entries: at q = 2^22 a diff-Sperner
-# `bound` takes about 0.7 s and 190 MB, an intersecting-uniform one 2.6 s and
-# 570 MB (2-core x86-64).  R22 needs q at most this; the lists of the
-# q - |L| residues outside an intersecting L are refused above it too, and
-# no R22 choice builds a closure of more roots.
+# `bound` takes about 0.7 s and 190 MB (2-core x86-64).  R22 needs q at most
+# this, and no R22 choice builds a closure of more roots.
 _MAX_TABLE_Q = 1 << 22
 
 
@@ -632,20 +663,28 @@ def _r21_initial_interval(ctx: _Ctx):
 
 # --- the engine --------------------------------------------------------------
 
+_R2 = _Rule("R2", _PRIME, _r2)
 _R11 = _Rule("R11", None, _r11, close=True)
 _R12 = _Rule("R12", None, _r12, close=True)
+_R14 = _Rule("R14", _PRIME_POWER, _r14)
 _R16 = _Rule("R16", _PRIME_POWER, _r16)
+_R17 = _Rule("R17", _PRIME_POWER, _r17)
+_R19 = _Rule("R19", _PRIME_POWER, _r19)
 _R22_ZERO = _Rule("R22", _PRIME_POWER, _r22_zero)
 _R22_PER_ALPHA = _Rule("R22", _PRIME_POWER, _r22_intersecting)
 
-# Per kind: the rules read without a modulus, then the rules read modulo q
-# (the spec's own modulus, or the lifted prime of `_lifted_ctx`).  A rule
-# order here is the order of ties in `best_bound`.
+# Per kind: the rules read without a modulus, the rules read modulo the
+# spec's own q, and those of them that can come first when a non-modular
+# spec is lifted to the prime of `_lifted_ctx` (the module docstring gives
+# the proofs).  `best_bound` sorts by `_cert_key`, (value, number of
+# hypotheses, rule number), so the order here breaks a tie only between
+# certificates that agree on all three: records of one number, such as
+# the R21 records.
 _PORTFOLIO = {
     Kind.DIFF_SPERNER: (
         (_Rule("R10", None, _r10), _R11, _R12),
         (
-            _Rule("R2", _PRIME, _r2),
+            _R2,
             _Rule("R4", _PRIME_POWER, _r4),
             _Rule("R5", _PRIME_POWER, _r5),
             _Rule("R6", _PRIME_POWER, _r6),
@@ -654,18 +693,20 @@ _PORTFOLIO = {
             _Rule("R9", _PRIME_POWER, _r9),
             _R22_ZERO,
         ),
+        (_R2,),
     ),
-    Kind.CLOSE_SPERNER: ((_R11, _R12), ()),
+    Kind.CLOSE_SPERNER: ((_R11, _R12), (), ()),
     Kind.INTERSECTING: (
         (_Rule("R13", None, _r13),),
         (
-            _Rule("R14", _PRIME_POWER, _r14),
+            _R14,
             _Rule("R15", _PRIME_POWER, _r15),
-            _Rule("R17", _PRIME_POWER, _r17),
+            _R17,
             _Rule("R18", _PRIME_POWER, _r18),
-            _Rule("R19", _PRIME_POWER, _r19),
+            _R19,
             _R22_PER_ALPHA,
         ),
+        (_R14, _R17, _R19),
     ),
     Kind.HAMMING: (
         (_Rule("R21", None, _r21_nonmodular),),
@@ -674,6 +715,7 @@ _PORTFOLIO = {
             _Rule("R21", _PRIME_POWER, _r21_initial_interval),
             _R22_ZERO,
         ),
+        (),
     ),
 }
 
@@ -697,30 +739,22 @@ def _run(ctx: _Ctx, rules) -> list[BoundCertificate]:
 def _applicable(spec: ConstraintSpec) -> list[BoundCertificate]:
     kind, n, pp = spec.kind, spec.n, spec.modulus
     if kind is Kind.INTERSECTING_UNIFORM:
-        if pp.q > _MAX_TABLE_Q:
-            raise ValueError(
-                f"q = {pp.q} is above {_MAX_TABLE_Q}, the limit of the uniform reading's residue list"
-            )
         r = spec.uniform_residue
-        L = tuple(x for x in range(pp.q) if x != r)
-        note = (
-            f"uniform residue {r} read as L-avoiding L-intersecting with "
-            f"L = all residues except {r}"
-        )
+        L = range(r + 1, r + pp.q)  # the residues other than r, as a cyclic interval
+        note = f"uniform residue {r} read as L-avoiding L-intersecting with L = all residues except {r}"
         mapped = _Ctx(Kind.INTERSECTING, n, L, pp, note)
-        uniform = _run(_Ctx(kind, n, L, pp, residue=r), (_R16,))
-        return uniform + _run(mapped, _PORTFOLIO[Kind.INTERSECTING][1])
+        return _run(_Ctx(kind, n, L, pp, residue=r), (_R16,)) + _run(mapped, (_R17, _R19))
     if kind not in _PORTFOLIO:
         raise ValueError(f"no bound rules for kind {kind.value}")
     if not spec.L:
         raise ValueError("empty L is rejected by the bound engine")
-    direct, modular = _PORTFOLIO[kind]
+    direct, modular, lifted = _PORTFOLIO[kind]
     L = tuple(sorted(spec.L))
     if pp is not None:
         return _run(_Ctx(kind, n, L, pp), modular)
     certs = _run(_Ctx(kind, n, L, None), direct)
-    if modular:
-        certs += _run(_lifted_ctx(kind, n, L), modular)
+    if lifted:
+        certs += _run(_lifted_ctx(kind, n, L), lifted)
     return certs
 
 

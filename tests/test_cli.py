@@ -146,33 +146,35 @@ class TestCommands:
         assert ids and "R22" not in ids
 
     @pytest.mark.parametrize(
-        "argv, refused",
+        "argv",
         [
-            (["--kind", "intersecting", "--L", "0,1"], False),
-            (["--kind", "intersecting-uniform", "--uniform-residue", "0"], True),
+            ["--kind", "intersecting", "--L", "0,1"],
+            ["--kind", "intersecting-uniform", "--uniform-residue", "0"],
         ],
         ids=["intersecting", "intersecting-uniform"],
     )
-    def test_bound_intersecting_size_limit(self, capsys, argv, refused):
+    def test_bound_intersecting_size_limit(self, capsys, argv):
         """At q = 2^40 R22 abstains before it lists the q - |L| residues
-        outside L; the uniform reading, which lists its q - 1 residues
-        before any rule runs, is refused."""
+        outside L, and the other rules answer.  The uniform reading was
+        refused here while it listed its q - 1 residues; it now lists none
+        and R19 answers, 2^20 at n = 20."""
         q = 1 << 40
         code, doc = run_json(capsys, ["bound", *argv, "--q", str(q), "--n", "20"])
-        if not refused:
-            assert code == EXIT_OK
-            ids = [c["theorem_id"] for c in doc["payload"]["certificates"]]
-            assert ids and "R22" not in ids
-            return
-        assert code == EXIT_USAGE
-        assert doc == {
-            "schema": 1,
-            "status": "error",
-            "payload": {},
-            "diagnostics": [
-                f"q = {q} is above 4194304, the limit of the uniform reading's residue list"
-            ],
-        }
+        assert code == EXIT_OK
+        ids = [c["theorem_id"] for c in doc["payload"]["certificates"]]
+        assert ids and "R22" not in ids
+        if "intersecting-uniform" in argv:
+            assert (doc["payload"]["theorem_id"], doc["payload"]["bound"]) == ("R19", 2**20)
+
+    @pytest.mark.parametrize("q", [1 << 23, 1 << 40, 3**30], ids=["2^23", "2^40", "3^30"])
+    def test_bound_uniform_above_the_table_limit(self, capsys, q):
+        """Exit 2 while the uniform reading listed its q - 1 residues; R19
+        now answers alone."""
+        argv = ["bound", "--kind", "intersecting-uniform", "--q", str(q), "--uniform-residue", "1", "--n", "1000"]
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_OK
+        assert [c["theorem_id"] for c in doc["payload"]["certificates"]] == ["R19"]
+        assert (doc["payload"]["theorem_id"], doc["payload"]["bound"]) == ("R19", 2**1000)
 
     def test_bound_no_rule_above_the_table_limit(self, capsys):
         """Hamming modulo 2^23 with L = {2}: R21 needs a prime or L = [s],

@@ -50,7 +50,10 @@ def test_bound_table_digest_at_n_24():
     keys at n = 24, a slice of `cert_digest.py`'s specs, and the one R22's
     checker gives on each modular difference, Hamming and intersecting key
     with its default polynomials, which wherever R22 fires is
-    `best_bound`'s R22."""
+    `best_bound`'s R22.  `sha256` moved from `e37ab1d1…` when the lifted
+    and uniform readings came to run only the rules that can come first
+    in them: their portfolios list fewer certificates, and `best-sha256`
+    did not move."""
     before = perfbench_bytecode()
     cert = load_script("cert_digest")
     specs = [
@@ -60,7 +63,7 @@ def test_bound_table_digest_at_n_24():
     ]
     assert cert.portfolio_digests(specs) == (
         5377,
-        "e37ab1d1fca8f388d1fbbbde0a82f294a1fa3101659c71ee1616a176cf83ef02",
+        "f715ddfc7d9ef93260f5b5eae14f8fe54d026ca287c8f6da1df40d3fdc530728",
         "6cdc30bbbddd0a2a958571f26a6c140a7681c5b8107eb78a2eb489e3114f0a78",
     )
     assert cert.seppoly_digest(specs) == "d285f4f8b6140cab19502671002f9dbbe21581eeac2e1cba5d5a63f615914263"
@@ -72,7 +75,10 @@ def test_large_q_digests():
     large-q stratum at q <= 3125, above 2^22 and at q = 65536, n = 30: the
     intersecting choice read from class minima, the table's limit and the
     rows above it.  Its q = 2^22 specs and the rest of its q = 65536 specs
-    take tens of seconds and are run by hand.  The checker digest was
+    take tens of seconds and are run by hand.  The portfolio digest moved
+    from `7ec2f09c…` when the uniform reading came to run only R16, R17
+    and R19 and to list no residues: its rows above 2^22 now answer by
+    R19, where they were refused.  The checker digest was
     taken on the checker's former route, `separates` on every candidate
     (about 35 s per intersecting spec at q = 65536), and did not move when
     the checker came to read g_L's class minima."""
@@ -85,7 +91,7 @@ def test_large_q_digests():
     ]
     assert cert.large_q_digests(entries) == (
         110,
-        "7ec2f09c90e0f7745a31a48c2d8a24d9a617669a025e6e670b0c99c79d199614",
+        "a11cf9d0b7f0bfa29b16cf3a7ea884b21c365f6bff78e150380613afba2bcc67",
         "b46fd3771b36d550ac752a9c521fd8e304da9b1d57e7e142d2db7e4397c593f5",
     )
     assert perfbench_bytecode() == before
