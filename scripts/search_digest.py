@@ -12,8 +12,10 @@ restoration nodes summed over all specs, which a faster search may lower
 but never needs to raise, and `graph-sha256`, a hash of the search graph
 itself (vertices, adjacency rows and element holders, as
 `_graph_with_holders` returns them) for every spec, which a change to how
-the graph is built must leave unchanged.  Run it on two checkouts and
-compare the lines.  `digest` computes them, and the test suite pins them
+the graph is built must leave unchanged, and `stats-sha256`, a hash of
+every spec's `stats` without its `*_s` timings, which a change to how the
+search keeps its books must leave unchanged (a search that opens fewer
+nodes changes it too).  Run it on two checkouts and compare the lines.  `digest` computes them, and the test suite pins them
 through it.
 
 Usage:
@@ -69,9 +71,9 @@ def specs(seed: int, count: int):
 
 def digest(seed: int = 1, count: int = 300) -> dict:
     """The lines the script prints, by name: the number of specs, the
-    search and restoration nodes summed over them, `sha256` and
-    `graph-sha256`."""
-    answers, graphs = hashlib.sha256(), hashlib.sha256()
+    search and restoration nodes summed over them, `sha256`,
+    `graph-sha256` and `stats-sha256`."""
+    answers, graphs, stats = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     out = {"specs": 0, "search_nodes": 0, "restore_nodes": 0}
     for spec in specs(seed, count):
         res = max_family(spec)
@@ -80,10 +82,17 @@ def digest(seed: int = 1, count: int = 300) -> dict:
         verts, adj, holders = _graph_with_holders(spec)
         graphs.update(repr((verts, adj, sorted(holders.items()))).encode())
         graphs.update(b"\n")
+        stats.update(repr(sorted((k, v) for k, v in res.stats.items() if not k.endswith("_s"))).encode())
+        stats.update(b"\n")
         out["specs"] += 1
         out["search_nodes"] += res.stats["search_nodes"]
         out["restore_nodes"] += res.stats["restore_nodes"]
-    return {**out, "sha256": answers.hexdigest(), "graph-sha256": graphs.hexdigest()}
+    return {
+        **out,
+        "sha256": answers.hexdigest(),
+        "graph-sha256": graphs.hexdigest(),
+        "stats-sha256": stats.hexdigest(),
+    }
 
 
 def main() -> int:

@@ -20,7 +20,10 @@ spec only chooses which i each pair of size levels accepts, so a row is
 an OR of those bitsets, masked by level.  The search runs a deterministic
 branch-and-bound maximum clique with greedy-coloring upper bounds on
 bitset adjacency rows.  It starts from the larger of a greedy clique and
-one-pass cliques in reverse and degree order, lists only the vertices
+one-pass cliques in reverse and degree order; the greedy clique keeps the
+degrees within its candidates as bit-plane counters, seeded once per
+orbit of its start's stabiliser and lowered by the rows of the
+candidates each pick drops.  The search lists only the vertices
 whose colour can beat the incumbent (the k_min cut-off of MCS/BBMC), and
 keeps its depth-first path on an explicit stack, so a clique of thousands
 of members needs no recursion.
@@ -43,7 +46,8 @@ and stopped when it gets there; a candidate that fails takes its whole
 orbit under the stabiliser of the sets chosen so far with it.  An orbit
 of a stabiliser of sets is a class of equal counts |b ∩ x| over their
 Venn regions x, and the classes are split from those counts held
-bit-sliced.
+bit-sliced.  A node's orbits are its parent's, split only over the
+regions that the set just added cuts.
 """
 
 from __future__ import annotations
@@ -507,7 +511,9 @@ def push_to_middle(fam: SetFamily, s: int) -> SetFamily:
 @dataclass
 class SearchResult:
     """`nodes_explored` counts search and restoration nodes together; `stats`
-    splits them and adds the graph-build time, the vertex and edge counts,
+    splits them and adds the time of each phase (`graph_build_s`; `seed_s`,
+    the root orbits and the seed clique; `search_s`; `restore_s`, the
+    canonical witness), the vertex and edge counts,
     the size and source of the seed clique, the number of root orbits
     (size levels, with levels k and n - k one orbit where the kind is
     symmetric under complementation, and one orbit for Hamming) whose
@@ -529,22 +535,48 @@ def _refine(regions: list[int], m: int) -> list[int]:
     return [part for x in regions for part in (x & m, x & ~m) if part]
 
 
+def _meet_planes(x: int, holders: dict[int, int]) -> list[int]:
+    """The counts |b ∩ x| of every vertex b, bit-sliced over the vertex
+    `holders`.  An element no vertex holds adds nothing to a count."""
+    planes: list[int] = []
+    for e in _elements(x):
+        planes = _ripple_add(planes, holders.get(e, 0))
+    return planes
+
+
 def _orbits(P: int, holders: dict[int, int], regions: list[int]) -> list[int]:
     """Partition of the vertex bitmask P into classes of equal |b ∩ x| for
     every region x, ordered by least vertex.  These are the orbits of the
     relabellings that keep every region, the product of their symmetric
-    groups: the stabiliser of every set whose Venn regions they are.  Each
-    count is held bit-sliced over the vertex `holders`, and the classes
-    split on each of its bit planes.  An element no vertex holds adds
-    nothing to a count."""
+    groups: the stabiliser of every set whose Venn regions they are.  The
+    classes split on each bit plane of each count."""
     parts = [P] if P else []
     for x in regions:
-        planes: list[int] = []
-        for e in _elements(x):
-            planes = _ripple_add(planes, holders.get(e, 0))
-        for plane in planes:
+        for plane in _meet_planes(x, holders):
             parts = [c for part in parts for c in (part & plane, part & ~plane) if c]
     return sorted(parts, key=lambda c: c & -c)
+
+
+def _split_orbits(
+    mates: list[int], P: int, holders: dict[int, int], regions: list[int], m: int
+) -> list[int]:
+    """The orbits of more than one vertex of P under the stabiliser of
+    `_refine(regions, m)`, in no set order, from `mates`, those of a
+    superset of P under the stabiliser of `regions`: a child's orbits
+    from its parent's.  Within a parent orbit |b ∩ x| is fixed for each
+    region x, so the child's counts |b ∩ x ∩ m| split it only where m cuts
+    x, and split it as the counts |b ∩ x - m| do: the smaller side of the
+    cut is counted.  A region m leaves whole splits nothing."""
+    parts = [c for mate in mates if (c := mate & P) & c - 1]
+    for x in regions:
+        inside = x & m
+        if not parts or not inside or inside == x:
+            continue
+        outside = x ^ inside
+        side = inside if inside.bit_count() <= outside.bit_count() else outside
+        for plane in _meet_planes(side, holders):
+            parts = [c for part in parts for c in (part & plane, part & ~plane) if c & c - 1]
+    return parts
 
 
 def _root_orbits(spec: ConstraintSpec, verts: list[int], holders: dict[int, int]) -> list[int]:
@@ -663,29 +695,59 @@ def _color_sort(P: int, nadj: list[int], kmin: int) -> tuple[list[int], list[int
     return order, bounds
 
 
-def _greedy_clique(start: int, adj: list[int]) -> list[int]:
+def _degree_planes(groups, adj: list[int], cand: int) -> list[int]:
+    """Bit-plane counters of the degree within `cand` over `groups`, classes
+    of vertices of equal degree, read once per class at its least vertex."""
+    planes: list[int] = []
+    for group in groups:
+        deg = (adj[(group & -group).bit_length() - 1] & cand).bit_count()
+        planes += [0] * (deg.bit_length() - len(planes))
+        for b in _elements(deg):
+            planes[b] |= group
+    return planes
+
+
+def _greedy_clique(start: int, adj: list[int], groups: list[int]) -> list[int]:
     """From `start`, repeatedly add the candidate with the most neighbours
-    among the candidates.  Once each has all |cand| - 1 others, the
-    candidates are a clique, which those picks would take whole, in
-    ascending order."""
+    among the candidates, the least on a tie.  Once each has all |cand| - 1
+    others, the candidates are a clique, which those picks would take
+    whole, in ascending order.
+
+    The degrees within the candidates are bit-plane counters over the
+    vertex indices (see `_ripple_add`), from which the pick and the clique
+    test are read.  They are seeded with one count per class of `groups`,
+    a partition of adj[start] on which that degree is constant (the orbits
+    of start's stabiliser, or single vertices).  A pick subtracts the rows
+    of the candidates it drops, or, when it drops more than it keeps, the
+    kept candidates are counted afresh."""
     clique = [start]
     cand = adj[start]
+    planes = _degree_planes(groups, adj, cand)
+    size = cand.bit_count()
     while cand:
-        pick, pick_deg, total = -1, -1, 0
-        c = cand
-        while c:
-            u = (c & -c).bit_length() - 1
-            c &= c - 1
-            deg = (adj[u] & cand).bit_count()
-            total += deg
-            if deg > pick_deg:
-                pick, pick_deg = u, deg
-        size = cand.bit_count()
-        if total == size * (size - 1):
+        top, deg = cand, 0  # the candidates of highest degree, and that degree
+        for b in range(len(planes) - 1, -1, -1):
+            if top & planes[b]:
+                top &= planes[b]
+                deg |= 1 << b
+        if deg == size - 1 and top == cand:
             clique.extend(_elements(cand))
             break
+        pick = (top & -top).bit_length() - 1
         clique.append(pick)
-        cand &= adj[pick]
+        kept = cand & adj[pick]
+        kept_size = kept.bit_count()
+        if size - kept_size <= kept_size:
+            for w in _elements(cand ^ kept):  # ripple borrow at w's kept neighbours
+                borrow = adj[w] & kept
+                for b, p in enumerate(planes):
+                    if not borrow:
+                        break
+                    planes[b] = p ^ borrow
+                    borrow &= ~p
+        else:
+            planes = _degree_planes((1 << u for u in _elements(kept)), adj, kept)
+        cand, size = kept, kept_size
     return clique
 
 
@@ -701,13 +763,16 @@ def _one_pass_clique(order, adj: list[int]) -> list[int]:
     return clique
 
 
-def _seed(adj: list[int], orbits: list[int]) -> tuple[list[int], str]:
+def _seed(
+    adj: list[int], orbits: list[int], groups: Callable[[int], list[int]]
+) -> tuple[list[int], str]:
     """The clique the search starts from, with its source: the greedy clique
     from the vertex of highest degree, or a one-pass clique in reverse or
     degree order when it is larger (the first such on a tie).  Degree order
     is by degree, highest first, then by vertex, and is listed only as far
     as the one-pass clique reads it.  Degree is constant on each of the
-    root `orbits`, so one row per orbit is counted."""
+    root `orbits`, so one row per orbit is counted; `groups(start)` gives
+    the greedy clique its classes of equal degree in adj[start]."""
     nv = len(adj)
     if not nv:
         return [], "greedy"
@@ -717,7 +782,8 @@ def _seed(adj: list[int], orbits: list[int]) -> tuple[list[int], str]:
         by_deg[deg] = by_deg.get(deg, 0) | orbit
     degs = sorted(by_deg, reverse=True)
     top = by_deg[degs[0]]
-    best, source = _greedy_clique((top & -top).bit_length() - 1, adj), "greedy"
+    start = (top & -top).bit_length() - 1
+    best, source = _greedy_clique(start, adj, groups(start)), "greedy"
     orders = {
         "reverse order": range(nv - 1, -1, -1),
         "degree order": (v for deg in degs for v in _elements(by_deg[deg])),
@@ -784,25 +850,32 @@ class _CliqueSearch:
         orbits, and a vertex branched on takes its orbit with it: a clique
         through an orbit-mate maps onto one through the vertex.  A child's
         candidates, the parent's minus whole orbits met with the vertex's
-        row, are kept by its own stabiliser."""
+        row, are kept by its own stabiliser, and its orbits are split from
+        the parent's (`_split_orbits`), or counted afresh where the parent
+        split none.  A node budget of N opens at most N nodes."""
         if len(clique) > self.best_size:
             self.best_size, self.best = len(clique), list(clique)
         if self.best_size == target or len(clique) + P.bit_count() <= self.best_size:
             return
         adj, nadj, verts = self.adj, self.nadj, self.verts
+        ground = sum(x.bit_count() for x in regions or ())  # what the regions partition
         frames: list[list] = []
         while True:  # open the node of `clique` on P
-            self.nodes += 1
-            if self.budget is not None and self.nodes > self.budget:
+            if self.nodes == self.budget:
                 self.exact = False
                 return
+            self.nodes += 1
             order, bounds = _color_sort(P, nadj, self.best_size - len(clique) + 1)
-            if regions and not any(x & x - 1 for x in regions):
-                regions = None  # a trivial stabiliser, here and below
+            if regions and len(regions) == ground:
+                regions = None  # all singletons: a trivial stabiliser, here and below
             mates = None  # the orbits of more than one vertex
             if regions and len(order) > 1 and len(clique) + bounds[-2] > self.best_size:
                 self.orbit_nodes += 1
-                mates = [c for c in _orbits(P, self.holders, regions) if c & c - 1]
+                above = frames[-1] if frames else None
+                if above and above[4] is not None:
+                    mates = _split_orbits(above[4], P, self.holders, above[3], verts[clique[-1]])
+                else:
+                    mates = [c for c in _orbits(P, self.holders, regions) if c & c - 1]
             frames.append([P, order, bounds, regions, mates])
             while True:  # the next branch, closing exhausted nodes
                 frame = frames[-1]
@@ -854,7 +927,7 @@ def _lex_smallest_optimum(decide: _CliqueSearch, known: list[int], n: int) -> li
             raise AssertionError("lexicographic restoration failed")
         v = (P & -P).bit_length() - 1
         newP = P & decide.adj[v]
-        inner = _refine(regions, decide.verts[v])
+        inner = regions if len(regions) == n else _refine(regions, decide.verts[v])
         if v not in known:
             need = omega - len(chosen) - 1
             decide.best_size, decide.best = need - 1, []
@@ -877,26 +950,35 @@ def max_family(spec: ConstraintSpec, node_budget: int | None = None) -> SearchRe
 
     Vertices are admissible subsets ordered by (size, numeric value); the
     witness is the lexicographically smallest maximum clique under that
-    order.  A node budget truncates the search, flagging the result as
-    inexact with the best clique found.
+    order.  A node budget of N stops the search once it has opened N
+    nodes and would open another, flagging the result as inexact with the
+    best clique found.
     """
     if spec.n > DEFAULT_N_LIMIT:
         raise ValueError(f"n = {spec.n} exceeds the search limit {DEFAULT_N_LIMIT}")
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be non-negative, got {node_budget}")
-    start = time.perf_counter()
+    t0 = time.perf_counter()
     verts, adj, holders = _graph_with_holders(spec)
-    stats = {"graph_build_s": time.perf_counter() - start, "vertices": len(verts)}
+    t1 = time.perf_counter()
     orbits = _root_orbits(spec, verts, holders)
+    whole = [(1 << spec.n) - 1]
+    seed, source = _seed(adj, orbits, lambda v: _orbits(adj[v], holders, _refine(whole, verts[v])))
+    t2 = time.perf_counter()
     search = _CliqueSearch(adj, node_budget, verts, holders)
-    seed, source = _seed(adj, orbits)
     search.run(seed, spec.n, orbits)
+    t3 = time.perf_counter()
     restore = _CliqueSearch(adj, None, verts, holders, search.nadj)
     if search.exact:
         witness_idx = _lex_smallest_optimum(restore, search.best, spec.n)
     else:
         witness_idx = search.best
-    stats.update(
+    stats = dict(
+        graph_build_s=t1 - t0,
+        seed_s=t2 - t1,
+        search_s=t3 - t2,
+        restore_s=time.perf_counter() - t3,
+        vertices=len(verts),
         edges=sum(o.bit_count() * adj[(o & -o).bit_length() - 1].bit_count() for o in orbits) // 2,
         seed_size=len(seed),
         seed_source=source,

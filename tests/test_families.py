@@ -30,6 +30,7 @@ from qsperner.families import (
     _refine,
     _root_orbits,
     _seed,
+    _split_orbits,
     _words,
     format_family,
     max_family,
@@ -758,6 +759,17 @@ class TestMaxFamily:
         assert res.max_size <= 6
         assert satisfies(spec, res.witness)
 
+    @pytest.mark.parametrize("budget", [0, 1, 2])
+    def test_budget_counts_the_nodes_opened(self, budget):
+        # a budget of N opens N nodes; the node it refuses is not counted
+        spec = ConstraintSpec(
+            kind=Kind.DIFF_SPERNER, n=6, L={1}, modulus=PrimePower.from_q(2)
+        )
+        assert max_family(spec).stats["search_nodes"] > 2
+        res = max_family(spec, node_budget=budget)
+        assert not res.exact
+        assert res.stats["search_nodes"] == res.nodes_explored == budget
+
     def test_n_limit(self):
         with pytest.raises(ValueError):
             max_family(ConstraintSpec(kind=Kind.ANTICHAIN, n=13))
@@ -1140,6 +1152,33 @@ class TestOrbitKeys:
                 self.n, group, chosen
             ), chosen
 
+    @pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
+    def test_split_orbits_match_a_fresh_count(self, kind):
+        # down random chains of branches, as the search takes them (the
+        # candidates meet the branched vertex's row, less some of the
+        # parent's orbits), each child's orbits split from its parent's
+        # must be those counted afresh on its refined regions
+        rng = random.Random(29)
+        draws = (random_spec(rng, rng.randint(1, 7)) for _ in range(600))
+        specs = [spec for spec in draws if spec.kind is kind][:12]
+        splits = 0
+        for spec in specs:
+            verts, adj, holders = _graph_with_holders(spec)
+            P, regions = (1 << len(verts)) - 1, [(1 << spec.n) - 1]
+            mates = [c for c in _orbits(P, holders, regions) if c & c - 1]
+            while P:
+                v = rng.choice([u for u in range(len(verts)) if P >> u & 1])
+                for c in mates:
+                    if rng.random() < 0.2:
+                        P &= ~c
+                P &= adj[v]
+                mates = _split_orbits(mates, P, holders, regions, verts[v])
+                regions = _refine(regions, verts[v])
+                fresh = [c for c in _orbits(P, holders, regions) if c & c - 1]
+                assert sorted(mates, key=lambda c: c & -c) == fresh, spec
+                splits += 1
+        assert len(specs) == 12 and splits
+
     def test_elements_held_by_no_vertex(self):
         # the 2-sets of [3] hold no element past 3, so a region reaching
         # into [4] counts as its part inside [3]
@@ -1201,14 +1240,15 @@ class TestSearchStats:
         )
         res = max_family(spec)
         stats = res.stats
-        assert set(stats) == {
-            "graph_build_s", "vertices", "edges", "seed_size", "seed_source",
+        timings = {"graph_build_s", "seed_s", "search_s", "restore_s"}
+        assert set(stats) == timings | {
+            "vertices", "edges", "seed_size", "seed_source",
             "root_orbits", "search_nodes", "restore_nodes", "orbit_nodes", "orbit_pruned",
         }
         assert stats["vertices"] == 128
         assert 1 <= stats["root_orbits"] <= spec.n + 1
         assert res.nodes_explored == stats["search_nodes"] + stats["restore_nodes"]
-        assert stats["graph_build_s"] >= 0
+        assert all(stats[name] >= 0 for name in timings)
 
     def test_hamming_has_a_single_root_orbit(self):
         spec = ConstraintSpec(kind=Kind.HAMMING, n=6, L={1, 2}, modulus=PrimePower.from_q(3))
@@ -1302,10 +1342,12 @@ class TestCliqueKernels:
         assert _decide(adj, everything, nv + 1) == (None, 0)
 
     def test_greedy_and_seed_match_their_plain_forms(self):
-        # the greedy stops once its candidates are a clique, and degree
+        # the greedy stops once its candidates are a clique and keeps its
+        # degrees as counters seeded per class of equal degree, and degree
         # order is read off orbits of equal degree (single vertices here,
-        # or the root orbits of a spec): the plain pick-by-pick greedy and
-        # a stable sort by degree must give the same cliques
+        # or the root orbits and the stabiliser orbits of start in a
+        # spec's graph): the plain pick-by-pick greedy and a stable sort by
+        # degree must give the same cliques
         def plain_greedy(start, adj):
             clique, cand = [start], adj[start]
             while cand:
@@ -1328,21 +1370,36 @@ class TestCliqueKernels:
                     best, source = clique, name
             return best, source
 
+        def single_vertices(adj):
+            return lambda v: [1 << u for u in range(len(adj)) if adj[v] >> u & 1]
+
+        def stabiliser_orbits(spec, verts, adj, holders):
+            return lambda v: _orbits(adj[v], holders, _refine([(1 << spec.n) - 1], verts[v]))
+
         rng = random.Random(23)
         graphs = []
         for _ in range(60):
             nv = rng.randint(1, 40)
             adj = _random_graph(rng, nv, rng.choice((0.5, 0.9, 0.97, 1.0)))
-            graphs.append((adj, [1 << v for v in range(nv)]))
-        for _ in range(20):
-            spec = random_spec(rng, rng.randint(3, 7))
+            graphs.append((adj, [1 << v for v in range(nv)], single_vertices(adj)))
+        specs = [random_spec(rng, rng.randint(3, 7)) for _ in range(20)]
+        specs += [
+            ConstraintSpec(Kind.INTERSECTING_UNIFORM, 7, modulus=PrimePower.from_q(4), uniform_residue=0),
+            ConstraintSpec(Kind.HAMMING, 6, L={1, 2}, modulus=PrimePower.from_q(3)),
+            ConstraintSpec(Kind.CLOSE_SPERNER, 7, L={1, 2}),
+        ]
+        shared = 0
+        for spec in specs:
             verts, adj, holders = _graph_with_holders(spec)
             if verts:
-                graphs.append((adj, _root_orbits(spec, verts, holders)))
-        for adj, orbits in graphs:
+                groups = stabiliser_orbits(spec, verts, adj, holders)
+                shared += sum(any(g & g - 1 for g in groups(v)) for v in range(len(adj)))
+                graphs.append((adj, _root_orbits(spec, verts, holders), groups))
+        assert shared
+        for adj, orbits, groups in graphs:
             for start in range(len(adj)):
-                assert _greedy_clique(start, adj) == plain_greedy(start, adj)
-            assert _seed(adj, orbits) == plain_seed(adj)
+                assert _greedy_clique(start, adj, groups(start)) == plain_greedy(start, adj)
+            assert _seed(adj, orbits, groups) == plain_seed(adj)
 
     def test_decision_search_matches_networkx(self):
         nx = pytest.importorskip("networkx")
