@@ -21,7 +21,7 @@ from math import comb, gcd
 from time import perf_counter
 from typing import NamedTuple
 
-from .families import SetFamily, _counting, _elements, _holders, _ripple_add
+from .families import SetFamily, _counting, _elements, _holders, _meet_planes, _require_element
 from .padic import PrimePower, _vp_int
 from .seppoly import FactoredIntPoly
 
@@ -68,10 +68,7 @@ class _ClosedForm(NamedTuple):
         fixed, free, t = self
         for e in _elements(fixed):
             among &= holders.get(e, 0)
-        planes: list[int] = []
-        for e in _elements(free):
-            planes = _ripple_add(planes, holders.get(e, 0))
-        return _counting(planes, {c: among for c, val in enumerate(t) if keep(val)})
+        return _counting(_meet_planes(free, holders), {c: among for c, val in enumerate(t) if keep(val)})
 
     def coeffs(self) -> dict[int, int]:
         """The nonzero coefficients, monomial mask -> int, by Moebius
@@ -118,13 +115,15 @@ def _masks_by_size(max_size: int, within: int) -> list[int]:
     return [m for size in range(max_size + 1) for m in sorted(_subsets(within, size))]
 
 
-def _require_size(members: int, *mask_blocks: tuple[int, int]) -> None:
-    """Refuse a system of more than `_MAX_POLYS` polynomials, counted
-    before any mask is listed: one per member plus, for each (max_size,
-    bits) block, one per mask of popcount <= max_size over that many bits.
-    The count stops once it passes the limit, so a refusal costs a few
-    binomials however wide the blocks are."""
-    total = members
+def _require_size(fam: SetFamily, *mask_blocks: tuple[int, int]) -> None:
+    """Refuse a system over a ground set whose element n no mask may hold
+    (see `families._require_element`), or of more than `_MAX_POLYS`
+    polynomials, counted before any mask is listed: one per member plus,
+    for each (max_size, bits) block, one per mask of popcount <= max_size
+    over that many bits.  The count stops once it passes the limit, so a
+    refusal costs a few binomials however wide the blocks are."""
+    _require_element(fam.n)
+    total = len(fam)
     for max_size, bits in mask_blocks:
         for size in range(min(max_size, bits) + 1):
             if total > _MAX_POLYS:
@@ -186,7 +185,7 @@ def build_diff_sperner_system(
         raise ValueError(f"unknown variant {variant!r}")
     if fam.n < 1:
         raise ValueError("need at least one ground element")
-    _require_size(len(fam), (g.degree - 1, fam.n - 1))
+    _require_size(fam, (g.degree - 1, fam.n - 1))
     sys_ = _difference_system(fam, g, variant == "minus")
     sys_.meta.update(system="diff", variant=variant, g_lead=g.lead, g_roots=g.roots, q=pp.q, p=pp.p)
     return sys_
@@ -212,12 +211,13 @@ def build_midband_system(fam: SetFamily, s: int, variant: str) -> ProofSystem:
                 f"member {bin(m)} has size {m.bit_count()} outside the band "
                 f"[{s}, {n - s}]; run push_to_middle first"
             )
-    # g has s roots, so it is built only once s is known to be at most n/2
+    # g has s roots, so it is built only once s is at most n/2 and the system is
+    # within its limits
     if variant == "sym":
         if not (n + 2 <= 3 * s and 2 * s <= n):
             raise ValueError(f"need (n+2)/3 <= s <= n/2, got n = {n}, s = {s}")
+        _require_size(fam, (s - 1, n - 1), (3 * s - n - 2, n - 1))
         g = FactoredIntPoly(1, tuple(range(1, s + 1)))
-        _require_size(len(fam), (s - 1, n - 1), (3 * s - n - 2, n - 1))
         head = (1 << (n - 1)) - 1
         c_masks = _masks_by_size(3 * s - n - 2, within=head)
         sys_ = _difference_system(fam, g, minus=True)
@@ -227,8 +227,8 @@ def build_midband_system(fam: SetFamily, s: int, variant: str) -> ProofSystem:
         return sys_
     if not (n + 1 <= 3 * s and 2 * s <= n):
         raise ValueError(f"need (n+1)/3 <= s <= n/2, got n = {n}, s = {s}")
+    _require_size(fam, (3 * s - n - 1, n))
     g = FactoredIntPoly(1, tuple(range(1, s + 1)))
-    _require_size(len(fam), (3 * s - n - 1, n))
     order = tuple(sorted(fam.members, key=lambda m: (-m.bit_count(), m)))
     full = (1 << n) - 1
     b_masks = _masks_by_size(3 * s - n - 1, within=full)

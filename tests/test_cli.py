@@ -821,6 +821,51 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert doc == {"schema": 1, "status": "error", "payload": {}, "diagnostics": [message]}
 
+    FAR = "element {} is above 1073741824, the largest a set mask may hold"
+
+    @pytest.mark.parametrize(
+        "text, argv, message",
+        [
+            ("{20000000000}\n", ["check", "--kind", "antichain"],
+             "element 20000000000 outside [1, 1073741824]"),
+            ("{1,2}\n{3}\n",
+             ["verify", "--kind", "diff-sperner", "--n", "20000000000", "--q", "2", "--L", "1"],
+             FAR.format(20000000000)),
+            ("{1,2}\n{3}\n", ["push", "--n", "20000000000", "--s", "9000000000"],
+             FAR.format(9000000000)),
+            ("", ["verify", "--kind", "diff-sperner", "--n", "20000000000", "--variant", "sym",
+                  "--s", "7000000000"], FAR.format(20000000000)),
+        ],
+        ids=["check", "verify", "push", "verify-sym"],
+    )
+    def test_far_element_is_refused_before_its_mask(self, tmp_path, capsys, text, argv, message):
+        """A member element, a ground set or a pushed member past 2^30 would
+        need a mask of more than 128 MB, so it is refused before one is
+        built; the empty family's band holds s = 7e9 against n = 2e10, and
+        the ground set is refused before the s roots of (y-1)...(y-s) are
+        listed."""
+        fam = tmp_path / "fam.txt"
+        fam.write_text(text)
+        code, doc = run_json(capsys, [*argv, "--file", str(fam)])
+        assert code == EXIT_USAGE
+        assert doc == {"schema": 1, "status": "error", "payload": {}, "diagnostics": [message]}
+
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (["check", "--kind", "antichain"], {"satisfied": True, "members": 2}),
+            (["push", "--s", "3"], {"pushed": [[1, 2, 3], [1, 3, 4]]}),
+        ],
+        ids=["check", "push"],
+    )
+    def test_huge_n_with_small_members_answers(self, tmp_path, capsys, argv, payload):
+        fam = tmp_path / "fam.txt"
+        fam.write_text("{1,2}\n{3}\n")
+        code, doc = run_json(capsys, [*argv, "--n", "20000000000", "--file", str(fam)])
+        assert code == EXIT_OK
+        assert doc["payload"]["n"] == 20000000000
+        assert {key: doc["payload"][key] for key in payload} == payload
+
     @pytest.mark.parametrize(
         "kind, extra",
         [

@@ -20,6 +20,8 @@ from qsperner.families import (
     _CliqueSearch,
     _color_sort,
     _cube,
+    _cuts,
+    _elements,
     _first_violation,
     _graph_with_holders,
     _greedy_clique,
@@ -30,7 +32,6 @@ from qsperner.families import (
     _refine,
     _root_orbits,
     _seed,
-    _split_orbits,
     _words,
     format_family,
     max_family,
@@ -878,10 +879,9 @@ class TestBruteForceOracle:
         specs = [spec for spec in _oracle_specs() if spec.kind is kind]
         for n, spec in itertools.product((5, 6), rng.sample(specs, min(5, len(specs)))):
             full = (1 << n) - 1
-            regions = _KINDS[kind].root_regions(full)
 
-            def key(m):
-                return [(m & x).bit_count() for x in regions]
+            def key(m):  # the root orbit: a size level, or all of 2^[n]
+                return 0 if _KINDS[kind].translations else m.bit_count()
 
             spec = ConstraintSpec(
                 kind=kind, n=n, L=spec.L, modulus=spec.modulus,
@@ -1081,11 +1081,15 @@ def _orbit_partition(n, group, fixing=()):
 
 
 def _bit_sliced_partition(n, regions):
-    """`_orbits` over all of 2^[n], vertex j standing for the set j, as sets;
-    its parts must come ordered by least vertex."""
-    parts = _orbits((1 << (1 << n)) - 1, _holders(list(range(1 << n))), regions)
-    assert parts == sorted(parts, key=lambda c: c & -c)
+    """`_orbits` from all of 2^[n], vertex j standing for the set j, over
+    `regions`, as sets."""
+    parts = _orbits([(1 << (1 << n)) - 1], _holders(list(range(1 << n))), regions)
     return {frozenset(j for j in range(1 << n) if c >> j & 1) for c in parts}
+
+
+def _mates(partition):
+    """The classes of more than one set, the ones `_orbits` keeps."""
+    return {c for c in partition if len(c) > 1}
 
 
 class TestOrbitKeys:
@@ -1098,13 +1102,14 @@ class TestOrbitKeys:
     @pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
     def test_root_and_stabiliser_orbits(self, kind):
         group = list(_relabellings(self.n, kind is Kind.HAMMING))
-        roots = _KINDS[kind].root_regions(self.full)
-        assert _bit_sliced_partition(self.n, roots) == _orbit_partition(self.n, group)
+        # split over [n], all of 2^[n] falls into its size levels
+        levels = _mates(_orbit_partition(self.n, list(_relabellings(self.n, False))))
+        assert _bit_sliced_partition(self.n, [self.full]) == levels
         # the search roots Hamming at the empty set, every other kind anywhere
         for r in [0] if kind is Kind.HAMMING else range(1 << self.n):
             regions = _refine([self.full], r)
-            assert _bit_sliced_partition(self.n, regions) == _orbit_partition(
-                self.n, group, (r,)
+            assert _bit_sliced_partition(self.n, regions) == _mates(
+                _orbit_partition(self.n, group, (r,))
             ), r
 
     # per kind, specs with and without complement symmetry: the uniform kind
@@ -1130,9 +1135,10 @@ class TestOrbitKeys:
         group = list(_relabellings(self.n, kind is Kind.HAMMING))
         if _KINDS[kind].complement(spec):
             group += [[g[m] ^ self.full for m in range(1 << self.n)] for g in group]
-        verts, _, holders = _graph_with_holders(spec)
-        orbits = _root_orbits(spec, verts, holders)
+        verts = _graph_with_holders(spec)[0]
+        orbits = _root_orbits(spec)
         assert orbits == sorted(orbits, key=lambda c: c & -c)
+        assert sum(orbits) == (1 << len(verts)) - 1  # disjoint and covering
         found = {frozenset(verts[j] for j in range(len(verts)) if c >> j & 1) for c in orbits}
         expected = {c for c in _orbit_partition(self.n, group) if c <= set(verts)}
         assert found == expected
@@ -1148,16 +1154,55 @@ class TestOrbitKeys:
             regions = [self.full]
             for c in chosen:
                 regions = _refine(regions, c)
-            assert _bit_sliced_partition(self.n, regions) == _orbit_partition(
-                self.n, group, chosen
+            assert _bit_sliced_partition(self.n, regions) == _mates(
+                _orbit_partition(self.n, group, chosen)
             ), chosen
 
     @pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
-    def test_split_orbits_match_a_fresh_count(self, kind):
+    def test_orbits_down_a_chain_of_branches(self, kind):
         # down random chains of branches, as the search takes them (the
         # candidates meet the branched vertex's row, less some of the
-        # parent's orbits), each child's orbits split from its parent's
-        # must be those counted afresh on its refined regions
+        # parent's orbits), both a child's orbits split from its parent's
+        # over the regions its set cuts and those split from its
+        # candidates over all its regions must be the candidates' classes
+        # of more than one set under the enumerated stabiliser of the
+        # chosen sets: the relabellings fixing them, for Hamming too once
+        # rooted at the empty set
+        group = list(_relabellings(self.n, False))
+        rng = random.Random(29)
+        draws = (random_spec(rng, self.n) for _ in range(200))
+        specs = [spec for spec in draws if spec.kind is kind][:6]
+        splits = 0
+        for spec in specs:
+            verts, adj, holders = _graph_with_holders(spec)
+            for _ in range(10):
+                P, regions, chosen = (1 << len(verts)) - 1, [self.full], []
+                mates = _orbits([P], holders, regions)
+                while P:
+                    v = rng.choice([u for u in range(len(verts)) if P >> u & 1])
+                    if kind is Kind.HAMMING and not chosen and 0 in verts:
+                        v = 0
+                    for c in mates:
+                        if rng.random() < 0.2:
+                            P &= ~c
+                    P &= adj[v]
+                    mates = _orbits([c & P for c in mates], holders, _cuts(regions, verts[v]))
+                    regions = _refine(regions, verts[v])
+                    chosen.append(verts[v])
+                    inside = {verts[u] for u in range(len(verts)) if P >> u & 1}
+                    expected = {
+                        c for c in _mates(_orbit_partition(self.n, group, chosen)) if c <= inside
+                    }
+                    for parts in (mates, _orbits([P], holders, regions)):
+                        found = {frozenset(verts[u] for u in _elements(c)) for c in parts}
+                        assert found == expected, (spec, chosen)
+                    splits += 1
+        assert len(specs) == 6 and splits
+
+    @pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
+    def test_split_orbits_match_a_fresh_count(self, kind):
+        # the same chains on larger graphs, n <= 7, where the group is too
+        # large to list: the split and the fresh count must agree
         rng = random.Random(29)
         draws = (random_spec(rng, rng.randint(1, 7)) for _ in range(600))
         specs = [spec for spec in draws if spec.kind is kind][:12]
@@ -1165,17 +1210,17 @@ class TestOrbitKeys:
         for spec in specs:
             verts, adj, holders = _graph_with_holders(spec)
             P, regions = (1 << len(verts)) - 1, [(1 << spec.n) - 1]
-            mates = [c for c in _orbits(P, holders, regions) if c & c - 1]
+            mates = _orbits([P], holders, regions)
             while P:
                 v = rng.choice([u for u in range(len(verts)) if P >> u & 1])
                 for c in mates:
                     if rng.random() < 0.2:
                         P &= ~c
                 P &= adj[v]
-                mates = _split_orbits(mates, P, holders, regions, verts[v])
+                mates = _orbits([c & P for c in mates], holders, _cuts(regions, verts[v]))
                 regions = _refine(regions, verts[v])
-                fresh = [c for c in _orbits(P, holders, regions) if c & c - 1]
-                assert sorted(mates, key=lambda c: c & -c) == fresh, spec
+                fresh = _orbits([P], holders, regions)
+                assert sorted(mates) == sorted(fresh), spec
                 splits += 1
         assert len(specs) == 12 and splits
 
@@ -1187,8 +1232,8 @@ class TestOrbitKeys:
         assert len(holders) == 3
         everything = (1 << len(verts)) - 1
         for region in (0b1001, 0b1101):
-            parts = _orbits(everything, holders, [region])
-            inside = _orbits(everything, holders, [region & 0b111])
+            parts = _orbits([everything], holders, [region])
+            inside = _orbits([everything], holders, [region & 0b111])
             assert parts == inside
 
 
@@ -1343,11 +1388,12 @@ class TestCliqueKernels:
 
     def test_greedy_and_seed_match_their_plain_forms(self):
         # the greedy stops once its candidates are a clique and keeps its
-        # degrees as counters seeded per class of equal degree, and degree
-        # order is read off orbits of equal degree (single vertices here,
-        # or the root orbits and the stabiliser orbits of start in a
-        # spec's graph): the plain pick-by-pick greedy and a stable sort by
-        # degree must give the same cliques
+        # degrees as counters seeded per class of equal degree, each vertex
+        # in no class on its own, and degree order is read off orbits of
+        # equal degree (single vertices here, or the root orbits and the
+        # stabiliser orbits of start in a spec's graph): the plain
+        # pick-by-pick greedy and a stable sort by degree must give the
+        # same cliques
         def plain_greedy(start, adj):
             clique, cand = [start], adj[start]
             while cand:
@@ -1373,8 +1419,20 @@ class TestCliqueKernels:
         def single_vertices(adj):
             return lambda v: [1 << u for u in range(len(adj)) if adj[v] >> u & 1]
 
+        def some_equal_degree_classes(adj, rng):
+            # vertices of adj[v] of one degree within it, some classes of
+            # them leaving the rest out, and no class at all for some v
+            def classes(v):
+                by_degree = {}
+                for u in _elements(adj[v]):
+                    deg = (adj[u] & adj[v]).bit_count()
+                    by_degree[deg] = by_degree.get(deg, 0) | 1 << u
+                return [c for c in by_degree.values() if c & c - 1 and rng.random() < 0.5]
+
+            return classes
+
         def stabiliser_orbits(spec, verts, adj, holders):
-            return lambda v: _orbits(adj[v], holders, _refine([(1 << spec.n) - 1], verts[v]))
+            return lambda v: _orbits([adj[v]], holders, _refine([(1 << spec.n) - 1], verts[v]))
 
         rng = random.Random(23)
         graphs = []
@@ -1382,6 +1440,7 @@ class TestCliqueKernels:
             nv = rng.randint(1, 40)
             adj = _random_graph(rng, nv, rng.choice((0.5, 0.9, 0.97, 1.0)))
             graphs.append((adj, [1 << v for v in range(nv)], single_vertices(adj)))
+            graphs.append((adj, [1 << v for v in range(nv)], some_equal_degree_classes(adj, rng)))
         specs = [random_spec(rng, rng.randint(3, 7)) for _ in range(20)]
         specs += [
             ConstraintSpec(Kind.INTERSECTING_UNIFORM, 7, modulus=PrimePower.from_q(4), uniform_residue=0),
@@ -1394,7 +1453,7 @@ class TestCliqueKernels:
             if verts:
                 groups = stabiliser_orbits(spec, verts, adj, holders)
                 shared += sum(any(g & g - 1 for g in groups(v)) for v in range(len(adj)))
-                graphs.append((adj, _root_orbits(spec, verts, holders), groups))
+                graphs.append((adj, _root_orbits(spec), groups))
         assert shared
         for adj, orbits, groups in graphs:
             for start in range(len(adj)):

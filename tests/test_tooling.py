@@ -1,7 +1,7 @@
 """The functions the benchmark's tracer and `scripts/cert_digest.py` wrap
-by name all resolve, and `scripts/initial_interval_gap_probe.py` runs, so
-a rename fails here rather than in a traced benchmark run, a digest or a
-probe."""
+by name all resolve, and `scripts/initial_interval_gap_probe.py` and
+`scripts/code_lines.py` run, so a rename fails here rather than in a
+traced benchmark run, a digest, a probe or a size count."""
 
 import importlib
 import importlib.util
@@ -63,3 +63,17 @@ def test_gap_probe_runs(monkeypatch, capsys):
     for row in rows:
         n, s, layer, exact, bound, excess = map(int, row.split()[:6])
         assert layer <= exact <= bound and excess == exact - layer, row
+
+
+def test_code_lines_lists_every_module(capsys):
+    """`scripts/code_lines.py` prints one line per module of the package
+    and a total that is their sum."""
+    script = load(ROOT / "scripts" / "code_lines.py")
+    assert script.main() == 0
+    *rows, total = [line.split() for line in capsys.readouterr().out.splitlines()]
+    modules = {path.stem for path in (ROOT / "src" / "qsperner").glob("*.py")}
+    assert [name for name, _ in rows] == sorted(modules)
+    assert all(int(lines) > 0 for _, lines in rows)
+    assert total[0] == "total" and int(total[1]) == sum(int(lines) for _, lines in rows)
+    # a docstring, a comment and blank lines hold no code
+    assert script.code_lines('"""doc\nstring"""\n\n# note\nx = 1  # one\n') == 1
