@@ -1,0 +1,145 @@
+#!/usr/bin/env python3
+"""Time the exact search of two source trees against each other in one
+process, so that both meet the same machine state.
+
+Timings of one tree taken in separate processes spread by 10-30% on a
+shared host, more than most changes to the search move them.  Here each
+tree's `qsperner` package is copied to a temporary directory as
+`qsperner_a` and `qsperner_b` and both are imported side by side.
+
+The items are `slots`, one pass of `max_family` over the 91 `search-exact`
+slots of `perfbench/workloads.py` (each slot's first presentation), and,
+with `--rows`, budgeted rows on which the search's shortcuts were weighed:
+intersecting-uniform, q = 4, residue 0 at n = 9 and n = 12, and the seed
+alone (node budget 0) of three n = 12 specs.  After one untimed warm-up
+pass per tree, each round times one pass of every item with each tree
+in turn, the tree that goes first alternating from round to round.
+
+Per item it prints two lines, `wall` (the time of the pass) and `seed`
+(the `seed_s` of its searches, summed): the median over the rounds of
+each tree's time in ms, then the median of the per-round ratios b/a and
+their quartiles.  A ratio above 1 means B is slower.
+
+Usage:
+  python3 scripts/paired_ab.py A_SRC B_SRC [--rows] [--rounds N]
+
+A_SRC and B_SRC are directories holding a `qsperner` package, such as
+the `src` of two checkouts.
+"""
+
+import argparse
+import gc
+import importlib
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # leave perfbench/ as checked out
+
+# (item, kind, n, q, L, uniform residue, node budget)
+ROWS = (
+    ("uniform-q4-r0-n9", "intersecting-uniform", 9, 4, (), 0, 20_000),
+    ("uniform-q4-r0-n12", "intersecting-uniform", 12, 4, (), 0, 2_000),
+    ("seed-hamming-n12-L1..10", "hamming", 12, None, range(1, 11), None, 0),
+    ("seed-intersecting-n12-L0", "intersecting", 12, None, (0,), None, 0),
+    ("seed-diff-sperner-n12-L1..5", "diff-sperner", 12, None, range(1, 6), None, 0),
+)
+
+
+def slot_specs(a_src: Path) -> list[tuple]:
+    """(kind, n, q, L, r) of each `search-exact` slot's first presentation;
+    `workloads` imports `qsperner`, which it finds in A_SRC."""
+    sys.path[:0] = [str(a_src), str(ROOT / "perfbench")]
+    from workloads import SEARCH_SLOTS, presentations
+
+    out = []
+    for slot in SEARCH_SLOTS:
+        kind, q, L, r = presentations(*slot)[0]
+        out.append((kind, slot[1], q, L, r))
+    return out
+
+
+def load(src: Path, name: str, into: Path):
+    """The `qsperner` package of src, imported as `name` from a copy."""
+    shutil.copytree(src / "qsperner", into / name, ignore=shutil.ignore_patterns("__pycache__"))
+    return importlib.import_module(f"{name}.families"), importlib.import_module(f"{name}.padic")
+
+
+def make_runner(fam, padic, items: dict[str, list[tuple]]):
+    """A function timing one pass of an item with this tree: its wall time
+    and summed `seed_s`, both in seconds."""
+    specs = {
+        item: [
+            (
+                fam.ConstraintSpec(
+                    kind=fam.Kind(kind),
+                    n=n,
+                    L=frozenset(L),
+                    modulus=padic.PrimePower.from_q(q) if q else None,
+                    uniform_residue=r,
+                ),
+                budget,
+            )
+            for kind, n, q, L, r, budget in rows
+        ]
+        for item, rows in items.items()
+    }
+
+    def run(item: str) -> tuple[float, float]:
+        gc.collect()
+        seed = 0.0
+        start = time.perf_counter()
+        for spec, budget in specs[item]:
+            seed += fam.max_family(spec, budget).stats["seed_s"]
+        return time.perf_counter() - start, seed
+
+    return run
+
+
+def summary(a: list[float], b: list[float]) -> str:
+    ratios = [y / x for x, y in zip(a, b)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    return (
+        f"a {statistics.median(a) * 1e3:.3f} ms b {statistics.median(b) * 1e3:.3f} ms "
+        f"b/a {median:.3f} q1 {q1:.3f} q3 {q3:.3f}"
+    )
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("a_src", type=Path, help="the directory holding tree A's qsperner")
+    ap.add_argument("b_src", type=Path, help="the directory holding tree B's qsperner")
+    ap.add_argument("--rows", action="store_true", help="also time the budgeted rows")
+    ap.add_argument("--rounds", type=int, default=20, help="timed rounds (at least 2)")
+    args = ap.parse_args()
+    if args.rounds < 2:
+        ap.error("--rounds must be at least 2")
+    items = {"slots": [(*spec, None) for spec in slot_specs(args.a_src.resolve())]}
+    if args.rows:
+        items.update((item, [row]) for item, *row in ROWS)
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        runners = [
+            make_runner(*load(src.resolve(), name, Path(tmp)), items)
+            for src, name in ((args.a_src, "qsperner_a"), (args.b_src, "qsperner_b"))
+        ]
+        for run in runners:  # warm-up: the cube of each n, caches, the allocator
+            for item in items:
+                run(item)
+        times = {item: ([], []) for item in items}  # item -> per tree, (wall, seed) per round
+        for rnd in range(args.rounds):
+            for item in items:
+                for t in (0, 1) if rnd % 2 == 0 else (1, 0):
+                    times[item][t].append(runners[t](item))
+    for item, (a, b) in times.items():
+        for i, measure in enumerate(("wall", "seed")):
+            print(f"{item} {measure} {summary([x[i] for x in a], [y[i] for y in b])}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

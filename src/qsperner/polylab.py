@@ -36,6 +36,9 @@ __all__ = [
 # the most polynomials a builder enumerates: a larger system is refused
 # before any mask is listed
 _MAX_POLYS = 10**6
+# the most coefficients a system's polynomials expand to: a larger system is
+# refused before any polynomial is expanded
+_MAX_COEFFS = 10**6
 
 
 class _ClosedForm(NamedTuple):
@@ -70,18 +73,25 @@ class _ClosedForm(NamedTuple):
             among &= holders.get(e, 0)
         return _counting(_meet_planes(free, holders), {c: among for c, val in enumerate(t) if keep(val)})
 
-    def coeffs(self) -> dict[int, int]:
-        """The nonzero coefficients, monomial mask -> int, by Moebius
-        inversion on the Boolean lattice: the coefficient on x^(fixed + S),
-        S inside free, is the |S|-th forward difference of t at 0."""
-        coeffs = {}
-        diffs = list(self.t)
-        for size in range(len(self.t)):
-            if diffs[0]:
-                for s in _subsets(self.free, size):
-                    coeffs[self.fixed | s] = diffs[0]
+    def differences(self) -> list[int]:
+        """The forward differences of t at 0, of order 0 up to the last
+        that is not 0; those of higher order are 0.  By Moebius inversion
+        on the Boolean lattice, the coefficient on x^(fixed + S), S inside
+        free, is the one of order |S|, so there are C(|free|, j)
+        coefficients of order j where it is not 0.  The differences stop
+        once a whole row of them is 0, so a t of degree d over a large
+        free set costs about d |free| steps, not |free|^2."""
+        out, diffs = [], list(self.t)
+        while any(diffs):
+            out.append(diffs[0])
             diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        return coeffs
+        return out
+
+    def coeffs(self, diffs: list[int]) -> dict[int, int]:
+        """The nonzero coefficients, monomial mask -> int, given the form's
+        `differences()`."""
+        fixed, free = self.fixed, self.free
+        return {fixed | s: d for size, d in enumerate(diffs) if d for s in _subsets(free, size)}
 
 
 @dataclass
@@ -365,9 +375,21 @@ def verify_independence(sys: ProofSystem) -> RankReport:
     the evaluation matrix, never forming the matrix itself.  `stats` gives
     the distinct monomials (`columns`), the coefficients (`nonzeros`), the
     elimination time in seconds (`rank_s`), the matrix entries the pattern
-    read (`pattern_cells`) and its time in seconds (`pattern_s`).
+    read (`pattern_cells`) and its time in seconds (`pattern_s`).  The
+    coefficients are counted from each form's differences before any form
+    is expanded, and a system of more than `_MAX_COEFFS` is refused.
     """
-    rows = [form.coeffs() for forms in sys.forms.values() for form in forms]
+    forms = [form for block in sys.forms.values() for form in block]
+    # t -> its differences and the number of coefficients they give: t holds
+    # |free| + 1 values, so both depend on t alone, and the forms share a few t
+    expansions = {}
+    for form in forms:
+        if form.t not in expansions:
+            diffs = form.differences()
+            expansions[form.t] = diffs, sum(comb(len(form.t) - 1, j) for j, d in enumerate(diffs) if d)
+    if sum(expansions[form.t][1] for form in forms) > _MAX_COEFFS:
+        raise ValueError(f"the proof system has more than {_MAX_COEFFS} coefficients")
+    rows = [form.coeffs(expansions[form.t][0]) for form in forms]
     start = perf_counter()
     rank = _sparse_rank(rows)
     rank_s = perf_counter() - start

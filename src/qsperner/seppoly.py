@@ -7,18 +7,20 @@ Polynomials are kept in factored form (integer lead times integer roots),
 which is the shape of every construction this toolkit produces and lets
 class minima be computed exactly by a digit recursion instead of a scan.
 The recursion on base-p digits is one loop over an explicit stack
-(`_joint_min`): no function here calls itself and none keeps a cache, so
-roots of any digit length are judged in one pass and the module holds no
-process-wide state.
+(`_joint_min`): no function here calls itself and none keeps a cache past
+its own call, so roots of any digit length are judged in one pass and the
+module holds no process-wide state.
 
 `check_separation` returns the full report: every class minimum and the two
-shifted side conditions.  `separates` answers only the yes/no question: it
-stops at the first residue class whose minimum is not above v_p(g(alpha))
-and never evaluates the side conditions, so callers that only ask
-whether a polynomial separates (`search_min_degree`, and R22's checker
-on the given polynomial of each residue outside an intersecting L) pay
-for one class at a time.  v_p(g(alpha)) is read root by root, v_p(lead)
-plus each v_p(alpha - r), never from the product g(alpha).
+shifted side conditions, reading each residue class once although the
+classes of L and of its neighbours r - 1 and r + 1 overlap.  `separates`
+answers only the yes/no question: it stops at the first residue class
+whose minimum is not above v_p(g(alpha)) and never evaluates the side
+conditions, so callers that only ask whether a polynomial separates
+(`search_min_degree`, and R22's checker on the given polynomial of each
+residue outside an intersecting L) pay for one class at a time.
+v_p(g(alpha)) is read root by root, v_p(lead) plus each v_p(alpha - r),
+never from the product g(alpha).
 
 The bound engine's portfolio reads the class minima of its plain
 candidates from one list instead (`bounds._class_minima`).  R22's
@@ -34,6 +36,7 @@ polynomial, g_L with roots L, over each residue class it needs by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import combinations_with_replacement
 
 from .padic import INFINITY, PrimePower, _vp_int
@@ -196,14 +199,11 @@ def check_separation(
     q = pp.q
     residues = _separation_inputs(pp, alpha, L)
     v0 = _value_valuation(pp, g, alpha)
-    minima = {ell: min_valuation_over_class(pp, g, ell % q) for ell in sorted(set(L))}
+    minimum = cache(partial(min_valuation_over_class, pp, g))  # the classes of L and r ± 1 overlap
+    minima = {ell: minimum(ell % q) for ell in sorted(set(L))}
     separated = all(v0 < m for m in minima.values())
-    minus_ok = all(
-        v0 <= min_valuation_over_class(pp, g, (r - 1) % q) for r in residues
-    )
-    plus_ok = all(
-        v0 <= min_valuation_over_class(pp, g, (r + 1) % q) for r in residues
-    )
+    minus_ok = all(v0 <= minimum((r - 1) % q) for r in residues)
+    plus_ok = all(v0 <= minimum((r + 1) % q) for r in residues)
     return SeparationReport(alpha, v0, minima, separated, minus_ok, plus_ok)
 
 

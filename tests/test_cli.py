@@ -1000,6 +1000,23 @@ class TestExitCodes:
         message = "the proof system has more than 1000000 polynomials"
         assert doc == {"schema": 1, "status": "error", "payload": {}, "diagnostics": [message]}
 
+    def test_verify_refuses_a_system_of_too_many_coefficients(self, tmp_path, capsys, monkeypatch):
+        """Two polynomials over n = 26 whose forms would expand to 5,658,538
+        coefficients: the count from the forms' forward differences refuses
+        the system before any form is expanded."""
+
+        def expand(form, diffs):
+            raise AssertionError(f"{form} was expanded")
+
+        monkeypatch.setattr(polylab._ClosedForm, "coeffs", expand)
+        fam = tmp_path / "fam.txt"
+        fam.write_text("{1,2,3,4,5,6,7,8,9}\n")
+        argv = ["verify", "--file", str(fam), "--kind", "close-sperner", "--variant", "close"]
+        code, doc = run_json(capsys, [*argv, "--n", "26", "--s", "9"])
+        assert code == EXIT_USAGE
+        message = "the proof system has more than 1000000 coefficients"
+        assert doc == {"schema": 1, "status": "error", "payload": {}, "diagnostics": [message]}
+
     # the commands that read a family file
     READERS = pytest.mark.parametrize(
         "argv",

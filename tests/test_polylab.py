@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -71,7 +72,7 @@ def matrix(sys_):
 
 
 def coefficient_rows(sys_):
-    return [form.coeffs() for forms in sys_.forms.values() for form in forms]
+    return [form.coeffs(form.differences()) for forms in sys_.forms.values() for form in forms]
 
 
 def sparse_rank(rows):
@@ -373,9 +374,32 @@ class TestClosedForms:
     @given(proof_systems())
     @settings(max_examples=60, deadline=None)
     def test_moebius_polynomials_equal_product_build(self, sys_):
-        moebius = {name: [form.coeffs() for form in forms] for name, forms in sys_.forms.items()}
+        moebius = {
+            name: [form.coeffs(form.differences()) for form in forms] for name, forms in sys_.forms.items()
+        }
         assert moebius == product_blocks(sys_)
         assert all(degree(row) <= sys_.degree_cap for row in coefficient_rows(sys_))
+
+    @given(proof_systems())
+    @settings(max_examples=30, deadline=None)
+    def test_coefficient_limit_counts_exactly(self, sys_):
+        """The count the coefficient limit reads is the number of
+        coefficients the forms expand to: a limit at that number passes
+        the system, one below it refuses it."""
+        nonzeros = verify_independence(sys_).stats["nonzeros"]
+        with mock.patch("qsperner.polylab._MAX_COEFFS", nonzeros):
+            assert verify_independence(sys_).stats["nonzeros"] == nonzeros
+        with mock.patch("qsperner.polylab._MAX_COEFFS", nonzeros - 1):
+            with pytest.raises(ValueError, match=f"more than {nonzeros - 1} coefficients"):
+                verify_independence(sys_)
+
+    def test_differences_stop_at_the_degree(self):
+        """A form of degree 1 over 5,000 free elements has two nonzero
+        differences, and they are all it computes: no |free|^2 table."""
+        fam = SetFamily.from_sets(5000, [range(1, 5001)])
+        sys_ = build_diff_sperner_system(fam, FactoredIntPoly(1, (1,)), PrimePower.from_q(2))
+        assert [form.differences() for form in sys_.forms["P"]] == [[4999, -1]]
+        assert verify_independence(sys_).stats["nonzeros"] == 1 + 5000 + 2
 
     def test_masks_by_size_matches_full_scan(self):
         rng = random.Random(7)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qsperner import seppoly
 from qsperner.padic import INFINITY, PrimePower, vp
 from qsperner.seppoly import (
     FactoredIntPoly,
@@ -183,6 +184,25 @@ class TestSeparation:
         pp = PrimePower.from_q(4)
         rep = check_separation(pp, FactoredIntPoly(1, (1, 2)), 0, {1, 2})
         assert set(rep.class_minima) == {1, 2}
+
+    def test_each_class_is_read_once(self, monkeypatch):
+        """The classes of L = {1, 2, 3, 9} mod 8 and of their neighbours
+        r - 1 and r + 1 overlap: 0..4 are read once each, not ten times."""
+        calls = []
+
+        def counted(pp, g, c):
+            calls.append(c)
+            return min_valuation_over_class(pp, g, c)
+
+        monkeypatch.setattr(seppoly, "min_valuation_over_class", counted)
+        pp, g = PrimePower.from_q(8), FactoredIntPoly(1, (1, 2, 3))
+        rep = check_separation(pp, g, 0, {1, 2, 3, 9})
+        assert sorted(calls) == [0, 1, 2, 3, 4]
+        assert rep.class_minima == {ell: min_valuation_over_class(pp, g, ell % 8) for ell in (1, 2, 3, 9)}
+        assert (rep.shifted_minus_ok, rep.shifted_plus_ok) == (
+            all(rep.v0 <= min_valuation_over_class(pp, g, c) for c in (0, 1, 2)),
+            all(rep.v0 <= min_valuation_over_class(pp, g, c) for c in (2, 3, 4)),
+        )
 
 
 class TestValueValuation:

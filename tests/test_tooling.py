@@ -1,10 +1,13 @@
 """The functions the benchmark's tracer and `scripts/cert_digest.py` wrap
-by name all resolve, and `scripts/initial_interval_gap_probe.py` and
-`scripts/code_lines.py` run, so a rename fails here rather than in a
-traced benchmark run, a digest, a probe or a size count."""
+by name all resolve, and `scripts/initial_interval_gap_probe.py`,
+`scripts/code_lines.py` and `scripts/paired_ab.py` run, so a rename
+fails here rather than in a traced benchmark run, a digest, a probe, a
+size count or a timing."""
 
 import importlib
 import importlib.util
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -77,3 +80,33 @@ def test_code_lines_lists_every_module(capsys):
     assert total[0] == "total" and int(total[1]) == sum(int(lines) for _, lines in rows)
     # a docstring, a comment and blank lines hold no code
     assert script.code_lines('"""doc\nstring"""\n\n# note\nx = 1  # one\n') == 1
+
+
+def test_paired_ab_runs():
+    """`scripts/paired_ab.py` on `src` against itself for two rounds prints
+    a `wall` and a `seed` line for the search slots, each two median times
+    and the median ratio between its quartiles, and writes no bytecode
+    under perfbench/."""
+    before = perfbench_bytecode()
+    src = str(ROOT / "src")
+    argv = [sys.executable, str(ROOT / "scripts" / "paired_ab.py"), src, src, "--rounds", "2"]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
+    number = r"(\d+\.\d{3})"
+    line = re.compile(rf"(\S+) (wall|seed) a {number} ms b {number} ms b/a {number} q1 {number} q3 {number}")
+    rows = [line.fullmatch(text) for text in out.splitlines()]
+    assert all(rows) and [row.group(1, 2) for row in rows] == [("slots", "wall"), ("slots", "seed")]
+    for row in rows:
+        a, b, ratio, q1, q3 = map(float, row.group(3, 4, 5, 6, 7))
+        assert a > 0 and b > 0 and 0 < q1 <= ratio <= q3
+    assert perfbench_bytecode() == before
+
+
+def test_paired_ab_rows_build():
+    """Each of `paired_ab.py`'s `--rows` items makes a valid search spec
+    with this tree; none is searched."""
+    from qsperner import families, padic
+
+    script = load(ROOT / "scripts" / "paired_ab.py")
+    items = {item: [row] for item, *row in script.ROWS}
+    assert len(items) == len(script.ROWS)
+    assert callable(script.make_runner(families, padic, items))
