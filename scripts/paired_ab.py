@@ -20,6 +20,12 @@ Per item it prints two lines, `wall` (the time of the pass) and `seed`
 each tree's time in ms, then the median of the per-round ratios b/a and
 their quartiles.  A ratio above 1 means B is slower.
 
+Both trees share one heap and one garbage collector, so a change that only
+allocates more is charged to both and reads as neutral here: removing
+restoration's singleton skip read 0.994 in this script against a +4.3%
+p50 in the benchmark.  The benchmark's alternating pairs, one tree per
+process, decide; this script only narrows down what to take them on.
+
 Usage:
   python3 scripts/paired_ab.py A_SRC B_SRC [--rows] [--rounds N]
 

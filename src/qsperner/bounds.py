@@ -130,7 +130,7 @@ from math import comb
 from operator import add
 
 from .closure import IntervalL, closure_length_bound, q_closure
-from .families import ConstraintSpec, Kind
+from .families import _KINDS, ConstraintSpec, Kind
 from .padic import PrimePower, _lucas_nondivisible, _vp_int, is_prime, vp_factorial
 from .seppoly import (
     FactoredIntPoly,
@@ -225,25 +225,14 @@ def _next_prime(m: int) -> int:
 
 # --- contexts, rule records and the certificate builder --------------------
 
-# The kind hypothesis, by kind and whether the rule reads L modulo q.
-_KIND_WORDING = {
-    (Kind.DIFF_SPERNER, True): "family is {q}-modular L-differencing Sperner",
-    (Kind.INTERSECTING, True): "family is {q}-modular L-avoiding L-intersecting",
-    (Kind.HAMMING, True): "pairwise Hamming distances lie in L modulo {q}",
-    (Kind.INTERSECTING_UNIFORM, True): (
-        "member sizes are congruent to {r} and no intersection is (mod {q})"
-    ),
-    (Kind.DIFF_SPERNER, False): "family is L-differencing Sperner (non-modular)",
-    (Kind.CLOSE_SPERNER, False): "family is L-close Sperner",
-    (Kind.INTERSECTING, False): "family is L-intersecting (non-modular)",
-    (Kind.HAMMING, False): "pairwise Hamming distances lie in L",
-}
-
 
 def _kind_hyp(ctx: _Ctx) -> str:
+    """The kind's wording in `families._KINDS`: the plain one as it is, the
+    modular one with q and the uniform residue filled in."""
+    kd = _KINDS[ctx.kind]
     if ctx.pp is None:
-        return _KIND_WORDING[ctx.kind, False]
-    return _KIND_WORDING[ctx.kind, True].format(q=ctx.pp.q, r=ctx.residue)
+        return kd.plain
+    return kd.modular.format(q=ctx.pp.q, r=ctx.residue)
 
 
 def _close_hyp(ctx: _Ctx) -> str:

@@ -12,8 +12,10 @@ payload holds a library result's own fields beside the CLI's header keys
 (kind, n, q, L, alpha): each `BoundCertificate` of `bound`, with its
 `BinomSum`; the `SearchResult` of `search`, its witness as sorted member
 lists; the `RankReport` of `verify`, with the system-build time added to
-its stats; the `ClosedPairCensus` of `census`; the `SeparationReport` of
-`seppoly check`, with the polynomial checked.  A field added to one of
+its stats; the `ClosedPairCensus` of `census`; the input and closed
+`IntervalL` of `closure`; the `SeparationReport` of `seppoly check`, with
+the `FactoredIntPoly` checked, as `seppoly find` gives the one it
+found.  A field added to one of
 those results reaches the payload with no change here.  A negative
 `seppoly find --window` is a usage error.
 
@@ -126,7 +128,7 @@ def _modulus_and_L(args) -> tuple[PrimePower | None, list[int]]:
 def _build_spec(args, n: int, *, need_L=True) -> ConstraintSpec:
     kind = _kind(args.kind)
     pp, L = _modulus_and_L(args)
-    if need_L and not L and kind not in (Kind.ANTICHAIN, Kind.INTERSECTING_UNIFORM):
+    if need_L and not L and families._KINDS[kind].least is not None:
         raise UsageError(f"kind {kind.value} needs --L")
     return ConstraintSpec(
         kind=kind, n=n, L=frozenset(L), modulus=pp, uniform_residue=args.uniform_residue
@@ -220,8 +222,8 @@ def _cmd_closure(args) -> CommandResult:
         "ok",
         {
             "q": pp.q,
-            "input": {"lo": args.lo, "hi": args.hi},
-            "closure": {"lo": closed.lo, "hi": closed.hi},
+            "input": vars(interval),
+            "closure": vars(closed),
             "length": closed.size,
             "already_closed": already,
         },
@@ -263,8 +265,7 @@ def _cmd_seppoly(args) -> CommandResult:
         roots = _parse_L(args.roots, None)
         g = seppoly.FactoredIntPoly(args.lead, tuple(roots))
         rep = seppoly.check_separation(pp, g, args.alpha, L)
-        poly = {"lead": g.lead, "roots": list(g.roots)}
-        payload = {**header, **vars(rep), "v0": _val_json(rep.v0), "poly": poly}
+        payload = {**header, **vars(rep), "v0": _val_json(rep.v0), "poly": vars(g)}
         human = (
             f"{g} {'separates' if rep.separates else 'does not separate'} "
             f"{args.alpha} from L mod {pp.q}"
@@ -286,7 +287,7 @@ def _cmd_seppoly(args) -> CommandResult:
             human=f"no separating polynomial of degree <= {args.max_degree} found",
         )
     g, d = found
-    payload = {**header, "degree": d, "poly": {"lead": g.lead, "roots": list(g.roots)}}
+    payload = {**header, "degree": d, "poly": vars(g)}
     return CommandResult("ok", payload, human=f"degree {d}: {g}")
 
 
@@ -307,7 +308,7 @@ def _cmd_bound(args) -> CommandResult:
         lines = [f"best bound: {best.bound.value} via {best.theorem_id}"]
         for c in all_certs:
             b = c.bound
-            span = f"sum_{{i={b.lower}..{b.upper}}} C({'n-1' if b.column == 'n-1' else 'n'}, i)"
+            span = f"sum_{{i={b.lower}..{b.upper}}} C({b.column}, i)"
             lines.append(f"  {c.theorem_id:>4}: {b.value}  ({span})")
     return CommandResult("ok", payload, human="\n".join(lines))
 

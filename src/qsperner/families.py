@@ -5,7 +5,8 @@ Members of a family over the ground set [n] are stored as bit masks with
 bit i-1 standing for element i.  Every constraint kind reads only |A|, |B|
 and |A∩B|, and each is defined once, as a record of `_KINDS`: its member
 condition, its pair statistic with the values it accepts, the wording of
-its violations and its symmetry group.  `satisfies` and the search read
+its violations, its symmetry group, the modulus and L it accepts and its
+hypothesis in a bound's certificate.  `satisfies` and the search read
 that record through one acceptance table per spec (`_meet_tables`: per
 size level, the |A∩B| values each level accepts, reading `accept` once
 per statistic value), and both count |A∩B| bit-sliced, against many sets
@@ -177,43 +178,37 @@ class ConstraintSpec:
     uniform_residue: int | None = None
 
     def __post_init__(self):
+        """Check the input against the kind's contract in `_KINDS` (see
+        `_KindDef`); a modular L is reduced modulo q, and may not hold 0
+        there where `least` is 1.  The uniform kind alone needs a modulus
+        and reads a residue in place of L."""
         kind = Kind(self.kind)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "L", frozenset(self.L))
         if self.n < 0:
             raise ValueError("n must be non-negative")
-        if self.uniform_residue is not None and kind is not Kind.INTERSECTING_UNIFORM:
-            raise ValueError(f"kind {kind.value} takes no uniform residue")
-        q = self.modulus.q if self.modulus is not None else None
-        if kind in (Kind.DIFF_SPERNER, Kind.HAMMING):
-            if q is not None:
-                reduced = frozenset(ell % q for ell in self.L)
-                if 0 in reduced:
-                    raise ValueError("L may not contain 0 modulo q")
-                object.__setattr__(self, "L", reduced)
-            elif any(ell < 1 for ell in self.L):
-                raise ValueError("L must contain positive integers")
-        elif kind is Kind.CLOSE_SPERNER:
-            if self.modulus is not None:
-                raise ValueError("close-Sperner constraints are non-modular")
-            if any(ell < 1 for ell in self.L):
-                raise ValueError("L must contain positive integers")
-        elif kind is Kind.INTERSECTING:
-            if q is not None:
-                object.__setattr__(self, "L", frozenset(ell % q for ell in self.L))
-            elif any(ell < 0 for ell in self.L):
-                raise ValueError("L must contain non-negative integers")
-        elif kind is Kind.INTERSECTING_UNIFORM:
-            if self.modulus is None or self.uniform_residue is None:
+        kd = _KINDS[kind]
+        q = self.q
+        if kind is Kind.INTERSECTING_UNIFORM:
+            if q is None or self.uniform_residue is None:
                 raise ValueError("uniform kind needs a modulus and a residue")
             if self.L:
                 raise ValueError("uniform kind takes no L")
             object.__setattr__(self, "uniform_residue", self.uniform_residue % q)
-        else:  # antichain, which reads neither a modulus nor L
-            if self.modulus is not None:
-                raise ValueError("antichain constraints are non-modular")
+        elif self.uniform_residue is not None:
+            raise ValueError(f"kind {kind.value} takes no uniform residue")
+        elif q is not None:
+            if kd.modular is None:
+                raise ValueError(f"{kd.noun} constraints are non-modular")
+            reduced = frozenset(ell % q for ell in self.L)
+            if kd.least and 0 in reduced:
+                raise ValueError("L may not contain 0 modulo q")
+            object.__setattr__(self, "L", reduced)
+        elif kd.least is None:
             if self.L:
-                raise ValueError("antichain constraints take no L")
+                raise ValueError(f"{kd.noun} constraints take no L")
+        elif any(ell < kd.least for ell in self.L):
+            raise ValueError(f"L must contain {'positive' if kd.least else 'non-negative'} integers")
 
     @property
     def q(self) -> int | None:
@@ -262,7 +257,13 @@ class _KindDef:
     for the uniform kind maps |A∩B| = i to n - |A| - |B| + i, which is
     i mod q on members of size r mod q exactly when n = 2r mod q.  It is
     false for the intersecting kind, and for Hamming, whose translations
-    already hold it."""
+    already hold it.
+    The kind's input contract and the wording of its bound hypothesis:
+    `plain` states the kind when L is read as it is, `modular` when it is
+    read modulo q (naming q as {q} and the uniform residue as {r}), and a
+    kind with no modular wording takes no modulus.  `least` is the least
+    element a non-modular L may hold, None for a kind that takes no L, and
+    `noun` names the kind where a modulus or an L is refused."""
 
     stat: Callable[[int, int, int], int]
     accept: Callable[[ConstraintSpec, int], bool]
@@ -270,38 +271,51 @@ class _KindDef:
     avoiding: str | None = None
     translations: bool = False
     complement: Callable[[ConstraintSpec], bool] = lambda spec: True
+    plain: str | None = None
+    modular: str | None = None
+    least: int | None = 1
+    noun: str = ""
 
 
 _KINDS = {
     Kind.DIFF_SPERNER: _KindDef(
         lambda kx, ky, i: kx - i, _in_L,
         "pair {X}, {Y}: |A\\B| = {res} not in L{mod}",
+        plain="family is L-differencing Sperner (non-modular)",
+        modular="family is {q}-modular L-differencing Sperner",
     ),
     Kind.CLOSE_SPERNER: _KindDef(
         lambda kx, ky, i: min(kx, ky) - i, _in_L,
         "pair {X}, {Y}: skew distance {v} not in L",
+        plain="family is L-close Sperner", noun="close-Sperner",
     ),
     Kind.INTERSECTING: _KindDef(
         lambda kx, ky, i: i, _in_L,
         "pair {X}, {Y}: intersection size {v} not in L{mod}",
         avoiding="member {X}: size {v} lies in L{mod}",
         complement=lambda spec: False,
+        plain="family is L-intersecting (non-modular)",
+        modular="family is {q}-modular L-avoiding L-intersecting", least=0,
     ),
     Kind.INTERSECTING_UNIFORM: _KindDef(
         lambda kx, ky, i: i, _off_residue,
         "pair {X}, {Y}: intersection size {v} is congruent to {r} (mod {q})",
         avoiding="member {X}: size {v} is not congruent to {r} (mod {q})",
         complement=lambda spec: (spec.n - 2 * spec.uniform_residue) % spec.q == 0,
+        modular="member sizes are congruent to {r} and no intersection is (mod {q})", least=None,
     ),
     Kind.HAMMING: _KindDef(
         lambda kx, ky, i: kx + ky - 2 * i, _in_L,
         "pair {X}, {Y}: Hamming distance {v} not in L{mod}",
         translations=True,
         complement=lambda spec: False,
+        plain="pairwise Hamming distances lie in L",
+        modular="pairwise Hamming distances lie in L modulo {q}",
     ),
     Kind.ANTICHAIN: _KindDef(
         lambda kx, ky, i: kx - i, lambda spec, v: v > 0,
         "pair {X} is contained in {Y}",
+        least=None, noun="antichain",
     ),
 }
 

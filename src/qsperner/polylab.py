@@ -36,7 +36,8 @@ __all__ = [
 # the most polynomials a builder enumerates: a larger system is refused
 # before any mask is listed
 _MAX_POLYS = 10**6
-# the most coefficients a system's polynomials expand to: a larger system is
+# the most coefficients a system's polynomials expand to, over a ground set
+# of at most 4,096 elements (see `verify_independence`): a larger system is
 # refused before any polynomial is expanded
 _MAX_COEFFS = 10**6
 
@@ -125,22 +126,25 @@ def _masks_by_size(max_size: int, within: int) -> list[int]:
     return [m for size in range(max_size + 1) for m in sorted(_subsets(within, size))]
 
 
-def _require_size(fam: SetFamily, *mask_blocks: tuple[int, int]) -> None:
-    """Refuse a system over a ground set whose element n no mask may hold
-    (see `families._require_element`), or of more than `_MAX_POLYS`
-    polynomials, counted before any mask is listed: one per member plus,
-    for each (max_size, bits) block, one per mask of popcount <= max_size
-    over that many bits.  The count stops once it passes the limit, so a
-    refusal costs a few binomials however wide the blocks are."""
+def _index_masks(fam: SetFamily, *blocks: tuple[int, int]) -> list[list[int]]:
+    """The masks of each (max_size, bits) block of a system on `fam`: those
+    inside [bits] of popcount <= max_size, ordered by (size, numeric
+    value).  First the system is refused if its ground set holds an
+    element n that no mask may hold (see `families._require_element`), or
+    if it has more than `_MAX_POLYS` polynomials, counted before any mask
+    is listed: one per member plus one per block mask.  The count stops
+    once it passes the limit, so a refusal costs a few binomials however
+    wide the blocks are."""
     _require_element(fam.n)
     total = len(fam)
-    for max_size, bits in mask_blocks:
+    for max_size, bits in blocks:
         for size in range(min(max_size, bits) + 1):
             if total > _MAX_POLYS:
                 break
             total += comb(bits, size)
     if total > _MAX_POLYS:
         raise ValueError(f"the proof system has more than {_MAX_POLYS} polynomials")
+    return [_masks_by_size(max_size, (1 << bits) - 1) for max_size, bits in blocks]
 
 
 def _difference_forms(order, g: FactoredIntPoly) -> list[_ClosedForm]:
@@ -158,9 +162,9 @@ def _window_forms(lo: int, hi: int, head: int, c_masks) -> list[_ClosedForm]:
     return [_ClosedForm(c, head & ~c, tuple(values[c.bit_count():])) for c in c_masks]
 
 
-def _difference_system(fam: SetFamily, g: FactoredIntPoly, minus: bool) -> ProofSystem:
+def _difference_system(fam: SetFamily, g: FactoredIntPoly, b_masks: list[int], minus: bool) -> ProofSystem:
     """The difference system on `fam` for g, the one both public builders
-    extend; the caller has checked its size.
+    extend, given its F block's index masks (see `_index_masks`).
 
     The r members without the last element n come first, then those with
     it.  The P block holds g(|A_i| - v_i . x); the F block holds
@@ -174,7 +178,6 @@ def _difference_system(fam: SetFamily, g: FactoredIntPoly, minus: bool) -> Proof
     without = [m for m in fam.members if not m & top]
     withn = [m for m in fam.members if m & top]
     order = tuple(without + withn)
-    b_masks = _masks_by_size(g.degree - 1, within=top - 1)
     factor = (-1, 0) if minus else (0, 1)
     forms = {"P": _difference_forms(order, g), "F": [_ClosedForm(b, top, factor) for b in b_masks]}
     shifted = [m | top for m in without] if minus else [m & ~top for m in withn]
@@ -195,8 +198,8 @@ def build_diff_sperner_system(
         raise ValueError(f"unknown variant {variant!r}")
     if fam.n < 1:
         raise ValueError("need at least one ground element")
-    _require_size(fam, (g.degree - 1, fam.n - 1))
-    sys_ = _difference_system(fam, g, variant == "minus")
+    (b_masks,) = _index_masks(fam, (g.degree - 1, fam.n - 1))
+    sys_ = _difference_system(fam, g, b_masks, variant == "minus")
     sys_.meta.update(system="diff", variant=variant, g_lead=g.lead, g_roots=g.roots, q=pp.q, p=pp.p)
     return sys_
 
@@ -226,23 +229,19 @@ def build_midband_system(fam: SetFamily, s: int, variant: str) -> ProofSystem:
     if variant == "sym":
         if not (n + 2 <= 3 * s and 2 * s <= n):
             raise ValueError(f"need (n+2)/3 <= s <= n/2, got n = {n}, s = {s}")
-        _require_size(fam, (s - 1, n - 1), (3 * s - n - 2, n - 1))
+        b_masks, c_masks = _index_masks(fam, (s - 1, n - 1), (3 * s - n - 2, n - 1))
         g = FactoredIntPoly(1, tuple(range(1, s + 1)))
-        head = (1 << (n - 1)) - 1
-        c_masks = _masks_by_size(3 * s - n - 2, within=head)
-        sys_ = _difference_system(fam, g, minus=True)
-        sys_.forms["H"] = _window_forms(s - 1, n - s, head, c_masks)
+        sys_ = _difference_system(fam, g, b_masks, minus=True)
+        sys_.forms["H"] = _window_forms(s - 1, n - s, (1 << (n - 1)) - 1, c_masks)
         sys_.probes["window_masks"] = tuple(c_masks)
         sys_.meta.update(system="sym", s=s)
         return sys_
     if not (n + 1 <= 3 * s and 2 * s <= n):
         raise ValueError(f"need (n+1)/3 <= s <= n/2, got n = {n}, s = {s}")
-    _require_size(fam, (3 * s - n - 1, n))
+    (b_masks,) = _index_masks(fam, (3 * s - n - 1, n))
     g = FactoredIntPoly(1, tuple(range(1, s + 1)))
     order = tuple(sorted(fam.members, key=lambda m: (-m.bit_count(), m)))
-    full = (1 << n) - 1
-    b_masks = _masks_by_size(3 * s - n - 1, within=full)
-    forms = {"P": _difference_forms(order, g), "H": _window_forms(s, n - s, full, b_masks)}
+    forms = {"P": _difference_forms(order, g), "H": _window_forms(s, n - s, (1 << n) - 1, b_masks)}
     probes = {"family": order, "window_masks": tuple(b_masks)}
     meta = {"system": "close", "s": s, "g_at_zero": g(0)}
     return ProofSystem(fam, order, s, probes, forms, meta)
@@ -377,7 +376,8 @@ def verify_independence(sys: ProofSystem) -> RankReport:
     elimination time in seconds (`rank_s`), the matrix entries the pattern
     read (`pattern_cells`) and its time in seconds (`pattern_s`).  The
     coefficients are counted from each form's differences before any form
-    is expanded, and a system of more than `_MAX_COEFFS` is refused.
+    is expanded, and a system of more than `_MAX_COEFFS`, divided by the
+    number of started 4,096-element blocks of the ground set, is refused.
     """
     forms = [form for block in sys.forms.values() for form in block]
     # t -> its differences and the number of coefficients they give: t holds
@@ -387,8 +387,12 @@ def verify_independence(sys: ProofSystem) -> RankReport:
         if form.t not in expansions:
             diffs = form.differences()
             expansions[form.t] = diffs, sum(comb(len(form.t) - 1, j) for j, d in enumerate(diffs) if d)
-    if sum(expansions[form.t][1] for form in forms) > _MAX_COEFFS:
-        raise ValueError(f"the proof system has more than {_MAX_COEFFS} coefficients")
+    # a monomial is keyed by a mask as wide as the ground set, so each
+    # coefficient counts once per started 4,096 elements (512 bytes of key)
+    # and the keys of an accepted system stay under about 512 MB
+    limit = _MAX_COEFFS // (-(-sys.family.n // 4096) or 1)
+    if sum(expansions[form.t][1] for form in forms) > limit:
+        raise ValueError(f"the proof system has more than {limit} coefficients")
     rows = [form.coeffs(expansions[form.t][0]) for form in forms]
     start = perf_counter()
     rank = _sparse_rank(rows)

@@ -1017,6 +1017,23 @@ class TestExitCodes:
         message = "the proof system has more than 1000000 coefficients"
         assert doc == {"schema": 1, "status": "error", "payload": {}, "diagnostics": [message]}
 
+    def test_verify_refuses_coefficients_by_key_width(self, tmp_path, capsys, monkeypatch):
+        """One member {1..100000}: the system's 100,003 coefficients are
+        keyed by masks of 100,000 bits, so each counts 25 times, and the
+        system is refused before any form is expanded."""
+
+        def expand(form, diffs):
+            raise AssertionError(f"{form} was expanded")
+
+        monkeypatch.setattr(polylab._ClosedForm, "coeffs", expand)
+        fam = tmp_path / "fam.txt"
+        fam.write_text("{" + ",".join(map(str, range(1, 100_001))) + "}\n")
+        argv = ["verify", "--file", str(fam), "--kind", "diff-sperner", "--q", "2", "--L", "1"]
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_USAGE
+        message = "the proof system has more than 40000 coefficients"
+        assert doc == {"schema": 1, "status": "error", "payload": {}, "diagnostics": [message]}
+
     # the commands that read a family file
     READERS = pytest.mark.parametrize(
         "argv",

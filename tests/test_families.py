@@ -8,6 +8,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsperner.cli import main
 from qsperner.families import (
@@ -269,6 +271,66 @@ class TestSatisfies:
                 kind, 4, L=fields.get("L", ()), modulus=PrimePower.from_q(q) if q else None,
                 uniform_residue=fields.get("r"),
             )
+
+    @staticmethod
+    def per_kind_checks(kind, L, modulus, uniform_residue):
+        """The spec checks as written kind by kind, before they read the
+        kind records: the ValueError message, or the stored L and
+        residue."""
+        q = modulus.q if modulus is not None else None
+        if uniform_residue is not None and kind is not Kind.INTERSECTING_UNIFORM:
+            return f"kind {kind.value} takes no uniform residue"
+        if kind in (Kind.DIFF_SPERNER, Kind.HAMMING):
+            if q is not None:
+                reduced = frozenset(ell % q for ell in L)
+                if 0 in reduced:
+                    return "L may not contain 0 modulo q"
+                L = reduced
+            elif any(ell < 1 for ell in L):
+                return "L must contain positive integers"
+        elif kind is Kind.CLOSE_SPERNER:
+            if modulus is not None:
+                return "close-Sperner constraints are non-modular"
+            if any(ell < 1 for ell in L):
+                return "L must contain positive integers"
+        elif kind is Kind.INTERSECTING:
+            if q is not None:
+                L = frozenset(ell % q for ell in L)
+            elif any(ell < 0 for ell in L):
+                return "L must contain non-negative integers"
+        elif kind is Kind.INTERSECTING_UNIFORM:
+            if modulus is None or uniform_residue is None:
+                return "uniform kind needs a modulus and a residue"
+            if L:
+                return "uniform kind takes no L"
+            uniform_residue %= q
+        else:
+            if modulus is not None:
+                return "antichain constraints are non-modular"
+            if L:
+                return "antichain constraints take no L"
+        return frozenset(L), uniform_residue
+
+    @given(
+        kind=st.sampled_from(Kind),
+        q=st.sampled_from([None, 2, 3, 4, 5, 7, 8, 9]),
+        L=st.frozensets(st.integers(-2, 12), max_size=5),
+        residue=st.none() | st.integers(-2, 12),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_checks_match_the_per_kind_checks(self, kind, q, L, residue):
+        """Every kind, with and without a modulus, L in [-2, 12] (empty
+        included) and with or without a residue: the checks read from the
+        kind records refuse with the same message, or store the same L and
+        residue, as the checks written kind by kind."""
+        modulus = PrimePower.from_q(q) if q else None
+        try:
+            spec = ConstraintSpec(kind, 4, L=L, modulus=modulus, uniform_residue=residue)
+        except ValueError as exc:
+            outcome = str(exc)
+        else:
+            outcome = spec.L, spec.uniform_residue
+        assert outcome == self.per_kind_checks(kind, L, modulus, residue)
 
 
 # (kind, q, L, uniform residue, n, members, first violation): a failing

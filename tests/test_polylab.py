@@ -393,6 +393,23 @@ class TestClosedForms:
             with pytest.raises(ValueError, match=f"more than {nonzeros - 1} coefficients"):
                 verify_independence(sys_)
 
+    @pytest.mark.parametrize(
+        "n, limit, refused",
+        [(4096, 4098, 4098), (4096, 4099, None), (4097, 8199, 4099), (4097, 8200, None)],
+    )
+    def test_coefficient_limit_weighs_key_width(self, n, limit, refused):
+        """A member {1..n} and g = y - 1 give n + 3 coefficients, each
+        counted once per started 4,096 ground elements: once at n = 4,096,
+        twice at n = 4,097, where the refusal names the limit halved."""
+        fam = SetFamily.from_sets(n, [range(1, n + 1)])
+        sys_ = build_diff_sperner_system(fam, FactoredIntPoly(1, (1,)), PrimePower.from_q(2))
+        with mock.patch("qsperner.polylab._MAX_COEFFS", limit):
+            if refused is None:
+                assert verify_independence(sys_).stats["nonzeros"] == n + 3
+            else:
+                with pytest.raises(ValueError, match=f"^the proof system has more than {refused} coefficients$"):
+                    verify_independence(sys_)
+
     def test_differences_stop_at_the_degree(self):
         """A form of degree 1 over 5,000 free elements has two nonzero
         differences, and they are all it computes: no |free|^2 table."""
