@@ -262,7 +262,7 @@ def _cmd_seppoly(args) -> CommandResult:
     if args.action == "check":
         if not args.roots:
             raise UsageError("seppoly check needs --roots")
-        roots = _parse_L(args.roots, None)
+        roots = _parse_L(args.roots, pp.q)
         g = seppoly.FactoredIntPoly(args.lead, tuple(roots))
         rep = seppoly.check_separation(pp, g, args.alpha, L)
         payload = {**header, **vars(rep), "v0": _val_json(rep.v0), "poly": vars(g)}

@@ -813,9 +813,9 @@ def _seed(
 
 
 class _CliqueSearch:
-    def __init__(self, adj: list[int], node_budget: int | None, verts=(), holders=(), nadj=None):
+    def __init__(self, adj: list[int], node_budget: int | None, verts=(), holders=()):
         self.adj = adj
-        self.nadj = nadj or [~(a | 1 << v) for v, a in enumerate(adj)]
+        self.nadj = [~(a | 1 << v) for v, a in enumerate(adj)]
         self.verts = verts
         self.holders = holders
         self.budget = node_budget
@@ -988,11 +988,10 @@ def max_family(spec: ConstraintSpec, node_budget: int | None = None) -> SearchRe
     search = _CliqueSearch(adj, node_budget, verts, holders)
     search.run(seed, spec.n, orbits)
     t3 = time.perf_counter()
-    restore = _CliqueSearch(adj, None, verts, holders, search.nadj)
+    size, search_nodes, witness_idx = search.best_size, search.nodes, search.best
     if search.exact:
-        witness_idx = _lex_smallest_optimum(restore, search.best, spec.n)
-    else:
-        witness_idx = search.best
+        search.budget = None
+        witness_idx = _lex_smallest_optimum(search, witness_idx, spec.n)
     stats = dict(
         graph_build_s=t1 - t0,
         seed_s=t2 - t1,
@@ -1003,11 +1002,10 @@ def max_family(spec: ConstraintSpec, node_budget: int | None = None) -> SearchRe
         seed_size=len(seed),
         seed_source=source,
         root_orbits=search.root_orbits,
-        search_nodes=search.nodes,
-        restore_nodes=restore.nodes,
-        orbit_nodes=search.orbit_nodes + restore.orbit_nodes,
-        orbit_pruned=search.orbit_pruned + restore.orbit_pruned,
+        search_nodes=search_nodes,
+        restore_nodes=search.nodes - search_nodes,
+        orbit_nodes=search.orbit_nodes,
+        orbit_pruned=search.orbit_pruned,
     )
     witness = SetFamily(spec.n, tuple(verts[i] for i in witness_idx))
-    nodes = search.nodes + restore.nodes
-    return SearchResult(search.best_size, witness, nodes, search.exact, stats)
+    return SearchResult(size, witness, search.nodes, search.exact, stats)

@@ -321,11 +321,11 @@ def _padic_pattern(sys: ProofSystem) -> tuple[list[str], int]:
     return failures, len(forms) * len(fam)
 
 
-def _triangular(forms, points, below: str, diagonal: str) -> tuple[list[str], int]:
+def _triangular(forms, holders, below: str, diagonal: str) -> tuple[list[str], int]:
     """Failures of the law "row i is zero at the points before points[i]
-    and nonzero at points[i]", worded by the two templates, and the number
-    of entries read."""
-    holders, failures = _holders(points), []
+    and nonzero at points[i]", the points given by their `_holders` table,
+    worded by the two templates, and the number of entries read."""
+    failures = []
     for i, form in enumerate(forms):
         nonzero = form.where(holders, (2 << i) - 1)
         failures += [below.format(i=i, j=j) for j in _elements(nonzero & ((1 << i) - 1))]
@@ -343,14 +343,14 @@ def _triangular_pattern(sys: ProofSystem) -> tuple[list[str], int]:
     fam = sys.probes["family"]
     shifted = sys.probes.get("family_shifted", ())
     windows = sys.forms["H"]
-    failures, cells = _triangular(
-        sys.forms["P"], fam,
-        "P entry ({i}, {j}) below the diagonal is nonzero", "P diagonal ({i}, {i}) vanishes",
-    )
     probes = [
         (what, _holders(pts), (1 << len(pts)) - 1)
         for what, pts in (("member", fam), ("shifted member", shifted))
     ]
+    failures, cells = _triangular(
+        sys.forms["P"], probes[0][1],
+        "P entry ({i}, {j}) below the diagonal is nonzero", "P diagonal ({i}, {i}) vanishes",
+    )
     for i, form in enumerate(windows):
         for what, holders, everywhere in probes:
             failures += [
@@ -358,7 +358,7 @@ def _triangular_pattern(sys: ProofSystem) -> tuple[list[str], int]:
                 for j in _elements(form.where(holders, everywhere))
             ]
     window_failures, window_cells = _triangular(
-        windows, sys.probes["window_masks"],
+        windows, _holders(sys.probes["window_masks"]),
         "window entry ({i}, {j}) below the diagonal is nonzero", "window diagonal ({i}, {i}) vanishes",
     )
     cells += len(windows) * (len(fam) + len(shifted)) + window_cells
@@ -391,7 +391,8 @@ def verify_independence(sys: ProofSystem) -> RankReport:
     # coefficient counts once per started 4,096 elements (512 bytes of key)
     # and the keys of an accepted system stay under about 512 MB
     limit = _MAX_COEFFS // (-(-sys.family.n // 4096) or 1)
-    if sum(expansions[form.t][1] for form in forms) > limit:
+    nonzeros = sum(expansions[form.t][1] for form in forms)
+    if nonzeros > limit:
         raise ValueError(f"the proof system has more than {limit} coefficients")
     rows = [form.coeffs(expansions[form.t][0]) for form in forms]
     start = perf_counter()
@@ -418,7 +419,7 @@ def verify_independence(sys: ProofSystem) -> RankReport:
         pattern_failures=failures,
         stats={
             "columns": len(set().union(*rows)),
-            "nonzeros": sum(map(len, rows)),
+            "nonzeros": nonzeros,
             "rank_s": rank_s,
             "pattern_cells": cells,
             "pattern_s": pattern_s,

@@ -299,6 +299,14 @@ class TestCommands:
         assert code == EXIT_OK
         assert doc["payload"]["class_minima"] == {"0": 2}
 
+    def test_seppoly_check_wrap_roots(self, capsys):
+        # --roots reads a wrap-around interval modulo --q, as --L does
+        argv = ["seppoly", "check", "--q", "8", "--alpha", "0", "--L", "1", "--roots", "7..1@wrap"]
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_OK
+        assert doc["payload"]["poly"] == {"lead": 1, "roots": [0, 1, 7]}
+        assert doc["payload"]["v0"] == "infinity"
+
     def test_seppoly_find(self, capsys):
         code, doc = run_json(
             capsys,

@@ -3,15 +3,16 @@ import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
 import qsperner
 
 SOURCES = sorted(Path(qsperner.__file__).parent.glob("*.py"))
 
 
 def test_exports_resolve_and_imports_are_stdlib():
-    """Every name in a module's `__all__` and every name `qsperner` re-exports
-    resolves, and the package imports nothing but the standard library and
-    itself."""
+    """Every name in a module's `__all__` resolves, and the package imports
+    nothing but the standard library and itself."""
     for path in SOURCES:
         module = importlib.import_module(f"qsperner.{path.stem}")
         for name in getattr(module, "__all__", ()):
@@ -25,8 +26,25 @@ def test_exports_resolve_and_imports_are_stdlib():
                 continue
             for root in roots:
                 assert root == "qsperner" or root in sys.stdlib_module_names, f"{path.name} imports {root}"
-            if path.stem == "__init__" and isinstance(node, ast.ImportFrom):
-                home = importlib.import_module(f"qsperner.{node.module}")
-                for alias in node.names:
-                    assert alias.name in home.__all__, f"qsperner re-exports {alias.name} outside {node.module}.__all__"
-                    assert getattr(qsperner, alias.name) is getattr(home, alias.name)
+
+
+def test_package_reexports_every_module_all():
+    """`qsperner.__all__` is every module's `__all__` in module order, no
+    name twice, each name bound to its module's own object."""
+    modules = [importlib.import_module(f"qsperner.{path.stem}") for path in SOURCES if path.stem != "__init__"]
+    homes = [module for module in modules if hasattr(module, "__all__")]
+    assert [home.__name__ for home in homes] == [
+        f"qsperner.{stem}" for stem in ("bounds", "closure", "families", "padic", "polylab", "seppoly")
+    ]
+    declared = [(home, name) for home in homes for name in home.__all__]
+    missing = [f"{home.__name__}.{name}" for home, name in declared if not hasattr(qsperner, name)]
+    assert not missing, f"qsperner does not export {missing}"
+    assert qsperner.__all__ == [name for _, name in declared]
+    assert len(set(qsperner.__all__)) == len(qsperner.__all__)
+    for home, name in declared:
+        assert getattr(qsperner, name) is getattr(home, name), f"qsperner.{name} is not {home.__name__}.{name}"
+
+
+def test_budget_exhaustion_is_caught_by_its_package_name():
+    with pytest.raises(qsperner.SearchBudgetExhausted):
+        qsperner.search_min_degree(qsperner.PrimePower.from_q(4), 0, [1, 2, 3], 3, node_budget=0)
