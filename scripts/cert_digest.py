@@ -14,7 +14,8 @@ never wins changes `sha256` but leaves `best-sha256` as it was.
 After the digest it prints how often the specs called each function of
 COUNTED, one `calls <module>.<name> <count>` line each: counts that do not
 depend on the machine, taken by wrapping the functions at every name the
-`qsperner` modules hold them by, for the duration of this script only.
+`qsperner` package and its modules hold them by, for the duration of this
+script only.
 
 Last it prints `seppoly-sha256`, a digest of the certificate that R22's
 checker, `bound_from_seppoly`, gives on every modular difference, Hamming
@@ -71,10 +72,12 @@ COUNTED = (
 
 
 def count_calls() -> Counter:
-    """Wrap each COUNTED function wherever a qsperner module binds it;
-    the returned counter fills as the wrappers are called."""
+    """Wrap each COUNTED function wherever `qsperner` or one of its modules
+    binds it; the returned counter fills as the wrappers are called."""
     calls = Counter()
-    modules = [m for name, m in list(sys.modules.items()) if name.startswith("qsperner.")]
+    modules = [
+        m for name, m in list(sys.modules.items()) if name == "qsperner" or name.startswith("qsperner.")
+    ]
     for home, name in COUNTED:
         original = getattr(sys.modules[f"qsperner.{home}"], name)
         key = f"{home}.{name}"

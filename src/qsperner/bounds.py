@@ -19,6 +19,9 @@ on the complement of that residue.  The lifted and uniform readings run
 only the rules that can come first in them (the proofs close this
 docstring).
 
+R22 is one rule record, `_R22`, listed under the modular rules of the
+difference, intersecting and Hamming kinds: it reads g_L's class minima
+once, then takes the kind's shape.
 R22's own texts are written in one place per shape, `_r22_zero_own`
 (difference and Hamming kinds) and `_r22_per_alpha_own` (intersecting
 kinds), and pass through `_certificate` for `best_bound` and
@@ -43,11 +46,12 @@ g_L's minima over L and over alpha decide it.  `best_bound` and
 distinct roots in [0, q-1], the minimum of v_p(g) over class c is M[c],
 the sum over the roots r of min(v_p(c - r), k), that is the sum over
 j = 1..k of #{r == c mod p^j}.  M holds q entries, so R22 needs
-q <= 2^22 (`_MAX_TABLE_Q`) as a hypothesis of its own: above it neither
-R22 rule yields a certificate, and the other rules answer.  A polynomial
+q <= 2^22 (`_MAX_TABLE_Q`) as a hypothesis of its own: above it R22
+yields no certificate, and the other rules answer.  A polynomial
 is built only for the evidence of the difference or Hamming candidate
 that wins; the intersecting evidence is degrees alone.
-`bound_from_seppoly` is R22's checker.  It reads no list but `seppoly`'s
+`bound_from_seppoly` is R22's checker, and it refuses first a kind whose
+modular rules do not hold `_R22`.  It reads no list but `seppoly`'s
 digit recursion on g_L, `min_valuation_over_class`, about |L| root steps
 per class: 3|L| + 1 classes at most for the difference and Hamming kinds,
 whose default so answers above q = 2^22 too, and all q for the
@@ -494,11 +498,6 @@ def _r22_zero_choice(ctx: _Ctx, minimum: Callable[[int], int]):
     return _r22_zero_own(ctx, g, v0, True, True, f"closed superinterval {closed}")
 
 
-def _r22_zero(ctx: _Ctx):
-    if ctx.pp.q > _MAX_TABLE_Q:
-        return
-    yield _r22_zero_choice(ctx, _class_minima(ctx.pp, ctx.L).__getitem__)
-
 
 # --- non-modular difference / close-Sperner rules ---------------------------
 
@@ -609,12 +608,14 @@ def _r22_per_alpha_choice(ctx: _Ctx, minimum: Callable[[int], int]) -> dict[int,
     }
 
 
-def _r22_intersecting(ctx: _Ctx):
+def _r22(ctx: _Ctx):
     # g_L's class minima read from one list
     if ctx.pp.q > _MAX_TABLE_Q:
         return
-    degrees = _r22_per_alpha_choice(ctx, _class_minima(ctx.pp, ctx.L).__getitem__)
-    if degrees:
+    minimum = _class_minima(ctx.pp, ctx.L).__getitem__
+    if ctx.kind is not Kind.INTERSECTING:
+        yield _r22_zero_choice(ctx, minimum)
+    elif degrees := _r22_per_alpha_choice(ctx, minimum):
         wording = "a separating polynomial was constructed for every residue outside L"
         yield _r22_per_alpha_own(ctx, degrees, wording)
 
@@ -659,8 +660,7 @@ _R14 = _Rule("R14", _PRIME_POWER, _r14)
 _R16 = _Rule("R16", _PRIME_POWER, _r16)
 _R17 = _Rule("R17", _PRIME_POWER, _r17)
 _R19 = _Rule("R19", _PRIME_POWER, _r19)
-_R22_ZERO = _Rule("R22", _PRIME_POWER, _r22_zero)
-_R22_PER_ALPHA = _Rule("R22", _PRIME_POWER, _r22_intersecting)
+_R22 = _Rule("R22", _PRIME_POWER, _r22)
 
 # Per kind: the rules read without a modulus, the rules read modulo the
 # spec's own q, and those of them that can come first when a non-modular
@@ -680,7 +680,7 @@ _PORTFOLIO = {
             _Rule("R7", _PRIME_POWER, _r7),
             _Rule("R8", _PRIME_POWER, _r8),
             _Rule("R9", _PRIME_POWER, _r9),
-            _R22_ZERO,
+            _R22,
         ),
         (_R2,),
     ),
@@ -693,7 +693,7 @@ _PORTFOLIO = {
             _R17,
             _Rule("R18", _PRIME_POWER, _r18),
             _R19,
-            _R22_PER_ALPHA,
+            _R22,
         ),
         (_R14, _R17, _R19),
     ),
@@ -702,7 +702,7 @@ _PORTFOLIO = {
         (
             _Rule("R21", _PRIME_AVOIDING_L, _r21_prime),
             _Rule("R21", _PRIME_POWER, _r21_initial_interval),
-            _R22_ZERO,
+            _R22,
         ),
         (),
     ),
@@ -763,10 +763,12 @@ def best_bound(spec: ConstraintSpec) -> tuple[BoundCertificate, list[BoundCertif
 # --- explicit separating-polynomial bounds -----------------------------------
 
 
-def _first_failing_class(report) -> int:
+def _separation_failure(report, q: int, lead: str) -> SeparationFailure:
+    """The failure a failed `check_separation` report raises: its first
+    failing class, named after `lead`, with the report attached."""
     for ell, minimum in sorted(report.class_minima.items()):
         if not report.v0 < minimum:
-            return ell
+            return SeparationFailure(f"{lead} class {ell} (mod {q})", ell, report)
     raise AssertionError("no failing class in a separating report")
 
 
@@ -795,14 +797,17 @@ def bound_from_seppoly(
     SeparationFailure naming the failing class when a polynomial does not
     separate, and naming alpha when a per-alpha polynomial is missing, or
     separates but has a root congruent to alpha, and ValueError for a
-    polynomial argument the kind does not read, an intersecting q above
-    2^22, whose residues outside L are not listed, or a default choice
-    that would need a closure of more than 2^22 roots.  For given
+    spec without a modulus, a kind without R22 (before L is read), an
+    empty L, a polynomial argument the kind does not read, an intersecting
+    q above 2^22, whose residues outside L are not listed, or a default
+    choice that would need a closure of more than 2^22 roots.  For given
     polynomials the certificate is R22's, as `best_bound` would state it
     for the same polynomials without a candidate label.
     """
     if spec.modulus is None:
         raise ValueError("bound_from_seppoly needs a modular constraint")
+    if _R22 not in _PORTFOLIO.get(spec.kind, ((), (), ()))[1]:
+        raise ValueError(f"bound_from_seppoly does not apply to kind {spec.kind.value}")
     pp = spec.modulus
     L = tuple(sorted(spec.L))
     if not L:
@@ -810,54 +815,42 @@ def bound_from_seppoly(
     ctx = _Ctx(spec.kind, spec.n, L, pp)
     # g_L's class minima by the digit recursion, never the list
     minimum = partial(min_valuation_over_class, pp, FactoredIntPoly(1, L))
-    if spec.kind in (Kind.DIFF_SPERNER, Kind.HAMMING):
+    if spec.kind is not Kind.INTERSECTING:
         if per_alpha is not None:
             raise ValueError(f"kind {spec.kind.value} takes one polynomial g, not per_alpha")
         if g is None:
-            return _certificate(ctx, _R22_ZERO, *_r22_zero_choice(ctx, minimum))
+            return _certificate(ctx, _R22, *_r22_zero_choice(ctx, minimum))
         rep = check_separation(pp, g, 0, L)
         if not rep.separates:
-            ell = _first_failing_class(rep)
-            raise SeparationFailure(
-                f"polynomial does not separate 0 from class {ell} (mod {pp.q})",
-                ell,
-                rep,
-            )
+            raise _separation_failure(rep, pp.q, "polynomial does not separate 0 from")
         own = _r22_zero_own(ctx, g, rep.v0, rep.shifted_minus_ok, rep.shifted_plus_ok)
-        return _certificate(ctx, _R22_ZERO, *own)
-    if spec.kind is Kind.INTERSECTING:
-        q = pp.q
-        if g is not None:
-            raise ValueError("kind intersecting takes per_alpha polynomials, not one g")
-        if q > _MAX_TABLE_Q:
-            raise ValueError(f"q = {q} is above {_MAX_TABLE_Q}, the limit of the residues to list outside L")
-        if per_alpha is None:
-            degrees = _r22_per_alpha_choice(ctx, minimum)
-        else:
-            Lset = set(L)
-            alphas = [a for a in range(q) if a not in Lset]
-            missing = [a for a in alphas if a not in per_alpha]
-            if missing:
-                raise SeparationFailure(f"no polynomial supplied for alpha = {missing[0]}", missing[0])
-            degrees = {}
-            for alpha in alphas:
-                h = per_alpha[alpha]
-                if not separates(pp, h, alpha, L):
-                    rep = check_separation(pp, h, alpha, L)
-                    ell = _first_failing_class(rep)
-                    raise SeparationFailure(
-                        f"polynomial for alpha = {alpha} fails on class {ell} (mod {q})",
-                        ell,
-                        rep,
-                    )
-                # `separates` reads h(alpha) alone, but the argument needs
-                # v_p(h(u)) for every u == alpha, and such a root zeroes h there
-                if any((r - alpha) % q == 0 for r in h.roots):
-                    raise SeparationFailure(
-                        f"polynomial for alpha = {alpha} has a root congruent to {alpha} (mod {q})",
-                        alpha,
-                    )
-                degrees[alpha] = h.degree
-        wording = "every residue outside L has a verified separating polynomial"
-        return _certificate(ctx, _R22_PER_ALPHA, *_r22_per_alpha_own(ctx, degrees, wording))
-    raise ValueError(f"bound_from_seppoly does not apply to kind {spec.kind.value}")
+        return _certificate(ctx, _R22, *own)
+    q = pp.q
+    if g is not None:
+        raise ValueError("kind intersecting takes per_alpha polynomials, not one g")
+    if q > _MAX_TABLE_Q:
+        raise ValueError(f"q = {q} is above {_MAX_TABLE_Q}, the limit of the residues to list outside L")
+    if per_alpha is None:
+        degrees = _r22_per_alpha_choice(ctx, minimum)
+    else:
+        Lset = set(L)
+        alphas = [a for a in range(q) if a not in Lset]
+        missing = [a for a in alphas if a not in per_alpha]
+        if missing:
+            raise SeparationFailure(f"no polynomial supplied for alpha = {missing[0]}", missing[0])
+        degrees = {}
+        for alpha in alphas:
+            h = per_alpha[alpha]
+            if not separates(pp, h, alpha, L):
+                rep = check_separation(pp, h, alpha, L)
+                raise _separation_failure(rep, q, f"polynomial for alpha = {alpha} fails on")
+            # `separates` reads h(alpha) alone, but the argument needs
+            # v_p(h(u)) for every u == alpha, and such a root zeroes h there
+            if any((r - alpha) % q == 0 for r in h.roots):
+                raise SeparationFailure(
+                    f"polynomial for alpha = {alpha} has a root congruent to {alpha} (mod {q})",
+                    alpha,
+                )
+            degrees[alpha] = h.degree
+    wording = "every residue outside L has a verified separating polynomial"
+    return _certificate(ctx, _R22, *_r22_per_alpha_own(ctx, degrees, wording))

@@ -554,7 +554,7 @@ def _build_parser() -> _Parser:
     p = add("verify", _cmd_verify, help="rank-verify the proof polynomials")
     add_spec(p, n_required=False, file=True, residue=False)
     p.add_argument("--s", type=int, default=None)
-    p.add_argument("--variant", choices=["sym", "close"], default=None)
+    p.add_argument("--variant", choices=[v for v in _VERIFY_KINDS if v], default=None)
 
     return parser
 

@@ -570,6 +570,29 @@ class TestBoundFromSeppoly:
         with pytest.raises(ValueError):
             bound_from_seppoly(spec, FactoredIntPoly(1, (1,)))
 
+    def test_kind_without_r22_refused_before_L(self):
+        # the uniform kind takes no L; it is refused for its kind, not for
+        # its empty L
+        spec = spec_of(Kind.INTERSECTING_UNIFORM, 10, (), q=4, residue=1)
+        with pytest.raises(ValueError, match="^bound_from_seppoly does not apply to kind intersecting-uniform$"):
+            bound_from_seppoly(spec)
+
+    @pytest.mark.parametrize("kind", [Kind.DIFF_SPERNER, Kind.HAMMING, Kind.INTERSECTING])
+    def test_empty_L_refused(self, kind):
+        with pytest.raises(ValueError, match="^empty L is rejected$"):
+            bound_from_seppoly(spec_of(kind, 6, (), q=4))
+
+    def test_one_r22_record(self):
+        """R22 is one record, listed under the modular rules of exactly
+        the kinds the checker accepts."""
+        holders = {
+            kind: [rule is bounds._R22 for rule in modular if rule.theorem_id == "R22"]
+            for kind, (_, modular, _) in bounds._PORTFOLIO.items()
+        }
+        assert holders == {
+            Kind.DIFF_SPERNER: [True], Kind.CLOSE_SPERNER: [], Kind.INTERSECTING: [True], Kind.HAMMING: [True],
+        }
+
 
 def zero_candidates(pp, R):
     """The plain roots R, the closed superinterval of their hull and the

@@ -687,13 +687,21 @@ class TestExitCodes:
                 ["verify", "--kind", "diff-sperner", "--file", "{family}"],
                 "verify needs --q and --L (or --variant sym|close)",
             ),
+            (
+                ["verify", "--kind", "diff-sperner", "--q", "4", "--L", "1", "--file", "{empty}"],
+                "need at least one ground element",
+            ),
         ],
-        ids=["empty-L", "malformed-interval", "wrap-list", "missing-file", "digits-s", "check-roots", "verify-q-L"],
+        ids=[
+            "empty-L", "malformed-interval", "wrap-list", "missing-file", "digits-s", "check-roots", "verify-q-L",
+            "verify-no-ground-element",
+        ],
     )
     def test_usage_error_messages(self, tmp_path, capsys, argv, message):
-        fam = tmp_path / "fam.txt"
+        fam, empty = tmp_path / "fam.txt", tmp_path / "empty.txt"
         fam.write_text("{1}\n{2}\n")
-        paths = {"absent": tmp_path / "absent.txt", "family": fam}
+        empty.write_text("")
+        paths = {"absent": tmp_path / "absent.txt", "family": fam, "empty": empty}
         argv = [a.format(**paths) for a in argv]
         code, doc = run_json(capsys, argv)
         assert code == EXIT_USAGE

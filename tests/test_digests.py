@@ -86,7 +86,12 @@ def test_large_q_digests():
     R19, where they were refused.  The checker digest was
     taken on the checker's former route, `separates` on every candidate
     (about 35 s per intersecting spec at q = 65536), and did not move when
-    the checker came to read g_L's class minima."""
+    the checker came to read g_L's class minima.  It moved from
+    `b46fd377…` when the checker came to refuse a kind whose modular
+    rules hold no R22 before reading L: its 12 intersecting-uniform rows
+    answer "bound_from_seppoly does not apply to kind
+    intersecting-uniform" where they answered "empty L is rejected", and
+    every other row is unchanged."""
     before = perfbench_bytecode()
     cert = load_script("cert_digest")
     entries = [
@@ -97,7 +102,7 @@ def test_large_q_digests():
     assert cert.large_q_digests(entries) == (
         110,
         "a11cf9d0b7f0bfa29b16cf3a7ea884b21c365f6bff78e150380613afba2bcc67",
-        "b46fd3771b36d550ac752a9c521fd8e304da9b1d57e7e142d2db7e4397c593f5",
+        "190d8c06e6e29424b9ae9ea17640c8ac30fdfa4e51f3612f0c5fd2ba6ac8c87a",
     )
     assert perfbench_bytecode() == before
 

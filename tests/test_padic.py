@@ -95,6 +95,10 @@ class TestVpFactorial:
     def test_matches_factorial_factorization(self, p, s):
         assert vp_factorial(p, s) == vp_by_division(p, math.factorial(s))
 
+    def test_rejects_negative_s(self):
+        with pytest.raises(ValueError, match="^s must be non-negative$"):
+            vp_factorial(2, -1)
+
 
 class TestVpBinomial:
     def test_examples(self):
@@ -244,6 +248,15 @@ class TestPrimePower:
     def test_rejects_composite_base(self):
         with pytest.raises(ValueError):
             PrimePower(4, 2)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_exponent_below_one(self, k):
+        with pytest.raises(ValueError, match="^exponent k must be positive$"):
+            PrimePower(2, k)
+
+    def test_str(self):
+        assert str(PrimePower(2, 3)) == "8 = 2^3"
+        assert str(PrimePower(5, 1)) == "5"
 
     def test_is_prime_spot_checks(self):
         assert is_prime(2) and is_prime(97) and is_prime(2**31 - 1)

@@ -278,9 +278,14 @@ class TestSharedBuilder:
 
     def test_variants(self):
         fam, g, pp = SetFamily.from_sets(3, [{1}, {3}]), FactoredIntPoly(1, (1,)), PrimePower.from_q(2)
-        for variant in ("none", "sym"):
-            with pytest.raises(ValueError, match="unknown variant"):
-                build_diff_sperner_system(fam, g, pp, variant)
+        builds = (
+            ("none", lambda: build_diff_sperner_system(fam, g, pp, "none")),
+            ("sym", lambda: build_diff_sperner_system(fam, g, pp, "sym")),
+            ("minus", lambda: build_midband_system(fam, 1, "minus")),
+        )
+        for variant, build in builds:
+            with pytest.raises(ValueError, match=f"^unknown variant '{variant}'$"):
+                build()
 
 
 class TestRankOracle:

@@ -77,6 +77,11 @@ class TestMinValuation:
         pp = PrimePower.from_q(9)
         assert min_valuation_over_class(pp, FactoredIntPoly(1, (3,)), 3) == 2
 
+    @pytest.mark.parametrize("residue", [-1, 9])
+    def test_residue_out_of_range(self, residue):
+        with pytest.raises(ValueError, match=f"^residue {residue} out of range \\[0, 8\\]$"):
+            min_valuation_over_class(PrimePower.from_q(9), FactoredIntPoly(1, (3,)), residue)
+
     def test_joint_min_example(self):
         # min over t of v2(t) + v2(t-1) = 1, frozen from a scan over [-64, 64]
         assert _joint_min(2, (0, 1)) == 1
@@ -438,6 +443,11 @@ class TestDegreeUpperBound:
         for k in (1, 2, 3):
             values = [degree_upper_bound(s, k) for s in range(1, 9)]
             assert values == sorted(values)
+
+    @pytest.mark.parametrize("s, k", [(0, 1), (1, 0), (-1, 2)])
+    def test_rejects_s_or_k_below_one(self, s, k):
+        with pytest.raises(ValueError, match="^s and k must be positive$"):
+            degree_upper_bound(s, k)
 
     @given(st.integers(1, 12), st.integers(1, 8))
     def test_never_exceeds_doubling(self, s, k):

@@ -1,5 +1,6 @@
 """The functions the benchmark's tracer and `scripts/cert_digest.py` wrap
-by name all resolve, and `scripts/initial_interval_gap_probe.py`,
+by name all resolve, `cert_digest.count_calls` wraps the package's own
+names too, and `scripts/initial_interval_gap_probe.py`,
 `scripts/code_lines.py` and `scripts/paired_ab.py` run, so a rename
 fails here rather than in a traced benchmark run, a digest, a probe, a
 size count or a timing."""
@@ -50,6 +51,28 @@ def test_counted_functions_resolve():
     cert = load(ROOT / "scripts" / "cert_digest.py")
     missing = [(home, name) for home, name in cert.COUNTED if not resolves(f"qsperner.{home}", name)]
     assert cert.COUNTED and missing == []
+    assert perfbench_bytecode() == before
+
+
+def test_count_calls_wraps_the_package_bindings():
+    """`count_calls` counts a call made through the name `qsperner` itself
+    binds, as through a module's.  It wraps for good, so it runs in a
+    process of its own."""
+    script = f"""
+import importlib.util, sys
+sys.dont_write_bytecode = True
+spec = importlib.util.spec_from_file_location("cert_digest", {str(ROOT / "scripts" / "cert_digest.py")!r})
+cert = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(cert)
+import qsperner
+calls = cert.count_calls()
+qsperner.is_q_closed(qsperner.PrimePower(2, 2), qsperner.IntervalL(1, 2))
+qsperner.closure.is_q_closed(qsperner.PrimePower(2, 2), qsperner.IntervalL(1, 2))
+print(calls["closure.is_q_closed"])
+"""
+    before = perfbench_bytecode()
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True).stdout
+    assert out == "2\n"
     assert perfbench_bytecode() == before
 
 
