@@ -25,8 +25,8 @@ failures can agree while the blocks differ; this line shows that a change
 to the builders leaves the P, F and H blocks themselves identical.
 
 Run it on two checkouts and compare the printed lines.  `digest`
-computes them, and the test suite pins them through it, without the
-6-layer of [14].
+computes them, and the test suite pins them through it, once with the
+6-layer of [14] and once without.
 
 Usage:
   python3 scripts/replay_digest.py [--seed N ...]
@@ -162,7 +162,7 @@ def digest(seeds=(11,), layer_14_6: bool = True) -> dict:
     """The lines the script prints, by name and in order: the number of
     documents, `sha256`, `arith-sha256` and `systems-sha256`.  Without
     `layer_14_6` the four documents of the 6-layer of [14] are left out,
-    and with them the sym system, which takes most of the time."""
+    and with them its sym system of 5,475 polynomials."""
     docs, systems, arith = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     count = 0
     with hashing_systems(systems), tempfile.TemporaryDirectory() as tmp:

@@ -797,17 +797,17 @@ def bound_from_seppoly(
     SeparationFailure naming the failing class when a polynomial does not
     separate, and naming alpha when a per-alpha polynomial is missing, or
     separates but has a root congruent to alpha, and ValueError for a
-    spec without a modulus, a kind without R22 (before L is read), an
-    empty L, a polynomial argument the kind does not read, an intersecting
-    q above 2^22, whose residues outside L are not listed, or a default
-    choice that would need a closure of more than 2^22 roots.  For given
-    polynomials the certificate is R22's, as `best_bound` would state it
-    for the same polynomials without a candidate label.
+    kind without R22 (before its modulus or L is read), a spec without a
+    modulus, an empty L, a polynomial argument the kind does not read, an
+    intersecting q above 2^22, whose residues outside L are not listed, or
+    a default choice that would need a closure of more than 2^22 roots.
+    For given polynomials the certificate is R22's, as `best_bound` would
+    state it for the same polynomials without a candidate label.
     """
-    if spec.modulus is None:
-        raise ValueError("bound_from_seppoly needs a modular constraint")
     if _R22 not in _PORTFOLIO.get(spec.kind, ((), (), ()))[1]:
         raise ValueError(f"bound_from_seppoly does not apply to kind {spec.kind.value}")
+    if spec.modulus is None:
+        raise ValueError("bound_from_seppoly needs a modular constraint")
     pp = spec.modulus
     L = tuple(sorted(spec.L))
     if not L:

@@ -257,31 +257,47 @@ def _sparse_rank(rows) -> int:
 
     Each row is reduced at its least column against the pivot kept there
     by row <- (a/g) row - (b/g) pivot (a, b the two leading entries, g
-    their gcd), then divided by its content.  The steps are invertible and
-    the pivots' leading columns distinct, so the rank is the number of
-    pivots.  The rows passed in are not modified.
+    their gcd).  A pivot is made primitive at its first use, divided by
+    its content with the sign that makes its lead positive (a pivot never
+    used, as in a triangular system, is never divided), so a/g is 1
+    whenever the pivot's lead divides the row's: then the row is updated
+    in place, and only otherwise is it scaled and divided by its content.
+    The steps are invertible and the pivots' leading columns distinct, so
+    the rank is the number of pivots.  The rows passed in are not
+    modified: a row is copied at its first in-place step.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
+    primitive: set[int] = set()  # the leading columns whose pivot is primitive
+    for given in rows:
+        row = given
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
                 pivots[lead] = row
                 break
+            if lead not in primitive:
+                primitive.add(lead)
+                content = gcd(*pivot.values()) * (1 if pivot[lead] > 0 else -1)
+                if content != 1:
+                    pivot = pivots[lead] = {m: c // content for m, c in pivot.items()}
             a, b = pivot[lead], row[lead]
             g = gcd(a, b)
             a, b = a // g, b // g
-            row = {m: a * c for m, c in row.items()}
+            if a != 1:
+                row = {m: a * c for m, c in row.items()}
+            elif row is given:
+                row = dict(row)
             for m, c in pivot.items():
                 c = row.get(m, 0) - b * c
                 if c:
                     row[m] = c
                 else:
                     del row[m]
-            content = gcd(*row.values())
-            if content > 1:
-                row = {m: c // content for m, c in row.items()}
+            if a != 1:
+                content = gcd(*row.values())
+                if content > 1:
+                    row = {m: c // content for m, c in row.items()}
     return len(pivots)
 
 

@@ -567,7 +567,7 @@ class TestBoundFromSeppoly:
 
     def test_nonmodular_rejected(self):
         spec = spec_of(Kind.DIFF_SPERNER, 6, {1})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^bound_from_seppoly needs a modular constraint$"):
             bound_from_seppoly(spec, FactoredIntPoly(1, (1,)))
 
     def test_kind_without_r22_refused_before_L(self):
@@ -576,6 +576,14 @@ class TestBoundFromSeppoly:
         spec = spec_of(Kind.INTERSECTING_UNIFORM, 10, (), q=4, residue=1)
         with pytest.raises(ValueError, match="^bound_from_seppoly does not apply to kind intersecting-uniform$"):
             bound_from_seppoly(spec)
+
+    @pytest.mark.parametrize(
+        "kind, L", [(Kind.CLOSE_SPERNER, {1}), (Kind.ANTICHAIN, ())], ids=["close-sperner", "antichain"]
+    )
+    def test_nonmodular_kind_without_r22_refused_for_its_kind(self, kind, L):
+        # these kinds take no modulus, so they are not told to give one
+        with pytest.raises(ValueError, match=f"^bound_from_seppoly does not apply to kind {kind.value}$"):
+            bound_from_seppoly(spec_of(kind, 6, L))
 
     @pytest.mark.parametrize("kind", [Kind.DIFF_SPERNER, Kind.HAMMING, Kind.INTERSECTING])
     def test_empty_L_refused(self, kind):

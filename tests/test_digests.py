@@ -111,7 +111,8 @@ def test_replay_digest_without_the_14_layer():
     """Every `check`, `push` and `verify --json` document of the seed-11
     `proof-replay` inputs, every proof system `verify` builds for them and
     every arithmetic document of the fixed grid; the four documents of the
-    6-layer of [14] are left out (its sym `verify` takes seconds)."""
+    6-layer of [14] are left out, so that a failure here points at the
+    workload's own inputs."""
     before = perfbench_bytecode()
     out = load_script("replay_digest").digest([11], layer_14_6=False)
     assert out == {
@@ -119,5 +120,20 @@ def test_replay_digest_without_the_14_layer():
         "sha256": "0d09fc2660d350d06ab12123e2bbe34b05b2d34623579044d8c40aa8ac807fdd",
         "arith-sha256": "edba1e7359eb525d4323ac3532ba58cac93b74562314a014cba54c2815045cb2",
         "systems-sha256": "e5364aa184ca64a74296eba2af284ef4604175ff08ebe1e1f9ef3da0de9c4fbf",
+    }
+    assert perfbench_bytecode() == before
+
+
+def test_replay_digest():
+    """The same digests with the four documents of the 6-layer of [14]:
+    its antichain and q = 8 difference-Sperner checks, its push to s = 7
+    and its sym `verify` with s = 6, a 5,475-row exact rank."""
+    before = perfbench_bytecode()
+    out = load_script("replay_digest").digest([11])
+    assert out == {
+        "documents": 63,
+        "sha256": "73c38a2961a21218140f9f16ea5fee5e2703358d3a1162dc96270756c4a57925",
+        "arith-sha256": "edba1e7359eb525d4323ac3532ba58cac93b74562314a014cba54c2815045cb2",
+        "systems-sha256": "68cf44e5466a086e731b8e9c83741d211b62777f462bab72561c827eba905083",
     }
     assert perfbench_bytecode() == before

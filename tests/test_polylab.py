@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import random
@@ -105,6 +106,56 @@ class TestSparseRank:
     @settings(max_examples=100, deadline=None)
     def test_matches_fraction_elimination(self, rows):
         assert sparse_rank(rows) == fraction_rank(rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # the row's lead 6 is a multiple of the pivot's 2: an in-place step
+            [[2, 1, 0], [6, 3, 0]],
+            [[2, 1, 0], [6, 0, 1]],
+            # 3 is not: the row is scaled by 2
+            [[2, 1, 0], [3, 0, 1]],
+            [[4, 2, 6], [6, 3, 9]],
+            # a negative lead, on the stored pivot and on the reduced row
+            [[-2, 4, 6], [1, -2, -3]],
+            [[-2, 4, 6], [1, -2, 0], [-3, 0, 5]],
+            [[3, 0, 1], [-6, 2, 0], [9, -2, 3]],
+        ],
+        ids=["multiple-dependent", "multiple", "not-multiple", "not-multiple-dependent",
+             "negative-pivot", "negative-pivot-three-rows", "negative-row"],
+    )
+    def test_hand_made_steps(self, rows):
+        assert sparse_rank(rows) == fraction_rank(rows)
+
+    def test_rows_are_not_modified(self):
+        """In-place steps work on a copy: every row passed in, a stored
+        pivot or a reduced row, reads as it did before the call."""
+        rows = [
+            {0: -2, 1: 4, 2: 6},
+            {0: 6, 1: 3, 3: 1},
+            {0: 3, 2: 1},
+            {0: 4, 1: -8, 2: -12},
+            {1: 5, 3: 2},
+        ]
+        before = copy.deepcopy(rows)
+        assert _sparse_rank(rows) == 4
+        assert rows == before
+
+    @pytest.mark.parametrize(
+        "variant, n, s, k, rank, total",
+        [("close", 8, 3, 4, 57, 71), ("sym", 8, 4, 4, 163, 163)],
+        ids=["close-8-3-4", "sym-8-4"],
+    )
+    def test_real_systems(self, variant, n, s, k, rank, total):
+        """The k-layer of [n] under the mid-band system: both ranks
+        against the Fraction oracle, and the rows left as they were."""
+        fam = SetFamily.from_sets(n, itertools.combinations(range(1, n + 1), k))
+        rows = coefficient_rows(build_midband_system(fam, s, variant))
+        before = copy.deepcopy(rows)
+        support = sorted(set().union(*rows))
+        assert (_sparse_rank(rows), len(rows)) == (rank, total)
+        assert fraction_rank([[row.get(m, 0) for m in support] for row in rows]) == rank
+        assert rows == before
 
     def test_blocks_follow_the_closed_forms(self):
         """Rank, sizes and pattern all read the forms, so a system can never
