@@ -13,9 +13,9 @@ never wins changes `sha256` but leaves `best-sha256` as it was.
 
 After the digest it prints how often the specs called each function of
 COUNTED, one `calls <module>.<name> <count>` line each: counts that do not
-depend on the machine, taken by wrapping the functions at every name the
-`qsperner` package and its modules hold them by, for the duration of this
-script only.
+depend on the machine, taken by `count_calls`, which wraps the functions
+at every name the `qsperner` package and its modules hold them by, with
+`replay_digest.rebound`, for its `with` block only: the portfolio pass.
 
 Last it prints `seppoly-sha256`, a digest of the certificate that R22's
 checker, `bound_from_seppoly`, gives on every modular difference, Hamming
@@ -39,13 +39,14 @@ leave the stratum out.
 
 `portfolio_digests` computes the first two digests for any specs,
 `seppoly_digest` the third and `large_q_digests` the stratum's; the test
-suite pins them through these on the `bound-table` keys at n = 24 and on
-a slice of the stratum.
+suite pins them, and the call counts, through these on the `bound-table`
+keys at n = 24 and on a slice of the stratum.
 
 Usage:
   python3 scripts/cert_digest.py
 """
 
+import contextlib
 import hashlib
 import sys
 from collections import Counter
@@ -57,7 +58,9 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from qsperner.bounds import best_bound, bound_from_seppoly
+from qsperner.cli import _long_ints
 from qsperner.families import Kind
+from replay_digest import rebound
 from workloads import N_CHOICES, make_spec, random_strata, table_strata
 
 COUNTED = (
@@ -71,26 +74,23 @@ COUNTED = (
 )
 
 
-def count_calls() -> Counter:
-    """Wrap each COUNTED function wherever `qsperner` or one of its modules
-    binds it; the returned counter fills as the wrappers are called."""
+@contextlib.contextmanager
+def count_calls():
+    """For the `with` block, count the calls to each COUNTED function made
+    at any name by which `qsperner` or one of its modules binds it; the
+    block gets the counter, keyed `<module>.<name>`."""
     calls = Counter()
-    modules = [
-        m for name, m in list(sys.modules.items()) if name == "qsperner" or name.startswith("qsperner.")
-    ]
+    wrappers = {}
     for home, name in COUNTED:
         original = getattr(sys.modules[f"qsperner.{home}"], name)
-        key = f"{home}.{name}"
 
-        def wrapper(*args, _original=original, _key=key, **kwargs):
+        def wrapper(*args, _original=original, _key=f"{home}.{name}", **kwargs):
             calls[_key] += 1
             return _original(*args, **kwargs)
 
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    setattr(module, attr, wrapper)
-    return calls
+        wrappers[original] = wrapper
+    with rebound(wrappers):
+        yield calls
 
 
 def specs():
@@ -180,24 +180,20 @@ def large_q_digests(entries) -> tuple[int, str, str]:
     polynomials, each in order, where a refused spec contributes its
     message.  A certificate at n = 10^5 has values past Python's default
     limit on the digits of an int's `repr`, so the limit is lifted for the
-    call and restored after it."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        digest, checker = hashlib.sha256(), hashlib.sha256()
-        count = 0
+    call, as the CLI lifts it to write a bound."""
+    digest, checker = hashlib.sha256(), hashlib.sha256()
+    count = 0
+    with _long_ints():
         for entry in entries:
             digest.update(_answer(lambda: best_bound(make_spec(*entry))[1]))
             checker.update(_answer(lambda: bound_from_seppoly(make_spec(*entry))))
             count += 1
-    finally:
-        sys.set_int_max_str_digits(limit)
     return count, digest.hexdigest(), checker.hexdigest()
 
 
 def main() -> int:
-    calls = count_calls()
-    count, portfolios, bests = portfolio_digests(specs())
+    with count_calls() as calls:
+        count, portfolios, bests = portfolio_digests(specs())
     print(f"specs {count}")
     print(f"sha256 {portfolios}")
     print(f"best-sha256 {bests}")

@@ -22,7 +22,9 @@ The fourth line, `systems-sha256`, hashes every proof system that
 order, each form's (fixed, free, t), then the probe groups sorted by name,
 `degree_cap` and `meta` sorted by key.  Rank, block sizes and pattern
 failures can agree while the blocks differ; this line shows that a change
-to the builders leaves the P, F and H blocks themselves identical.
+to the builders leaves the P, F and H blocks themselves identical.  The
+systems are read through `rebound`, whose wrapping lasts for its `with`
+block only.
 
 Run it on two checkouts and compare the printed lines.  `digest`
 computes them, and the test suite pins them through it, once with the
@@ -77,10 +79,30 @@ def run(argv: list[str]) -> str:
 
 
 @contextlib.contextmanager
+def rebound(wrappers: dict):
+    """For the `with` block, bind wrappers[f] in place of each function f
+    of `wrappers` at every name by which `qsperner` or one of its modules
+    binds f; every binding is put back on exit."""
+    bound = [
+        (module, attr, original)
+        for name, module in list(sys.modules.items())
+        if name.partition(".")[0] == "qsperner"
+        for attr, value in list(vars(module).items())
+        for original in wrappers
+        if value is original
+    ]
+    for module, attr, original in bound:
+        setattr(module, attr, wrappers[original])
+    try:
+        yield
+    finally:
+        for module, attr, original in bound:
+            setattr(module, attr, original)
+
+
 def hashing_systems(digest):
-    """Wrap `polylab.verify_independence` wherever a qsperner module binds
-    it, so that each system it receives is hashed into `digest` first; the
-    bindings are put back on exit."""
+    """For the `with` block, hash each system `polylab.verify_independence`
+    receives into `digest` before it is checked."""
     original = polylab.verify_independence
 
     def wrapper(sys_):
@@ -89,20 +111,7 @@ def hashing_systems(digest):
         digest.update(repr(record).encode() + b"\n")
         return original(sys_)
 
-    bound = [
-        (module, attr)
-        for name, module in list(sys.modules.items())
-        if name == "qsperner" or name.startswith("qsperner.")
-        for attr, value in list(vars(module).items())
-        if value is original
-    ]
-    for module, attr in bound:
-        setattr(module, attr, wrapper)
-    try:
-        yield
-    finally:
-        for module, attr in bound:
-            setattr(module, attr, original)
+    return rebound({original: wrapper})
 
 
 def argvs(seeds: list[int], workdir: Path, layer_14_6: bool = True):

@@ -34,6 +34,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from qsperner.families import Kind, _graph_with_holders, max_family
+from replay_digest import untimed
 from workloads import SEARCH_SLOTS, make_spec, presentations
 
 MODULI = (None, 2, 3, 4, 5, 7, 8, 9)
@@ -82,7 +83,7 @@ def digest(seed: int = 1, count: int = 300) -> dict:
         verts, adj, holders = _graph_with_holders(spec)
         graphs.update(repr((verts, adj, sorted(holders.items()))).encode())
         graphs.update(b"\n")
-        stats.update(repr(sorted((k, v) for k, v in res.stats.items() if not k.endswith("_s"))).encode())
+        stats.update(repr(sorted(untimed(res.stats).items())).encode())
         stats.update(b"\n")
         out["specs"] += 1
         out["search_nodes"] += res.stats["search_nodes"]

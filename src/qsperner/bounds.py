@@ -388,14 +388,18 @@ def _r8(ctx: _Ctx):
     yield (f"L is the interval {iv}",), branches[winner], aux
 
 
+# Python writes an int of more digits than 4,300 only with its limit on them
+# lifted, so a text writes a degree from 10^4300 on in closed form: the same
+# text under any limit, decided by a comparison rather than by formatting.
+_MAX_WRITTEN = 10**4300
+
+
 def _r9(ctx: _Ctx):
     s = len(ctx.L)
-    try:
-        degree = f"2^(s-1) = {2 ** (s - 1)}"
-    except ValueError:  # more digits than Python writes an int in by default
-        degree = f"2^(s-1) = 2^{s - 1}"
-    texts = (f"L within [1, {ctx.pp.q - 1}]", f"worst-case separating degree {degree}")
-    yield texts, binom_sum(ctx.n, 0, 2 ** (s - 1), "n"), None
+    degree = 2 ** (s - 1)
+    written = degree if degree < _MAX_WRITTEN else f"2^{s - 1}"
+    texts = (f"L within [1, {ctx.pp.q - 1}]", f"worst-case separating degree 2^(s-1) = {written}")
+    yield texts, binom_sum(ctx.n, 0, degree, "n"), None
 
 
 # R22's class minima are a list of q entries: at q = 2^22 a diff-Sperner
@@ -534,8 +538,10 @@ def _r13(ctx: _Ctx):
 
 
 def _r14(ctx: _Ctx):
-    cap = degree_upper_bound(len(ctx.L), ctx.pp.k)
-    texts = (f"worst-case separating degree bound {cap}",)
+    s, k = len(ctx.L), ctx.pp.k
+    cap = degree_upper_bound(s, k)
+    written = cap if cap < _MAX_WRITTEN else f"min(2^{s - 1}, floor({k + s - 1}^{k} / {k}^{k}))"
+    texts = (f"worst-case separating degree bound {written}",)
     yield texts, binom_sum(ctx.n, 0, cap, "n"), {"degree_cap": cap}
 
 

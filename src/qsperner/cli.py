@@ -77,8 +77,9 @@ _MAX_TABLE_ROWS = 10**4
 
 def _parse_L(text: str, q: int | None) -> list[int]:
     """Residue sets: comma list `1,2,3`, inclusive interval `1..3`, or a
-    wrap-around interval `7..1@wrap` (needs a modulus).  An interval of
-    more than `_MAX_INTERVAL` elements is refused."""
+    wrap-around interval `7..1@wrap` (needs a modulus q, and spans at
+    most q integers: |hi - lo| < q).  An interval of more than
+    `_MAX_INTERVAL` elements is refused."""
     text = text.strip()
     if not text:
         raise UsageError("empty L")
@@ -94,6 +95,8 @@ def _parse_L(text: str, q: int | None) -> list[int]:
         if wrap:
             if q is None:
                 raise UsageError("wrap-around intervals need --q")
+            if abs(hi - lo) >= q:
+                raise UsageError(f"wrap-around interval {text!r} spans more than q = {q} integers")
             lo, count = lo % q, (hi - lo) % q + 1
         elif lo > hi:
             raise UsageError(f"interval {text!r} has lo > hi (use @wrap?)")

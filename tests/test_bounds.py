@@ -7,7 +7,6 @@ from functools import partial
 from itertools import combinations
 
 import pytest
-from test_digests import load_script
 
 from qsperner import bounds
 from qsperner.bounds import (
@@ -16,6 +15,7 @@ from qsperner.bounds import (
     binom_sum,
     bound_from_seppoly,
 )
+from qsperner.cli import _long_ints
 from qsperner.closure import IntervalL, closure_length_bound, q_closure
 from qsperner.families import ConstraintSpec, Kind, max_family
 from qsperner.padic import INFINITY, PrimePower, vp, vp_factorial
@@ -830,11 +830,11 @@ class TestR22Table:
         # hull
         assert {(True, False), (True, True)} <= chosen
 
-    def test_bound_table_keys(self):
+    def test_bound_table_keys(self, load_script):
         # every modular intersecting key of the benchmark's bound table
         keys = [
             key
-            for stratum in load_script("cert_digest").table_strata()
+            for stratum in load_script("scripts/cert_digest.py").table_strata()
             for key in stratum
             if key[0] == "intersecting" and key[1] is not None
         ]
@@ -1101,9 +1101,22 @@ class TestCertificateText:
         "s, degree", [(14285, str(2**14284)), (14286, "2^14285")], ids=["written", "as-a-power"]
     )
     def test_r9_degree_past_the_int_text_limit(self, s, degree):
-        # 2^(s-1) is written out while `str` can write it (4,300 digits
-        # by default), and as a power beyond, where `str` raises
+        # 2^(s-1) is written out below 10^4300, which `str` writes under
+        # its default limit of 4,300 digits, and as a power from there on
         _, certs = best_bound(spec_of(Kind.DIFF_SPERNER, 20, range(1, s + 1), q=32768))
         (r9,) = [c for c in certs if c.theorem_id == "R9"]
         assert r9.hypotheses[-1] == (f"worst-case separating degree 2^(s-1) = {degree}", True)
         assert r9.bound.upper == 2 ** (s - 1)
+
+    @pytest.mark.parametrize(
+        "kind, q, L, n",
+        [(Kind.DIFF_SPERNER, 2**15, range(1, 20001), 40), (Kind.INTERSECTING, 2**2000, range(10**6), 30)],
+        ids=["R9", "R14"],
+    )
+    def test_texts_ignore_the_int_text_limit(self, kind, q, L, n):
+        # R9's degree of 6,021 digits and R14's cap of 5,400 are written
+        # in closed form whether or not the limit is lifted
+        spec = spec_of(kind, n, L, q=q)
+        portfolio = best_bound(spec)
+        with _long_ints():
+            assert best_bound(spec) == portfolio

@@ -68,6 +68,14 @@ class TestParseL:
         with pytest.raises(UsageError):
             _parse_L("a,b", None)
 
+    def test_wrap_interval_spans_at_most_q(self):
+        # |hi - lo| < q, so no residue is read twice
+        assert _parse_L("1..8@wrap", 8) == [1, 2, 3, 4, 5, 6, 7, 0]
+        assert _parse_L("-1..3@wrap", 8) == [7, 0, 1, 2, 3]
+        for text in ("1..9@wrap", "1..10@wrap", "9..1@wrap"):
+            with pytest.raises(UsageError, match="spans more than q = 8 integers"):
+                _parse_L(text, 8)
+
     def test_interval_size_limit(self):
         assert len(_parse_L("1..1000000", None)) == 10**6
         with pytest.raises(UsageError, match="has 1000001 elements, more than the limit of 1000000"):
@@ -217,8 +225,12 @@ class TestCommands:
                 lambda doc: doc["rows"][-1]["bound"]
                 == best_bound(ConstraintSpec(Kind.DIFF_SPERNER, 10**600, {8}, PrimePower.from_q(9)))[0].bound.value,
             ),
+            (
+                ["bound", "--kind", "intersecting", "--n", "30", "--q", str(2**2000), "--L", "0..999999"],
+                lambda doc: (doc["theorem_id"], doc["bound"]) == ("R19", 2**30),
+            ),
         ],
-        ids=["hamming-bound", "r9-degree", "table"],
+        ids=["hamming-bound", "r9-degree", "table", "r14-cap"],
     )
     def test_ints_past_the_text_limit(self, capsys, argv, check):
         """Values of more than 4,300 digits, where Python's `str` raises by
@@ -680,6 +692,10 @@ class TestExitCodes:
                 ["bound", "--kind", "diff-sperner", "--q", "5", "--L", "1,2@wrap", "--n", "4"],
                 "@wrap only applies to interval syntax a..b@wrap",
             ),
+            (
+                ["bound", "--kind", "diff-sperner", "--q", "8", "--L", "1..9@wrap", "--n", "4"],
+                "wrap-around interval '1..9' spans more than q = 8 integers",
+            ),
             (["push", "--file", "{absent}", "--s", "1"], "family file {absent} does not exist"),
             (["digits", "--q", "8", "--s", "8"], "s = 8 out of range [0, 7]"),
             (["seppoly", "check", "--q", "4", "--alpha", "0", "--L", "1"], "seppoly check needs --roots"),
@@ -693,8 +709,8 @@ class TestExitCodes:
             ),
         ],
         ids=[
-            "empty-L", "malformed-interval", "wrap-list", "missing-file", "digits-s", "check-roots", "verify-q-L",
-            "verify-no-ground-element",
+            "empty-L", "malformed-interval", "wrap-list", "wrap-span", "missing-file", "digits-s", "check-roots",
+            "verify-q-L", "verify-no-ground-element",
         ],
     )
     def test_usage_error_messages(self, tmp_path, capsys, argv, message):
