@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Time the exact search of two source trees against each other in one
-process, so that both meet the same machine state.
+"""Time the exact search, or the proof replay, of two source trees
+against each other in one process, so that both meet the same machine
+state.
 
 Timings of one tree taken in separate processes spread by 10-30% on a
 shared host, more than most changes to the search move them.  Here each
@@ -11,14 +12,19 @@ The items are `slots`, one pass of `max_family` over the 91 `search-exact`
 slots of `perfbench/workloads.py` (each slot's first presentation), and,
 with `--rows`, budgeted rows on which the search's shortcuts were weighed:
 intersecting-uniform, q = 4, residue 0 at n = 9 and n = 12, and the seed
-alone (node budget 0) of three n = 12 specs.  After one untimed warm-up
-pass per tree, each round times one pass of every item with each tree
-in turn, the tree that goes first alternating from round to round.
+alone (node budget 0) of three n = 12 specs.  With `--verify`, the
+`verify` item builds each `proof-replay` system (`proof_families(None)`
+of `perfbench/workloads.py`) and runs `verify_independence` on it; the
+polynomial each difference system takes from its R22 certificate is
+found once per tree, untimed.  After one untimed warm-up pass per tree,
+each round times one pass of every item with each tree in turn, the tree
+that goes first alternating from round to round.
 
-Per item it prints two lines, `wall` (the time of the pass) and `seed`
-(the `seed_s` of its searches, summed): the median over the rounds of
-each tree's time in ms, then the median of the per-round ratios b/a and
-their quartiles.  A ratio above 1 means B is slower.
+Per item it prints a `wall` line (the time of the pass) and, for the
+search items, a `seed` line (the `seed_s` of its searches, summed): the
+median over the rounds of each tree's time in ms, then the median of
+the per-round ratios b/a and their quartiles.  A ratio above 1 means B
+is slower.
 
 Both trees share one heap and one garbage collector, so a change that only
 allocates more is charged to both and reads as neutral here: removing
@@ -27,7 +33,7 @@ p50 in the benchmark.  The benchmark's alternating pairs, one tree per
 process, decide; this script only narrows down what to take them on.
 
 Usage:
-  python3 scripts/paired_ab.py A_SRC B_SRC [--rows] [--rounds N]
+  python3 scripts/paired_ab.py A_SRC B_SRC [--rows] [--verify] [--rounds N]
 
 A_SRC and B_SRC are directories holding a `qsperner` package, such as
 the `src` of two checkouts.
@@ -41,7 +47,9 @@ import statistics
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # leave perfbench/ as checked out
@@ -56,28 +64,55 @@ ROWS = (
 )
 
 
-def slot_specs(a_src: Path) -> list[tuple]:
-    """(kind, n, q, L, r) of each `search-exact` slot's first presentation;
-    `workloads` imports `qsperner`, which it finds in A_SRC."""
+def perfbench_workloads(a_src: Path):
+    """`perfbench/workloads.py`, which imports `qsperner` from A_SRC."""
     sys.path[:0] = [str(a_src), str(ROOT / "perfbench")]
-    from workloads import SEARCH_SLOTS, presentations
+    return importlib.import_module("workloads")
 
+
+def slot_specs(workloads) -> list[tuple]:
+    """(kind, n, q, L, r) of each `search-exact` slot's first presentation."""
     out = []
-    for slot in SEARCH_SLOTS:
-        kind, q, L, r = presentations(*slot)[0]
+    for slot in workloads.SEARCH_SLOTS:
+        kind, q, L, r = workloads.presentations(*slot)[0]
         out.append((kind, slot[1], q, L, r))
     return out
 
 
-def load(src: Path, name: str, into: Path):
-    """The `qsperner` package of src, imported as `name` from a copy."""
+def load(src: Path, name: str, into: Path) -> SimpleNamespace:
+    """The modules of src's `qsperner` package, imported as `name` from a copy."""
     shutil.copytree(src / "qsperner", into / name, ignore=shutil.ignore_patterns("__pycache__"))
-    return importlib.import_module(f"{name}.families"), importlib.import_module(f"{name}.padic")
+    modules = ("bounds", "cli", "families", "padic", "polylab", "seppoly")
+    return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in modules})
 
 
-def make_runner(fam, padic, items: dict[str, list[tuple]]):
+def system_builders(pkg: SimpleNamespace, replays: list[tuple]) -> list:
+    """A function building the proof system of each family of `replays`,
+    as `proof_families` lists them, with this tree, as its `verify`
+    command does; the steps are spelled out here, not shared with `cli`,
+    so that an older tree, without such a helper, can be timed too."""
+    builders = []
+    for _, n, members, cmds in replays:
+        # the family is given, not read from --file
+        args = pkg.cli._build_parser().parse_args([*dict(cmds)["verify"], "--file", "-"])
+        fam = pkg.families.SetFamily(n, tuple(members))
+        if args.variant:
+            builders.append(partial(pkg.polylab.build_midband_system, fam, args.s, args.variant))
+            continue
+        pp, L = pkg.cli._modulus_and_L(args)
+        spec = pkg.families.ConstraintSpec(kind=pkg.families.Kind(args.kind), n=n, L=frozenset(L), modulus=pp)
+        aux = pkg.bounds.bound_from_seppoly(spec).auxiliary
+        g = pkg.seppoly.FactoredIntPoly(aux["lead"], aux["roots"])
+        variant = "minus" if aux["shifted_minus_ok"] or not aux["shifted_plus_ok"] else "plus"
+        builders.append(partial(pkg.polylab.build_diff_sperner_system, fam, g, pp, variant))
+    return builders
+
+
+def make_runner(pkg: SimpleNamespace, items: dict[str, list[tuple]], replays: list[tuple] = ()):
     """A function timing one pass of an item with this tree: its wall time
-    and summed `seed_s`, both in seconds."""
+    and, for a search item, the summed `seed_s`, in seconds.  The `verify`
+    item, given no search rows, verifies the systems of `replays`."""
+    fam, padic = pkg.families, pkg.padic
     specs = {
         item: [
             (
@@ -94,9 +129,15 @@ def make_runner(fam, padic, items: dict[str, list[tuple]]):
         ]
         for item, rows in items.items()
     }
+    builders = system_builders(pkg, replays)
 
-    def run(item: str) -> tuple[float, float]:
+    def run(item: str) -> tuple[float, ...]:
         gc.collect()
+        if item == "verify":
+            start = time.perf_counter()
+            for build in builders:
+                pkg.polylab.verify_independence(build())
+            return (time.perf_counter() - start,)
         seed = 0.0
         start = time.perf_counter()
         for spec, budget in specs[item]:
@@ -120,17 +161,22 @@ def main() -> int:
     ap.add_argument("a_src", type=Path, help="the directory holding tree A's qsperner")
     ap.add_argument("b_src", type=Path, help="the directory holding tree B's qsperner")
     ap.add_argument("--rows", action="store_true", help="also time the budgeted rows")
+    ap.add_argument("--verify", action="store_true", help="also time the proof-replay systems' verify")
     ap.add_argument("--rounds", type=int, default=20, help="timed rounds (at least 2)")
     args = ap.parse_args()
     if args.rounds < 2:
         ap.error("--rounds must be at least 2")
-    items = {"slots": [(*spec, None) for spec in slot_specs(args.a_src.resolve())]}
+    workloads = perfbench_workloads(args.a_src.resolve())
+    items = {"slots": [(*spec, None) for spec in slot_specs(workloads)]}
     if args.rows:
         items.update((item, [row]) for item, *row in ROWS)
+    replays = []
+    if args.verify:
+        replays, items["verify"] = workloads.proof_families(None), []
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         runners = [
-            make_runner(*load(src.resolve(), name, Path(tmp)), items)
+            make_runner(load(src.resolve(), name, Path(tmp)), items, replays)
             for src, name in ((args.a_src, "qsperner_a"), (args.b_src, "qsperner_b"))
         ]
         for run in runners:  # warm-up: the cube of each n, caches, the allocator
@@ -142,7 +188,7 @@ def main() -> int:
                 for t in (0, 1) if rnd % 2 == 0 else (1, 0):
                     times[item][t].append(runners[t](item))
     for item, (a, b) in times.items():
-        for i, measure in enumerate(("wall", "seed")):
+        for i, measure in enumerate(("wall", "seed")[: len(a[0])]):
             print(f"{item} {measure} {summary([x[i] for x in a], [y[i] for y in b])}")
     return 0
 

@@ -887,7 +887,7 @@ class _CliqueSearch:
             if regions and len(regions) == ground:
                 regions = None  # all singletons: a trivial stabiliser, here and below
             mates = None  # the orbits of more than one vertex
-            if regions and len(order) > 1 and len(clique) + bounds[-2] > self.best_size:
+            if regions and len(order) > 1:
                 self.orbit_nodes += 1
                 parts, xs = [P], regions  # without the parent's orbits: P over every region
                 if frames and frames[-1][4] is not None:  # the parent's over its cut regions

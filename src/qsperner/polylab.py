@@ -2,9 +2,18 @@
 
 Builds the proof polynomials attached to a family and certifies their
 linear independence by exact rank over the rationals via sparse integer
-elimination on the coefficients.  One builder writes the difference
-system (blocks P and F): the sym mid-band system is its minus variant
-plus a window block H; the close system has its own order.  Every block
+elimination, in one of two bases with the same rank: the coefficients,
+or the values at the points of [n] of size >= n - d, d the largest
+degree.  Under x -> 1 - x those are the points of size <= d, from which
+Moebius interpolation recovers every multilinear polynomial of degree
+<= d, so evaluation there is one-to-one.  When fewer than half the
+coefficient rows have distinct leading monomials, as the close layers at
+or above n - s, whose P rows all hold the constant, the values are tried
+and the basis with more distinct leads is ranked.
+
+One builder writes the difference system (blocks P and F): the sym
+mid-band system is its minus variant plus a window block H; the close
+system has its own order.  Every block
 polynomial is kept in the closed form x^F * t(sum of x_i over a set
 disjoint from F), t integer-valued: its coefficients are forward
 differences of t (Moebius inversion) and its value at a 0/1 point one
@@ -64,15 +73,22 @@ class _ClosedForm(NamedTuple):
             return [t[(pt & free).bit_count()] if fixed & ~pt == 0 else 0 for pt in points]
         return [t[(pt & free).bit_count()] for pt in points]
 
-    def where(self, holders: dict[int, int], among: int, keep=bool) -> int:
-        """The points of `among` (bits indexing the points of `holders`, see
-        `families._holders`) whose value v has keep(v).  The points missing
-        part of `fixed`, where v = 0, are left out, so keep(0) should be
-        false.  One bit-sliced count of |B & free| serves every value."""
-        fixed, free, t = self
+    def planes(self, holders: dict[int, int], among: int) -> tuple[list[int], int]:
+        """The bit-sliced counts |B & free| at the points B of `holders`
+        (see `families._holders` and `_meet_planes`), and the points of
+        `among` (bits indexing them) that hold `fixed`: the value at such a
+        point is t(count), and 0 at the others."""
+        fixed, free, _ = self
         for e in _elements(fixed):
             among &= holders.get(e, 0)
-        return _counting(_meet_planes(free, holders), {c: among for c, val in enumerate(t) if keep(val)})
+        return _meet_planes(free, holders), among
+
+    def where(self, holders: dict[int, int], among: int, keep=bool) -> int:
+        """The points of `among` whose value v has keep(v).  The points
+        missing part of `fixed`, where v = 0, are left out, so keep(0)
+        should be false.  One bit-sliced count serves every value."""
+        planes, among = self.planes(holders, among)
+        return _counting(planes, {c: among for c, val in enumerate(self.t) if keep(val)})
 
     def differences(self) -> list[int]:
         """The forward differences of t at 0, of order 0 up to the last
@@ -126,6 +142,18 @@ def _masks_by_size(max_size: int, within: int) -> list[int]:
     return [m for size in range(max_size + 1) for m in sorted(_subsets(within, size))]
 
 
+def _capped_count(total: int, blocks, limit: int) -> int:
+    """total plus the number of masks of each (max_size, bits) block: those
+    inside [bits] of popcount <= max_size.  The count stops once it passes
+    `limit`, so however wide the blocks, it costs a few binomials."""
+    for max_size, bits in blocks:
+        for size in range(min(max_size, bits) + 1):
+            if total > limit:
+                return total
+            total += comb(bits, size)
+    return total
+
+
 def _index_masks(fam: SetFamily, *blocks: tuple[int, int]) -> list[list[int]]:
     """The masks of each (max_size, bits) block of a system on `fam`: those
     inside [bits] of popcount <= max_size, ordered by (size, numeric
@@ -136,13 +164,7 @@ def _index_masks(fam: SetFamily, *blocks: tuple[int, int]) -> list[list[int]]:
     once it passes the limit, so a refusal costs a few binomials however
     wide the blocks are."""
     _require_element(fam.n)
-    total = len(fam)
-    for max_size, bits in blocks:
-        for size in range(min(max_size, bits) + 1):
-            if total > _MAX_POLYS:
-                break
-            total += comb(bits, size)
-    if total > _MAX_POLYS:
+    if _capped_count(len(fam), blocks, _MAX_POLYS) > _MAX_POLYS:
         raise ValueError(f"the proof system has more than {_MAX_POLYS} polynomials")
     return [_masks_by_size(max_size, (1 << bits) - 1) for max_size, bits in blocks]
 
@@ -301,6 +323,49 @@ def _sparse_rank(rows) -> int:
     return len(pivots)
 
 
+def _rank_rows(forms, rows: list[dict[int, int]], n: int, degree: int, coefficients: int) -> list[dict]:
+    """The rows `_sparse_rank` gets for `forms`: their coefficient `rows`,
+    or their values at the points of [n] of size >= n - degree, whichever
+    have more distinct leading columns, so fewer rows collide at a lead.
+
+    Both have the same rank.  Every form has degree <= `degree`, and
+    evaluation at those points is a bijection from the multilinear
+    polynomials of degree <= `degree`: under x -> 1 - x they are the
+    points of size <= `degree`, where Moebius interpolation reads each
+    coefficient off the values below it.  A value row is keyed by the
+    point's index in ascending mask order, so its lead is its least point.
+
+    The values are tried only when fewer than half the coefficient rows
+    have distinct leads, and when the points' element table, n bits a
+    point, has no more bits than the system has `coefficients`: then
+    listing the points and counting their elements costs no more than
+    the coefficients did.  Each form's values take one bit-sliced count,
+    and they are ranked only if they have more distinct leads and, like
+    the coefficients, no more than `_MAX_COEFFS` nonzero entries."""
+    leads = len({min(row) for row in rows if row})
+    most = coefficients // max(n, 1)  # the points whose element table fits
+    if 2 * leads >= len(rows) or _capped_count(0, [(degree, n)], most) > most:
+        return rows
+    full = (1 << n) - 1
+    points = sorted(full ^ m for size in range(degree + 1) for m in _subsets(full, size))
+    holders, everywhere = _holders(points), (1 << len(points)) - 1
+    levels, value_leads, entries = [], set(), 0
+    for form in forms:
+        planes, among = form.planes(holders, everywhere)
+        low = max(form.free.bit_count() - degree, 0)  # no point misses more of free
+        parts = [(val, _counting(planes, {j: among})) for j, val in enumerate(form.t[low:], low) if val]
+        held = 0
+        for _, bits in parts:
+            held |= bits
+        if held:
+            value_leads.add(held & -held)
+            entries += held.bit_count()
+        levels.append(parts)
+    if len(value_leads) <= leads or entries > _MAX_COEFFS:
+        return rows
+    return [{i: val for val, bits in parts for i in _elements(bits)} for parts in levels]
+
+
 @dataclass
 class RankReport:
     rank: int
@@ -385,11 +450,14 @@ def verify_independence(sys: ProofSystem) -> RankReport:
     """Exact rank of the block polynomials over the rationals plus the
     valuation or triangular pattern the underlying argument relies on.
 
-    Rank is computed on coefficient vectors (the proofs' probe sets are not
-    square in general); the pattern is read off the closed-form entries of
-    the evaluation matrix, never forming the matrix itself.  `stats` gives
-    the distinct monomials (`columns`), the coefficients (`nonzeros`), the
-    elimination time in seconds (`rank_s`), the matrix entries the pattern
+    Rank is computed on the coefficient vectors or on the values at the
+    points of [n] of size >= n - d, d the largest degree, whichever have
+    more distinct leads (see `_rank_rows`; the proofs' own probe sets are
+    not square in general); the pattern is read off the closed-form
+    entries of the evaluation matrix, never forming the matrix itself.
+    `stats` gives the distinct monomials (`columns`), the coefficients
+    (`nonzeros`), the time in seconds of the choice of basis and the
+    elimination (`rank_s`), the matrix entries the pattern
     read (`pattern_cells`) and its time in seconds (`pattern_s`).  The
     coefficients are counted from each form's differences before any form
     is expanded, and a system of more than `_MAX_COEFFS`, divided by the
@@ -411,10 +479,12 @@ def verify_independence(sys: ProofSystem) -> RankReport:
     if nonzeros > limit:
         raise ValueError(f"the proof system has more than {limit} coefficients")
     rows = [form.coeffs(expansions[form.t][0]) for form in forms]
-    start = perf_counter()
-    rank = _sparse_rank(rows)
-    rank_s = perf_counter() - start
     n = sys.family.n
+    # a form's degree is |fixed| plus the order of its last nonzero difference
+    degree = max((form.fixed.bit_count() + len(expansions[form.t][0]) - 1 for form in forms), default=0)
+    start = perf_counter()
+    rank = _sparse_rank(_rank_rows(forms, rows, n, degree, nonzeros))
+    rank_s = perf_counter() - start
     dimension = sum(comb(n, i) for i in range(min(sys.degree_cap, n) + 1))
     start = perf_counter()
     if sys.meta["system"] == "diff":

@@ -661,6 +661,33 @@ class TestReplayRanks:
         assert (payload["rank"], payload["full_rank"], payload["pattern_ok"]) == expected
 
 
+    @pytest.mark.parametrize(
+        "n, s, k, blocks, dimension, nonzeros, cells",
+        [
+            (11, 5, 6, {"H": 232, "P": 462}, 1024, 38424, 241165),
+            (12, 5, 7, {"H": 79, "P": 792}, 1586, 109739, 379756),
+        ],
+        ids=["close-11-5-6", "close-12-5-7"],
+    )
+    def test_close_layers_above_n_minus_s(self, tmp_path, capsys, n, s, k, blocks, dimension, nonzeros, cells):
+        """Close layers at or above n - s, whose P rows all hold the
+        constant monomial: the whole payload but its timings."""
+        fam = tmp_path / "fam.txt"
+        fam.write_text(format_family(SetFamily(n, tuple(layer(n, k)))))
+        argv = ["verify", "--file", str(fam), "--kind", "close-sperner", "--variant", "close", "--s", str(s)]
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_OK
+        payload = doc["payload"]
+        stats = {name: value for name, value in payload.pop("stats").items() if not name.endswith("_s")}
+        rank = sum(blocks.values())
+        assert payload == {
+            "rank": rank, "total_polys": rank, "full_rank": True, "dimension": dimension,
+            "block_sizes": blocks, "pattern": "triangular", "pattern_ok": True, "pattern_failures": [],
+            "n": n, "q": None, "L": [],
+        }
+        assert stats == {"columns": dimension, "nonzeros": nonzeros, "pattern_cells": cells}
+
+
 class TestExitCodes:
     def test_usage_error_bad_modulus(self, capsys):
         code = main(["bound", "--kind", "diff-sperner", "--q", "6", "--L", "1", "--n", "4"])

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from qsperner.cli import main
 from qsperner.families import (
     _KINDS,
+    DEFAULT_N_LIMIT,
     CheckResult,
     ConstraintSpec,
     Kind,
@@ -837,6 +839,12 @@ class TestMaxFamily:
         with pytest.raises(ValueError):
             max_family(ConstraintSpec(kind=Kind.ANTICHAIN, n=13))
 
+    def test_n_limit_edge_is_searched(self):
+        """n = 12, the limit itself, is accepted: after one node the
+        antichain search answers its seed, the middle layer of [12]."""
+        res = max_family(ConstraintSpec(kind=Kind.ANTICHAIN, n=DEFAULT_N_LIMIT), node_budget=1)
+        assert (DEFAULT_N_LIMIT, res.max_size, res.exact, res.nodes_explored) == (12, 924, False, 1)
+
     def test_negative_budget(self):
         spec = ConstraintSpec(kind=Kind.ANTICHAIN, n=3)
         with pytest.raises(ValueError, match="non-negative"):
@@ -1345,7 +1353,9 @@ class TestSearchStats:
         spec = ConstraintSpec(
             kind=Kind.DIFF_SPERNER, n=7, L={2, 3}, modulus=PrimePower.from_q(8)
         )
+        start = time.perf_counter()
         res = max_family(spec)
+        wall = time.perf_counter() - start
         stats = res.stats
         timings = {"graph_build_s", "seed_s", "search_s", "restore_s"}
         assert set(stats) == timings | {
@@ -1356,6 +1366,7 @@ class TestSearchStats:
         assert 1 <= stats["root_orbits"] <= spec.n + 1
         assert res.nodes_explored == stats["search_nodes"] + stats["restore_nodes"]
         assert all(stats[name] >= 0 for name in timings)
+        assert sum(stats[name] for name in timings) <= wall  # the phases split the call
 
     def test_hamming_has_a_single_root_orbit(self):
         spec = ConstraintSpec(kind=Kind.HAMMING, n=6, L={1, 2}, modulus=PrimePower.from_q(3))

@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 from qsperner.families import ConstraintSpec, Kind, SetFamily, max_family
 from qsperner.padic import PrimePower, vp
 from qsperner.polylab import (
+    ProofSystem,
+    _ClosedForm,
     _difference_forms,
     _masks_by_size,
     _padic_pattern,
+    _rank_rows,
     _sparse_rank,
     _subsets,
     _triangular_pattern,
@@ -414,6 +417,132 @@ def proof_systems(draw):
     g = FactoredIntPoly(draw(st.sampled_from([1, 2, -3])), tuple(roots))
     pp = PrimePower.from_q(draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9])))
     return build_diff_sperner_system(fam, g, pp, variant)
+
+
+@st.composite
+def top_close_systems(draw):
+    """The close system on part of the (n - s)-layer of [n], at n <= 9,
+    where the values are mostly chosen."""
+    n, s = draw(st.sampled_from(band_shapes(lambda n: n + 1)))
+    rng = draw(st.randoms(use_true_random=False))
+    members = [m for m in range(1 << n) if m.bit_count() == n - s and rng.random() < 0.75]
+    return build_midband_system(SetFamily(n, tuple(members)), s, "close")
+
+
+@st.composite
+def form_systems(draw):
+    """Up to 16 forms x^fixed * g(|A| - sum over A) on [n], n <= 8, fixed
+    mostly empty and g with one to three roots among 0..4: like the P
+    rows of the difference systems, most hold the constant, and their
+    values at the top points are 0 wherever |A - B| is a root, but g and
+    the sizes vary freely."""
+    n = draw(st.integers(2, 8))
+    forms = []
+    for _ in range(draw(st.integers(1, 16))):
+        free = draw(st.integers(0, (1 << n) - 1))
+        fixed = draw(st.sampled_from([0, 0, 0, 1 << draw(st.integers(0, n - 1))])) & ~free
+        roots = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+        g = FactoredIntPoly(draw(st.sampled_from([1, -2, 3])), tuple(roots))
+        size = free.bit_count()
+        forms.append(_ClosedForm(fixed, free, tuple(g(size - j) for j in range(size + 1))))
+    return ProofSystem(SetFamily(n, ()), (), n, {}, {"P": forms})
+
+
+def rank_systems():
+    """`proof_systems`' four variants, the close system at the top of the
+    band, and free closed forms."""
+    return st.one_of(proof_systems(), top_close_systems(), form_systems())
+
+
+class TestRankBasis:
+    """`verify_independence` ranks either the coefficient rows or the
+    values at the points of [n] of size >= n - d, d the largest degree of
+    a row; both have the same rank."""
+
+    @given(rank_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_top_values_rank_as_coefficients(self, sys_):
+        rows, values, chosen = bases(sys_)
+        rank = _sparse_rank(rows)
+        assert _sparse_rank(values) == rank
+        assert chosen is rows or chosen == values
+        rows, _, chosen = bases(sys_, budget=10**6)  # the values' cost no object
+        assert chosen is rows or chosen == values
+        if sys_.meta:  # a built system, not free forms
+            assert verify_independence(sys_).rank == rank
+
+    @pytest.mark.parametrize(
+        "variant, n, s, k, on_values",
+        [
+            ("close", 9, 4, 5, True),
+            ("close", 8, 3, 5, True),
+            ("close", 8, 3, 4, True),
+            ("close", 9, 4, 4, False),
+            ("sym", 7, 3, 3, False),
+            ("sym", 8, 4, 4, False),
+            ("sym", 9, 4, 4, False),
+        ],
+        ids=["close-9-4-5", "close-8-3-5", "close-8-3-4", "close-9-4-4", "sym-7-3", "sym-8-4", "sym-9-4"],
+    )
+    def test_replayed_layers(self, variant, n, s, k, on_values):
+        """The close layers at or above n - s have P rows that all hold the
+        constant monomial, and move to the values, where each lead is a
+        least superset of its member; the sym layers' coefficient leads are
+        already nearly distinct, and they stay."""
+        fam = SetFamily.from_sets(n, itertools.combinations(range(1, n + 1), k))
+        rows, values, chosen = bases(build_midband_system(fam, s, variant))
+        assert chosen == (values if on_values else rows)
+        assert (chosen is rows) is not on_values
+
+    def test_wide_ground_sets_stay_on_coefficients(self):
+        """Three rows, all led by the constant monomial.  Two members of
+        ten elements on [300] have 24 coefficients and 301 points of size
+        >= 299; two halves of [300] have 306 coefficients, which the points
+        fit, but not their table of 300 elements a point."""
+        g, pp2 = FactoredIntPoly(1, (1,)), PrimePower.from_q(2)
+        for members in ([range(1, 11), range(11, 21)], [range(1, 151), range(151, 301)]):
+            sys_ = build_diff_sperner_system(SetFamily.from_sets(300, members), g, pp2)
+            rows, values, chosen = bases(sys_)
+            assert len({min(row) for row in rows}) == 1 and len(rows) == 3
+            assert chosen is rows
+            assert _sparse_rank(values) == _sparse_rank(rows) == 3
+
+    @pytest.mark.parametrize("limit, on_values", [(60566, False), (60567, True)])
+    def test_values_obey_the_coefficient_limit(self, limit, on_values):
+        """The close 6-layer of [11] at s = 5 has 38,424 coefficients and
+        60,567 nonzero values: under a limit between the two, the values
+        are not ranked, though they have more distinct leads."""
+        fam = SetFamily.from_sets(11, itertools.combinations(range(1, 12), 6))
+        sys_ = build_midband_system(fam, 5, "close")
+        rows = coefficient_rows(sys_)
+        forms = [form for block in sys_.forms.values() for form in block]
+        with mock.patch("qsperner.polylab._MAX_COEFFS", limit):
+            chosen = _rank_rows(forms, rows, 11, 5, sum(map(len, rows)))
+        assert (sum(map(len, rows)), chosen is not rows) == (38424, on_values)
+        if on_values:
+            assert sum(map(len, chosen)) == 60567
+
+
+def top_values(sys_, degree):
+    """Oracle: each form's values at the points of [n] of size >= n -
+    degree, entry by entry through `_ClosedForm.at`, keyed by the point's
+    index in ascending mask order."""
+    n, full = sys_.family.n, (1 << sys_.family.n) - 1
+    missing = itertools.chain.from_iterable(itertools.combinations(range(n), j) for j in range(degree + 1))
+    points = sorted(full - sum(1 << i for i in c) for c in missing)
+    forms = [form for block in sys_.forms.values() for form in block]
+    return [{i: v for i, v in enumerate(form.at(points)) if v} for form in forms]
+
+
+def bases(sys_, budget=None):
+    """The coefficient rows, the value rows at the top points, and the
+    rows `_rank_rows` picks of the two, given the system's number of
+    coefficients or, to let more systems try the values, `budget`."""
+    rows = coefficient_rows(sys_)
+    forms = [form for block in sys_.forms.values() for form in block]
+    d = max(map(degree, rows), default=0)
+    budget = sum(map(len, rows)) if budget is None else budget
+    return rows, top_values(sys_, d), _rank_rows(forms, rows, sys_.family.n, d, budget)
 
 
 class TestClosedForms:

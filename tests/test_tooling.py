@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import qsperner
 
@@ -89,28 +90,46 @@ def test_code_lines_lists_every_module(load_script, capsys):
 
 
 def test_paired_ab_runs(perfbench_untouched):
-    """`scripts/paired_ab.py` on `src` against itself for two rounds prints
-    a `wall` and a `seed` line for the search slots, each two median times
-    and the median ratio between its quartiles, and writes no bytecode
-    under perfbench/."""
+    """`scripts/paired_ab.py --verify` on `src` against itself for two
+    rounds prints a `wall` and a `seed` line for the search slots and a
+    `wall` line for the proof replay, each two median times and the median
+    ratio between its quartiles, and writes no bytecode under perfbench/."""
     src = str(ROOT / "src")
-    argv = [sys.executable, str(ROOT / "scripts" / "paired_ab.py"), src, src, "--rounds", "2"]
+    argv = [sys.executable, str(ROOT / "scripts" / "paired_ab.py"), src, src, "--verify", "--rounds", "2"]
     out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
     number = r"(\d+\.\d{3})"
     line = re.compile(rf"(\S+) (wall|seed) a {number} ms b {number} ms b/a {number} q1 {number} q3 {number}")
     rows = [line.fullmatch(text) for text in out.splitlines()]
-    assert all(rows) and [row.group(1, 2) for row in rows] == [("slots", "wall"), ("slots", "seed")]
+    assert all(rows)
+    assert [row.group(1, 2) for row in rows] == [("slots", "wall"), ("slots", "seed"), ("verify", "wall")]
     for row in rows:
         a, b, ratio, q1, q3 = map(float, row.group(3, 4, 5, 6, 7))
         assert a > 0 and b > 0 and 0 < q1 <= ratio <= q3
 
 
+def package():
+    """This tree's modules, as `paired_ab.load` gives them."""
+    modules = ("bounds", "cli", "families", "padic", "polylab", "seppoly")
+    return SimpleNamespace(**{name: importlib.import_module(f"qsperner.{name}") for name in modules})
+
+
 def test_paired_ab_rows_build(load_script):
     """Each of `paired_ab.py`'s `--rows` items makes a valid search spec
     with this tree; none is searched."""
-    from qsperner import families, padic
-
     script = load_script("scripts/paired_ab.py")
     items = {item: [row] for item, *row in script.ROWS}
     assert len(items) == len(script.ROWS)
-    assert callable(script.make_runner(families, padic, items))
+    assert callable(script.make_runner(package(), items))
+
+
+def test_paired_ab_verify_systems_build(load_script, monkeypatch):
+    """`paired_ab.py --verify` builds each `proof-replay` system on its
+    family with this tree; none is verified."""
+    script = load_script("scripts/paired_ab.py")
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src and perfbench first
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    replays = script.perfbench_workloads(ROOT / "src").proof_families(None)
+    systems = [build() for build in script.system_builders(package(), replays)]
+    assert [(sys_.family.n, sys_.family.members) for sys_ in systems] == [
+        (n, tuple(sorted(members))) for _, n, members, _ in replays
+    ]
