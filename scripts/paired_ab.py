@@ -24,7 +24,11 @@ Per item it prints a `wall` line (the time of the pass) and, for the
 search items, a `seed` line (the `seed_s` of its searches, summed): the
 median over the rounds of each tree's time in ms, then the median of
 the per-round ratios b/a and their quartiles.  A ratio above 1 means B
-is slower.
+is slower.  With `--verify` a last line, `verify meet_planes a N b M`,
+gives each tree's calls to `families._meet_planes` in one untimed pass
+of the `verify` item, counted at every name the tree's modules bind the
+function by: a count that does not depend on the machine, beside the
+wall time.
 
 Both trees share one heap and one garbage collector, so a change that only
 allocates more is charged to both and reads as neutral here: removing
@@ -147,6 +151,35 @@ def make_runner(pkg: SimpleNamespace, items: dict[str, list[tuple]], replays: li
     return run
 
 
+def planes_calls(name: str, run) -> int:
+    """The calls to `families._meet_planes` in one pass of the `verify`
+    item of the tree imported as `name`, at every name its modules bind
+    the function by; each binding is put back after the pass."""
+    original = sys.modules[f"{name}.families"]._meet_planes
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    bound = [
+        (module, attr)
+        for key, module in list(sys.modules.items())
+        if key.partition(".")[0] == name
+        for attr, value in list(vars(module).items())
+        if value is original
+    ]
+    for module, attr in bound:
+        setattr(module, attr, counting)
+    try:
+        run("verify")
+    finally:
+        for module, attr in bound:
+            setattr(module, attr, original)
+    return calls
+
+
 def summary(a: list[float], b: list[float]) -> str:
     ratios = [y / x for x, y in zip(a, b)]
     q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
@@ -173,15 +206,17 @@ def main() -> int:
     replays = []
     if args.verify:
         replays, items["verify"] = workloads.proof_families(None), []
+    names = ("qsperner_a", "qsperner_b")
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         runners = [
             make_runner(load(src.resolve(), name, Path(tmp)), items, replays)
-            for src, name in ((args.a_src, "qsperner_a"), (args.b_src, "qsperner_b"))
+            for src, name in zip((args.a_src, args.b_src), names)
         ]
         for run in runners:  # warm-up: the cube of each n, caches, the allocator
             for item in items:
                 run(item)
+        calls = [planes_calls(name, run) for name, run in zip(names, runners)] if args.verify else None
         times = {item: ([], []) for item in items}  # item -> per tree, (wall, seed) per round
         for rnd in range(args.rounds):
             for item in items:
@@ -190,6 +225,8 @@ def main() -> int:
     for item, (a, b) in times.items():
         for i, measure in enumerate(("wall", "seed")[: len(a[0])]):
             print(f"{item} {measure} {summary([x[i] for x in a], [y[i] for y in b])}")
+    if calls:
+        print(f"verify meet_planes a {calls[0]} b {calls[1]}")
     return 0
 
 

@@ -126,6 +126,7 @@ lifted reading is modulo a prime p, so k = 1.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
@@ -230,13 +231,40 @@ def _next_prime(m: int) -> int:
 # --- contexts, rule records and the certificate builder --------------------
 
 
+# Python writes an int of more digits than its limit only with the limit
+# lifted, and a process may lower it to 640 digits
+# (`sys.int_info.str_digits_check_threshold`) from the default 4,300.  So
+# a text writes an int v that can pass 640 digits (q, q - 1, R9's degree,
+# R14's cap) as `v if v < _SHORT else _written(v, closed)`: the same text
+# under any limit, and at the sizes of every day one comparison more than
+# the int itself.
+_SHORT = 10**sys.int_info.str_digits_check_threshold
+_MAX_WRITTEN = 10**4300
+
+
+def _written(value: int, closed: Callable[[], str] | None = None) -> str:
+    """value in decimal by `Decimal`, which no limit binds, and from
+    `_MAX_WRITTEN` on as closed(), where a closed form is given."""
+    if value >= _MAX_WRITTEN and closed is not None:
+        return closed()
+    from decimal import Decimal  # 1.3 ms to import, so only for an int this long
+
+    return str(Decimal(value))
+
+
+def _written_q(pp: PrimePower, less: int = 0) -> int | str:
+    """q - less as a text writes it, closed as p^k or p^k - less."""
+    q = pp.q - less
+    return q if q < _SHORT else _written(q, lambda: f"{pp.p}^{pp.k}" + (f" - {less}" if less else ""))
+
+
 def _kind_hyp(ctx: _Ctx) -> str:
     """The kind's wording in `families._KINDS`: the plain one as it is, the
     modular one with q and the uniform residue filled in."""
     kd = _KINDS[ctx.kind]
     if ctx.pp is None:
         return kd.plain
-    return kd.modular.format(q=ctx.pp.q, r=ctx.residue)
+    return kd.modular.format(q=ctx.q_text, r=ctx.residue)
 
 
 def _close_hyp(ctx: _Ctx) -> str:
@@ -257,12 +285,14 @@ class _Ctx:
     lift_note: str | None = None  # a lifted or uniform reading, stated last
     residue: int | None = None  # the intersecting-uniform residue
     # read by several rules, so computed once per context:
+    q_text: int | str | None = field(init=False)  # q as the texts write it
     kind_hyp: str = field(init=False)
     interval: IntervalL | None = field(init=False)  # the plain interval equal to L
     mod_interval: int | None = field(init=False)  # |L| if L is an interval modulo q
 
     def __post_init__(self):
         L, s = self.L, len(self.L)
+        self.q_text = None if self.pp is None else _written_q(self.pp)
         self.kind_hyp = _kind_hyp(self)
         self.interval = IntervalL(L[0], L[-1]) if L[0] >= 1 and L[-1] - L[0] + 1 == s else None
         # L is an interval modulo q, wrap-around allowed, when it is a plain
@@ -279,17 +309,17 @@ class _Ctx:
 @dataclass(frozen=True)
 class _Modulus:
     """A rule's condition on the modulus p^k: the exponent k it needs
-    (None for any) and its wording."""
+    (None for any) and its wording in a context."""
 
     k: int | None
-    wording: Callable[[PrimePower], str]
+    wording: Callable[[_Ctx], str]
 
 
-_PRIME_POWER = _Modulus(None, lambda pp: f"modulus {pp.q} is a prime power")
-_PRIME = _Modulus(1, lambda pp: f"modulus {pp.p} is prime")
+_PRIME_POWER = _Modulus(None, lambda ctx: f"modulus {ctx.q_text} is a prime power")
+_PRIME = _Modulus(1, lambda ctx: f"modulus {ctx.pp.p} is prime")
 # L never holds a multiple of p here: a modular Hamming L lies in [1, q-1],
 # and a lifted p exceeds max(L).
-_PRIME_AVOIDING_L = _Modulus(1, lambda pp: f"modulus {pp.p} is prime and L avoids its multiples")
+_PRIME_AVOIDING_L = _Modulus(1, lambda ctx: f"modulus {ctx.pp.p} is prime and L avoids its multiples")
 
 
 @dataclass(frozen=True)
@@ -310,7 +340,7 @@ def _certificate(ctx: _Ctx, rule: _Rule, texts, bound: BinomSum, aux) -> BoundCe
     hypothesis, the rule's own texts, then the lifted or uniform note."""
     hyps = [_close_hyp(ctx) if rule.close else ctx.kind_hyp]
     if rule.modulus is not None:
-        hyps.append(rule.modulus.wording(ctx.pp))
+        hyps.append(rule.modulus.wording(ctx))
     hyps += texts
     if ctx.lift_note is not None:
         hyps.append(ctx.lift_note)
@@ -336,7 +366,7 @@ def _r5(ctx: _Ctx):
     # L holds sorted distinct residues in [1, q-1], so its size decides
     q = ctx.pp.q
     if len(ctx.L) == q - 1:
-        texts = (f"L = [1, {q - 1}], the full nonzero residue range",)
+        texts = (f"L = [1, {_written_q(ctx.pp, 1)}], the full nonzero residue range",)
         yield texts, binom_sum(ctx.n, 0, q - 1, "n-1"), None
 
 
@@ -388,17 +418,11 @@ def _r8(ctx: _Ctx):
     yield (f"L is the interval {iv}",), branches[winner], aux
 
 
-# Python writes an int of more digits than 4,300 only with its limit on them
-# lifted, so a text writes a degree from 10^4300 on in closed form: the same
-# text under any limit, decided by a comparison rather than by formatting.
-_MAX_WRITTEN = 10**4300
-
-
 def _r9(ctx: _Ctx):
     s = len(ctx.L)
     degree = 2 ** (s - 1)
-    written = degree if degree < _MAX_WRITTEN else f"2^{s - 1}"
-    texts = (f"L within [1, {ctx.pp.q - 1}]", f"worst-case separating degree 2^(s-1) = {written}")
+    written = degree if degree < _SHORT else _written(degree, lambda: f"2^{s - 1}")
+    texts = (f"L within [1, {_written_q(ctx.pp, 1)}]", f"worst-case separating degree 2^(s-1) = {written}")
     yield texts, binom_sum(ctx.n, 0, degree, "n"), None
 
 
@@ -540,7 +564,9 @@ def _r13(ctx: _Ctx):
 def _r14(ctx: _Ctx):
     s, k = len(ctx.L), ctx.pp.k
     cap = degree_upper_bound(s, k)
-    written = cap if cap < _MAX_WRITTEN else f"min(2^{s - 1}, floor({k + s - 1}^{k} / {k}^{k}))"
+    written = cap if cap < _SHORT else _written(
+        cap, lambda: f"min(2^{s - 1}, floor({k + s - 1}^{k} / {k}^{k}))"
+    )
     texts = (f"worst-case separating degree bound {written}",)
     yield texts, binom_sum(ctx.n, 0, cap, "n"), {"degree_cap": cap}
 
@@ -548,7 +574,7 @@ def _r14(ctx: _Ctx):
 def _r15(ctx: _Ctx):
     s, q = len(ctx.L), ctx.pp.q
     if ctx.L == tuple(range(s)) and s < q:
-        texts = (f"L = {{0, ..., {s - 1}}}", f"s = {s} < q = {q}")
+        texts = (f"L = {{0, ..., {s - 1}}}", f"s = {s} < q = {ctx.q_text}")
         yield texts, binom_sum(ctx.n, 0, 2 * s, "n"), None
 
 
@@ -761,7 +787,7 @@ def best_bound(spec: ConstraintSpec) -> tuple[BoundCertificate, list[BoundCertif
         # only a Hamming spec modulo p^k, k >= 2, above R22's limit with L
         # not of the form [s] meets no rule
         raise ValueError(
-            f"no bound rule applies: q = {spec.modulus.q} is above {_MAX_TABLE_Q}, the limit of R22"
+            f"no bound rule applies: q = {_written_q(spec.modulus)} is above {_MAX_TABLE_Q}, the limit of R22"
         )
     return certs[0], certs
 
@@ -835,7 +861,9 @@ def bound_from_seppoly(
     if g is not None:
         raise ValueError("kind intersecting takes per_alpha polynomials, not one g")
     if q > _MAX_TABLE_Q:
-        raise ValueError(f"q = {q} is above {_MAX_TABLE_Q}, the limit of the residues to list outside L")
+        raise ValueError(
+            f"q = {_written_q(pp)} is above {_MAX_TABLE_Q}, the limit of the residues to list outside L"
+        )
     if per_alpha is None:
         degrees = _r22_per_alpha_choice(ctx, minimum)
     else:

@@ -10,8 +10,10 @@ hypothesis in a bound's certificate.  `satisfies` and the search read
 that record through one acceptance table per spec (`_meet_tables`: per
 size level, the |A∩B| values each level accepts, reading `accept` once
 per statistic value), and both count |A∩B| bit-sliced, against many sets
-at once; the antichain precondition of push-to-the-middle compares only
-members of different sizes.
+at once; where a member's table holds only the counts 0 and |A| (and
+none between), `satisfies` reads them from the holders of A's elements
+alone (`_meeting`).  The antichain precondition of push-to-the-middle
+compares only members of different sizes.
 The maximum-family search builds the compatibility graph (admissible
 subsets as vertices, edges where the pairwise constraint holds) from the
 cube of [n], which no spec changes and which is built once per n on
@@ -381,16 +383,40 @@ def _meet_planes(x: int, holders: dict[int, int]) -> list[int]:
     return planes
 
 
-def _counting(planes: list[int], table: dict[int, int]) -> int:
-    """The points whose count is i among the points of table[i], for every
-    i of the table."""
-    out = 0
+def _counting(planes: list[int], table: dict[int, int]) -> dict[int, int]:
+    """For every i of the table, the points whose count is i among the
+    points of table[i]."""
+    out = dict.fromkeys(table, 0)
     for i, mask in table.items():
-        if i >> len(planes):
-            continue
-        for b, p in enumerate(planes):  # each plane matches i's bit
-            mask &= p if i >> b & 1 else ~p
-        out |= mask
+        if not i >> len(planes):  # else i has more bits than any count
+            for b, p in enumerate(planes):  # each plane matches i's bit
+                mask &= p if i >> b & 1 else ~p
+            out[i] = mask
+    return out
+
+
+def _meeting(x: int, holders: dict[int, int], table: dict[int, int]) -> dict[int, int]:
+    """`_counting(_meet_planes(x, holders), table)`, with the planes built
+    only when the table holds a count strictly between 0 and |x|.
+    Otherwise each count is read straight from the holders: the points
+    meeting x in all |x| of its elements are those holding each, the
+    points meeting it in none those holding none, and no point meets it
+    in more."""
+    size = x.bit_count()
+    for i in table:
+        if 0 < i < size:
+            return _counting(_meet_planes(x, holders), table)
+    out = {}
+    for i, mask in table.items():
+        if i == size:
+            for e in _elements(x):
+                mask &= holders.get(e, 0)
+        elif i == 0:
+            for e in _elements(x):
+                mask &= ~holders.get(e, 0)
+        else:
+            mask = 0
+        out[i] = mask
     return out
 
 
@@ -442,7 +468,7 @@ def _first_violation(spec: ConstraintSpec, members: tuple[int, ...]) -> str | No
         table, later = rejects[a.bit_count()], -2 << j
         if not table:
             continue
-        bad = _counting(_meet_planes(a, holders), table) & later
+        bad = sum(_meeting(a, holders, table).values()) & later  # disjoint: one count a point
         if bad:
             b = members[(bad & -bad).bit_length() - 1]
             ka, kb, i = a.bit_count(), b.bit_count(), (a & b).bit_count()

@@ -19,7 +19,14 @@ disjoint from F), t integer-valued: its coefficients are forward
 differences of t (Moebius inversion) and its value at a 0/1 point one
 lookup in a table of t, so nothing is multiplied or evaluated term by
 term.  The pattern checks read those values without forming the
-evaluation matrix.
+evaluation matrix: per row, the points where t(|B & free|) passes the
+check, found by `families._meeting`.  The counts 0 and |free| are read
+straight from the holders of free's elements, the first as the points
+holding none and the second as those holding all, and a bit-sliced count
+is built only for a count in between.  So the difference P rows, whose
+only low-valuation value is g(0) at |free|, build none, and neither do
+the sym and close P rows of members of at most s + 1 elements, nonzero
+at 0 and |free| alone as g vanishes on 1..s; the H rows build one.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from math import comb, gcd
 from time import perf_counter
 from typing import NamedTuple
 
-from .families import SetFamily, _counting, _elements, _holders, _meet_planes, _require_element
+from .families import SetFamily, _elements, _holders, _meeting, _require_element
 from .padic import PrimePower, _vp_int
 from .seppoly import FactoredIntPoly
 
@@ -73,22 +80,29 @@ class _ClosedForm(NamedTuple):
             return [t[(pt & free).bit_count()] if fixed & ~pt == 0 else 0 for pt in points]
         return [t[(pt & free).bit_count()] for pt in points]
 
-    def planes(self, holders: dict[int, int], among: int) -> tuple[list[int], int]:
-        """The bit-sliced counts |B & free| at the points B of `holders`
-        (see `families._holders` and `_meet_planes`), and the points of
-        `among` (bits indexing them) that hold `fixed`: the value at such a
-        point is t(count), and 0 at the others."""
-        fixed, free, _ = self
+    def levels(self, holders: dict[int, int], among: int, keep=bool, low: int = 0) -> dict[int, int]:
+        """For each count c >= low with keep(t(c)), the points B of `among`
+        (bits indexing the points of `holders`, see `families._holders`)
+        that hold `fixed` and have |B & free| = c: the value there is t(c),
+        and 0 at the points missing part of `fixed`.  The counts 0 and
+        |free| are read straight from the holders, and one bit-sliced count
+        serves the counts in between (see `families._meeting`)."""
+        fixed, free, t = self
         for e in _elements(fixed):
             among &= holders.get(e, 0)
-        return _meet_planes(free, holders), among
+        return _meeting(free, holders, {c: among for c in range(low, len(t)) if keep(t[c])})
 
     def where(self, holders: dict[int, int], among: int, keep=bool) -> int:
-        """The points of `among` whose value v has keep(v).  The points
-        missing part of `fixed`, where v = 0, are left out, so keep(0)
-        should be false.  One bit-sliced count serves every value."""
-        planes, among = self.planes(holders, among)
-        return _counting(planes, {c: among for c, val in enumerate(self.t) if keep(val)})
+        """The points of `among` whose value v has keep(v), read by
+        `levels`: the points missing part of `fixed`, where v = 0, are
+        left out, so keep(0) should be false.  The points where v is t(0)
+        are those holding no element of `free`, and where it is t(|free|)
+        those holding all, each an AND over the holders; only the counts
+        in between take a bit-sliced count.  So a difference P row, whose
+        one value of low valuation is g(0) at |free|, and a sym or close P
+        row of a member of at most s + 1 elements, nonzero at 0 and |free|
+        alone, build no planes."""
+        return sum(self.levels(holders, among, keep).values())  # disjoint: one count a point
 
     def differences(self) -> list[int]:
         """The forward differences of t at 0, of order 0 up to the last
@@ -131,9 +145,13 @@ class ProofSystem:
 
 
 def _subsets(within: int, size: int):
-    """The masks inside `within` of popcount `size`, in no fixed order."""
-    bits = [1 << i for i in _elements(within)] if size else []
-    return map(sum, combinations(bits, size))
+    """The masks inside `within` of popcount `size`, in no fixed order.
+    The empty mask and `within` itself are returned without listing its
+    bits: a difference P row expands to the one monomial A_i, and an F row
+    to x^b and x^b x_n."""
+    if size in (0, within.bit_count()):
+        return (within if size else 0,)
+    return map(sum, combinations([1 << i for i in _elements(within)], size))
 
 
 def _masks_by_size(max_size: int, within: int) -> list[int]:
@@ -339,9 +357,12 @@ def _rank_rows(forms, rows: list[dict[int, int]], n: int, degree: int, coefficie
     have distinct leads, and when the points' element table, n bits a
     point, has no more bits than the system has `coefficients`: then
     listing the points and counting their elements costs no more than
-    the coefficients did.  Each form's values take one bit-sliced count,
-    and they are ranked only if they have more distinct leads and, like
-    the coefficients, no more than `_MAX_COEFFS` nonzero entries."""
+    the coefficients did.  Each form's values are read by `levels`, a
+    bit-sliced count only for a nonzero level strictly between 0 and
+    |free| (a close P row has none: it is nonzero on the top points at
+    |free| alone), and they are ranked only if they have more distinct
+    leads and, like the coefficients, no more than `_MAX_COEFFS` nonzero
+    entries."""
     leads = len({min(row) for row in rows if row})
     most = coefficients // max(n, 1)  # the points whose element table fits
     if 2 * leads >= len(rows) or _capped_count(0, [(degree, n)], most) > most:
@@ -351,12 +372,9 @@ def _rank_rows(forms, rows: list[dict[int, int]], n: int, degree: int, coefficie
     holders, everywhere = _holders(points), (1 << len(points)) - 1
     levels, value_leads, entries = [], set(), 0
     for form in forms:
-        planes, among = form.planes(holders, everywhere)
         low = max(form.free.bit_count() - degree, 0)  # no point misses more of free
-        parts = [(val, _counting(planes, {j: among})) for j, val in enumerate(form.t[low:], low) if val]
-        held = 0
-        for _, bits in parts:
-            held |= bits
+        parts = [(form.t[j], bits) for j, bits in form.levels(holders, everywhere, low=low).items()]
+        held = sum(bits for _, bits in parts)
         if held:
             value_leads.add(held & -held)
             entries += held.bit_count()

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import re
+import sys
 from dataclasses import replace
 from functools import partial
 from itertools import combinations
@@ -1120,3 +1121,58 @@ class TestCertificateText:
         portfolio = best_bound(spec)
         with _long_ints():
             assert best_bound(spec) == portfolio
+
+    @pytest.mark.parametrize(
+        "limit, q, L, texts",
+        [
+            (
+                4300,
+                PrimePower(2, 14300),
+                {1, 2},
+                [
+                    "family is 2^14300-modular L-differencing Sperner",
+                    "modulus 2^14300 is a prime power",
+                    "L within [1, 2^14300 - 1]",
+                ],
+            ),
+            (
+                640,
+                PP(2**15),
+                range(1, 3001),
+                ["L within [1, 32767]", f"worst-case separating degree 2^(s-1) = {2**2999}"],
+            ),
+        ],
+        ids=["q-past-the-default-limit", "degree-past-a-lowered-limit"],
+    )
+    def test_texts_take_any_limit(self, limit, q, L, texts):
+        """q = 2^14300, past the default limit of 4,300 digits, is written
+        as a power; 2^2999, past a limit lowered to 640 digits, in full.
+        Each spec answers under its limit with the texts it has with the
+        limit lifted, and the limit is put back."""
+        spec = ConstraintSpec(Kind.DIFF_SPERNER, 30, frozenset(L), q)
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            portfolio = best_bound(spec)
+        finally:
+            sys.set_int_max_str_digits(saved)
+        with _long_ints():
+            assert best_bound(spec) == portfolio
+        written = {text for cert in portfolio[1] for text, _ in cert.hypotheses}
+        assert set(texts) <= written
+
+    def test_written_at_its_edges(self):
+        """Under the lowest limit Python allows, `_written` writes in full
+        around 10^640, where the texts stop formatting the int themselves,
+        and up to 10^4300, then the closed form, or in full where there
+        is none."""
+        short, long = bounds._SHORT, bounds._MAX_WRITTEN
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.str_digits_check_threshold)
+        try:
+            written = [bounds._written(v, lambda: "closed") for v in (short - 1, short, long - 1, long)]
+            in_full = bounds._written(long)
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert written == ["9" * 640, "1" + "0" * 640, "9" * 4300, "closed"]
+        assert in_full == "1" + "0" * 4300

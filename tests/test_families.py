@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from qsperner.cli import main
 from qsperner.families import (
     _KINDS,
+    _MAX_ELEMENT,
     DEFAULT_N_LIMIT,
     CheckResult,
     ConstraintSpec,
@@ -24,16 +26,20 @@ from qsperner.families import (
     _CliqueSearch,
     _color_sort,
     _cube,
+    _counting,
     _cuts,
     _elements,
     _first_violation,
     _graph_with_holders,
     _greedy_clique,
     _holders,
+    _meet_planes,
     _meet_tables,
+    _meeting,
     _on_chain,
     _orbits,
     _refine,
+    _require_element,
     _root_orbits,
     _seed,
     _words,
@@ -839,6 +845,13 @@ class TestMaxFamily:
         with pytest.raises(ValueError):
             max_family(ConstraintSpec(kind=Kind.ANTICHAIN, n=13))
 
+    def test_element_limit_edge(self):
+        """Element 2^30, the largest a mask may hold, passes, and the one
+        above it is refused; the check builds no mask."""
+        assert _require_element(_MAX_ELEMENT) is None
+        with pytest.raises(ValueError, match=f"^element {_MAX_ELEMENT + 1} is above {_MAX_ELEMENT}, the largest"):
+            _require_element(_MAX_ELEMENT + 1)
+
     def test_n_limit_edge_is_searched(self):
         """n = 12, the limit itself, is accepted: after one node the
         antichain search answers its seed, the middle layer of [12]."""
@@ -1346,6 +1359,81 @@ class TestHolders:
         holders = _holders([Counted(1), Counted(1 << 100000)])
         assert holders == {0: 0b01, 100000: 0b10}
         assert Counted.steps <= 2 * 2 * 2
+
+
+@st.composite
+def meeting_cases(draw):
+    """Points over [10], x over [12] (elements 11 and 12 held by no point,
+    x = 0 among them) and a table over the counts 0 to |x| + 2, each count
+    with a random bitset of the points."""
+    points = draw(st.lists(st.integers(0, (1 << 10) - 1), max_size=12))
+    x = draw(st.integers(0, (1 << 12) - 1) | st.just(0))
+    counts = draw(st.sets(st.integers(0, x.bit_count() + 2)))
+    table = {i: draw(st.integers(0, (1 << len(points)) - 1)) for i in counts}
+    return points, x, table
+
+
+class TestMeeting:
+    """`_meeting` gives `_counting(_meet_planes(...))`'s answer, reading the
+    counts 0 and |x| from the holders."""
+
+    @staticmethod
+    def by_entries(points, x, table):
+        """Oracle: count i -> the points j of table[i] with |points[j] & x| = i."""
+        return {
+            i: sum(1 << j for j, p in enumerate(points) if mask >> j & 1 and (p & x).bit_count() == i)
+            for i, mask in table.items()
+        }
+
+    @given(meeting_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_planes_count_by_count(self, case):
+        points, x, table = case
+        holders = _holders(points)
+        expected = self.by_entries(points, x, table)
+        assert _counting(_meet_planes(x, holders), table) == expected
+        assert _meeting(x, holders, table) == expected
+
+    @pytest.mark.parametrize(
+        "x, counts",
+        [
+            (0b0111, [0]),
+            (0b0111, [3]),
+            (0b0111, [0, 3, 4]),
+            (0b0111, [5]),
+            (0, [0, 1]),
+            (0b1100_0000_0011, [0, 4]),  # elements 11 and 12 are held by no point
+        ],
+        ids=["zero", "all", "both-ends-and-above", "above", "empty-x", "unheld"],
+    )
+    def test_ends_build_no_planes(self, x, counts):
+        """The counts 0, |x| and above are read from the holders, and
+        every point's count is right at each of them."""
+        points = [m for m in range(1 << 4)]
+        table = {i: (1 << len(points)) - 1 for i in counts}
+        holders = _holders(points)
+        with mock.patch("qsperner.families._meet_planes", side_effect=AssertionError("planes built")):
+            got = _meeting(x, holders, table)
+        assert got == self.by_entries(points, x, table)
+
+    def test_each_count_alone(self):
+        """Every count from 0 to |x| + 1, alone in the table, on the 16
+        points of [4]."""
+        points = list(range(1 << 4))
+        holders, everywhere = _holders(points), (1 << len(points)) - 1
+        for x in (0, 0b0001, 0b0110, 0b0111, 0b1111):
+            for i in range(x.bit_count() + 2):
+                table = {i: everywhere}
+                assert _meeting(x, holders, table) == self.by_entries(points, x, table), (x, i)
+
+    def test_middle_counts_share_one_count(self):
+        points = list(range(1 << 5))
+        holders, everywhere = _holders(points), (1 << len(points)) - 1
+        table = {i: everywhere for i in range(5)}
+        with mock.patch("qsperner.families._meet_planes", wraps=_meet_planes) as planes:
+            got = _meeting(0b11110, holders, table)
+        assert planes.call_count == 1
+        assert got == self.by_entries(points, 0b11110, table)
 
 
 class TestSearchStats:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsperner.families import ConstraintSpec, Kind, SetFamily, max_family
+from qsperner.families import ConstraintSpec, Kind, SetFamily, _holders, max_family
 from qsperner.padic import PrimePower, vp
 from qsperner.polylab import (
     ProofSystem,
@@ -545,7 +545,49 @@ def bases(sys_, budget=None):
     return rows, top_values(sys_, d), _rank_rows(forms, rows, sys_.family.n, d, budget)
 
 
+@st.composite
+def kept_forms(draw):
+    """A form over [8] with `fixed` non-empty, t of distinct nonzero
+    values, points and a subset `among` of them, and the counts whose
+    values `keep` holds: 0, |free|, both or neither, with some middle
+    counts beside them."""
+    free = draw(st.integers(0, (1 << 7) - 1))
+    fixed = 1 << 7 | (draw(st.integers(0, (1 << 7) - 1)) & ~free)
+    size = free.bit_count()
+    t = tuple(draw(st.permutations(range(1, size + 2))))
+    ends = draw(st.sampled_from([(), (0,), (size,), (0, size)]))
+    middle = draw(st.sets(st.integers(1, size - 1))) if size > 1 else set()
+    points = draw(st.lists(st.integers(0, (1 << 8) - 1), max_size=12))
+    among = draw(st.integers(0, (1 << len(points)) - 1))
+    return _ClosedForm(fixed, free, t), {*ends, *middle}, points, among
+
+
 class TestClosedForms:
+    @given(kept_forms())
+    @settings(max_examples=300, deadline=None)
+    def test_where_matches_the_entries(self, case):
+        """`levels` and `where` agree with `at`, point by point, whichever
+        ends of the counts `keep` holds."""
+        form, counts, points, among = case
+        keep = {form.t[c] for c in counts}.__contains__
+        holders, values = _holders(points), form.at(points)
+        chosen = [j for j, v in enumerate(values) if among >> j & 1]
+        levels = form.levels(holders, among, keep)
+        assert sorted(levels) == sorted(counts)
+        for c, bits in levels.items():
+            assert bits == sum(1 << j for j in chosen if values[j] == form.t[c])
+        assert form.where(holders, among, keep) == sum(1 << j for j in chosen if keep(values[j]))
+
+    @given(st.integers(0, (1 << 10) - 1), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_subsets_at_every_size(self, within, high):
+        """Every size from 0 to |within| + 1, the empty `within` too."""
+        within |= high << 3000
+        bits = [1 << i for i in range(within.bit_length()) if within >> i & 1]
+        for size in range(len(bits) + 2):
+            expected = sorted(sum(c) for c in itertools.combinations(bits, size))
+            assert sorted(_subsets(within, size)) == expected
+
     @given(proof_systems())
     @settings(max_examples=60, deadline=None)
     def test_every_matrix_entry_is_an_evaluation(self, sys_):

@@ -93,13 +93,17 @@ def test_paired_ab_runs(perfbench_untouched):
     """`scripts/paired_ab.py --verify` on `src` against itself for two
     rounds prints a `wall` and a `seed` line for the search slots and a
     `wall` line for the proof replay, each two median times and the median
-    ratio between its quartiles, and writes no bytecode under perfbench/."""
+    ratio between its quartiles, then each tree's `_meet_planes` calls in
+    one `verify` pass, the same in both, and writes no bytecode under
+    perfbench/."""
     src = str(ROOT / "src")
     argv = [sys.executable, str(ROOT / "scripts" / "paired_ab.py"), src, src, "--verify", "--rounds", "2"]
-    out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
+    *timings, last = subprocess.run(argv, capture_output=True, text=True, check=True).stdout.splitlines()
+    calls = re.fullmatch(r"verify meet_planes a (\d+) b (\d+)", last)
+    assert calls and 0 < int(calls[1]) == int(calls[2]) <= 1100
     number = r"(\d+\.\d{3})"
     line = re.compile(rf"(\S+) (wall|seed) a {number} ms b {number} ms b/a {number} q1 {number} q3 {number}")
-    rows = [line.fullmatch(text) for text in out.splitlines()]
+    rows = [line.fullmatch(text) for text in timings]
     assert all(rows)
     assert [row.group(1, 2) for row in rows] == [("slots", "wall"), ("slots", "seed"), ("verify", "wall")]
     for row in rows:
