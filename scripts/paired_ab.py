@@ -16,7 +16,10 @@ alone (node budget 0) of three n = 12 specs.  With `--verify`, the
 `verify` item builds each `proof-replay` system (`proof_families(None)`
 of `perfbench/workloads.py`) and runs `verify_independence` on it; the
 polynomial each difference system takes from its R22 certificate is
-found once per tree, untimed.  After one untimed warm-up pass per tree,
+found once per tree, untimed.  With `--cli`, the `cli` item makes the
+`cli.main` calls of one `proof-replay` pass (its operations at seed 0,
+their files written once), each with its own captured stdout, as the
+benchmark makes them.  After one untimed warm-up pass per tree,
 each round times one pass of every item with each tree in turn, the tree
 that goes first alternating from round to round.
 
@@ -28,7 +31,11 @@ is slower.  With `--verify` a last line, `verify meet_planes a N b M`,
 gives each tree's calls to `families._meet_planes` in one untimed pass
 of the `verify` item, counted at every name the tree's modules bind the
 function by: a count that does not depend on the machine, beside the
-wall time.
+wall time.  With `--cli` a last line, `cli parse_known_args a N b M`,
+gives each tree's calls to argparse's `parse_known_args`, which every
+parser the CLI builds inherits, in one untimed pass of the `cli` item:
+two per call while the top-level parser read the whole command line,
+one since the command's own parser reads it.
 
 Both trees share one heap and one garbage collector, so a change that only
 allocates more is charged to both and reads as neutral here: removing
@@ -37,15 +44,17 @@ p50 in the benchmark.  The benchmark's alternating pairs, one tree per
 process, decide; this script only narrows down what to take them on.
 
 Usage:
-  python3 scripts/paired_ab.py A_SRC B_SRC [--rows] [--verify] [--rounds N]
+  python3 scripts/paired_ab.py A_SRC B_SRC [--rows] [--verify] [--cli] [--rounds N]
 
 A_SRC and B_SRC are directories holding a `qsperner` package, such as
 the `src` of two checkouts.
 """
 
 import argparse
+import contextlib
 import gc
 import importlib
+import io
 import shutil
 import statistics
 import sys
@@ -112,10 +121,13 @@ def system_builders(pkg: SimpleNamespace, replays: list[tuple]) -> list:
     return builders
 
 
-def make_runner(pkg: SimpleNamespace, items: dict[str, list[tuple]], replays: list[tuple] = ()):
+def make_runner(
+    pkg: SimpleNamespace, items: dict[str, list[tuple]], replays: list[tuple] = (), argvs: list[list[str]] = ()
+):
     """A function timing one pass of an item with this tree: its wall time
     and, for a search item, the summed `seed_s`, in seconds.  The `verify`
-    item, given no search rows, verifies the systems of `replays`."""
+    item, given no search rows, verifies the systems of `replays`, and the
+    `cli` item runs `cli.main` on each of `argvs`."""
     fam, padic = pkg.families, pkg.padic
     specs = {
         item: [
@@ -137,6 +149,12 @@ def make_runner(pkg: SimpleNamespace, items: dict[str, list[tuple]], replays: li
 
     def run(item: str) -> tuple[float, ...]:
         gc.collect()
+        if item == "cli":
+            start = time.perf_counter()
+            for argv in argvs:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    pkg.cli.main(argv)
+            return (time.perf_counter() - start,)
         if item == "verify":
             start = time.perf_counter()
             for build in builders:
@@ -180,6 +198,25 @@ def planes_calls(name: str, run) -> int:
     return calls
 
 
+def parse_passes(run) -> int:
+    """The calls to argparse's `parse_known_args` in one pass of the `cli`
+    item; the method is put back after the pass."""
+    original = argparse.ArgumentParser.parse_known_args
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    argparse.ArgumentParser.parse_known_args = counting
+    try:
+        run("cli")
+    finally:
+        argparse.ArgumentParser.parse_known_args = original
+    return calls
+
+
 def summary(a: list[float], b: list[float]) -> str:
     ratios = [y / x for x, y in zip(a, b)]
     q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
@@ -195,6 +232,7 @@ def main() -> int:
     ap.add_argument("b_src", type=Path, help="the directory holding tree B's qsperner")
     ap.add_argument("--rows", action="store_true", help="also time the budgeted rows")
     ap.add_argument("--verify", action="store_true", help="also time the proof-replay systems' verify")
+    ap.add_argument("--cli", action="store_true", help="also time the proof-replay cli.main calls")
     ap.add_argument("--rounds", type=int, default=20, help="timed rounds (at least 2)")
     args = ap.parse_args()
     if args.rounds < 2:
@@ -209,14 +247,20 @@ def main() -> int:
     names = ("qsperner_a", "qsperner_b")
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
+        argvs = []
+        if args.cli:
+            (Path(tmp) / "replay").mkdir()
+            items["cli"] = []
+            argvs = [op.arg for op in workloads.build("proof-replay", 0, Path(tmp) / "replay").ops]
         runners = [
-            make_runner(load(src.resolve(), name, Path(tmp)), items, replays)
+            make_runner(load(src.resolve(), name, Path(tmp)), items, replays, argvs)
             for src, name in zip((args.a_src, args.b_src), names)
         ]
         for run in runners:  # warm-up: the cube of each n, caches, the allocator
             for item in items:
                 run(item)
         calls = [planes_calls(name, run) for name, run in zip(names, runners)] if args.verify else None
+        passes = [parse_passes(run) for run in runners] if args.cli else None
         times = {item: ([], []) for item in items}  # item -> per tree, (wall, seed) per round
         for rnd in range(args.rounds):
             for item in items:
@@ -227,6 +271,8 @@ def main() -> int:
             print(f"{item} {measure} {summary([x[i] for x in a], [y[i] for y in b])}")
     if calls:
         print(f"verify meet_planes a {calls[0]} b {calls[1]}")
+    if passes:
+        print(f"cli parse_known_args a {passes[0]} b {passes[1]}")
     return 0
 
 

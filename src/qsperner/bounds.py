@@ -126,7 +126,6 @@ lifted reading is modulo a prime p, so k = 1.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
@@ -136,7 +135,17 @@ from operator import add
 
 from .closure import IntervalL, closure_length_bound, q_closure
 from .families import _KINDS, ConstraintSpec, Kind
-from .padic import PrimePower, _lucas_nondivisible, _vp_int, is_prime, vp_factorial
+from .padic import (
+    _SHORT,
+    PrimePower,
+    _lucas_nondivisible,
+    _text,
+    _vp_int,
+    _written,
+    _written_q,
+    is_prime,
+    vp_factorial,
+)
 from .seppoly import (
     FactoredIntPoly,
     check_separation,
@@ -231,40 +240,13 @@ def _next_prime(m: int) -> int:
 # --- contexts, rule records and the certificate builder --------------------
 
 
-# Python writes an int of more digits than its limit only with the limit
-# lifted, and a process may lower it to 640 digits
-# (`sys.int_info.str_digits_check_threshold`) from the default 4,300.  So
-# a text writes an int v that can pass 640 digits (q, q - 1, R9's degree,
-# R14's cap) as `v if v < _SHORT else _written(v, closed)`: the same text
-# under any limit, and at the sizes of every day one comparison more than
-# the int itself.
-_SHORT = 10**sys.int_info.str_digits_check_threshold
-_MAX_WRITTEN = 10**4300
-
-
-def _written(value: int, closed: Callable[[], str] | None = None) -> str:
-    """value in decimal by `Decimal`, which no limit binds, and from
-    `_MAX_WRITTEN` on as closed(), where a closed form is given."""
-    if value >= _MAX_WRITTEN and closed is not None:
-        return closed()
-    from decimal import Decimal  # 1.3 ms to import, so only for an int this long
-
-    return str(Decimal(value))
-
-
-def _written_q(pp: PrimePower, less: int = 0) -> int | str:
-    """q - less as a text writes it, closed as p^k or p^k - less."""
-    q = pp.q - less
-    return q if q < _SHORT else _written(q, lambda: f"{pp.p}^{pp.k}" + (f" - {less}" if less else ""))
-
-
 def _kind_hyp(ctx: _Ctx) -> str:
     """The kind's wording in `families._KINDS`: the plain one as it is, the
     modular one with q and the uniform residue filled in."""
     kd = _KINDS[ctx.kind]
     if ctx.pp is None:
         return kd.plain
-    return kd.modular.format(q=ctx.q_text, r=ctx.residue)
+    return kd.modular.format(q=ctx.q_text, r=None if ctx.residue is None else _text(ctx.residue))
 
 
 def _close_hyp(ctx: _Ctx) -> str:
@@ -291,19 +273,25 @@ class _Ctx:
     mod_interval: int | None = field(init=False)  # |L| if L is an interval modulo q
 
     def __post_init__(self):
-        L, s = self.L, len(self.L)
+        L, span = self.L, self.L[-1] - self.L[0] + 1
+        # a range's len stops at sys.maxsize, and the uniform reading at
+        # q = 2^64 holds q - 1 integers
+        s = span if isinstance(L, range) else len(L)
         self.q_text = None if self.pp is None else _written_q(self.pp)
         self.kind_hyp = _kind_hyp(self)
-        self.interval = IntervalL(L[0], L[-1]) if L[0] >= 1 and L[-1] - L[0] + 1 == s else None
+        self.interval = IntervalL(L[0], L[-1]) if L[0] >= 1 and span == s else None
         # L is an interval modulo q, wrap-around allowed, when it is a plain
         # interval or runs 0..a-1 and then on from L[a] up to q - 1; L[i] - i
         # never falls, so L[i] == i exactly on the prefix i < a (and a < s
         # unless L = 0..s-1, a plain interval)
         self.mod_interval = None
         if self.pp is not None:
-            a = bisect_left(range(s), 1, key=lambda i: L[i] - i)
-            if L[-1] - L[0] + 1 == s or (L[-1] == self.pp.q - 1 and L[-1] - L[a] + 1 == s - a):
+            if span == s:
                 self.mod_interval = s
+            elif L[-1] == self.pp.q - 1:
+                a = bisect_left(range(s), 1, key=lambda i: L[i] - i)
+                if L[-1] - L[a] + 1 == s - a:
+                    self.mod_interval = s
 
 
 @dataclass(frozen=True)
@@ -358,7 +346,7 @@ def _r4(ctx: _Ctx):
     iv = ctx.interval
     if iv is not None and _lucas_nondivisible(ctx.pp.p, iv.hi, iv.size):
         b, s = iv.hi, iv.size
-        texts = (f"L is the interval {iv}", f"{ctx.pp.p} does not divide C({b}, {s})")
+        texts = (f"L is the interval {iv}", f"{ctx.pp.p} does not divide C({_text(b)}, {_text(s)})")
         yield texts, binom_sum(ctx.n, 0, s, "n-1"), {"b": b, "s": s}
 
 
@@ -383,7 +371,7 @@ def _r6(ctx: _Ctx):
     rhs = max((s - 1) * vd + k, s * vd + vp_factorial(p, s) + 1)
     if lhs < rhs:
         texts = (
-            f"L is the arithmetic progression {a} + {d}*[0, {s - 1}]",
+            f"L is the arithmetic progression {_text(a)} + {_text(d)}*[0, {s - 1}]",
             f"sum of valuations {lhs} < max((s-1)v(d)+v(q), s v(d)+v(s!)+1) = {rhs}",
         )
         yield texts, binom_sum(ctx.n, 0, s, "n"), {"a": a, "d": d}
@@ -518,8 +506,9 @@ def _r22_zero_choice(ctx: _Ctx, minimum: Callable[[int], int]):
             return _r22_zero_own(ctx, FactoredIntPoly(1, ctx.L), *plain, "given residues")
     elif closed.size > _MAX_TABLE_Q:
         raise ValueError(
-            f"the given residues do not separate 0 from L modulo {ctx.pp.q}, and their closed "
-            f"superinterval {closed} has {closed.size} roots, above the limit {_MAX_TABLE_Q}"
+            f"the given residues do not separate 0 from L modulo {_written_q(ctx.pp)}, and their closed "
+            f"superinterval {closed} has {_text(closed.size)} roots, "
+            f"above the limit {_MAX_TABLE_Q}"
         )
     g = FactoredIntPoly(1, tuple(range(closed.lo, closed.hi + 1)))
     v0 = vp_factorial(ctx.pp.p, closed.size)
@@ -762,7 +751,11 @@ def _applicable(spec: ConstraintSpec) -> list[BoundCertificate]:
     if kind is Kind.INTERSECTING_UNIFORM:
         r = spec.uniform_residue
         L = range(r + 1, r + pp.q)  # the residues other than r, as a cyclic interval
-        note = f"uniform residue {r} read as L-avoiding L-intersecting with L = all residues except {r}"
+        written = _text(r)
+        note = (
+            f"uniform residue {written} read as L-avoiding L-intersecting"
+            f" with L = all residues except {written}"
+        )
         mapped = _Ctx(Kind.INTERSECTING, n, L, pp, note)
         return _run(_Ctx(kind, n, L, pp, residue=r), (_R16,)) + _run(mapped, (_R17, _R19))
     if kind not in _PORTFOLIO:
@@ -795,12 +788,12 @@ def best_bound(spec: ConstraintSpec) -> tuple[BoundCertificate, list[BoundCertif
 # --- explicit separating-polynomial bounds -----------------------------------
 
 
-def _separation_failure(report, q: int, lead: str) -> SeparationFailure:
+def _separation_failure(report, pp: PrimePower, lead: str) -> SeparationFailure:
     """The failure a failed `check_separation` report raises: its first
     failing class, named after `lead`, with the report attached."""
     for ell, minimum in sorted(report.class_minima.items()):
         if not report.v0 < minimum:
-            return SeparationFailure(f"{lead} class {ell} (mod {q})", ell, report)
+            return SeparationFailure(f"{lead} class {_text(ell)} (mod {_written_q(pp)})", ell, report)
     raise AssertionError("no failing class in a separating report")
 
 
@@ -854,7 +847,7 @@ def bound_from_seppoly(
             return _certificate(ctx, _R22, *_r22_zero_choice(ctx, minimum))
         rep = check_separation(pp, g, 0, L)
         if not rep.separates:
-            raise _separation_failure(rep, pp.q, "polynomial does not separate 0 from")
+            raise _separation_failure(rep, pp, "polynomial does not separate 0 from")
         own = _r22_zero_own(ctx, g, rep.v0, rep.shifted_minus_ok, rep.shifted_plus_ok)
         return _certificate(ctx, _R22, *own)
     q = pp.q
@@ -877,7 +870,7 @@ def bound_from_seppoly(
             h = per_alpha[alpha]
             if not separates(pp, h, alpha, L):
                 rep = check_separation(pp, h, alpha, L)
-                raise _separation_failure(rep, q, f"polynomial for alpha = {alpha} fails on")
+                raise _separation_failure(rep, pp, f"polynomial for alpha = {alpha} fails on")
             # `separates` reads h(alpha) alone, but the argument needs
             # v_p(h(u)) for every u == alpha, and such a root zeroes h there
             if any((r - alpha) % q == 0 for r in h.roots):

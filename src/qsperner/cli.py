@@ -19,6 +19,12 @@ found.  A field added to one of
 those results reaches the payload with no change here.  A negative
 `seppoly find --window` is a usage error.
 
+A call parses its command line once: the command's own parser reads
+everything after the command's name, and the top-level parser is asked
+only when there is no command to hand it to.  A family file is read by
+one `open` and turned into member masks in one pass, and a `--json` call
+writes no human text.
+
 `main` is the one error boundary: a `ValueError` (a library rejecting an
 input, or the CLI's own `UsageError`) becomes exit 2 with the exception's
 message, as the schema-1 error document or an `error:` line on stderr.
@@ -29,9 +35,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -53,7 +61,9 @@ class CommandResult:
     payload: dict = field(default_factory=dict)
     diagnostics: list[str] = field(default_factory=list)
     command: str = ""
-    human: str = ""
+    # the report without --json, or a function writing it when it costs
+    # enough to be put off until `main` knows it is wanted
+    human: str | Callable[[], str] = ""
 
     @property
     def exit_code(self) -> int:
@@ -138,18 +148,26 @@ def _build_spec(args, n: int, *, need_L=True) -> ConstraintSpec:
     )
 
 
+# the errors on which `Path.exists` reads a path as absent
+_ABSENT = frozenset({errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP})
+
+
 def _read_family(args) -> SetFamily:
+    """The family of --file, read by one `open`, with no stat before it:
+    a path that `Path.exists` reads as absent, a NUL byte in it included,
+    is named as missing, and any other failure to read it by its reason."""
     path = Path(args.file)
-    if not path.exists():
-        raise UsageError(f"family file {path} does not exist")
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read family file {path}: {exc.strerror}") from exc
+        with open(path) as file:  # decoded as path.read_text() decodes
+            text = file.read()
     except UnicodeDecodeError as exc:
         raise UsageError(
             f"cannot read family file {path}: not UTF-8 text ({exc.reason} at offset {exc.start})"
         ) from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        if isinstance(exc, OSError) and exc.errno not in _ABSENT:
+            raise UsageError(f"cannot read family file {path}: {exc.strerror}") from exc
+        raise UsageError(f"family file {path} does not exist") from exc
     return families.parse_family(text, args.n)
 
 
@@ -179,7 +197,8 @@ def _cert_json(cert: bounds.BoundCertificate) -> dict:
 
 
 def _family_json(fam: SetFamily) -> list[list[int]]:
-    return [sorted(s) for s in fam.sets()]
+    # `_elements` lists a mask's bits in ascending order
+    return [[i + 1 for i in families._elements(m)] for m in fam.members]
 
 
 # --- handlers ----------------------------------------------------------------
@@ -372,12 +391,12 @@ def _cmd_search(args) -> CommandResult:
         "witness": _family_json(result.witness),
     }
     status = "ok" if result.exact else "budget-exhausted"
-    human = (
-        f"{'maximum' if result.exact else 'best found (budget exhausted)'}: "
-        f"{result.max_size}\n"
-        + families.format_family(result.witness).rstrip()
+    return CommandResult(
+        status,
+        payload,
+        human=lambda: f"{'maximum' if result.exact else 'best found (budget exhausted)'}: "
+        f"{result.max_size}\n" + families.format_family(result.witness).rstrip(),
     )
-    return CommandResult(status, payload, human=human)
 
 
 def _cmd_check(args) -> CommandResult:
@@ -404,7 +423,7 @@ def _cmd_push(args) -> CommandResult:
         "family": _family_json(fam),
         "pushed": _family_json(pushed),
     }
-    return CommandResult("ok", payload, human=families.format_family(pushed).rstrip())
+    return CommandResult("ok", payload, human=lambda: families.format_family(pushed).rstrip())
 
 
 # the constraint kind each proof system certifies, by --variant
@@ -559,12 +578,23 @@ def _build_parser() -> _Parser:
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--variant", choices=[v for v in _VERIFY_KINDS if v], default=None)
 
+    parser.commands = sub.choices  # each command's own parser, by name
     return parser
 
 
 def dispatch(argv: list[str]) -> CommandResult:
-    """Parse argv, route to the owning module, and return the result."""
-    args = _build_parser().parse_args(argv)
+    """Parse argv, route to the owning module, and return the result.
+
+    When argv[0] names a command, that command's own parser reads the rest
+    into the namespace the top-level parser would give, so argv is
+    scanned once; the top-level parser reads argv only to answer -h, a
+    missing command or an unknown one."""
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     result = args.handler(args)
     result.command = args.command
     return result
@@ -596,8 +626,9 @@ def main(argv: list[str] | None = None) -> int:
             # one line: without indent, json uses its C encoder
             print(json.dumps(doc, sort_keys=True))
     else:
-        if result.human:
-            print(result.human)
+        human = result.human if isinstance(result.human, str) else result.human()
+        if human:
+            print(human)
         label = "error" if result.status == "error" else "note"
         for diag in result.diagnostics:
             print(f"{label}: {diag}", file=sys.stderr)

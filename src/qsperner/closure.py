@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .padic import PrimePower, _lucas_nondivisible, _vp_int, to_digits
+from .padic import PrimePower, _lucas_nondivisible, _text, _vp_int, _written_q, to_digits
 
 __all__ = [
     "IntervalL",
@@ -32,19 +32,19 @@ class IntervalL:
 
     def __post_init__(self):
         if not 1 <= self.lo <= self.hi:
-            raise ValueError(f"need 1 <= lo <= hi, got [{self.lo}, {self.hi}]")
+            raise ValueError(f"need 1 <= lo <= hi, got [{_text(self.lo)}, {_text(self.hi)}]")
 
     @property
     def size(self) -> int:
         return self.hi - self.lo + 1
 
     def __str__(self):
-        return f"{{{self.lo}..{self.hi}}}"
+        return f"{{{_text(self.lo)}..{_text(self.hi)}}}"
 
 
 def _check_range(pp: PrimePower, interval: IntervalL) -> None:
     if interval.hi > pp.q - 1:
-        raise ValueError(f"interval {interval} not contained in [1, {pp.q - 1}]")
+        raise ValueError(f"interval {interval} not contained in [1, {_written_q(pp, 1)}]")
 
 
 def is_q_closed(pp: PrimePower, interval: IntervalL) -> bool:
@@ -62,7 +62,7 @@ def closure_length_bound(pp: PrimePower, s: int) -> int:
     the only size-s interval is [1, q-1], already closed, so the bound is s.
     """
     if not 1 <= s <= pp.q - 1:
-        raise ValueError(f"s = {s} out of range [1, {pp.q - 1}]")
+        raise ValueError(f"s = {_text(s)} out of range [1, {_written_q(pp, 1)}]")
     if s == pp.q - 1:
         return s
     digits = to_digits(pp, s)

@@ -129,27 +129,37 @@ class SetFamily:
     @classmethod
     def from_sets(cls, n: int, sets) -> "SetFamily":
         top = min(n, _MAX_ELEMENT)  # no mask holds an element past _MAX_ELEMENT
-        masks = []
-        for s in sets:
-            mask = 0
-            for x in s:
-                if not 1 <= x <= top:
-                    raise ValueError(f"element {x} outside [1, {top}]")
-                mask |= 1 << (x - 1)
-            masks.append(mask)
+        masks, outside = _masks(sets, top)
+        if outside:
+            raise ValueError(f"element {outside[0]} outside [1, {top}]")
         return cls(n, tuple(masks))
 
     def sets(self) -> list[frozenset[int]]:
         return [frozenset(i + 1 for i in _elements(m)) for m in self.members]
 
 
+def _masks(sets, top: int) -> tuple[list[int], list[int]]:
+    """Each set of ints as its mask, and the elements outside [1, top] in
+    the order met; an element is range-checked before it is shifted in,
+    and one outside is left out of its mask."""
+    masks, outside = [], []
+    for s in sets:
+        mask = 0
+        for x in s:
+            if 1 <= x <= top:
+                mask |= 1 << (x - 1)
+            else:
+                outside.append(x)
+        masks.append(mask)
+    return masks, outside
+
+
 _LINE_RE = re.compile(r"^\{\s*((?:\d+\s*(?:,\s*\d+\s*)*)?)\}$")
 
 
-def parse_family(text: str, n: int | None = None) -> SetFamily:
-    """Parse the one-set-per-line format: `{1,3,5}` per line, `{}` for the
-    empty set; blank lines and lines starting with '#' are ignored."""
-    sets = []
+def _member_lines(text: str):
+    """The elements of each member line of text, refusing a line that
+    does not parse where it is met."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -157,11 +167,25 @@ def parse_family(text: str, n: int | None = None) -> SetFamily:
         m = _LINE_RE.match(line)
         if not m:
             raise ValueError(f"line {lineno}: cannot parse {line!r}")
-        body = m.group(1).strip()
-        sets.append([int(tok) for tok in body.split(",")] if body else [])
-    if n is None:
-        n = max((max(s) for s in sets if s), default=0)
-    return SetFamily.from_sets(n, sets)
+        body = m.group(1)  # empty, or opening with a digit
+        yield map(int, body.split(",")) if body else ()
+
+
+def parse_family(text: str, n: int | None = None) -> SetFamily:
+    """Parse the one-set-per-line format: `{1,3,5}` per line, `{}` for the
+    empty set; blank lines and lines starting with '#' are ignored.
+
+    Each line becomes its member's mask in the pass that matches it, by
+    the `_masks` that `from_sets` builds with.  A line that does not parse
+    is refused where it is met; an element outside [1, top] only once
+    every line has parsed, as `from_sets` would refuse it: top is
+    min(n, `_MAX_ELEMENT`), n the largest element when none is given."""
+    masks, outside = _masks(_member_lines(text), _MAX_ELEMENT if n is None else min(n, _MAX_ELEMENT))
+    # none given, n is the largest element: the top bit of the largest mask, or one refused
+    n = max([max(masks, default=0).bit_length(), *outside]) if n is None else n
+    if outside:
+        raise ValueError(f"element {outside[0]} outside [1, {min(n, _MAX_ELEMENT)}]")
+    return SetFamily(n, tuple(masks))
 
 
 def format_family(fam: SetFamily) -> str:

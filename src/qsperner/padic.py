@@ -5,12 +5,17 @@ Answers are plain values: a valuation is an int, or INFINITY (`math.inf`)
 for v_p(0), and digits are a tuple of ints.  Everything here works on
 arbitrary-precision integers; nothing overflows or rounds.  `is_prime` is
 exact below psi_12 (about 3.2e23) and refuses to call a larger number
-prime.  All functions are pure and safe to call from any thread.
+prime.  All functions are pure and safe to call from any thread.  The
+private `_text`, `_written` and `_written_q` write an int into a text
+(a certificate's, an interval's, a refusal's) the same way under any
+digit limit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -203,9 +208,45 @@ def to_digits(pp: PrimePower, s: int) -> tuple[int, ...]:
     count of trailing zero digits is v_p(s) for s > 0.
     """
     if not 0 <= s < pp.q:
-        raise ValueError(f"s = {s} out of range [0, {pp.q - 1}]")
+        raise ValueError(f"s = {_text(s)} out of range [0, {_written_q(pp, 1)}]")
     digits = []
     for _ in range(pp.k):
         digits.append(s % pp.p)
         s //= pp.p
     return tuple(reversed(digits))
+
+
+# --- ints in texts under any digit limit -------------------------------------
+
+# Python writes an int of more digits than its limit only with the limit
+# lifted, and a process may lower it to 640 digits
+# (`sys.int_info.str_digits_check_threshold`) from the default 4,300.  So
+# a text (a certificate's, an interval's, a refusal's) writes an int v
+# that can pass 640 digits as `v if v < _SHORT else _written(v, closed)`,
+# q - less by `_written_q` and an int with no closed form (an element of
+# L, a residue, an interval's end) by `_text`: the same text under any
+# limit, and at the sizes of every day one comparison more than the int
+# itself.
+_SHORT = 10**sys.int_info.str_digits_check_threshold
+_MAX_WRITTEN = 10**4300
+
+
+def _written(value: int, closed: Callable[[], str] | None = None) -> str:
+    """value in decimal by `Decimal`, which no limit binds, and from
+    `_MAX_WRITTEN` on as closed(), where a closed form is given."""
+    if value >= _MAX_WRITTEN and closed is not None:
+        return closed()
+    from decimal import Decimal  # 1.3 ms to import, so only for an int this long
+
+    return str(Decimal(value))
+
+
+def _text(value: int) -> int | str:
+    """value as a text writes it, in full under any limit."""
+    return value if -_SHORT < value < _SHORT else _written(value)
+
+
+def _written_q(pp: PrimePower, less: int = 0) -> int | str:
+    """q - less as a text writes it, closed as p^k or p^k - less."""
+    q = pp.q - less
+    return q if q < _SHORT else _written(q, lambda: f"{pp.p}^{pp.k}" + (f" - {less}" if less else ""))

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from qsperner import bounds
+from qsperner import bounds, padic
 from qsperner.bounds import (
     SeparationFailure,
     best_bound,
@@ -380,10 +380,12 @@ class TestReadings:
                     fired |= self.dropped_certificates(spec_of(kind, n, L), ctx, dropped)
         assert fired == expected
 
-    @pytest.mark.parametrize("q", [1 << 23, 1 << 40, 3**30], ids=["2^23", "2^40", "3^30"])
+    @pytest.mark.parametrize("q", [1 << 23, 1 << 40, 3**30, 1 << 64], ids=["2^23", "2^40", "3^30", "2^64"])
     def test_uniform_above_the_table_limit(self, q):
         """Refused while the reading listed its q - 1 residues, which
-        took 2.5 s and 570 MB at q = 2^22; now R19 answers alone."""
+        took 2.5 s and 570 MB at q = 2^22; now R19 answers alone.  At
+        q = 2^64 the q - 1 residues are past the largest `len`, which
+        the reading once took."""
         best, certs = best_bound(spec_of(Kind.INTERSECTING_UNIFORM, 1000, (), q=q, residue=1))
         assert (best.theorem_id, best.bound.value) == ("R19", 2**1000)
         assert certs == [best]
@@ -436,6 +438,34 @@ class TestBoundFromSeppoly:
         with pytest.raises(SeparationFailure) as info:
             bound_from_seppoly(spec, FactoredIntPoly(1, (3,)))
         assert info.value.failing_class in (1, 2)
+
+    @pytest.mark.parametrize("limit", [4300, 640], ids=["default-limit", "lowered-limit"])
+    def test_refusals_past_the_int_text_limit(self, limit):
+        """Modulo 2^14300, the residues 1, 2^14299 and 3 * 2^14298 do not
+        separate 0 from themselves (class 1 has 14,300 against v0 =
+        28,597), and the closure of their hull has more than 2^22 roots.
+        So R22's own choice and the residues given as a polynomial are
+        both refused, in texts that name q, the classes and the closure
+        the same way under any limit."""
+        L = (1, 2**14299, 3 * 2**14298)
+        spec = ConstraintSpec(Kind.DIFF_SPERNER, 30, frozenset(L), PrimePower(2, 14300))
+        messages = []
+        for text_limit in (limit, 0):
+            saved = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(text_limit)
+            try:
+                with pytest.raises(ValueError) as choice:
+                    bound_from_seppoly(spec)
+                with pytest.raises(SeparationFailure) as given:
+                    bound_from_seppoly(spec, FactoredIntPoly(1, L))
+            finally:
+                sys.set_int_max_str_digits(saved)
+            messages.append((str(choice.value), str(given.value)))
+        assert messages[0] == messages[1]
+        assert messages[0][0].startswith(
+            "the given residues do not separate 0 from L modulo 2^14300, and their closed superinterval {1.."
+        )
+        assert messages[0][1] == "polynomial does not separate 0 from class 1 (mod 2^14300)"
 
     @pytest.mark.parametrize(
         "roots, message, ell, v0, minima, minus_ok, plus_ok",
@@ -1161,17 +1191,56 @@ class TestCertificateText:
         written = {text for cert in portfolio[1] for text, _ in cert.hypotheses}
         assert set(texts) <= written
 
+    @pytest.mark.parametrize("limit", [4300, 640], ids=["default-limit", "lowered-limit"])
+    @pytest.mark.parametrize(
+        "kind, L, residue, rules, text",
+        [
+            (
+                Kind.DIFF_SPERNER, {1, 2**14299}, None, ["R7", "R6", "R9"],
+                lambda big: f"L is the arithmetic progression 1 + {big - 1}*[0, 1]",
+            ),
+            (
+                Kind.DIFF_SPERNER, {2**14299 + 1}, None, ["R4", "R7", "R8", "R6", "R9"],
+                lambda big: f"L is the interval {{{big + 1}..{big + 1}}}",
+            ),
+            (
+                Kind.INTERSECTING_UNIFORM, (), 2**14299 + 1, ["R19"],
+                lambda big: f"uniform residue {big + 1} read as L-avoiding L-intersecting"
+                f" with L = all residues except {big + 1}",
+            ),
+        ],
+        ids=["progression", "interval", "uniform-residue"],
+    )
+    def test_elements_past_the_int_text_limit(self, limit, kind, L, residue, rules, text):
+        """An element of L or a uniform residue of 4,305 digits, past the
+        default limit of 4,300, is written out in full under any limit:
+        R6's first term and step, R4's and R8's interval and R4's
+        binomial, and the uniform reading's note.  Each spec answers
+        with the texts it has with the limit lifted."""
+        spec = ConstraintSpec(kind, 30, frozenset(L), PrimePower(2, 14300), residue)
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            portfolio = best_bound(spec)
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert [c.theorem_id for c in portfolio[1]] == rules
+        with _long_ints():
+            assert best_bound(spec) == portfolio
+            expected = text(2**14299)
+        assert expected in {hyp for cert in portfolio[1] for hyp, _ in cert.hypotheses}
+
     def test_written_at_its_edges(self):
         """Under the lowest limit Python allows, `_written` writes in full
         around 10^640, where the texts stop formatting the int themselves,
         and up to 10^4300, then the closed form, or in full where there
         is none."""
-        short, long = bounds._SHORT, bounds._MAX_WRITTEN
+        short, long = padic._SHORT, padic._MAX_WRITTEN
         saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(sys.int_info.str_digits_check_threshold)
         try:
-            written = [bounds._written(v, lambda: "closed") for v in (short - 1, short, long - 1, long)]
-            in_full = bounds._written(long)
+            written = [padic._written(v, lambda: "closed") for v in (short - 1, short, long - 1, long)]
+            in_full = padic._written(long)
         finally:
             sys.set_int_max_str_digits(saved)
         assert written == ["9" * 640, "1" + "0" * 640, "9" * 4300, "closed"]

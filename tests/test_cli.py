@@ -174,10 +174,10 @@ class TestCommands:
         if "intersecting-uniform" in argv:
             assert (doc["payload"]["theorem_id"], doc["payload"]["bound"]) == ("R19", 2**20)
 
-    @pytest.mark.parametrize("q", [1 << 23, 1 << 40, 3**30], ids=["2^23", "2^40", "3^30"])
+    @pytest.mark.parametrize("q", [1 << 23, 1 << 40, 3**30, 1 << 64], ids=["2^23", "2^40", "3^30", "2^64"])
     def test_bound_uniform_above_the_table_limit(self, capsys, q):
         """Exit 2 while the uniform reading listed its q - 1 residues; R19
-        now answers alone."""
+        now answers alone, also where q - 1 is past the largest `len`."""
         argv = ["bound", "--kind", "intersecting-uniform", "--q", str(q), "--uniform-residue", "1", "--n", "1000"]
         code, doc = run_json(capsys, argv)
         assert code == EXIT_OK
@@ -763,6 +763,40 @@ class TestExitCodes:
             "diagnostics": ["unrecognized arguments: --seed 1"],
         }
 
+    def test_unrecognized_argument_usage_names_the_command(self, capsys):
+        """The command's own parser reads what follows the command, so an
+        argument it does not know is refused with its usage line; the
+        document is the one the top-level parser gave."""
+        argv = ["push", "--file", "fam.txt", "--s", "1", "--seed", "1", "--json"]
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {
+            "schema": 1, "status": "error", "payload": {},
+            "diagnostics": ["unrecognized arguments: --seed 1"],
+        }
+        assert err == "usage: qsperner push [-h] [--json] --file FILE --s S [--n N]\n"
+
+    @pytest.mark.parametrize(
+        "argv, diagnostic, usage",
+        [
+            (["--json"], "the following arguments are required: command", "usage: qsperner [-h]"),
+            (["nonsense", "--json"], "argument command: invalid choice: 'nonsense'", "usage: qsperner [-h]"),
+            (["--json", "vp", "--p", "2", "--n", "4"], "unrecognized arguments: --json", "usage: qsperner [-h]"),
+            (["vp", "--p", "2", "--json"], "the following arguments are required: --n", "usage: qsperner vp"),
+        ],
+        ids=["no-command", "unknown-command", "option-before-command", "missing-option"],
+    )
+    def test_top_level_parser_answers_without_a_command(self, capsys, argv, diagnostic, usage):
+        """With no command first in argv the top-level parser reads it and
+        refuses it with its own usage line; a command's missing option is
+        named by the command's parser."""
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert (doc["status"], doc["payload"]) == ("error", {})
+        assert doc["diagnostics"][0].startswith(diagnostic)
+        assert err.startswith(usage)
+
     def test_argparse_reason_is_the_diagnostic(self, capsys):
         """A value starting with '-' that is not a number is read as a flag;
         argparse's reason reaches the document, its usage line stderr."""
@@ -1105,6 +1139,24 @@ class TestExitCodes:
     )
 
     @READERS
+    @pytest.mark.parametrize(
+        "path", ["absent.txt", "fam.txt/below", "nul\0byte", "unencodable\ud800"],
+        ids=["absent", "below-a-file", "nul-byte", "unencodable"],
+    )
+    def test_family_file_read_as_absent(self, tmp_path, capsys, argv, path):
+        """Every path that `Path.exists` reads as absent is named missing,
+        though the file is opened with no stat before it."""
+        (tmp_path / "fam.txt").write_text("{1}\n")
+        path = tmp_path / path
+        code, doc = run_json(capsys, [*argv, "--file", str(path)])
+        assert not path.exists()
+        assert code == EXIT_USAGE
+        assert doc == {
+            "schema": 1, "status": "error", "payload": {},
+            "diagnostics": [f"family file {path} does not exist"],
+        }
+
+    @READERS
     def test_family_file_is_a_directory(self, tmp_path, capsys, argv):
         argv = [*argv, "--file", str(tmp_path)]
         assert main(argv) == EXIT_USAGE
@@ -1199,6 +1251,94 @@ class TestParserReuse:
         assert reused == fresh
         assert [code for code, _ in reused] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
         assert _build_parser.cache_info().misses == 1
+
+
+class TestOneParse:
+    """`dispatch` hands what follows a command to that command's own
+    parser, so argparse reads argv once a call."""
+
+    # one argv per command, every option of some command given
+    ONE_PER_COMMAND = [
+        ["vp", "--p", "2", "--n", "8", "--json"],
+        ["binom", "--p", "2", "--a", "3", "--b", "5"],
+        ["digits", "--q", "8", "--s", "5"],
+        ["closure", "--q", "9", "--lo", "2", "--hi", "4"],
+        ["mu", "--q", "9", "--s", "2"],
+        ["census", "--q", "8"],
+        [
+            "seppoly", "check", "--q", "8", "--alpha", "0", "--L", "1..3", "--roots", "1,2", "--lead", "3",
+            "--max-degree", "4", "--window", "2", "--budget", "100",
+        ],
+        ["bound", "--kind", "intersecting-uniform", "--q", "4", "--uniform-residue", "1", "--n", "6"],
+        ["table", "--kind", "hamming", "--q", "4", "--n", "5", "--no-brute"],
+        ["search", "--kind", "diff-sperner", "--q", "4", "--L", "1..3", "--n", "6", "--budget", "10"],
+        ["check", "--kind", "antichain", "--file", "fam.txt", "--n", "4", "--uniform-residue", "1"],
+        ["push", "--file", "fam.txt", "--s", "1"],
+        ["verify", "--kind", "close-sperner", "--variant", "close", "--s", "2", "--file", "fam.txt", "--json"],
+    ]
+
+    @staticmethod
+    def replay(load_script, tmp_path):
+        """The operations of one `proof-replay` pass, then its probe, as
+        `perfbench/workloads.py` builds them for `replay_digest.py`."""
+        workload = load_script("scripts/replay_digest.py").build("proof-replay", 0, tmp_path)
+        return workload.ops + workload.probes
+
+    def test_command_parser_gives_the_top_level_namespace(self, load_script, tmp_path):
+        """For every `proof-replay` argv and one argv per command, the
+        command's parser reading argv[1:] gives the namespace that the
+        top-level parser gives for argv, less the command's name."""
+        parser = _build_parser()
+        assert [argv[0] for argv in self.ONE_PER_COMMAND] == list(parser.commands)
+        argvs = [op.arg for op in self.replay(load_script, tmp_path)] + self.ONE_PER_COMMAND
+        for argv in argvs:
+            own = parser.commands[argv[0]].parse_args(argv[1:])
+            assert vars(parser.parse_args(argv)) == {"command": argv[0], **vars(own)}
+
+    def test_one_argparse_pass_per_call(self, load_script, tmp_path, monkeypatch, capsys):
+        """A pass of the 58 `proof-replay` calls makes 58 argparse passes,
+        not 116, and each call still writes its document."""
+        ops = self.replay(load_script, tmp_path)[:-1]
+        passes = 0
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counting(*args, **kwargs):
+            nonlocal passes
+            passes += 1
+            return parse_known_args(*args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        for op in ops:
+            code, doc = run_json(capsys, op.arg[:-1])
+            assert (code, doc["command"]) == (EXIT_OK, op.arg[0])
+        assert passes == len(ops) == 58
+
+    @pytest.mark.parametrize(
+        "argv, human",
+        [
+            (["push", "--s", "1", "--file", "FAMILY"], "{1}\n{2,3}"),
+            (
+                ["search", "--kind", "antichain", "--n", "2"],
+                "maximum: 2\n{1}\n{2}",
+            ),
+        ],
+        ids=["push", "search"],
+    )
+    def test_json_call_writes_no_human_text(self, tmp_path, capsys, monkeypatch, argv, human):
+        """A --json call of push or search never writes its family as
+        text; without --json the report is as it was."""
+        fam = tmp_path / "fam.txt"
+        fam.write_text("{1}\n{2,3}\n")
+        argv = [str(fam) if arg == "FAMILY" else arg for arg in argv]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == human + "\n"
+
+        def refuse(fam):
+            raise AssertionError("a --json call wrote its family as text")
+
+        monkeypatch.setattr(families, "format_family", refuse)
+        code, doc = run_json(capsys, argv)
+        assert (code, doc["status"]) == (EXIT_OK, "ok")
 
 
 def as_json(value):

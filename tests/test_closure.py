@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -12,7 +13,8 @@ from qsperner.closure import (
     is_q_closed,
     q_closure,
 )
-from qsperner.padic import PrimePower, _lucas_nondivisible
+from qsperner.cli import _long_ints
+from qsperner.padic import PrimePower, _lucas_nondivisible, to_digits
 
 QS = [4, 8, 9, 16, 25, 27]
 SCAN_QS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128, 243]
@@ -22,6 +24,46 @@ def closed_by_arithmetic(q: int, lo: int, hi: int) -> bool:
     """Oracle: direct big-integer binomial divisibility."""
     p = PrimePower.from_q(q).p
     return math.comb(hi, hi - lo + 1) % p != 0
+
+
+class TestRefusalTexts:
+    @pytest.mark.parametrize("limit", [4300, 640], ids=["default-limit", "lowered-limit"])
+    def test_ints_past_the_int_text_limit(self, limit):
+        """Modulo 2^14300, an interval past q - 1, an s out of range, a
+        reversed interval, a digit request past q - 1 and an interval from
+        -2^14301 are refused in texts that write the 4,306-digit 2^14301
+        in full and q - 1 as 2^14300 - 1, the same under any limit."""
+        pp, big = PrimePower(2, 14300), 2**14301
+        calls = (
+            lambda: is_q_closed(pp, IntervalL(1, big)),
+            lambda: q_closure(pp, IntervalL(1, big)),
+            lambda: closure_length_bound(pp, big),
+            lambda: IntervalL(big, 1),
+            lambda: to_digits(pp, big),
+            lambda: IntervalL(-big, 1),
+        )
+        messages = []
+        for text_limit in (limit, 0):
+            saved = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(text_limit)
+            try:
+                for call in calls:
+                    with pytest.raises(ValueError) as info:
+                        call()
+                    messages.append(str(info.value))
+            finally:
+                sys.set_int_max_str_digits(saved)
+        with _long_ints():
+            written = str(big)
+        expected = [
+            f"interval {{1..{written}}} not contained in [1, 2^14300 - 1]",
+            f"interval {{1..{written}}} not contained in [1, 2^14300 - 1]",
+            f"s = {written} out of range [1, 2^14300 - 1]",
+            f"need 1 <= lo <= hi, got [{written}, 1]",
+            f"s = {written} out of range [0, 2^14300 - 1]",
+            f"need 1 <= lo <= hi, got [-{written}, 1]",
+        ]
+        assert messages == expected + expected
 
 
 class TestIsClosed:

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -185,6 +186,20 @@ class TestSetFamily:
         fam = SetFamily.from_sets(5, [{1, 3, 5}, set(), {2}])
         assert fam.sets() == [frozenset(), frozenset({2}), frozenset({1, 3, 5})]
 
+    @pytest.mark.parametrize(
+        "n, sets, message",
+        [
+            (3, [[1, 0], [5]], "element 0 outside [1, 3]"),
+            (3, [[2], [4, 1], [0]], "element 4 outside [1, 3]"),
+            (2**31, [[2**40], [2**30 + 1]], "element 1099511627776 outside [1, 1073741824]"),
+        ],
+        ids=["zero-first", "past-n-first", "past-the-mask-limit"],
+    )
+    def test_from_sets_names_the_first_element_outside(self, n, sets, message):
+        with pytest.raises(ValueError) as exc:
+            SetFamily.from_sets(n, sets)
+        assert str(exc.value) == message
+
     def test_file_format_round_trip(self):
         text = "# comment\n{1,3,5}\n\n{}\n{2}\n"
         fam = parse_family(text)
@@ -196,6 +211,110 @@ class TestSetFamily:
             parse_family("{1,2")
         with pytest.raises(ValueError):
             parse_family("1,2,3")
+
+
+def parent_parse_family(text, n=None):
+    """`parse_family` as it was before it built masks in its own pass: every
+    line parsed to a list of elements, then masks built as `from_sets`
+    built them."""
+    sets = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        m = re.match(r"^\{\s*((?:\d+\s*(?:,\s*\d+\s*)*)?)\}$", line)
+        if not m:
+            raise ValueError(f"line {lineno}: cannot parse {line!r}")
+        body = m.group(1).strip()
+        sets.append([int(tok) for tok in body.split(",")] if body else [])
+    if n is None:
+        n = max((max(s) for s in sets if s), default=0)
+    top = min(n, _MAX_ELEMENT)
+    masks = []
+    for s in sets:
+        mask = 0
+        for x in s:
+            if not 1 <= x <= top:
+                raise ValueError(f"element {x} outside [1, {top}]")
+            mask |= 1 << (x - 1)
+        masks.append(mask)
+    return SetFamily(n, tuple(masks))
+
+
+def outcome(parse, text, n):
+    """The family parse gives, or the type and text of its refusal."""
+    try:
+        fam = parse(text, n)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return fam.n, fam.members
+
+
+# elements mostly in [0, 9], some past n, and some past 2^30, which no
+# mask may hold; none near 2^30 itself, whose mask takes 128 MB
+ELEMENTS = st.one_of(
+    st.integers(0, 9),
+    st.integers(10, 80),
+    st.sampled_from([_MAX_ELEMENT + 1, 2**40, 10**30]),
+)
+SPACE = st.sampled_from(["", "", " ", "  ", "\t", "\u3000"])
+
+
+@st.composite
+def family_lines(draw):
+    """One line of a family file: a set, possibly padded, a blank or
+    comment line, or a malformed or unusual one (a digit other than 0-9
+    parses)."""
+    form = draw(st.sampled_from(["set", "set", "set", "blank", "comment", "malformed"]))
+    if form == "set":
+        elements = draw(st.lists(ELEMENTS, max_size=4))
+        tokens = [
+            draw(SPACE) + ("0" * draw(st.integers(0, 1))) + str(x) + draw(SPACE) for x in elements
+        ]
+        return draw(SPACE) + "{" + draw(SPACE) + ",".join(tokens) + "}" + draw(SPACE)
+    if form == "blank":
+        return draw(SPACE)
+    if form == "comment":
+        return draw(SPACE) + "#" + draw(st.sampled_from(["", " note", "{1,2}"]))
+    return draw(
+        st.sampled_from(["{1,2", "1,2}", "{1,,2}", "{,}", "{a}", "{-1}", "{1 2}", "{1;2}", "{1},", "{\u0661}"])
+    )
+
+
+class TestParseFamilyOracle:
+    """`parse_family` builds each mask in the pass that parses its line;
+    the parser it replaced, copied above, is the oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        lines=st.lists(family_lines(), max_size=8),
+        ends=st.lists(st.sampled_from(["\n", "\r\n", "\r", "\u2028", " "]), min_size=8, max_size=8),
+        last=st.booleans(),
+        n=st.one_of(st.none(), st.integers(-1, 12), st.just(2**31)),
+    )
+    def test_matches_the_parent_parser(self, lines, ends, last, n):
+        text = "".join(line + end for line, end in zip(lines, ends))
+        if not last and text:
+            text = text[: -len(ends[len(lines) - 1])]
+        assert outcome(parse_family, text, n) == outcome(parent_parse_family, text, n)
+
+    @pytest.mark.parametrize(
+        "text, n, message",
+        [
+            ("{0}\n{5}\n", None, "element 0 outside [1, 5]"),
+            ("{0}\n{1073741825}\n", None, "element 0 outside [1, 1073741824]"),
+            ("{3}\n{1073741825}\n{2}\n", 2, "element 3 outside [1, 2]"),
+            ("{0}\n{1,\n", None, "line 2: cannot parse '{1,'"),
+            ("{1}\n{1}\n", None, "duplicate members"),
+        ],
+        ids=["top-from-the-file", "top-capped", "top-from-n", "parse-error-first", "duplicate"],
+    )
+    def test_refusals(self, text, n, message):
+        """An element is refused against the top of the whole file, and
+        only once every line has parsed."""
+        with pytest.raises(ValueError) as exc:
+            parse_family(text, n)
+        assert str(exc.value) == message
 
 
 class TestSatisfies:

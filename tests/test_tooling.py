@@ -111,6 +111,18 @@ def test_paired_ab_runs(perfbench_untouched):
         assert a > 0 and b > 0 and 0 < q1 <= ratio <= q3
 
 
+def test_paired_ab_cli_runs(perfbench_untouched):
+    """`scripts/paired_ab.py --cli` on `src` against itself for two rounds
+    prints the search slots' lines and a `wall` line for the `cli.main`
+    calls of one `proof-replay` pass, then each tree's argparse passes in
+    one `cli` pass: one per call, 58 in both."""
+    src = str(ROOT / "src")
+    argv = [sys.executable, str(ROOT / "scripts" / "paired_ab.py"), src, src, "--cli", "--rounds", "2"]
+    *timings, last = subprocess.run(argv, capture_output=True, text=True, check=True).stdout.splitlines()
+    assert last == "cli parse_known_args a 58 b 58"
+    assert [text.split()[:2] for text in timings] == [["slots", "wall"], ["slots", "seed"], ["cli", "wall"]]
+
+
 def package():
     """This tree's modules, as `paired_ab.load` gives them."""
     modules = ("bounds", "cli", "families", "padic", "polylab", "seppoly")
