@@ -30,10 +30,11 @@ the per-round ratios b/a and their quartiles.  A ratio above 1 means B
 is slower.  With `--verify` a last line, `verify meet_planes a N b M`,
 gives each tree's calls to `families._meet_planes` in one untimed pass
 of the `verify` item, counted at every name the tree's modules bind the
-function by: a count that does not depend on the machine, beside the
-wall time.  With `--cli` a last line, `cli parse_known_args a N b M`,
-gives each tree's calls to argparse's `parse_known_args`, which every
-parser the CLI builds inherits, in one untimed pass of the `cli` item:
+function by (`replay_digest.rebound`, which the digests wrap through): a
+count that does not depend on the machine, beside the wall time.  With
+`--cli` a last line, `cli parse_known_args a N b M`, gives each tree's
+calls to argparse's `parse_known_args`, which every parser the CLI
+builds inherits, in one untimed pass of the `cli` item:
 two per call while the top-level parser read the whole command line,
 one since the command's own parser reads it.
 
@@ -172,7 +173,12 @@ def make_runner(
 def planes_calls(name: str, run) -> int:
     """The calls to `families._meet_planes` in one pass of the `verify`
     item of the tree imported as `name`, at every name its modules bind
-    the function by; each binding is put back after the pass."""
+    the function by, through `replay_digest.rebound`."""
+    # imported here, not at the top: `replay_digest` imports `qsperner` and
+    # `workloads` from this checkout unless `perfbench_workloads` has
+    # already imported them from A_SRC
+    from replay_digest import rebound
+
     original = sys.modules[f"{name}.families"]._meet_planes
     calls = 0
 
@@ -181,20 +187,8 @@ def planes_calls(name: str, run) -> int:
         calls += 1
         return original(*args)
 
-    bound = [
-        (module, attr)
-        for key, module in list(sys.modules.items())
-        if key.partition(".")[0] == name
-        for attr, value in list(vars(module).items())
-        if value is original
-    ]
-    for module, attr in bound:
-        setattr(module, attr, counting)
-    try:
+    with rebound({original: counting}, name):
         run("verify")
-    finally:
-        for module, attr in bound:
-            setattr(module, attr, original)
     return calls
 
 

@@ -79,14 +79,14 @@ def run(argv: list[str]) -> str:
 
 
 @contextlib.contextmanager
-def rebound(wrappers: dict):
+def rebound(wrappers: dict, package: str = "qsperner"):
     """For the `with` block, bind wrappers[f] in place of each function f
-    of `wrappers` at every name by which `qsperner` or one of its modules
+    of `wrappers` at every name by which `package` or one of its modules
     binds f; every binding is put back on exit."""
     bound = [
         (module, attr, original)
         for name, module in list(sys.modules.items())
-        if name.partition(".")[0] == "qsperner"
+        if name.partition(".")[0] == package
         for attr, value in list(vars(module).items())
         for original in wrappers
         if value is original

@@ -136,12 +136,10 @@ from operator import add
 from .closure import IntervalL, closure_length_bound, q_closure
 from .families import _KINDS, ConstraintSpec, Kind
 from .padic import (
-    _SHORT,
     PrimePower,
     _lucas_nondivisible,
     _text,
     _vp_int,
-    _written,
     _written_q,
     is_prime,
     vp_factorial,
@@ -409,7 +407,7 @@ def _r8(ctx: _Ctx):
 def _r9(ctx: _Ctx):
     s = len(ctx.L)
     degree = 2 ** (s - 1)
-    written = degree if degree < _SHORT else _written(degree, lambda: f"2^{s - 1}")
+    written = _text(degree, lambda: f"2^{s - 1}")
     texts = (f"L within [1, {_written_q(ctx.pp, 1)}]", f"worst-case separating degree 2^(s-1) = {written}")
     yield texts, binom_sum(ctx.n, 0, degree, "n"), None
 
@@ -553,9 +551,7 @@ def _r13(ctx: _Ctx):
 def _r14(ctx: _Ctx):
     s, k = len(ctx.L), ctx.pp.k
     cap = degree_upper_bound(s, k)
-    written = cap if cap < _SHORT else _written(
-        cap, lambda: f"min(2^{s - 1}, floor({k + s - 1}^{k} / {k}^{k}))"
-    )
+    written = _text(cap, lambda: f"min(2^{s - 1}, floor({k + s - 1}^{k} / {k}^{k}))")
     texts = (f"worst-case separating degree bound {written}",)
     yield texts, binom_sum(ctx.n, 0, cap, "n"), {"degree_cap": cap}
 

@@ -46,7 +46,7 @@ from time import perf_counter
 
 from . import bounds, closure, families, polylab, seppoly
 from .families import ConstraintSpec, Kind, SetFamily
-from .padic import INFINITY, PrimePower, to_digits, vp, vp_binomial
+from .padic import INFINITY, PrimePower, _text, to_digits, vp, vp_binomial
 
 SCHEMA_VERSION = 1
 
@@ -61,9 +61,9 @@ class CommandResult:
     payload: dict = field(default_factory=dict)
     diagnostics: list[str] = field(default_factory=list)
     command: str = ""
-    # the report without --json, or a function writing it when it costs
-    # enough to be put off until `main` knows it is wanted
-    human: str | Callable[[], str] = ""
+    # writes the report without --json; `main` calls it only then, with
+    # the digit limit lifted (`str`, the default, writes none)
+    human: Callable[[], str] = str
 
     @property
     def exit_code(self) -> int:
@@ -114,7 +114,7 @@ def _parse_L(text: str, q: int | None) -> list[int]:
             count = hi - lo + 1
         if count > _MAX_INTERVAL:
             raise UsageError(
-                f"interval {text!r} has {count} elements, more than the limit of {_MAX_INTERVAL}"
+                f"interval {text!r} has {_text(count)} elements, more than the limit of {_MAX_INTERVAL}"
             )
         return [(lo + i) % q for i in range(count)] if wrap else list(range(lo, hi + 1))
     if wrap:
@@ -173,11 +173,11 @@ def _read_family(args) -> SetFamily:
 
 @contextlib.contextmanager
 def _long_ints():
-    """Let Python write ints of any length in the block: a bound can have
-    more digits than its default limit of 4,300, past which `str` and
-    `json.dumps` raise.  The limit is put back after the block; inputs are
-    parsed outside it, where the limit keeps a huge number from taking
-    quadratic time to read."""
+    """Let Python write ints of any length in the block, in which `main`
+    writes its document or report: a bound can have more digits than its
+    default limit of 4,300, past which `str` and `json.dumps` raise.  The
+    limit is put back after the block; inputs are parsed outside it, where
+    the limit keeps a huge number from taking quadratic time to read."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -205,29 +205,26 @@ def _family_json(fam: SetFamily) -> list[list[int]]:
 
 
 def _cmd_vp(args) -> CommandResult:
-    v = vp(args.p, args.n)
-    human = f"v_{args.p}({args.n}) = {_val_json(v)}"
-    return CommandResult("ok", {"p": args.p, "n": args.n, "valuation": _val_json(v)}, human=human)
+    payload = {"p": args.p, "n": args.n, "valuation": _val_json(vp(args.p, args.n))}
+    return CommandResult("ok", payload, human=lambda: f"v_{args.p}({args.n}) = {payload['valuation']}")
 
 
 def _cmd_binom(args) -> CommandResult:
     v = vp_binomial(args.p, args.a, args.b)
-    human = f"v_{args.p}(C({args.a + args.b}, {args.a})) = {v}"
     return CommandResult(
         "ok",
         {"p": args.p, "a": args.a, "b": args.b, "valuation": v},
-        human=human,
+        human=lambda: f"v_{args.p}(C({args.a + args.b}, {args.a})) = {v}",
     )
 
 
 def _cmd_digits(args) -> CommandResult:
     pp = PrimePower.from_q(args.q)
     digits = to_digits(pp, args.s)
-    human = f"{args.s} = ({','.join(map(str, digits))}) base {pp.p}, width {pp.k}"
     return CommandResult(
         "ok",
         {"q": pp.q, "p": pp.p, "k": pp.k, "s": args.s, "digits": list(digits)},
-        human=human,
+        human=lambda: f"{args.s} = ({','.join(map(str, digits))}) base {pp.p}, width {pp.k}",
     )
 
 
@@ -236,10 +233,6 @@ def _cmd_closure(args) -> CommandResult:
     interval = closure.IntervalL(args.lo, args.hi)
     closed = closure.q_closure(pp, interval)
     already = closure.is_q_closed(pp, interval)
-    human = (
-        f"closure of {interval} in [1, {pp.q - 1}]: {closed} "
-        f"(length {closed.size}{', already closed' if already else ''})"
-    )
     return CommandResult(
         "ok",
         {
@@ -249,7 +242,8 @@ def _cmd_closure(args) -> CommandResult:
             "length": closed.size,
             "already_closed": already,
         },
-        human=human,
+        human=lambda: f"closure of {interval} in [1, {pp.q - 1}]: {closed} "
+        f"(length {closed.size}{', already closed' if already else ''})",
     )
 
 
@@ -259,7 +253,7 @@ def _cmd_mu(args) -> CommandResult:
     return CommandResult(
         "ok",
         {"q": pp.q, "s": args.s, "closure_length_bound": value},
-        human=f"closure length bound for size {args.s} intervals mod {pp.q}: {value}",
+        human=lambda: f"closure length bound for size {args.s} intervals mod {pp.q}: {value}",
     )
 
 
@@ -270,11 +264,13 @@ def _cmd_census(args) -> CommandResult:
         "alt_form disagrees with the enumeration; it is recorded for "
         "reference and never asserted"
     ]
-    human = (
-        f"closed pairs (b, s) with 1 <= s <= b < {pp.q}: {census.count} "
-        f"(closed form {census.closed_form}, alt form {census.alt_form})"
+    return CommandResult(
+        "ok",
+        {"q": pp.q, **vars(census)},
+        diagnostics=diag,
+        human=lambda: f"closed pairs (b, s) with 1 <= s <= b < {pp.q}: {census.count} "
+        f"(closed form {census.closed_form}, alt form {census.alt_form})",
     )
-    return CommandResult("ok", {"q": pp.q, **vars(census)}, diagnostics=diag, human=human)
 
 
 def _cmd_seppoly(args) -> CommandResult:
@@ -288,11 +284,12 @@ def _cmd_seppoly(args) -> CommandResult:
         g = seppoly.FactoredIntPoly(args.lead, tuple(roots))
         rep = seppoly.check_separation(pp, g, args.alpha, L)
         payload = {**header, **vars(rep), "v0": _val_json(rep.v0), "poly": vars(g)}
-        human = (
-            f"{g} {'separates' if rep.separates else 'does not separate'} "
-            f"{args.alpha} from L mod {pp.q}"
+        return CommandResult(
+            "ok",
+            payload,
+            human=lambda: f"{g} {'separates' if rep.separates else 'does not separate'} "
+            f"{args.alpha} from L mod {pp.q}",
         )
-        return CommandResult("ok", payload, human=human)
     if args.window is not None and args.window < 0:
         raise UsageError(f"--window must be non-negative, got {args.window}")
     window = range(0, args.window) if args.window is not None else None
@@ -301,16 +298,16 @@ def _cmd_seppoly(args) -> CommandResult:
         found = seppoly.search_min_degree(pp, args.alpha, L, args.max_degree, window, args.budget)
     except seppoly.SearchBudgetExhausted as exc:
         payload = {**searched, "tried": exc.tried, "degree_reached": exc.degree}
-        return CommandResult("budget-exhausted", payload, human=str(exc))
+        return CommandResult("budget-exhausted", payload, human=exc.__str__)
     if found is None:
         return CommandResult(
             "infeasible",
             searched,
-            human=f"no separating polynomial of degree <= {args.max_degree} found",
+            human=lambda: f"no separating polynomial of degree <= {args.max_degree} found",
         )
     g, d = found
     payload = {**header, "degree": d, "poly": vars(g)}
-    return CommandResult("ok", payload, human=f"degree {d}: {g}")
+    return CommandResult("ok", payload, human=lambda: f"degree {d}: {g}")
 
 
 def _cmd_bound(args) -> CommandResult:
@@ -326,13 +323,16 @@ def _cmd_bound(args) -> CommandResult:
         "best": _cert_json(best),
         "certificates": [_cert_json(c) for c in all_certs],
     }
-    with _long_ints():
+
+    def human():
         lines = [f"best bound: {best.bound.value} via {best.theorem_id}"]
         for c in all_certs:
             b = c.bound
             span = f"sum_{{i={b.lower}..{b.upper}}} C({b.column}, i)"
             lines.append(f"  {c.theorem_id:>4}: {b.value}  ({span})")
-    return CommandResult("ok", payload, human="\n".join(lines))
+        return "\n".join(lines)
+
+    return CommandResult("ok", payload, human=human)
 
 
 def _cmd_table(args) -> CommandResult:
@@ -340,10 +340,10 @@ def _cmd_table(args) -> CommandResult:
     kind = _kind(args.kind)
     intervals = (pp.q - 1) * pp.q // 2
     if intervals > _MAX_TABLE_ROWS:
-        with _long_ints():  # q and its count of intervals may have any length
-            raise UsageError(
-                f"a table at q = {pp.q} has {intervals} intervals, more than the limit of {_MAX_TABLE_ROWS}"
-            )
+        raise UsageError(
+            f"a table at q = {_text(pp.q)} has {_text(intervals)} intervals, "
+            f"more than the limit of {_MAX_TABLE_ROWS}"
+        )
     rows = []
     brute_ok = args.n <= families.DEFAULT_N_LIMIT and not args.no_brute
     for lo in range(1, pp.q):
@@ -362,21 +362,20 @@ def _cmd_table(args) -> CommandResult:
                 row["exact"] = result.exact
                 row["sound"] = result.max_size <= best.bound.value
             rows.append(row)
-    header = f"{'L':>8} {'bound':>10} {'rule':>5}"
-    if brute_ok:
-        header += f" {'brute':>7} {'sound':>6}"
-    lines = [header]
-    with _long_ints():
+
+    def human():
+        header = f"{'L':>8} {'bound':>10} {'rule':>5}"
+        if brute_ok:
+            header += f" {'brute':>7} {'sound':>6}"
+        lines = [header]
         for row in rows:
             line = f"{row['L']:>8} {row['bound']:>10} {row['theorem_id']:>5}"
             if brute_ok:
                 line += f" {row['brute_force']:>7} {str(row['sound']).lower():>6}"
             lines.append(line)
-    return CommandResult(
-        "ok",
-        {"kind": kind.value, "q": pp.q, "n": args.n, "rows": rows},
-        human="\n".join(lines),
-    )
+        return "\n".join(lines)
+
+    return CommandResult("ok", {"kind": kind.value, "q": pp.q, "n": args.n, "rows": rows}, human=human)
 
 
 def _cmd_search(args) -> CommandResult:
@@ -410,8 +409,9 @@ def _cmd_check(args) -> CommandResult:
         "satisfied": result.ok,
         "violation": result.violation,
     }
-    human = "satisfied" if result.ok else f"violated: {result.violation}"
-    return CommandResult("ok", payload, human=human)
+    return CommandResult(
+        "ok", payload, human=lambda: "satisfied" if result.ok else f"violated: {result.violation}"
+    )
 
 
 def _cmd_push(args) -> CommandResult:
@@ -466,12 +466,12 @@ def _cmd_verify(args) -> CommandResult:
         "L": sorted(set(L)),
         "stats": {**report.stats, "build_s": build_s},
     }
-    human = (
-        f"rank {report.rank} of {report.total_polys} polynomials "
-        f"(dimension {report.dimension}); pattern "
-        f"{'holds' if report.pattern_ok else 'FAILS'}"
+    return CommandResult(
+        "ok",
+        payload,
+        human=lambda: f"rank {report.rank} of {report.total_polys} polynomials "
+        f"(dimension {report.dimension}); pattern {'holds' if report.pattern_ok else 'FAILS'}",
     )
-    return CommandResult("ok", payload, human=human)
 
 
 # --- parser ------------------------------------------------------------------
@@ -613,25 +613,25 @@ def main(argv: list[str] | None = None) -> int:
         result = CommandResult("ok", {"help": request.text}, command=request.command)
     except ValueError as exc:
         result = CommandResult("error", diagnostics=[str(exc)])
-    if want_json:
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "status": result.status,
-            "payload": result.payload,
-            "diagnostics": result.diagnostics,
-        }
-        if result.status != "error":  # an error document names no command
-            doc["command"] = result.command
-        with _long_ints():
+    with _long_ints():
+        if want_json:
+            doc = {
+                "schema": SCHEMA_VERSION,
+                "status": result.status,
+                "payload": result.payload,
+                "diagnostics": result.diagnostics,
+            }
+            if result.status != "error":  # an error document names no command
+                doc["command"] = result.command
             # one line: without indent, json uses its C encoder
             print(json.dumps(doc, sort_keys=True))
-    else:
-        human = result.human if isinstance(result.human, str) else result.human()
-        if human:
-            print(human)
-        label = "error" if result.status == "error" else "note"
-        for diag in result.diagnostics:
-            print(f"{label}: {diag}", file=sys.stderr)
+        else:
+            human = result.human()
+            if human:
+                print(human)
+            label = "error" if result.status == "error" else "note"
+            for diag in result.diagnostics:
+                print(f"{label}: {diag}", file=sys.stderr)
     return result.exit_code
 
 

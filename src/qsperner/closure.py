@@ -128,7 +128,8 @@ def count_closed_pairs(pp: PrimePower) -> ClosedPairCensus:
     pairs = (q - 1) * q // 2
     if pairs > _MAX_CENSUS_PAIRS:
         raise ValueError(
-            f"census at q = {q} would test {pairs} pairs, more than the limit {_MAX_CENSUS_PAIRS}"
+            f"census at q = {_written_q(pp)} would test {_text(pairs)} pairs, "
+            f"more than the limit {_MAX_CENSUS_PAIRS}"
         )
     count = sum(
         1

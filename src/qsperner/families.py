@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
-from .padic import PrimePower
+from .padic import PrimePower, _text, _written_q
 
 __all__ = [
     "Kind",
@@ -353,15 +353,16 @@ def _admissible(spec: ConstraintSpec, k: int) -> bool:
 
 
 def _words(spec: ConstraintSpec, text: str, x: int, y: int, v: int) -> str:
-    q = spec.q
+    q, r = spec.q, spec.uniform_residue
+    written = None if q is None else _written_q(spec.modulus)
     return text.format(
         X=_set_str(x),
         Y=_set_str(y),
         v=v,
         res=v if q is None else v % q,
-        mod="" if q is None else f" (mod {q})",
-        q=q,
-        r=spec.uniform_residue,
+        mod="" if q is None else f" (mod {written})",
+        q=written,
+        r=None if r is None else _text(r),
     )
 
 

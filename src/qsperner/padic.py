@@ -6,9 +6,10 @@ for v_p(0), and digits are a tuple of ints.  Everything here works on
 arbitrary-precision integers; nothing overflows or rounds.  `is_prime` is
 exact below psi_12 (about 3.2e23) and refuses to call a larger number
 prime.  All functions are pure and safe to call from any thread.  The
-private `_text`, `_written` and `_written_q` write an int into a text
-(a certificate's, an interval's, a refusal's) the same way under any
-digit limit.
+private `_text` is the one writer of an int into a text (a
+certificate's, an interval's, a refusal's): the same text under any
+digit limit, and from 10^4300 on in closed form where one is given.
+`_written_q` writes q - less through it, closed as p^k - less.
 """
 
 from __future__ import annotations
@@ -60,14 +61,14 @@ def is_prime(n: int) -> bool:
             return False
     if n >= _MR_EXACT_BELOW:
         raise ValueError(
-            f"n = {n} passes every witness, which proves primality only below {_MR_EXACT_BELOW}"
+            f"n = {_text(n)} passes every witness, which proves primality only below {_MR_EXACT_BELOW}"
         )
     return True
 
 
 def _require_prime(p: int) -> None:
     if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+        raise ValueError(f"p = {_text(p)} is not prime")
 
 
 # v_p(0): above every int and absorbing under addition, so sums and
@@ -188,14 +189,14 @@ class PrimePower:
         exact root, k running down from log2(q), decides.  Memoized:
         callers build many specs over a few moduli."""
         if q < 2:
-            raise ValueError(f"q = {q} is not a prime power")
+            raise ValueError(f"q = {_text(q)} is not a prime power")
         for k in range(q.bit_length() - 1, 0, -1):
             p = _exact_root(q, k)
             if p is not None:
                 if is_prime(p):
                     return cls(p, k)
                 break
-        raise ValueError(f"q = {q} is not a prime power")
+        raise ValueError(f"q = {_text(q)} is not a prime power")
 
     def __str__(self):
         return f"{self.q} = {self.p}^{self.k}" if self.k > 1 else str(self.q)
@@ -221,19 +222,20 @@ def to_digits(pp: PrimePower, s: int) -> tuple[int, ...]:
 # Python writes an int of more digits than its limit only with the limit
 # lifted, and a process may lower it to 640 digits
 # (`sys.int_info.str_digits_check_threshold`) from the default 4,300.  So
-# a text (a certificate's, an interval's, a refusal's) writes an int v
-# that can pass 640 digits as `v if v < _SHORT else _written(v, closed)`,
-# q - less by `_written_q` and an int with no closed form (an element of
-# L, a residue, an interval's end) by `_text`: the same text under any
-# limit, and at the sizes of every day one comparison more than the int
-# itself.
+# a text (a certificate's, an interval's, a refusal's) writes an int as
+# `_text` gives it, and q - less by `_written_q`: the same text under any
+# limit, and at the sizes of every day one call and one range test more
+# than the int itself.
 _SHORT = 10**sys.int_info.str_digits_check_threshold
 _MAX_WRITTEN = 10**4300
 
 
-def _written(value: int, closed: Callable[[], str] | None = None) -> str:
-    """value in decimal by `Decimal`, which no limit binds, and from
+def _text(value: int, closed: Callable[[], str] | None = None) -> int | str:
+    """value as a text writes it, in full under any limit: itself below
+    `_SHORT`, else in decimal by `Decimal`, which no limit binds, and from
     `_MAX_WRITTEN` on as closed(), where a closed form is given."""
+    if -_SHORT < value < _SHORT:
+        return value
     if value >= _MAX_WRITTEN and closed is not None:
         return closed()
     from decimal import Decimal  # 1.3 ms to import, so only for an int this long
@@ -241,12 +243,6 @@ def _written(value: int, closed: Callable[[], str] | None = None) -> str:
     return str(Decimal(value))
 
 
-def _text(value: int) -> int | str:
-    """value as a text writes it, in full under any limit."""
-    return value if -_SHORT < value < _SHORT else _written(value)
-
-
 def _written_q(pp: PrimePower, less: int = 0) -> int | str:
     """q - less as a text writes it, closed as p^k or p^k - less."""
-    q = pp.q - less
-    return q if q < _SHORT else _written(q, lambda: f"{pp.p}^{pp.k}" + (f" - {less}" if less else ""))
+    return _text(pp.q - less, lambda: f"{pp.p}^{pp.k}" + (f" - {less}" if less else ""))

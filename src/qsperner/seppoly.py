@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations_with_replacement
 
-from .padic import INFINITY, PrimePower, _vp_int
+from .padic import INFINITY, PrimePower, _text, _vp_int, _written_q
 
 __all__ = [
     "FactoredIntPoly",
@@ -126,7 +126,7 @@ def min_valuation_over_class(
     """
     p, q = pp.p, pp.q
     if not 0 <= residue < q:
-        raise ValueError(f"residue {residue} out of range [0, {q - 1}]")
+        raise ValueError(f"residue {_text(residue)} out of range [0, {_written_q(pp, 1)}]")
     total = _vp_int(p, g.lead)
     offsets = []
     for r in g.roots:
@@ -172,7 +172,7 @@ def _separation_inputs(pp: PrimePower, alpha: int, L) -> list[int]:
     if not residues:
         raise ValueError("L must be nonempty")
     if alpha % q in residues:
-        raise ValueError(f"alpha = {alpha} lies in L modulo {q}")
+        raise ValueError(f"alpha = {_text(alpha)} lies in L modulo {_written_q(pp)}")
     return residues
 
 

@@ -1140,17 +1140,27 @@ class TestCertificateText:
         assert r9.bound.upper == 2 ** (s - 1)
 
     @pytest.mark.parametrize(
-        "kind, q, L, n",
-        [(Kind.DIFF_SPERNER, 2**15, range(1, 20001), 40), (Kind.INTERSECTING, 2**2000, range(10**6), 30)],
+        "kind, q, L, n, text",
+        [
+            (
+                Kind.DIFF_SPERNER, 2**15, range(1, 20001), 40,
+                "worst-case separating degree 2^(s-1) = 2^19999",
+            ),
+            (
+                Kind.INTERSECTING, 2**2000, range(10**6), 30,
+                "worst-case separating degree bound min(2^999999, floor(1001999^2000 / 2000^2000))",
+            ),
+        ],
         ids=["R9", "R14"],
     )
-    def test_texts_ignore_the_int_text_limit(self, kind, q, L, n):
+    def test_texts_ignore_the_int_text_limit(self, kind, q, L, n, text):
         # R9's degree of 6,021 digits and R14's cap of 5,400 are written
-        # in closed form whether or not the limit is lifted
+        # in closed form, the same whether or not the limit is lifted
         spec = spec_of(kind, n, L, q=q)
         portfolio = best_bound(spec)
         with _long_ints():
             assert best_bound(spec) == portfolio
+        assert (text, True) in [hyp for cert in portfolio[1] for hyp in cert.hypotheses]
 
     @pytest.mark.parametrize(
         "limit, q, L, texts",
@@ -1231,16 +1241,16 @@ class TestCertificateText:
         assert expected in {hyp for cert in portfolio[1] for hyp, _ in cert.hypotheses}
 
     def test_written_at_its_edges(self):
-        """Under the lowest limit Python allows, `_written` writes in full
-        around 10^640, where the texts stop formatting the int themselves,
+        """Under the lowest limit Python allows, `_text` writes in full
+        around 10^640, where it stops handing the int to the text itself,
         and up to 10^4300, then the closed form, or in full where there
         is none."""
         short, long = padic._SHORT, padic._MAX_WRITTEN
         saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(sys.int_info.str_digits_check_threshold)
         try:
-            written = [padic._written(v, lambda: "closed") for v in (short - 1, short, long - 1, long)]
-            in_full = padic._written(long)
+            written = [f"{padic._text(v, lambda: 'closed')}" for v in (short - 1, short, long - 1, long)]
+            in_full = f"{padic._text(long)}"
         finally:
             sys.set_int_max_str_digits(saved)
         assert written == ["9" * 640, "1" + "0" * 640, "9" * 4300, "closed"]

@@ -258,6 +258,33 @@ class TestCommands:
             message = f"a table at q = {q} has {(q - 1) * q // 2} intervals, more than the limit of 10000"
         assert doc == {"schema": 1, "status": "error", "payload": {}, "diagnostics": [message]}
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["census", "--q", str(2**9000)],
+                lambda: f"census at q = {2**9000} would test {(2**9000 - 1) * 2**9000 // 2} pairs, "
+                "more than the limit 10000000",
+            ),
+            (
+                ["bound", "--kind", "diff-sperner", "--n", "5", "--L", "0.." + "9" * 4300],
+                lambda: f"interval '0..{'9' * 4300}' has {10**4300} elements, more than the limit of 1000000",
+            ),
+        ],
+        ids=["census", "interval"],
+    )
+    def test_size_refusals_past_the_text_limit(self, capsys, argv, message):
+        """The census's size refusal names q and its count of pairs, of
+        2,710 and 5,419 digits, and an interval's its count of elements,
+        of 4,301, and each leaves the limit as it was."""
+        limit = sys.get_int_max_str_digits()
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_USAGE
+        assert sys.get_int_max_str_digits() == limit
+        with _long_ints():
+            text = message()
+        assert doc == {"schema": 1, "status": "error", "payload": {}, "diagnostics": [text]}
+
     def test_census(self, capsys):
         code, doc = run_json(capsys, ["census", "--q", "4"])
         assert doc["payload"]["count"] == 5

@@ -1,10 +1,13 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qsperner.cli import _long_ints
+from qsperner.families import ConstraintSpec, Kind, SetFamily, satisfies
 from qsperner.padic import (
     INFINITY,
     PrimePower,
@@ -17,6 +20,7 @@ from qsperner.padic import (
     vp_binomial,
     vp_factorial,
 )
+from qsperner.seppoly import FactoredIntPoly, check_separation, min_valuation_over_class
 
 PRIMES = (2, 3, 5, 7)
 
@@ -270,6 +274,63 @@ class TestPrimePower:
         for n in (PSI_12, 2**89 - 1):
             with pytest.raises(ValueError, match=f"^n = {n} passes every witness, which proves primality only below {PSI_12}$"):
                 is_prime(n)
+
+
+def refusal(call, *args) -> str:
+    """The message of the ValueError call(*args) raises."""
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    return str(info.value)
+
+
+# past 10^4300, where `str` raises under Python's default digit limit:
+# 2^14300, written p^k, a 4,302-digit composite and ints of 4,305 and
+# 4,306 digits, written in full
+Q, COMPOSITE, BIG = PrimePower(2, 14300), 10**4301, 2**14301
+RESIDUE = BIG // 4 + 1
+FAMILY = SetFamily.from_sets(3, [{1}, {1, 2}])
+
+
+class TestRefusalTexts:
+    @pytest.mark.parametrize("limit", [4300, 640], ids=["default-limit", "lowered-limit"])
+    @pytest.mark.parametrize(
+        "call, text",
+        [
+            (lambda: refusal(PrimePower.from_q, -COMPOSITE), lambda: f"q = {-COMPOSITE} is not a prime power"),
+            (lambda: refusal(PrimePower.from_q, COMPOSITE), lambda: f"q = {COMPOSITE} is not a prime power"),
+            (lambda: refusal(PrimePower, COMPOSITE, 1), lambda: f"p = {COMPOSITE} is not prime"),
+            (lambda: refusal(vp, COMPOSITE, 3), lambda: f"p = {COMPOSITE} is not prime"),
+            (
+                lambda: refusal(min_valuation_over_class, Q, FactoredIntPoly(1, (0,)), BIG),
+                lambda: f"residue {BIG} out of range [0, 2^14300 - 1]",
+            ),
+            (
+                lambda: refusal(check_separation, Q, FactoredIntPoly(1, (0,)), BIG + 1, [1]),
+                lambda: f"alpha = {BIG + 1} lies in L modulo 2^14300",
+            ),
+            (
+                lambda: satisfies(ConstraintSpec(Kind.DIFF_SPERNER, 3, {2}, Q), FAMILY).violation,
+                lambda: "pair {1}, {1,2}: |A\\B| = 0 not in L (mod 2^14300)",
+            ),
+            (
+                lambda: satisfies(ConstraintSpec(Kind.INTERSECTING_UNIFORM, 3, (), Q, RESIDUE), FAMILY).violation,
+                lambda: f"member {{1}}: size 1 is not congruent to {RESIDUE} (mod 2^14300)",
+            ),
+        ],
+        ids=["from-q-below-2", "from-q", "prime-power", "vp", "residue", "alpha", "diff-sperner", "uniform"],
+    )
+    def test_ints_past_the_int_text_limit(self, limit, call, text):
+        """A refusal or a violation names its ints in full, and q as
+        2^14300, the same under the default limit and under 640, and
+        leaves the limit as it was."""
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            written = call()
+        finally:
+            sys.set_int_max_str_digits(saved)
+        with _long_ints():
+            assert written == text()
 
 
 class TestDigits:
