@@ -1,42 +1,39 @@
 #!/usr/bin/env python3
-"""Time the exact search, or the proof replay, of two source trees
-against each other in one process, so that both meet the same machine
-state.
+"""Time the benchmark's workloads on two source trees against each other
+in one process, so that both meet the same machine state.
 
 Timings of one tree taken in separate processes spread by 10-30% on a
-shared host, more than most changes to the search move them.  Here each
-tree's `qsperner` package is copied to a temporary directory as
-`qsperner_a` and `qsperner_b` and both are imported side by side.
+shared host, more than most changes move them.  Here each tree's
+`qsperner` package is copied to a temporary directory as `qsperner_a`
+and `qsperner_b`, both are imported side by side, and
+`perfbench/workloads.py` is executed once against each copy: `qsperner`
+and its submodules name that copy in `sys.modules` only while the file
+runs.
 
-The items are `slots`, one pass of `max_family` over the 91 `search-exact`
-slots of `perfbench/workloads.py` (each slot's first presentation), and,
-with `--rows`, budgeted rows on which the search's shortcuts were weighed:
+The items are named on the command line.  A workload (`bound-table`,
+`bound-random`, `search-exact`, `proof-replay`) is the operations a
+benchmark run of `run_seconds` (BENCHMARK.json) times at seed 0; `rows`
+is the budgeted searches on which the search's shortcuts were weighed:
 intersecting-uniform, q = 4, residue 0 at n = 9 and n = 12, and the seed
-alone (node budget 0) of three n = 12 specs.  With `--verify`, the
-`verify` item builds each `proof-replay` system (`proof_families(None)`
-of `perfbench/workloads.py`) and runs `verify_independence` on it; the
-polynomial each difference system takes from its R22 certificate is
-found once per tree, untimed.  With `--cli`, the `cli` item makes the
-`cli.main` calls of one `proof-replay` pass (its operations at seed 0,
-their files written once), each with its own captured stdout, as the
-benchmark makes them.  After one untimed warm-up pass per tree,
-each round times one pass of every item with each tree in turn, the tree
-that goes first alternating from round to round.
+alone (node budget 0) of three n = 12 specs.  Every output of an item is
+checked once, by its operation's own check, before anything is timed; a
+wrong one ends the script with exit code 1 and names the operation.
+Every timed or counted pass starts with the tree's `functools` caches
+cleared (today `_column_sum`, `_cube`, `PrimePower.from_q` and
+`_build_parser`), as a benchmark run starts: `_column_sum`'s memo alone
+is worth 11-13% of a warm bound pass.  Each round then times one pass of
+every item with each tree in turn, the tree that goes first alternating
+from round to round.
 
-Per item it prints a `wall` line (the time of the pass) and, for the
-search items, a `seed` line (the `seed_s` of its searches, summed): the
-median over the rounds of each tree's time in ms, then the median of
-the per-round ratios b/a and their quartiles.  A ratio above 1 means B
-is slower.  With `--verify` a last line, `verify meet_planes a N b M`,
-gives each tree's calls to `families._meet_planes` in one untimed pass
-of the `verify` item, counted at every name the tree's modules bind the
-function by (`replay_digest.rebound`, which the digests wrap through): a
-count that does not depend on the machine, beside the wall time.  With
-`--cli` a last line, `cli parse_known_args a N b M`, gives each tree's
-calls to argparse's `parse_known_args`, which every parser the CLI
-builds inherits, in one untimed pass of the `cli` item:
-two per call while the top-level parser read the whole command line,
-one since the command's own parser reads it.
+Per item it prints a `wall` line (the time of the pass) and, for
+`search-exact` and `rows`, a `seed` line (the `seed_s` of its searches,
+summed): the median over the rounds of each tree's time in ms, then the
+median of the per-round ratios b/a and their quartiles.  A ratio above 1
+means B is slower.  With `--count MODULE.NAME`, a last line,
+`count MODULE.NAME a N b M`, gives each tree's calls to that function in
+one untimed pass of every item, counted at every name the tree's modules
+bind it by (`replay_digest.rebound`): a count that does not depend on
+the machine, beside the wall time.
 
 Both trees share one heap and one garbage collector, so a change that only
 allocates more is charged to both and reads as neutral here: removing
@@ -45,157 +42,127 @@ p50 in the benchmark.  The benchmark's alternating pairs, one tree per
 process, decide; this script only narrows down what to take them on.
 
 Usage:
-  python3 scripts/paired_ab.py A_SRC B_SRC [--rows] [--verify] [--cli] [--rounds N]
+  python3 scripts/paired_ab.py A_SRC B_SRC ITEM... [--count MODULE.NAME] [--rounds N]
 
 A_SRC and B_SRC are directories holding a `qsperner` package, such as
 the `src` of two checkouts.
 """
 
 import argparse
-import contextlib
 import gc
 import importlib
-import io
+import importlib.util
+import json
 import shutil
 import statistics
 import sys
 import tempfile
 import time
-from functools import partial
 from pathlib import Path
-from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # leave perfbench/ as checked out
 
-# (item, kind, n, q, L, uniform residue, node budget)
+from replay_digest import rebound
+
+RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+WORKLOADS = ("bound-table", "bound-random", "search-exact", "proof-replay")
+SEEDED = ("search-exact", "rows")  # items whose outputs report `seed_s`
+
+# (kind, n, q, L, uniform residue, node budget)
 ROWS = (
-    ("uniform-q4-r0-n9", "intersecting-uniform", 9, 4, (), 0, 20_000),
-    ("uniform-q4-r0-n12", "intersecting-uniform", 12, 4, (), 0, 2_000),
-    ("seed-hamming-n12-L1..10", "hamming", 12, None, range(1, 11), None, 0),
-    ("seed-intersecting-n12-L0", "intersecting", 12, None, (0,), None, 0),
-    ("seed-diff-sperner-n12-L1..5", "diff-sperner", 12, None, range(1, 6), None, 0),
+    ("intersecting-uniform", 9, 4, (), 0, 20_000),
+    ("intersecting-uniform", 12, 4, (), 0, 2_000),
+    ("hamming", 12, None, range(1, 11), None, 0),
+    ("intersecting", 12, None, (0,), None, 0),
+    ("diff-sperner", 12, None, range(1, 6), None, 0),
 )
 
 
-def perfbench_workloads(a_src: Path):
-    """`perfbench/workloads.py`, which imports `qsperner` from A_SRC."""
-    sys.path[:0] = [str(a_src), str(ROOT / "perfbench")]
-    return importlib.import_module("workloads")
-
-
-def slot_specs(workloads) -> list[tuple]:
-    """(kind, n, q, L, r) of each `search-exact` slot's first presentation."""
-    out = []
-    for slot in workloads.SEARCH_SLOTS:
-        kind, q, L, r = workloads.presentations(*slot)[0]
-        out.append((kind, slot[1], q, L, r))
-    return out
-
-
-def load(src: Path, name: str, into: Path) -> SimpleNamespace:
-    """The modules of src's `qsperner` package, imported as `name` from a copy."""
+def load(src: Path, name: str, into: Path):
+    """`perfbench/workloads.py` executed against src's `qsperner` package,
+    copied into `into` (which must be on sys.path) and imported as `name`."""
     shutil.copytree(src / "qsperner", into / name, ignore=shutil.ignore_patterns("__pycache__"))
-    modules = ("bounds", "cli", "families", "padic", "polylab", "seppoly")
-    return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in modules})
-
-
-def system_builders(pkg: SimpleNamespace, replays: list[tuple]) -> list:
-    """A function building the proof system of each family of `replays`,
-    as `proof_families` lists them, with this tree, as its `verify`
-    command does; the steps are spelled out here, not shared with `cli`,
-    so that an older tree, without such a helper, can be timed too."""
-    builders = []
-    for _, n, members, cmds in replays:
-        # the family is given, not read from --file
-        args = pkg.cli._build_parser().parse_args([*dict(cmds)["verify"], "--file", "-"])
-        fam = pkg.families.SetFamily(n, tuple(members))
-        if args.variant:
-            builders.append(partial(pkg.polylab.build_midband_system, fam, args.s, args.variant))
-            continue
-        pp, L = pkg.cli._modulus_and_L(args)
-        spec = pkg.families.ConstraintSpec(kind=pkg.families.Kind(args.kind), n=n, L=frozenset(L), modulus=pp)
-        aux = pkg.bounds.bound_from_seppoly(spec).auxiliary
-        g = pkg.seppoly.FactoredIntPoly(aux["lead"], aux["roots"])
-        variant = "minus" if aux["shifted_minus_ok"] or not aux["shifted_plus_ok"] else "plus"
-        builders.append(partial(pkg.polylab.build_diff_sperner_system, fam, g, pp, variant))
-    return builders
-
-
-def make_runner(
-    pkg: SimpleNamespace, items: dict[str, list[tuple]], replays: list[tuple] = (), argvs: list[list[str]] = ()
-):
-    """A function timing one pass of an item with this tree: its wall time
-    and, for a search item, the summed `seed_s`, in seconds.  The `verify`
-    item, given no search rows, verifies the systems of `replays`, and the
-    `cli` item runs `cli.main` on each of `argvs`."""
-    fam, padic = pkg.families, pkg.padic
-    specs = {
-        item: [
-            (
-                fam.ConstraintSpec(
-                    kind=fam.Kind(kind),
-                    n=n,
-                    L=frozenset(L),
-                    modulus=padic.PrimePower.from_q(q) if q else None,
-                    uniform_residue=r,
-                ),
-                budget,
-            )
-            for kind, n, q, L, r, budget in rows
-        ]
-        for item, rows in items.items()
+    for path in (into / name).glob("*.py"):
+        if path.stem != "__main__":
+            importlib.import_module(name if path.stem == "__init__" else f"{name}.{path.stem}")
+    aliases = {
+        "qsperner" + key[len(name) :]: module
+        for key, module in list(sys.modules.items())
+        if key.partition(".")[0] == name
     }
-    builders = system_builders(pkg, replays)
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    names = [*aliases, "workloads"]
+    saved = {key: sys.modules.pop(key) for key in names if key in sys.modules}
+    sys.modules.update(aliases, workloads=workloads)  # `dataclasses` looks the module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        for key in names:
+            del sys.modules[key]
+        sys.modules.update(saved)
+    return workloads
+
+
+def operations(workloads, item: str, workdir: Path) -> list:
+    """The operations of one pass of the item, built by `workloads`."""
+    if item != "rows":
+        workload = workloads.build(item, 0, workdir)
+        return workload.ops[: workload.planned_ops(RUN_SECONDS)]
+    fam = workloads.families
+    return [
+        workloads.Op(
+            f"{kind}|n={n}|budget={budget}",
+            lambda spec, budget=budget: fam.max_family(spec, budget),
+            workloads.make_spec(kind, n, q, L, r),
+            lambda out: None,
+        )
+        for kind, n, q, L, r, budget in ROWS
+    ]
+
+
+def caches(name: str) -> list:
+    """The `functools` caches of the modules of the package imported as
+    `name`: its memoised functions and classes' methods."""
+    found = {}
+    for key, module in list(sys.modules.items()):
+        if key.partition(".")[0] == name:
+            for value in vars(module).values():
+                for f in (value, *vars(value).values()) if isinstance(value, type) else (value,):
+                    f = getattr(f, "__func__", f)
+                    if hasattr(f, "cache_clear"):
+                        found[id(f)] = f
+    return list(found.values())
+
+
+def make_runner(ops: dict[str, list], cached: list):
+    """A function timing one pass of an item's operations, the caches
+    cleared first: its wall time and, for a search item, the summed
+    `seed_s`, in seconds."""
 
     def run(item: str) -> tuple[float, ...]:
+        for f in cached:
+            f.cache_clear()
         gc.collect()
-        if item == "cli":
-            start = time.perf_counter()
-            for argv in argvs:
-                with contextlib.redirect_stdout(io.StringIO()):
-                    pkg.cli.main(argv)
-            return (time.perf_counter() - start,)
-        if item == "verify":
-            start = time.perf_counter()
-            for build in builders:
-                pkg.polylab.verify_independence(build())
-            return (time.perf_counter() - start,)
-        seed = 0.0
+        seeded, seed = item in SEEDED, 0.0
         start = time.perf_counter()
-        for spec, budget in specs[item]:
-            seed += fam.max_family(spec, budget).stats["seed_s"]
-        return time.perf_counter() - start, seed
+        for op in ops[item]:
+            out = op.call(op.arg)
+            if seeded:
+                seed += out.stats["seed_s"]
+        wall = time.perf_counter() - start
+        return (wall, seed) if seeded else (wall,)
 
     return run
 
 
-def planes_calls(name: str, run) -> int:
-    """The calls to `families._meet_planes` in one pass of the `verify`
-    item of the tree imported as `name`, at every name its modules bind
-    the function by, through `replay_digest.rebound`."""
-    # imported here, not at the top: `replay_digest` imports `qsperner` and
-    # `workloads` from this checkout unless `perfbench_workloads` has
-    # already imported them from A_SRC
-    from replay_digest import rebound
-
-    original = sys.modules[f"{name}.families"]._meet_planes
-    calls = 0
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return original(*args)
-
-    with rebound({original: counting}, name):
-        run("verify")
-    return calls
-
-
-def parse_passes(run) -> int:
-    """The calls to argparse's `parse_known_args` in one pass of the `cli`
-    item; the method is put back after the pass."""
-    original = argparse.ArgumentParser.parse_known_args
+def count_calls(name: str, target: str, run, items: list[str]) -> int:
+    """The calls to the function at `target` (MODULE.NAME) of the tree
+    imported as `name` in one pass of each item, at every name its
+    modules bind the function by, through `replay_digest.rebound`."""
+    module, _, attr = target.rpartition(".")
+    original = getattr(sys.modules[f"{name}.{module}"], attr)
     calls = 0
 
     def counting(*args, **kwargs):
@@ -203,11 +170,9 @@ def parse_passes(run) -> int:
         calls += 1
         return original(*args, **kwargs)
 
-    argparse.ArgumentParser.parse_known_args = counting
-    try:
-        run("cli")
-    finally:
-        argparse.ArgumentParser.parse_known_args = original
+    with rebound({original: counting}, name):
+        for item in items:
+            run(item)
     return calls
 
 
@@ -224,37 +189,29 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("a_src", type=Path, help="the directory holding tree A's qsperner")
     ap.add_argument("b_src", type=Path, help="the directory holding tree B's qsperner")
-    ap.add_argument("--rows", action="store_true", help="also time the budgeted rows")
-    ap.add_argument("--verify", action="store_true", help="also time the proof-replay systems' verify")
-    ap.add_argument("--cli", action="store_true", help="also time the proof-replay cli.main calls")
+    ap.add_argument("items", nargs="+", choices=(*WORKLOADS, "rows"), help="what to time")
+    ap.add_argument("--count", metavar="MODULE.NAME", help="also count each tree's calls to this function")
     ap.add_argument("--rounds", type=int, default=20, help="timed rounds (at least 2)")
     args = ap.parse_args()
     if args.rounds < 2:
         ap.error("--rounds must be at least 2")
-    workloads = perfbench_workloads(args.a_src.resolve())
-    items = {"slots": [(*spec, None) for spec in slot_specs(workloads)]}
-    if args.rows:
-        items.update((item, [row]) for item, *row in ROWS)
-    replays = []
-    if args.verify:
-        replays, items["verify"] = workloads.proof_families(None), []
+    items = list(dict.fromkeys(args.items))
     names = ("qsperner_a", "qsperner_b")
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        argvs = []
-        if args.cli:
-            (Path(tmp) / "replay").mkdir()
-            items["cli"] = []
-            argvs = [op.arg for op in workloads.build("proof-replay", 0, Path(tmp) / "replay").ops]
-        runners = [
-            make_runner(load(src.resolve(), name, Path(tmp)), items, replays, argvs)
-            for src, name in zip((args.a_src, args.b_src), names)
-        ]
-        for run in runners:  # warm-up: the cube of each n, caches, the allocator
-            for item in items:
-                run(item)
-        calls = [planes_calls(name, run) for name, run in zip(names, runners)] if args.verify else None
-        passes = [parse_passes(run) for run in runners] if args.cli else None
+        runners = []
+        for src, name in zip((args.a_src, args.b_src), names):
+            workloads = load(src.resolve(), name, Path(tmp))
+            (Path(tmp) / f"{name}-work").mkdir()
+            ops = {item: operations(workloads, item, Path(tmp) / f"{name}-work") for item in items}
+            runners.append(make_runner(ops, caches(name)))
+            for item in items:  # each output checked once, before any timing
+                for op in ops[item]:
+                    error = op.check(op.call(op.arg))
+                    if error is not None:
+                        print(f"{name} {item} {op.label}: {error}", file=sys.stderr)
+                        return 1
+        calls = [count_calls(name, args.count, run, items) for name, run in zip(names, runners)] if args.count else None
         times = {item: ([], []) for item in items}  # item -> per tree, (wall, seed) per round
         for rnd in range(args.rounds):
             for item in items:
@@ -264,9 +221,7 @@ def main() -> int:
         for i, measure in enumerate(("wall", "seed")[: len(a[0])]):
             print(f"{item} {measure} {summary([x[i] for x in a], [y[i] for y in b])}")
     if calls:
-        print(f"verify meet_planes a {calls[0]} b {calls[1]}")
-    if passes:
-        print(f"cli parse_known_args a {passes[0]} b {passes[1]}")
+        print(f"count {args.count} a {calls[0]} b {calls[1]}")
     return 0
 
 

@@ -106,7 +106,7 @@ def _parse_L(text: str, q: int | None) -> list[int]:
             if q is None:
                 raise UsageError("wrap-around intervals need --q")
             if abs(hi - lo) >= q:
-                raise UsageError(f"wrap-around interval {text!r} spans more than q = {q} integers")
+                raise UsageError(f"wrap-around interval {text!r} spans more than q = {_text(q)} integers")
             lo, count = lo % q, (hi - lo) % q + 1
         elif lo > hi:
             raise UsageError(f"interval {text!r} has lo > hi (use @wrap?)")
@@ -291,7 +291,7 @@ def _cmd_seppoly(args) -> CommandResult:
             f"{args.alpha} from L mod {pp.q}",
         )
     if args.window is not None and args.window < 0:
-        raise UsageError(f"--window must be non-negative, got {args.window}")
+        raise UsageError(f"--window must be non-negative, got {_text(args.window)}")
     window = range(0, args.window) if args.window is not None else None
     searched = {**header, "max_degree": args.max_degree}
     try:

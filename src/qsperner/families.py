@@ -92,7 +92,7 @@ def _require_element(x: int) -> None:
     """Refuse element x, before any mask holding it is built, when it is
     above `_MAX_ELEMENT`."""
     if x > _MAX_ELEMENT:
-        raise ValueError(f"element {x} is above {_MAX_ELEMENT}, the largest a set mask may hold")
+        raise ValueError(f"element {_text(x)} is above {_MAX_ELEMENT}, the largest a set mask may hold")
 
 
 class Kind(str, Enum):
@@ -118,7 +118,7 @@ class SetFamily:
         members = tuple(sorted(self.members))
         for m in members:
             if m < 0 or m >> self.n:
-                raise ValueError(f"member mask {m:#x} not a subset of [{self.n}]")
+                raise ValueError(f"member mask {m:#x} not a subset of [{_text(self.n)}]")
         if len(set(members)) != len(members):
             raise ValueError("duplicate members")
         object.__setattr__(self, "members", members)
@@ -131,7 +131,7 @@ class SetFamily:
         top = min(n, _MAX_ELEMENT)  # no mask holds an element past _MAX_ELEMENT
         masks, outside = _masks(sets, top)
         if outside:
-            raise ValueError(f"element {outside[0]} outside [1, {top}]")
+            raise ValueError(f"element {_text(outside[0])} outside [1, {_text(top)}]")
         return cls(n, tuple(masks))
 
     def sets(self) -> list[frozenset[int]]:
@@ -507,7 +507,7 @@ def _first_violation(spec: ConstraintSpec, members: tuple[int, ...]) -> str | No
 def satisfies(spec: ConstraintSpec, fam: SetFamily) -> CheckResult:
     """Whether the family meets the constraint; reports the first violation."""
     if spec.n != fam.n:
-        raise ValueError(f"spec has n = {spec.n} but family has n = {fam.n}")
+        raise ValueError(f"spec has n = {_text(spec.n)} but family has n = {_text(fam.n)}")
     msg = _first_violation(spec, fam.members)
     return CheckResult(msg is None, msg)
 
@@ -566,7 +566,7 @@ def push_to_middle_with_map(fam: SetFamily, s: int) -> tuple[SetFamily, dict[int
     """push_to_middle plus the injection original member -> moved member."""
     n = fam.n
     if s < 0 or 2 * s > n:
-        raise ValueError(f"need 0 <= 2s <= n, got s = {s}, n = {n}")
+        raise ValueError(f"need 0 <= 2s <= n, got s = {_text(s)}, n = {_text(n)}")
     if not satisfies(ConstraintSpec(Kind.ANTICHAIN, n), fam):
         raise ValueError("push_to_middle requires an antichain")
     moved = {
@@ -1024,9 +1024,9 @@ def max_family(spec: ConstraintSpec, node_budget: int | None = None) -> SearchRe
     best clique found.
     """
     if spec.n > DEFAULT_N_LIMIT:
-        raise ValueError(f"n = {spec.n} exceeds the search limit {DEFAULT_N_LIMIT}")
+        raise ValueError(f"n = {_text(spec.n)} exceeds the search limit {DEFAULT_N_LIMIT}")
     if node_budget is not None and node_budget < 0:
-        raise ValueError(f"node budget must be non-negative, got {node_budget}")
+        raise ValueError(f"node budget must be non-negative, got {_text(node_budget)}")
     t0 = time.perf_counter()
     verts, adj, holders = _graph_with_holders(spec)
     t1 = time.perf_counter()

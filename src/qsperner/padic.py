@@ -185,21 +185,23 @@ class PrimePower:
     @lru_cache(maxsize=1 << 8)
     def from_q(cls, q: int) -> "PrimePower":
         """Factor q as p**k, rejecting integers that are not prime powers.
-        q = p**k has no exact root for an exponent above k, so the first
-        exact root, k running down from log2(q), decides.  Memoized:
-        callers build many specs over a few moduli."""
+        q = c**(a*b) is also (c**a)**b, so only prime exponents e need a
+        root, tried in rising order.  An exact root replaces q and is
+        tried at the same e again: an exact root of it at a smaller prime
+        would have been one of q's.  The last root, which has none, must
+        be prime.  Memoized: callers build many specs over a few moduli."""
         if q < 2:
             raise ValueError(f"q = {_text(q)} is not a prime power")
-        for k in range(q.bit_length() - 1, 0, -1):
-            p = _exact_root(q, k)
-            if p is not None:
-                if is_prime(p):
-                    return cls(p, k)
-                break
+        root, k, e = q, 1, 2
+        while e < root.bit_length():  # an e-th root of 2 or more needs 2**e <= root
+            r = _exact_root(root, e) if is_prime(e) else None
+            if r is None:
+                e += 1
+            else:
+                root, k = r, k * e
+        if is_prime(root):
+            return cls(root, k)
         raise ValueError(f"q = {_text(q)} is not a prime power")
-
-    def __str__(self):
-        return f"{self.q} = {self.p}^{self.k}" if self.k > 1 else str(self.q)
 
 
 def to_digits(pp: PrimePower, s: int) -> tuple[int, ...]:

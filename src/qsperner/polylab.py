@@ -38,7 +38,7 @@ from time import perf_counter
 from typing import NamedTuple
 
 from .families import SetFamily, _elements, _holders, _meeting, _require_element
-from .padic import PrimePower, _vp_int
+from .padic import PrimePower, _text, _vp_int
 from .seppoly import FactoredIntPoly
 
 __all__ = [
@@ -262,13 +262,13 @@ def build_midband_system(fam: SetFamily, s: int, variant: str) -> ProofSystem:
         if not s <= m.bit_count() <= n - s:
             raise ValueError(
                 f"member {bin(m)} has size {m.bit_count()} outside the band "
-                f"[{s}, {n - s}]; run push_to_middle first"
+                f"[{_text(s)}, {_text(n - s)}]; run push_to_middle first"
             )
     # g has s roots, so it is built only once s is at most n/2 and the system is
     # within its limits
     if variant == "sym":
         if not (n + 2 <= 3 * s and 2 * s <= n):
-            raise ValueError(f"need (n+2)/3 <= s <= n/2, got n = {n}, s = {s}")
+            raise ValueError(f"need (n+2)/3 <= s <= n/2, got n = {_text(n)}, s = {_text(s)}")
         b_masks, c_masks = _index_masks(fam, (s - 1, n - 1), (3 * s - n - 2, n - 1))
         g = FactoredIntPoly(1, tuple(range(1, s + 1)))
         sys_ = _difference_system(fam, g, b_masks, minus=True)
@@ -277,7 +277,7 @@ def build_midband_system(fam: SetFamily, s: int, variant: str) -> ProofSystem:
         sys_.meta.update(system="sym", s=s)
         return sys_
     if not (n + 1 <= 3 * s and 2 * s <= n):
-        raise ValueError(f"need (n+1)/3 <= s <= n/2, got n = {n}, s = {s}")
+        raise ValueError(f"need (n+1)/3 <= s <= n/2, got n = {_text(n)}, s = {_text(s)}")
     (b_masks,) = _index_masks(fam, (3 * s - n - 1, n))
     g = FactoredIntPoly(1, tuple(range(1, s + 1)))
     order = tuple(sorted(fam.members, key=lambda m: (-m.bit_count(), m)))

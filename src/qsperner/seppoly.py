@@ -275,7 +275,7 @@ def search_min_degree(
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     if node_budget is not None and node_budget < 0:
-        raise ValueError(f"node budget must be non-negative, got {node_budget}")
+        raise ValueError(f"node budget must be non-negative, got {_text(node_budget)}")
     window = root_window if root_window is not None else range(0, pp.q ** 2)
     if window[_MAX_ROOT_WINDOW:]:  # not len(), which overflows past sys.maxsize
         raise ValueError(

@@ -882,6 +882,26 @@ class TestR22Table:
             for q, granted in ((25, True), (27, False)):
                 ids = [c.theorem_id for c in best_bound(spec_of(kind, 10, (1, 2), q=q))[1]]
                 assert ids and ("R22" in ids) is granted, (kind, q)
+        # the checker builds a closure of up to 25 roots where the plain
+        # residues do not separate, and takes it over ones that do when
+        # its bound is lower; modulo 32 the closure of {1, 2, 4..hi}, and
+        # of [1, hi] less 12, is [1, hi]
+        for hi, granted in ((25, True), (26, False)):
+            for kind in (Kind.DIFF_SPERNER, Kind.HAMMING):
+                spec = spec_of(kind, 40, (1, 2, *range(4, hi + 1)), q=32)
+                if granted:
+                    assert bound_from_seppoly(spec).auxiliary["roots"] == list(range(1, 26))
+                else:
+                    with pytest.raises(ValueError, match="superinterval {1..26} has 26 roots, above the limit 25$"):
+                        bound_from_seppoly(spec)
+            plain = [*range(1, 12), *range(13, hi + 1)]
+            roots = bound_from_seppoly(spec_of(Kind.DIFF_SPERNER, 40, plain, q=32)).auxiliary["roots"]
+            assert roots == (list(range(1, 26)) if granted else plain), hi
+        # the intersecting checker lists the residues outside L up to q = 25
+        degrees = bound_from_seppoly(spec_of(Kind.INTERSECTING, 10, (1, 2), q=25)).auxiliary["per_alpha_degrees"]
+        assert sorted(degrees) == [0, *range(3, 25)]
+        with pytest.raises(ValueError, match="^q = 27 is above 25, the limit of the residues to list outside L$"):
+            bound_from_seppoly(spec_of(Kind.INTERSECTING, 10, (1, 2), q=27))
 
 
 class TestClosureSeparates:

@@ -1,13 +1,23 @@
 import math
 import random
 import sys
+from argparse import Namespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qsperner.cli import _long_ints
-from qsperner.families import ConstraintSpec, Kind, SetFamily, satisfies
+from qsperner import padic
+from qsperner.cli import _cmd_seppoly, _long_ints, _parse_L
+from qsperner.families import (
+    ConstraintSpec,
+    Kind,
+    SetFamily,
+    _require_element,
+    max_family,
+    push_to_middle,
+    satisfies,
+)
 from qsperner.padic import (
     INFINITY,
     PrimePower,
@@ -20,7 +30,8 @@ from qsperner.padic import (
     vp_binomial,
     vp_factorial,
 )
-from qsperner.seppoly import FactoredIntPoly, check_separation, min_valuation_over_class
+from qsperner.polylab import build_midband_system
+from qsperner.seppoly import FactoredIntPoly, check_separation, min_valuation_over_class, search_min_degree
 
 PRIMES = (2, 3, 5, 7)
 
@@ -249,6 +260,34 @@ class TestPrimePower:
                 got = None
             assert got == by_trial_division(q), q
 
+    @pytest.mark.parametrize(
+        "q, roots", [(10**4301, 11), (3**9000, 10), (6**5527, 731)], ids=["10^4301", "3^9000", "6^5527"]
+    )
+    def test_from_q_takes_roots_at_prime_exponents(self, monkeypatch, q, roots):
+        """On 10^4301 = 10^(11*17*23), 3^9000 and 6^5527 (5527 prime),
+        `from_q` gives the old loop's answer after 11, 10 and 731 roots,
+        where the old loop took 9,987, 5,265 and 8,761.  Below 10^4 the
+        trial division above is the oracle."""
+
+        def by_descending_roots(q):
+            # `from_q` as it was: a k-th root for every k from log2(q)
+            # down to the first exact one, whose root must be prime
+            for k in range(q.bit_length() - 1, 0, -1):
+                p = _exact_root(q, k)
+                if p is not None:
+                    return (p, k) if is_prime(p) else None
+            return None
+
+        taken = []
+        monkeypatch.setattr(padic, "_exact_root", lambda q, k: taken.append(k) or _exact_root(q, k))
+        try:
+            pp = PrimePower.from_q.__wrapped__(PrimePower, q)  # past the memo
+            got = (pp.p, pp.k)
+        except ValueError:
+            got = None
+        assert len(taken) == roots
+        assert got == by_descending_roots(q)
+
     def test_rejects_composite_base(self):
         with pytest.raises(ValueError):
             PrimePower(4, 2)
@@ -257,10 +296,6 @@ class TestPrimePower:
     def test_rejects_exponent_below_one(self, k):
         with pytest.raises(ValueError, match="^exponent k must be positive$"):
             PrimePower(2, k)
-
-    def test_str(self):
-        assert str(PrimePower(2, 3)) == "8 = 2^3"
-        assert str(PrimePower(5, 1)) == "5"
 
     def test_is_prime_spot_checks(self):
         assert is_prime(2) and is_prime(97) and is_prime(2**31 - 1)
@@ -288,6 +323,7 @@ def refusal(call, *args) -> str:
 # 4,306 digits, written in full
 Q, COMPOSITE, BIG = PrimePower(2, 14300), 10**4301, 2**14301
 RESIDUE = BIG // 4 + 1
+NINES = "9" * 640
 FAMILY = SetFamily.from_sets(3, [{1}, {1, 2}])
 
 
@@ -316,8 +352,72 @@ class TestRefusalTexts:
                 lambda: satisfies(ConstraintSpec(Kind.INTERSECTING_UNIFORM, 3, (), Q, RESIDUE), FAMILY).violation,
                 lambda: f"member {{1}}: size 1 is not congruent to {RESIDUE} (mod 2^14300)",
             ),
+            (lambda: refusal(_require_element, BIG), lambda: f"element {BIG} is above {2**30}, the largest a set mask may hold"),
+            (lambda: refusal(SetFamily, BIG, (-1,)), lambda: f"member mask -0x1 not a subset of [{BIG}]"),
+            (lambda: refusal(SetFamily.from_sets, 5, [{BIG}]), lambda: f"element {BIG} outside [1, 5]"),
+            (
+                lambda: refusal(satisfies, ConstraintSpec(Kind.ANTICHAIN, 3), SetFamily(BIG, ())),
+                lambda: f"spec has n = 3 but family has n = {BIG}",
+            ),
+            (lambda: refusal(push_to_middle, FAMILY, BIG), lambda: f"need 0 <= 2s <= n, got s = {BIG}, n = 3"),
+            (
+                lambda: refusal(max_family, ConstraintSpec(Kind.ANTICHAIN, BIG)),
+                lambda: f"n = {BIG} exceeds the search limit 12",
+            ),
+            (
+                lambda: refusal(max_family, ConstraintSpec(Kind.ANTICHAIN, 3), -BIG),
+                lambda: f"node budget must be non-negative, got {-BIG}",
+            ),
+            (
+                lambda: refusal(build_midband_system, FAMILY, BIG, "sym"),
+                lambda: f"member 0b1 has size 1 outside the band [{BIG}, {3 - BIG}]; run push_to_middle first",
+            ),
+            (
+                lambda: refusal(build_midband_system, SetFamily(BIG, ()), 1, "sym"),
+                lambda: f"need (n+2)/3 <= s <= n/2, got n = {BIG}, s = 1",
+            ),
+            (
+                lambda: refusal(build_midband_system, SetFamily(BIG, ()), 1, "close"),
+                lambda: f"need (n+1)/3 <= s <= n/2, got n = {BIG}, s = 1",
+            ),
+            (
+                lambda: refusal(search_min_degree, PrimePower(2, 2), 0, [1], 3, None, -BIG),
+                lambda: f"node budget must be non-negative, got {-BIG}",
+            ),
+            # the CLI reads its ints under the limit, so the ends of an
+            # interval have at most 640 digits under the lowered one
+            (
+                lambda: refusal(_parse_L, f"-{NINES}..{NINES}@wrap", 10**640),
+                lambda: f"wrap-around interval '-{NINES}..{NINES}' spans more than q = {10**640} integers",
+            ),
+            (
+                lambda: refusal(_cmd_seppoly, Namespace(q=4, L="1", alpha=0, action="find", window=-BIG)),
+                lambda: f"--window must be non-negative, got {-BIG}",
+            ),
         ],
-        ids=["from-q-below-2", "from-q", "prime-power", "vp", "residue", "alpha", "diff-sperner", "uniform"],
+        ids=[
+            "from-q-below-2",
+            "from-q",
+            "prime-power",
+            "vp",
+            "residue",
+            "alpha",
+            "diff-sperner",
+            "uniform",
+            "element-limit",
+            "member-mask",
+            "from-sets",
+            "satisfies-n",
+            "push-s",
+            "search-n",
+            "search-budget",
+            "midband-band",
+            "midband-sym",
+            "midband-close",
+            "seppoly-budget",
+            "cli-wrap",
+            "cli-window",
+        ],
     )
     def test_ints_past_the_int_text_limit(self, limit, call, text):
         """A refusal or a violation names its ints in full, and q as

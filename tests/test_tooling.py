@@ -8,10 +8,10 @@ traced benchmark run, a digest, a probe, a size count or a timing."""
 import hashlib
 import importlib
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import qsperner
 
@@ -89,63 +89,86 @@ def test_code_lines_lists_every_module(load_script, capsys):
     assert script.code_lines('"""doc\nstring"""\n\n# note\nx = 1  # one\n') == 1
 
 
+def paired_ab(*args: str) -> subprocess.CompletedProcess:
+    """`scripts/paired_ab.py` run on the given arguments."""
+    argv = [sys.executable, str(ROOT / "scripts" / "paired_ab.py"), *args]
+    return subprocess.run(argv, capture_output=True, text=True)
+
+
 def test_paired_ab_runs(perfbench_untouched):
-    """`scripts/paired_ab.py --verify` on `src` against itself for two
-    rounds prints a `wall` and a `seed` line for the search slots and a
-    `wall` line for the proof replay, each two median times and the median
-    ratio between its quartiles, then each tree's `_meet_planes` calls in
-    one `verify` pass, the same in both, and writes no bytecode under
-    perfbench/."""
+    """`scripts/paired_ab.py` on `src` against itself for two rounds of
+    `search-exact` and `proof-replay` prints a `wall` and a `seed` line
+    for the search and a `wall` line for the replay, each two median
+    times and the median ratio between its quartiles, then each tree's
+    `_meet_planes` calls in one pass of both, the same in both, and writes
+    no bytecode under perfbench/."""
     src = str(ROOT / "src")
-    argv = [sys.executable, str(ROOT / "scripts" / "paired_ab.py"), src, src, "--verify", "--rounds", "2"]
-    *timings, last = subprocess.run(argv, capture_output=True, text=True, check=True).stdout.splitlines()
-    calls = re.fullmatch(r"verify meet_planes a (\d+) b (\d+)", last)
-    assert calls and 0 < int(calls[1]) == int(calls[2]) <= 1100
+    done = paired_ab(src, src, "search-exact", "proof-replay", "--count", "families._meet_planes", "--rounds", "2")
+    assert done.returncode == 0, done.stderr
+    *timings, last = done.stdout.splitlines()
+    calls = re.fullmatch(r"count families._meet_planes a (\d+) b (\d+)", last)
+    assert calls and 0 < int(calls[1]) == int(calls[2]) <= 2024
     number = r"(\d+\.\d{3})"
     line = re.compile(rf"(\S+) (wall|seed) a {number} ms b {number} ms b/a {number} q1 {number} q3 {number}")
     rows = [line.fullmatch(text) for text in timings]
     assert all(rows)
-    assert [row.group(1, 2) for row in rows] == [("slots", "wall"), ("slots", "seed"), ("verify", "wall")]
+    assert [row.group(1, 2) for row in rows] == [
+        ("search-exact", "wall"),
+        ("search-exact", "seed"),
+        ("proof-replay", "wall"),
+    ]
     for row in rows:
         a, b, ratio, q1, q3 = map(float, row.group(3, 4, 5, 6, 7))
         assert a > 0 and b > 0 and 0 < q1 <= ratio <= q3
 
 
 def test_paired_ab_cli_runs(perfbench_untouched):
-    """`scripts/paired_ab.py --cli` on `src` against itself for two rounds
-    prints the search slots' lines and a `wall` line for the `cli.main`
-    calls of one `proof-replay` pass, then each tree's argparse passes in
-    one `cli` pass: one per call, 58 in both."""
+    """`scripts/paired_ab.py` times the `cli.main` calls of one
+    `proof-replay` pass, as the benchmark makes them: 58 in both trees."""
     src = str(ROOT / "src")
-    argv = [sys.executable, str(ROOT / "scripts" / "paired_ab.py"), src, src, "--cli", "--rounds", "2"]
-    *timings, last = subprocess.run(argv, capture_output=True, text=True, check=True).stdout.splitlines()
-    assert last == "cli parse_known_args a 58 b 58"
-    assert [text.split()[:2] for text in timings] == [["slots", "wall"], ["slots", "seed"], ["cli", "wall"]]
+    done = paired_ab(src, src, "proof-replay", "--count", "cli.main", "--rounds", "2")
+    assert done.returncode == 0, done.stderr
+    *timings, last = done.stdout.splitlines()
+    assert last == "count cli.main a 58 b 58"
+    assert [text.split()[:2] for text in timings] == [["proof-replay", "wall"]]
 
 
-def package():
-    """This tree's modules, as `paired_ab.load` gives them."""
-    modules = ("bounds", "cli", "families", "padic", "polylab", "seppoly")
-    return SimpleNamespace(**{name: importlib.import_module(f"qsperner.{name}") for name in modules})
+def test_paired_ab_refuses_a_wrong_answer(tmp_path, perfbench_untouched):
+    """A tree whose search is one too large on the antichain of [7] makes
+    `scripts/paired_ab.py` exit 1, naming the operation, before it times
+    anything."""
+    shutil.copytree(ROOT / "src" / "qsperner", tmp_path / "qsperner", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "qsperner" / "families.py", "a") as families:
+        families.write(
+            "\n_max_family = max_family\n\n\n"
+            "def max_family(spec, node_budget=None):\n"
+            "    out = _max_family(spec, node_budget)\n"
+            "    if (spec.kind, spec.n) == (Kind.ANTICHAIN, 7):\n"
+            "        out.max_size += 1\n"
+            "    return out\n"
+        )
+    done = paired_ab(str(ROOT / "src"), str(tmp_path), "search-exact", "--rounds", "2")
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "qsperner_b search-exact antichain||||n=7: omega 36, expected 35\n"
 
 
-def test_paired_ab_rows_build(load_script):
-    """Each of `paired_ab.py`'s `--rows` items makes a valid search spec
-    with this tree; none is searched."""
+def test_paired_ab_rows_build(load_script, monkeypatch, tmp_path):
+    """`scripts/paired_ab.py` executes `perfbench/workloads.py` against a
+    copy of this tree, whose `rows` item makes a search spec of the copy
+    for each of its rows; none is searched, and no `qsperner` alias is
+    left in sys.modules."""
     script = load_script("scripts/paired_ab.py")
-    items = {item: [row] for item, *row in script.ROWS}
-    assert len(items) == len(script.ROWS)
-    assert callable(script.make_runner(package(), items))
-
-
-def test_paired_ab_verify_systems_build(load_script, monkeypatch):
-    """`paired_ab.py --verify` builds each `proof-replay` system on its
-    family with this tree; none is verified."""
-    script = load_script("scripts/paired_ab.py")
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src and perfbench first
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    replays = script.perfbench_workloads(ROOT / "src").proof_families(None)
-    systems = [build() for build in script.system_builders(package(), replays)]
-    assert [(sys_.family.n, sys_.family.members) for sys_ in systems] == [
-        (n, tuple(sorted(members))) for _, n, members, _ in replays
-    ]
+    monkeypatch.syspath_prepend(str(tmp_path))
+    before = dict(sys.modules)
+    try:
+        workloads = script.load(ROOT / "src", "qsperner_rows", tmp_path)
+        changed = [key for key in sys.modules.keys() | before.keys() if sys.modules.get(key) is not before.get(key)]
+        assert [key for key in changed if key.partition(".")[0] in ("qsperner", "workloads")] == []
+        assert workloads.bounds.__name__ == "qsperner_rows.bounds" and workloads.cli.__name__ == "qsperner_rows.cli"
+        ops = script.operations(workloads, "rows", tmp_path)
+    finally:
+        for key in [key for key in sys.modules if key.partition(".")[0] == "qsperner_rows"]:
+            del sys.modules[key]
+    assert len(ops) == len(script.ROWS)
+    assert all(type(op.arg) is workloads.ConstraintSpec for op in ops)
+    assert workloads.ConstraintSpec.__module__ == "qsperner_rows.families"
